@@ -439,8 +439,6 @@ let offset lx =
   | Some (pos, _) -> pos.offset
   | None -> lx.pos
 
-let remaining lx = limit lx - offset lx
-
 let pp_token fmt = function
   | Lbrace -> Format.pp_print_string fmt "'{'"
   | Rbrace -> Format.pp_print_string fmt "'}'"

@@ -132,12 +132,6 @@ val offset : t -> int
 (** Byte offset of the first unconsumed byte (the peeked token's start
     when a lookahead is pending). *)
 
-val remaining : t -> int
-(** Bytes received but not yet consumed ([input length - offset] on a
-    one-shot lexer).  Sizes capacity estimates for consumers that
-    materialize a suffix of the input (e.g. the streaming validator's
-    spill path). *)
-
 val pp_token : Format.formatter -> token -> unit
 (** Render a token for error messages. *)
 

@@ -268,24 +268,24 @@ let new_node b parent edge depth =
    handling reuse the {!Parser} helpers verbatim, which is what makes
    this route differentially testable against
    [of_value (Parser.parse_exn input)]. *)
-let of_lexer_exn ?(mode = `Strict) ?(base_depth = 0) ~budget lx =
-  (* Capacity estimate from the unconsumed input size: every node costs
-     at least four input bytes amortized on realistic documents.
-     Over-estimates only cost transient memory (the trim below returns
-     the dense prefix); under-estimates only cost doublings. *)
-  let len = Lexer.remaining lx in
-  let b = builder (len / 4) in
-  let by_key = Hashtbl.create (max 16 (len / 8)) in
+let build_of_lexer ~mode ~base_depth ~budget ~capacity lx =
+  (* [capacity] sizes the node columns, the key table and the child
+     stacks; all three double when outgrown.  Over-estimates only cost
+     transient memory (the trim below returns the dense prefix);
+     under-estimates only cost doublings. *)
+  let b = builder capacity in
+  let by_key = Hashtbl.create (max 16 (capacity / 2)) in
   (* Children of the container currently being filled sit on top of
      these shared stacks (their frame base is the stack length at
      container entry), and are cut into the exact per-node arrays when
      the container closes — no per-child list cells.  The key stacks
      grow only in objects, the id stack in both container kinds, so
      their frame bases differ. *)
-  let st_ids = vec 0 in
-  let st_keys = vec "" in
-  let st_khash = vec 0 in
-  let st_vhash = vec 0 in
+  let stack_capacity = min 256 capacity in
+  let st_ids = vec ~capacity:stack_capacity 0 in
+  let st_keys = vec ~capacity:stack_capacity "" in
+  let st_khash = vec ~capacity:stack_capacity 0 in
+  let st_vhash = vec ~capacity:stack_capacity 0 in
   let rec value parent edge depth =
     let pos, tok = Lexer.next lx in
     (* Budget parity with the two-stage route: one guard accounts both
@@ -405,10 +405,20 @@ let of_lexer_exn ?(mode = `Strict) ?(base_depth = 0) ~budget lx =
     by_key;
     index = None }
 
-let of_string_exn ?mode ?max_depth ?budget input =
+(* One value off a longer stream: nothing but the value itself bounds
+   its size, so start small rather than from the rest of the input. *)
+let of_lexer_exn ?(mode = `Strict) ?(base_depth = 0) ~budget lx =
+  build_of_lexer ~mode ~base_depth ~budget ~capacity:16 lx
+
+let of_string_exn ?(mode = `Strict) ?max_depth ?budget input =
   let budget = Parser.budget_of budget max_depth in
   let lx = Lexer.create input in
-  let t = of_lexer_exn ?mode ~budget lx in
+  (* the whole input is one value: every node costs at least four input
+     bytes amortized on realistic documents *)
+  let t =
+    build_of_lexer ~mode ~base_depth:0 ~budget
+      ~capacity:(String.length input / 4) lx
+  in
   let pos, tok = Lexer.next lx in
   if tok <> Lexer.Eof then Parser.unexpected pos tok "end of input";
   Obs.Metrics.add "parse.direct.bytes" (String.length input);

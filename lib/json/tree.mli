@@ -71,8 +71,10 @@ val of_lexer_exn :
     budget guard runs with depths offset by [base_depth] (stored node
     depths stay tree-relative), which lets the streaming validator
     spill a subtree [base_depth] levels into a document while keeping
-    the global nesting ceiling exact.  @raise Parser.Parse_error,
-    @raise Lexer.Error like {!of_string_exn}. *)
+    the global nesting ceiling exact.  Its columns start small and
+    double, so the cost follows the value parsed, not the input that
+    follows it.  @raise Parser.Parse_error, @raise Lexer.Error like
+    {!of_string_exn}. *)
 
 val to_value : t -> Value.t
 (** Inverse of {!of_value} (up to object pair order). *)

@@ -44,11 +44,38 @@ type node = {
   nots : int array;
 }
 
+(* Same-node closure of a requested plan-id set: everything reachable
+   through [anyOf]/[allOf]/[not] edges, which all constrain the {e
+   same} value (property/item edges descend to children and are
+   dispatched per member instead).  [Schema.well_formed] rejects
+   non-modal reference cycles, so the closure is acyclic for every
+   compilable document; the cycle flag is kept as a defensive fallback
+   (a cyclic closure spills, reproducing [run_tree]'s divergence
+   behavior instead of inventing a third semantics).  Ids are stored
+   children-first (post-order), so one ascending sweep combines per-id
+   verdicts with every same-node dependency already resolved; the
+   operands of each id are pre-resolved to slots for that sweep. *)
+type closure = {
+  c_ids : int array;  (* post-order: same-node dependencies first *)
+  c_slot : (int, int) Hashtbl.t;  (* plan id -> index into [c_ids] *)
+  c_requested : int array;  (* slots of the requested ids, in request order *)
+  c_any_of : int array array array;  (* per slot: [anyOf] groups as slots *)
+  c_all_of : int array array;  (* per slot: [allOf]/[$ref] operands as slots *)
+  c_nots : int array array;  (* per slot: [not] operands as slots *)
+  c_enum : bool;  (* some closure node carries [enum] *)
+  c_unique : bool;  (* some closure node carries [uniqueItems] *)
+  c_cyclic : bool;
+}
+
 type t = {
   nodes : node array;
   shared : bool array;
     (* ≥ 2 incoming plan-graph edges — the memoized subset *)
   root : int;
+  singletons : closure option Atomic.t array;
+    (* closure of [[id]], filled on first use by whichever run (on
+       whichever domain) asks first; a race at worst builds the same
+       immutable closure twice *)
 }
 
 let node_count p = Array.length p.nodes
@@ -239,7 +266,10 @@ let compile ?(budget = Obs.Budget.unlimited) (doc : Schema.document) =
   let nodes = Array.init b.count (fun i -> Hashtbl.find b.assigned i) in
   let shared = Array.init b.count (fun i -> !(Hashtbl.find b.refs i) >= 2) in
   Obs.Metrics.add "validate.plan.nodes" b.count;
-  { nodes; shared; root }
+  { nodes;
+    shared;
+    root;
+    singletons = Array.init b.count (fun _ -> Atomic.make None) }
 
 (* ---- execution over trees ------------------------------------------------ *)
 
@@ -370,24 +400,6 @@ let run ?budget p v = run_tree ?budget p (Tree.of_value ?budget v)
 
 (* ---- execution over the token stream ------------------------------------- *)
 
-(* Same-node closure of a requested plan-id set: everything reachable
-   through [anyOf]/[allOf]/[not] edges, which all constrain the {e
-   same} value (property/item edges descend to children and are
-   dispatched per member instead).  [Schema.well_formed] rejects
-   non-modal reference cycles, so the closure is acyclic for every
-   compilable document; the cycle flag is kept as a defensive fallback
-   (a cyclic closure spills, reproducing [run_tree]'s divergence
-   behavior instead of inventing a third semantics).  Ids are stored
-   children-first (post-order), so one ascending sweep combines per-id
-   verdicts with every same-node dependency already resolved. *)
-type closure = {
-  c_ids : int array;  (* post-order: same-node dependencies first *)
-  c_slot : (int, int) Hashtbl.t;  (* plan id -> index into [c_ids] *)
-  c_enum : bool;  (* some closure node carries [enum] *)
-  c_unique : bool;  (* some closure node carries [uniqueItems] *)
-  c_cyclic : bool;
-}
-
 let closure_of p requested =
   let slot = Hashtbl.create 8 in
   let order = ref [] in
@@ -412,61 +424,163 @@ let closure_of p requested =
     end
   in
   List.iter go requested;
-  { c_ids = Array.of_list (List.rev !order);
+  let ids = Array.of_list (List.rev !order) in
+  let slots = Array.map (Hashtbl.find slot) in
+  { c_ids = ids;
     c_slot = slot;
+    c_requested = Array.of_list (List.map (Hashtbl.find slot) requested);
+    c_any_of = Array.map (fun id -> Array.map slots p.nodes.(id).any_of) ids;
+    c_all_of = Array.map (fun id -> slots p.nodes.(id).all_of) ids;
+    c_nots = Array.map (fun id -> slots p.nodes.(id).nots) ids;
     c_enum = !enum;
     c_unique = !unique;
     c_cyclic = !cyclic }
+
+let singleton_closure p id =
+  match Atomic.get p.singletons.(id) with
+  | Some c -> c
+  | None ->
+    let c = closure_of p [ id ] in
+    Atomic.set p.singletons.(id) (Some c);
+    c
 
 type stream_state = {
   s_budget : Obs.Budget.t;
   s_mode : [ `Strict | `Lenient ];
   s_lx : Lexer.t;
   s_closures : (int list, closure) Hashtbl.t;
-    (* closures depend only on the requested set, which repeats for
-       every element of a homogeneous array — cache them per run *)
+    (* closures of multi-id requested sets (sorted), which repeat for
+       every member a union dispatches the same way — cached per run *)
 }
 
-let closure st p requested =
-  match Hashtbl.find_opt st.s_closures requested with
+let union_closure st p union =
+  match Hashtbl.find_opt st.s_closures union with
   | Some c -> c
   | None ->
-    let c = closure_of p requested in
-    Hashtbl.add st.s_closures requested c;
+    let c = closure_of p union in
+    Hashtbl.add st.s_closures union c;
     c
+
+(* The per-value checks below are loops over plan arrays rather than
+   [Array.for_all] with a capturing predicate, so that deciding a value
+   allocates nothing beyond its verdict array. *)
+let rec multiples_ok v ms i =
+  i >= Array.length ms
+  || (ms.(i) <> 0 && v mod ms.(i) = 0 && multiples_ok v ms (i + 1))
+
+let rec patterns_ok s dfas i =
+  i >= Array.length dfas || (Dfa.accepts dfas.(i) s && patterns_ok s dfas (i + 1))
 
 (* Scalar [enum] membership directly on the token's atom — the scalar
    cases never spill.  Candidate values come from [enum_set], which
    dropped anything not constructible as a tree, exactly like the
    tree-path comparison would. *)
-let enum_has_int v entries =
-  Array.exists
-    (fun e -> match e.e_value with Value.Num m -> m = v | _ -> false)
-    entries
+let rec enum_has_int v entries i =
+  i < Array.length entries
+  && ((match entries.(i).e_value with Value.Num m -> m = v | _ -> false)
+     || enum_has_int v entries (i + 1))
 
-let enum_has_str s entries =
-  Array.exists
-    (fun e ->
-      match e.e_value with Value.Str t -> String.equal t s | _ -> false)
-    entries
+let rec enum_has_str s entries i =
+  i < Array.length entries
+  && ((match entries.(i).e_value with
+      | Value.Str t -> String.equal t s
+      | _ -> false)
+     || enum_has_str s entries (i + 1))
 
-(* One streamed value against the plan-id set [requested] (sorted).
-   Returns per-id verdicts for the whole same-node closure (spills
-   return just [requested], which is all a caller ever reads).  The
-   token handling mirrors [Tree.of_string_exn] member for member, so
+let rec enums_have_int v enums i =
+  i >= Array.length enums
+  || (enum_has_int v enums.(i) 0 && enums_have_int v enums (i + 1))
+
+let rec enums_have_str s enums i =
+  i >= Array.length enums
+  || (enum_has_str s enums.(i) 0 && enums_have_str s enums (i + 1))
+
+let scalar_int nodes ids v verdicts =
+  for i = 0 to Array.length ids - 1 do
+    let nd = nodes.(ids.(i)) in
+    verdicts.(i) <-
+      nd.type_mask land 0b1000 <> 0
+      && v >= nd.min_bound && v <= nd.max_bound
+      && multiples_ok v nd.multiples 0
+      && enums_have_int v nd.enums 0
+  done
+
+let scalar_str nodes ids s verdicts =
+  for i = 0 to Array.length ids - 1 do
+    let nd = nodes.(ids.(i)) in
+    verdicts.(i) <-
+      nd.type_mask land 0b0100 <> 0
+      && patterns_ok s nd.patterns 0
+      && enums_have_str s nd.enums 0
+  done
+
+let rec any_holds v slots i =
+  i < Array.length slots && (v.(slots.(i)) || any_holds v slots (i + 1))
+
+let rec all_hold v slots i =
+  i >= Array.length slots || (v.(slots.(i)) && all_hold v slots (i + 1))
+
+let rec none_holds v slots i =
+  i >= Array.length slots || ((not v.(slots.(i))) && none_holds v slots (i + 1))
+
+let rec groups_hold v groups i =
+  i >= Array.length groups
+  || (any_holds v groups.(i) 0 && groups_hold v groups (i + 1))
+
+(* Combine structural verdicts across the same-node graph in place:
+   post-order puts every operand of slot [i] below [i], so each is
+   final by the time [i] reads it. *)
+let combine c v =
+  for i = 0 to Array.length v - 1 do
+    if v.(i) then
+      v.(i) <-
+        groups_hold v c.c_any_of.(i) 0
+        && all_hold v c.c_all_of.(i) 0
+        && none_holds v c.c_nots.(i) 0
+  done
+
+let rec pattern_hits key pps i acc =
+  if i >= Array.length pps then acc
+  else
+    let re, pid = pps.(i) in
+    pattern_hits key pps (i + 1) (if Dfa.accepts re key then pid :: acc else acc)
+
+(* The child plan ids one closure node applies to the member [key]:
+   its [properties] entry and every matching [patternProperties] regex,
+   or all of [additionalProperties] when neither names the key. *)
+let member_dispatch nd key =
+  let pats = pattern_hits key nd.pattern_props 0 [] in
+  match Hashtbl.find_opt nd.props key with
+  | Some ps -> Array.fold_right (fun pid acc -> pid :: acc) ps pats
+  | None -> ( match pats with [] -> Array.to_list nd.additional | _ -> pats)
+
+(* Folded over a member's per-slot dispatch from [-1], gives its union:
+   [-1] when no slot dispatches it, the id when every dispatch names
+   that one id, [-2] when two or more distinct ids are named. *)
+let rec union_in u = function
+  | [] -> u
+  | pid :: rest -> union_in (if u = -1 || u = pid then pid else -2) rest
+
+let rec required_seen seen req i =
+  i >= Array.length req
+  || (Hashtbl.mem seen req.(i) && required_seen seen req (i + 1))
+
+(* One streamed value against the closure [c] of its requested plan
+   ids.  Returns verdicts aligned with [c.c_ids] (a spill fills only
+   the requested slots, which is all a caller ever reads).  The token
+   handling mirrors [Tree.of_string_exn] member for member, so
    malformed documents render byte-identical errors through either
    engine; fuel is charged per streamed value ([1] parse unit plus one
    per active closure node), per skipped value ([1]) and per spilled
-   value (the materialization's [2] plus [run_tree]'s per-(node, plan)
-   unit), and the depth ceiling follows document nesting with the same
-   positions as the parser. *)
-let rec stream_value st p requested depth =
-  let c = closure st p requested in
+   value (that same streamed-value charge, then the materialization's
+   [2] per node plus [run_tree]'s per-(node, plan) unit), and the depth
+   ceiling follows document nesting with the same positions as the
+   parser. *)
+let rec stream_value st p c depth =
   let ids = c.c_ids in
   let n = Array.length ids in
   let pos, tok = Lexer.peek st.s_lx in
   Parser.guard ~units:(1 + n) st.s_budget pos depth;
-  Obs.Metrics.incr "parse.values";
   let must_spill =
     c.c_cyclic
     ||
@@ -475,120 +589,67 @@ let rec stream_value st p requested depth =
     | Lexer.Lbracket -> c.c_enum || c.c_unique
     | _ -> false
   in
-  if must_spill then spill st p requested depth
+  if must_spill then spill st p c depth
   else begin
-    let nodes = p.nodes in
-    let structural = Array.make n false in
-    let scalar_int v =
-      for i = 0 to n - 1 do
-        let nd = nodes.(ids.(i)) in
-        structural.(i) <-
-          nd.type_mask land 0b1000 <> 0
-          && v >= nd.min_bound && v <= nd.max_bound
-          && Array.for_all (fun m -> m <> 0 && v mod m = 0) nd.multiples
-          && Array.for_all (enum_has_int v) nd.enums
-      done
-    in
-    let scalar_str s =
-      for i = 0 to n - 1 do
-        let nd = nodes.(ids.(i)) in
-        structural.(i) <-
-          nd.type_mask land 0b0100 <> 0
-          && Array.for_all (fun dfa -> Dfa.accepts dfa s) nd.patterns
-          && Array.for_all (enum_has_str s) nd.enums
-      done
-    in
+    (* a spilled value is counted once, by the tree builder *)
+    Obs.Metrics.incr "parse.values";
+    let verdicts = Array.make n false in
     let pos, tok = Lexer.next st.s_lx in
     (match tok with
-    | Lexer.Lbrace -> stream_obj st p c depth structural
-    | Lexer.Lbracket -> stream_arr st p c depth structural
-    | Lexer.Nat v -> scalar_int v
-    | Lexer.String s -> scalar_str s
+    | Lexer.Lbrace -> stream_obj st p c depth verdicts
+    | Lexer.Lbracket -> stream_arr st p c depth verdicts
+    | Lexer.Nat v -> scalar_int p.nodes ids v verdicts
+    | Lexer.String s -> scalar_str p.nodes ids s verdicts
     | Lexer.Neg_int _ | Lexer.Float _ | Lexer.True | Lexer.False
     | Lexer.Null -> (
       match Parser.literal_atom st.s_mode pos tok with
-      | Parser.Int v -> scalar_int v
-      | Parser.Str s -> scalar_str s)
+      | Parser.Int v -> scalar_int p.nodes ids v verdicts
+      | Parser.Str s -> scalar_str p.nodes ids s verdicts)
     | Lexer.Rbrace | Lexer.Rbracket | Lexer.Colon | Lexer.Comma | Lexer.Eof
       ->
       Parser.unexpected pos tok "a JSON value");
-    (* combine across the same-node graph, children first *)
-    let finals = Array.make n false in
-    let fin pid = finals.(Hashtbl.find c.c_slot pid) in
-    for i = 0 to n - 1 do
-      let nd = nodes.(ids.(i)) in
-      finals.(i) <-
-        structural.(i)
-        && Array.for_all (fun group -> Array.exists fin group) nd.any_of
-        && Array.for_all fin nd.all_of
-        && Array.for_all (fun pid -> not (fin pid)) nd.nots
-    done;
-    let tbl = Hashtbl.create (2 * n) in
-    Array.iteri (fun i id -> Hashtbl.replace tbl id finals.(i)) ids;
-    tbl
+    combine c verdicts;
+    verdicts
   end
 
-(* A member/element's child obligations: the union of every closure
-   node's dispatch for it is evaluated once ([per_slot] remembers which
-   verdicts each closure node then reads back), or skipped outright when
-   no active node constrains it. *)
-and stream_child st p depth per_slot union union_n ok =
-  if union_n = 0 then begin
+(* A member/element's child obligations: [per_slot] holds, per closure
+   slot of the container, the child plan ids that slot applies to it
+   ([ok] is the slot's "all admissible so far" bit).  Their union is
+   evaluated once — through the plan's cached closure when it is a
+   single id, the run's union cache otherwise — and each slot reads its
+   verdicts back; a value no slot constrains is skipped outright. *)
+and stream_child st p depth per_slot ok =
+  match Array.fold_left union_in (-1) per_slot with
+  | -1 ->
     let before = Lexer.offset st.s_lx in
     Parser.skip_value st.s_mode st.s_budget st.s_lx (depth + 1);
     Obs.Metrics.add "validate.stream.skipped_bytes"
       (Lexer.offset st.s_lx - before)
-  end
-  else begin
-    let ctbl = stream_value st p (List.sort_uniq compare union) (depth + 1) in
+  | -2 ->
+    let union =
+      List.sort_uniq Int.compare (List.concat (Array.to_list per_slot))
+    in
+    let c = union_closure st p union in
+    let v = stream_value st p c (depth + 1) in
     Array.iteri
       (fun i pids ->
         if ok.(i) then
-          ok.(i) <- List.for_all (fun pid -> Hashtbl.find ctbl pid) pids)
+          ok.(i) <- List.for_all (fun pid -> v.(Hashtbl.find c.c_slot pid)) pids)
       per_slot
-  end
+  | pid ->
+    let c = singleton_closure p pid in
+    let v = stream_value st p c (depth + 1) in
+    if not v.(c.c_requested.(0)) then
+      Array.iteri (fun i pids -> if pids <> [] then ok.(i) <- false) per_slot
 
-and stream_obj st p c depth structural =
+and stream_obj st p c depth verdicts =
   let nodes = p.nodes in
   let ids = c.c_ids in
   let n = Array.length ids in
   let ok = Array.make n true in
+  let per_slot = Array.make n [] in
   let seen = Hashtbl.create 8 in
   let arity = ref 0 in
-  let member key =
-    incr arity;
-    let union = ref [] and union_n = ref 0 in
-    let in_union = Hashtbl.create 8 in
-    let add pid =
-      if not (Hashtbl.mem in_union pid) then begin
-        Hashtbl.add in_union pid ();
-        union := pid :: !union;
-        incr union_n
-      end
-    in
-    let per_slot = Array.make n [] in
-    for i = 0 to n - 1 do
-      let nd = nodes.(ids.(i)) in
-      let acc = ref [] in
-      let named = ref false in
-      (match Hashtbl.find_opt nd.props key with
-      | Some ps ->
-        named := true;
-        Array.iter (fun pid -> acc := pid :: !acc) ps
-      | None -> ());
-      Array.iter
-        (fun (re, pid) ->
-          if Dfa.accepts re key then begin
-            named := true;
-            acc := pid :: !acc
-          end)
-        nd.pattern_props;
-      if not !named then Array.iter (fun pid -> acc := pid :: !acc) nd.additional;
-      per_slot.(i) <- !acc;
-      List.iter add !acc
-    done;
-    stream_child st p depth per_slot !union !union_n ok
-  in
   let rec members () =
     let pos, tok = Lexer.next st.s_lx in
     match tok with
@@ -598,7 +659,11 @@ and stream_obj st p c depth structural =
       Hashtbl.add seen key ();
       let pos, tok = Lexer.next st.s_lx in
       if tok <> Lexer.Colon then Parser.unexpected pos tok "':'";
-      member key;
+      incr arity;
+      for i = 0 to n - 1 do
+        per_slot.(i) <- member_dispatch nodes.(ids.(i)) key
+      done;
+      stream_child st p depth per_slot ok;
       let pos, tok = Lexer.next st.s_lx in
       (match tok with
       | Lexer.Comma -> members ()
@@ -610,51 +675,39 @@ and stream_obj st p c depth structural =
   if tok = Lexer.Rbrace then ignore (Lexer.next st.s_lx) else members ();
   for i = 0 to n - 1 do
     let nd = nodes.(ids.(i)) in
-    structural.(i) <-
+    verdicts.(i) <-
       nd.type_mask land 0b0001 <> 0
       && ok.(i)
       && !arity >= nd.min_props && !arity <= nd.max_props
-      && Array.for_all (Hashtbl.mem seen) nd.required
+      && required_seen seen nd.required 0
   done
 
-and stream_arr st p c depth structural =
+and stream_arr st p c depth verdicts =
   let nodes = p.nodes in
   let ids = c.c_ids in
   let n = Array.length ids in
   let ok = Array.make n true in
+  let per_slot = Array.make n [] in
   let len = ref 0 in
-  let element () =
+  let rec elements () =
     let i = !len in
     incr len;
-    let union = ref [] and union_n = ref 0 in
-    let in_union = Hashtbl.create 8 in
-    let add pid =
-      if not (Hashtbl.mem in_union pid) then begin
-        Hashtbl.add in_union pid ();
-        union := pid :: !union;
-        incr union_n
-      end
-    in
-    let per_slot = Array.make n [] in
     for s = 0 to n - 1 do
       let nd = nodes.(ids.(s)) in
-      let acc = ref [] in
-      (match (nd.items, nd.additional_items) with
-      | None, None -> ()
-      | None, Some a -> acc := [ a ]
-      | Some ss, add_items ->
-        if i < Array.length ss then acc := [ ss.(i) ]
-        else (
-          match add_items with
-          | None -> ok.(s) <- false (* §5.1: nothing beyond the tuple *)
-          | Some a -> acc := [ a ]));
-      per_slot.(s) <- !acc;
-      List.iter add !acc
+      per_slot.(s) <-
+        (match (nd.items, nd.additional_items) with
+        | None, None -> []
+        | None, Some a -> [ a ]
+        | Some ss, add_items -> (
+          if i < Array.length ss then [ ss.(i) ]
+          else
+            match add_items with
+            | None ->
+              ok.(s) <- false (* §5.1: nothing beyond the tuple *);
+              []
+            | Some a -> [ a ]))
     done;
-    stream_child st p depth per_slot !union !union_n ok
-  in
-  let rec elements () =
-    element ();
+    stream_child st p depth per_slot ok;
     let pos, tok = Lexer.next st.s_lx in
     match tok with
     | Lexer.Comma -> elements ()
@@ -670,27 +723,26 @@ and stream_arr st p c depth structural =
       | Some ss -> !len >= Array.length ss (* §5.1: positions must exist *)
       | None -> true
     in
-    structural.(s) <- nd.type_mask land 0b0010 <> 0 && ok.(s) && tuple_complete
+    verdicts.(s) <- nd.type_mask land 0b0010 <> 0 && ok.(s) && tuple_complete
   done
 
 (* Materialize exactly one subtree through the column builder and fall
    back to [run_tree] semantics on it — the bounded escape hatch for
    the keywords that genuinely need the whole subtree ([uniqueItems],
-   [enum] deep equality) or a cyclic closure. *)
-and spill st p requested depth =
+   [enum] deep equality) or a cyclic closure.  The builder starts small
+   and doubles, so a spill costs O(subtree), not O(rest of input). *)
+and spill st p c depth =
   Obs.Metrics.incr "validate.stream.spills";
   let t =
     Tree.of_lexer_exn ~mode:st.s_mode ~base_depth:depth ~budget:st.s_budget
       st.s_lx
   in
-  let est = { budget = st.s_budget; memo = Hashtbl.create 64 } in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun id ->
-      if not (Hashtbl.mem tbl id) then
-        Hashtbl.replace tbl id (exec p est t Tree.root id depth))
-    requested;
-  tbl
+  let est = { budget = st.s_budget; memo = Hashtbl.create 16 } in
+  let v = Array.make (Array.length c.c_ids) false in
+  Array.iter
+    (fun s -> v.(s) <- exec p est t Tree.root c.c_ids.(s) depth)
+    c.c_requested;
+  v
 
 let run_lexer ?(budget = Obs.Budget.unlimited) ?(mode = `Strict) p lx =
   Obs.Metrics.incr "validate.stream.runs";
@@ -698,12 +750,13 @@ let run_lexer ?(budget = Obs.Budget.unlimited) ?(mode = `Strict) p lx =
     { s_budget = budget;
       s_mode = mode;
       s_lx = lx;
-      s_closures = Hashtbl.create 16 }
+      s_closures = Hashtbl.create 8 }
   in
-  let tbl = stream_value st p [ p.root ] 0 in
+  let c = singleton_closure p p.root in
+  let v = stream_value st p c 0 in
   let pos, tok = Lexer.next lx in
   if tok <> Lexer.Eof then Parser.unexpected pos tok "end of input";
-  Hashtbl.find tbl p.root
+  v.(c.c_requested.(0))
 
 let run_stream ?budget ?mode p input =
   run_lexer ?budget ?mode p (Lexer.create input)

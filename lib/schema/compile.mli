@@ -35,8 +35,11 @@
     Metrics: span [validate.compile]; counters [validate.plan.nodes],
     [validate.compile.dfas], [validate.plan.runs], [validate.memo.hit].
 
-    A compiled plan is immutable and safe to share across domains; the
-    per-run memo table is private to each {!run_tree} call. *)
+    A compiled plan is safe to share across domains: its only mutable
+    part is the stream executor's closure cache, one atomic slot per
+    plan node, where a race at worst builds the same immutable closure
+    twice.  The per-run memo table is private to each {!run_tree}
+    call. *)
 
 type t
 (** A compiled schema document. *)
@@ -87,11 +90,19 @@ val run_stream :
     [budget]: the depth ceiling follows document nesting with
     parser-identical positions; fuel is charged per streamed value (one
     parse unit plus one per active closure node), per skipped value
-    (one), and per spilled value (the materialization's two plus
-    {!run_tree}'s per-(node, plan) unit) — a single budget covers the
-    fused parse+validate, where the two-stage route draws parse and
-    run fuel separately.  [mode] admits literals like the parser's
-    (default [`Strict]).
+    (one), and per spilled value (first that same streamed-value
+    charge, then the materialization's two per node plus {!run_tree}'s
+    per-(node, plan) unit) — a single budget covers the fused
+    parse+validate, where the two-stage route draws parse and run fuel
+    separately.  [mode] admits literals like the parser's (default
+    [`Strict]).
+
+    Allocation follows the value being decided, not the document: the
+    closure of a single plan id is built once per plan (on first use,
+    by whichever run or domain asks first) and reused by every run;
+    per-id verdicts live in one [bool array] per streamed value; a
+    spill's tree builder starts small and doubles, so it costs
+    O(subtree).
 
     Counters: [validate.stream.runs], [validate.stream.spills],
     [validate.stream.skipped_bytes] (plus the shared [parse.values]).

@@ -818,6 +818,11 @@ if ! grep -q '"bench.mongo.agreement":1' "$mongo_json/BENCH_mongo.json"; then
 fi
 rm -rf "$mongo_json"
 
+# Repository benchmark self-test: every workload at tiny sizes, every
+# metric printed with its unit, the JSON keys exactly BENCHMARK.json's,
+# and a corrupted expected answer counted as a failure.
+run 600 python3 perfbench/run.py --self-test
+
 # --metrics must produce the per-phase dump (on stderr)
 metrics=$(echo '{"a":[1,2,1]}' | timeout 60 "$JSONLOGIC" parse --metrics - 2>&1 >/dev/null)
 case $metrics in

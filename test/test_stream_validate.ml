@@ -113,6 +113,25 @@ let test_fuzz_generated () =
     (Printf.sprintf "enough well-formed schemas (%d/500)" !checked)
     true (!checked > 400)
 
+let test_shared_plan_domains () =
+  (* the closure cache lives on the plan: two domains filling it at
+     once from a fresh plan must both reach the tree verdicts *)
+  let plan = plan_of Jworkload.Catalog.catalog_schema in
+  let rng = Jworkload.Prng.create 2024 in
+  let texts =
+    Array.init 200 (fun _ -> Value.to_string (Jworkload.Catalog.catalog_doc rng))
+  in
+  let expected =
+    Array.map (fun text -> Plan.run_tree plan (Tree.of_string_exn text)) texts
+  in
+  let worker () = Array.map (Plan.run_stream plan) texts in
+  let domains = List.init 2 (fun _ -> Domain.spawn worker) in
+  List.iteri
+    (fun k d ->
+      if Domain.join d <> expected then
+        Alcotest.failf "domain %d: stream verdicts differ from the tree's" k)
+    domains
+
 (* ------------------------------------------------------------------ *)
 (* Malformed documents: rendered errors byte-identical to the tree path *)
 (* ------------------------------------------------------------------ *)
@@ -278,6 +297,61 @@ let test_skip_metrics () =
       Alcotest.(check bool) "skipped bytes counted" true
         (Obs.Metrics.counter_value "validate.stream.skipped_bytes" > 0))
 
+(* Words allocated on this domain while [f] runs.  The minor figure
+   comes from [Gc.minor_words]: the one in [Gc.counters] misses most
+   minor allocation on OCaml 5.1. *)
+let words_allocated f =
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+let test_spill_linear () =
+  (* one small uniqueItems spill per element: total allocation must
+     follow the document, not (elements x rest of the document) *)
+  let plan = plan_of {|{"items":{"properties":{"tags":{"uniqueItems":true}}}}|} in
+  let words n =
+    let b = Buffer.create (n * 32) in
+    Buffer.add_char b '[';
+    for i = 0 to n - 1 do
+      if i > 0 then Buffer.add_char b ',';
+      Printf.bprintf b {|{"id":%d,"tags":["a","b"]}|} i
+    done;
+    Buffer.add_char b ']';
+    let text = Buffer.contents b in
+    let ok, w = words_allocated (fun () -> Plan.run_stream plan text) in
+    Alcotest.(check bool) (Printf.sprintf "%d items validate" n) true ok;
+    w
+  in
+  let w1 = words 1000 in
+  let w4 = words 4000 in
+  if w4 > 6. *. w1 then
+    Alcotest.failf "words grew %.1fx from 1000 items (%.0f) to 4000 (%.0f)"
+      (w4 /. w1) w1 w4
+
+let test_spill_sized_by_subtree () =
+  (* a spill ahead of a large unconstrained value must not size its
+     builder from the bytes that follow it *)
+  let plan = plan_of {|{"properties":{"u":{"uniqueItems":true}}}|} in
+  let text = {|{"u":[1,2],"pad":"|} ^ String.make (256 * 1024) 'x' ^ {|"}|} in
+  let ok, w = words_allocated (fun () -> Plan.run_stream plan text) in
+  Alcotest.(check bool) "document validates" true ok;
+  if w >= 16384. then
+    Alcotest.failf "one spill ahead of 256 KiB allocated %.0f words" w
+
+let test_spill_parse_values () =
+  (* a spilled value is one parsed value, counted once *)
+  let plan = plan_of {|{"uniqueItems":true}|} in
+  let text = "[1,2,[3]]" in
+  let values f =
+    with_metrics (fun () ->
+        ignore (f ());
+        Obs.Metrics.counter_value "parse.values")
+  in
+  Alcotest.(check int) "parse.values: stream = tree"
+    (values (fun () -> Tree.of_string_exn text))
+    (values (fun () -> Plan.run_stream plan text))
+
 (* ------------------------------------------------------------------ *)
 (* NDJSON line independence: a bad line must not poison its neighbours *)
 (* ------------------------------------------------------------------ *)
@@ -409,13 +483,103 @@ let test_feed_fuel_identity () =
       Alcotest.failf "fuel %d: chunked and one-shot outcomes differ" fuel
   done
 
+(* ------------------------------------------------------------------ *)
+(* Multi-id dispatch: members/elements owing two or more plan ids       *)
+(* ------------------------------------------------------------------ *)
+
+(* Each schema makes some member or element dispatch to two or more
+   distinct plan ids at once, which the catalog never does; most also
+   give values same-node closures of two or more nodes. *)
+let multi_id_schemas =
+  [ (* "ab"/"b" are named by properties and matched by patternProperties *)
+    {|{"properties":{"ab":{"type":"number","minimum":3},"b":{"type":"string"}},
+       "patternProperties":{"a(b|c)":{"maximum":10},"b":{"pattern":"x*"}},
+       "additionalProperties":{"type":"array"}}|};
+    (* allOf of two objects with different additionalProperties *)
+    {|{"allOf":[{"properties":{"a":{"type":"number"}},
+                 "additionalProperties":{"type":"string"}},
+                {"properties":{"b":{"type":"string"}},
+                 "additionalProperties":{"minimum":2}}]}|};
+    (* anyOf / not over objects *)
+    {|{"anyOf":[{"properties":{"a":{"type":"string"}},"required":["a"]},
+                {"not":{"properties":{"a":{"minimum":5}},
+                        "additionalProperties":{"type":"object"}}}]}|};
+    (* tuple items + additionalItems under allOf *)
+    {|{"allOf":[{"items":[{"type":"number"},{"type":"string"}],
+                 "additionalItems":{"type":"number"}},
+                {"items":[{"minimum":1}],"additionalItems":{"maximum":5}},
+                {"type":"array"}]}|};
+    (* $ref to a uniqueItems array, alone and inside multi-id unions *)
+    {|{"definitions":{"u":{"type":"array","uniqueItems":true}},
+       "properties":{"a":{"$ref":"#/definitions/u"},
+                     "b":{"allOf":[{"$ref":"#/definitions/u"},
+                                   {"items":[{"type":"number"}]}]}},
+       "patternProperties":{"a|b":{"type":"array"}},
+       "items":[{"$ref":"#/definitions/u"}],
+       "additionalItems":{"anyOf":[{"$ref":"#/definitions/u"},{"type":"number"}]}}|} ]
+
+let rec small_value rng depth =
+  let module P = Jworkload.Prng in
+  match P.int rng (if depth >= 3 then 2 else 4) with
+  | 0 -> Value.Num (P.int rng 12)
+  | 1 -> Value.Str (P.choose rng [ ""; "x"; "xx"; "y" ])
+  | 2 -> Value.Arr (List.init (P.int rng 5) (fun _ -> small_value rng (depth + 1)))
+  | _ ->
+    let keys = P.shuffle rng [ "a"; "b"; "ab"; "ac"; "c" ] in
+    let width = P.int rng 5 in
+    Value.Obj
+      (List.filteri (fun i _ -> i < width) keys
+      |> List.map (fun k -> (k, small_value rng (depth + 1))))
+
+let test_multi_id_dispatch () =
+  let rng = Jworkload.Prng.create 1313 in
+  List.iter
+    (fun schema_text ->
+      let schema = Jschema.Parse.of_string_exn schema_text in
+      let plan = Plan.compile schema in
+      let verdicts = ref [] in
+      for i = 1 to 300 do
+        (* containers at the root, so the dispatch runs *)
+        let doc =
+          let rec container () =
+            match small_value rng 1 with
+            | (Value.Obj _ | Value.Arr _) as v -> v
+            | _ -> container ()
+          in
+          container ()
+        in
+        let text = Value.to_string doc in
+        let stream =
+          match via_stream plan text with
+          | Ok b -> b
+          | Error m -> Alcotest.failf "case %d: stream error %s on %s" i m text
+        in
+        let tree = Plan.run_tree plan (Tree.of_string_exn text) in
+        let interp = Jschema.Validate.validates schema doc in
+        if stream <> tree || tree <> interp then
+          Alcotest.failf "case %d: stream=%b tree=%b interp=%b on %s (schema %s)"
+            i stream tree interp text schema_text;
+        verdicts := stream :: !verdicts;
+        let n = String.length text in
+        for k = 0 to n do
+          check_feed_agree plan text
+            [ String.sub text 0 k; String.sub text k (n - k) ]
+            (Printf.sprintf "split at %d" k)
+        done
+      done;
+      if not (List.mem true !verdicts && List.mem false !verdicts) then
+        Alcotest.failf "one-sided verdicts on schema %s" schema_text)
+    multi_id_schemas
+
 let () =
   Alcotest.run "stream_validate"
     [ ("agreement",
        [ Alcotest.test_case "Table 1 keyword cases" `Quick test_keyword_cases;
          Alcotest.test_case "catalog fuzz, 500 docs" `Quick test_fuzz_catalog;
          Alcotest.test_case "generated schemas, 500 pairs" `Quick
-           test_fuzz_generated ]);
+           test_fuzz_generated;
+         Alcotest.test_case "one plan shared by two domains" `Quick
+           test_shared_plan_domains ]);
       ("errors",
        [ Alcotest.test_case "byte-identical rendered errors" `Quick
            test_error_identity ]);
@@ -427,7 +591,16 @@ let () =
        [ Alcotest.test_case "uniqueItems" `Quick test_spill_unique_items;
          Alcotest.test_case "container enum" `Quick test_spill_container_enum;
          Alcotest.test_case "$ref sharing" `Quick test_spill_ref_sharing;
-         Alcotest.test_case "skip accounting" `Quick test_skip_metrics ]);
+         Alcotest.test_case "skip accounting" `Quick test_skip_metrics;
+         Alcotest.test_case "allocation linear in items" `Quick
+           test_spill_linear;
+         Alcotest.test_case "sized by its subtree" `Quick
+           test_spill_sized_by_subtree;
+         Alcotest.test_case "parse.values counted once" `Quick
+           test_spill_parse_values ]);
+      ("multi-id",
+       [ Alcotest.test_case "stream = tree = interpreter, every split" `Quick
+           test_multi_id_dispatch ]);
       ("feed",
        [ Alcotest.test_case "keyword cases, chunked" `Quick
            test_feed_keyword_cases;
