@@ -588,46 +588,69 @@ let t1 () =
 
 (* ---- E-strm: the §6 streaming conjecture ----------------------------------- *)
 
+(* growth of the major heap's high-water mark (words) while [f] runs,
+   measured from a compacted heap *)
+let peak_words f =
+  Gc.compact ();
+  let before = (Gc.quick_stat ()).Gc.top_heap_words in
+  let r = f () in
+  let after = (Gc.quick_stat ()).Gc.top_heap_words in
+  (r, after - before)
+
 let strm () =
-  header "E-strm (§6): deterministic JSL streams in constant memory";
+  header "E-strm (§6): JSL streams through the validation plan in constant memory";
+  let all_agree = ref true in
   let phi =
     Jsl.conj
       [ Jsl.Test Jsl.Is_obj;
         Jsl.dia_key "id" (Jsl.Test Jsl.Is_int);
         Jsl.dia_key "name" (Jsl.dia_key "first" (Jsl.Test Jsl.Is_str)) ]
   in
-  row "%-12s %-14s %-16s %-16s %-12s\n" "|J| (nodes)" "tokens" "tree eval (ms)"
-    "stream (ms)" "peak obls";
-  List.iter
-    (fun n ->
-      let rng = Jworkload.Prng.create 8 in
-      let payload = Jworkload.Gen_json.sized rng n in
-      let doc =
-        Value.Obj
-          [ ("id", Value.Num 7);
-            ("name", Value.Obj [ ("first", Value.Str "John") ]);
-            ("payload", payload) ]
-      in
-      let text = Value.to_string doc in
-      let ns_tree =
-        measure_ns ~name:"bench.strm.tree" (fun () ->
-            ignore (Jsl.validates doc phi))
-      in
-      let ns_stream =
-        measure_ns ~name:"bench.strm.stream" (fun () ->
-            ignore (Stream.validate text phi))
-      in
-      match Stream.validate_with_stats text phi with
-      | Ok (_, stats) ->
-        row "%-12d %-14d %-16.3f %-16.3f %-12d\n" (Value.size doc)
-          stats.Stream.tokens (ns_tree /. 1e6) (ns_stream /. 1e6)
-          stats.Stream.peak_obligations
-      | Error m -> row "stream error: %s\n" m)
-    [ 1_000; 8_000; 64_000 ];
-  row "(peak obligations must stay flat as |J| grows — the conjectured bound)\n";
+  let phi_plan = Jschema.Validate.Plan.of_jsl phi in
+  row "%-12s %-14s %-16s %-16s %-14s\n" "|J| (nodes)" "bytes" "tree eval (ms)"
+    "stream (ms)" "heap growth";
+  let growth =
+    List.map
+      (fun n ->
+        let rng = Jworkload.Prng.create 8 in
+        let payload = Jworkload.Gen_json.sized rng n in
+        let doc =
+          Value.Obj
+            [ ("id", Value.Num 7);
+              ("name", Value.Obj [ ("first", Value.Str "John") ]);
+              ("payload", payload) ]
+        in
+        let text = Value.to_string doc in
+        (* the heap is measured first, before the timing loops churn it *)
+        let verdict, words =
+          peak_words (fun () -> Jschema.Validate.Plan.run_stream phi_plan text)
+        in
+        if verdict <> Jsl.validates doc phi then all_agree := false;
+        let ns_tree =
+          measure_ns ~name:"bench.strm.tree" (fun () ->
+              ignore (Jsl.validates doc phi))
+        in
+        let ns_stream =
+          measure_ns ~name:"bench.strm.stream" (fun () ->
+              ignore (Jschema.Validate.Plan.run_stream phi_plan text))
+        in
+        row "%-12d %-14d %-16.3f %-16.3f %-14d\n" (Value.size doc)
+          (String.length text) (ns_tree /. 1e6) (ns_stream /. 1e6) words;
+        words)
+      [ 1_000; 8_000; 64_000 ]
+  in
+  (* flat: from the smallest document to the largest (64x the nodes) the
+     stream route's heap growth may rise by at most 32k words (256 KiB),
+     far below what a tree of the largest would take *)
+  let flat = List.for_all (fun w -> w - List.hd growth <= 32_768) growth in
+  Obs.Metrics.add "bench.strm.jsl.peak_stream_words"
+    (List.nth growth (List.length growth - 1));
+  row "(stream heap growth must stay flat as |J| grows — the conjectured \
+       bound)%s\n"
+    (if flat then "" else "  ** NOT FLAT **");
+  if not flat then all_agree := false;
 
   (* -- schema validation over the token stream (Validate.Plan.run_stream) -- *)
-  let all_agree = ref true in
   row "\nschema validation off the token stream (compiled plan):\n";
   let schema = Jschema.Parse.of_string_exn Jworkload.Catalog.catalog_schema in
   let plan = Jschema.Validate.Plan.compile schema in
@@ -713,13 +736,6 @@ let strm () =
     done;
     Buffer.add_char b ']';
     Buffer.contents b
-  in
-  let peak_words f =
-    Gc.compact ();
-    let before = (Gc.quick_stat ()).Gc.top_heap_words in
-    let r = f () in
-    let after = (Gc.quick_stat ()).Gc.top_heap_words in
-    (r, after - before)
   in
   row "\npeak heap growth while validating (words above high-water mark):\n";
   row "%-14s %-14s %-16s %-16s\n" "elements" "bytes" "stream (words)" "tree (words)";
@@ -1189,8 +1205,9 @@ let validate_exp () =
     all_agree := false
   end;
 
-  (* (c) the same treatment for JSL: interpreted eval vs compiled plan *)
-  row "\nJSL: set-at-a-time eval vs compiled plan (16k-node document):\n";
+  (* (c) the same treatment for JSL: the interpreter vs the formula
+     compiled into the same plan IR *)
+  row "\nJSL: interpreted eval vs the compiled plan (16k-node document):\n";
   let frng = Jworkload.Prng.create 99 in
   let cfg =
     { Jworkload.Gen_formula.default with
@@ -1199,26 +1216,27 @@ let validate_exp () =
       allow_negation = true }
   in
   let f = Jworkload.Gen_formula.jsl frng cfg in
-  let tree = Tree.of_value (Jworkload.Gen_json.sized frng 16_000) in
-  let jsl_plan = Jsl.compile f in
-  let sat_i = Jsl.eval (Jsl.context tree) f in
-  let sat_p = Jsl.eval_plan (Jsl.context tree) jsl_plan in
-  if not (Bitset.equal sat_i sat_p) then all_agree := false;
+  let doc = Jworkload.Gen_json.sized frng 16_000 in
+  let tree = Tree.of_value doc in
+  let jsl_plan = Jschema.Validate.Plan.of_jsl f in
+  if Jsl.validates doc f <> Jschema.Validate.Plan.run_tree jsl_plan tree then
+    all_agree := false;
   let ns_eval =
     measure_ns ~name:"bench.validate.jsl_interp" (fun () ->
-        ignore (Jsl.eval (Jsl.context tree) f))
+        ignore (Jsl.holds (Jsl.context tree) Tree.root f))
   in
   let ns_eplan =
     measure_ns ~name:"bench.validate.jsl_plan" (fun () ->
-        ignore (Jsl.eval_plan (Jsl.context tree) jsl_plan))
+        ignore (Jschema.Validate.Plan.run_tree jsl_plan tree))
   in
   let ns_compile =
     measure_ns ~name:"bench.validate.jsl_compile" (fun () ->
-        ignore (Jsl.compile f))
+        ignore (Jschema.Validate.Plan.of_jsl f))
   in
-  row "formula size %d -> %d plan nodes\n" (Jsl.size f) (Jsl.plan_size jsl_plan);
+  row "formula size %d -> %d plan nodes\n" (Jsl.size f)
+    (Jschema.Validate.Plan.node_count jsl_plan);
   row "%-36s %12.0f ns/eval\n" "interpreted eval (fresh ctx)" ns_eval;
-  row "%-36s %12.0f ns/eval\n" "compiled eval_plan (fresh ctx)" ns_eplan;
+  row "%-36s %12.0f ns/eval\n" "of_jsl plan, run_tree" ns_eplan;
   row "%-36s %12.0f ns\n" "one-time compile" ns_compile;
   if ns_eval > ns_eplan then
     row "crossover: compile amortized after %.1f evaluations\n"

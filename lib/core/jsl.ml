@@ -344,150 +344,6 @@ let validates_bounded ?budget v f =
   | b -> Ok b
   | exception Obs.Budget.Exhausted r -> Error (Obs.Budget.describe r)
 
-(* ---- compiled plans ------------------------------------------------------ *)
-
-(* The compiled form of a formula: subformulas interned (hash-consed
-   structurally, exactly the deduplication the evaluator's memo table
-   performs on the fly) into a topologically ordered instruction
-   array — children always precede parents — with key regexes lowered
-   to DFAs at compile time.  Fuel draw matches [eval] by construction:
-   one burn of [node_count] per distinct subformula. *)
-type pinstr =
-  | P_true
-  | P_not of int
-  | P_and of int * int
-  | P_or of int * int
-  | P_test of node_test
-  | P_pattern of Rexp.Dfa.t
-  | P_dia_keys of Rexp.Dfa.t * int
-  | P_box_keys of Rexp.Dfa.t * int
-  | P_dia_range of int * int option * int
-  | P_box_range of int * int option * int
-  | P_var of string
-
-type plan = { instrs : pinstr array; proot : int }
-
-let plan_size p = Array.length p.instrs
-
-let compile ?(budget = Obs.Budget.unlimited) f =
-  let ids : (t, int) Hashtbl.t = Hashtbl.create 32 in
-  let dfas : (Rexp.Syntax.t, Rexp.Dfa.t) Hashtbl.t = Hashtbl.create 8 in
-  let dfa e =
-    match Hashtbl.find_opt dfas e with
-    | Some d -> d
-    | None ->
-      let d = Rexp.Dfa.of_syntax e in
-      Hashtbl.add dfas e d;
-      d
-  in
-  let acc = ref [] and count = ref 0 in
-  let emit instr =
-    acc := instr :: !acc;
-    let id = !count in
-    incr count;
-    id
-  in
-  let rec go depth f =
-    match Hashtbl.find_opt ids f with
-    | Some id -> id
-    | None ->
-      Obs.Budget.check_depth budget depth;
-      let instr =
-        match f with
-        | True -> P_true
-        | Not g -> P_not (go (depth + 1) g)
-        | And (a, b) ->
-          let ia = go (depth + 1) a in
-          P_and (ia, go (depth + 1) b)
-        | Or (a, b) ->
-          let ia = go (depth + 1) a in
-          P_or (ia, go (depth + 1) b)
-        | Test (Pattern e) -> P_pattern (dfa e)
-        | Test nt -> P_test nt
-        | Dia_keys (e, g) ->
-          let ig = go (depth + 1) g in
-          P_dia_keys (dfa e, ig)
-        | Box_keys (e, g) ->
-          let ig = go (depth + 1) g in
-          P_box_keys (dfa e, ig)
-        | Dia_range (i, j, g) -> P_dia_range (i, j, go (depth + 1) g)
-        | Box_range (i, j, g) -> P_box_range (i, j, go (depth + 1) g)
-        | Var v -> P_var v
-      in
-      let id = emit instr in
-      Hashtbl.add ids f id;
-      id
-  in
-  let proot = go 0 f in
-  Obs.Metrics.add "jsl.plan.nodes" !count;
-  { instrs = Array.of_list (List.rev !acc); proot }
-
-let eval_plan ctx plan =
-  Obs.Metrics.incr "jsl.plan.runs";
-  let n = n_nodes ctx in
-  let t = ctx.t in
-  let len = Array.length plan.instrs in
-  let results = Array.make len (Bitset.create 0) in
-  let sweep pred =
-    let out = Bitset.create n in
-    for node = 0 to n - 1 do
-      if pred node then Bitset.add out node
-    done;
-    out
-  in
-  let keys_sweep dfa sat exists =
-    sweep (fun node ->
-        let keys = Tree.obj_keys t node and kids = Tree.child_ids t node in
-        let arity = Array.length keys in
-        let rec go i found =
-          if i >= arity then if exists then found else true
-          else if not (Rexp.Dfa.accepts dfa keys.(i)) then go (i + 1) found
-          else if Bitset.mem sat kids.(i) then
-            if exists then true else go (i + 1) true
-          else if exists then go (i + 1) found
-          else false
-        in
-        go 0 false)
-  in
-  let range_sweep i j sat exists =
-    sweep (fun node ->
-        let sel = selected_by_range ctx i j node in
-        if exists then List.exists (Bitset.mem sat) sel
-        else List.for_all (Bitset.mem sat) sel)
-  in
-  for id = 0 to len - 1 do
-    Obs.Budget.burn ctx.budget n;
-    let r =
-      match plan.instrs.(id) with
-      | P_true -> Bitset.full n
-      | P_not i -> Bitset.complement results.(i)
-      | P_and (i, j) -> Bitset.inter results.(i) results.(j)
-      | P_or (i, j) -> Bitset.union results.(i) results.(j)
-      | P_test nt -> sweep (fun node -> holds_test ctx node nt)
-      | P_pattern dfa ->
-        sweep (fun node ->
-            match Tree.str_value t node with
-            | Some s -> Rexp.Dfa.accepts dfa s
-            | None -> false)
-      | P_dia_keys (dfa, i) -> keys_sweep dfa results.(i) true
-      | P_box_keys (dfa, i) -> keys_sweep dfa results.(i) false
-      | P_dia_range (i, j, g) -> range_sweep i j results.(g) true
-      | P_box_range (i, j, g) -> range_sweep i j results.(g) false
-      | P_var v ->
-        invalid_arg
-          (Printf.sprintf
-             "Jsl.eval: free recursion symbol $%s (use Jsl_rec.validates)" v)
-    in
-    results.(id) <- r
-  done;
-  results.(plan.proot)
-
-let holds_plan ctx node plan = Bitset.mem (eval_plan ctx plan) node
-
-let validates_plan ?budget v plan =
-  let ctx = context ?budget (Tree.of_value ?budget v) in
-  holds_plan ctx Tree.root plan
-
 (* ---- parser (inverse of pp) ---------------------------------------------- *)
 
 exception Bad of string

@@ -123,37 +123,6 @@ val validates_bounded :
 (** Like {!validates} but budget exhaustion is returned as
     [Error (Obs.Budget.describe reason)] instead of raising. *)
 
-(** {2 Compiled plans}
-
-    [compile] interns the formula's distinct subformulas — the same
-    structural deduplication the evaluator's memo table discovers on
-    the fly — into a topologically ordered instruction array (children
-    before parents) with key regexes lowered to {!Rexp.Dfa} once;
-    [eval_plan] then runs the array bottom-up with no recursion and no
-    hashing.  Fuel draw matches {!eval} by construction: one burn of
-    [node_count] per distinct subformula; the compile checks formula
-    depth against the budget's ceiling at the same points [eval]
-    would.  A plan is immutable and safe to share across domains.
-    Counters: [jsl.plan.nodes], [jsl.plan.runs]. *)
-
-type plan
-
-val compile : ?budget:Obs.Budget.t -> t -> plan
-(** @raise Obs.Budget.Exhausted on formulas deeper than the ceiling. *)
-
-val plan_size : plan -> int
-(** Number of interned subformulas. *)
-
-val eval_plan : ctx -> plan -> Bitset.t
-(** Satisfaction set over all nodes; agrees with {!eval} on the
-    formula the plan was compiled from.  @raise Invalid_argument on
-    free [Var]s. *)
-
-val holds_plan : ctx -> Jsont.Tree.node -> plan -> bool
-
-val validates_plan : ?budget:Obs.Budget.t -> Jsont.Value.t -> plan -> bool
-(** Compiled counterpart of {!validates}. *)
-
 val check_unique : Jsont.Tree.t -> Jsont.Tree.node -> bool
 (** The [Unique] node test in isolation (shared with {!Jsl_rec} and the
     automaton membership checker). *)

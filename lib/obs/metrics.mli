@@ -5,7 +5,7 @@
     - {b counters}: monotonically increasing integers ({!incr}/{!add}),
       used for per-construct evaluation counts ([jsl.test.unique],
       [jnl.eq_paths], …) and volume counts ([parse.values],
-      [stream.tokens], …);
+      [validate.stream.skipped_bytes], …);
     - {b timings}: accumulated duration samples with count/total/min/max
       ({!span} for scoped wall-clock measurement, {!observe_ns} for
       externally measured samples — the bench harness feeds its OLS

@@ -146,7 +146,7 @@ type lookup = {
 }
 
 type stage =
-  | S_match of Mongo.filter * Jsl.plan
+  | S_match of Mongo.filter * Jschema.Validate.Plan.t
   | S_project of proj
   | S_unwind of path * bool  (** path, preserveNullAndEmptyArrays *)
   | S_group of group
@@ -306,7 +306,7 @@ let parse_stage collections (v : Value.t) : stage =
     match op with
     | "$match" -> (
       match Mongo.parse arg with
-      | Ok f -> S_match (f, Jsl.compile (Mongo.to_jsl f))
+      | Ok f -> S_match (f, Jschema.Validate.Plan.of_jsl (Mongo.to_jsl f))
       | Error m -> bad "$match: %s" m)
     | "$project" -> S_project (parse_project arg)
     | "$unwind" -> parse_unwind arg
@@ -504,8 +504,7 @@ let split_streaming (pl : pipeline) : pipeline * pipeline =
 let apply_stage_doc (s : stage) (d : doc) : doc list =
   match s with
   | S_match (_, plan) ->
-    let t = doc_tree d in
-    if Jsl.holds_plan (Jsl.context t) Tree.root plan then (
+    if Jschema.Validate.Plan.run_tree plan (doc_tree d) then (
       Metrics.incr "mongo.agg.match.pass";
       [ d ])
     else (

@@ -7,7 +7,8 @@
       {"$sort": {"n": 0}}, {"$limit": 10}]].
 
     Supported stages: [$match] (the {!Mongo} find-filter language,
-    compiled to a JSL plan and evaluated over each document's tree),
+    translated to JSL, compiled by {!Jschema.Validate.Plan.of_jsl} and
+    run over each document's tree by the plan's tree executor),
     [$project] (inclusion / exclusion flags plus computed fields from
     ["$a.b"] paths, [{"$literal": v}] and literal documents),
     [$unwind] (with [preserveNullAndEmptyArrays]), [$group]

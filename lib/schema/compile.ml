@@ -3,16 +3,24 @@ module Tree = Jsont.Tree
 module Lexer = Jsont.Lexer
 module Parser = Jsont.Parser
 module Dfa = Rexp.Dfa
+module Jsl = Jlogic.Jsl
 
 (* Enum constants are pre-hashed with the tree hash so the runtime
    check is an integer binary search plus at most a handful of
    structural comparisons on hash-equal candidates. *)
 type enum_entry = { e_hash : int; e_size : int; e_value : Value.t }
 
-(* One plan node is the compiled form of one schema conjunction.  All
-   subschema positions hold plan ids into the enclosing plan's node
-   array; every keyword family is pre-resolved to the exact shape the
-   executor consumes:
+(* Every array element at a position in [lo, hi] (inclusive, [hi =
+   max_int] when unbounded) must satisfy plan [r_plan].  Schema
+   [items]/[additionalItems] and JSL's index modalities both lower to
+   ranges, so the executors have one array-dispatch mechanism and a
+   node's size does not depend on the numbers written in it. *)
+type range = { lo : int; hi : int; r_plan : int }
+
+(* One plan node is the compiled form of one schema conjunction or one
+   JSL conjunction.  All subschema positions hold plan ids into the
+   enclosing plan's node array; every keyword family is pre-resolved to
+   the exact shape the executor consumes:
 
    - conjunct interactions are resolved at compile time the same way
      the interpreter resolves them at every visit: the {e last}
@@ -22,7 +30,9 @@ type enum_entry = { e_hash : int; e_size : int; e_value : Value.t }
      [properties] lists it or some sibling [patternProperties] regex
      matches it;
    - numeric bounds collapse to one interval, [type] conjuncts to one
-     kind bitmask (two distinct types = empty mask = always false). *)
+     kind bitmask (two distinct types = empty mask = always false);
+   - property and length bounds apply only to objects, item ranges and
+     length bounds only to arrays. *)
 type node = {
   type_mask : int;  (* bit 0 = object, 1 = array, 2 = string, 3 = number *)
   patterns : Dfa.t array;
@@ -35,8 +45,9 @@ type node = {
   props : (string, int array) Hashtbl.t;  (* key-dispatch table *)
   pattern_props : (Dfa.t * int) array;
   additional : int array;  (* all [additionalProperties]; [] = absent *)
-  items : int array option;  (* the last [items] conjunct *)
-  additional_items : int option;  (* the last [additionalItems] *)
+  ranges : range array;
+  min_items : int;
+  max_items : int;
   unique : bool;
   enums : enum_entry array array;  (* one sorted set per [enum] conjunct *)
   any_of : int array array;  (* one disjunction group per [anyOf] *)
@@ -82,16 +93,28 @@ let node_count p = Array.length p.nodes
 
 (* ---- compilation --------------------------------------------------------- *)
 
-type builder = {
+(* Shared by both front ends: ['k] is what is hash-consed — schemas for
+   {!compile}, formulas for {!of_jsl}. *)
+type 'k builder = {
   defs : (string * Schema.t) list;
   assigned : (int, node) Hashtbl.t;
-  schema_ids : (Schema.t, int) Hashtbl.t;  (* structural hash-consing *)
+  ids : ('k, int) Hashtbl.t;  (* structural hash-consing *)
   def_ids : (string, int) Hashtbl.t;
   refs : (int, int ref) Hashtbl.t;
   dfas : (Rexp.Syntax.t, Dfa.t) Hashtbl.t;
   mutable count : int;
   budget : Obs.Budget.t;
 }
+
+let builder budget defs =
+  { defs;
+    assigned = Hashtbl.create 64;
+    ids = Hashtbl.create 64;
+    def_ids = Hashtbl.create 16;
+    refs = Hashtbl.create 64;
+    dfas = Hashtbl.create 16;
+    count = 0;
+    budget }
 
 let fresh b =
   let id = b.count in
@@ -100,6 +123,14 @@ let fresh b =
   id
 
 let bump b id = incr (Hashtbl.find b.refs id)
+
+let finish b root =
+  let shared = Array.init b.count (fun i -> !(Hashtbl.find b.refs i) >= 2) in
+  Obs.Metrics.add "validate.plan.nodes" b.count;
+  { nodes = Array.init b.count (Hashtbl.find b.assigned);
+    shared;
+    root;
+    singletons = Array.init b.count (fun _ -> Atomic.make None) }
 
 let dfa b e =
   match Hashtbl.find_opt b.dfas e with
@@ -136,8 +167,104 @@ let type_bit = function
   | Schema.T_string -> 0b0100
   | Schema.T_number -> 0b1000
 
+(* A node under construction: each front end folds its keywords or
+   conjuncts into one, then [freeze] resolves it. *)
+type draft = {
+  mutable d_type : int;
+  mutable d_patterns : Dfa.t list;
+  mutable d_min : int;
+  mutable d_max : int;
+  mutable d_multiples : int list;
+  mutable d_min_props : int;
+  mutable d_max_props : int;
+  mutable d_required : string list;
+  mutable d_props : (string * int) list;
+  mutable d_pattern_props : (Dfa.t * int) list;
+  mutable d_additional : int list;
+  mutable d_ranges : range list;
+  mutable d_min_items : int;
+  mutable d_max_items : int;
+  mutable d_unique : bool;
+  mutable d_enums : enum_entry array list;
+  mutable d_any_of : int array list;
+  mutable d_all_of : int list;
+  mutable d_nots : int list;
+}
+
+let draft () =
+  { d_type = 0b1111;
+    d_patterns = [];
+    d_min = min_int;
+    d_max = max_int;
+    d_multiples = [];
+    d_min_props = 0;
+    d_max_props = max_int;
+    d_required = [];
+    d_props = [];
+    d_pattern_props = [];
+    d_additional = [];
+    d_ranges = [];
+    d_min_items = 0;
+    d_max_items = max_int;
+    d_unique = false;
+    d_enums = [];
+    d_any_of = [];
+    d_all_of = [];
+    d_nots = [] }
+
+let freeze d =
+  (* key-dispatch: every plan listed for a key applies (duplicate
+     [properties] entries conjoin, exactly as the interpreter's
+     pair-by-pair sweep does) *)
+  let props = Hashtbl.create 8 in
+  List.iter
+    (fun (k, id) ->
+      let prev = Option.value ~default:[] (Hashtbl.find_opt props k) in
+      Hashtbl.replace props k (id :: prev))
+    d.d_props;
+  let props_arr = Hashtbl.create (Hashtbl.length props) in
+  Hashtbl.iter (fun k ids -> Hashtbl.replace props_arr k (Array.of_list ids)) props;
+  { type_mask = d.d_type;
+    patterns = Array.of_list d.d_patterns;
+    min_bound = d.d_min;
+    max_bound = d.d_max;
+    multiples = Array.of_list d.d_multiples;
+    min_props = d.d_min_props;
+    max_props = d.d_max_props;
+    required = Array.of_list (List.sort_uniq String.compare d.d_required);
+    props = props_arr;
+    pattern_props = Array.of_list (List.rev d.d_pattern_props);
+    additional = Array.of_list d.d_additional;
+    ranges = Array.of_list (List.rev d.d_ranges);
+    min_items = d.d_min_items;
+    max_items = d.d_max_items;
+    unique = d.d_unique;
+    enums = Array.of_list d.d_enums;
+    any_of = Array.of_list d.d_any_of;
+    all_of = Array.of_list d.d_all_of;
+    nots = Array.of_list d.d_nots }
+
+(* The last [items]/[additionalItems] conjuncts as ranges and length
+   bounds: a tuple of k positions needs at least k elements and,
+   without [additionalItems], at most k (§5.1).  Neighbouring positions
+   with the same plan share one range. *)
+let lower_items d items additional =
+  let positions = Option.value ~default:[] items in
+  let k = List.length positions in
+  List.iteri
+    (fun i pid ->
+      d.d_ranges <-
+        (match d.d_ranges with
+        | r :: rest when r.r_plan = pid -> { r with hi = i } :: rest
+        | rs -> { lo = i; hi = i; r_plan = pid } :: rs))
+    positions;
+  if items <> None then d.d_min_items <- k;
+  match additional with
+  | Some a -> d.d_ranges <- { lo = k; hi = max_int; r_plan = a } :: d.d_ranges
+  | None -> if items <> None then d.d_max_items <- k
+
 let rec intern b depth (s : Schema.t) =
-  match Hashtbl.find_opt b.schema_ids s with
+  match Hashtbl.find_opt b.ids s with
   | Some id ->
     bump b id;
     id
@@ -145,7 +272,7 @@ let rec intern b depth (s : Schema.t) =
     Obs.Budget.check_depth b.budget depth;
     Obs.Budget.burn b.budget 1;
     let id = fresh b in
-    Hashtbl.add b.schema_ids s id;
+    Hashtbl.add b.ids s id;
     Hashtbl.replace b.assigned id (build b (depth + 1) s);
     id
 
@@ -163,113 +290,169 @@ and intern_def b depth name =
     (* register the body structurally too, so an inline copy of a
        definition shares its plan; ids are reserved before the
        recursive build, which is what admits reference cycles *)
-    if not (Hashtbl.mem b.schema_ids body) then
-      Hashtbl.add b.schema_ids body id;
+    if not (Hashtbl.mem b.ids body) then Hashtbl.add b.ids body id;
     Hashtbl.replace b.assigned id (build b (depth + 1) body);
     id
 
 and build b depth (s : Schema.t) =
-  let type_mask = ref 0b1111 in
-  let patterns = ref [] in
-  let min_bound = ref min_int and max_bound = ref max_int in
-  let multiples = ref [] in
-  let min_props = ref 0 and max_props = ref max_int in
-  let required = ref [] in
-  let props = Hashtbl.create 8 in
-  let prop_lists = ref [] in
-  let pattern_props = ref [] in
-  let additional = ref [] in
+  let d = draft () in
   let items = ref None and additional_items = ref None in
-  let unique = ref false in
-  let enums = ref [] in
-  let any_of = ref [] and all_of = ref [] and nots = ref [] in
   List.iter
     (fun c ->
       match c with
-      | Schema.C_type ty -> type_mask := !type_mask land type_bit ty
-      | Schema.C_pattern e -> patterns := dfa b e :: !patterns
-      | Schema.C_minimum i -> if i > !min_bound then min_bound := i
-      | Schema.C_maximum i -> if i < !max_bound then max_bound := i
-      | Schema.C_multiple_of i -> multiples := i :: !multiples
-      | Schema.C_min_properties i -> if i > !min_props then min_props := i
-      | Schema.C_max_properties i -> if i < !max_props then max_props := i
-      | Schema.C_required ks -> required := List.rev_append ks !required
+      | Schema.C_type ty -> d.d_type <- d.d_type land type_bit ty
+      | Schema.C_pattern e -> d.d_patterns <- dfa b e :: d.d_patterns
+      | Schema.C_minimum i -> d.d_min <- max d.d_min i
+      | Schema.C_maximum i -> d.d_max <- min d.d_max i
+      | Schema.C_multiple_of i -> d.d_multiples <- i :: d.d_multiples
+      | Schema.C_min_properties i -> d.d_min_props <- max d.d_min_props i
+      | Schema.C_max_properties i -> d.d_max_props <- min d.d_max_props i
+      | Schema.C_required ks -> d.d_required <- List.rev_append ks d.d_required
       | Schema.C_properties kvs ->
         List.iter
-          (fun (k, ss) -> prop_lists := (k, intern b depth ss) :: !prop_lists)
+          (fun (k, ss) -> d.d_props <- (k, intern b depth ss) :: d.d_props)
           kvs
       | Schema.C_pattern_properties kvs ->
         List.iter
           (fun (e, ss) ->
-            pattern_props := (dfa b e, intern b depth ss) :: !pattern_props)
+            d.d_pattern_props <- (dfa b e, intern b depth ss) :: d.d_pattern_props)
           kvs
       | Schema.C_additional_properties ss ->
-        additional := intern b depth ss :: !additional
-      | Schema.C_items ss ->
-        items := Some (Array.of_list (List.map (intern b depth) ss))
+        d.d_additional <- intern b depth ss :: d.d_additional
+      | Schema.C_items ss -> items := Some (List.map (intern b depth) ss)
       | Schema.C_additional_items ss ->
         additional_items := Some (intern b depth ss)
-      | Schema.C_unique_items -> unique := true
-      | Schema.C_enum vs -> enums := enum_set vs :: !enums
+      | Schema.C_unique_items -> d.d_unique <- true
+      | Schema.C_enum vs -> d.d_enums <- enum_set vs :: d.d_enums
       | Schema.C_any_of ss ->
-        any_of := Array.of_list (List.map (intern b depth) ss) :: !any_of
+        d.d_any_of <- Array.of_list (List.map (intern b depth) ss) :: d.d_any_of
       | Schema.C_all_of ss ->
-        all_of := List.rev_append (List.map (intern b depth) ss) !all_of
-      | Schema.C_not ss -> nots := intern b depth ss :: !nots
-      | Schema.C_ref r -> all_of := intern_def b depth r :: !all_of)
+        d.d_all_of <- List.rev_append (List.map (intern b depth) ss) d.d_all_of
+      | Schema.C_not ss -> d.d_nots <- intern b depth ss :: d.d_nots
+      | Schema.C_ref r -> d.d_all_of <- intern_def b depth r :: d.d_all_of)
     s;
-  (* key-dispatch: every plan listed for a key applies (duplicate
-     [properties] entries conjoin, exactly as the interpreter's
-     pair-by-pair sweep does) *)
-  List.iter
-    (fun (k, id) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt props k) in
-      Hashtbl.replace props k (id :: prev))
-    !prop_lists;
-  let props_arr = Hashtbl.create (Hashtbl.length props) in
-  Hashtbl.iter (fun k ids -> Hashtbl.replace props_arr k (Array.of_list ids)) props;
-  { type_mask = !type_mask;
-    patterns = Array.of_list !patterns;
-    min_bound = !min_bound;
-    max_bound = !max_bound;
-    multiples = Array.of_list !multiples;
-    min_props = !min_props;
-    max_props = !max_props;
-    required = Array.of_list (List.sort_uniq String.compare !required);
-    props = props_arr;
-    pattern_props = Array.of_list (List.rev !pattern_props);
-    additional = Array.of_list !additional;
-    items = !items;
-    additional_items = !additional_items;
-    unique = !unique;
-    enums = Array.of_list !enums;
-    any_of = Array.of_list !any_of;
-    all_of = Array.of_list !all_of;
-    nots = Array.of_list !nots }
+  lower_items d !items !additional_items;
+  freeze d
 
 let compile ?(budget = Obs.Budget.unlimited) (doc : Schema.document) =
   (match Schema.well_formed doc with
   | Ok () -> ()
   | Error m -> invalid_arg ("Jschema.Validate.Plan.compile: " ^ m));
   Obs.Metrics.span "validate.compile" @@ fun () ->
-  let b =
-    { defs = doc.definitions;
-      assigned = Hashtbl.create 64;
-      schema_ids = Hashtbl.create 64;
-      def_ids = Hashtbl.create 16;
-      refs = Hashtbl.create 64;
-      dfas = Hashtbl.create 16;
-      count = 0;
-      budget }
-  in
-  let root = intern b 0 doc.root in
-  let nodes = Array.init b.count (fun i -> Hashtbl.find b.assigned i) in
-  let shared = Array.init b.count (fun i -> !(Hashtbl.find b.refs i) >= 2) in
-  Obs.Metrics.add "validate.plan.nodes" b.count;
-  { nodes;
-    shared;
-    root;
-    singletons = Array.init b.count (fun _ -> Atomic.make None) }
+  let b = builder budget doc.definitions in
+  finish b (intern b 0 doc.root)
+
+(* ---- JSL front end ------------------------------------------------------- *)
+
+let neg = function Jsl.Not g -> g | g -> Jsl.Not g
+
+let range i j pid =
+  let hi = Option.value ~default:max_int j in
+  if i < 0 || hi < 0 then
+    invalid_arg "Jschema.Validate.Plan.of_jsl: negative array index";
+  { lo = i; hi; r_plan = pid }
+
+(* A node test conjoined onto a node.  MinCh/MaxCh count the node's
+   children in the tree model: strings and numbers have none. *)
+let conjoin_test b d (nt : Jsl.node_test) =
+  let only ty = d.d_type <- d.d_type land type_bit ty in
+  match nt with
+  | Jsl.Is_obj -> only Schema.T_object
+  | Jsl.Is_arr -> only Schema.T_array
+  | Jsl.Is_str -> only Schema.T_string
+  | Jsl.Is_int -> only Schema.T_number
+  | Jsl.Unique ->
+    only Schema.T_array;
+    d.d_unique <- true
+  | Jsl.Pattern e ->
+    only Schema.T_string;
+    d.d_patterns <- dfa b e :: d.d_patterns
+  | Jsl.Min i ->
+    only Schema.T_number;
+    d.d_min <- max d.d_min i
+  | Jsl.Max i ->
+    only Schema.T_number;
+    d.d_max <- min d.d_max i
+  | Jsl.Mult_of i ->
+    only Schema.T_number;
+    d.d_multiples <- i :: d.d_multiples
+  | Jsl.Min_ch i ->
+    if i > 0 then begin
+      d.d_type <- d.d_type land (type_bit Schema.T_object lor type_bit Schema.T_array);
+      d.d_min_props <- max d.d_min_props i;
+      d.d_min_items <- max d.d_min_items i
+    end
+  | Jsl.Max_ch i ->
+    if i < 0 then d.d_type <- 0
+    else begin
+      d.d_max_props <- min d.d_max_props i;
+      d.d_max_items <- min d.d_max_items i
+    end
+  | Jsl.Eq_doc v -> d.d_enums <- enum_set [ v ] :: d.d_enums
+
+(* One plan node per distinct subformula: the conjuncts of [f] fold into
+   the node, every other operand — a negation, a disjunct, the body of
+   a modality — is a child plan.  [◇] is [type ∧ ¬□¬], as in
+   {!Of_jsl}. *)
+let rec intern_jsl b depth (f : Jsl.t) =
+  Obs.Budget.check_depth b.budget depth;
+  match Hashtbl.find_opt b.ids f with
+  | Some id ->
+    bump b id;
+    id
+  | None ->
+    Obs.Budget.burn b.budget 1;
+    let d = draft () in
+    conjoin b (depth + 1) d f;
+    (* a formula has no cycles, so its id is taken after its children's:
+       the table then holds finished subformulas only, and a deep chain
+       (whose subformulas all share one bounded structural hash) is
+       never compared against its own ancestors *)
+    let id = fresh b in
+    Hashtbl.add b.ids f id;
+    Hashtbl.replace b.assigned id (freeze d);
+    id
+
+and conjoin b depth d (f : Jsl.t) =
+  Obs.Budget.check_depth b.budget depth;
+  let child g = intern_jsl b depth g in
+  match f with
+  | Jsl.True -> ()
+  | Jsl.And (x, y) ->
+    conjoin b (depth + 1) d x;
+    conjoin b (depth + 1) d y
+  | Jsl.Or _ ->
+    let group = List.map child (disjuncts b depth f []) in
+    d.d_any_of <- Array.of_list group :: d.d_any_of
+  | Jsl.Not g -> d.d_nots <- child g :: d.d_nots
+  | Jsl.Test nt -> conjoin_test b d nt
+  | Jsl.Box_keys (e, g) -> (
+    match Rexp.Syntax.as_word e with
+    | Some w -> d.d_props <- (w, child g) :: d.d_props
+    | None -> d.d_pattern_props <- (dfa b e, child g) :: d.d_pattern_props)
+  | Jsl.Box_range (i, j, g) -> d.d_ranges <- range i j (child g) :: d.d_ranges
+  | Jsl.Dia_keys (e, g) ->
+    d.d_type <- d.d_type land type_bit Schema.T_object;
+    d.d_nots <- child (Jsl.Box_keys (e, neg g)) :: d.d_nots
+  | Jsl.Dia_range (i, j, g) ->
+    d.d_type <- d.d_type land type_bit Schema.T_array;
+    d.d_nots <- child (Jsl.Box_range (i, j, neg g)) :: d.d_nots
+  | Jsl.Var v ->
+    invalid_arg
+      (Printf.sprintf
+         "Jschema.Validate.Plan.of_jsl: free recursion symbol $%s" v)
+
+and disjuncts b depth f acc =
+  match f with
+  | Jsl.Or (x, y) ->
+    Obs.Budget.check_depth b.budget depth;
+    disjuncts b (depth + 1) x (disjuncts b (depth + 1) y acc)
+  | f -> f :: acc
+
+let of_jsl ?(budget = Obs.Budget.unlimited) f =
+  Obs.Metrics.span "validate.compile" @@ fun () ->
+  let b = builder budget [] in
+  finish b (intern_jsl b 0 f)
 
 (* ---- execution over trees ------------------------------------------------ *)
 
@@ -370,25 +553,15 @@ and obj_ok p st t n d nd =
 and arr_ok p st t n d nd =
   let kids = Tree.child_ids t n in
   let len = Array.length kids in
-  (match (nd.items, nd.additional_items) with
-  | None, None -> true
-  | None, Some a -> Array.for_all (fun c -> exec p st t c a d) kids
-  | Some ss, add ->
-    let k = Array.length ss in
-    len >= k (* §5.1: the positions must exist *)
-    && (let rec positions i =
-          i >= k || (exec p st t kids.(i) ss.(i) d && positions (i + 1))
-        in
-        positions 0)
-    && (len = k
-       ||
-       match add with
-       | None -> false (* …and without additionalItems, nothing beyond *)
-       | Some a ->
-         let rec rest i =
-           i >= len || (exec p st t kids.(i) a d && rest (i + 1))
+  len >= nd.min_items && len <= nd.max_items
+  && Array.for_all
+       (fun r ->
+         let last = min r.hi (len - 1) in
+         let rec positions i =
+           i > last || (exec p st t kids.(i) r.r_plan d && positions (i + 1))
          in
-         rest k))
+         positions r.lo)
+       nd.ranges
   && ((not nd.unique) || Jlogic.Jsl.check_unique t n)
 
 let run_tree ?(budget = Obs.Budget.unlimited) p t =
@@ -554,6 +727,14 @@ let member_dispatch nd key =
   | Some ps -> Array.fold_right (fun pid acc -> pid :: acc) ps pats
   | None -> ( match pats with [] -> Array.to_list nd.additional | _ -> pats)
 
+(* The child plan ids one closure node applies to the element at
+   position [i]: those of its ranges covering [i], in range order. *)
+let rec ranges_at rs i j acc =
+  if j < 0 then acc
+  else
+    let r = rs.(j) in
+    ranges_at rs i (j - 1) (if r.lo <= i && i <= r.hi then r.r_plan :: acc else acc)
+
 (* Folded over a member's per-slot dispatch from [-1], gives its union:
    [-1] when no slot dispatches it, the id when every dispatch names
    that one id, [-2] when two or more distinct ids are named. *)
@@ -693,19 +874,8 @@ and stream_arr st p c depth verdicts =
     let i = !len in
     incr len;
     for s = 0 to n - 1 do
-      let nd = nodes.(ids.(s)) in
-      per_slot.(s) <-
-        (match (nd.items, nd.additional_items) with
-        | None, None -> []
-        | None, Some a -> [ a ]
-        | Some ss, add_items -> (
-          if i < Array.length ss then [ ss.(i) ]
-          else
-            match add_items with
-            | None ->
-              ok.(s) <- false (* §5.1: nothing beyond the tuple *);
-              []
-            | Some a -> [ a ]))
+      let rs = nodes.(ids.(s)).ranges in
+      per_slot.(s) <- ranges_at rs i (Array.length rs - 1) []
     done;
     stream_child st p depth per_slot ok;
     let pos, tok = Lexer.next st.s_lx in
@@ -718,12 +888,10 @@ and stream_arr st p c depth verdicts =
   if tok = Lexer.Rbracket then ignore (Lexer.next st.s_lx) else elements ();
   for s = 0 to n - 1 do
     let nd = nodes.(ids.(s)) in
-    let tuple_complete =
-      match nd.items with
-      | Some ss -> !len >= Array.length ss (* §5.1: positions must exist *)
-      | None -> true
-    in
-    verdicts.(s) <- nd.type_mask land 0b0010 <> 0 && ok.(s) && tuple_complete
+    verdicts.(s) <-
+      nd.type_mask land 0b0010 <> 0
+      && ok.(s)
+      && !len >= nd.min_items && !len <= nd.max_items
   done
 
 (* Materialize exactly one subtree through the column builder and fall
@@ -744,7 +912,9 @@ and spill st p c depth =
     c.c_requested;
   v
 
-let run_lexer ?(budget = Obs.Budget.unlimited) ?(mode = `Strict) p lx =
+let run_lexer
+    ?(budget = Obs.Budget.depth_limited Obs.Budget.default_max_depth)
+    ?(mode = `Strict) p lx =
   Obs.Metrics.incr "validate.stream.runs";
   let st =
     { s_budget = budget;

@@ -1,5 +1,7 @@
-(** Compile-once schema validation (the fast path behind
-    {!Validate.Plan}).
+(** Compile-once validation (the fast path behind {!Validate.Plan}):
+    one plan IR with two front ends, JSON Schema documents ({!compile})
+    and JSL formulas ({!of_jsl}), and one tree and one stream executor
+    for both — Theorem 1 made operational.
 
     {!compile} interns every subschema of a {!Schema.document} —
     definitions included, reference cycles allowed — into an immutable
@@ -15,8 +17,9 @@
       lookup);
     - [pattern]/[patternProperties] regexes lowered to {!Rexp.Dfa} at
       compile time;
-    - resolved [items]/[additionalItems] vectors and collapsed numeric
-      / arity bounds;
+    - [items]/[additionalItems] lowered to position ranges
+      [(lo, hi, plan id)] plus min/max array length, and collapsed
+      numeric / arity bounds;
     - [enum] constants pre-hashed and sorted for binary search on the
       subtree hash.
 
@@ -27,10 +30,11 @@
     pair: O(|D|·|φ|) even through [$ref] sharing (Proposition 8's
     bound, which the structural interpreter does not meet).
 
-    The decided relation is {e exactly} {!Validate.validates} — the
-    interpreter stays as the differential oracle, including its
-    conjunct-interaction fine print (last [items] wins, all
-    [additionalProperties] apply, "named" keys are exempt).
+    The decided relation is {e exactly} {!Validate.validates} for a
+    compiled schema and {!Jlogic.Jsl.validates} for a compiled formula —
+    the interpreters stay as the differential oracles, including the
+    schema interpreter's conjunct-interaction fine print (last [items]
+    wins, all [additionalProperties] apply, "named" keys are exempt).
 
     Metrics: span [validate.compile]; counters [validate.plan.nodes],
     [validate.compile.dfas], [validate.plan.runs], [validate.memo.hit].
@@ -42,7 +46,7 @@
     call. *)
 
 type t
-(** A compiled schema document. *)
+(** A compiled schema document or JSL formula. *)
 
 val compile : ?budget:Obs.Budget.t -> Schema.document -> t
 (** Compile a document.  Checks {!Schema.well_formed} exactly once.
@@ -50,8 +54,26 @@ val compile : ?budget:Obs.Budget.t -> Schema.document -> t
     subschema, recursion depth against the ceiling).
     @raise Invalid_argument if the schema is not well-formed. *)
 
+val of_jsl : ?budget:Obs.Budget.t -> Jlogic.Jsl.t -> t
+(** Compile a closed JSL formula into the same IR, hash-consing its
+    distinct subformulas.  Conjuncts fold into one node: node tests
+    into the type mask, bounds, DFA patterns or [enum]; [□_e] into the
+    key-dispatch table (single-word [e]) or a DFA pattern property;
+    [□_{i:j}] into a position range; [MinCh]/[MaxCh] into the property
+    and array length bounds; [∨] and [¬] into [anyOf] groups and
+    [not]s; [◇] is [type ∧ ¬□¬], as in {!Of_jsl}.  The plan's size
+    depends only on the formula's shape, never on the numbers in it
+    (unlike the Theorem 1 schema of {!Of_jsl}, which enumerates array
+    lengths).  Both executors then decide {!Jlogic.Jsl.validates}: a
+    container [~(A)] spills in {!run_stream} like a container [enum].
+    [budget] bounds the compilation like {!compile}'s.
+    @raise Invalid_argument on a free recursion symbol or a negative
+    array index.
+    @raise Obs.Budget.Exhausted on formulas deeper than the ceiling. *)
+
 val node_count : t -> int
-(** Number of interned plan nodes (distinct subschemas). *)
+(** Number of interned plan nodes (distinct subschemas or
+    subformulas). *)
 
 val run_tree : ?budget:Obs.Budget.t -> t -> Jsont.Tree.t -> bool
 (** Validate a tree.  [budget] is charged one fuel unit per fresh
@@ -74,12 +96,13 @@ val run_stream :
     (plan id, obligation) state for the {e same-node closure} of the
     active plan nodes (everything reachable through
     [anyOf]/[allOf]/[not], which constrain the same value); type masks,
-    bounds, required sets, key dispatch and items vectors resolve as
+    bounds, required sets, key dispatch and position ranges resolve as
     tokens arrive, and subtrees no active node constrains are
     fast-forwarded by {!Jsont.Parser.skip_value} with every syntax /
     duplicate-key / literal-admission check intact.  Keywords that
-    genuinely need the subtree — [uniqueItems], [enum] on containers,
-    plus the defensive case of a cyclic same-node closure — {e spill}:
+    genuinely need the subtree — [uniqueItems] (JSL [Unique]), [enum]
+    (JSL [~(A)]) on containers, plus the defensive case of a cyclic
+    same-node closure — {e spill}:
     exactly that subtree is materialized through the
     {!Jsont.Tree.of_lexer_exn} column builder and decided by the
     {!run_tree} executor, then streaming resumes after it.
@@ -94,8 +117,9 @@ val run_stream :
     charge, then the materialization's two per node plus {!run_tree}'s
     per-(node, plan) unit) — a single budget covers the fused
     parse+validate, where the two-stage route draws parse and run fuel
-    separately.  [mode] admits literals like the parser's (default
-    [`Strict]).
+    separately.  Without [budget], the depth ceiling is the parser's
+    default, {!Obs.Budget.default_max_depth}.  [mode] admits literals
+    like the parser's (default [`Strict]).
 
     Allocation follows the value being decided, not the document: the
     closure of a single plan id is built once per plan (on first use,

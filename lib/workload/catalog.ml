@@ -30,8 +30,9 @@ let keyword_cases =
     ("items", {|{"type":"array","items":[{"type":"string"},{"type":"string"}]}|},
      [ ({|["a","b"]|}, true); ({|["a",1]|}, false) ]);
     ("additionalItems",
-     {|{"type":"array","items":[{"type":"string"}],"additionalItems":{"type":"number"}}|},
-     [ ({|["a",1,2]|}, true); ({|["a",1,"b"]|}, false) ]);
+     {|{"type":"array","items":[{"type":"string"},{"type":"string"}],
+        "additionalItems":{"type":"number"}}|},
+     [ ({|["a","b",1,2]|}, true); ({|["a","b",1,"c"]|}, false); ({|["a","b",3]|}, true) ]);
     ("uniqueItems", {|{"type":"array","uniqueItems":true}|},
      [ ("[1,2]", true); ("[1,1]", false) ]);
     ("anyOf", {|{"anyOf":[{"type":"string"},{"type":"number"}]}|},

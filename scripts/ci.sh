@@ -239,6 +239,17 @@ if [ ! -s "$stream_json/BENCH_stream.json" ]; then
 fi
 rm -rf "$stream_json"
 
+# The JSL streaming example runs its formula through Validate.Plan.of_jsl
+# and run_stream: of its 1000 events, the 11 with "kind" removed must be
+# the only invalid ones.
+ex_out=$(run 120 _build/default/examples/streaming_validation.exe)
+case $ex_out in
+  *"valid=989 invalid=11 "*) ;;
+  *) echo "FAIL: streaming_validation example: expected valid=989 invalid=11" >&2
+     echo "$ex_out" >&2
+     exit 1 ;;
+esac
+
 # Streaming CLI wiring, part 1: --stream over --files-from must print
 # byte-identical path<TAB>verdict lines to the tree path — including
 # the rendered error for a malformed document — and exit 1 on mixed

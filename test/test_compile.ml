@@ -1,9 +1,9 @@
 (* Differential suite for the compiled validation plans: the compiled
    schema executor (over values and over trees) against the structural
-   interpreter, and the compiled JSL plan against set-at-a-time [eval] —
-   on the Table 1 keyword cases, the property-heavy catalog, random
-   [gen_formula]-derived schemas, the $ref-sharing family, and under
-   fuel/depth budgets. *)
+   interpreter, and JSL formulas compiled by [Plan.of_jsl] against the
+   same relation through the Theorem 1 schema — on the Table 1 keyword
+   cases, the property-heavy catalog, random [gen_formula]-derived
+   schemas, the $ref-sharing family, and under fuel/depth budgets. *)
 
 module Value = Jsont.Value
 module Tree = Jsont.Tree
@@ -103,15 +103,11 @@ let test_fuzz_differential () =
     check_agree
       ~what:(Printf.sprintf "fuzz case %d (doc %s)" case (Value.to_string doc))
       schema doc None;
-    (* the JSL plan agrees with set-at-a-time eval on the same formula *)
-    let tree = Tree.of_value doc in
-    let ctx = Jsl.context tree in
-    let sat = Jsl.eval ctx f in
-    let ctx' = Jsl.context tree in
-    let sat' = Jsl.eval_plan ctx' (Jsl.compile f) in
-    if not (Jlogic.Bitset.equal sat sat') then
-      Alcotest.failf "case %d: eval and eval_plan sets differ for %s" case
-        (Jsl.to_string f)
+    (* the formula compiled directly agrees with its Theorem 1 schema *)
+    let direct = Validate.Plan.run (Validate.Plan.of_jsl f) doc in
+    if direct <> Validate.validates schema doc then
+      Alcotest.failf "case %d: of_jsl says %b against its schema on %s for %s"
+        case direct (Value.to_string doc) (Jsl.to_string f)
   done
 
 (* ---- $ref sharing and reference cycles ----------------------------------- *)
@@ -268,45 +264,38 @@ let test_budget_agreement () =
     "compiled hits depth ceiling" true
     (hits_ceiling (fun budget -> Validate.Plan.run ~budget spine_plan deep))
 
-(* exact fuel parity for the JSL plan: compile+eval_plan draws the same
-   fuel as eval (both burn node_count per distinct subformula) *)
-let test_jsl_fuel_parity () =
-  let cfg =
-    { Jworkload.Gen_formula.default with size = 14; allow_nondet = true }
+(* ---- plan size follows the formula's shape, not its numbers ------------- *)
+
+(* [node_count] of a plan and its compile time in seconds *)
+let timed_count compile x =
+  let t0 = Unix.gettimeofday () in
+  let n = Validate.Plan.node_count (compile x) in
+  (n, Unix.gettimeofday () -. t0)
+
+let test_numeric_parameters () =
+  (* through the Theorem 1 schema ([Of_jsl]) these enumerate array
+     lengths: quadratic in the number, seconds at 1500 *)
+  let filter text =
+    Validate.Plan.of_jsl (Jquery.Mongo.to_jsl (Jquery.Mongo.parse_string_exn text))
   in
-  for case = 0 to 99 do
-    let rng = Prng.create (0xF0E1 + case) in
-    let f = Jworkload.Gen_formula.jsl rng cfg in
-    let doc = Jworkload.Gen_json.sized rng 25 in
-    let tree = Tree.of_value doc in
-    let spend eval_f =
-      (* smallest fuel that completes, by doubling then bisection *)
-      let completes fuel =
-        match eval_f (Obs.Budget.create ~fuel ()) with
-        | (_ : Jlogic.Bitset.t) -> true
-        | exception Obs.Budget.Exhausted Obs.Budget.Fuel -> false
-      in
-      let rec upper f = if completes f then f else upper (2 * f) in
-      let hi = upper 1 in
-      let rec bisect lo hi =
-        if hi - lo <= 1 then hi
-        else
-          let mid = (lo + hi) / 2 in
-          if completes mid then bisect lo mid else bisect mid hi
-      in
-      if completes 1 then 1 else bisect 1 hi
-    in
-    let interp_spend =
-      spend (fun budget -> Jsl.eval (Jsl.context ~budget tree) f)
-    in
-    let plan = Jsl.compile f in
-    let plan_spend =
-      spend (fun budget -> Jsl.eval_plan (Jsl.context ~budget tree) plan)
-    in
-    if interp_spend <> plan_spend then
-      Alcotest.failf "case %d: fuel parity broken (%d vs %d) for %s" case
-        interp_spend plan_spend (Jsl.to_string f)
-  done
+  let formula text = Validate.Plan.of_jsl (Jsl.parse_exn text) in
+  List.iter
+    (fun (compile, small, large) ->
+      let n_small, _ = timed_count compile small in
+      let n_large, secs = timed_count compile large in
+      Alcotest.(check int) (large ^ " has the nodes of " ^ small) n_small n_large;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s compiles in %.3fs" large secs)
+        true (secs < 0.1))
+    [ (filter, {|{"a.3": 1}|}, {|{"a.100000": 1}|});
+      (filter, {|{"a": {"$size": 3}}|}, {|{"a": {"$size": 100000}}|});
+      (formula, "dia[3]true", "dia[100000]true");
+      (formula, "MaxCh(3)", "MaxCh(100000)") ];
+  (* a 100k-deep formula meets the depth ceiling, not the stack *)
+  let rec deep n f = if n = 0 then f else deep (n - 1) (Jsl.dia_idx 0 f) in
+  match Validate.Plan.of_jsl ~budget:(Obs.Budget.create ()) (deep 100_000 Jsl.True) with
+  | _ -> Alcotest.fail "a 100k-deep formula must exhaust the depth ceiling"
+  | exception Obs.Budget.Exhausted Obs.Budget.Depth -> ()
 
 let () =
   Alcotest.run "compile"
@@ -324,5 +313,7 @@ let () =
       ("well-formed",
        [ Alcotest.test_case "multipleOf 0 / dup defs" `Quick test_well_formed ]);
       ("budget",
-       [ Alcotest.test_case "fuel/depth agreement" `Quick test_budget_agreement;
-         Alcotest.test_case "jsl fuel parity" `Quick test_jsl_fuel_parity ]) ]
+       [ Alcotest.test_case "fuel/depth agreement" `Quick test_budget_agreement ]);
+      ("numeric parameters",
+       [ Alcotest.test_case "plan size ignores numbers" `Quick
+           test_numeric_parameters ]) ]

@@ -1,14 +1,21 @@
 (* Tests for lib/obs: resource budgets, the metrics registry, and the
    budget threading through the parser, the evaluators, the streaming
-   validator and the satisfiability search.  Includes the seeded
-   differential fuzz between Stream.validate and tree-based Jsl
-   evaluation. *)
+   plan executor and the satisfiability search.  Includes the seeded
+   differential fuzz between JSL formulas streamed through
+   [Validate.Plan.of_jsl] and tree-based Jsl evaluation. *)
 
 open Jlogic
 module Value = Jsont.Value
 module Parser = Jsont.Parser
 module Printer = Jsont.Printer
 module Tree = Jsont.Tree
+module Plan = Jschema.Validate.Plan
+
+(* a JSL formula streamed through the plan, errors rendered *)
+let stream ?budget text f =
+  match Parser.wrap (fun () -> Plan.run_stream ?budget (Plan.of_jsl f) text) with
+  | Ok ok -> Ok ok
+  | Error e -> Error (Plan_oracle.render e)
 
 let contains needle s =
   let n = String.length needle and m = String.length s in
@@ -182,15 +189,15 @@ let test_parser_fuel () =
   | Error e -> Alcotest.failf "fuel 100 rejected a small document: %a" Parser.pp_error e
 
 let test_stream_100k_deep () =
-  (* Stream.validate applies the same default depth budget *)
-  (match Stream.validate (nested_array_text 100_000) Jsl.True with
+  (* the stream executor applies the parser's default depth budget *)
+  (match stream (nested_array_text 100_000) Jsl.True with
   | Ok _ -> Alcotest.fail "100k-deep input must exhaust the default stream budget"
   | Error m ->
     Alcotest.(check bool) ("mentions depth: " ^ m) true (contains "depth" m));
-  (* a generous explicit budget lifts the ceiling: the engine itself is
-     iterative, so 100k of nesting is fine once allowed *)
+  (* a generous explicit budget lifts the ceiling: 100k of nesting is
+     fine once allowed *)
   match
-    Stream.validate ~budget:(Obs.Budget.depth_limited 200_000)
+    stream ~budget:(Obs.Budget.depth_limited 200_000)
       (nested_array_text 100_000) Jsl.True
   with
   | Ok true -> ()
@@ -262,9 +269,9 @@ let test_construct_counters () =
            (Jnl.Eq_doc (Jnl.Self, Parser.parse_exn {|{"a":[1,2,1]}|})));
       Alcotest.(check bool) "jnl.eq_doc counted" true
         (Obs.Metrics.counter_value "jnl.eq_doc" > 0);
-      ignore (Stream.validate "[1,2]" Jsl.True);
-      Alcotest.(check bool) "stream.tokens counted" true
-        (Obs.Metrics.counter_value "stream.tokens" > 0))
+      ignore (stream "[1,2]" Jsl.True);
+      Alcotest.(check bool) "validate.stream.runs counted" true
+        (Obs.Metrics.counter_value "validate.stream.runs" > 0))
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzz: streaming vs tree evaluation                      *)
@@ -273,57 +280,22 @@ let test_construct_counters () =
 let test_differential_stream_vs_tree () =
   let rng = Jworkload.Prng.create 2026 in
   let cfg = Jworkload.Gen_formula.default in
-  let checked = ref 0 in
   for i = 1 to 500 do
     let doc = Jworkload.Gen_json.sized rng (1 + Jworkload.Prng.int rng 120) in
     let f = Jworkload.Gen_formula.jsl rng cfg in
-    match Stream.supported f with
-    | Error _ -> ()
-    | Ok () ->
-      incr checked;
-      let text = Printer.compact doc in
-      let via_tree = Jsl.validates doc f in
-      (match Stream.validate text f with
-      | Ok via_stream ->
-        if via_stream <> via_tree then
-          Alcotest.failf "pair %d: stream=%b tree=%b on %s" i via_stream
-            via_tree text
-      | Error m -> Alcotest.failf "pair %d: stream error %s on %s" i m text)
-  done;
-  (* the deterministic default config must stay streamable, otherwise
-     the differential loses its teeth silently *)
-  Alcotest.(check bool)
-    (Printf.sprintf "enough streamable pairs (%d/500)" !checked)
-    true
-    (!checked > 400)
+    let text = Printer.compact doc in
+    Plan_oracle.check ~what:(Printf.sprintf "pair %d" i)
+      ~expected:(Jsl.validates doc f) (Plan.of_jsl f) text
+      ~cuts:[ Jworkload.Prng.int rng (String.length text + 1) ]
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Skip-path differential: skipped and decoded regions must agree      *)
 (* byte-for-byte on errors and budgets                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* smallest fuel allowance under which [validate] stops raising budget
-   errors — by construction the token count, since the engine burns one
-   unit per token on both the evaluating and the skipping path *)
-let fuel_needed ?(max_depth = Obs.Budget.default_max_depth) text f =
-  let done_at fuel =
-    match
-      Stream.validate ~budget:(Obs.Budget.create ~fuel ~max_depth ()) text f
-    with
-    | Ok _ -> true
-    | Error _ -> false
-  in
-  let rec up hi = if done_at hi then hi else up (2 * hi) in
-  let rec bin lo hi =
-    if lo >= hi then hi
-    else
-      let mid = (lo + hi) / 2 in
-      if done_at mid then bin lo mid else bin (mid + 1) hi
-  in
-  bin 1 (up 1)
-
-let stream_error text f =
-  match Stream.validate text f with
+let stream_error ?budget text f =
+  match stream ?budget text f with
   | Ok ok -> Alcotest.failf "expected an error, got %b on %s" ok text
   | Error m -> m
 
@@ -362,21 +334,11 @@ let test_skip_checks_depth () =
   let pad = nested_array_text 200 in
   let text = Printf.sprintf {|{"pad":%s,"a":1}|} pad in
   let tight () = Obs.Budget.depth_limited 50 in
-  (match
-     Stream.validate ~budget:(tight ()) text
-       (Jsl.dia_key "a" (Jsl.Test Jsl.Is_int))
-   with
-  | Error m ->
-    Alcotest.(check bool) ("mentions depth: " ^ m) true (contains "depth" m)
-  | Ok _ -> Alcotest.fail "skipped 200-deep pad must exhaust depth 50");
-  let err f =
-    match Stream.validate ~budget:(tight ()) text f with
-    | Error m -> m
-    | Ok ok -> Alcotest.failf "expected exhaustion, got %b" ok
-  in
+  let m = stream_error ~budget:(tight ()) text (Jsl.dia_key "a" (Jsl.Test Jsl.Is_int)) in
+  Alcotest.(check bool) ("mentions depth: " ^ m) true (contains "depth" m);
   Alcotest.(check string) "depth error parity"
-    (err (Jsl.dia_key "pad" (Jsl.Test Jsl.Is_arr)))
-    (err (Jsl.dia_key "a" (Jsl.Test Jsl.Is_int)))
+    (stream_error ~budget:(tight ()) text (Jsl.dia_key "pad" (Jsl.Test Jsl.Is_arr)))
+    m
 
 let test_skip_string_escapes () =
   (* escape sequences and surrogate pairs are validated without being
@@ -392,7 +354,7 @@ let test_skip_string_escapes () =
   List.iter
     (fun pad ->
       let text = Printf.sprintf {|{"pad":%s,"a":1}|} pad in
-      match Stream.validate text (Jsl.dia_key "a" (Jsl.Test Jsl.Is_int)) with
+      match stream text (Jsl.dia_key "a" (Jsl.Test Jsl.Is_int)) with
       | Ok true -> ()
       | Ok false -> Alcotest.failf "doc with pad %s must validate" pad
       | Error m -> Alcotest.failf "pad %s skipped with error %s" pad m)
@@ -409,37 +371,6 @@ let test_skip_string_escapes () =
         (Jsl.dia_key "pad" (Jsl.Test Jsl.Is_str)))
     bad
 
-let test_skip_fuel_parity_at_every_offset () =
-  (* an array of alternating 1k-deep and flat elements, the formula
-     evaluating exactly one position: whichever offsets are skipped,
-     the fuel demand is the token count — identical for every choice *)
-  let deep = nested_array_text 1_000 in
-  let n = 6 in
-  let elems =
-    List.init n (fun i -> if i mod 2 = 0 then deep else {|{"k":"v"}|})
-  in
-  let text = "[" ^ String.concat "," elems ^ "]" in
-  let fuels =
-    List.init n (fun i ->
-        let f = Jsl.dia_idx i Jsl.True in
-        (match
-           Stream.validate ~budget:(Obs.Budget.depth_limited 2_000) text f
-         with
-        | Ok true -> ()
-        | Ok false -> Alcotest.failf "index %d must exist" i
-        | Error m -> Alcotest.failf "offset %d: %s" i m);
-        fuel_needed ~max_depth:2_000 text f)
-  in
-  match fuels with
-  | [] -> assert false
-  | fuel0 :: rest ->
-    List.iteri
-      (fun i fuel ->
-        Alcotest.(check int)
-          (Printf.sprintf "fuel at offset %d equals offset 0" (i + 1))
-          fuel0 fuel)
-      rest
-
 let test_differential_skip_padding () =
   (* the stream-vs-tree differential, with every document wrapped next
      to an escape-heavy skipped pad: the pad must never change the
@@ -451,30 +382,17 @@ let test_differential_skip_padding () =
        {|"\\\" \/ \b\f\r"|}; {|[[[[["☃"]]]]]|};
        {|{"deep":{"deeper":["𝄞",{"k":"nul-free"}]}}|} |]
   in
-  let checked = ref 0 in
   for i = 1 to 300 do
     let doc = Jworkload.Gen_json.sized rng (1 + Jworkload.Prng.int rng 60) in
     let f = Jworkload.Gen_formula.jsl rng cfg in
-    match Stream.supported f with
-    | Error _ -> ()
-    | Ok () ->
-      incr checked;
-      let pad = pads.(i mod Array.length pads) in
-      let text =
-        Printf.sprintf {|{"pad":%s,"doc":%s}|} pad (Printer.compact doc)
-      in
-      let via_tree = Jsl.validates doc f in
-      (match Stream.validate text (Jsl.dia_key "doc" f) with
-      | Ok via_stream ->
-        if via_stream <> via_tree then
-          Alcotest.failf "pair %d: stream=%b tree=%b on %s" i via_stream
-            via_tree text
-      | Error m -> Alcotest.failf "pair %d: stream error %s on %s" i m text)
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "enough streamable pairs (%d/300)" !checked)
-    true
-    (!checked > 240)
+    let pad = pads.(i mod Array.length pads) in
+    let text = Printf.sprintf {|{"pad":%s,"doc":%s}|} pad (Printer.compact doc) in
+    Plan_oracle.check ~what:(Printf.sprintf "pair %d" i)
+      ~expected:(Jsl.validates doc f)
+      (Plan.of_jsl (Jsl.dia_key "doc" f))
+      text
+      ~cuts:[ Jworkload.Prng.int rng (String.length text + 1) ]
+  done
 
 let test_differential_budget_exhaustion () =
   (* when the budget is too small, both sides must report a structured
@@ -483,7 +401,7 @@ let test_differential_budget_exhaustion () =
   let text = Printer.compact doc in
   let f = Jsl.Test Jsl.Is_arr in
   let tight () = Obs.Budget.depth_limited 50 in
-  (match Stream.validate ~budget:(tight ()) text f with
+  (match stream ~budget:(tight ()) text f with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "stream must exhaust at depth 50");
   match Jsl.validates_bounded ~budget:(tight ()) doc f with
@@ -522,8 +440,6 @@ let () =
            test_skip_checks_depth;
          Alcotest.test_case "escapes and surrogate pairs" `Quick
            test_skip_string_escapes;
-         Alcotest.test_case "fuel parity at every skip offset" `Quick
-           test_skip_fuel_parity_at_every_offset;
          Alcotest.test_case "stream vs tree with skipped pads, 300 pairs"
            `Quick test_differential_skip_padding ]);
       ("differential",
