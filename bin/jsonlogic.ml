@@ -16,6 +16,9 @@ let read_input = function
   | "-" -> In_channel.input_all stdin
   | path -> In_channel.with_open_bin path In_channel.input_all
 
+let with_input path f =
+  if path = "-" then f stdin else In_channel.with_open_bin path f
+
 (* ---- resource budgets and metrics (shared flags) --------------------------- *)
 
 type obs_opts = {
@@ -65,9 +68,10 @@ let obs_term =
   let jobs =
     Arg.(value & opt int 1
          & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Domains to shard batch work across (only used by \
-                   commands in $(b,--files-from) batch mode; results are \
-                   deterministic and in input order regardless).")
+             ~doc:"Domains to shard batch work across ($(b,--files-from) \
+                   batch mode, NDJSON $(b,validate --stream), the index and \
+                   the daemon); results are deterministic and in input order \
+                   regardless.")
   in
   let make max_depth fuel timeout_ms metrics no_index jobs =
     if metrics then begin
@@ -97,11 +101,17 @@ let parse_docs_exn ?budget text =
       | Ok vs -> vs
       | Error e -> failwith (Format.asprintf "%a" Jsont.Parser.pp_error e))
 
+(* a collection: a stream of documents, or one top-level array of them *)
+let read_collection ~budget path =
+  match parse_docs_exn ~budget (read_input path) with
+  | [ Jsont.Value.Arr vs ] -> vs
+  | docs -> docs
+
 let input_arg =
   let doc = "Input file ('-' for stdin)." in
   Arg.(value & pos_right (-1) string [] & info [] ~docv:"FILE" ~doc)
 
-(* ---- batch mode (shared by eval and validate) ------------------------------ *)
+(* ---- batch mode ----------------------------------------------------------- *)
 
 let files_from_arg =
   Arg.(value & opt (some string) None
@@ -111,24 +121,21 @@ let files_from_arg =
                  document sharded across $(b,--jobs) domains, and print \
                  one 'path<TAB>result' line per file, in input order.")
 
-let read_path_list list_path =
-  read_input list_path
-  |> String.split_on_char '\n'
-  |> List.map String.trim
-  |> List.filter (fun s -> s <> "")
-  |> Array.of_list
+(* The one per-document batch helper: [f] on every item across --jobs
+   lanes, results in input order.  [f] folds its own per-document
+   failures (see [Par.Batch.cell]); NDJSON goes through
+   [Par.Batch.lines] instead. *)
+let shard obs f items = Par.Batch.map ~jobs:obs.jobs f items
 
-(* Run one document's worth of work on a batch lane, folding per-document
-   failures into the result line so one bad file doesn't sink the batch. *)
-let batch_result f =
-  match f () with
-  | r -> r
-  | exception Failure m -> "error: " ^ m
-  | exception Obs.Budget.Exhausted r -> "error: " ^ Obs.Budget.describe r
-  | exception Sys_error m -> "error: " ^ m
-
-let print_batch paths results =
-  Array.iter2 (fun p r -> Printf.printf "%s\t%s\n" p r) paths results
+(* --files-from: the listed paths, and [f] sharded over them *)
+let map_files obs list_path f =
+  let paths =
+    with_input list_path In_channel.input_lines
+    |> List.map String.trim
+    |> List.filter (fun s -> s <> "")
+    |> Array.of_list
+  in
+  (paths, shard obs f paths)
 
 let last_input args = match List.rev args with [] -> "-" | x :: _ -> x
 
@@ -139,8 +146,10 @@ let wrap f =
   in
   match f () with
   | () -> ()
-  | exception (Failure m | Invalid_argument m) -> fail m
+  | exception (Failure m | Invalid_argument m | Sys_error m) -> fail m
   | exception Obs.Budget.Exhausted r -> fail (Obs.Budget.describe r)
+  | exception Unix.Unix_error (e, fn, _) ->
+    fail (fn ^ ": " ^ Unix.error_message e)
 
 (* ---- parse ----------------------------------------------------------------- *)
 
@@ -175,21 +184,14 @@ let eval_cmd =
         in
         match files_from with
         | Some list_path ->
-          let paths = read_path_list list_path in
-          let results =
-            Par.Batch.map ~jobs:obs.jobs
-              (fun path ->
-                batch_result (fun () ->
+          let paths, cells =
+            map_files obs list_path (fun path ->
+                Par.Batch.cell (fun () ->
                     (* direct one-pass ingestion: text straight to the
                        flat tree, then evaluate on it *)
                     let tree =
-                      match
-                        Jsont.Tree.of_string ~budget:(obs.fresh_budget ())
-                          (read_input path)
-                      with
-                      | Ok t -> t
-                      | Error e ->
-                        failwith (Format.asprintf "%a" Jsont.Parser.pp_error e)
+                      Jsont.Tree.of_string_exn ~budget:(obs.fresh_budget ())
+                        (read_input path)
                     in
                     let ctx =
                       Jlogic.Jnl_eval.context ~budget:(obs.fresh_budget ())
@@ -197,9 +199,8 @@ let eval_cmd =
                     in
                     string_of_bool
                       (Jlogic.Jnl_eval.holds ctx Jsont.Tree.root phi)))
-              paths
           in
-          print_batch paths results
+          Array.iter2 (Printf.printf "%s\t%s\n") paths cells
         | None ->
           let docs =
             parse_docs_exn ~budget:obs.budget (read_input (last_input files))
@@ -256,11 +257,7 @@ let find_cmd =
           | Ok f -> f
           | Error m -> failwith ("bad filter: " ^ m)
         in
-        let docs = parse_docs_exn ~budget:obs.budget (read_input (last_input files)) in
-        (* accept either a top-level array or a stream of documents *)
-        let docs =
-          match docs with [ Jsont.Value.Arr vs ] -> vs | other -> other
-        in
+        let docs = read_collection ~budget:obs.budget (last_input files) in
         let hits =
           Obs.Metrics.span "phase.eval" (fun () -> Jquery.Mongo.find f docs)
         in
@@ -315,13 +312,8 @@ let aggregate_cmd =
               | Some i ->
                 let name = String.sub spec 0 i in
                 let file = String.sub spec (i + 1) (String.length spec - i - 1) in
-                let docs =
-                  parse_docs_exn ~budget:(obs.fresh_budget ()) (read_input file)
-                in
-                let docs =
-                  match docs with [ Jsont.Value.Arr vs ] -> vs | other -> other
-                in
-                Hashtbl.replace tbl name docs)
+                Hashtbl.replace tbl name
+                  (read_collection ~budget:(obs.fresh_budget ()) file))
             froms;
           fun name -> Hashtbl.find_opt tbl name
         in
@@ -334,28 +326,26 @@ let aggregate_cmd =
           Obs.Metrics.span "phase.parse" @@ fun () ->
           match files_from with
           | Some list_path ->
-            (* one document per listed file, ingested as trees: a
-               leading $match can drop a file without ever building
-               its Value *)
-            Array.map
-              (fun p ->
-                match
-                  Jsont.Tree.of_string ~budget:(obs.fresh_budget ())
-                    (read_input p)
-                with
-                | Ok t -> Jquery.Mongo_agg.doc_of_tree t
-                | Error e ->
-                  failwith (Format.asprintf "%s: %a" p Jsont.Parser.pp_error e))
-              (read_path_list list_path)
+            (* one document per listed file, ingested as trees on the
+               --jobs lanes (a leading $match can drop a file without
+               ever building its Value); the first bad file in list
+               order fails the run *)
+            let _, ingested =
+              map_files obs list_path (fun p ->
+                  match
+                    Jsont.Tree.of_string ~budget:(obs.fresh_budget ())
+                      (read_input p)
+                  with
+                  | Ok t -> Ok (Jquery.Mongo_agg.doc_of_tree t)
+                  | Error e ->
+                    Error (Format.asprintf "%s: %a" p Jsont.Parser.pp_error e)
+                  | exception Sys_error m -> Error m)
+            in
+            Array.map (function Ok d -> d | Error m -> failwith m) ingested
           | None ->
-            let vs =
-              parse_docs_exn ~budget:obs.budget (read_input (last_input files))
-            in
-            (* accept either a top-level array or a stream of documents *)
-            let vs =
-              match vs with [ Jsont.Value.Arr vs ] -> vs | other -> other
-            in
-            Array.of_list (List.map Jquery.Mongo_agg.doc_of_value vs)
+            read_collection ~budget:obs.budget (last_input files)
+            |> List.map Jquery.Mongo_agg.doc_of_value
+            |> Array.of_list
         in
         let out =
           if via_jnl then
@@ -372,9 +362,7 @@ let aggregate_cmd =
             Obs.Metrics.span "phase.eval" @@ fun () ->
             let streaming, blocking = Jquery.Mongo_agg.split_streaming pl in
             let per_doc =
-              Par.Batch.map ~jobs:obs.jobs
-                (Jquery.Mongo_agg.apply_doc streaming)
-                docs
+              shard obs (Jquery.Mongo_agg.apply_doc streaming) docs
             in
             let flat = List.concat (Array.to_list per_doc) in
             List.map Jquery.Mongo_agg.doc_value
@@ -397,14 +385,9 @@ let validate_cmd =
   in
   let via_jsl =
     Arg.(value & flag & info [ "via-jsl" ]
-           ~doc:"Validate through the Theorem 1 JSL translation instead of the \
-                 direct validator.")
-  in
-  let no_compile =
-    Arg.(value & flag & info [ "no-compile" ]
-           ~doc:"Validate with the structural interpreter instead of compiling \
-                 the schema to a plan first (the comparison baseline; results \
-                 are identical).")
+           ~doc:"Compile the schema's Theorem 3 translation into recursive \
+                 JSL instead of the schema itself (the two plans decide the \
+                 same relation; output bytes are identical in every mode).")
   in
   let stream =
     Arg.(value & flag & info [ "stream" ]
@@ -415,8 +398,7 @@ let validate_cmd =
                  fed to the resumable lexer; otherwise the input is NDJSON — \
                  one document per line — and each line prints \
                  'path:line<TAB>result', bad lines folding to error results \
-                 without sinking their neighbours.  Requires the compiled \
-                 plan.")
+                 without sinking their neighbours.")
   in
   let chunk_bytes_arg =
     Arg.(value & opt int 65536 & info [ "chunk-bytes" ] ~docv:"N"
@@ -425,251 +407,97 @@ let validate_cmd =
                  (the lexer resumes tokens split across chunk boundaries); \
                  only peak input memory and syscall count change.")
   in
-  let run obs schema_file via_jsl no_compile stream chunk_bytes files_from
-      files =
+  let run obs schema_file via_jsl stream chunk_bytes files_from files =
     wrap (fun () ->
         let schema =
           match Jschema.Parse.of_string (read_input schema_file) with
           | Ok s -> s
           | Error m -> failwith ("bad schema: " ^ m)
         in
-        let jsl =
-          lazy
-            (Obs.Metrics.span "phase.translate" (fun () ->
-                 Jschema.To_jsl.document schema))
-        in
-        if stream && (via_jsl || no_compile) then
-          failwith
-            "--stream validates through the compiled plan; drop \
-             --via-jsl/--no-compile";
         if chunk_bytes < 1 then failwith "--chunk-bytes must be at least 1";
-        (* The streaming checker takes the raw text of one document and
-           fuses parse and validation into a single pass under a single
-           budget; parse failures are rendered exactly like the
-           tree-building route's so the two paths stay byte-identical. *)
-        let stream_check =
-          lazy
-            (let plan =
-               Jschema.Validate.Plan.compile ~budget:obs.budget schema
-             in
-             fun text ->
-               match
-                 Jsont.Parser.wrap (fun () ->
-                     Jschema.Validate.Plan.run_stream
-                       ~budget:(obs.fresh_budget ()) plan text)
-               with
-               | Ok ok -> ok
-               | Error e ->
-                 failwith (Format.asprintf "%a" Jsont.Parser.pp_error e))
+        (* The one checker, compiled exactly once before any fan-out;
+           plans are immutable, so every lane shares it. *)
+        let plan =
+          if via_jsl then
+            let r =
+              Obs.Metrics.span "phase.translate" (fun () ->
+                  Jschema.To_jsl.document schema)
+            in
+            Jschema.Validate.Plan.of_jsl ~budget:obs.budget
+              ~defs:r.Jlogic.Jsl_rec.defs r.Jlogic.Jsl_rec.base
+          else Jschema.Validate.Plan.compile ~budget:obs.budget schema
         in
-        (* Checker selection happens once, before any batch fan-out: the
-           schema is well-formed-checked and (by default) compiled to a
-           plan exactly here, never per document.  Plans are immutable,
-           so the one plan is shared across all batch domains. *)
-        match files_from with
+        let cell check =
+          Par.Batch.cell (fun () ->
+              if Obs.Metrics.span "phase.validate" check then "valid"
+              else "INVALID")
+        in
+        let failures = ref 0 in
+        let emit label result =
+          if result <> "valid" then incr failures;
+          Printf.printf "%s\t%s\n" label result
+        in
+        (match files_from with
         | Some list_path ->
-          (* force outside the batch: lazy thunks are not domain-safe *)
-          let check_path =
-            if stream then begin
-              (* each file is one streamed document, read in
-                 [--chunk-bytes] slices and fed to the resumable lexer:
-                 the document is never held in memory, and verdicts /
-                 errors match the whole-string path byte for byte *)
-              let plan =
-                Jschema.Validate.Plan.compile ~budget:obs.budget schema
-              in
-              let check_channel ic =
-                let chunk = Bytes.create chunk_bytes in
-                let refill lx =
-                  Obs.Metrics.incr "validate.feed.await";
-                  let n = In_channel.input ic chunk 0 (Bytes.length chunk) in
-                  if n = 0 then Jsont.Lexer.close lx
-                  else begin
-                    Obs.Metrics.incr "validate.feed.chunks";
-                    Jsont.Lexer.feed lx chunk 0 n
-                  end
-                in
-                let lx = Jsont.Lexer.create_feed ~refill () in
-                match
-                  Jsont.Parser.wrap (fun () ->
-                      Jschema.Validate.Plan.run_lexer
-                        ~budget:(obs.fresh_budget ()) plan lx)
-                with
-                | Ok ok -> ok
-                | Error e ->
-                  failwith (Format.asprintf "%a" Jsont.Parser.pp_error e)
-              in
-              fun path ->
-                if path = "-" then check_channel stdin
-                else In_channel.with_open_bin path check_channel
-            end
-            else if via_jsl then begin
-              let jsl = Lazy.force jsl in
-              fun path ->
-                let doc =
-                  parse_doc_exn ~budget:(obs.fresh_budget ()) (read_input path)
-                in
-                Jlogic.Jsl_rec.validates ~budget:(obs.fresh_budget ()) doc jsl
-            end
-            else if no_compile then begin
-              let prepared = Jschema.Validate.prepare schema in
-              fun path ->
-                let doc =
-                  parse_doc_exn ~budget:(obs.fresh_budget ()) (read_input path)
-                in
-                prepared ~budget:(obs.fresh_budget ()) doc
-            end
-            else begin
-              let plan =
-                Jschema.Validate.Plan.compile ~budget:obs.budget schema
-              in
-              fun path ->
-                (* direct one-pass ingestion: text straight to the flat
-                   tree, validated there — no Value.t intermediate *)
-                let tree =
-                  match
-                    Jsont.Tree.of_string ~budget:(obs.fresh_budget ())
-                      (read_input path)
-                  with
-                  | Ok t -> t
-                  | Error e ->
-                    failwith (Format.asprintf "%a" Jsont.Parser.pp_error e)
-                in
-                Jschema.Validate.Plan.run_tree ~budget:(obs.fresh_budget ())
-                  plan tree
-            end
-          in
-          let paths = read_path_list list_path in
-          let results =
-            Par.Batch.map ~jobs:obs.jobs
-              (fun path ->
-                batch_result (fun () ->
-                    let ok =
-                      Obs.Metrics.span "phase.validate" (fun () ->
-                          check_path path)
-                    in
-                    if ok then "valid" else "INVALID"))
-              paths
-          in
-          print_batch paths results;
-          if Array.exists (fun r -> r <> "valid") results then exit 1
-        | None when stream ->
-          (* NDJSON: one document per line, one 'path:line<TAB>result'
-             line out per document, in input order.  Sequentially the
-             input is consumed line at a time — peak memory follows the
-             longest line, not the file; with [--jobs] > 1 the lines
-             are slurped and sharded across the pool, with identical
-             output bytes. *)
-          let check = Lazy.force stream_check in
-          let path = last_input files in
-          let check_line line =
-            batch_result (fun () ->
-                let ok =
-                  Obs.Metrics.span "phase.validate" (fun () -> check line)
-                in
-                if ok then "valid" else "INVALID")
-          in
-          let failures = ref 0 in
-          let emit lineno result =
-            if result <> "valid" then incr failures;
-            Printf.printf "%s:%d\t%s\n" path lineno result
-          in
-          if obs.jobs <= 1 then begin
-            (* read [--chunk-bytes] slices and split lines by hand:
-               byte-identical to [In_channel.input_line] (only '\n'
-               delimits; an unterminated last line still counts), with
-               peak input memory following the chunk size plus the
-               longest line instead of the file *)
-            let process ic =
-              let chunk = Bytes.create chunk_bytes in
-              let carry = Buffer.create 256 in
-              let lineno = ref 0 in
-              let handle line =
-                incr lineno;
-                if String.trim line <> "" then emit !lineno (check_line line)
-              in
-              let rec loop () =
-                let n = In_channel.input ic chunk 0 (Bytes.length chunk) in
-                if n = 0 then begin
-                  if Buffer.length carry > 0 then begin
-                    let line = Buffer.contents carry in
-                    Buffer.clear carry;
-                    handle line
-                  end
-                end
-                else begin
-                  Obs.Metrics.incr "validate.feed.chunks";
-                  let start = ref 0 in
-                  for i = 0 to n - 1 do
-                    if Bytes.get chunk i = '\n' then begin
-                      Buffer.add_subbytes carry chunk !start (i - !start);
-                      let line = Buffer.contents carry in
-                      Buffer.clear carry;
-                      handle line;
-                      start := i + 1
+          let check path =
+            if stream then
+              (* one streamed document per file, read in [--chunk-bytes]
+                 slices and fed to the resumable lexer: the document is
+                 never held in memory *)
+              with_input path (fun ic ->
+                  let chunk = Bytes.create chunk_bytes in
+                  let refill lx =
+                    Obs.Metrics.incr "validate.feed.await";
+                    let n = In_channel.input ic chunk 0 chunk_bytes in
+                    if n = 0 then Jsont.Lexer.close lx
+                    else begin
+                      Obs.Metrics.incr "validate.feed.chunks";
+                      Jsont.Lexer.feed lx chunk 0 n
                     end
-                  done;
-                  Buffer.add_subbytes carry chunk !start (n - !start);
-                  loop ()
-                end
-              in
-              loop ()
-            in
-            if path = "-" then process stdin
-            else In_channel.with_open_bin path process
-          end
-          else begin
-            let lines =
-              read_input path
-              |> String.split_on_char '\n'
-              |> List.mapi (fun i line -> (i + 1, line))
-              |> List.filter (fun (_, line) -> String.trim line <> "")
-              |> Array.of_list
-            in
-            let results =
-              Par.Batch.map ~jobs:obs.jobs
-                (fun (_, line) -> check_line line)
-                lines
-            in
-            Array.iteri
-              (fun i result -> emit (fst lines.(i)) result)
-              results
-          end;
-          if !failures > 0 then exit 1
-        | None ->
-          let check =
-            if via_jsl then fun doc ->
-              Jlogic.Jsl_rec.validates ~budget:obs.budget doc (Lazy.force jsl)
-            else if no_compile then begin
-              let prepared = Jschema.Validate.prepare schema in
-              fun doc -> prepared ~budget:obs.budget doc
-            end
-            else begin
-              let plan =
-                Jschema.Validate.Plan.compile ~budget:obs.budget schema
-              in
-              fun doc -> Jschema.Validate.Plan.run ~budget:obs.budget plan doc
-            end
+                  in
+                  Jschema.Validate.Plan.run_lexer ~budget:(obs.fresh_budget ())
+                    plan
+                    (Jsont.Lexer.create_feed ~refill ()))
+            else
+              (* direct one-pass ingestion: text straight to the flat
+                 tree, validated there — no Value.t intermediate *)
+              Jschema.Validate.Plan.run_tree ~budget:(obs.fresh_budget ()) plan
+                (Jsont.Tree.of_string_exn ~budget:(obs.fresh_budget ())
+                   (read_input path))
           in
+          let paths, cells =
+            map_files obs list_path (fun path -> cell (fun () -> check path))
+          in
+          Array.iter2 emit paths cells
+        | None when stream ->
+          let path = last_input files in
+          with_input path
+            (Par.Batch.lines ~jobs:obs.jobs ~chunk_bytes
+               (fun line ->
+                 cell (fun () ->
+                     Jschema.Validate.Plan.run_stream
+                       ~budget:(obs.fresh_budget ()) plan line))
+               (fun lineno -> emit (Printf.sprintf "%s:%d" path lineno)))
+        | None ->
           let docs =
             parse_docs_exn ~budget:obs.budget (read_input (last_input files))
           in
-          let failures = ref 0 in
           List.iter
             (fun doc ->
               let ok =
-                Obs.Metrics.span "phase.validate" (fun () -> check doc)
+                Obs.Metrics.span "phase.validate" (fun () ->
+                    Jschema.Validate.Plan.run ~budget:obs.budget plan doc)
               in
               if not ok then incr failures;
               Printf.printf "%s\t%s\n"
                 (if ok then "valid" else "INVALID")
                 (Jsont.Printer.compact doc))
-            docs;
-          if !failures > 0 then exit 1)
+            docs);
+        if !failures > 0 then exit 1)
   in
   Cmd.v
     (Cmd.info "validate" ~doc:"Validate documents against a JSON Schema")
-    Term.(const run $ obs_term $ schema_arg $ via_jsl $ no_compile $ stream
+    Term.(const run $ obs_term $ schema_arg $ via_jsl $ stream
           $ chunk_bytes_arg $ files_from_arg $ input_arg)
 
 (* ---- sat --------------------------------------------------------------------- *)
@@ -780,10 +608,7 @@ let infer_cmd =
   in
   let run obs strict files =
     wrap (fun () ->
-        let docs = parse_docs_exn ~budget:obs.budget (read_input (last_input files)) in
-        let docs =
-          match docs with [ Jsont.Value.Arr vs ] -> vs | other -> other
-        in
+        let docs = read_collection ~budget:obs.budget (last_input files) in
         if docs = [] then failwith "no example documents";
         let mode = if strict then `Strict else `Loose in
         let schema = Jschema.Infer.infer_document ~mode docs in
@@ -1134,34 +959,27 @@ let client_cmd =
               in
               let verdict doc = unwrap (check doc) in
               let path = last_input files in
-              if stream then begin
-                (* mirror validate --stream exactly: count every line,
-                   skip trim-blank ones, exit 1 on any non-valid *)
-                let failures = ref 0 in
-                let lineno = ref 0 in
-                read_input path
-                |> String.split_on_char '\n'
-                |> List.iter (fun line ->
-                       incr lineno;
-                       if String.trim line <> "" then begin
-                         let r = verdict line in
+              let all_valid =
+                if stream then begin
+                  (* the same NDJSON reader as validate --stream: same
+                     line numbers, same skipped blank lines *)
+                  let failures = ref 0 in
+                  with_input path
+                    (Par.Batch.lines ~chunk_bytes:65536 verdict
+                       (fun lineno r ->
                          if r <> "valid" then incr failures;
-                         Printf.printf "%s:%d\t%s\n" path !lineno r
-                       end);
-                if !failures > 0 then begin
-                  if shutdown_f then
-                    ignore (unwrap (Jserve.Client.shutdown c));
-                  exit 1
+                         Printf.printf "%s:%d\t%s\n" path lineno r));
+                  !failures = 0
                 end
-              end
-              else begin
-                let r = verdict (read_input path) in
-                print_endline r;
-                if r <> "valid" then begin
-                  if shutdown_f then
-                    ignore (unwrap (Jserve.Client.shutdown c));
-                  exit 1
+                else begin
+                  let r = verdict (read_input path) in
+                  print_endline r;
+                  r = "valid"
                 end
+              in
+              if not all_valid then begin
+                if shutdown_f then ignore (unwrap (Jserve.Client.shutdown c));
+                exit 1
               end);
             if shutdown_f then ignore (unwrap (Jserve.Client.shutdown c))))
   in

@@ -1,5 +1,4 @@
-(** Batch evaluation: shard an array of independent documents across
-    domains.
+(** Batch evaluation: shard independent documents across domains.
 
     The unit of work is one whole document (parse, evaluate, render) —
     coarse enough that coordination cost vanishes against it, and no
@@ -11,7 +10,8 @@
     count, and metric totals are independent of [jobs] — the agreement
     the differential tests and the CI gate pin down.
 
-    Counters: [par.batch.docs] (documents submitted), span
+    Counters: [par.batch.docs] (documents submitted),
+    [validate.feed.chunks] (slices {!lines} read), span
     [par.batch.run]. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
@@ -23,3 +23,28 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 val map_pool : Pool.t -> ('a -> 'b) -> 'a array -> 'b array
 (** Like {!map} on an existing pool — for repeated batches amortizing
     domain spawns. *)
+
+val cell : (unit -> string) -> string
+(** [cell f] is one document's result line: [f ()], or
+    ["error: <message>"] when the document fails — a positioned parse
+    or lexer error (rendered by {!Jsont.Parser.pp_error}), [Failure],
+    [Sys_error], or budget exhaustion ({!Obs.Budget.describe}).  Every
+    other exception propagates.  One bad document thereby never sinks
+    its batch, and every route renders the same failure the same
+    way. *)
+
+val lines :
+  ?jobs:int -> chunk_bytes:int -> (string -> 'a) -> (int -> 'a -> unit)
+  -> In_channel.t -> unit
+(** [lines ~jobs ~chunk_bytes f emit ic] runs [f] on every line of
+    [ic] (NDJSON: one document per line) and calls [emit lineno result]
+    in line order.  Input is read in [chunk_bytes] slices and only
+    ['\n'] ends a line; lines are numbered from 1, blank lines (empty
+    after [String.trim]) are numbered but skipped, and an unterminated
+    last line counts.  Lines run on one [jobs]-lane {!Pool}, created
+    once, in windows of about [chunk_bytes * 32 * (jobs - 1)] bytes
+    (line at a time when [jobs <= 1]), so memory is one window plus the
+    longest line at every lane count.  Output does not depend on [jobs]
+    or [chunk_bytes], nor counter totals on [jobs].  An exception from
+    [f] or [emit] ends the run and is re-raised.
+    @raise Invalid_argument if [chunk_bytes < 1]. *)

@@ -231,7 +231,9 @@ let to_jsl = filter_to_jsl
 
 let to_jnl f = Jlogic.Translate.jsl_to_jnl (to_jsl f)
 
-let matches f v = Jsl.validates v (to_jsl f)
+let matches f =
+  let plan = Jschema.Validate.Plan.of_jsl (to_jsl f) in
+  fun v -> Jschema.Validate.Plan.run plan v
 
 let find f docs = List.filter (matches f) docs
 

@@ -81,10 +81,15 @@ val to_jnl : filter -> (Jlogic.Jnl.form, string) result
     the [~(A)]-fragment (e.g. [$gt], [$regex]). *)
 
 val matches : filter -> Jsont.Value.t -> bool
-(** Does a document pass the filter? *)
+(** Does a document pass the filter?  [matches f] compiles {!to_jsl}[ f]
+    once into a {!Jschema.Validate.Plan} ({!Jschema.Validate.Plan.of_jsl});
+    apply it partially to reuse the plan across documents.
+    @raise Jsont.Value.Invalid on invalid values (negative numbers,
+    duplicate keys). *)
 
 val find : filter -> Jsont.Value.t list -> Jsont.Value.t list
-(** Filter a collection — [db.collection.find(filter, {})]. *)
+(** Filter a collection — [db.collection.find(filter, {})] — through one
+    compiled plan. *)
 
 (** {1 Projection} *)
 

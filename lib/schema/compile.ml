@@ -93,10 +93,10 @@ let node_count p = Array.length p.nodes
 
 (* ---- compilation --------------------------------------------------------- *)
 
-(* Shared by both front ends: ['k] is what is hash-consed — schemas for
-   {!compile}, formulas for {!of_jsl}. *)
+(* Shared by both front ends: ['k] is what is hash-consed and defined —
+   schemas for {!compile}, formulas for {!of_jsl}. *)
 type 'k builder = {
-  defs : (string * Schema.t) list;
+  defs : (string * 'k) list;
   assigned : (int, node) Hashtbl.t;
   ids : ('k, int) Hashtbl.t;  (* structural hash-consing *)
   def_ids : (string, int) Hashtbl.t;
@@ -393,23 +393,52 @@ let conjoin_test b d (nt : Jsl.node_test) =
 (* One plan node per distinct subformula: the conjuncts of [f] fold into
    the node, every other operand — a negation, a disjunct, the body of
    a modality — is a child plan.  [◇] is [type ∧ ¬□¬], as in
-   {!Of_jsl}. *)
+   {!Of_jsl}.  A recursion symbol is its definition's plan. *)
 let rec intern_jsl b depth (f : Jsl.t) =
   Obs.Budget.check_depth b.budget depth;
-  match Hashtbl.find_opt b.ids f with
+  match f with
+  | Jsl.Var v -> intern_sym b depth v
+  | _ -> (
+    match Hashtbl.find_opt b.ids f with
+    | Some id ->
+      bump b id;
+      id
+    | None ->
+      Obs.Budget.burn b.budget 1;
+      let d = draft () in
+      conjoin b (depth + 1) d f;
+      (* a formula's own structure has no cycles (recursion goes through
+         symbols), so its id is taken after its children's: the table
+         then holds finished subformulas only, and a deep chain (whose
+         subformulas all share one bounded structural hash) is never
+         compared against its own ancestors *)
+      let id = fresh b in
+      Hashtbl.add b.ids f id;
+      Hashtbl.replace b.assigned id (freeze d);
+      id)
+
+(* A symbol's id is reserved before its body is built, as [intern_def]
+   does for [$ref]: that is what admits recursion (well-formedness puts
+   a modality on every cycle, so both executors terminate). *)
+and intern_sym b depth v =
+  match Hashtbl.find_opt b.def_ids v with
   | Some id ->
     bump b id;
     id
   | None ->
+    let body =
+      match List.assoc_opt v b.defs with
+      | Some body -> body
+      | None ->
+        invalid_arg
+          (Printf.sprintf
+             "Jschema.Validate.Plan.of_jsl: free recursion symbol $%s" v)
+    in
     Obs.Budget.burn b.budget 1;
-    let d = draft () in
-    conjoin b (depth + 1) d f;
-    (* a formula has no cycles, so its id is taken after its children's:
-       the table then holds finished subformulas only, and a deep chain
-       (whose subformulas all share one bounded structural hash) is
-       never compared against its own ancestors *)
     let id = fresh b in
-    Hashtbl.add b.ids f id;
+    Hashtbl.add b.def_ids v id;
+    let d = draft () in
+    conjoin b (depth + 1) d body;
     Hashtbl.replace b.assigned id (freeze d);
     id
 
@@ -437,10 +466,7 @@ and conjoin b depth d (f : Jsl.t) =
   | Jsl.Dia_range (i, j, g) ->
     d.d_type <- d.d_type land type_bit Schema.T_array;
     d.d_nots <- child (Jsl.Box_range (i, j, neg g)) :: d.d_nots
-  | Jsl.Var v ->
-    invalid_arg
-      (Printf.sprintf
-         "Jschema.Validate.Plan.of_jsl: free recursion symbol $%s" v)
+  | Jsl.Var v -> d.d_all_of <- intern_sym b depth v :: d.d_all_of
 
 and disjuncts b depth f acc =
   match f with
@@ -449,10 +475,14 @@ and disjuncts b depth f acc =
     disjuncts b (depth + 1) x (disjuncts b (depth + 1) y acc)
   | f -> f :: acc
 
-let of_jsl ?(budget = Obs.Budget.unlimited) f =
+let of_jsl ?(budget = Obs.Budget.unlimited) ?(defs = []) base =
+  (if defs <> [] then
+     match Jlogic.Jsl_rec.well_formed { Jlogic.Jsl_rec.defs; base } with
+     | Ok () -> ()
+     | Error m -> invalid_arg ("Jschema.Validate.Plan.of_jsl: " ^ m));
   Obs.Metrics.span "validate.compile" @@ fun () ->
-  let b = builder budget [] in
-  finish b (intern_jsl b 0 f)
+  let b = builder budget defs in
+  finish b (intern_jsl b 0 base)
 
 (* ---- execution over trees ------------------------------------------------ *)
 

@@ -1,7 +1,7 @@
 (** Compile-once validation (the fast path behind {!Validate.Plan}):
     one plan IR with two front ends, JSON Schema documents ({!compile})
-    and JSL formulas ({!of_jsl}), and one tree and one stream executor
-    for both — Theorem 1 made operational.
+    and recursive JSL expressions ({!of_jsl}), and one tree and one
+    stream executor for both — Theorems 1 and 3 made operational.
 
     {!compile} interns every subschema of a {!Schema.document} —
     definitions included, reference cycles allowed — into an immutable
@@ -54,21 +54,35 @@ val compile : ?budget:Obs.Budget.t -> Schema.document -> t
     subschema, recursion depth against the ceiling).
     @raise Invalid_argument if the schema is not well-formed. *)
 
-val of_jsl : ?budget:Obs.Budget.t -> Jlogic.Jsl.t -> t
-(** Compile a closed JSL formula into the same IR, hash-consing its
-    distinct subformulas.  Conjuncts fold into one node: node tests
-    into the type mask, bounds, DFA patterns or [enum]; [□_e] into the
-    key-dispatch table (single-word [e]) or a DFA pattern property;
-    [□_{i:j}] into a position range; [MinCh]/[MaxCh] into the property
-    and array length bounds; [∨] and [¬] into [anyOf] groups and
-    [not]s; [◇] is [type ∧ ¬□¬], as in {!Of_jsl}.  The plan's size
+val of_jsl :
+  ?budget:Obs.Budget.t -> ?defs:(string * Jlogic.Jsl.t) list -> Jlogic.Jsl.t
+  -> t
+(** Compile a JSL formula into the same IR, hash-consing its distinct
+    subformulas.  With [defs] the formula is the base of the recursive
+    JSL expression [{defs; base}] ({!Jlogic.Jsl_rec}, Theorem 3):
+    {!Jlogic.Jsl_rec.well_formed} is checked once, and each recursion
+    symbol is one plan node whose id is reserved before its body is
+    built, the way {!compile} resolves [$ref] cycles — so
+    [of_jsl ~defs base] decides {!Jlogic.Jsl_rec.validates} and
+    [of_jsl ~defs:r.defs r.base] for [r = To_jsl.document s] decides
+    what [compile s] decides.  Without [defs] the formula must be
+    closed.
+
+    Conjuncts fold into one node: node tests into the type mask,
+    bounds, DFA patterns or [enum]; [□_e] into the key-dispatch table
+    (single-word [e]) or a DFA pattern property; [□_{i:j}] into a
+    position range; [MinCh]/[MaxCh] into the property and array length
+    bounds; [∨] and [¬] into [anyOf] groups and [not]s; [◇] is
+    [type ∧ ¬□¬], as in {!Of_jsl}.  The plan's size
     depends only on the formula's shape, never on the numbers in it
     (unlike the Theorem 1 schema of {!Of_jsl}, which enumerates array
-    lengths).  Both executors then decide {!Jlogic.Jsl.validates}: a
-    container [~(A)] spills in {!run_stream} like a container [enum].
-    [budget] bounds the compilation like {!compile}'s.
-    @raise Invalid_argument on a free recursion symbol or a negative
-    array index.
+    lengths).  Both executors then decide {!Jlogic.Jsl.validates}
+    (with [defs], {!Jlogic.Jsl_rec.validates}): a container [~(A)]
+    spills in {!run_stream} like a container [enum].  [budget] bounds
+    the compilation like {!compile}'s.
+    @raise Invalid_argument on a free recursion symbol, on [defs] that
+    are not well-formed (an undefined or twice-defined symbol, a
+    precedence cycle), or on a negative array index.
     @raise Obs.Budget.Exhausted on formulas deeper than the ceiling. *)
 
 val node_count : t -> int

@@ -195,9 +195,9 @@ let plan_of_schema srv bytes =
       | exception Obs.Budget.Exhausted r -> Error (Obs.Budget.describe r)))
 
 (* Validate [len] body bytes against [plan], streaming them into the
-   plan's lexer executor in buffer-sized slices.  The verdict text is
-   byte-identical to the `validate --stream` CLI cell: `valid`,
-   `INVALID`, or `error: <message>` with the same rendering. *)
+   plan's lexer executor in buffer-sized slices.  The verdict is the
+   same {!Par.Batch.cell} the `validate --stream` CLI prints: `valid`,
+   `INVALID`, or `error: <message>`. *)
 let validate_body srv c plan len =
   let remaining = ref len in
   let refill_lexer lx =
@@ -212,16 +212,13 @@ let validate_body srv c plan len =
         remaining := !remaining - n
   in
   let verdict =
-    match
-      Jsont.Parser.wrap (fun () ->
-          let lx = Jsont.Lexer.create_feed ~refill:refill_lexer () in
+    Par.Batch.cell (fun () ->
+        let lx = Jsont.Lexer.create_feed ~refill:refill_lexer () in
+        if
           Jschema.Validate.Plan.run_lexer ~budget:(srv.cfg.fresh_budget ())
-            plan lx)
-    with
-    | Ok true -> "valid"
-    | Ok false -> "INVALID"
-    | Error e -> "error: " ^ Format.asprintf "%a" Jsont.Parser.pp_error e
-    | exception Obs.Budget.Exhausted r -> "error: " ^ Obs.Budget.describe r
+            plan lx
+        then "valid"
+        else "INVALID")
   in
   (* an early verdict (a validation error halfway in) leaves body bytes
      on the wire; consume them so the next pipelined header parses *)

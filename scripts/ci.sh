@@ -145,6 +145,32 @@ case $par_out in
      exit 1 ;;
 esac
 
+# Missing inputs and unreachable endpoints are user errors: exit 1 with
+# an error: line on stderr, never an uncaught exception (exit 125).
+mdir=$(mktemp -d)
+echo '{}' > "$mdir/doc.json"
+printf '%s\n%s\n' "$mdir/doc.json" "$mdir/missing.json" > "$mdir/list"
+expect_user_error() {
+  ue_status=0
+  ue_err=$(timeout 60 "$JSONLOGIC" "$@" 2>&1 >/dev/null) || ue_status=$?
+  case $ue_status:$ue_err in
+    *uncaught*)
+      echo "FAIL: jsonlogic $*: uncaught exception: $ue_err" >&2
+      exit 1 ;;
+    1:error:*) ;;
+    *) echo "FAIL: jsonlogic $*: expected exit 1 and error:, got exit $ue_status: $ue_err" >&2
+       exit 1 ;;
+  esac
+}
+expect_user_error validate -s "$mdir/missing.json" "$mdir/doc.json"
+expect_user_error eval '<.a>' "$mdir/missing.json"
+expect_user_error eval --files-from "$mdir/missing-list" '<.a>'
+expect_user_error aggregate --files-from "$mdir/list" '[]'
+expect_user_error client --socket "$mdir/nope.sock" --ping
+expect_user_error client --tcp 127.0.0.1:1 --ping
+expect_user_error serve --socket "$mdir/no-dir/x.sock"
+rm -rf "$mdir"
+
 # Compiled-validation differential gate: the 1000-case fuzz asserting
 # the compiled plan, the structural interpreter and the Tree-path
 # executor return identical verdicts (standalone so a break is named
@@ -169,9 +195,10 @@ if [ ! -s "$bench_json/BENCH_validate.json" ]; then
 fi
 rm -rf "$bench_json"
 
-# Compiled-validate CLI wiring: the plan path (default), the
-# interpreter (--no-compile) and a 2-domain compiled batch must print
-# byte-identical path<TAB>verdict lines; mixed verdicts exit 1.
+# Compiled-validate CLI wiring: the schema's plan (default), the plan
+# of its recursive JSL translation (--via-jsl) and a 2-domain batch
+# must print byte-identical path<TAB>verdict lines; mixed verdicts
+# exit 1.
 vdir=$(mktemp -d)
 cat > "$vdir/schema.json" <<'EOF'
 {"definitions":{"id":{"type":"number","minimum":1}},
@@ -195,14 +222,15 @@ if [ "$vstatus" != 1 ]; then
   echo "FAIL: compiled validate batch: expected exit 1 (mixed verdicts), got $vstatus" >&2
   exit 1
 fi
-v_interp=$(timeout 120 "$JSONLOGIC" validate -s "$vdir/schema.json" \
-  --no-compile --files-from "$vdir/list") || true
+vj_status=0
+v_jsl=$(timeout 120 "$JSONLOGIC" validate -s "$vdir/schema.json" \
+  --via-jsl --files-from "$vdir/list") || vj_status=$?
 v_jobs2=$(timeout 120 "$JSONLOGIC" validate -s "$vdir/schema.json" \
   --jobs 2 --files-from "$vdir/list") || true
 rm -rf "$vdir"
-if [ "$v_plan" != "$v_interp" ]; then
-  echo "FAIL: validate with and without --no-compile disagree" >&2
-  printf '%s\n---\n%s\n' "$v_plan" "$v_interp" >&2
+if [ "$v_plan" != "$v_jsl" ] || [ "$vj_status" != 1 ]; then
+  echo "FAIL: validate with and without --via-jsl disagree (exit $vj_status)" >&2
+  printf '%s\n---\n%s\n' "$v_plan" "$v_jsl" >&2
   exit 1
 fi
 if [ "$v_plan" != "$v_jobs2" ]; then
@@ -281,11 +309,19 @@ if [ "$s_tree" != "$s_stream" ] || [ "$ss_status" != 1 ] || [ "$ts_status" != 1 
   printf '%s\n---\n%s\n' "$s_tree" "$s_stream" >&2
   exit 1
 fi
+sj_status=0
+s_jsl=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
+  --via-jsl --stream --files-from "$sdir/list") || sj_status=$?
+if [ "$s_jsl" != "$s_tree" ] || [ "$sj_status" != 1 ]; then
+  echo "FAIL: validate --via-jsl --stream --files-from differs from the tree path (exit $sj_status)" >&2
+  printf '%s\n---\n%s\n' "$s_tree" "$s_jsl" >&2
+  exit 1
+fi
 
 # Streaming CLI wiring, part 2: NDJSON mode (one document per line,
 # path:line<TAB>result) with a malformed line folded into a per-line
-# error; --jobs 2 must produce byte-identical output to the
-# sequential line-at-a-time run.
+# error; --jobs 2 and --via-jsl must produce byte-identical output to
+# the sequential default run.
 nd="$sdir/docs.ndjson"
 : > "$nd"
 for i in $(seq 1 200); do
@@ -304,6 +340,13 @@ nd2=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
 if [ "$nd1" != "$nd2" ] || [ -z "$nd1" ]; then
   echo "FAIL: NDJSON --stream --jobs 1 and --jobs 2 disagree" >&2
   printf '%s\n---\n%s\n' "$nd1" "$nd2" >&2
+  exit 1
+fi
+ndj=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
+  --via-jsl --stream --jobs 2 "$nd") || true
+if [ "$ndj" != "$nd1" ]; then
+  echo "FAIL: NDJSON --via-jsl --stream differs from the default" >&2
+  printf '%s\n---\n%s\n' "$nd1" "$ndj" >&2
   exit 1
 fi
 if [ "$(printf '%s\n' "$nd1" | wc -l)" != 200 ]; then
@@ -326,9 +369,12 @@ nd7=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
   --stream --chunk-bytes 7 "$nd") || true
 nd64k=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
   --stream --chunk-bytes 65536 "$nd") || true
-if [ "$nd7" != "$nd1" ] || [ "$nd64k" != "$nd1" ]; then
-  echo "FAIL: NDJSON --chunk-bytes 7 / 65536 output differs from default" >&2
-  printf '%s\n---\n%s\n' "$nd7" "$nd64k" >&2
+# four lanes over 7-byte slices: many small windows in flight
+nd7j4=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
+  --stream --jobs 4 --chunk-bytes 7 "$nd") || true
+if [ "$nd7" != "$nd1" ] || [ "$nd64k" != "$nd1" ] || [ "$nd7j4" != "$nd1" ]; then
+  echo "FAIL: NDJSON --chunk-bytes 7 / 65536 / --jobs 4 output differs from default" >&2
+  printf '%s\n---\n%s\n---\n%s\n' "$nd7" "$nd64k" "$nd7j4" >&2
   exit 1
 fi
 sf7_status=0
@@ -350,9 +396,10 @@ fi
 echo "feed-lexer chunk-size identity gate passed"
 
 # Streaming RSS ceiling: validating ~100 MB of NDJSON must complete
-# inside a 512 MB address-space limit — streaming memory follows the
-# longest line, not the file (ulimit -v in a subshell so the limit
-# dies with it).
+# inside a 512 MB address-space limit at --jobs 1 and 2 — NDJSON memory
+# follows one window of lines plus the longest line, not the file
+# (ulimit -v in a subshell so the limit dies with it; not at --jobs 4,
+# whose domain spawns need more address space than the limit allows).
 big="$sdir/big.ndjson"
 awk 'BEGIN {
   for (l = 0; l < 6400; l++) {
@@ -361,24 +408,26 @@ awk 'BEGIN {
     printf "\"}\n"
   }
 }' > "$big"
-big_status=0
-big_out=$( (ulimit -v 524288 2>/dev/null || true
-            timeout 300 "$JSONLOGIC" validate -s "$sdir/schema.json" \
-              --stream "$big") ) || big_status=$?
-if [ "$big_status" != 0 ]; then
-  echo "FAIL: 100MB NDJSON --stream under 512MB ulimit: exit $big_status" >&2
-  printf '%s\n' "$big_out" | tail -5 >&2
-  exit 1
-fi
-if [ "$(printf '%s\n' "$big_out" | wc -l)" != 6400 ]; then
-  echo "FAIL: 100MB NDJSON --stream expected 6400 result lines" >&2
-  exit 1
-fi
-case $big_out in
-  *INVALID*) echo "FAIL: 100MB NDJSON --stream reported INVALID lines" >&2
-             exit 1 ;;
-  *) ;;
-esac
+for big_jobs in 1 2; do
+  big_status=0
+  big_out=$( (ulimit -v 524288 2>/dev/null || true
+              timeout 300 "$JSONLOGIC" validate -s "$sdir/schema.json" \
+                --stream --jobs "$big_jobs" "$big") ) || big_status=$?
+  if [ "$big_status" != 0 ]; then
+    echo "FAIL: 100MB NDJSON --stream --jobs $big_jobs under 512MB ulimit: exit $big_status" >&2
+    printf '%s\n' "$big_out" | tail -5 >&2
+    exit 1
+  fi
+  if [ "$(printf '%s\n' "$big_out" | wc -l)" != 6400 ]; then
+    echo "FAIL: 100MB NDJSON --stream --jobs $big_jobs expected 6400 result lines" >&2
+    exit 1
+  fi
+  case $big_out in
+    *INVALID*) echo "FAIL: 100MB NDJSON --stream --jobs $big_jobs reported INVALID lines" >&2
+               exit 1 ;;
+    *) ;;
+  esac
+done
 rm -rf "$sdir"
 
 # Serve smoke gate: a daemon on a temp socket must answer a replayed
@@ -800,12 +849,36 @@ ag1=$(timeout 120 "$JSONLOGIC" aggregate --files-from "$ag_list" --jobs 1 \
   "$grp_pl")
 ag2=$(timeout 120 "$JSONLOGIC" aggregate --files-from "$ag_list" --jobs 2 \
   "$grp_pl")
-rm -rf "$agdir"
 if [ "$ag1" != "$ag2" ] || [ -z "$ag1" ]; then
   echo "FAIL: aggregate --jobs 1 and --jobs 2 disagree" >&2
   printf '%s\n---\n%s\n' "$ag1" "$ag2" >&2
   exit 1
 fi
+# ingestion is sharded too, yet the first bad file in list order (here
+# a malformed one listed before a missing one) fails the run at every
+# --jobs
+printf '{"x":' > "$agdir/bad.json"
+{ head -20 "$ag_list"; echo "$agdir/bad.json"; echo "$agdir/missing.json"
+  tail -20 "$ag_list"; } > "$agdir/badlist"
+ag_errs=""
+for ag_jobs in 1 2; do
+  ag_status=0
+  ag_err=$(timeout 60 "$JSONLOGIC" aggregate --files-from "$agdir/badlist" \
+    --jobs "$ag_jobs" "$grp_pl" 2>&1 >/dev/null) || ag_status=$?
+  case $ag_status:$ag_err in
+    "1:error: $agdir/bad.json: "*) ;;
+    *) echo "FAIL: aggregate --jobs $ag_jobs over a bad list: exit $ag_status: $ag_err" >&2
+       exit 1 ;;
+  esac
+  ag_errs="$ag_errs$ag_err
+"
+done
+if [ "$(printf '%s' "$ag_errs" | sort -u | wc -l)" != 1 ]; then
+  echo "FAIL: aggregate reports different first errors at --jobs 1 and 2" >&2
+  printf '%s' "$ag_errs" >&2
+  exit 1
+fi
+rm -rf "$agdir"
 
 # Mongo bench agreement mode: cross-jobs byte identity + counter
 # totals and the direct-vs-JNL navigational differential are gated in

@@ -3,7 +3,9 @@
    interpreter, and JSL formulas compiled by [Plan.of_jsl] against the
    same relation through the Theorem 1 schema — on the Table 1 keyword
    cases, the property-heavy catalog, random [gen_formula]-derived
-   schemas, the $ref-sharing family, and under fuel/depth budgets. *)
+   schemas, the $ref-sharing family, and under fuel/depth budgets —
+   and recursive JSL compiled by [Plan.of_jsl ~defs] against
+   [Plan.compile] and the recursive JSL interpreter. *)
 
 module Value = Jsont.Value
 module Tree = Jsont.Tree
@@ -297,6 +299,97 @@ let test_numeric_parameters () =
   | _ -> Alcotest.fail "a 100k-deep formula must exhaust the depth ceiling"
   | exception Obs.Budget.Exhausted Obs.Budget.Depth -> ()
 
+(* ---- recursive JSL: of_jsl with definitions ------------------------------ *)
+
+(* The routes for [schema]: [compile schema], the recursive JSL
+   interpreter on its Theorem 3 translation, and [of_jsl ~defs] of that
+   translation on tree and stream — [check doc] demands all four agree. *)
+let via_jsl_checker ~what schema =
+  let direct_plan = Validate.Plan.compile schema in
+  let r = Jschema.To_jsl.document schema in
+  let plan =
+    Validate.Plan.of_jsl ~defs:r.Jlogic.Jsl_rec.defs r.Jlogic.Jsl_rec.base
+  in
+  fun doc ->
+    let text = Value.to_string doc in
+    let direct = Validate.Plan.run direct_plan doc in
+    let interp = Jlogic.Jsl_rec.validates doc r in
+    let tree = Validate.Plan.run_tree plan (Tree.of_string_exn text) in
+    let stream = Validate.Plan.run_stream plan text in
+    if not (direct = interp && tree = direct && stream = direct) then
+      Alcotest.failf
+        "%s on %s: compile %b, Jsl_rec %b, of_jsl tree %b stream %b" what text
+        direct interp tree stream
+
+let test_of_jsl_defs () =
+  List.iter
+    (fun (name, schema_text, docs) ->
+      let check = via_jsl_checker ~what:name (parse_schema schema_text) in
+      List.iter (fun (doc_text, _) -> check (parse_doc doc_text)) docs)
+    Catalog.keyword_cases;
+  let check =
+    via_jsl_checker ~what:"catalog" (parse_schema Catalog.catalog_schema)
+  in
+  let rng = Prng.create 0x0F75 in
+  for _ = 0 to 299 do
+    check (Catalog.catalog_doc rng)
+  done;
+  List.iter
+    (fun k ->
+      via_jsl_checker
+        ~what:(Printf.sprintf "ref-sharing k=%d" k)
+        (parse_schema (Catalog.ref_sharing_schema k))
+        Catalog.ref_sharing_doc)
+    [ 4; 8; 12 ];
+  let check =
+    via_jsl_checker ~what:"cyclic $ref"
+      (parse_schema
+         {|{"definitions":{"t":{"type":"object",
+             "additionalProperties":{"$ref":"#/definitions/t"}}},
+            "$ref":"#/definitions/t"}|})
+  in
+  List.iter
+    (fun text -> check (parse_doc text))
+    [ "{}"; {|{"a":{},"b":{"c":{"d":{}}}}|}; {|{"a":{"b":3}}|}; "[]" ]
+
+let test_of_jsl_random_rec () =
+  let trues = ref 0 in
+  for case = 0 to 599 do
+    let rng = Prng.create (0x5EC0 + case) in
+    let cfg =
+      { Jworkload.Gen_formula.default with
+        size = 8;
+        allow_nondet = case mod 2 = 0 }
+    in
+    let r = Jworkload.Gen_formula.jsl_rec rng cfg ~n_defs:(1 + (case mod 3)) in
+    let plan =
+      Validate.Plan.of_jsl ~defs:r.Jlogic.Jsl_rec.defs r.Jlogic.Jsl_rec.base
+    in
+    for _ = 1 to 5 do
+      let doc = Jworkload.Gen_json.sized rng 30 in
+      let text = Value.to_string doc in
+      let expected = Jlogic.Jsl_rec.validates doc r in
+      if expected then incr trues;
+      let tree = Validate.Plan.run_tree plan (Tree.of_string_exn text) in
+      let stream = Validate.Plan.run_stream plan text in
+      if tree <> expected || stream <> expected then
+        Alcotest.failf "case %d: Jsl_rec %b, tree %b, stream %b on %s for %s"
+          case expected tree stream text (Jlogic.Jsl_rec.to_string r)
+    done
+  done;
+  Alcotest.(check bool) "both verdicts exercised" true
+    (!trues > 0 && !trues < 3000);
+  let rejects what defs base =
+    match Validate.Plan.of_jsl ~defs base with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "undefined symbol" [ ("a", Jsl.True) ] (Jsl.Var "b");
+  rejects "precedence cycle"
+    [ ("a", Jsl.Var "b"); ("b", Jsl.And (Jsl.Test Jsl.Is_obj, Jsl.Var "a")) ]
+    (Jsl.Var "a");
+  rejects "free symbol without defs" [] (Jsl.Not (Jsl.Var "a"))
+
 let () =
   Alcotest.run "compile"
     [ ("keyword-cases", [ Alcotest.test_case "table1" `Quick test_keyword_cases ]);
@@ -316,4 +409,8 @@ let () =
        [ Alcotest.test_case "fuel/depth agreement" `Quick test_budget_agreement ]);
       ("numeric parameters",
        [ Alcotest.test_case "plan size ignores numbers" `Quick
-           test_numeric_parameters ]) ]
+           test_numeric_parameters ]);
+      ("recursive jsl",
+       [ Alcotest.test_case "of_jsl with definitions" `Quick test_of_jsl_defs;
+         Alcotest.test_case "random recursive formulas" `Quick
+           test_of_jsl_random_rec ]) ]

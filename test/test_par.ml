@@ -1,7 +1,8 @@
 (* Tests for the domain pool and the batch evaluation pipeline: result
    correctness and ordering, jobs-independence of outputs and metric
    totals (the determinism contract CI gates), exception propagation,
-   and pool lifecycle. *)
+   pool lifecycle, the NDJSON line reader against the whole-input
+   splitter it replaced, and per-document error rendering. *)
 
 let test_pool_map_basic () =
   let pool = Par.Pool.create 4 in
@@ -154,6 +155,164 @@ let test_batch_map_pool () =
       let b = Par.Batch.map ~jobs:1 batch_work docs in
       Alcotest.(check (array int)) "pool batch agrees with sequential" a b)
 
+(* ---- Par.Batch.lines: the NDJSON reader ---------------------------------- *)
+
+(* Reference splitter: the whole input split on '\n', numbered from 1,
+   trim-blank lines dropped — the numbering [lines] must reproduce at
+   every chunk size and lane count. *)
+let reference_split text =
+  String.split_on_char '\n' text
+  |> List.mapi (fun i line -> (i + 1, line))
+  |> List.filter (fun (_, line) -> String.trim line <> "")
+
+let with_temp_file text f =
+  let path = Filename.temp_file "par_lines" ".ndjson" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      In_channel.with_open_bin path f)
+
+(* (line number, f's result) in emit order, and the counter totals *)
+let run_lines ~jobs ~chunk_bytes text =
+  let reg = Obs.Metrics.create_registry () in
+  let out = ref [] in
+  Obs.Metrics.with_registry reg (fun () ->
+      with_temp_file text
+        (Par.Batch.lines ~jobs ~chunk_bytes
+           (fun line ->
+             Obs.Metrics.incr "test.lines";
+             line)
+           (fun lineno line -> out := (lineno, line) :: !out)));
+  let counter name =
+    Obs.Metrics.with_registry reg (fun () -> Obs.Metrics.counter_value name)
+  in
+  ( List.rev !out,
+    List.map counter [ "test.lines"; "par.batch.docs"; "validate.feed.chunks" ]
+  )
+
+let lines_cases =
+  let rng = Jworkload.Prng.create 7 in
+  let random () =
+    String.init
+      (Jworkload.Prng.int rng 400)
+      (fun _ -> Jworkload.Prng.choose rng [ 'a'; 'b'; '\n'; '\n'; ' '; '\r'; '{' ])
+  in
+  [ ""; "\n"; "\n\n  \n\t\n"; "a\r\nb\n\r\n  c  \n"; "x\ny"; "only";
+    "one\n"; String.make 200 'z' ^ "\nshort\n" ^ String.make 70_000 'w';
+    "\n\nlead\n\n" ]
+  @ List.init 30 (fun _ -> random ())
+
+let test_lines_identity () =
+  Obs.Metrics.set_enabled true;
+  List.iteri
+    (fun case text ->
+      let expected = reference_split text in
+      let n = List.length expected in
+      List.iter
+        (fun chunk_bytes ->
+          let _, sequential = run_lines ~jobs:1 ~chunk_bytes text in
+          List.iter
+            (fun jobs ->
+              let got, counters = run_lines ~jobs ~chunk_bytes text in
+              if got <> expected then
+                Alcotest.failf "case %d, chunk %d, jobs %d: lines differ" case
+                  chunk_bytes jobs;
+              Alcotest.(check (list int))
+                (Printf.sprintf "case %d chunk %d jobs %d counters" case
+                   chunk_bytes jobs)
+                sequential counters)
+            [ 1; 2; 4 ];
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "case %d chunk %d: one run and one doc per line"
+               case chunk_bytes)
+            (n, n)
+            (List.nth sequential 0, List.nth sequential 1))
+        [ 1; 7; 65536 ])
+    lines_cases
+
+let test_lines_chunks_counted () =
+  Obs.Metrics.set_enabled true;
+  let count ~jobs =
+    let reg = Obs.Metrics.create_registry () in
+    Obs.Metrics.with_registry reg (fun () ->
+        with_temp_file "{}\n[]\n\"x\"\n"
+          (Par.Batch.lines ~jobs ~chunk_bytes:4 Fun.id (fun _ _ -> ()));
+        Obs.Metrics.counter_value "validate.feed.chunks")
+  in
+  Alcotest.(check int) "11 bytes in 4-byte slices" 3 (count ~jobs:1);
+  Alcotest.(check int) "same slices at jobs 2" 3 (count ~jobs:2);
+  match
+    with_temp_file "x" (Par.Batch.lines ~chunk_bytes:0 Fun.id (fun _ _ -> ()))
+  with
+  | () -> Alcotest.fail "chunk_bytes 0 accepted"
+  | exception Invalid_argument _ -> ()
+
+(* ---- Par.Batch.cell: one document's failure as a result line -------------- *)
+
+(* Reference renderings [cell] must reproduce: the CLI batch lanes'
+   failure fold... *)
+let batch_fold f =
+  match f () with
+  | r -> r
+  | exception Failure m -> "error: " ^ m
+  | exception Obs.Budget.Exhausted r -> "error: " ^ Obs.Budget.describe r
+  | exception Sys_error m -> "error: " ^ m
+
+(* ...and the daemon's fold of a streamed verdict. *)
+let daemon_fold f =
+  match Jsont.Parser.wrap f with
+  | Ok r -> r
+  | Error e -> "error: " ^ Format.asprintf "%a" Jsont.Parser.pp_error e
+  | exception Obs.Budget.Exhausted r -> "error: " ^ Obs.Budget.describe r
+
+let test_cell_rendering () =
+  let check what expected f =
+    Alcotest.(check string) what expected (Par.Batch.cell f)
+  in
+  let same_as_batch what f = check what (batch_fold f) f in
+  let same_as_daemon what f = check what (daemon_fold f) f in
+  same_as_batch "result" (fun () -> "valid");
+  same_as_batch "Failure" (fun () -> failwith "bad formula: x");
+  same_as_batch "Sys_error" (fun () ->
+      In_channel.with_open_bin "/nonexistent/par-cell.json" In_channel.input_all);
+  List.iter
+    (fun r ->
+      same_as_batch (Obs.Budget.string_of_reason r) (fun () ->
+          raise (Obs.Budget.Exhausted r));
+      same_as_daemon (Obs.Budget.string_of_reason r) (fun () ->
+          raise (Obs.Budget.Exhausted r)))
+    Obs.Budget.[ Fuel; Depth; Deadline ];
+  (* positioned errors: the batch fold takes [Tree.of_string]'s Error
+     through [Failure], the daemon fold renders [Parser.wrap]'s *)
+  let plan =
+    Jschema.Validate.Plan.compile
+      (Jschema.Parse.of_string_exn {|{"type":"object"}|})
+  in
+  List.iter
+    (fun text ->
+      same_as_batch ("tree " ^ text) (fun () ->
+          match Jsont.Tree.of_string text with
+          | Ok _ -> "valid"
+          | Error e -> failwith (Format.asprintf "%a" Jsont.Parser.pp_error e));
+      check ("of_string_exn " ^ text)
+        (batch_fold (fun () ->
+             match Jsont.Tree.of_string text with
+             | Ok _ -> "valid"
+             | Error e ->
+               failwith (Format.asprintf "%a" Jsont.Parser.pp_error e)))
+        (fun () ->
+          ignore (Jsont.Tree.of_string_exn text);
+          "valid");
+      same_as_daemon ("stream " ^ text) (fun () ->
+          if Jschema.Validate.Plan.run_stream plan text then "valid"
+          else "INVALID"))
+    [ {|{"a":1,|}; {|{"a":tru}|}; "\"\001\""; {|{"a":1} x|}; "[1e999]";
+      {|{"a":1,"a":2}|}; "-3" ];
+  match Par.Batch.cell (fun () -> raise Not_found) with
+  | _ -> Alcotest.fail "Not_found was folded"
+  | exception Not_found -> ()
+
 let () =
   Alcotest.run "par"
     [ ("pool",
@@ -167,4 +326,8 @@ let () =
            test_pool_stray_nonrecoverable ]);
       ("batch",
        [ Alcotest.test_case "jobs agreement" `Quick test_batch_jobs_agreement;
-         Alcotest.test_case "map_pool" `Quick test_batch_map_pool ]) ]
+         Alcotest.test_case "map_pool" `Quick test_batch_map_pool;
+         Alcotest.test_case "lines identity" `Quick test_lines_identity;
+         Alcotest.test_case "lines chunks counted" `Quick
+           test_lines_chunks_counted;
+         Alcotest.test_case "cell rendering" `Quick test_cell_rendering ]) ]
