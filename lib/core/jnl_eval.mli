@@ -5,14 +5,20 @@
     - {!eval} computes the full satisfaction set [⟦ϕ⟧_J] bottom-up over
       the formula, with node sets as bitsets and path pre-images
       computed set-at-a-time.  Boolean connectives cost O(|J|); single
-      navigation steps use the tree's {{!Jsont.Tree.build_index}label
-      index} and cost O(edges carrying the step's label) — the sweep
-      fallback ([use_index:false]) costs O(|J|); [Star] adds a fixpoint
-      bounded by the tree height; [Eq_paths] falls back to per-node
-      successor enumeration with hash-indexed subtree comparison —
-      matching the O(|J|·|ϕ|) bound of Proposition 1 on the
-      EQ(α,β)-free fragment and the higher-degree polynomial of
-      Proposition 3 with it.
+      navigation steps walk the smaller of the step's label bucket and
+      the target set — O(edges carrying the label) at worst — and the
+      sweep fallback ([use_index:false]) costs O(|J|); [Star] adds a
+      semi-naive fixpoint bounded by the tree height; conjunctions run
+      cheapest conjunct first and stop at an empty intersection;
+      [Eq_paths] falls back to per-node successor enumeration with
+      hash-indexed subtree comparison — matching the O(|J|·|ϕ|) bound
+      of Proposition 1 on the EQ(α,β)-free fragment and the
+      higher-degree polynomial of Proposition 3 with it.
+
+      The algorithm is written once, as {!Make}, over a {!STORE} of
+      nodes; this module's own entry points are its instance over
+      {!Jsont.Tree.t}, and the corpus index instantiates it over the
+      mapped index file (see [Jindex.Query]).
 
     - {!check_at} decides [n ∈ ⟦ϕ⟧_J] top-down with short-circuiting
       and no global set computation — the lightweight engine behind the
@@ -24,25 +30,46 @@
     arity — from {!Jnl_step}, so they agree by construction on
     navigation (and are property-tested to agree overall). *)
 
+(** {1 Node stores} *)
+
+module type STORE = Jnl_store.S
+
+(** The set-at-a-time evaluator over one store. *)
+module Make (S : STORE) : sig
+  type ctx
+
+  val context : ?budget:Obs.Budget.t -> ?use_index:bool -> S.t -> ctx
+  (** As {!Jnl_eval.context}. *)
+
+  val eval : ctx -> Jnl.form -> Bitset.t
+
+  val reorders : ctx -> int
+  (** How many conjunctions the planner evaluated out of syntactic
+      order so far. *)
+end
+
+(** {1 Over one tree} *)
+
 type ctx
 (** Evaluation context: the tree plus memo tables (per-subformula
     satisfaction sets, compiled regular expressions, per-expression
-    key-edge sets) and a resource budget. *)
+    matching keys) and a resource budget. *)
 
 val context : ?budget:Obs.Budget.t -> ?use_index:bool -> Jsont.Tree.t -> ctx
 (** [budget] (default {!Obs.Budget.unlimited}) bounds the work: the
     set-at-a-time evaluator burns [node_count] fuel per boolean
-    connective, [1 + touched edges] per label-indexed navigation step
+    connective, [1 + touched nodes] per label-indexed navigation step
     ([node_count] on the sweep fallback), the per-node checker one unit
     per visit, and formula recursion depth is checked against the
     budget's ceiling.  Exhaustion raises {!Obs.Budget.Exhausted} from
     any evaluation entry point.
 
     [use_index] (default [true]) selects the label-indexed pre-image
-    strategies; the first indexed step builds the tree's label index
-    (charged [node_count] fuel, once per tree).  [false] forces the
-    full-sweep strategies — the escape hatch behind the CLI's
-    [--no-index], and the baseline of the [index] benchmark. *)
+    strategies and the conjunction planner; the first indexed step
+    builds the tree's label index (charged [node_count] fuel, once per
+    tree).  [false] forces the full-sweep strategies — the escape hatch
+    behind the CLI's [--no-index], and the baseline of the [index]
+    benchmark. *)
 
 val tree : ctx -> Jsont.Tree.t
 

@@ -18,9 +18,6 @@ let norm_range ~len i j =
     if lo > hi then None else Some (lo, hi)
   end
 
-let idx_matches ~len ~pos i =
-  match norm_idx ~len i with Some p -> p = pos | None -> false
-
 let range_matches ~len ~pos i j =
   match norm_range ~len i j with
   | Some (lo, hi) -> pos >= lo && pos <= hi
@@ -62,25 +59,12 @@ let keys_exists t n l pred =
 
 (* ---- backward direction (pre) ------------------------------------------ *)
 
-let edge_matches_key t child w =
-  match Tree.edge_from_parent t child with
-  | Tree.Key k -> String.equal k w
-  | Tree.Pos _ | Tree.Root -> false
-
-let edge_matches_keys t child l =
-  match Tree.edge_from_parent t child with
-  | Tree.Key k -> Rexp.Lang.matches l k
-  | Tree.Pos _ | Tree.Root -> false
-
-(* a [Pos] edge implies a parent, whose arity anchors negative indices *)
-let parent_len t child = Tree.arity t (Tree.parent_id t child)
-
-let edge_matches_idx t child i =
-  match Tree.edge_from_parent t child with
-  | Tree.Pos p -> idx_matches ~len:(parent_len t child) ~pos:p i
-  | Tree.Key _ | Tree.Root -> false
-
-let edge_matches_range t child i j =
-  match Tree.edge_from_parent t child with
-  | Tree.Pos p -> range_matches ~len:(parent_len t child) ~pos:p i j
-  | Tree.Key _ | Tree.Root -> false
+(* lo <= hi after normalization, solved for len (see [norm_range]) *)
+let arity_window i j =
+  match j with
+  | None -> Some ((if i >= 0 then i + 1 else 1), None)
+  | Some j when j < 0 ->
+    if i >= 0 then Some (i - j, None) else if i <= j then Some (-j, None)
+    else None
+  | Some j when i >= 0 -> if j >= i then Some (i + 1, None) else None
+  | Some j -> Some (1, Some (j - i))

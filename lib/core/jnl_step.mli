@@ -32,10 +32,6 @@ val norm_range : len:int -> int -> int option -> (int * int) option
     [Some (lo, hi)] selected by [Range (i, j)] on an array of arity
     [len], or [None] when the selection is empty. *)
 
-val idx_matches : len:int -> pos:int -> int -> bool
-(** Does the array edge at position [pos] (of an array of arity [len])
-    match index [i]? *)
-
 val range_matches : len:int -> pos:int -> int -> int option -> bool
 (** Does the array edge at position [pos] fall in [Range (i, j)]? *)
 
@@ -62,10 +58,12 @@ val keys_exists :
   Jsont.Tree.t -> Jsont.Tree.node -> Rexp.Lang.t ->
   (Jsont.Tree.node -> bool) -> bool
 
-(** {1 Backward direction: does the incoming edge match?} *)
+(** {1 Backward direction} *)
 
-val edge_matches_key : Jsont.Tree.t -> Jsont.Tree.node -> string -> bool
-val edge_matches_keys : Jsont.Tree.t -> Jsont.Tree.node -> Rexp.Lang.t -> bool
-val edge_matches_idx : Jsont.Tree.t -> Jsont.Tree.node -> int -> bool
-val edge_matches_range :
-  Jsont.Tree.t -> Jsont.Tree.node -> int -> int option -> bool
+val arity_window : int -> int option -> (int * int option) option
+(** [arity_window i j] is the set of array arities [len] for which
+    [Range (i, j)] selects at least one element, as an interval
+    [Some (lo, hi)] ([hi = None] is unbounded; [lo >= 1]), or [None]
+    when it selects nothing at any arity.  [Idx i] is [Range (i, Some
+    i)].  The pre-image of a window step over {e every} node is the
+    set of arrays with an arity in this interval. *)

@@ -4,9 +4,9 @@
    module, and the fault-injection tests use the field offsets to
    corrupt files surgically. *)
 
-let magic = "JLIXIDX2"
+let magic = "JLIXIDX3"
 let magic_prefix = "JLIXIDX"
-let version = 2
+let version = 3
 let default_pos_cap = 1024
 let default_value_cap = 65536
 let doc_entry_bytes = 32
@@ -64,11 +64,15 @@ let encode_num n = "n" ^ string_of_int n
 
 (* Edge labels: one i32 per node.  Key edges carry the global key id,
    position edges the position, the root a sentinel.  The low bit
-   distinguishes the two relations (O vs A of §3.1). *)
+   distinguishes the two relations (O vs A of §3.1).  Positions stop
+   below 2^29, so bit 30 of a position word is free: it flags the last
+   element of its array, which is what negative indices resolve
+   against. *)
 let label_root = -1
 let label_key k = k lsl 1
 let label_pos p = (p lsl 1) lor 1
 let max_pos_label = (1 lsl 29) - 1
+let label_last = 1 lsl 30
 
 (* FNV-1a folded over 32-bit little-endian words, kept inside OCaml's
    native positive-int range.  Sections are 8-byte padded so the word
@@ -102,23 +106,26 @@ let get_u64 b off =
 
 type buf = (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let byte_ba (b : buf) i = Char.code (Bigarray.Array1.get b i)
-
-let get_u32_ba b off =
-  byte_ba b off
-  lor (byte_ba b (off + 1) lsl 8)
-  lor (byte_ba b (off + 2) lsl 16)
-  lor (byte_ba b (off + 3) lsl 24)
+(* One native-endian load per word, byte-swapped on big-endian hosts;
+   the primitives keep the bigarray bounds check. *)
+external ba_get32 : buf -> int -> int32 = "%caml_bigstring_get32"
+external ba_get64 : buf -> int -> int64 = "%caml_bigstring_get64"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
 let get_i32_ba b off =
-  let v = get_u32_ba b off in
-  (v lxor 0x80000000) - 0x80000000
+  let v = ba_get32 b off in
+  Int32.to_int (if Sys.big_endian then bswap32 v else v)
+
+let get_u32_ba b off = get_i32_ba b off land 0xFFFFFFFF
 
 let get_u64_ba b off =
-  let lo = get_u32_ba b off and hi = get_u32_ba b (off + 4) in
+  let v = ba_get64 b off in
+  let v = if Sys.big_endian then bswap64 v else v in
   (* values above OCaml's native positive range clamp to max_int, which
      every count/offset validation is sure to reject *)
-  if hi >= 0x40000000 then max_int else lo lor (hi lsl 32)
+  if Int64.to_int (Int64.shift_right_logical v 62) <> 0 then max_int
+  else Int64.to_int v
 
 let string_ba b off len = String.init len (fun i -> Bigarray.Array1.get b (off + i))
 

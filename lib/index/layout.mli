@@ -1,4 +1,4 @@
-(** On-disk layout of the persistent corpus index (format [JLIXIDX2]).
+(** On-disk layout of the persistent corpus index (format [JLIXIDX3]).
 
     One index file describes one NDJSON corpus: a string table of the
     distinct object keys, label → postings lists over (document,
@@ -17,7 +17,7 @@
     rejected at open instead of surfacing as garbage answers. *)
 
 val magic : string
-(** ["JLIXIDX2"], the first 8 bytes of every index file. *)
+(** ["JLIXIDX3"], the first 8 bytes of every index file. *)
 
 val magic_prefix : string
 (** ["JLIXIDX"] — shared by every format version; a file carrying the
@@ -102,7 +102,9 @@ end
 
     Each node's incoming edge is one 32-bit word: key edges carry the
     (string-table) key id, position edges the position, the root a
-    sentinel. *)
+    sentinel.  The parent column stores each node's distance to its
+    parent ([0] at a document root), so a corpus-wide node id finds
+    its parent without a document lookup. *)
 
 val label_root : int
 val label_key : int -> int
@@ -110,6 +112,10 @@ val label_pos : int -> int
 val max_pos_label : int
 (** Largest array position representable in a label word; wider arrays
     are rejected at build time with a structured error. *)
+
+val label_last : int
+(** Bit 30 of a position word: the node is the last element of its
+    array.  Never set on key or root words. *)
 
 (** {1 Checksums}
 

@@ -1,17 +1,12 @@
-(* Query planning over the persistent index.
-
-   The split mirrors the paper's fragment structure: the
-   deterministic navigational core (Self/Key/Idx compositions under
-   Exists and boolean connectives, plus Eq_doc against a scalar
-   constant — seeded from the (leaf-label, value) postings) is decided
-   entirely from postings — seed at the last step's bucket, confirm by
-   walking the stored parent chain — while anything richer (filters,
-   structured equalities, stars, regex keys, negative indices) falls
-   back to reparsing only the documents a sound prefilter cannot rule
-   out.  Intersections are ordered by postings length (most selective
-   first) so an empty intermediate set short-circuits the rest.  Both
-   plans produce verdicts identical to running the in-memory evaluator
-   on every line. *)
+(* Corpus queries: JNL's pre-image evaluator ({!Jlogic.Jnl_eval.Make})
+   run over the mapped index as its node store.  Node ids are
+   corpus-wide (a document's node base plus its local preorder id) and
+   a label bucket is a postings slice, so a step costs its bucket or
+   its target, never a scan of the corpus.  The two atoms postings
+   cannot decide — EQ(α,β), and eq against an object or array
+   constant — are relaxed by polarity into a formula that holds
+   wherever the query does; only the documents it admits are reparsed
+   and evaluated like [eval --files-from]. *)
 
 module Jnl = Jlogic.Jnl
 module Bitset = Jlogic.Bitset
@@ -23,451 +18,186 @@ let verdict_string = function
   | False -> "false"
   | Error m -> "error: " ^ m
 
-(* ---- the postings-only compiler ------------------------------------------- *)
+(* ---- the index as a node store --------------------------------------------- *)
 
-type step = SK of int  (* global key id *) | SP of int  (* array position *)
+(* No postings decide this constant: a non-scalar, a [--no-values]
+   index, or a (label, value) list capped at build time. *)
+exception Undecided of Jsont.Value.t
 
-type cform =
-  | CTrue
-  | CFalse  (* a path names a key (or scalar value) the corpus lacks *)
-  | CNot of cform
-  | CAnd of cform * cform
-  | COr of cform * cform
-  | CExists of step list
-  | CEq of step list * int * int
-      (* a rooted core chain ending in a scalar comparison: seeds are
-         the [start, stop) slice of the value postings for (last-step
-         label, value id); the same upward walk confirms the chain *)
+module Store = struct
+  type t = Reader.t
+  type key = int
 
-exception Not_core
+  (* entries [start, stop) of one postings list, each then hopped
+     [hops] siblings on (for a position past the listed ones) *)
+  type bucket = {
+    node : int -> int;
+    start : int;
+    stop : int;
+    hops : int;
+    values : bool;
+  }
 
-(* Flatten a navigational-core path to its step chain; [Dead] marks a
-   key absent from the corpus (no document can traverse it), anything
-   outside the core raises. *)
-type chain = Steps of step list | Dead
+  let n_nodes = Reader.nnodes
+  let connective_fuel _ = 1
+  let prepare _ _ = ()
+  let parent = Reader.node_parent
+  let is_key r g k = Reader.node_label r g = Layout.label_key k
 
-let rec chain_of r = function
-  | Jnl.Self -> Steps []
-  | Jnl.Key w -> (
-    match Reader.key_id r w with
-    | Some k -> Steps [ SK k ]
-    | None -> Dead)
-  | Jnl.Idx i when i >= 0 -> Steps [ SP i ]
-  | Jnl.Seq (a, b) -> (
-    match (chain_of r a, chain_of r b) with
-    | Steps xs, Steps ys -> Steps (xs @ ys)
-    | _ -> Dead)
-  | Jnl.Idx _ | Jnl.Keys _ | Jnl.Range _ | Jnl.Test _ | Jnl.Star _
-  | Jnl.Alt _ ->
-    raise Not_core
+  let edge_key r g test =
+    let w = Reader.node_label r g in
+    w >= 0 && w land 1 = 0 && test (w lsr 1)
 
-let step_label = function
-  | SK k -> Layout.label_key k
-  | SP p -> Layout.label_pos p
+  let edge_pos r g =
+    let w = Reader.node_label r g in
+    if w >= 0 && w land 1 = 1 then w lsr 1 else -1
 
-(* The canonical value-table key of a scalar constant; non-scalar
-   constants (objects, arrays) have no value postings. *)
-let scalar_key = function
-  | Jsont.Value.Str s -> Some (Layout.encode_str s)
-  | Jsont.Value.Num n -> Some (Layout.encode_num n)
-  | Jsont.Value.Obj _ | Jsont.Value.Arr _ -> None
+  let last_child = Reader.node_last
 
-(* The postings slice seeding [Eq_doc (chain, v)]: the pair bucket of
-   the chain's last edge label (the root label for the empty chain —
-   bare scalar documents) and [v]'s value id.  [None] = no such leaf
-   anywhere (the equality is false at every root); raises [Not_core]
-   when the pushdown cannot run (values disabled, or the pair's list
-   was capped at build time). *)
-let eq_slice r steps enc =
-  if not (Reader.has_values r) then raise Not_core;
-  let label =
-    match List.rev steps with
-    | [] -> Layout.label_root
-    | s :: _ -> step_label s
-  in
-  match Reader.value_id r enc with
-  | None -> None
-  | Some vid -> (
-    match Reader.pair_lookup r ~label ~vid with
-    | None -> None
-    | Some pid ->
-      let start, stop = Reader.pair_range r pid in
-      if start = stop then raise Not_core (* capped: seeds were dropped *)
-      else Some (start, stop))
+  (* an array element's next sibling: the first node past its subtree
+     (whose parent precedes it) — O(subtree) *)
+  let next_sibling r c =
+    if Reader.node_last r c then -1
+    else begin
+      let n = ref (c + 1) in
+      while Reader.node_parent r !n >= c do incr n done;
+      !n
+    end
 
-let rec compile r = function
-  | Jnl.True -> CTrue
-  | Jnl.Not f -> CNot (compile r f)
-  | Jnl.And (a, b) -> CAnd (compile r a, compile r b)
-  | Jnl.Or (a, b) -> COr (compile r a, compile r b)
-  | Jnl.Exists alpha -> (
-    match chain_of r alpha with
-    | Dead -> CFalse
-    | Steps [] -> CTrue (* the root itself is the witness *)
-    | Steps steps ->
-      (* the chain seeds from its LAST step's postings list; a
-         position past the materialized lists has no bucket to seed
-         from, so the whole query takes the prefilter plan instead *)
-      (match List.rev steps with
-      | SP p :: _ when p >= Reader.npos r -> raise Not_core
-      | _ -> CExists steps))
-  | Jnl.Eq_doc (alpha, v) -> (
-    match scalar_key v with
-    | None -> raise Not_core
-    | Some enc -> (
-      match chain_of r alpha with
-      | Dead -> CFalse
-      | Steps steps -> (
-        match eq_slice r steps enc with
-        | None -> CFalse
-        | Some (start, stop) -> CEq (steps, start, stop))))
-  | Jnl.Eq_paths _ -> raise Not_core
+  let rec hop r c k =
+    if k = 0 || c < 0 then c else hop r (next_sibling r c) (k - 1)
 
-(* Confirm one posting: the node's upward parent chain must spell the
-   step labels in reverse and land exactly on the root. *)
-let confirm r ~doc ~node rev_steps =
-  let rec go node = function
-    | [] -> node = 0 (* consumed the whole chain exactly at the root *)
-    | s :: rest ->
-      node > 0 (* the root has no incoming edge to match *)
-      && Reader.doc_label r ~doc ~node = step_label s
-      && go (Reader.doc_parent r ~doc ~node) rest
-  in
-  go node rev_steps
+  (* node ids are preorder: an array's first element is the next id *)
+  let has_element r g p =
+    g + 1 < Reader.nnodes r && edge_pos r (g + 1) = 0 && hop r (g + 1) p >= 0
 
-let chain_slice r steps =
-  match List.rev steps with
-  | SK k :: _ -> Reader.key_range r k
-  | SP p :: _ -> Reader.pos_range r p
-  | [] -> (0, 0)
+  let arity r g =
+    let rec last c =
+      if Reader.node_last r c then edge_pos r c + 1
+      else last (next_sibling r c)
+    in
+    if has_element r g 0 then last (g + 1) else 0
 
-let exists_docs r budget steps =
-  let set = Bitset.create (Reader.ndocs r) in
-  let rev_steps = List.rev steps in
-  let start, stop = chain_slice r steps in
-  let entry =
-    match rev_steps with
-    | SP _ :: _ -> Reader.pos_entry r
-    | _ -> Reader.key_entry r
-  in
-  Obs.Metrics.add "index.query.seeds" (stop - start);
-  for i = start to stop - 1 do
-    Obs.Budget.burn budget 1;
-    let doc, node = entry i in
-    (* postings are (doc, node)-sorted: once a document is in, skip
-       its remaining seeds *)
-    if not (Bitset.mem set doc) && confirm r ~doc ~node rev_steps then
-      Bitset.add set doc
-  done;
-  set
+  let find_key = Reader.key_id
+  let key_name = Reader.key_name
 
-(* [Eq_doc] pushdown: every seed is already a scalar leaf holding the
-   compared value under the chain's last label; the same upward walk
-   that decides [Exists] confirms the rest of the chain.  No document
-   is touched. *)
-let eq_docs r budget steps (start, stop) =
-  let set = Bitset.create (Reader.ndocs r) in
-  let rev_steps = List.rev steps in
-  Obs.Metrics.add "index.query.value_hits" (stop - start);
-  for i = start to stop - 1 do
-    Obs.Budget.burn budget 1;
-    let doc, node = Reader.val_entry r i in
-    if not (Bitset.mem set doc) && confirm r ~doc ~node rev_steps then
-      Bitset.add set doc
-  done;
-  set
+  let iter_keys r f =
+    for k = 0 to Reader.nkeys r - 1 do f k (Reader.key_name r k) done
 
-(* ---- the selectivity planner ------------------------------------------------ *)
+  let postings node (start, stop) =
+    { node; start; stop; hops = 0; values = false }
 
-(* Upper bound on the postings work (and the result cardinality) of
-   one compiled subformula — the cost model the planner orders
-   intersections by.  Negations and [True] cost nothing to evaluate
-   but constrain nothing either, so they rank as the full corpus. *)
-let rec estimate r = function
-  | CTrue | CNot _ -> Reader.ndocs r
-  | CFalse -> 0
-  | CAnd (a, b) -> min (estimate r a) (estimate r b)
-  | COr (a, b) -> min (Reader.ndocs r) (estimate r a + estimate r b)
-  | CExists steps ->
-    let start, stop = chain_slice r steps in
-    stop - start
-  | CEq (_, start, stop) -> stop - start
+  let none = postings (fun _ -> -1) (0, 0)
 
-(* Flattened conjunction, original (syntactic) order preserved. *)
-let rec conjuncts acc = function
-  | CAnd (a, b) -> conjuncts (conjuncts acc b) a
-  | f -> f :: acc
+  let key_bucket r k = postings (Reader.key_node r) (Reader.key_range r k)
 
-(* Order a list by an integer estimate, cheapest first; count a
-   reorder when the planner actually changed the evaluation order. *)
-let rank ~est parts =
-  let ranked =
-    List.stable_sort (fun a b -> Int.compare (est a) (est b)) parts
-  in
-  if not (List.for_all2 (fun a b -> a == b) parts ranked) then
-    Obs.Metrics.incr "index.plan.reorders";
-  ranked
+  (* past the listed positions, hop from the last listed one *)
+  let pos_bucket r p =
+    let npos = Reader.npos r in
+    if p < npos then postings (Reader.pos_node r) (Reader.pos_range r p)
+    else if npos = 0 then none
+    else
+      { (postings (Reader.pos_node r) (Reader.pos_range r (npos - 1))) with
+        hops = p - npos + 1 }
 
-let rec eval_cform r budget = function
-  | CTrue -> Bitset.full (Reader.ndocs r)
-  | CFalse -> Bitset.create (Reader.ndocs r)
-  | CNot f -> Bitset.complement (eval_cform r budget f)
-  | CAnd _ as f ->
-    (* most selective conjunct first; an empty running intersection
-       short-circuits the remaining (more expensive) seed scans *)
-    (match rank ~est:(estimate r) (conjuncts [] f) with
-    | [] -> assert false (* conjuncts of a CAnd is never empty *)
-    | first :: rest ->
-      let acc = eval_cform r budget first in
-      List.iter
-        (fun g ->
-          if not (Bitset.is_empty acc) then
-            ignore (Bitset.inter_into (eval_cform r budget g) ~into:acc))
-        rest;
-      acc)
-  | COr (a, b) ->
-    let sa = eval_cform r budget a in
-    ignore (Bitset.union_into (eval_cform r budget b) ~into:sa);
-    sa
-  | CExists steps -> exists_docs r budget steps
-  | CEq (steps, start, stop) -> eq_docs r budget steps (start, stop)
+  let value_id r v =
+    match v with
+    | _ when not (Reader.has_values r) -> raise (Undecided v)
+    | Jsont.Value.Str s -> Reader.value_id r (Layout.encode_str s)
+    | Jsont.Value.Num n -> Reader.value_id r (Layout.encode_num n)
+    | Jsont.Value.Obj _ | Jsont.Value.Arr _ -> raise (Undecided v)
 
-(* ---- the required-label prefilter ----------------------------------------- *)
+  let pair_bucket r v pid =
+    let start, stop = Reader.pair_range r pid in
+    if start = stop then raise (Undecided v);
+    { (postings (Reader.val_node r) (start, stop)) with values = true }
 
-(* Labels every satisfying document must contain — the soundness
-   invariant is one-directional: [phi] holding at a document's root
-   implies every required label occurs in the document, never the
-   converse.  Disjunction intersects, conjunction unions, negation and
-   the non-deterministic steps require nothing. *)
-module Lab = struct
-  type t = LK of string | LP of int
+  let value_bucket r h v =
+    let label =
+      match h with `Key k -> Layout.label_key k | `Pos p -> Layout.label_pos p
+    in
+    Option.bind (value_id r v) (fun vid -> Reader.pair_lookup r ~label ~vid)
+    |> Option.fold ~none ~some:(pair_bucket r v)
+    |> Option.some
 
-  let compare = compare
+  let length b = b.stop - b.start
+
+  let iter r b f =
+    if b.values then Obs.Metrics.add "index.query.value_hits" (length b);
+    for i = b.start to b.stop - 1 do
+      let c = b.node i in
+      let c = if b.hops = 0 then c else hop r c b.hops in
+      if c >= 0 then f c
+    done
+
+  let equal_nodes r budget v =
+    let out = Bitset.create (Reader.nnodes r) in
+    Option.iter
+      (fun vid ->
+        Reader.iter_value_pairs r vid (fun pid ->
+            let b = pair_bucket r v pid in
+            Obs.Budget.burn budget (length b);
+            iter r b (Bitset.add out)))
+      (value_id r v);
+    out
+
+  let eq_paths _ ~budget:_ ~depth:_ ~lang:_ ~test:_ _ _ =
+    invalid_arg "Query: EQ(α,β) is decided by reparsing"
 end
 
-module LabSet = Set.Make (Lab)
+module Eval = Jlogic.Jnl_eval.Make (Store)
 
-let rec req_form = function
-  | Jnl.True | Jnl.Not _ -> LabSet.empty
-  | Jnl.And (a, b) -> LabSet.union (req_form a) (req_form b)
-  | Jnl.Or (a, b) -> LabSet.inter (req_form a) (req_form b)
-  | Jnl.Exists alpha -> req_path alpha
-  | Jnl.Eq_doc (alpha, v) -> LabSet.union (req_path alpha) (req_value v)
-  | Jnl.Eq_paths (alpha, beta) -> LabSet.union (req_path alpha) (req_path beta)
+(* [phi] with each atom postings cannot decide replaced, where it
+   occurs positively, by the existence of its paths, and by ⊥ where it
+   occurs negatively: a formula that holds wherever [phi] does. *)
+let rec relax undecided pos (f : Jnl.form) =
+  let path = relax_path undecided pos in
+  let atom holds = if pos then holds else Jnl.ff in
+  match f with
+  | Jnl.True -> f
+  | Jnl.Not g -> Jnl.Not (relax undecided (not pos) g)
+  | Jnl.And (a, b) -> Jnl.And (relax undecided pos a, relax undecided pos b)
+  | Jnl.Or (a, b) -> Jnl.Or (relax undecided pos a, relax undecided pos b)
+  | Jnl.Exists p -> Jnl.Exists (path p)
+  | Jnl.Eq_doc (p, v) when undecided v -> atom (Jnl.Exists (path p))
+  | Jnl.Eq_doc (p, v) -> Jnl.Eq_doc (path p, v)
+  | Jnl.Eq_paths (a, b) ->
+    atom (Jnl.And (Jnl.Exists (path a), Jnl.Exists (path b)))
 
-and req_path = function
-  | Jnl.Self | Jnl.Keys _ | Jnl.Star _ -> LabSet.empty
-  | Jnl.Key w -> LabSet.singleton (Lab.LK w)
-  | Jnl.Idx i ->
-    (* negative i needs arity >= |i|; positions are contiguous, so
-       position |i|-1 must exist *)
-    LabSet.singleton (Lab.LP (if i >= 0 then i else -i - 1))
-  | Jnl.Range (i, _) when i >= 0 -> LabSet.singleton (Lab.LP i)
-  | Jnl.Range _ -> LabSet.empty
-  | Jnl.Seq (a, b) -> LabSet.union (req_path a) (req_path b)
-  | Jnl.Test f -> req_form f
-  | Jnl.Alt (a, b) -> LabSet.inter (req_path a) (req_path b)
+and relax_path undecided pos (p : Jnl.path) =
+  let path = relax_path undecided pos in
+  match p with
+  | Jnl.Test f -> Jnl.Test (relax undecided pos f)
+  | Jnl.Seq (a, b) -> Jnl.Seq (path a, path b)
+  | Jnl.Alt (a, b) -> Jnl.Alt (path a, path b)
+  | Jnl.Star a -> Jnl.Star (path a)
+  | Jnl.Self | Jnl.Key _ | Jnl.Idx _ | Jnl.Keys _ | Jnl.Range _ -> p
 
-(* a subtree equal to constant [v] contains every edge of [v] *)
-and req_value v =
-  match v with
-  | Jsont.Value.Obj fields ->
-    List.fold_left
-      (fun acc (w, v') ->
-        LabSet.add (Lab.LK w) (LabSet.union acc (req_value v')))
-      LabSet.empty fields
-  | Jsont.Value.Arr vs ->
-    List.fold_left
-      (fun (acc, i) v' ->
-        (LabSet.add (Lab.LP i) (LabSet.union acc (req_value v')), i + 1))
-      (LabSet.empty, 0) vs
-    |> fst
-  | Jsont.Value.Str _ | Jsont.Value.Num _ -> LabSet.empty
+(* ---- document reparse ------------------------------------------------------ *)
 
-(* Rooted chains: beyond label presence, any [Exists]/[EQ] path in
-   positive conjunctive position at the root must NAVIGATE its maximal
-   leading core prefix from the document root — [Self] does not move
-   and [Test] only filters, so the chain passes through both; the
-   first non-core step ends the prefix.  Confirming those prefixes
-   against the postings (the same parent-walk the postings-only plan
-   uses) is a far sharper prefilter than key presence: a document
-   mentioning "first" somewhere is not a document whose root has
-   [.name.first].  An [Eq_doc] whose path is entirely core sharpens
-   further: its candidates come straight off the value postings. *)
-type rooted = RDead | RChain of step list | REq of step list * int * int
-
-(* maximal leading core prefix; [complete] when the whole path was
-   consumed (nothing non-core follows, so an equality at its end can
-   seed from value postings) *)
-let rooted_prefix r alpha =
-  let rec go acc = function
-    | [] -> Some (List.rev acc, true)
-    | p :: rest -> (
-      match p with
-      | Jnl.Self | Jnl.Test _ -> go acc rest
-      | Jnl.Seq (a, b) -> go acc (a :: b :: rest)
-      | Jnl.Key w -> (
-        match Reader.key_id r w with
-        | Some k -> go (SK k :: acc) rest
-        | None -> None)
-      | Jnl.Idx i when i >= 0 -> go (SP i :: acc) rest
-      | Jnl.Idx _ | Jnl.Keys _ | Jnl.Range _ | Jnl.Star _ | Jnl.Alt _ ->
-        Some (List.rev acc, false))
+(* The verdicts of [docs], read back by byte range and evaluated in
+   exactly the per-file cell of [eval --files-from]. *)
+let reparse r ~corpus ~jobs ~use_index ~fresh_budget phi docs =
+  let text ic d =
+    In_channel.seek ic (Int64.of_int (Reader.doc_off r d));
+    match In_channel.really_input_string ic (Reader.doc_len r d) with
+    | Some s -> s
+    | None -> failwith "corpus shorter than the index records"
   in
-  go [] [ alpha ]
-
-let rooted_chain r alpha =
-  match rooted_prefix r alpha with
-  | None -> RDead
-  | Some (steps, _) -> RChain steps
-
-(* [Test] inside a path can hide equalities, but only the outermost
-   path's own completeness matters here, so Eq_doc handles its value
-   seeding locally. *)
-let rooted_eq r alpha v =
-  match rooted_prefix r alpha with
-  | None -> RDead
-  | Some (steps, complete) -> (
-    match if complete then scalar_key v else None with
-    | None -> RChain steps
-    | Some enc -> (
-      match eq_slice r steps enc with
-      | None -> RDead (* no leaf anywhere equals the constant *)
-      | Some (start, stop) -> REq (steps, start, stop)
-      | exception Not_core -> RChain steps))
-
-let rec root_chains r = function
-  | Jnl.True | Jnl.Not _ | Jnl.Or _ -> []
-  | Jnl.And (a, b) -> root_chains r a @ root_chains r b
-  | Jnl.Exists alpha -> [ rooted_chain r alpha ]
-  | Jnl.Eq_doc (alpha, v) -> [ rooted_eq r alpha v ]
-  | Jnl.Eq_paths (alpha, beta) ->
-    [ rooted_chain r alpha; rooted_chain r beta ]
-
-(* a chain seeds from its last step's postings list; positions past
-   the materialized lists just shorten the confirmed prefix *)
-let rec seedable r steps =
-  match List.rev steps with
-  | SP p :: rev_rest when p >= Reader.npos r ->
-    seedable r (List.rev rev_rest)
-  | _ -> steps
-
-(* Documents containing one label, as (estimate, build) — the planner
-   intersects the cheapest lists first. *)
-let docs_with_label r budget lab =
-  let range =
-    match lab with
-    | Lab.LK w -> (
-      match Reader.key_id r w with Some k -> Some (Reader.key_range r k, `K) | None -> None)
-    | Lab.LP p -> if p < Reader.npos r then Some (Reader.pos_range r p, `P) else None
+  let cell text =
+    Par.Batch.cell (fun () ->
+        let tree = Jsont.Tree.of_string_exn ~budget:(fresh_budget ()) text in
+        let ctx =
+          Jlogic.Jnl_eval.context ~budget:(fresh_budget ()) ~use_index tree
+        in
+        string_of_bool (Jlogic.Jnl_eval.holds ctx Jsont.Tree.root phi))
   in
-  match range with
-  | None -> (
-    match lab with
-    | Lab.LK _ ->
-      (* key nowhere: no candidates *)
-      Some (0, fun () -> Bitset.create (Reader.ndocs r))
-    | Lab.LP _ -> None (* no materialized list: requirement unusable *))
-  | Some ((start, stop), which) ->
-    let entry =
-      match which with `K -> Reader.key_entry r | `P -> Reader.pos_entry r
-    in
-    let build () =
-      let set = Bitset.create (Reader.ndocs r) in
-      for i = start to stop - 1 do
-        Obs.Budget.burn budget 1;
-        let doc, _ = entry i in
-        Bitset.add set doc
-      done;
-      set
-    in
-    Some (stop - start, build)
-
-(* One pruning set the candidate plan may intersect: its postings
-   length (the cost AND a cardinality bound) plus its builder. *)
-type pruner = { est : int; build : unit -> Bitset.t }
-
-let candidates r budget phi =
-  let chains = root_chains r phi in
-  if List.mem RDead chains then
-    (* a mandatory rooted path names a key (or compares a scalar) the
-       whole corpus lacks *)
-    Bitset.create (Reader.ndocs r)
-  else begin
-    let of_chain = function
-      | RDead -> None
-      | RChain steps -> (
-        match seedable r steps with
-        | [] -> None
-        | steps ->
-          let start, stop = chain_slice r steps in
-          Some { est = stop - start;
-                 build = (fun () -> exists_docs r budget steps) })
-      | REq (steps, start, stop) ->
-        Some { est = stop - start;
-               build = (fun () -> eq_docs r budget steps (start, stop)) }
-    in
-    let pruners =
-      List.filter_map of_chain chains
-      @ List.filter_map
-          (fun lab ->
-            match docs_with_label r budget lab with
-            | Some (est, build) -> Some { est; build }
-            | None -> None)
-          (LabSet.elements (req_form phi))
-    in
-    match rank ~est:(fun p -> p.est) pruners with
-    | [] ->
-      Obs.Metrics.incr "index.query.full_scan";
-      Bitset.full (Reader.ndocs r)
-    | first :: rest ->
-      (* cheapest pruner first; an empty intersection skips the rest *)
-      let set = first.build () in
-      List.iter
-        (fun p ->
-          if not (Bitset.is_empty set) then
-            ignore (Bitset.inter_into (p.build ()) ~into:set))
-        rest;
-      set
-  end
-
-(* ---- document reparse (the baseline computation, per doc) ----------------- *)
-
-let eval_doc ~use_index ~fresh_budget phi text =
-  match Jsont.Tree.of_string ~budget:(fresh_budget ()) text with
-  | Error e -> Error (Format.asprintf "%a" Jsont.Parser.pp_error e)
-  | Ok tree -> (
-    match
-      let ctx =
-        Jlogic.Jnl_eval.context ~budget:(fresh_budget ()) ~use_index tree
-      in
-      Jlogic.Jnl_eval.holds ctx Jsont.Tree.root phi
-    with
-    | true -> True
-    | false -> False
-    | exception Failure m -> Error m
-    | exception Obs.Budget.Exhausted reason ->
-      Error (Obs.Budget.describe reason))
-
-let read_slices r ~corpus docs =
-  In_channel.with_open_bin corpus (fun ic ->
-      Array.map
-        (fun d ->
-          In_channel.seek ic (Int64.of_int (Reader.doc_off r d));
-          match In_channel.really_input_string ic (Reader.doc_len r d) with
-          | Some s -> (d, s)
-          | None -> failwith "corpus shorter than the index records")
-        docs)
-
-let reparse_docs r ~jobs ~use_index ~fresh_budget ~corpus phi docs =
-  Obs.Metrics.add "index.query.reparsed" (Array.length docs);
-  let slices = read_slices r ~corpus docs in
-  let verdicts =
-    Par.Batch.map ~jobs
-      (fun (_, text) -> eval_doc ~use_index ~fresh_budget phi text)
-      slices
-  in
-  Array.map2 (fun (d, _) v -> (d, v)) slices verdicts
+  In_channel.with_open_bin corpus (fun ic -> Array.map (text ic) docs)
+  |> Par.Batch.map ~jobs cell
+  |> Array.map (function
+       | "true" -> True
+       | "false" -> False
+       | c -> Error (String.sub c 7 (String.length c - 7)))
 
 (* ---- driver ---------------------------------------------------------------- *)
 
@@ -490,33 +220,37 @@ let run ?(jobs = 1) ?(use_index = true) ?corpus
            "%s: corpus is %d bytes but the index was built over %d (stale \
             index? rebuild with 'index build')"
            corpus actual (Reader.corpus_len r));
-    let ndocs = Reader.ndocs r in
-    let verdicts = Array.make ndocs False in
-    let budget = fresh_budget () in
-    (* error-flagged lines always reparse: their verdict is the parse
-       error message, whatever the formula *)
-    let err_docs = ref [] in
-    for d = ndocs - 1 downto 0 do
-      if Reader.doc_err r d then err_docs := d :: !err_docs
-    done;
-    let reparse docs =
-      if Array.length docs > 0 then
-        Array.iter
-          (fun (d, v) -> verdicts.(d) <- v)
-          (reparse_docs r ~jobs ~use_index ~fresh_budget ~corpus phi docs)
+    let ctx = Eval.context ~budget:(fresh_budget ()) r in
+    let rec answer undecided =
+      let f =
+        relax
+          (function
+            | Jsont.Value.Obj _ | Jsont.Value.Arr _ -> true
+            | v -> List.mem v undecided)
+          true phi
+      in
+      match Eval.eval ctx f with
+      | sat -> (sat, Jnl.equal f phi)
+      | exception Undecided v -> answer (v :: undecided)
     in
-    (match compile r phi with
-    | cf ->
-      Obs.Metrics.incr "index.query.postings_only";
-      let sat = eval_cform r budget cf in
-      Bitset.iter (fun d -> verdicts.(d) <- True) sat;
-      reparse (Array.of_list !err_docs)
-    | exception Not_core ->
-      Obs.Metrics.incr "index.query.filtered";
-      let cand = candidates r budget phi in
-      Obs.Metrics.add "index.query.candidates" (Bitset.cardinal cand);
-      List.iter (fun d -> Bitset.add cand d) !err_docs;
-      reparse (Array.of_list (Bitset.elements cand)));
+    let sat, exact = answer [] in
+    Obs.Metrics.add "index.plan.reorders" (Eval.reorders ctx);
+    Obs.Metrics.incr
+      (if exact then "index.query.postings_only" else "index.query.filtered");
+    (* a document is its root's verdict; error-flagged lines always
+       reparse, their verdict is the parse error *)
+    let verdicts = Array.make (Reader.ndocs r) False in
+    let todo = ref [] in
+    for d = Reader.ndocs r - 1 downto 0 do
+      if Reader.doc_err r d then todo := d :: !todo
+      else if Bitset.mem sat (Reader.doc_node_base r d) then
+        if exact then verdicts.(d) <- True else todo := d :: !todo
+    done;
+    let docs = Array.of_list !todo in
+    Obs.Metrics.add "index.query.reparsed" (Array.length docs);
+    if docs <> [||] then
+      reparse r ~corpus ~jobs ~use_index ~fresh_budget phi docs
+      |> Array.iteri (fun i v -> verdicts.(docs.(i)) <- v);
     Ok verdicts
   with
   | Reader.Corrupt m -> Result.Error (Reader.path r ^ ": " ^ m)

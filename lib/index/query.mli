@@ -6,40 +6,29 @@
     {!Jlogic.Jnl_eval.holds} at the root, parse failures and budget
     exhaustion folded to [error: …] lines.
 
-    Two plans:
+    One plan: the formula runs through JNL's own pre-image evaluator
+    ({!Jlogic.Jnl_eval.Make}) with the mapped index as its node store.
+    Node ids are corpus-wide (a document's node base plus its local
+    preorder id); a key or position step walks the smaller of its
+    postings list and its target set, parents come from the stored
+    parent distances, negative indices from the last-element bit, a
+    regex key from the key table, and [eq(α, scalar)] seeds from the
+    value postings of α's last label.  Per-query fuel follows the
+    postings touched, never the corpus size, and conjunctions run
+    cheapest first (by postings length), stopping at an empty
+    intersection.
 
-    - {b postings-only} — boolean combinations of [Exists] over
-      navigational-core paths (chains of [Self]/[.key]/[\[i\]] with
-      [i >= 0]) and of [eq(alpha, scalar)] with a core [alpha]: an
-      existence chain seeds from its last step's postings list, an
-      equality seeds from the (leaf-label, value-id) value postings of
-      its chain's last label and the scalar's canonical encoding
-      ({!Layout.encode_str} / {!Layout.encode_num}); either way the
-      stored parent/label columns confirm the chain upward to the
-      root, and per-chain document sets combine with {!Jlogic.Bitset}
-      operations.  No document is reparsed (parse errors excepted, to
-      reproduce their messages).  A scalar absent from the value table
-      — or a (label, value) pair absent from the pair table — decides
-      the equality [false] everywhere; a {e capped} pair (its postings
-      were dropped at build time) falls back to the filtered plan, as
-      does any index built with [--no-values].
-    - {b prefilter + reparse} — everything else: a sound
-      required-label analysis intersects key/position postings into a
-      candidate set ({!Jlogic.Bitset.inter_into}), sharpened by rooted
-      core prefixes of mandatory paths and by value postings when a
-      mandatory equality's path is entirely core; only candidates are
-      reparsed (via their stored byte offsets) and evaluated exactly
-      like the baseline; non-candidates are [false] by soundness.
+    Two atoms are not decided from postings: [EQ(α,β)], and [eq]
+    against an object or array constant — nor a scalar [eq] on a
+    [--no-values] index or on a (label, value) list capped at build
+    time.  They are relaxed by polarity (to the existence of their
+    paths where they occur positively, to ⊥ where negatively), and only
+    the documents the relaxed formula admits are reparsed, by byte
+    range, and evaluated like the baseline.  Lines that failed to parse
+    at build time always reparse: their verdict is the parse error.
 
-    Both plans order their intersections with a small cost model —
-    each conjunct (or pruning set) is ranked by its postings-slice
-    length, cheapest first, and an empty running intersection
-    short-circuits the remaining scans.  [index.plan.reorders] counts
-    the plans where ranking actually changed the syntactic order.
-
-    Counters: [index.query.postings_only], [index.query.filtered],
-    [index.query.full_scan], [index.query.seeds],
-    [index.query.value_hits], [index.query.candidates],
+    Counters: [index.query.postings_only], [index.query.filtered] (some
+    atom was relaxed), [index.query.value_hits],
     [index.query.reparsed], [index.plan.reorders]; span
     [index.query]. *)
 

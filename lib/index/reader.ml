@@ -193,25 +193,13 @@ let open_ ?(verify_body = true) path =
                   !ok
                 in
                 let bad_table =
-                  match table "string index" o_sidx nkeys blob_len with
-                  | Some _ as s -> s
-                  | None -> (
-                    match
-                      table "key postings index" o_kpidx nkeys key_entries
-                    with
-                    | Some _ as s -> s
-                    | None -> (
-                      match
-                        table "position postings index" o_ppidx npos
-                          pos_entries
-                      with
-                      | Some _ as s -> s
-                      | None -> (
-                        match table "value index" o_vidx nvals vblob_len with
-                        | Some _ as s -> s
-                        | None ->
-                          table "pair postings index" o_prpidx npairs
-                            val_entries)))
+                  List.find_map
+                    (fun (what, o, n, last) -> table what o n last)
+                    [ ("string index", o_sidx, nkeys, blob_len);
+                      ("key postings index", o_kpidx, nkeys, key_entries);
+                      ("position postings index", o_ppidx, npos, pos_entries);
+                      ("value index", o_vidx, nvals, vblob_len);
+                      ("pair postings index", o_prpidx, npairs, val_entries) ]
                 in
                 match bad_table with
                 | Some (what, i, v) ->
@@ -301,7 +289,6 @@ let doc_field t d off =
 let doc_off t d = Layout.get_u64_ba t.buf (doc_field t d 0)
 let doc_node_base t d = Layout.get_u64_ba t.buf (doc_field t d 8)
 let doc_len t d = Layout.get_u32_ba t.buf (doc_field t d 16)
-let doc_node_count t d = Layout.get_u32_ba t.buf (doc_field t d 20)
 let doc_lineno t d = Layout.get_u32_ba t.buf (doc_field t d 24)
 let doc_err t d = Layout.get_u32_ba t.buf (doc_field t d 28) land 1 = 1
 
@@ -341,6 +328,7 @@ let key_range t k =
 let pos_range t p =
   range t ~what:"position" ~idx:t.o_ppidx ~n:t.npos ~entries:t.pos_entries p
 
+(* A stored (document, doc-local node) pair, as a corpus-wide node id. *)
 let entry t ~what ~post ~entries i =
   if i < 0 || i >= entries then
     corrupt "%s postings entry %d out of range" what i;
@@ -349,12 +337,14 @@ let entry t ~what ~post ~entries i =
   let node = Layout.get_u32_ba t.buf (o + 4) in
   if doc >= t.ndocs then
     corrupt "%s postings entry %d names document %d of %d" what i doc t.ndocs;
-  (doc, node)
+  let d = t.o_doc + (doc * Layout.doc_entry_bytes) in
+  if node >= Layout.get_u32_ba t.buf (d + 20) then
+    corrupt "%s postings entry %d names node %d of document %d" what i node doc;
+  Layout.get_u64_ba t.buf (d + 8) + node
 
-let key_entry t i =
-  entry t ~what:"key" ~post:t.o_kpost ~entries:t.key_entries i
+let key_node t i = entry t ~what:"key" ~post:t.o_kpost ~entries:t.key_entries i
 
-let pos_entry t i =
+let pos_node t i =
   entry t ~what:"position" ~post:t.o_ppost ~entries:t.pos_entries i
 
 (* ---- value table and (label, value) postings ------------------------------- *)
@@ -382,21 +372,34 @@ let pair_key t i =
   let vid = Layout.get_u32_ba t.buf (t.o_pair + (i * 8) + 4) in
   (lab, vid)
 
-let pair_lookup t ~label ~vid =
-  let lo = ref 0 and hi = ref (t.npairs - 1) and found = ref None in
-  while !found = None && !lo <= !hi do
+(* the first pair at or after [lo] that is not below (label, vid) *)
+let pair_bound t lo ~label ~vid =
+  let lo = ref lo and hi = ref t.npairs in
+  while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let c = compare (label, vid) (pair_key t mid) in
-    if c = 0 then found := Some mid
-    else if c < 0 then hi := mid - 1
-    else lo := mid + 1
+    if compare (pair_key t mid) (label, vid) < 0 then lo := mid + 1 else hi := mid
   done;
-  !found
+  !lo
+
+let pair_lookup t ~label ~vid =
+  let i = pair_bound t 0 ~label ~vid in
+  if i < t.npairs && pair_key t i = (label, vid) then Some i else None
+
+(* One binary search per label group: the table is sorted by label
+   first, so the pairs of [vid] sit one per group at most. *)
+let iter_value_pairs t vid f =
+  let i = ref 0 in
+  while !i < t.npairs do
+    let label, _ = pair_key t !i in
+    let j = pair_bound t !i ~label ~vid in
+    if j < t.npairs && pair_key t j = (label, vid) then f j;
+    i := pair_bound t j ~label:(label + 1) ~vid:(-1)
+  done
 
 let pair_range t p =
   range t ~what:"pair" ~idx:t.o_prpidx ~n:t.npairs ~entries:t.val_entries p
 
-let val_entry t i =
+let val_node t i =
   entry t ~what:"value" ~post:t.o_vpost ~entries:t.val_entries i
 
 let capped_pairs t =
@@ -409,20 +412,20 @@ let capped_pairs t =
 
 (* ---- structure columns ----------------------------------------------------- *)
 
-let node_slot t ~doc ~node =
-  let cnt = doc_node_count t doc in
-  if node < 0 || node >= cnt then
-    corrupt "node %d out of range for document %d (%d nodes)" node doc cnt;
-  doc_node_base t doc + node
+let node_word t ~col g =
+  if g < 0 || g >= t.nnodes then
+    corrupt "node %d out of range (index holds %d)" g t.nnodes;
+  Layout.get_i32_ba t.buf (col + (g * 4))
 
-let doc_parent t ~doc ~node =
-  let slot = node_slot t ~doc ~node in
-  let p = Layout.get_i32_ba t.buf (t.o_par + (slot * 4)) in
-  if p < -1 || p >= doc_node_count t doc then
-    corrupt "parent pointer %d of node %d in document %d out of range" p node
-      doc;
-  p
+let node_parent t g =
+  let d = node_word t ~col:t.o_par g in
+  if d < 0 || d > g then corrupt "parent distance %d of node %d out of range" d g;
+  if d = 0 then -1 else g - d
 
-let doc_label t ~doc ~node =
-  let slot = node_slot t ~doc ~node in
-  Layout.get_i32_ba t.buf (t.o_lab + (slot * 4))
+let node_label t g =
+  let w = node_word t ~col:t.o_lab g in
+  if w < 0 then w else w land lnot Layout.label_last
+
+let node_last t g =
+  let w = node_word t ~col:t.o_lab g in
+  w >= 0 && w land Layout.label_last <> 0

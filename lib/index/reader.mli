@@ -76,7 +76,6 @@ val val_blob_len : t -> int
 val doc_lineno : t -> int -> int
 val doc_off : t -> int -> int
 val doc_len : t -> int -> int
-val doc_node_count : t -> int -> int
 val doc_node_base : t -> int -> int
 val doc_err : t -> int -> bool
 (** Did this line fail to parse at build time?  (Queries reparse it to
@@ -100,11 +99,12 @@ val key_range : t -> int -> int * int
 
 val pos_range : t -> int -> int * int
 
-val key_entry : t -> int -> int * int
-(** [key_entry r i] decodes entry [i] as [(doc, node)]; the document
-    id is validated against the document table. *)
+val key_node : t -> int -> int
+(** [key_node r i] is entry [i] as a corpus-wide node id
+    ({!doc_node_base} plus the doc-local id); the document and node
+    ids are validated against the document table. *)
 
-val pos_entry : t -> int -> int * int
+val pos_node : t -> int -> int
 
 (** {1 Value table and (label, value) postings}
 
@@ -129,21 +129,32 @@ val pair_range : t -> int -> int * int
 (** Entry-index interval of one pair's value postings ([start = stop]
     for a capped pair). *)
 
-val val_entry : t -> int -> int * int
-(** [(doc, node)] of one value postings entry; the node is a scalar
-    leaf reached by the pair's label and holding the pair's value. *)
+val val_node : t -> int -> int
+(** One value postings entry as a corpus-wide node id: a scalar leaf
+    reached by the pair's label and holding the pair's value. *)
+
+val iter_value_pairs : t -> int -> (int -> unit) -> unit
+(** [iter_value_pairs r vid f] calls [f pid] for every pair of value
+    [vid], whatever its label — one binary search per label group of
+    the pair table, never a sweep of it. *)
 
 val capped_pairs : t -> int
 (** How many pairs were capped (one O(npairs) sweep — [index info]
     material, not a query-path accessor). *)
 
-(** {1 Structure columns} *)
+(** {1 Structure columns}
 
-val doc_parent : t -> doc:int -> node:int -> int
-(** Doc-local parent of doc-local [node]; [-1] for the root.
-    @raise Corrupt when [node] is outside the document or the stored
-    parent is. *)
+    Indexed by corpus-wide node id: documents occupy consecutive id
+    ranges in line order, each in preorder.
+    @raise Corrupt on an id outside the corpus or a stored parent
+    outside it. *)
 
-val doc_label : t -> doc:int -> node:int -> int
-(** The {!Layout} edge-label word of doc-local [node]
-    ({!Layout.label_root} for the root). *)
+val node_parent : t -> int -> int
+(** Corpus-wide id of the parent; [-1] at a document root. *)
+
+val node_label : t -> int -> int
+(** The {!Layout} edge-label word, last-element bit cleared
+    ({!Layout.label_root} at a document root). *)
+
+val node_last : t -> int -> bool
+(** Is the node the last element of its array? *)

@@ -32,6 +32,7 @@ type draw = {
   len : int;
   parents : int array;  (* local parent id, -1 for the root *)
   labels : int array;  (* local encoding: key k -> k lsl 1, pos p -> p lsl 1 or 1 *)
+  lasts : bool array;  (* last element of its array *)
   lkeys : string array;
   vals : int array;  (* local value id of each scalar leaf, -1 elsewhere *)
   lvals : string array;
@@ -41,8 +42,8 @@ type draw = {
 let parse_doc ~fresh_budget ~values ~lineno ~off text =
   let len = String.length text in
   let failed =
-    { lineno; off; len; parents = [||]; labels = [||]; lkeys = [||];
-      vals = [||]; lvals = [||]; err = true }
+    { lineno; off; len; parents = [||]; labels = [||]; lasts = [||];
+      lkeys = [||]; vals = [||]; lvals = [||]; err = true }
   in
   match Jsont.Tree.of_string ~budget:(fresh_budget ()) text with
   | Error _ -> failed
@@ -50,6 +51,7 @@ let parse_doc ~fresh_budget ~values ~lineno ~off text =
     let n = Jsont.Tree.node_count t in
     let parents = Array.make n (-1) in
     let labels = Array.make n (-1) in
+    let lasts = Array.make n false in
     let vals = Array.make (if values then n else 0) (-1) in
     let ktab = Hashtbl.create 16 in
     let klist = ref [] in
@@ -92,11 +94,13 @@ let parse_doc ~fresh_budget ~values ~lineno ~off text =
           failwith
             (Printf.sprintf "line %d: array position %d exceeds the index limit"
                lineno p);
-        labels.(i) <- (p lsl 1) lor 1
+        labels.(i) <- (p lsl 1) lor 1;
+        lasts.(i) <- p = Jsont.Tree.arity t parents.(i) - 1
     done;
     let lkeys = Array.of_list (List.rev !klist) in
     let lvals = Array.of_list (List.rev !vlist) in
-    { lineno; off; len; parents; labels; lkeys; vals; lvals; err = false }
+    { lineno; off; len; parents; labels; lasts; lkeys; vals; lvals;
+      err = false }
 
 (* Split the corpus into (lineno, offset, length) line slices, the
    same way [validate --stream] counts them: every '\n'-delimited
@@ -122,10 +126,29 @@ let line_slices text =
   if !start < n then flush_line n;
   Array.of_list (List.rev !out)
 
+(* A fresh temporary file next to [output]: the pid and a counter name
+   it, [O_EXCL] makes it this build's alone, so concurrent builds of
+   one output never share (or clobber) a half-written file. *)
+let temp_counter = Atomic.make 0
+
+let rec open_temp output =
+  let tmp =
+    Printf.sprintf "%s.%d-%d.tmp" output (Unix.getpid ())
+      (Atomic.fetch_and_add temp_counter 1)
+  in
+  match
+    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL; Unix.O_CLOEXEC ]
+      0o666
+  with
+  | fd -> (tmp, fd)
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> open_temp output
+
 (* Serialization: sections are emitted in file order through one
    channel, folding the body checksum as they go; the header (which
    names every section offset plus both checksums) is written last by
-   seeking back to the start. *)
+   seeking back to the start.  The file is fsynced before the rename
+   and removed on every failure, so [output] is always either the
+   previous index or the complete new one. *)
 let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
     ?(value_cap = Layout.default_value_cap) ?(no_values = false)
     ?(fresh_budget = fun () -> Obs.Budget.create ()) ~corpus ~output () =
@@ -174,7 +197,9 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
               if lab lsr 1 > !max_pos then max_pos := lab lsr 1)
           d.labels)
       docs;
-    let npos = min pos_cap (!max_pos + 1) in
+    (* position 0 always keeps its list (when any array has elements):
+       "a non-empty array" is read off it *)
+    let npos = min (max 1 pos_cap) (!max_pos + 1) in
     let key_counts = Array.make (nkeys + 1) 0 in
     let pos_counts = Array.make (npos + 1) 0 in
     Array.iter
@@ -290,191 +315,169 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
     let o_vpost = o_prpidx + sz_prpidx in
     let o_cpath = o_vpost + sz_vpost in
     let file_size = o_cpath + sz_cpath in
-    let tmp = output ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-        seek_out oc Layout.header_bytes;
-        let body_sum = ref Layout.checksum_init in
-        let emit b =
-          body_sum := Layout.checksum_bytes !body_sum b 0 (Bytes.length b);
-          output_bytes oc b
-        in
-        (* document table *)
-        let b = Bytes.make sz_doc '\000' in
-        let base = ref 0 in
-        Array.iteri
-          (fun i d ->
-            let o = i * Layout.doc_entry_bytes in
-            Layout.set_u64 b o d.off;
-            Layout.set_u64 b (o + 8) !base;
-            Layout.set_u32 b (o + 16) d.len;
-            Layout.set_u32 b (o + 20) (Array.length d.parents);
-            Layout.set_u32 b (o + 24) d.lineno;
-            Layout.set_u32 b (o + 28) (if d.err then 1 else 0);
-            base := !base + Array.length d.parents)
-          docs;
-        emit b;
-        (* parents, labels *)
-        let column get =
-          let b = Bytes.make sz_par '\000' in
-          let j = ref 0 in
-          Array.iter
-            (fun d ->
-              Array.iter
-                (fun v ->
-                  Layout.set_i32 b (!j * 4) v;
-                  incr j)
-                (get d))
-            docs;
-          b
-        in
-        emit (column (fun d -> d.parents));
-        emit (column (fun d -> d.labels));
-        (* string table *)
-        let b = Bytes.make sz_sidx '\000' in
-        let off = ref 0 in
-        Array.iteri
-          (fun i w ->
-            Layout.set_u64 b (i * 8) !off;
-            off := !off + String.length w)
-          keys;
-        Layout.set_u64 b (nkeys * 8) !off;
-        emit b;
-        let b = Bytes.make sz_blob '\000' in
-        let off = ref 0 in
-        Array.iter
-          (fun w ->
-            Bytes.blit_string w 0 b !off (String.length w);
-            off := !off + String.length w)
-          keys;
-        emit b;
-        (* postings: cursor per label, filled in (doc, node) order *)
-        let b = Bytes.make sz_kpidx '\000' in
-        Array.iteri (fun i v -> Layout.set_u64 b (i * 8) v) key_pidx;
-        emit b;
-        let kpost = Bytes.make sz_kpost '\000' in
-        let ppost = Bytes.make sz_ppost '\000' in
-        let vpost = Bytes.make sz_vpost '\000' in
-        let kcur = Array.copy key_pidx in
-        let pcur = Array.copy pos_pidx in
-        let vcur = Array.copy pair_pidx in
-        Array.iteri
-          (fun doc d ->
-            Array.iteri
-              (fun node lab ->
-                (if Array.length d.vals > 0 && d.vals.(node) >= 0 then begin
-                   let pid = Hashtbl.find pair_id (lab, d.vals.(node)) in
-                   if pair_kept.(pid) then begin
-                     let o = vcur.(pid) * 8 in
-                     Layout.set_u32 vpost o doc;
-                     Layout.set_u32 vpost (o + 4) node;
-                     vcur.(pid) <- vcur.(pid) + 1
-                   end
-                 end);
-                if lab >= 0 then
-                  if lab land 1 = 0 then begin
-                    let k = lab lsr 1 in
-                    let o = kcur.(k) * 8 in
-                    Layout.set_u32 kpost o doc;
-                    Layout.set_u32 kpost (o + 4) node;
-                    kcur.(k) <- kcur.(k) + 1
-                  end
-                  else begin
-                    let p = lab lsr 1 in
-                    if p < npos then begin
-                      let o = pcur.(p) * 8 in
-                      Layout.set_u32 ppost o doc;
-                      Layout.set_u32 ppost (o + 4) node;
-                      pcur.(p) <- pcur.(p) + 1
-                    end
-                  end)
-              d.labels)
-          docs;
-        emit kpost;
-        let b2 = Bytes.make sz_ppidx '\000' in
-        Array.iteri (fun i v -> Layout.set_u64 b2 (i * 8) v) pos_pidx;
-        emit b2;
-        emit ppost;
-        (* value table *)
-        let b = Bytes.make sz_vidx '\000' in
-        let off = ref 0 in
-        Array.iteri
-          (fun i v ->
-            Layout.set_u64 b (i * 8) !off;
-            off := !off + String.length v)
-          vals;
-        Layout.set_u64 b (nvals * 8) !off;
-        emit b;
-        let b = Bytes.make sz_vblob '\000' in
-        let off = ref 0 in
-        Array.iter
-          (fun v ->
-            Bytes.blit_string v 0 b !off (String.length v);
-            off := !off + String.length v)
-          vals;
-        emit b;
-        (* pair table, pair postings index, value postings *)
-        let b = Bytes.make sz_pair '\000' in
-        Array.iteri
-          (fun i (lab, vid) ->
-            Layout.set_i32 b (i * 8) lab;
-            Layout.set_u32 b ((i * 8) + 4) vid)
-          pairs;
-        emit b;
-        let b = Bytes.make sz_prpidx '\000' in
-        Array.iteri (fun i v -> Layout.set_u64 b (i * 8) v) pair_pidx;
-        emit b;
-        emit vpost;
-        (* corpus path *)
-        let b = Bytes.make sz_cpath '\000' in
-        Layout.set_u32 b 0 (String.length corpus);
-        Bytes.blit_string corpus 0 b 4 (String.length corpus);
-        emit b;
-        (* header, last: it carries the body checksum *)
-        let h = Bytes.make Layout.header_bytes '\000' in
-        Bytes.blit_string Layout.magic 0 h 0 8;
-        Layout.set_u32 h Layout.Field.version Layout.version;
-        Layout.set_u32 h Layout.Field.pos_cap npos;
-        Layout.set_u64 h Layout.Field.file_size file_size;
-        Layout.set_u64 h Layout.Field.ndocs ndocs;
-        Layout.set_u64 h Layout.Field.nnodes nnodes;
-        Layout.set_u64 h Layout.Field.nkeys nkeys;
-        Layout.set_u64 h Layout.Field.key_entries key_entries;
-        Layout.set_u64 h Layout.Field.pos_entries pos_entries;
-        Layout.set_u64 h Layout.Field.corpus_len (String.length text);
-        Layout.set_u64 h Layout.Field.doc_table o_doc;
-        Layout.set_u64 h Layout.Field.parents o_par;
-        Layout.set_u64 h Layout.Field.labels o_lab;
-        Layout.set_u64 h Layout.Field.strtab_idx o_sidx;
-        Layout.set_u64 h Layout.Field.strtab_blob o_blob;
-        Layout.set_u64 h Layout.Field.strtab_blob_len blob_len;
-        Layout.set_u64 h Layout.Field.key_pidx o_kpidx;
-        Layout.set_u64 h Layout.Field.key_post o_kpost;
-        Layout.set_u64 h Layout.Field.pos_pidx o_ppidx;
-        Layout.set_u64 h Layout.Field.pos_post o_ppost;
-        Layout.set_u64 h Layout.Field.corpus_path o_cpath;
-        Layout.set_u32 h Layout.Field.flags
-          (if no_values then Layout.flag_no_values else 0);
-        Layout.set_u32 h Layout.Field.value_cap (min value_cap 0xFFFFFFFF);
-        Layout.set_u64 h Layout.Field.nvals nvals;
-        Layout.set_u64 h Layout.Field.npairs npairs;
-        Layout.set_u64 h Layout.Field.val_entries val_entries;
-        Layout.set_u64 h Layout.Field.val_dropped val_dropped;
-        Layout.set_u64 h Layout.Field.valtab_idx o_vidx;
-        Layout.set_u64 h Layout.Field.valtab_blob o_vblob;
-        Layout.set_u64 h Layout.Field.valtab_blob_len vblob_len;
-        Layout.set_u64 h Layout.Field.pair_table o_pair;
-        Layout.set_u64 h Layout.Field.pair_pidx o_prpidx;
-        Layout.set_u64 h Layout.Field.val_post o_vpost;
-        Layout.set_u64 h Layout.Field.body_checksum !body_sum;
-        let hsum =
-          Layout.checksum_bytes Layout.checksum_init h 0
-            Layout.Field.header_checksum
-        in
-        Layout.set_u64 h Layout.Field.header_checksum hsum;
-        seek_out oc 0;
-        output_bytes oc h);
-    Sys.rename tmp output;
+    let tmp, fd = open_temp output in
+    (try
+       let oc = Unix.out_channel_of_descr fd in
+       set_binary_mode_out oc true;
+       Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+           seek_out oc Layout.header_bytes;
+           let body_sum = ref Layout.checksum_init in
+           let emit b =
+             body_sum := Layout.checksum_bytes !body_sum b 0 (Bytes.length b);
+             output_bytes oc b
+           in
+           (* document table *)
+           let b = Bytes.make sz_doc '\000' in
+           let base = ref 0 in
+           Array.iteri
+             (fun i d ->
+               let o = i * Layout.doc_entry_bytes in
+               Layout.set_u64 b o d.off;
+               Layout.set_u64 b (o + 8) !base;
+               Layout.set_u32 b (o + 16) d.len;
+               Layout.set_u32 b (o + 20) (Array.length d.parents);
+               Layout.set_u32 b (o + 24) d.lineno;
+               Layout.set_u32 b (o + 28) (if d.err then 1 else 0);
+               base := !base + Array.length d.parents)
+             docs;
+           emit b;
+           (* parent distances (0 at a root), labels with the last-element
+              bit *)
+           let column get =
+             let b = Bytes.make sz_par '\000' in
+             let j = ref 0 in
+             Array.iter
+               (fun d ->
+                 for i = 0 to Array.length d.parents - 1 do
+                   Layout.set_i32 b (!j * 4) (get d i);
+                   incr j
+                 done)
+               docs;
+             b
+           in
+           emit
+             (column (fun d i ->
+                  if d.parents.(i) < 0 then 0 else i - d.parents.(i)));
+           emit
+             (column (fun d i ->
+                  if d.lasts.(i) then d.labels.(i) lor Layout.label_last
+                  else d.labels.(i)));
+           (* a u64 array; a sorted string table as its offset index
+              and padded blob *)
+           let emit_u64s a =
+             let b = Bytes.make (Array.length a * 8) '\000' in
+             Array.iteri (fun i v -> Layout.set_u64 b (i * 8) v) a;
+             emit b
+           in
+           let emit_strings strs =
+             let offs = Array.make (Array.length strs + 1) 0 in
+             Array.iteri
+               (fun i w -> offs.(i + 1) <- offs.(i) + String.length w)
+               strs;
+             emit_u64s offs;
+             let b = Bytes.make (Layout.pad8 offs.(Array.length strs)) '\000' in
+             Array.iteri
+               (fun i w -> Bytes.blit_string w 0 b offs.(i) (String.length w))
+               strs;
+             emit b
+           in
+           emit_strings keys;
+           (* postings: cursor per label, filled in (doc, node) order *)
+           emit_u64s key_pidx;
+           let kpost = Bytes.make sz_kpost '\000' in
+           let ppost = Bytes.make sz_ppost '\000' in
+           let vpost = Bytes.make sz_vpost '\000' in
+           let kcur = Array.copy key_pidx in
+           let pcur = Array.copy pos_pidx in
+           let vcur = Array.copy pair_pidx in
+           let put post cur i doc node =
+             let o = cur.(i) * 8 in
+             Layout.set_u32 post o doc;
+             Layout.set_u32 post (o + 4) node;
+             cur.(i) <- cur.(i) + 1
+           in
+           Array.iteri
+             (fun doc d ->
+               Array.iteri
+                 (fun node lab ->
+                   (if Array.length d.vals > 0 && d.vals.(node) >= 0 then
+                      let pid = Hashtbl.find pair_id (lab, d.vals.(node)) in
+                      if pair_kept.(pid) then put vpost vcur pid doc node);
+                   if lab >= 0 then
+                     if lab land 1 = 0 then put kpost kcur (lab lsr 1) doc node
+                     else if lab lsr 1 < npos then
+                       put ppost pcur (lab lsr 1) doc node)
+                 d.labels)
+             docs;
+           emit kpost;
+           emit_u64s pos_pidx;
+           emit ppost;
+           emit_strings vals;
+           (* pair table, pair postings index, value postings *)
+           let b = Bytes.make sz_pair '\000' in
+           Array.iteri
+             (fun i (lab, vid) ->
+               Layout.set_i32 b (i * 8) lab;
+               Layout.set_u32 b ((i * 8) + 4) vid)
+             pairs;
+           emit b;
+           emit_u64s pair_pidx;
+           emit vpost;
+           (* corpus path *)
+           let b = Bytes.make sz_cpath '\000' in
+           Layout.set_u32 b 0 (String.length corpus);
+           Bytes.blit_string corpus 0 b 4 (String.length corpus);
+           emit b;
+           (* header, last: it carries the body checksum *)
+           let h = Bytes.make Layout.header_bytes '\000' in
+           Bytes.blit_string Layout.magic 0 h 0 8;
+           Layout.set_u32 h Layout.Field.version Layout.version;
+           Layout.set_u32 h Layout.Field.pos_cap npos;
+           Layout.set_u64 h Layout.Field.file_size file_size;
+           Layout.set_u64 h Layout.Field.ndocs ndocs;
+           Layout.set_u64 h Layout.Field.nnodes nnodes;
+           Layout.set_u64 h Layout.Field.nkeys nkeys;
+           Layout.set_u64 h Layout.Field.key_entries key_entries;
+           Layout.set_u64 h Layout.Field.pos_entries pos_entries;
+           Layout.set_u64 h Layout.Field.corpus_len (String.length text);
+           Layout.set_u64 h Layout.Field.doc_table o_doc;
+           Layout.set_u64 h Layout.Field.parents o_par;
+           Layout.set_u64 h Layout.Field.labels o_lab;
+           Layout.set_u64 h Layout.Field.strtab_idx o_sidx;
+           Layout.set_u64 h Layout.Field.strtab_blob o_blob;
+           Layout.set_u64 h Layout.Field.strtab_blob_len blob_len;
+           Layout.set_u64 h Layout.Field.key_pidx o_kpidx;
+           Layout.set_u64 h Layout.Field.key_post o_kpost;
+           Layout.set_u64 h Layout.Field.pos_pidx o_ppidx;
+           Layout.set_u64 h Layout.Field.pos_post o_ppost;
+           Layout.set_u64 h Layout.Field.corpus_path o_cpath;
+           Layout.set_u32 h Layout.Field.flags
+             (if no_values then Layout.flag_no_values else 0);
+           Layout.set_u32 h Layout.Field.value_cap (min value_cap 0xFFFFFFFF);
+           Layout.set_u64 h Layout.Field.nvals nvals;
+           Layout.set_u64 h Layout.Field.npairs npairs;
+           Layout.set_u64 h Layout.Field.val_entries val_entries;
+           Layout.set_u64 h Layout.Field.val_dropped val_dropped;
+           Layout.set_u64 h Layout.Field.valtab_idx o_vidx;
+           Layout.set_u64 h Layout.Field.valtab_blob o_vblob;
+           Layout.set_u64 h Layout.Field.valtab_blob_len vblob_len;
+           Layout.set_u64 h Layout.Field.pair_table o_pair;
+           Layout.set_u64 h Layout.Field.pair_pidx o_prpidx;
+           Layout.set_u64 h Layout.Field.val_post o_vpost;
+           Layout.set_u64 h Layout.Field.body_checksum !body_sum;
+           let hsum =
+             Layout.checksum_bytes Layout.checksum_init h 0
+               Layout.Field.header_checksum
+           in
+           Layout.set_u64 h Layout.Field.header_checksum hsum;
+           seek_out oc 0;
+           output_bytes oc h;
+           flush oc;
+           Unix.fsync fd);
+       Sys.rename tmp output
+     with e ->
+       (try Sys.remove tmp with Sys_error _ -> ());
+       raise e);
     Obs.Metrics.add "index.build.docs" ndocs;
     Obs.Metrics.add "index.build.errors" errors;
     Obs.Metrics.add "index.build.nodes" nnodes;
@@ -492,4 +495,5 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
   with
   | Failure m -> Error m
   | Sys_error m -> Error m
+  | Unix.Unix_error (e, _, arg) -> Error (arg ^ ": " ^ Unix.error_message e)
   | Obs.Budget.Exhausted r -> Error (Obs.Budget.describe r)

@@ -18,7 +18,6 @@ type label_index = {
   by_pos : node array array;
       (* position p -> nodes whose incoming edge is [Pos p];
          length = maximum arity over the tree *)
-  arrays : node array;  (* all array nodes *)
 }
 
 type t = {
@@ -494,12 +493,8 @@ let build_index ?(budget = Obs.Budget.unlimited) t =
             0 t.child_nodes
         in
         let pos_buckets = Array.make max_ar [] in
-        let arrays = ref [] in
         (* descending pass so each (consed) bucket ends up in preorder *)
         for nd = n - 1 downto 0 do
-          (match t.kinds.(nd) with
-          | Karr -> arrays := nd :: !arrays
-          | Kobj | Kstr _ | Kint _ -> ());
           match t.edges.(nd) with
           | Root -> ()
           | Key k ->
@@ -516,10 +511,7 @@ let build_index ?(budget = Obs.Budget.unlimited) t =
           (fun k l -> Hashtbl.replace by_key k (Array.of_list l))
           key_buckets;
         t.index <-
-          Some
-            { by_key;
-              by_pos = Array.map Array.of_list pos_buckets;
-              arrays = Array.of_list !arrays })
+          Some { by_key; by_pos = Array.map Array.of_list pos_buckets })
 
 let index t =
   match t.index with
@@ -537,8 +529,6 @@ let pos_index t p =
   let i = index t in
   if p < 0 || p >= Array.length i.by_pos then [||] else i.by_pos.(p)
 
-let max_arity t = Array.length (index t).by_pos
-let arr_index t = (index t).arrays
 let iter_key_index f t = Hashtbl.iter f (index t).by_key
 let size t n = t.sizes.(n)
 let height_of t n = t.heights.(n)

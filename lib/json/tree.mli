@@ -166,14 +166,7 @@ val key_index : t -> string -> node array
 
 val pos_index : t -> int -> node array
 (** [pos_index t p] lists the nodes whose incoming edge is [Pos p]
-    ([[||]] for [p < 0] or [p >= max_arity t]). *)
-
-val max_arity : t -> int
-(** Maximum arity over the whole tree — one past the largest position
-    label present. *)
-
-val arr_index : t -> node array
-(** All array nodes, in preorder. *)
+    ([[||]] for [p < 0] or past the widest array). *)
 
 val iter_key_index : (string -> node array -> unit) -> t -> unit
 (** Iterate over all distinct object keys and their edge buckets (order

@@ -586,6 +586,22 @@ check_index_query 'eq(.name.first, "John")'
 check_index_query '<.orders[0].lines[0].sku> & !<.no_such_key>'
 check_index_query '<.tags[-1]>'
 check_index_query '<.orders[0:*]?(eq(.status, "shipped"))>'
+# every construct but EQ(α,β) and non-scalar eq answers from postings:
+# negative indices and ranges (the last-element bit), regex keys under
+# a star; EQ(α,β) reparses the documents its relaxation admits
+check_index_query '<.orders[-1].lines[0]>'
+check_index_query '<.tags[-2:*]>'
+check_index_query '<(.~/.*/)*.sku>'
+check_index_query 'eq(.name.first, .name.last)'
+# ... and reparses nothing but the 4 malformed lines (their verdict is
+# the parse error)
+reparsed=$(timeout 60 "$JSONLOGIC" index query --metrics "$ixdir/corpus.idx" \
+  '<.tags[-1]>' 2>&1 >/dev/null | grep -E '^index\.query\.reparsed ' || true)
+case $reparsed in
+  *" 4") ;;
+  *) echo "FAIL: <.tags[-1]> did not reparse exactly 4 lines: $reparsed" >&2
+     exit 1 ;;
+esac
 # --jsonpath spelling answers like the equivalent existential formula
 jp=$(timeout 60 "$JSONLOGIC" index query --jsonpath '$.name.first' \
   "$ixdir/corpus.idx")
@@ -693,6 +709,60 @@ if [ "$ixsrv_status" != 0 ]; then
   cat "$ixdir/serve.log" >&2
   exit 1
 fi
+
+# Crash safety: a rebuild killed mid-write (file-size limit, SIGXFSZ
+# ignored so the write fails) exits 1 with error:, leaves the previous
+# index byte-identical and no temporary file behind; two concurrent
+# builds of one output leave a file that opens and equals one of the
+# two solo builds.  The corpus is the gate corpus forty times over, so
+# the index outgrows the limit.
+big="$ixdir/big.ndjson"
+for _ in $(seq 1 40); do cat "$ndx"; echo; done > "$big"
+run 120 "$JSONLOGIC" index build "$big" -o "$ixdir/big.idx" > /dev/null
+cp "$ixdir/big.idx" "$ixdir/big.before"
+fsz_status=0
+fsz_out=$( (trap '' XFSZ; ulimit -f 64
+            exec "$JSONLOGIC" index build "$big" -o "$ixdir/big.idx") 2>&1) \
+  || fsz_status=$?
+if [ "$fsz_status" != 1 ]; then
+  echo "FAIL: size-limited rebuild: expected exit 1, got $fsz_status ($fsz_out)" >&2
+  exit 1
+fi
+case $fsz_out in
+  *"error:"*) ;;
+  *) echo "FAIL: size-limited rebuild did not print error: $fsz_out" >&2
+     exit 1 ;;
+esac
+if ! cmp -s "$ixdir/big.idx" "$ixdir/big.before"; then
+  echo "FAIL: size-limited rebuild changed the previous index" >&2
+  exit 1
+fi
+if ls "$ixdir" | grep -q '\.tmp$'; then
+  echo "FAIL: size-limited rebuild left a temporary file: $(ls "$ixdir")" >&2
+  exit 1
+fi
+run 120 "$JSONLOGIC" index build --no-values "$big" \
+  -o "$ixdir/big.novals" > /dev/null
+race_a=0
+race_b=0
+"$JSONLOGIC" index build "$big" -o "$ixdir/race.idx" > /dev/null &
+pid_a=$!
+"$JSONLOGIC" index build --no-values "$big" -o "$ixdir/race.idx" > /dev/null &
+pid_b=$!
+wait "$pid_a" || race_a=$?
+wait "$pid_b" || race_b=$?
+if [ "$race_a" != 0 ] || [ "$race_b" != 0 ]; then
+  echo "FAIL: concurrent builds exited $race_a and $race_b" >&2
+  exit 1
+fi
+run 60 "$JSONLOGIC" index info "$ixdir/race.idx" > /dev/null
+if ! cmp -s "$ixdir/race.idx" "$ixdir/big.idx" \
+   && ! cmp -s "$ixdir/race.idx" "$ixdir/big.novals"; then
+  echo "FAIL: concurrent builds left a file equal to neither solo build" >&2
+  exit 1
+fi
+rm -f "$big" "$ixdir/big.idx" "$ixdir/big.before" "$ixdir/big.novals" \
+  "$ixdir/race.idx"
 
 # Corpus index gate, part 2: the index stays queryable read-only —
 # mmap needs no write access.

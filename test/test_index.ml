@@ -1,9 +1,10 @@
 (* Tests for the persistent corpus index: differential agreement with
-   the reparse-everything baseline over a PRNG corpus and query set,
-   byte-identical builds across lane counts, fault injection
-   (bit-flips, truncations, forged header counts, corrupt postings),
-   stale-corpus rejection, and the tree label-index single-build
-   regression. *)
+   the reparse-everything baseline over a PRNG corpus and 325 queries
+   (also under a position cap, with the reparse count pinned), the
+   per-query fuel rule, byte-identical builds across lane counts, fault
+   injection (bit-flips, truncations, forged header counts, corrupt
+   postings, older format versions), stale-corpus rejection, and the
+   tree label-index single-build regression. *)
 
 let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -70,13 +71,45 @@ let handcrafted_queries =
     "eq(.name.first, \"John\") & <.orders[0]>";
     "<.id> & eq(.name.first, \"Sue\")" ]
 
+(* Generated ranges start at 0..2; shift a third of them left so
+   negative bounds (both, or the lower one only) get exercised too. *)
+let rec shift_ranges k (p : Jlogic.Jnl.path) : Jlogic.Jnl.path =
+  let f = shift_form k and p' = shift_ranges k in
+  match p with
+  | Jlogic.Jnl.Range (i, j) when k mod 3 = 1 ->
+    Jlogic.Jnl.Range (i - 3, Option.map (fun j -> j - 3) j)
+  | Jlogic.Jnl.Range (i, j) when k mod 3 = 2 -> Jlogic.Jnl.Range (i - 3, j)
+  | Jlogic.Jnl.Seq (a, b) -> Jlogic.Jnl.Seq (p' a, p' b)
+  | Jlogic.Jnl.Alt (a, b) -> Jlogic.Jnl.Alt (p' a, p' b)
+  | Jlogic.Jnl.Star a -> Jlogic.Jnl.Star (p' a)
+  | Jlogic.Jnl.Test g -> Jlogic.Jnl.Test (f g)
+  | _ -> p
+
+and shift_form k (f : Jlogic.Jnl.form) : Jlogic.Jnl.form =
+  let p = shift_ranges k and f' = shift_form k in
+  match f with
+  | Jlogic.Jnl.True -> f
+  | Jlogic.Jnl.Not g -> Jlogic.Jnl.Not (f' g)
+  | Jlogic.Jnl.And (a, b) -> Jlogic.Jnl.And (f' a, f' b)
+  | Jlogic.Jnl.Or (a, b) -> Jlogic.Jnl.Or (f' a, f' b)
+  | Jlogic.Jnl.Exists a -> Jlogic.Jnl.Exists (p a)
+  | Jlogic.Jnl.Eq_doc (a, v) -> Jlogic.Jnl.Eq_doc (p a, v)
+  | Jlogic.Jnl.Eq_paths (a, b) -> Jlogic.Jnl.Eq_paths (p a, p b)
+
+(* 300 seeded formulas over the whole language: Keys, Range, Star,
+   Alt, negative Idx, Test, scalar and object eq, EQ(α,β) *)
+let generated =
+  lazy
+    (let rng = Jworkload.Prng.create 7 in
+     let cfg =
+       { Jworkload.Gen_formula.default with
+         size = 8; allow_nondet = true; allow_star = true;
+         allow_eq_paths = true }
+     in
+     List.init 300 (fun k -> shift_form k (Jworkload.Gen_formula.jnl rng cfg)))
+
 let query_set () =
-  let rng = Jworkload.Prng.create 7 in
-  let cfg = { Jworkload.Gen_formula.default with size = 8 } in
-  let random =
-    List.init 10 (fun _ -> Jworkload.Gen_formula.jnl rng cfg)
-  in
-  List.map Jlogic.Jnl.parse_exn handcrafted_queries @ random
+  List.map Jlogic.Jnl.parse_exn handcrafted_queries @ Lazy.force generated
 
 (* the per-line baseline: exactly the computation [eval --files-from]
    runs per file *)
@@ -113,29 +146,74 @@ let open_exn ?verify_body idx =
 
 (* ---- differential: index-backed vs reparse-everything ---------------------- *)
 
-let test_differential () =
-  let _corpus, idx = build_corpus_index () in
+let with_metrics f =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.set_enabled was)
+    (fun () ->
+      Obs.Metrics.reset ();
+      f ())
+
+(* only EQ(α,β) and eq against an object or array need the documents *)
+let rec needs_reparse (f : Jlogic.Jnl.form) =
+  match f with
+  | Jlogic.Jnl.True -> false
+  | Jlogic.Jnl.Not g -> needs_reparse g
+  | Jlogic.Jnl.And (a, b) | Jlogic.Jnl.Or (a, b) ->
+    needs_reparse a || needs_reparse b
+  | Jlogic.Jnl.Exists p -> path_needs_reparse p
+  | Jlogic.Jnl.Eq_doc (_, (Jsont.Value.Obj _ | Jsont.Value.Arr _)) -> true
+  | Jlogic.Jnl.Eq_doc (p, _) -> path_needs_reparse p
+  | Jlogic.Jnl.Eq_paths _ -> true
+
+and path_needs_reparse (p : Jlogic.Jnl.path) =
+  match p with
+  | Jlogic.Jnl.Test f -> needs_reparse f
+  | Jlogic.Jnl.Seq (a, b) | Jlogic.Jnl.Alt (a, b) ->
+    path_needs_reparse a || path_needs_reparse b
+  | Jlogic.Jnl.Star a -> path_needs_reparse a
+  | _ -> false
+
+(* Every query answers like the per-line baseline, byte for byte; the
+   ones postings decide reparse the malformed lines and nothing else. *)
+let differential ?pos_cap () =
+  let corpus = temp_path ".ndjson" in
+  let idx = temp_path ".idx" in
+  write_file corpus (Lazy.force corpus_text);
+  (match Jindex.Writer.build ~jobs:2 ?pos_cap ~corpus ~output:idx () with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("build failed: " ^ m));
   let r = open_exn idx in
   let lines = corpus_lines (Lazy.force corpus_text) in
   Alcotest.(check int) "every non-blank line indexed" (List.length lines)
     (Jindex.Reader.ndocs r);
+  let malformed =
+    List.length
+      (List.filter (fun (_, l) -> Result.is_error (Jsont.Tree.of_string l)) lines)
+  in
   List.iter
     (fun phi ->
+      let q = Jlogic.Jnl.to_string phi in
       let expect =
         List.map (fun (_, line) -> baseline_verdict phi line) lines
       in
-      match Jindex.Query.run ~jobs:2 r phi with
-      | Error m ->
-        Alcotest.fail
-          (Printf.sprintf "query %s failed: %s" (Jlogic.Jnl.to_string phi) m)
-      | Ok verdicts ->
-        let got =
-          Array.to_list (Array.map Jindex.Query.verdict_string verdicts)
-        in
-        Alcotest.(check (list string))
-          ("agreement on " ^ Jlogic.Jnl.to_string phi)
-          expect got)
+      with_metrics (fun () ->
+          match Jindex.Query.run ~jobs:2 r phi with
+          | Error m -> Alcotest.fail (Printf.sprintf "query %s failed: %s" q m)
+          | Ok verdicts ->
+            let got =
+              Array.to_list (Array.map Jindex.Query.verdict_string verdicts)
+            in
+            Alcotest.(check (list string)) ("agreement on " ^ q) expect got;
+            if not (needs_reparse phi) then
+              Alcotest.(check int) ("only malformed lines reparsed: " ^ q)
+                malformed
+                (Obs.Metrics.counter_value "index.query.reparsed")))
     (query_set ())
+
+let test_differential () = differential ()
+let test_differential_pos_cap () = differential ~pos_cap:2 ()
 
 (* line numbers reported by the index match the corpus line numbering
    (blank and malformed lines included in the count) *)
@@ -151,16 +229,49 @@ let test_linenos () =
         (Jindex.Reader.doc_lineno r d))
     lines
 
-(* ---- eq pushdown ------------------------------------------------------------- *)
+(* The least fuel a query needs on an index over [text]: per-query
+   fuel must follow the postings a formula touches, so padding the
+   corpus with documents sharing none of its keys leaves it unchanged. *)
+let min_fuel text phi =
+  let corpus = temp_path ".ndjson" in
+  let idx = temp_path ".idx" in
+  write_file corpus text;
+  (match Jindex.Writer.build ~corpus ~output:idx () with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("build failed: " ^ m));
+  let r = open_exn idx in
+  let ok fuel =
+    Result.is_ok
+      (Jindex.Query.run
+         ~fresh_budget:(fun () -> Obs.Budget.create ~fuel ())
+         r phi)
+  in
+  let rec search lo hi = (* ok hi, not (ok lo) *)
+    if hi - lo <= 1 then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if ok mid then search lo mid else search mid hi
+  in
+  search 0 1_000_000
 
-let with_metrics f =
-  let was = Obs.Metrics.enabled () in
-  Obs.Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Obs.Metrics.set_enabled was)
-    (fun () ->
-      Obs.Metrics.reset ();
-      f ())
+let test_fuel_rule () =
+  let text = Lazy.force corpus_text in
+  let padded =
+    text ^ "\n"
+    ^ String.concat "\n"
+        (List.init 200 (fun i -> Printf.sprintf "{\"pad%d\":\"x\",\"zz\":%d}" i i))
+  in
+  List.iter
+    (fun q ->
+      let phi = Jlogic.Jnl.parse_exn q in
+      let fuel = min_fuel text phi in
+      Alcotest.(check bool) ("answers within the fuel cap: " ^ q) true
+        (fuel < 1_000_000);
+      Alcotest.(check int) ("same fuel after padding: " ^ q) fuel
+        (min_fuel padded phi))
+    [ "<.name.first>"; "<.orders[0:*]?(eq(.status, \"shipped\"))>" ]
+
+(* ---- eq pushdown ------------------------------------------------------------- *)
 
 (* an eq over a rooted core path is answered postings-only: value
    postings seed it, nothing but the error-flagged lines reparses *)
@@ -426,23 +537,28 @@ let test_forged_pair_table () =
    because older headers place every field elsewhere *)
 let test_v1_version_refusal () =
   let _corpus, idx = build_corpus_index () in
-  let b = Bytes.of_string (read_file idx) in
-  Bytes.set b 7 '1';
-  Jindex.Layout.set_u32 b Jindex.Layout.Field.version 1;
-  let mutant = temp_path ".idx" in
-  write_file mutant (Bytes.to_string b);
-  (match Jindex.Reader.open_ mutant with
-  | Error m ->
-    Alcotest.(check bool)
-      ("names the version: " ^ m)
-      true
-      (let has_sub sub =
-         let n = String.length sub and h = String.length m in
-         let rec go i = i + n <= h && (String.sub m i n = sub || go (i + 1)) in
-         go 0
-       in
-       has_sub "unsupported index version")
-  | Ok _ -> Alcotest.fail "v1 magic accepted");
+  List.iter
+    (fun v ->
+      let b = Bytes.of_string (read_file idx) in
+      Bytes.set b 7 (Char.chr (Char.code '0' + v));
+      Jindex.Layout.set_u32 b Jindex.Layout.Field.version v;
+      let mutant = temp_path ".idx" in
+      write_file mutant (Bytes.to_string b);
+      match Jindex.Reader.open_ mutant with
+      | Error m ->
+        Alcotest.(check bool)
+          ("names the version: " ^ m)
+          true
+          (let has_sub sub =
+             let n = String.length sub and h = String.length m in
+             let rec go i =
+               i + n <= h && (String.sub m i n = sub || go (i + 1))
+             in
+             go 0
+           in
+           has_sub (Printf.sprintf "unsupported index version %d" v))
+      | Ok _ -> Alcotest.fail (Printf.sprintf "v%d magic accepted" v))
+    [ 1; 2 ];
   (* a non-index file is still the plain bad-magic refusal *)
   let junk = temp_path ".idx" in
   write_file junk (String.make 512 'x');
@@ -546,7 +662,11 @@ let () =
     [ ("differential",
        [ Alcotest.test_case "index vs reparse baseline" `Quick
            test_differential;
-         Alcotest.test_case "line numbering" `Quick test_linenos ]);
+         Alcotest.test_case "index vs reparse baseline, pos-cap 2" `Quick
+           test_differential_pos_cap;
+         Alcotest.test_case "line numbering" `Quick test_linenos;
+         Alcotest.test_case "fuel follows postings, not corpus size" `Quick
+           test_fuel_rule ]);
       ("eq-pushdown",
        [ Alcotest.test_case "postings-only, zero reparses" `Quick
            test_eq_zero_reparse;
