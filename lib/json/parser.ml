@@ -12,117 +12,119 @@ let fail position fmt =
 let unexpected pos tok expectation =
   fail pos "unexpected %a, expected %s" Lexer.pp_token tok expectation
 
+(* The cursor forms below build a position, and render the token, only
+   on the failure path. *)
+let fail_at lx fmt = fail (Lexer.token_position lx) fmt
+
+let unexpected_at lx expectation =
+  unexpected (Lexer.token_position lx) (Lexer.token lx) expectation
+
 type atom = Int of int | Str of string
 
-(* Classify a literal token under [mode] without committing to a value
-   representation — shared by the {!Value.t}-producing route below and
-   the direct string→{!Tree.t} ingestion path, so both reject exactly
-   the same literals with exactly the same messages. *)
-let literal_atom mode pos (tok : Lexer.token) : atom =
-  match (tok, mode) with
-  | Lexer.Nat n, _ -> Int n
-  | Lexer.String s, _ -> Str s
-  | Lexer.True, `Lenient -> Str "true"
-  | Lexer.False, `Lenient -> Str "false"
-  | Lexer.Null, `Lenient -> Str "null"
-  | Lexer.Float f, `Lenient when Float.is_integer f && f >= 0. ->
+(* Classify the current literal token under [mode] without committing
+   to a value representation — shared by the {!Value.t}-producing
+   route below, the direct string→{!Tree.t} ingestion path and the
+   streaming validator, so all reject exactly the same literals with
+   exactly the same messages. *)
+let literal_atom mode lx (k : Lexer.kind) : atom =
+  match (k, mode) with
+  | Lexer.K_nat, _ -> Int (Lexer.int_value lx)
+  | Lexer.K_string, _ -> Str (Lexer.string_value lx)
+  | Lexer.K_true, `Lenient -> Str "true"
+  | Lexer.K_false, `Lenient -> Str "false"
+  | Lexer.K_null, `Lenient -> Str "null"
+  | Lexer.K_float, `Lenient
+    when Float.is_integer (Lexer.float_value lx) && Lexer.float_value lx >= 0.
+    ->
     (* only narrow floats whose integral value round-trips through the
        native int: [int_of_float] on anything >= 2^62 is undefined (it
        produced 0 for [1e30], silently corrupting the literal) *)
+    let f = Lexer.float_value lx in
     if f < 0x1p62 then Int (int_of_float f)
-    else fail pos "integer literal %.0f out of range" f
+    else fail_at lx "integer literal %.0f out of range" f
   (* [-0] normalizes to the natural 0, like [-0.0] above *)
-  | Lexer.Neg_int 0, `Lenient -> Int 0
-  | Lexer.True, `Strict | Lexer.False, `Strict ->
-    fail pos "boolean literals are outside the model (use `Lenient mode)"
-  | Lexer.Null, `Strict ->
-    fail pos "null is outside the model (use `Lenient mode)"
-  | Lexer.Float _, _ ->
-    fail pos "non-integer numbers are outside the model"
-  | Lexer.Neg_int _, _ ->
-    fail pos "negative numbers are outside the model"
+  | Lexer.K_neg_int, `Lenient when Lexer.int_value lx = 0 -> Int 0
+  | Lexer.K_true, `Strict | Lexer.K_false, `Strict ->
+    fail_at lx "boolean literals are outside the model (use `Lenient mode)"
+  | Lexer.K_null, `Strict ->
+    fail_at lx "null is outside the model (use `Lenient mode)"
+  | Lexer.K_float, _ -> fail_at lx "non-integer numbers are outside the model"
+  | Lexer.K_neg_int, _ -> fail_at lx "negative numbers are outside the model"
   | _, _ -> assert false
 
 (* Convert a literal outside the paper's model according to [mode]. *)
-let literal mode pos (tok : Lexer.token) : Value.t =
-  match literal_atom mode pos tok with
+let literal mode lx k : Value.t =
+  match literal_atom mode lx k with
   | Int n -> Value.Num n
   | Str s -> Value.Str s
 
 (* One budget check per parsed value: depth against the ceiling, [units]
    units of fuel, and (periodically) the wall-clock deadline.  Budget
-   exhaustion is reported as a positioned parse error.  The direct
-   ingestion path passes [~units:2] to also account the
-   tree-construction unit in the same check. *)
-let guard ?(units = 1) budget pos depth =
+   exhaustion is reported as a parse error positioned at the current
+   token.  The direct ingestion path passes [~units:2] to also account
+   the tree-construction unit in the same check. *)
+let guard ~units budget lx depth =
   match
     Obs.Budget.check_depth budget depth;
     Obs.Budget.burn budget units
   with
   | () -> ()
   | exception Obs.Budget.Exhausted Obs.Budget.Depth ->
-    fail pos "maximum nesting depth %d exceeded" (Obs.Budget.max_depth budget)
-  | exception Obs.Budget.Exhausted r -> fail pos "%s" (Obs.Budget.describe r)
+    fail_at lx "maximum nesting depth %d exceeded" (Obs.Budget.max_depth budget)
+  | exception Obs.Budget.Exhausted r -> fail_at lx "%s" (Obs.Budget.describe r)
+
+let expect_colon lx =
+  match Lexer.next_kind lx with
+  | Lexer.K_colon -> ()
+  | _ -> unexpected_at lx "':'"
 
 let parse_value mode budget lx =
   let rec value depth =
-    let pos, _ = Lexer.peek lx in
-    guard budget pos depth;
+    ignore (Lexer.peek_kind lx);
+    guard ~units:1 budget lx depth;
     Obs.Metrics.incr "parse.values";
-    let pos, tok = Lexer.next lx in
-    match tok with
-    | Lexer.Lbrace -> obj depth pos
-    | Lexer.Lbracket -> array depth pos
-    | Lexer.String _ | Lexer.Nat _ | Lexer.Neg_int _ | Lexer.Float _
-    | Lexer.True | Lexer.False | Lexer.Null ->
-      literal mode pos tok
-    | Lexer.Rbrace | Lexer.Rbracket | Lexer.Colon | Lexer.Comma | Lexer.Eof ->
-      unexpected pos tok "a JSON value"
-  and obj depth open_pos =
+    match Lexer.next_kind lx with
+    | Lexer.K_lbrace -> obj depth
+    | Lexer.K_lbracket -> array depth
+    | ( Lexer.K_string | Lexer.K_nat | Lexer.K_neg_int | Lexer.K_float
+      | Lexer.K_true | Lexer.K_false | Lexer.K_null ) as k ->
+      literal mode lx k
+    | Lexer.K_rbrace | Lexer.K_rbracket | Lexer.K_colon | Lexer.K_comma
+    | Lexer.K_eof ->
+      unexpected_at lx "a JSON value"
+  and obj depth =
     let rec members acc =
-      let pos, tok = Lexer.next lx in
-      match tok with
-      | Lexer.String key ->
-        if List.mem_assoc key acc then
-          fail pos "duplicate object key %S" key;
-        let pos, tok = Lexer.next lx in
-        if tok <> Lexer.Colon then unexpected pos tok "':'";
+      match Lexer.next_kind lx with
+      | Lexer.K_string ->
+        let key = Lexer.string_value lx in
+        if List.mem_assoc key acc then fail_at lx "duplicate object key %S" key;
+        expect_colon lx;
         let v = value (depth + 1) in
         let acc = (key, v) :: acc in
-        let pos, tok = Lexer.next lx in
-        (match tok with
-        | Lexer.Comma -> members acc
-        | Lexer.Rbrace -> Value.Obj (List.rev acc)
-        | _ -> unexpected pos tok "',' or '}'")
-      | _ -> unexpected pos tok "a string key"
+        (match Lexer.next_kind lx with
+        | Lexer.K_comma -> members acc
+        | Lexer.K_rbrace -> Value.Obj (List.rev acc)
+        | _ -> unexpected_at lx "',' or '}'")
+      | _ -> unexpected_at lx "a string key"
     in
-    let _, tok = Lexer.peek lx in
-    if tok = Lexer.Rbrace then begin
-      ignore (Lexer.next lx);
+    match Lexer.peek_kind lx with
+    | Lexer.K_rbrace ->
+      ignore (Lexer.next_kind lx);
       Value.Obj []
-    end
-    else begin
-      ignore open_pos;
-      members []
-    end
-  and array depth open_pos =
+    | _ -> members []
+  and array depth =
     let rec elements acc =
       let v = value (depth + 1) in
-      let pos, tok = Lexer.next lx in
-      match tok with
-      | Lexer.Comma -> elements (v :: acc)
-      | Lexer.Rbracket -> Value.Arr (List.rev (v :: acc))
-      | _ -> unexpected pos tok "',' or ']'"
+      match Lexer.next_kind lx with
+      | Lexer.K_comma -> elements (v :: acc)
+      | Lexer.K_rbracket -> Value.Arr (List.rev (v :: acc))
+      | _ -> unexpected_at lx "',' or ']'"
     in
-    let _, tok = Lexer.peek lx in
-    if tok = Lexer.Rbracket then begin
-      ignore (Lexer.next lx);
+    match Lexer.peek_kind lx with
+    | Lexer.K_rbracket ->
+      ignore (Lexer.next_kind lx);
       Value.Arr []
-    end
-    else begin
-      ignore open_pos;
-      elements []
-    end
+    | _ -> elements []
   in
   value 0
 
@@ -130,54 +132,56 @@ let parse_value mode budget lx =
    exactly the checks the building routes apply: syntax, duplicate
    object keys, literal-mode admission, and the budget guard per value
    ([units] fuel each, depth against the ceiling).  String {e values}
-   are validated but not decoded ({!Lexer.next_skip}); object keys are
-   decoded because duplicate detection compares them.  Errors are
+   are validated but not decoded ({!Lexer.next_kind_skip}); object keys
+   are decoded because duplicate detection compares them.  Errors are
    byte-identical to {!parse_value} / [Tree.of_string] on the same
    input, which is what lets the streaming validator fast-forward over
    unconstrained subtrees without weakening any check. *)
-let skip_value ?(units = 1) mode budget lx depth =
+let skip_value ?(units = 1) mode budget keys lx depth =
   let rec value depth =
-    let pos, tok = Lexer.next_skip lx in
-    guard ~units budget pos depth;
-    match tok with
-    | Lexer.Lbrace -> obj depth
-    | Lexer.Lbracket -> arr depth
-    | Lexer.String _ | Lexer.Nat _ | Lexer.Neg_int _ | Lexer.Float _
-    | Lexer.True | Lexer.False | Lexer.Null ->
-      ignore (literal_atom mode pos tok)
-    | Lexer.Rbrace | Lexer.Rbracket | Lexer.Colon | Lexer.Comma | Lexer.Eof ->
-      unexpected pos tok "a JSON value"
+    let k = Lexer.next_kind_skip lx in
+    guard ~units budget lx depth;
+    match k with
+    | Lexer.K_lbrace -> obj depth
+    | Lexer.K_lbracket -> arr depth
+    | Lexer.K_string | Lexer.K_nat -> ()
+    | Lexer.K_neg_int | Lexer.K_float | Lexer.K_true | Lexer.K_false
+    | Lexer.K_null ->
+      ignore (literal_atom mode lx k)
+    | Lexer.K_rbrace | Lexer.K_rbracket | Lexer.K_colon | Lexer.K_comma
+    | Lexer.K_eof ->
+      unexpected_at lx "a JSON value"
   and obj depth =
-    let seen = Hashtbl.create 8 in
+    let mark = Keyset.mark keys in
     let rec members () =
-      let pos, tok = Lexer.next lx in
-      match tok with
-      | Lexer.String key ->
-        if Hashtbl.mem seen key then fail pos "duplicate object key %S" key;
-        Hashtbl.add seen key ();
-        let pos, tok = Lexer.next lx in
-        if tok <> Lexer.Colon then unexpected pos tok "':'";
+      match Lexer.next_kind lx with
+      | Lexer.K_string ->
+        let key = Lexer.string_value lx in
+        if not (Keyset.add keys mark (Lexer.hash_string key) key) then
+          fail_at lx "duplicate object key %S" key;
+        expect_colon lx;
         value (depth + 1);
-        let pos, tok = Lexer.next lx in
-        (match tok with
-        | Lexer.Comma -> members ()
-        | Lexer.Rbrace -> ()
-        | _ -> unexpected pos tok "',' or '}'")
-      | _ -> unexpected pos tok "a string key"
+        (match Lexer.next_kind lx with
+        | Lexer.K_comma -> members ()
+        | Lexer.K_rbrace -> ()
+        | _ -> unexpected_at lx "',' or '}'")
+      | _ -> unexpected_at lx "a string key"
     in
-    let _, tok = Lexer.peek lx in
-    if tok = Lexer.Rbrace then ignore (Lexer.next lx) else members ()
+    (match Lexer.peek_kind lx with
+    | Lexer.K_rbrace -> ignore (Lexer.next_kind lx)
+    | _ -> members ());
+    Keyset.release keys mark
   and arr depth =
     let rec elements () =
       value (depth + 1);
-      let pos, tok = Lexer.next lx in
-      match tok with
-      | Lexer.Comma -> elements ()
-      | Lexer.Rbracket -> ()
-      | _ -> unexpected pos tok "',' or ']'"
+      match Lexer.next_kind lx with
+      | Lexer.K_comma -> elements ()
+      | Lexer.K_rbracket -> ()
+      | _ -> unexpected_at lx "',' or ']'"
     in
-    let _, tok = Lexer.peek lx in
-    if tok = Lexer.Rbracket then ignore (Lexer.next lx) else elements ()
+    match Lexer.peek_kind lx with
+    | Lexer.K_rbracket -> ignore (Lexer.next_kind lx)
+    | _ -> elements ()
   in
   value depth
 
@@ -188,12 +192,16 @@ let budget_of budget max_depth =
     Obs.Budget.depth_limited
       (Option.value ~default:Obs.Budget.default_max_depth max_depth)
 
+let expect_eof lx =
+  match Lexer.next_kind lx with
+  | Lexer.K_eof -> ()
+  | _ -> unexpected_at lx "end of input"
+
 let parse_exn ?(mode = `Strict) ?max_depth ?budget input =
   let budget = budget_of budget max_depth in
   let lx = Lexer.create input in
   let v = parse_value mode budget lx in
-  let pos, tok = Lexer.next lx in
-  if tok <> Lexer.Eof then unexpected pos tok "end of input";
+  expect_eof lx;
   v
 
 let wrap f =
@@ -220,8 +228,8 @@ let parse_many ?(mode = `Strict) ?budget input =
       let budget = budget_of budget None in
       let lx = Lexer.create input in
       let rec go acc =
-        let _, tok = Lexer.peek lx in
-        if tok = Lexer.Eof then List.rev acc
-        else go (parse_value mode budget lx :: acc)
+        match Lexer.peek_kind lx with
+        | Lexer.K_eof -> List.rev acc
+        | _ -> go (parse_value mode budget lx :: acc)
       in
       go [])

@@ -59,37 +59,51 @@ val parse_prefix : ?mode:[ `Strict | `Lenient ] -> ?budget:Obs.Budget.t
 val fail : Lexer.position -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Parse_error} at the given position. *)
 
+val fail_at : Lexer.t -> ('a, Format.formatter, unit, 'b) format4 -> 'a
+(** [fail] at the position of the lexer's current token. *)
+
 val unexpected : Lexer.position -> Lexer.token -> string -> 'a
 (** [unexpected pos tok expectation] fails with the parser's uniform
     "unexpected …, expected …" message. *)
 
+val unexpected_at : Lexer.t -> string -> 'a
+(** [unexpected] of the lexer's current token, at its position. *)
+
 type atom = Int of int | Str of string
 (** A leaf admitted into the model. *)
 
-val literal_atom :
-  [ `Strict | `Lenient ] -> Lexer.position -> Lexer.token -> atom
-(** Classify a literal token under the given mode; fails exactly like
-    the parser on literals outside the model.  Must only be applied to
-    literal tokens ([String]/[Nat]/[Neg_int]/[Float]/[True]/[False]/
-    [Null]). *)
+val literal_atom : [ `Strict | `Lenient ] -> Lexer.t -> Lexer.kind -> atom
+(** Classify the current literal token, of the given kind, under the
+    given mode; fails exactly like the parser on literals outside the
+    model.  Must only be applied to literal kinds ([K_string]/[K_nat]/
+    [K_neg_int]/[K_float]/[K_true]/[K_false]/[K_null]). *)
 
-val guard : ?units:int -> Obs.Budget.t -> Lexer.position -> int -> unit
+val guard : units:int -> Obs.Budget.t -> Lexer.t -> int -> unit
 (** One budget check per parsed value — depth against the ceiling and
-    [units] units of fuel (default [1]) — with exhaustion reported as a
-    positioned parse error. *)
+    [units] units of fuel — with exhaustion reported as a
+    parse error positioned at the lexer's current token (the value's
+    first token, scanned or peeked). *)
+
+val expect_colon : Lexer.t -> unit
+(** Consume a [':'], or fail as the parser does. *)
+
+val expect_eof : Lexer.t -> unit
+(** Consume the end of input, or fail as the parser does on trailing
+    input. *)
 
 val skip_value :
-  ?units:int -> [ `Strict | `Lenient ] -> Obs.Budget.t -> Lexer.t -> int
-  -> unit
-(** [skip_value mode budget lx depth] consumes one complete JSON value
-    starting at depth [depth] without building it, in memory
-    proportional to its nesting depth (plus the keys of open objects,
-    which duplicate detection must retain).  Every check the building
-    routes apply still applies — syntax, duplicate object keys,
-    literal admission under [mode], and the budget guard ([units] fuel
-    per value, default [1]) — with byte-identical errors, so skipping
-    never weakens validation.  String {e values} are validated without
-    being decoded. *)
+  ?units:int -> [ `Strict | `Lenient ] -> Obs.Budget.t -> Keyset.t
+  -> Lexer.t -> int -> unit
+(** [skip_value mode budget keys lx depth] consumes one complete JSON
+    value starting at depth [depth] without building it, in memory
+    proportional to its nesting depth plus the keys of open objects,
+    which duplicate detection must retain (in [keys], a set the caller
+    may share with the objects enclosing the value).  Every check the
+    building routes apply still applies — syntax, duplicate object
+    keys, literal admission under [mode], and the budget guard ([units]
+    fuel per value, default [1]) — with byte-identical errors, so
+    skipping never weakens validation.  String {e values} are validated
+    without being decoded. *)
 
 val budget_of : Obs.Budget.t option -> int option -> Obs.Budget.t
 (** The budget an entry point runs under: the explicit one if given,

@@ -286,49 +286,47 @@ let build_of_lexer ~mode ~base_depth ~budget ~capacity lx =
   let st_khash = vec ~capacity:stack_capacity 0 in
   let st_vhash = vec ~capacity:stack_capacity 0 in
   let rec value parent edge depth =
-    let pos, tok = Lexer.next lx in
+    let k = Lexer.next_kind lx in
     (* Budget parity with the two-stage route: one guard accounts both
        the parse unit and the tree-construction unit that [of_value]
        burns per node, positioned at the value's first token exactly
        like the parser's peek-then-guard. *)
-    Parser.guard ~units:2 budget pos depth;
+    Parser.guard ~units:2 budget lx depth;
     Obs.Metrics.incr "parse.values";
     (* stored depths are tree-relative; [depth] itself stays absolute so
        the ceiling applies to real document nesting when a spill starts
        [base_depth] levels down *)
     let id = new_node b parent edge (depth - base_depth) in
-    (match tok with
-    | Lexer.Lbrace -> obj id depth
-    | Lexer.Lbracket -> arr id depth
-    | Lexer.Nat k ->
-      b.b_kinds.(id) <- Kint k;
-      b.b_hashes.(id) <- mix (mix 0x811c9dc5 1) k
-    | Lexer.String s ->
-      b.b_kinds.(id) <- Kstr s;
-      b.b_hashes.(id) <- mix (mix 0x811c9dc5 2) (Hashtbl.hash s)
-    | Lexer.Neg_int _ | Lexer.Float _ | Lexer.True | Lexer.False
-    | Lexer.Null -> (
-      match Parser.literal_atom mode pos tok with
-      | Parser.Int k ->
-        b.b_kinds.(id) <- Kint k;
-        b.b_hashes.(id) <- mix (mix 0x811c9dc5 1) k
-      | Parser.Str s ->
-        b.b_kinds.(id) <- Kstr s;
-        b.b_hashes.(id) <- mix (mix 0x811c9dc5 2) (Hashtbl.hash s))
-    | Lexer.Rbrace | Lexer.Rbracket | Lexer.Colon | Lexer.Comma | Lexer.Eof ->
-      Parser.unexpected pos tok "a JSON value");
+    (match k with
+    | Lexer.K_lbrace -> obj id depth
+    | Lexer.K_lbracket -> arr id depth
+    | Lexer.K_nat -> set_int id (Lexer.int_value lx)
+    | Lexer.K_string -> set_str id (Lexer.string_value lx)
+    | Lexer.K_neg_int | Lexer.K_float | Lexer.K_true | Lexer.K_false
+    | Lexer.K_null -> (
+      match Parser.literal_atom mode lx k with
+      | Parser.Int k -> set_int id k
+      | Parser.Str s -> set_str id s)
+    | Lexer.K_rbrace | Lexer.K_rbracket | Lexer.K_colon | Lexer.K_comma
+    | Lexer.K_eof ->
+      Parser.unexpected_at lx "a JSON value");
     id
+  and set_int id k =
+    b.b_kinds.(id) <- Kint k;
+    b.b_hashes.(id) <- mix (mix 0x811c9dc5 1) k
+  and set_str id s =
+    b.b_kinds.(id) <- Kstr s;
+    b.b_hashes.(id) <- mix (mix 0x811c9dc5 2) (Hashtbl.hash s)
   and obj id depth =
     let base = st_ids.len and kbase = st_keys.len in
     let ht = ref 0 in
     let rec members () =
-      let pos, tok = Lexer.next lx in
-      match tok with
-      | Lexer.String key ->
+      match Lexer.next_kind lx with
+      | Lexer.K_string ->
+        let key = Lexer.string_value lx in
         if Hashtbl.mem by_key (id, key) then
-          Parser.fail pos "duplicate object key %S" key;
-        let pos, tok = Lexer.next lx in
-        if tok <> Lexer.Colon then Parser.unexpected pos tok "':'";
+          Parser.fail_at lx "duplicate object key %S" key;
+        Parser.expect_colon lx;
         let cid = value id (Key key) (depth + 1) in
         Hashtbl.add by_key (id, key) cid;
         vec_push st_ids cid;
@@ -336,15 +334,15 @@ let build_of_lexer ~mode ~base_depth ~budget ~capacity lx =
         vec_push st_khash (Hashtbl.hash key);
         vec_push st_vhash b.b_hashes.(cid);
         if b.b_heights.(cid) >= !ht then ht := b.b_heights.(cid) + 1;
-        let pos, tok = Lexer.next lx in
-        (match tok with
-        | Lexer.Comma -> members ()
-        | Lexer.Rbrace -> ()
-        | _ -> Parser.unexpected pos tok "',' or '}'")
-      | _ -> Parser.unexpected pos tok "a string key"
+        (match Lexer.next_kind lx with
+        | Lexer.K_comma -> members ()
+        | Lexer.K_rbrace -> ()
+        | _ -> Parser.unexpected_at lx "',' or '}'")
+      | _ -> Parser.unexpected_at lx "a string key"
     in
-    let _, tok = Lexer.peek lx in
-    if tok = Lexer.Rbrace then ignore (Lexer.next lx) else members ();
+    (match Lexer.peek_kind lx with
+    | Lexer.K_rbrace -> ignore (Lexer.next_kind lx)
+    | _ -> members ());
     let m = st_ids.len - base in
     if m > 0 then begin
       b.b_children.(id) <- Array.sub st_ids.data base m;
@@ -373,14 +371,14 @@ let build_of_lexer ~mode ~base_depth ~budget ~capacity lx =
       vec_push st_ids cid;
       if b.b_heights.(cid) >= !ht then ht := b.b_heights.(cid) + 1;
       h := mix !h b.b_hashes.(cid);
-      let pos, tok = Lexer.next lx in
-      match tok with
-      | Lexer.Comma -> elements ()
-      | Lexer.Rbracket -> ()
-      | _ -> Parser.unexpected pos tok "',' or ']'"
+      match Lexer.next_kind lx with
+      | Lexer.K_comma -> elements ()
+      | Lexer.K_rbracket -> ()
+      | _ -> Parser.unexpected_at lx "',' or ']'"
     in
-    let _, tok = Lexer.peek lx in
-    if tok = Lexer.Rbracket then ignore (Lexer.next lx) else elements ();
+    (match Lexer.peek_kind lx with
+    | Lexer.K_rbracket -> ignore (Lexer.next_kind lx)
+    | _ -> elements ());
     let m = st_ids.len - base in
     if m > 0 then b.b_children.(id) <- Array.sub st_ids.data base m;
     st_ids.len <- base;
@@ -412,14 +410,16 @@ let of_lexer_exn ?(mode = `Strict) ?(base_depth = 0) ~budget lx =
 let of_string_exn ?(mode = `Strict) ?max_depth ?budget input =
   let budget = Parser.budget_of budget max_depth in
   let lx = Lexer.create input in
-  (* the whole input is one value: every node costs at least four input
-     bytes amortized on realistic documents *)
+  (* the whole input is one value.  Records run 9–14 input bytes per
+     node: one node per 12 bytes keeps the columns of a record up to
+     3 KB under the minor heap's 256-word limit (an array above it is
+     allocated straight into the major heap, and trimmed there), at the
+     price of one doubling on the denser ones *)
   let t =
     build_of_lexer ~mode ~base_depth:0 ~budget
-      ~capacity:(String.length input / 4) lx
+      ~capacity:(String.length input / 12) lx
   in
-  let pos, tok = Lexer.next lx in
-  if tok <> Lexer.Eof then Parser.unexpected pos tok "end of input";
+  Parser.expect_eof lx;
   Obs.Metrics.add "parse.direct.bytes" (String.length input);
   Obs.Metrics.incr "parse.direct.docs";
   t

@@ -2,6 +2,7 @@ module Value = Jsont.Value
 module Tree = Jsont.Tree
 module Lexer = Jsont.Lexer
 module Parser = Jsont.Parser
+module Keyset = Jsont.Keyset
 module Dfa = Rexp.Dfa
 module Jsl = Jlogic.Jsl
 
@@ -16,6 +17,17 @@ type enum_entry = { e_hash : int; e_size : int; e_value : Value.t }
    ranges, so the executors have one array-dispatch mechanism and a
    node's size does not depend on the numbers written in it. *)
 type range = { lo : int; hi : int; r_plan : int }
+
+(* [properties] by key, hashed with {!Lexer.hash_string}: the stream
+   executor hashes a member key once, in place, for both duplicate
+   detection and this lookup.  Open addressing with linear probing over
+   a power-of-two table; [pk_plans.(i) = [||]] marks an empty slot
+   (every listed key has at least one plan). *)
+type props = {
+  pk_hashes : int array;
+  pk_keys : string array;
+  pk_plans : int array array;
+}
 
 (* One plan node is the compiled form of one schema conjunction or one
    JSL conjunction.  All subschema positions hold plan ids into the
@@ -42,7 +54,7 @@ type node = {
   min_props : int;
   max_props : int;
   required : string array;
-  props : (string, int array) Hashtbl.t;  (* key-dispatch table *)
+  props : props;  (* key-dispatch table *)
   pattern_props : (Dfa.t * int) array;
   additional : int array;  (* all [additionalProperties]; [] = absent *)
   ranges : range array;
@@ -212,18 +224,64 @@ let draft () =
     d_all_of = [];
     d_nots = [] }
 
+let rec props_slot table h key i =
+  if Array.length table.pk_plans.(i) = 0
+     || (table.pk_hashes.(i) = h && String.equal table.pk_keys.(i) key)
+  then i
+  else props_slot table h key ((i + 1) land (Array.length table.pk_plans - 1))
+
+let rec props_slot_token table h lx i =
+  if Array.length table.pk_plans.(i) = 0
+     || (table.pk_hashes.(i) = h && Lexer.string_equal lx table.pk_keys.(i))
+  then i
+  else
+    props_slot_token table h lx ((i + 1) land (Array.length table.pk_plans - 1))
+
+(* The slot of [key] in [table], or [-1]. *)
+let props_find table key =
+  let cap = Array.length table.pk_plans in
+  if cap = 0 then -1
+  else
+    let h = Lexer.hash_string key in
+    let i = props_slot table h key (h land (cap - 1)) in
+    if Array.length table.pk_plans.(i) > 0 then i else -1
+
+(* [props_find] of the lexer's current string token, whose hash is [h]. *)
+let props_find_token table h lx =
+  let cap = Array.length table.pk_plans in
+  if cap = 0 then -1
+  else
+    let i = props_slot_token table h lx (h land (cap - 1)) in
+    if Array.length table.pk_plans.(i) > 0 then i else -1
+
 let freeze d =
   (* key-dispatch: every plan listed for a key applies (duplicate
      [properties] entries conjoin, exactly as the interpreter's
      pair-by-pair sweep does) *)
-  let props = Hashtbl.create 8 in
+  let grouped = Hashtbl.create 8 in
   List.iter
     (fun (k, id) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt props k) in
-      Hashtbl.replace props k (id :: prev))
+      let prev = Option.value ~default:[] (Hashtbl.find_opt grouped k) in
+      Hashtbl.replace grouped k (id :: prev))
     d.d_props;
-  let props_arr = Hashtbl.create (Hashtbl.length props) in
-  Hashtbl.iter (fun k ids -> Hashtbl.replace props_arr k (Array.of_list ids)) props;
+  let cap =
+    let n = Hashtbl.length grouped in
+    let rec pow c = if c >= 2 * n then c else pow (2 * c) in
+    if n = 0 then 0 else pow 2
+  in
+  let props =
+    { pk_hashes = Array.make cap 0;
+      pk_keys = Array.make cap "";
+      pk_plans = Array.make cap [||] }
+  in
+  Hashtbl.iter
+    (fun k ids ->
+      let h = Lexer.hash_string k in
+      let i = props_slot props h k (h land (cap - 1)) in
+      props.pk_hashes.(i) <- h;
+      props.pk_keys.(i) <- k;
+      props.pk_plans.(i) <- Array.of_list ids)
+    grouped;
   { type_mask = d.d_type;
     patterns = Array.of_list d.d_patterns;
     min_bound = d.d_min;
@@ -232,7 +290,7 @@ let freeze d =
     min_props = d.d_min_props;
     max_props = d.d_max_props;
     required = Array.of_list (List.sort_uniq String.compare d.d_required);
-    props = props_arr;
+    props;
     pattern_props = Array.of_list (List.rev d.d_pattern_props);
     additional = Array.of_list d.d_additional;
     ranges = Array.of_list (List.rev d.d_ranges);
@@ -559,13 +617,13 @@ and obj_ok p st t n d nd =
      additionalProperties coverage together *)
   let n_pats = Array.length nd.pattern_props in
   let member_ok k c =
-    let plans = Hashtbl.find_opt nd.props k in
-    (match plans with None -> true | Some ps -> every p st t c ps d)
+    let pi = props_find nd.props k in
+    (pi < 0 || every p st t c nd.props.pk_plans.(pi) d)
     &&
     let rec pats j matched =
       if j >= n_pats then
         (* uncovered keys fall to additionalProperties (all of them) *)
-        matched || plans <> None
+        matched || pi >= 0
         || Array.length nd.additional = 0
         || every p st t c nd.additional d
       else
@@ -651,6 +709,8 @@ type stream_state = {
   s_budget : Obs.Budget.t;
   s_mode : [ `Strict | `Lenient ];
   s_lx : Lexer.t;
+  s_keys : Keyset.t;
+    (* the member keys of every open object, streamed or skipped *)
   s_closures : (int list, closure) Hashtbl.t;
     (* closures of multi-id requested sets (sorted), which repeat for
        every member a union dispatches the same way — cached per run *)
@@ -749,13 +809,14 @@ let rec pattern_hits key pps i acc =
     pattern_hits key pps (i + 1) (if Dfa.accepts re key then pid :: acc else acc)
 
 (* The child plan ids one closure node applies to the member [key]:
-   its [properties] entry and every matching [patternProperties] regex,
-   or all of [additionalProperties] when neither names the key. *)
-let member_dispatch nd key =
+   its [properties] entry (slot [pi] of [nd.props], or [-1]) and every
+   matching [patternProperties] regex, or all of [additionalProperties]
+   when neither names the key. *)
+let member_dispatch nd pi key =
   let pats = pattern_hits key nd.pattern_props 0 [] in
-  match Hashtbl.find_opt nd.props key with
-  | Some ps -> Array.fold_right (fun pid acc -> pid :: acc) ps pats
-  | None -> ( match pats with [] -> Array.to_list nd.additional | _ -> pats)
+  if pi >= 0 then
+    Array.fold_right (fun pid acc -> pid :: acc) nd.props.pk_plans.(pi) pats
+  else match pats with [] -> Array.to_list nd.additional | _ -> pats
 
 (* The child plan ids one closure node applies to the element at
    position [i]: those of its ranges covering [i], in range order. *)
@@ -772,9 +833,10 @@ let rec union_in u = function
   | [] -> u
   | pid :: rest -> union_in (if u = -1 || u = pid then pid else -2) rest
 
-let rec required_seen seen req i =
+let rec required_seen keys mark req i =
   i >= Array.length req
-  || (Hashtbl.mem seen req.(i) && required_seen seen req (i + 1))
+  || Keyset.mem keys mark (Lexer.hash_string req.(i)) req.(i)
+     && required_seen keys mark req (i + 1)
 
 (* One streamed value against the closure [c] of its requested plan
    ids.  Returns verdicts aligned with [c.c_ids] (a spill fills only
@@ -790,14 +852,15 @@ let rec required_seen seen req i =
 let rec stream_value st p c depth =
   let ids = c.c_ids in
   let n = Array.length ids in
-  let pos, tok = Lexer.peek st.s_lx in
-  Parser.guard ~units:(1 + n) st.s_budget pos depth;
+  let lx = st.s_lx in
+  let k = Lexer.peek_kind lx in
+  Parser.guard ~units:(1 + n) st.s_budget lx depth;
   let must_spill =
     c.c_cyclic
     ||
-    match tok with
-    | Lexer.Lbrace -> c.c_enum
-    | Lexer.Lbracket -> c.c_enum || c.c_unique
+    match k with
+    | Lexer.K_lbrace -> c.c_enum
+    | Lexer.K_lbracket -> c.c_enum || c.c_unique
     | _ -> false
   in
   if must_spill then spill st p c depth
@@ -805,20 +868,19 @@ let rec stream_value st p c depth =
     (* a spilled value is counted once, by the tree builder *)
     Obs.Metrics.incr "parse.values";
     let verdicts = Array.make n false in
-    let pos, tok = Lexer.next st.s_lx in
-    (match tok with
-    | Lexer.Lbrace -> stream_obj st p c depth verdicts
-    | Lexer.Lbracket -> stream_arr st p c depth verdicts
-    | Lexer.Nat v -> scalar_int p.nodes ids v verdicts
-    | Lexer.String s -> scalar_str p.nodes ids s verdicts
-    | Lexer.Neg_int _ | Lexer.Float _ | Lexer.True | Lexer.False
-    | Lexer.Null -> (
-      match Parser.literal_atom st.s_mode pos tok with
+    (match Lexer.next_kind lx with
+    | Lexer.K_lbrace -> stream_obj st p c depth verdicts
+    | Lexer.K_lbracket -> stream_arr st p c depth verdicts
+    | Lexer.K_nat -> scalar_int p.nodes ids (Lexer.int_value lx) verdicts
+    | Lexer.K_string -> scalar_str p.nodes ids (Lexer.string_value lx) verdicts
+    | ( Lexer.K_neg_int | Lexer.K_float | Lexer.K_true | Lexer.K_false
+      | Lexer.K_null ) as k -> (
+      match Parser.literal_atom st.s_mode lx k with
       | Parser.Int v -> scalar_int p.nodes ids v verdicts
       | Parser.Str s -> scalar_str p.nodes ids s verdicts)
-    | Lexer.Rbrace | Lexer.Rbracket | Lexer.Colon | Lexer.Comma | Lexer.Eof
-      ->
-      Parser.unexpected pos tok "a JSON value");
+    | Lexer.K_rbrace | Lexer.K_rbracket | Lexer.K_colon | Lexer.K_comma
+    | Lexer.K_eof ->
+      Parser.unexpected_at lx "a JSON value");
     combine c verdicts;
     verdicts
   end
@@ -833,7 +895,7 @@ and stream_child st p depth per_slot ok =
   match Array.fold_left union_in (-1) per_slot with
   | -1 ->
     let before = Lexer.offset st.s_lx in
-    Parser.skip_value st.s_mode st.s_budget st.s_lx (depth + 1);
+    Parser.skip_value st.s_mode st.s_budget st.s_keys st.s_lx (depth + 1);
     Obs.Metrics.add "validate.stream.skipped_bytes"
       (Lexer.offset st.s_lx - before)
   | -2 ->
@@ -857,41 +919,54 @@ and stream_obj st p c depth verdicts =
   let nodes = p.nodes in
   let ids = c.c_ids in
   let n = Array.length ids in
+  let lx = st.s_lx and keys = st.s_keys in
   let ok = Array.make n true in
   let per_slot = Array.make n [] in
-  let seen = Hashtbl.create 8 in
+  let found = Array.make n (-1) in
+  let mark = Keyset.mark keys in
   let arity = ref 0 in
   let rec members () =
-    let pos, tok = Lexer.next st.s_lx in
-    match tok with
-    | Lexer.String key ->
-      if Hashtbl.mem seen key then
-        Parser.fail pos "duplicate object key %S" key;
-      Hashtbl.add seen key ();
-      let pos, tok = Lexer.next st.s_lx in
-      if tok <> Lexer.Colon then Parser.unexpected pos tok "':'";
+    match Lexer.next_kind lx with
+    | Lexer.K_string ->
+      (* one hash of the key, in place, for the [properties] lookup of
+         every closure node and for duplicate detection; the key is
+         copied out only when no [properties] table holds it *)
+      let h = Lexer.string_hash lx in
+      let named = ref (-1) in
+      for i = 0 to n - 1 do
+        found.(i) <- props_find_token nodes.(ids.(i)).props h lx;
+        if found.(i) >= 0 && !named < 0 then named := i
+      done;
+      let key =
+        if !named < 0 then Lexer.string_value lx
+        else nodes.(ids.(!named)).props.pk_keys.(found.(!named))
+      in
+      if not (Keyset.add keys mark h key) then
+        Parser.fail_at lx "duplicate object key %S" key;
+      Parser.expect_colon lx;
       incr arity;
       for i = 0 to n - 1 do
-        per_slot.(i) <- member_dispatch nodes.(ids.(i)) key
+        per_slot.(i) <- member_dispatch nodes.(ids.(i)) found.(i) key
       done;
       stream_child st p depth per_slot ok;
-      let pos, tok = Lexer.next st.s_lx in
-      (match tok with
-      | Lexer.Comma -> members ()
-      | Lexer.Rbrace -> ()
-      | _ -> Parser.unexpected pos tok "',' or '}'")
-    | _ -> Parser.unexpected pos tok "a string key"
+      (match Lexer.next_kind lx with
+      | Lexer.K_comma -> members ()
+      | Lexer.K_rbrace -> ()
+      | _ -> Parser.unexpected_at lx "',' or '}'")
+    | _ -> Parser.unexpected_at lx "a string key"
   in
-  let _, tok = Lexer.peek st.s_lx in
-  if tok = Lexer.Rbrace then ignore (Lexer.next st.s_lx) else members ();
+  (match Lexer.peek_kind lx with
+  | Lexer.K_rbrace -> ignore (Lexer.next_kind lx)
+  | _ -> members ());
   for i = 0 to n - 1 do
     let nd = nodes.(ids.(i)) in
     verdicts.(i) <-
       nd.type_mask land 0b0001 <> 0
       && ok.(i)
       && !arity >= nd.min_props && !arity <= nd.max_props
-      && required_seen seen nd.required 0
-  done
+      && required_seen keys mark nd.required 0
+  done;
+  Keyset.release keys mark
 
 and stream_arr st p c depth verdicts =
   let nodes = p.nodes in
@@ -908,14 +983,14 @@ and stream_arr st p c depth verdicts =
       per_slot.(s) <- ranges_at rs i (Array.length rs - 1) []
     done;
     stream_child st p depth per_slot ok;
-    let pos, tok = Lexer.next st.s_lx in
-    match tok with
-    | Lexer.Comma -> elements ()
-    | Lexer.Rbracket -> ()
-    | _ -> Parser.unexpected pos tok "',' or ']'"
+    match Lexer.next_kind st.s_lx with
+    | Lexer.K_comma -> elements ()
+    | Lexer.K_rbracket -> ()
+    | _ -> Parser.unexpected_at st.s_lx "',' or ']'"
   in
-  let _, tok = Lexer.peek st.s_lx in
-  if tok = Lexer.Rbracket then ignore (Lexer.next st.s_lx) else elements ();
+  (match Lexer.peek_kind st.s_lx with
+  | Lexer.K_rbracket -> ignore (Lexer.next_kind st.s_lx)
+  | _ -> elements ());
   for s = 0 to n - 1 do
     let nd = nodes.(ids.(s)) in
     verdicts.(s) <-
@@ -950,12 +1025,12 @@ let run_lexer
     { s_budget = budget;
       s_mode = mode;
       s_lx = lx;
+      s_keys = Keyset.create ();
       s_closures = Hashtbl.create 8 }
   in
   let c = singleton_closure p p.root in
   let v = stream_value st p c 0 in
-  let pos, tok = Lexer.next lx in
-  if tok <> Lexer.Eof then Parser.unexpected pos tok "end of input";
+  Parser.expect_eof lx;
   v.(c.c_requested.(0))
 
 let run_stream ?budget ?mode p input =

@@ -393,6 +393,35 @@ if [ "$std7" != "$(printf '%s' "$nd1" | sed "s|^$nd:|-:|")" ]; then
   printf '%s\n---\n%s\n' "$std7" "$nd1" >&2
   exit 1
 fi
+# The work counters must not see the chunking either.  Over the same
+# corpus, under the CLI schema and under two more that make the
+# executor skip members and spill documents, the totals of
+# parse.values, validate.stream.skipped_bytes, validate.stream.spills
+# and validate.stream.runs at --chunk-bytes 7 equal the default's.
+printf '%s' '{"properties":{"a":{"type":"number"}}}' > "$sdir/skip.json"
+printf '%s' '{"anyOf":[{"enum":[{"a":0}]},{"required":["a"]}]}' > "$sdir/spill.json"
+work_counters() {
+  wc_schema=$1
+  shift
+  timeout 120 "$JSONLOGIC" validate -s "$wc_schema" --stream --metrics "$@" "$nd" 2>&1 >/dev/null |
+    grep -E '^(parse\.values|validate\.stream\.(skipped_bytes|spills|runs)) ' || true
+}
+for cs in schema skip spill; do
+  c_default=$(work_counters "$sdir/$cs.json")
+  c7=$(work_counters "$sdir/$cs.json" --chunk-bytes 7)
+  if [ "$c7" != "$c_default" ]; then
+    echo "FAIL: $cs.json: --chunk-bytes 7 work counters differ from the default" >&2
+    printf '%s\n---\n%s\n' "$c_default" "$c7" >&2
+    exit 1
+  fi
+  case $cs:$c_default in
+    schema:*"validate.stream.runs"*) ;;
+    skip:*"validate.stream.skipped_bytes"*) ;;
+    spill:*"validate.stream.spills"*) ;;
+    *) echo "FAIL: $cs.json: expected work counters missing: $c_default" >&2
+       exit 1 ;;
+  esac
+done
 echo "feed-lexer chunk-size identity gate passed"
 
 # Streaming RSS ceiling: validating ~100 MB of NDJSON must complete

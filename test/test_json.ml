@@ -967,11 +967,75 @@ let pp_lex_outcome fmt o =
   | None -> Format.fprintf fmt "<ok>"
   | Some (p, m) -> Format.fprintf fmt "error %d:%d:%d %s" p.line p.col p.offset m
 
+(* The current token rebuilt from the cursor's accessors alone; the
+   in-place hash and comparison must agree with the copied body. *)
+let cursor_token lx (k : Lexer.kind) =
+  match k with
+  | Lexer.K_lbrace -> Lexer.Lbrace
+  | Lexer.K_rbrace -> Lexer.Rbrace
+  | Lexer.K_lbracket -> Lexer.Lbracket
+  | Lexer.K_rbracket -> Lexer.Rbracket
+  | Lexer.K_colon -> Lexer.Colon
+  | Lexer.K_comma -> Lexer.Comma
+  | Lexer.K_string ->
+    let s = Lexer.string_value lx in
+    if Lexer.string_hash lx <> Lexer.hash_string s then
+      Alcotest.failf "string_hash of %S differs from hash_string" s;
+    if not (Lexer.string_equal lx s && not (Lexer.string_equal lx (s ^ "x")))
+    then Alcotest.failf "string_equal disagrees on %S" s;
+    Lexer.String s
+  | Lexer.K_nat -> Lexer.Nat (Lexer.int_value lx)
+  | Lexer.K_neg_int -> Lexer.Neg_int (Lexer.int_value lx)
+  | Lexer.K_float -> Lexer.Float (Lexer.float_value lx)
+  | Lexer.K_true -> Lexer.True
+  | Lexer.K_false -> Lexer.False
+  | Lexer.K_null -> Lexer.Null
+  | Lexer.K_eof -> Lexer.Eof
+
+(* The cursor over a refill lexer fed [chunks]: every other token is
+   peeked first, the next chunk is fed while it is current (so the
+   window compacts under it), and it must read the same off the
+   accessors after the [next_kind] that consumes it as before. *)
+let cursor_outcome chunks =
+  let rest = ref chunks in
+  let rec feed_next lx =
+    match !rest with
+    | [] -> false
+    | c :: tl ->
+      rest := tl;
+      c <> "" && begin Lexer.feed_string lx c; true end || feed_next lx
+  in
+  let refill lx = if not (feed_next lx) then Lexer.close lx in
+  let lx = Lexer.create_feed ~refill () in
+  let read k = (Lexer.token_position lx, cursor_token lx k) in
+  let rec go i acc =
+    match
+      if i mod 2 = 0 then Lexer.next_kind lx
+      else begin
+        let k = Lexer.peek_kind lx in
+        let peeked = read k in
+        ignore (feed_next lx);
+        let k' = Lexer.next_kind lx in
+        if k' <> k || read k' <> peeked then
+          Alcotest.failf "token %d reads differently once consumed" i;
+        k
+      end
+    with
+    | Lexer.K_eof -> { lex_toks = List.rev acc; lex_err = None }
+    | k -> go (i + 1) (read k :: acc)
+    | exception Lexer.Error (p, m) ->
+      { lex_toks = List.rev acc; lex_err = Some (p, m) }
+  in
+  go 0 []
+
 let check_feed_matches name input chunks =
-  let a = oneshot_outcome input and b = feed_outcome chunks in
-  if a.lex_toks <> b.lex_toks || a.lex_err <> b.lex_err then
-    Alcotest.failf "feed differs from one-shot (%s) on %S:@.one-shot: %a@.feed: %a"
-      name input pp_lex_outcome a pp_lex_outcome b
+  let a = oneshot_outcome input in
+  List.iter
+    (fun (leg, b) ->
+      if a.lex_toks <> b.lex_toks || a.lex_err <> b.lex_err then
+        Alcotest.failf "%s differs from one-shot (%s) on %S:@.one-shot: %a@.%s: %a"
+          leg name input pp_lex_outcome a leg pp_lex_outcome b)
+    [ ("feed", feed_outcome chunks); ("cursor", cursor_outcome chunks) ]
 
 (* valid and invalid documents exercising every stateful corner of the
    lexer: escapes, surrogate pairs, raw multi-byte UTF-8, deep nesting,
@@ -983,6 +1047,12 @@ let feed_corpus =
     "[\"h\xc3\xa9llo\", \"\xe6\x97\xa5\xe6\x9c\xac\", \"\xf0\x9f\x90\x98\xf0\x9f\x90\x98\"]";
     String.make 30 '[' ^ "0" ^ String.make 30 ']';
     {|[0, -0, 123456789012345678, 4611686018427387903, 0.5, 1.25e10, 3.141592653589793e-10, 2E+2]|};
+    (* the edges of in-place integer accumulation (18 digits) and of
+       the int range *)
+    "[999999999999999999,-999999999999999999,"
+    ^ "4611686018427387903,-4611686018427387904,-0]";
+    "4611686018427387904";
+    "-4611686018427387905";
     {|[true,false,null,{},[]]|};
     "  { \"a\" : [ 1 ,\n 2 ] }\n";
     "";
@@ -1173,6 +1243,59 @@ let contains_substring ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Word counters repeat exactly on one binary, unlike timings, so these
+   pin the allocation the lexer cursor took out of the readers.  The
+   minor figure comes from [Gc.minor_words] ([Gc.counters] misses most
+   minor allocation on OCaml 5.1); the direct major figure is major
+   allocation net of promotions: arrays too large for the minor heap. *)
+let catalog_texts =
+  lazy
+    (let rng = Jworkload.Prng.create 11 in
+     Array.init 200 (fun _ ->
+         Value.to_string (Jworkload.Catalog.catalog_doc rng)))
+
+let words_per_byte texts f =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled false;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) @@ fun () ->
+  let bytes = Array.fold_left (fun a s -> a + String.length s) 0 texts in
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  Array.iter f texts;
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  let b = float_of_int bytes in
+  ((minor1 -. minor0) /. b, (major1 -. major0 -. (promoted1 -. promoted0)) /. b)
+
+let test_cursor_allocation () =
+  (* catalog text is escape-free: no token needs a decode buffer *)
+  let minor, _ =
+    words_per_byte (Lazy.force catalog_texts) (fun text ->
+        let lx = Lexer.create text in
+        let rec drain () =
+          match Lexer.next_kind lx with
+          | Lexer.K_eof -> ()
+          | Lexer.K_string ->
+            ignore (Lexer.string_hash lx);
+            drain ()
+          | _ -> drain ()
+        in
+        drain ())
+  in
+  if minor > 0.5 then
+    Alcotest.failf "cursor loop allocated %.2f minor words/B (budget 0.5)" minor
+
+let test_of_string_major_allocation () =
+  let _, major =
+    words_per_byte (Lazy.force catalog_texts) (fun text ->
+        ignore (Tree.of_string_exn text))
+  in
+  if major >= 0.1 then
+    Alcotest.failf "Tree.of_string allocated %.3f major words/B (budget 0.1)"
+      major
+
 let test_number_overflow () =
   List.iter
     (fun text ->
@@ -1284,6 +1407,10 @@ let () =
          Alcotest.test_case "number overflow" `Quick test_number_overflow;
          Alcotest.test_case "pointer index overflow" `Quick
            test_pointer_index_overflow ]);
+      ("allocation",
+       [ Alcotest.test_case "cursor loop" `Quick test_cursor_allocation;
+         Alcotest.test_case "Tree.of_string major heap" `Quick
+           test_of_string_major_allocation ]);
       ("xml coding",
        [ Alcotest.test_case "basics" `Quick test_xml_coding;
          Alcotest.test_case "number text strictness" `Quick

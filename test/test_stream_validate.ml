@@ -146,6 +146,23 @@ let test_error_identity () =
       {|{"deep":{"deeper":{"x":[1,{"y":tru}]}}}|} ]
   in
   List.iter (fun text -> check_agree plan text) cases;
+  (* duplicate keys against the run's one key set: past its growth, an
+     enclosing object's key reused inside (not a duplicate), a nested
+     object closing before the duplicate, in streamed and in skipped
+     members *)
+  let members prefix n =
+    String.concat "," (List.init n (fun i -> Printf.sprintf {|"%s%d":%d|} prefix i i))
+  in
+  let dup_cases =
+    [ Printf.sprintf "{%s,\"k7\":1}" (members "k" 40);
+      {|{"a":{"a":{"a":1}},"b":{"a":1},"c":[{"a":1},{"a":1}]}|};
+      Printf.sprintf "{%s,\"n\":{%s},\"o3\":1}" (members "o" 20) (members "i" 40);
+      Printf.sprintf "{%s,\"n\":{%s,\"i3\":1}}" (members "o" 20) (members "i" 40);
+      {|{"x":1,"n":{"x":1,"y":2,"y":3}}|} ]
+  in
+  List.iter
+    (fun plan -> List.iter (fun text -> check_agree plan text) dup_cases)
+    [ plan; plan_of {|{"properties":{"a":{"type":"object"}}}|} ];
   (* and with a mutation sweep over a well-formed document: truncations
      and byte injections at every offset *)
   let rng = Jworkload.Prng.create 99 in
@@ -338,6 +355,31 @@ let test_spill_sized_by_subtree () =
   Alcotest.(check bool) "document validates" true ok;
   if w >= 16384. then
     Alcotest.failf "one spill ahead of 256 KiB allocated %.0f words" w
+
+let test_catalog_allocation () =
+  (* the stream executor's allocation budget on catalog documents: the
+     lexer cursor, one key hash per member and one key set per run keep
+     it under 5 words per byte *)
+  let plan = plan_of Jworkload.Catalog.catalog_schema in
+  let rng = Jworkload.Prng.create 11 in
+  let texts =
+    Array.init 200 (fun _ ->
+        Jsont.Value.to_string (Jworkload.Catalog.catalog_doc rng))
+  in
+  let bytes = Array.fold_left (fun a s -> a + String.length s) 0 texts in
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled false;
+  let (), w =
+    Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) @@ fun () ->
+    words_allocated (fun () ->
+        Array.iter
+          (fun text ->
+            ignore (Plan.run_stream ~budget:(Obs.Budget.create ()) plan text))
+          texts)
+  in
+  let per_byte = w /. float_of_int bytes in
+  if per_byte > 5. then
+    Alcotest.failf "run_stream allocated %.2f words/B (budget 5)" per_byte
 
 let test_spill_parse_values () =
   (* a spilled value is one parsed value, counted once *)
@@ -597,7 +639,9 @@ let () =
          Alcotest.test_case "sized by its subtree" `Quick
            test_spill_sized_by_subtree;
          Alcotest.test_case "parse.values counted once" `Quick
-           test_spill_parse_values ]);
+           test_spill_parse_values;
+         Alcotest.test_case "catalog words per byte" `Quick
+           test_catalog_allocation ]);
       ("multi-id",
        [ Alcotest.test_case "stream = tree = interpreter, every split" `Quick
            test_multi_id_dispatch ]);
