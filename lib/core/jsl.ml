@@ -90,9 +90,15 @@ let rec is_deterministic = function
     false
 
 let free_vars f =
+  let seen = Hashtbl.create 16 in
   let rec go acc = function
     | True | Test _ -> acc
-    | Var v -> if List.mem v acc then acc else v :: acc
+    | Var v ->
+      if Hashtbl.mem seen v then acc
+      else begin
+        Hashtbl.add seen v ();
+        v :: acc
+      end
     | Not f | Dia_keys (_, f) | Box_keys (_, f) | Dia_range (_, _, f)
     | Box_range (_, _, f) ->
       go acc f

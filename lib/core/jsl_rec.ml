@@ -16,53 +16,61 @@ let nonmodal_vars f =
   in
   List.sort_uniq String.compare (go [] f)
 
-let precedence_graph t =
-  List.map (fun (v, def) -> (v, nonmodal_vars def)) t.defs
+(* Each symbol's first definition, by name. *)
+let definitions t =
+  let table = Hashtbl.create (List.length t.defs) in
+  List.iter
+    (fun (v, def) -> if not (Hashtbl.mem table v) then Hashtbl.add table v def)
+    t.defs;
+  table
 
+(* The precedence graph's edges out of a symbol, from its first
+   definition; [] when it has none. *)
+let successors t =
+  let graph = Hashtbl.create (List.length t.defs) in
+  Hashtbl.iter (fun v def -> Hashtbl.add graph v (nonmodal_vars def)) (definitions t);
+  fun v -> Option.value ~default:[] (Hashtbl.find_opt graph v)
+
+exception Ill_formed of string
+
+let ill_formed fmt = Printf.ksprintf (fun m -> raise (Ill_formed m)) fmt
+
+(* Definitions are looked up in one table, so the cost is linear in the
+   formulas.  Errors are the first in order of the first failing
+   check. *)
 let well_formed t =
-  let defined = List.map fst t.defs in
-  let dup =
-    let rec find = function
-      | [] -> None
-      | v :: rest -> if List.mem v rest then Some v else find rest
+  let count = Hashtbl.create (List.length t.defs) in
+  List.iter
+    (fun (v, _) ->
+      Hashtbl.replace count v (1 + Option.value ~default:0 (Hashtbl.find_opt count v)))
+    t.defs;
+  match
+    List.iter
+      (fun (v, _) ->
+        if Hashtbl.find count v > 1 then ill_formed "symbol $%s defined twice" v)
+      t.defs;
+    List.iter
+      (fun f ->
+        List.iter
+          (fun v -> if not (Hashtbl.mem count v) then ill_formed "undefined symbol $%s" v)
+          (Jsl.free_vars f))
+      (t.base :: List.map snd t.defs);
+    (* acyclicity of the precedence graph by DFS *)
+    let succs = successors t in
+    let color = Hashtbl.create (Hashtbl.length count) in
+    let rec visit v =
+      match Hashtbl.find_opt color v with
+      | Some `Done -> ()
+      | Some `Active -> ill_formed "precedence cycle through $%s" v
+      | None ->
+        Hashtbl.replace color v `Active;
+        List.iter visit (succs v);
+        Hashtbl.replace color v `Done
     in
-    find defined
-  in
-  match dup with
-  | Some v -> Error (Printf.sprintf "symbol $%s defined twice" v)
-  | None -> (
-    let undefined =
-      List.concat_map
-        (fun f -> List.filter (fun v -> not (List.mem v defined)) (Jsl.free_vars f))
-        (t.base :: List.map snd t.defs)
-    in
-    match undefined with
-    | v :: _ -> Error (Printf.sprintf "undefined symbol $%s" v)
-    | [] ->
-      (* acyclicity of the precedence graph by DFS *)
-      let graph = precedence_graph t in
-      let color = Hashtbl.create 16 in
-      let rec visit v =
-        match Hashtbl.find_opt color v with
-        | Some `Done -> Ok ()
-        | Some `Active -> Error (Printf.sprintf "precedence cycle through $%s" v)
-        | None ->
-          Hashtbl.replace color v `Active;
-          let rec visit_all = function
-            | [] ->
-              Hashtbl.replace color v `Done;
-              Ok ()
-            | w :: rest -> (
-              match visit w with Ok () -> visit_all rest | Error _ as e -> e)
-          in
-          visit_all (try List.assoc v graph with Not_found -> [])
-      in
-      let rec all = function
-        | [] -> Ok ()
-        | (v, _) :: rest -> (
-          match visit v with Ok () -> all rest | Error _ as e -> e)
-      in
-      all t.defs)
+    List.iter (fun (v, _) -> visit v) t.defs
+  with
+  | () -> Ok ()
+  | exception Ill_formed m -> Error m
 
 let make ~defs ~base =
   let t = { defs; base } in
@@ -80,14 +88,14 @@ let size t =
    symbol is always computed after the symbols it references outside
    modal operators. *)
 let topo_defs t =
-  let graph = precedence_graph t in
+  let succs = successors t and defs = definitions t in
   let visited = Hashtbl.create 16 in
   let order = ref [] in
   let rec visit v =
     if not (Hashtbl.mem visited v) then begin
       Hashtbl.add visited v ();
-      List.iter visit (try List.assoc v graph with Not_found -> []);
-      match List.assoc_opt v t.defs with
+      List.iter visit (succs v);
+      match Hashtbl.find_opt defs v with
       | Some def -> order := (v, def) :: !order
       | None -> ()
     end

@@ -25,10 +25,6 @@ val make_exn : defs:(string * Jsl.t) list -> base:Jsl.t -> t
 
 val well_formed : t -> (unit, string) result
 
-val precedence_graph : t -> (string * string list) list
-(** For each definition, the symbols it references outside any modal
-    operator. *)
-
 val size : t -> int
 
 val unfold : t -> height:int -> Jsl.t

@@ -1,4 +1,7 @@
 (** Duplicate-key detection for nested objects, in one table per parse.
+    One key set per parse serves every reader: {!Parser.parse} and
+    {!Parser.skip_value}, and the streaming validator, which shares its
+    set with the values it skips.
 
     An object takes a {!mark} when it opens, {!add}s its keys under
     that mark, and {!release}s them when it closes.  An object nested

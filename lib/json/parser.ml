@@ -79,6 +79,7 @@ let expect_colon lx =
   | _ -> unexpected_at lx "':'"
 
 let parse_value mode budget lx =
+  let keys = Keyset.create () in
   let rec value depth =
     ignore (Lexer.peek_kind lx);
     guard ~units:1 budget lx depth;
@@ -93,17 +94,21 @@ let parse_value mode budget lx =
     | Lexer.K_eof ->
       unexpected_at lx "a JSON value"
   and obj depth =
+    let mark = Keyset.mark keys in
     let rec members acc =
       match Lexer.next_kind lx with
       | Lexer.K_string ->
         let key = Lexer.string_value lx in
-        if List.mem_assoc key acc then fail_at lx "duplicate object key %S" key;
+        if not (Keyset.add keys mark (Lexer.hash_string key) key) then
+          fail_at lx "duplicate object key %S" key;
         expect_colon lx;
         let v = value (depth + 1) in
         let acc = (key, v) :: acc in
         (match Lexer.next_kind lx with
         | Lexer.K_comma -> members acc
-        | Lexer.K_rbrace -> Value.Obj (List.rev acc)
+        | Lexer.K_rbrace ->
+          Keyset.release keys mark;
+          Value.Obj (List.rev acc)
         | _ -> unexpected_at lx "',' or '}'")
       | _ -> unexpected_at lx "a string key"
     in

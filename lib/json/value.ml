@@ -15,18 +15,33 @@ let num n =
 let str s = Str s
 let arr vs = Arr vs
 
+(* Short lists, as schema objects nearly always are, are checked
+   pairwise without allocating; longer ones through a table.  Both
+   report the key whose second binding comes first. *)
 let duplicate_key kvs =
-  let tbl = Hashtbl.create (List.length kvs) in
-  let rec go = function
-    | [] -> None
-    | (k, _) :: rest ->
-      if Hashtbl.mem tbl k then Some k
-      else begin
-        Hashtbl.add tbl k ();
-        go rest
-      end
-  in
-  go kvs
+  if List.compare_length_with kvs 16 <= 0 then
+    (* is [k] among the first [i] keys? *)
+    let rec earlier k i = function
+      | (k', _) :: rest when i > 0 -> String.equal k k' || earlier k (i - 1) rest
+      | _ -> false
+    in
+    let rec go i = function
+      | [] -> None
+      | (k, _) :: rest -> if earlier k i kvs then Some k else go (i + 1) rest
+    in
+    go 0 kvs
+  else
+    let tbl = Hashtbl.create (List.length kvs) in
+    let rec go = function
+      | [] -> None
+      | (k, _) :: rest ->
+        if Hashtbl.mem tbl k then Some k
+        else begin
+          Hashtbl.add tbl k ();
+          go rest
+        end
+    in
+    go kvs
 
 let obj kvs =
   match duplicate_key kvs with

@@ -54,6 +54,23 @@ let mem c s =
   in
   Int64.logand w b <> 0L
 
+(* Bits [base .. base+63] of [inside] from one word, read through two
+   native 32-bit halves so that nothing is boxed. *)
+let fill_word w base inside =
+  let lo = Int64.to_int (Int64.logand w 0xFFFF_FFFFL)
+  and hi = Int64.to_int (Int64.shift_right_logical w 32) in
+  for i = 0 to 31 do
+    inside.(base + i) <- (lo lsr i) land 1 = 1;
+    inside.(base + 32 + i) <- (hi lsr i) land 1 = 1
+  done
+
+let fill_mem s inside =
+  if Array.length inside <> 256 then invalid_arg "Charset.fill_mem";
+  fill_word s.w0 0 inside;
+  fill_word s.w1 64 inside;
+  fill_word s.w2 128 inside;
+  fill_word s.w3 192 inside
+
 let is_empty s = s.w0 = 0L && s.w1 = 0L && s.w2 = 0L && s.w3 = 0L
 let equal a b = a.w0 = b.w0 && a.w1 = b.w1 && a.w2 = b.w2 && a.w3 = b.w3
 

@@ -21,6 +21,12 @@ val of_string : string -> t
 (** Set of the bytes occurring in the string. *)
 
 val mem : char -> t -> bool
+
+val fill_mem : t -> bool array -> unit
+(** [fill_mem s inside] sets [inside.(b)] to [mem (Char.chr b) s] for
+    every byte [b], without allocating.
+    @raise Invalid_argument unless [inside] has length 256. *)
+
 val union : t -> t -> t
 val inter : t -> t -> t
 val diff : t -> t -> t

@@ -20,28 +20,82 @@ let byte_order =
     @ range (Char.code '0') (Char.code '9')
     @ List.map Char.code [ '_'; '-'; '.'; ' ' ]
   in
-  preferred @ List.filter (fun b -> not (List.mem b preferred)) (range 0 255)
+  Array.of_list
+    (preferred @ List.filter (fun b -> not (List.mem b preferred)) (range 0 255))
+
+(* A partition of the bytes under refinement.  Labels are arbitrary but
+   stay below 256: a split gives a fresh label only to the part of a
+   class that a charset cuts off, so every label names a nonempty
+   class. *)
+type refinement = {
+  label : int array;  (* byte -> class label *)
+  size : int array;  (* label -> bytes in the class *)
+  hits : int array;  (* label -> bytes of the class inside the charset *)
+  moved : int array;  (* label -> label of its inside part, or -1 *)
+  mutable labels : int;
+}
+
+let refinement label labels =
+  let size = Array.make 256 0 in
+  for b = 0 to 255 do
+    size.(label.(b)) <- size.(label.(b)) + 1
+  done;
+  { label; size; hits = Array.make 256 0; moved = Array.make 256 (-1); labels }
+
+(* Split every class that [inside] cuts in two. *)
+let split r inside =
+  for b = 0 to 255 do
+    if inside.(b) then
+      let l = r.label.(b) in
+      r.hits.(l) <- r.hits.(l) + 1
+  done;
+  let labels = r.labels in
+  for l = 0 to labels - 1 do
+    let h = r.hits.(l) in
+    if h > 0 && h < r.size.(l) then begin
+      r.moved.(l) <- r.labels;
+      r.size.(r.labels) <- h;
+      r.size.(l) <- r.size.(l) - h;
+      r.labels <- r.labels + 1
+    end;
+    r.hits.(l) <- 0
+  done;
+  for b = 0 to 255 do
+    if inside.(b) then
+      let m = r.moved.(r.label.(b)) in
+      if m >= 0 then r.label.(b) <- m
+  done;
+  Array.fill r.moved 0 labels (-1)
+
+(* Classes numbered by first byte in [byte_order], which is also each
+   class's representative; the labels are renumbered in place. *)
+let number r =
+  let id = Array.make r.labels (-1) in
+  let reps = Array.make r.labels '\000' in
+  let count = ref 0 in
+  for j = 0 to 255 do
+    let b = byte_order.(j) in
+    let l = r.label.(b) in
+    if id.(l) < 0 then begin
+      id.(l) <- !count;
+      reps.(!count) <- Char.unsafe_chr b;
+      incr count
+    end;
+    r.label.(b) <- id.(l)
+  done;
+  (r.label, !count, reps)
 
 (* Partition bytes so that two bytes in the same class belong to exactly
-   the same charsets of [sets].  Classes are signatures of membership. *)
+   the same charsets of [sets], splitting by one charset at a time. *)
 let partition_of_sets sets =
-  let class_of = Array.make 256 0 in
-  let signatures = Hashtbl.create 16 in
-  let class_count = ref 0 in
-  let reps = ref [] in
-  List.iter (fun b ->
-    let c = Char.chr b in
-    let signature = List.map (fun cs -> Charset.mem c cs) sets in
-    match Hashtbl.find_opt signatures signature with
-    | Some id -> class_of.(b) <- id
-    | None ->
-      let id = !class_count in
-      incr class_count;
-      Hashtbl.add signatures signature id;
-      class_of.(b) <- id;
-      reps := c :: !reps)
-    byte_order;
-  (class_of, !class_count, Array.of_list (List.rev !reps))
+  let r = refinement (Array.make 256 0) 1 in
+  let inside = Array.make 256 false in
+  List.iter
+    (fun cs ->
+      Charset.fill_mem cs inside;
+      split r inside)
+    sets;
+  number r
 
 let collect_charsets nfa =
   let acc = ref [] in
@@ -102,27 +156,21 @@ let complement t = { t with accept = Array.map not t.accept }
 
 (* ---- products ---------------------------------------------------------- *)
 
-(* Common refinement of two alphabet partitions. *)
+(* Common refinement of two alphabet partitions: [a]'s, split by each
+   class of [b]'s. *)
 let refine a b =
-  let class_of = Array.make 256 0 in
-  let pair_ids = Hashtbl.create 16 in
-  let count = ref 0 in
-  let reps = ref [] in
-  List.iter (fun byte ->
-    let pair = (a.class_of.(byte), b.class_of.(byte)) in
-    match Hashtbl.find_opt pair_ids pair with
-    | Some id -> class_of.(byte) <- id
-    | None ->
-      let id = !count in
-      incr count;
-      Hashtbl.add pair_ids pair id;
-      class_of.(byte) <- id;
-      reps := Char.chr byte :: !reps)
-    byte_order;
-  (class_of, !count, Array.of_list (List.rev !reps))
+  let r = refinement (Array.copy a) (1 + Array.fold_left max 0 a) in
+  let inside = Array.make 256 false in
+  for k = 0 to Array.fold_left max 0 b do
+    for x = 0 to 255 do
+      inside.(x) <- b.(x) = k
+    done;
+    split r inside
+  done;
+  number r
 
 let product combine a b =
-  let class_of, class_count, reps = refine a b in
+  let class_of, class_count, reps = refine a.class_of b.class_of in
   let ids = Hashtbl.create 64 in
   let worklist = Queue.create () in
   let trans_rev = ref [] and accept_rev = ref [] and count = ref 0 in

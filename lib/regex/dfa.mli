@@ -58,3 +58,25 @@ val to_syntax : t -> Syntax.t
     [additionalProperties] — as expressions that JSL modalities and
     schema keywords can carry.  The result can be large; the input is
     minimized first to keep it manageable. *)
+
+(** {1 Alphabet partitions}
+
+    The alphabets {!of_syntax} and the products build their tables
+    over.  A partition is [(class_of, class_count, reps)]: [class_of]
+    maps each byte to its class, and [reps.(c)] is class [c]'s
+    representative.  Classes are numbered by their first byte in a
+    fixed witness-friendly order (letters, digits, [_-. ], then every
+    other byte by code), and that first byte is the representative, so
+    witnesses read off [reps] are printable where the language allows
+    it. *)
+
+val partition_of_sets : Charset.t list -> int array * int * char array
+(** The coarsest partition in which each of the charsets is a union of
+    classes: two bytes share a class iff they belong to the same
+    charsets.  Built by splitting the alphabet one charset at a time. *)
+
+val refine : int array -> int array -> int array * int * char array
+(** [refine a b] is the common refinement of the two byte-to-class maps
+    [a] and [b]: two bytes share a class iff they share one in both.
+    Each map numbers its classes [0 .. n-1] with none empty, as every
+    partition built here does. *)

@@ -108,7 +108,7 @@ let node_count p = Array.length p.nodes
 (* Shared by both front ends: ['k] is what is hash-consed and defined —
    schemas for {!compile}, formulas for {!of_jsl}. *)
 type 'k builder = {
-  defs : (string * 'k) list;
+  defs : (string, 'k) Hashtbl.t;  (* each name's first definition *)
   assigned : (int, node) Hashtbl.t;
   ids : ('k, int) Hashtbl.t;  (* structural hash-consing *)
   def_ids : (string, int) Hashtbl.t;
@@ -119,7 +119,11 @@ type 'k builder = {
 }
 
 let builder budget defs =
-  { defs;
+  let table = Hashtbl.create (List.length defs) in
+  List.iter
+    (fun (v, body) -> if not (Hashtbl.mem table v) then Hashtbl.add table v body)
+    defs;
+  { defs = table;
     assigned = Hashtbl.create 64;
     ids = Hashtbl.create 64;
     def_ids = Hashtbl.create 16;
@@ -254,34 +258,35 @@ let props_find_token table h lx =
     let i = props_slot_token table h lx (h land (cap - 1)) in
     if Array.length table.pk_plans.(i) > 0 then i else -1
 
-let freeze d =
-  (* key-dispatch: every plan listed for a key applies (duplicate
-     [properties] entries conjoin, exactly as the interpreter's
-     pair-by-pair sweep does) *)
-  let grouped = Hashtbl.create 8 in
-  List.iter
-    (fun (k, id) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt grouped k) in
-      Hashtbl.replace grouped k (id :: prev))
-    d.d_props;
+(* The key-dispatch table of [(key, plan)] pairs listed newest first:
+   every plan listed for a key applies, in listing order (duplicate
+   [properties] entries conjoin, exactly as the interpreter's
+   pair-by-pair sweep does). *)
+let props_table pairs =
   let cap =
-    let n = Hashtbl.length grouped in
+    let n = List.length pairs in
     let rec pow c = if c >= 2 * n then c else pow (2 * c) in
     if n = 0 then 0 else pow 2
   in
-  let props =
-    { pk_hashes = Array.make cap 0;
-      pk_keys = Array.make cap "";
-      pk_plans = Array.make cap [||] }
+  let hashes = Array.make cap 0 and keys = Array.make cap "" in
+  let plans = Array.make cap [] in
+  let rec slot h k i =
+    match plans.(i) with
+    | _ :: _ when hashes.(i) <> h || not (String.equal keys.(i) k) ->
+      slot h k ((i + 1) land (cap - 1))
+    | _ -> i
   in
-  Hashtbl.iter
-    (fun k ids ->
+  List.iter
+    (fun (k, id) ->
       let h = Lexer.hash_string k in
-      let i = props_slot props h k (h land (cap - 1)) in
-      props.pk_hashes.(i) <- h;
-      props.pk_keys.(i) <- k;
-      props.pk_plans.(i) <- Array.of_list ids)
-    grouped;
+      let i = slot h k (h land (cap - 1)) in
+      hashes.(i) <- h;
+      keys.(i) <- k;
+      plans.(i) <- id :: plans.(i))
+    pairs;
+  { pk_hashes = hashes; pk_keys = keys; pk_plans = Array.map Array.of_list plans }
+
+let freeze d =
   { type_mask = d.d_type;
     patterns = Array.of_list d.d_patterns;
     min_bound = d.d_min;
@@ -290,7 +295,7 @@ let freeze d =
     min_props = d.d_min_props;
     max_props = d.d_max_props;
     required = Array.of_list (List.sort_uniq String.compare d.d_required);
-    props;
+    props = props_table d.d_props;
     pattern_props = Array.of_list (List.rev d.d_pattern_props);
     additional = Array.of_list d.d_additional;
     ranges = Array.of_list (List.rev d.d_ranges);
@@ -344,7 +349,7 @@ and intern_def b depth name =
     Obs.Budget.burn b.budget 1;
     let id = fresh b in
     Hashtbl.add b.def_ids name id;
-    let body = List.assoc name b.defs in
+    let body = Hashtbl.find b.defs name in
     (* register the body structurally too, so an inline copy of a
        definition shares its plan; ids are reserved before the
        recursive build, which is what admits reference cycles *)
@@ -485,7 +490,7 @@ and intern_sym b depth v =
     id
   | None ->
     let body =
-      match List.assoc_opt v b.defs with
+      match Hashtbl.find_opt b.defs v with
       | Some body -> body
       | None ->
         invalid_arg

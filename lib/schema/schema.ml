@@ -31,96 +31,81 @@ let plain root = { definitions = []; root }
 
 let s_false = [ C_not [] ]
 
-(* references reachable without crossing a descending keyword *)
-let rec nonmodal_refs (s : t) =
-  List.concat_map
-    (function
-      | C_ref r -> [ r ]
-      | C_any_of ss | C_all_of ss -> List.concat_map nonmodal_refs ss
-      | C_not s -> nonmodal_refs s
-      | C_type _ | C_pattern _ | C_minimum _ | C_maximum _ | C_multiple_of _
-      | C_min_properties _ | C_max_properties _ | C_required _ | C_properties _
-      | C_pattern_properties _ | C_additional_properties _ | C_items _
-      | C_additional_items _ | C_unique_items | C_enum _ ->
-        [])
-    s
+(* The first name, in order, given again later. *)
+let first_given_twice definitions =
+  let count = Hashtbl.create 16 in
+  List.iter
+    (fun (v, _) ->
+      Hashtbl.replace count v (1 + Option.value ~default:0 (Hashtbl.find_opt count v)))
+    definitions;
+  fst (List.find (fun (v, _) -> Hashtbl.find count v > 1) definitions)
 
-let rec all_refs (s : t) =
-  List.concat_map
-    (function
-      | C_ref r -> [ r ]
-      | C_any_of ss | C_all_of ss | C_items ss -> List.concat_map all_refs ss
-      | C_not s | C_additional_properties s | C_additional_items s -> all_refs s
-      | C_properties kvs -> List.concat_map (fun (_, s) -> all_refs s) kvs
-      | C_pattern_properties kvs -> List.concat_map (fun (_, s) -> all_refs s) kvs
-      | C_type _ | C_pattern _ | C_minimum _ | C_maximum _ | C_multiple_of _
-      | C_min_properties _ | C_max_properties _ | C_required _ | C_unique_items
-      | C_enum _ ->
-        [])
-    s
-
-(* [multipleOf 0] describes no number at all: the validator would have
-   to decide [n mod 0], so it treats the conjunct as always-false —
-   reject it up front instead of silently validating nothing. *)
-let rec has_zero_multiple (s : t) =
-  List.exists
-    (function
-      | C_multiple_of 0 -> true
-      | C_any_of ss | C_all_of ss | C_items ss -> List.exists has_zero_multiple ss
-      | C_not s | C_additional_properties s | C_additional_items s ->
-        has_zero_multiple s
-      | C_properties kvs -> List.exists (fun (_, s) -> has_zero_multiple s) kvs
-      | C_pattern_properties kvs ->
-        List.exists (fun (_, s) -> has_zero_multiple s) kvs
-      | C_type _ | C_pattern _ | C_minimum _ | C_maximum _ | C_multiple_of _
-      | C_min_properties _ | C_max_properties _ | C_required _ | C_unique_items
-      | C_enum _ | C_ref _ ->
-        false)
-    s
-
+(* Definitions are looked up in one table and every schema is walked
+   once for [multipleOf 0] and references together, so the cost is
+   linear in the document.  Errors are the first in document order of
+   the first failing check: duplicate names, then [multipleOf 0] (it
+   describes no number, and the validator would have to decide [n mod
+   0]), then unresolvable references, then a cycle. *)
 let well_formed doc =
-  let names = List.map fst doc.definitions in
-  let dup =
-    let rec find = function
-      | [] -> None
-      | v :: rest -> if List.mem v rest then Some v else find rest
-    in
-    find names
+  let bodies = Hashtbl.create (List.length doc.definitions) in
+  let twice = ref false in
+  List.iter
+    (fun (v, s) ->
+      if Hashtbl.mem bodies v then twice := true else Hashtbl.add bodies v s)
+    doc.definitions;
+  let zero = ref false and unresolved = ref None in
+  let rec walk s = List.iter conjunct s
+  and member (_, s) = walk s
+  and conjunct = function
+    | C_multiple_of 0 -> zero := true
+    | C_ref r -> (
+      match !unresolved with
+      | None when not (Hashtbl.mem bodies r) -> unresolved := Some r
+      | _ -> ())
+    | C_any_of ss | C_all_of ss | C_items ss -> List.iter walk ss
+    | C_not s | C_additional_properties s | C_additional_items s -> walk s
+    | C_properties kvs -> List.iter member kvs
+    | C_pattern_properties kvs -> List.iter (fun (_, s) -> walk s) kvs
+    | C_type _ | C_pattern _ | C_minimum _ | C_maximum _ | C_multiple_of _
+    | C_min_properties _ | C_max_properties _ | C_required _ | C_unique_items
+    | C_enum _ ->
+      ()
   in
-  match dup with
-  | Some v -> Error (Printf.sprintf "definition %S given twice" v)
-  | None when
-      List.exists has_zero_multiple (doc.root :: List.map snd doc.definitions)
-    ->
-    Error "multipleOf 0 is satisfiable by no number"
-  | None -> (
-    let used = List.concat_map all_refs (doc.root :: List.map snd doc.definitions) in
-    match List.find_opt (fun r -> not (List.mem r names)) used with
-    | Some r -> Error (Printf.sprintf "unresolvable $ref to %S" r)
+  (* acyclicity of the non-descending reference graph *)
+  let exception Cycle of string in
+  let color = Hashtbl.create (Hashtbl.length bodies) in
+  let rec visit v =
+    match Hashtbl.find_opt color v with
+    | Some `Done -> ()
+    | Some `Active -> raise (Cycle v)
     | None ->
-      (* acyclicity of the non-descending reference graph *)
-      let color = Hashtbl.create 16 in
-      let rec visit v =
-        match Hashtbl.find_opt color v with
-        | Some `Done -> Ok ()
-        | Some `Active -> Error (Printf.sprintf "reference cycle through %S" v)
-        | None ->
-          Hashtbl.replace color v `Active;
-          let rec visit_all = function
-            | [] ->
-              Hashtbl.replace color v `Done;
-              Ok ()
-            | w :: rest -> (
-              match visit w with Ok () -> visit_all rest | Error _ as e -> e)
-          in
-          visit_all (nonmodal_refs (List.assoc v doc.definitions))
-      in
-      let rec all = function
-        | [] -> Ok ()
-        | (v, _) :: rest -> (
-          match visit v with Ok () -> all rest | Error _ as e -> e)
-      in
-      all doc.definitions)
+      Hashtbl.replace color v `Active;
+      nonmodal (Hashtbl.find bodies v);
+      Hashtbl.replace color v `Done
+  and nonmodal s = List.iter nonmodal_conjunct s
+  and nonmodal_conjunct = function
+    | C_ref r -> visit r
+    | C_any_of ss | C_all_of ss -> List.iter nonmodal ss
+    | C_not s -> nonmodal s
+    | C_type _ | C_pattern _ | C_minimum _ | C_maximum _ | C_multiple_of _
+    | C_min_properties _ | C_max_properties _ | C_required _ | C_properties _
+    | C_pattern_properties _ | C_additional_properties _ | C_items _
+    | C_additional_items _ | C_unique_items | C_enum _ ->
+      ()
+  in
+  if !twice then
+    Error (Printf.sprintf "definition %S given twice" (first_given_twice doc.definitions))
+  else begin
+    walk doc.root;
+    List.iter member doc.definitions;
+    match !unresolved with
+    | _ when !zero -> Error "multipleOf 0 is satisfiable by no number"
+    | Some r -> Error (Printf.sprintf "unresolvable $ref to %S" r)
+    | None -> (
+      match List.iter (fun (v, _) -> visit v) doc.definitions with
+      | () -> Ok ()
+      | exception Cycle v -> Error (Printf.sprintf "reference cycle through %S" v))
+  end
 
 let rec schema_size (s : t) =
   List.fold_left (fun acc c -> acc + conjunct_size c) 1 s

@@ -62,6 +62,48 @@ case $out in
      exit 1 ;;
 esac
 
+# Wide-input gate: reading JSON is linear in an object's keys, and
+# checking and compiling a schema linear in its definitions.  A
+# 128k-key object must parse, and a 32k-definition schema (each
+# definition referenced from one property, in 128 groups of 256 so
+# that the --via-jsl translation's conjunctions stay under the depth
+# ceiling) must validate the same way with and without --via-jsl, each
+# well inside 20 s; a list scan per key or per definition takes
+# minutes.
+wide=$(mktemp)
+wide_schema=$(mktemp)
+wide_docs=$(mktemp)
+awk 'BEGIN { printf "{";
+             for (i = 0; i < 131072; i++) printf "%s\"k%d\":%d", (i ? "," : ""), i, i;
+             printf "}" }' > "$wide"
+run 20 "$JSONLOGIC" parse "$wide" > /dev/null
+awk 'BEGIN { g = 128; m = 256; printf "{\"definitions\":{";
+             for (i = 0; i < g * m; i++)
+               printf "%s\"d%d\":{\"type\":\"number\",\"minimum\":%d}", (i ? "," : ""), i, i % 7;
+             printf "},\"type\":\"object\",\"properties\":{";
+             for (j = 0; j < g; j++) {
+               printf "%s\"g%d\":{\"properties\":{", (j ? "," : ""), j;
+               for (k = 0; k < m; k++)
+                 printf "%s\"p%d\":{\"$ref\":\"#/definitions/d%d\"}", (k ? "," : ""), j * m + k, j * m + k;
+               printf "}}" }
+             printf "}}" }' > "$wide_schema"
+printf '%s\n' '{"g0":{"p1":5},"g127":{"p32767":6}}' '{"g0":{"p3":2}}' '{}' > "$wide_docs"
+expected=$(printf 'valid\t%s\nINVALID\t%s\nvalid\t%s' \
+  '{"g0":{"p1":5},"g127":{"p32767":6}}' '{"g0":{"p3":2}}' '{}')
+for via in "" --via-jsl; do
+  echo "+ timeout 20s $JSONLOGIC validate ${via:+$via }--schema <32k definitions>"
+  status=0
+  out=$(timeout 20 "$JSONLOGIC" validate $via --schema "$wide_schema" \
+          "$wide_docs") || status=$?
+  if [ "$status" != 1 ] || [ "$out" != "$expected" ]; then
+    echo "FAIL: wide schema validate $via: exit $status, output:" >&2
+    echo "$out" >&2
+    rm -f "$wide" "$wide_schema" "$wide_docs"
+    exit 1
+  fi
+done
+rm -f "$wide" "$wide_schema" "$wide_docs"
+
 # Differential gate: the 1000-case fuzz asserting the indexed and
 # sweep pre-image strategies and the set-at-a-time and nodal engines
 # agree on every observable (dune runtest covers this too; run it

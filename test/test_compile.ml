@@ -390,6 +390,153 @@ let test_of_jsl_random_rec () =
     (Jsl.Var "a");
   rejects "free symbol without defs" [] (Jsl.Not (Jsl.Var "a"))
 
+(* ---- wide definitions ----------------------------------------------------- *)
+
+(* [n] definitions, each referenced from one property of the root:
+   bounded numbers, lowercase strings and objects requiring "x", in
+   turn. *)
+let wide_defs_text ?(extra_defs = "") ?(extra_props = "") n =
+  let b = Buffer.create (n * 80) in
+  Buffer.add_string b {|{"definitions":{|};
+  for i = 0 to n - 1 do
+    if i > 0 then Buffer.add_char b ',';
+    Printf.bprintf b {|"d%d":%s|} i
+      (match i mod 3 with
+      | 0 -> Printf.sprintf {|{"type":"number","minimum":%d}|} (i mod 7)
+      | 1 -> {|{"type":"string","pattern":"[a-z]*"}|}
+      | _ -> {|{"type":"object","required":["x"]}|})
+  done;
+  Buffer.add_string b extra_defs;
+  Buffer.add_string b {|},"type":"object","properties":{|};
+  for i = 0 to n - 1 do
+    if i > 0 then Buffer.add_char b ',';
+    Printf.bprintf b {|"p%d":{"$ref":"#/definitions/d%d"}|} i i
+  done;
+  Buffer.add_string b extra_props;
+  Buffer.add_string b "}}";
+  Buffer.contents b
+
+let wide_n = 16_384
+
+let cpu_timed what bound f =
+  let t0 = Sys.time () in
+  let v = f () in
+  let t = Sys.time () -. t0 in
+  if t > bound then
+    Alcotest.failf "%s took %.2f s with %d definitions (bound %.2f s)" what t
+      wide_n bound;
+  v
+
+(* A bound linear work meets with a wide margin: fifteen times what
+   the direct tree builder takes on the schema text (every stage takes
+   about as long as it), and at least 1.5 s.  A list scan per key or
+   per definition takes fifty to a hundred times as long. *)
+let linear_bound text =
+  let t0 = Sys.time () in
+  ignore (Tree.of_string_exn ~mode:`Lenient text);
+  Float.max 1.5 (15. *. (Sys.time () -. t0))
+
+let test_wide_verdicts () =
+  let text = wide_defs_text wide_n in
+  let bound = linear_bound text in
+  let timed what f = cpu_timed what bound f in
+  let schema = timed "Parse.of_string" (fun () -> parse_schema text) in
+  Alcotest.(check int) "every definition kept" wide_n
+    (List.length schema.Jschema.Schema.definitions);
+  timed "Schema.well_formed" (fun () ->
+      Alcotest.(check bool) "well-formed" true
+        (Jschema.Schema.well_formed schema = Ok ()));
+  let plan = timed "compile" (fun () -> Validate.Plan.compile schema) in
+  let r = timed "To_jsl.document" (fun () -> Jschema.To_jsl.document schema) in
+  let jsl_plan =
+    timed "of_jsl" (fun () ->
+        Validate.Plan.of_jsl ~defs:r.Jlogic.Jsl_rec.defs r.Jlogic.Jsl_rec.base)
+  in
+  let last = wide_n - 1 in
+  List.iter
+    (fun (doc_text, expected) ->
+      let doc = parse_doc doc_text in
+      let got =
+        [ ("interpreter", Validate.validates schema doc);
+          ("compile tree", Validate.Plan.run_tree plan (Tree.of_string_exn doc_text));
+          ("compile stream", Validate.Plan.run_stream plan doc_text);
+          ("of_jsl tree", Validate.Plan.run_tree jsl_plan (Tree.of_string_exn doc_text));
+          ("of_jsl stream", Validate.Plan.run_stream jsl_plan doc_text) ]
+      in
+      List.iter
+        (fun (route, v) ->
+          Alcotest.(check bool) (Printf.sprintf "%s on %s" route doc_text) expected v)
+        got)
+    [ ("{}", true);
+      ({|{"p0":0,"p1":"abc","p2":{"x":1}}|}, true);
+      ({|{"p3":0}|}, false);
+      ({|{"p1":"ABC"}|}, false);
+      ({|{"p2":{}}|}, false);
+      (Printf.sprintf {|{"p%d":%d}|} last (last mod 7), true);
+      (Printf.sprintf {|{"p%d":%d,"q":[]}|} (last - 1) (last mod 7), false);
+      ("[]", false) ]
+
+let check_error what expected = function
+  | Ok _ -> Alcotest.failf "%s accepted" what
+  | Error m -> Alcotest.(check string) what expected m
+
+let test_wide_errors () =
+  let text = wide_defs_text wide_n in
+  let bound = linear_bound text in
+  let timed what f = cpu_timed what bound f in
+  let wide = parse_schema text in
+  let defs = wide.Jschema.Schema.definitions in
+  (* schema documents *)
+  let with_defs extra = { wide with Jschema.Schema.definitions = defs @ extra } in
+  timed "duplicate definition" (fun () ->
+      check_error "duplicate definition" {|definition "d100" given twice|}
+        (Jschema.Schema.well_formed (with_defs [ ("d100", []) ])));
+  timed "first duplicate in order" (fun () ->
+      check_error "first duplicate in order" {|definition "x" given twice|}
+        (Jschema.Schema.well_formed
+           (with_defs [ ("x", []); ("y", []); ("y", []); ("x", []) ])));
+  timed "compile of a duplicate" (fun () ->
+      match Validate.Plan.compile (with_defs [ ("d7", []) ]) with
+      | _ -> Alcotest.fail "compile accepted a duplicate definition"
+      | exception Invalid_argument m ->
+        Alcotest.(check string) "compile error"
+          {|Jschema.Validate.Plan.compile: definition "d7" given twice|} m);
+  timed "unresolvable $ref" (fun () ->
+      check_error "unresolvable $ref" {|unresolvable $ref to "missing"|}
+        (Jschema.Parse.of_string
+           (wide_defs_text wide_n
+              ~extra_props:
+                {|,"q":{"$ref":"#/definitions/missing"},"r":{"$ref":"#/definitions/gone"}|})));
+  timed "reference cycle" (fun () ->
+      check_error "reference cycle" {|reference cycle through "c0"|}
+        (Jschema.Parse.of_string
+           (wide_defs_text wide_n
+              ~extra_defs:
+                {|,"c0":{"allOf":[{"$ref":"#/definitions/c1"}]},"c1":{"not":{"$ref":"#/definitions/c0"}}|})));
+  (* recursive JSL *)
+  let sym_defs = List.init wide_n (fun i -> (Printf.sprintf "v%d" i, Jsl.Test Jsl.Is_int)) in
+  let base = Jsl.conj (List.map (fun (v, _) -> Jsl.box_key v (Jsl.Var v)) sym_defs) in
+  let jsl_error what expected extra base =
+    timed what (fun () ->
+        let defs = sym_defs @ extra in
+        check_error what expected
+          (Jlogic.Jsl_rec.well_formed { Jlogic.Jsl_rec.defs; base });
+        match Validate.Plan.of_jsl ~defs base with
+        | _ -> Alcotest.failf "of_jsl accepted: %s" what
+        | exception Invalid_argument m ->
+          Alcotest.(check string) (what ^ " through of_jsl")
+            ("Jschema.Validate.Plan.of_jsl: " ^ expected) m)
+  in
+  timed "well-formed symbols" (fun () ->
+      Alcotest.(check bool) "well-formed symbols" true
+        (Jlogic.Jsl_rec.well_formed { Jlogic.Jsl_rec.defs = sym_defs; base } = Ok ()));
+  jsl_error "duplicate symbol" "symbol $v7 defined twice" [ ("v7", Jsl.True) ] base;
+  jsl_error "undefined symbol" "undefined symbol $nowhere" []
+    (Jsl.And (base, Jsl.Or (Jsl.Var "nowhere", Jsl.Var "elsewhere")));
+  jsl_error "precedence cycle" "precedence cycle through $a"
+    [ ("a", Jsl.Var "b"); ("b", Jsl.And (Jsl.Test Jsl.Is_obj, Jsl.Var "a")) ]
+    (Jsl.And (base, Jsl.Var "a"))
+
 let () =
   Alcotest.run "compile"
     [ ("keyword-cases", [ Alcotest.test_case "table1" `Quick test_keyword_cases ]);
@@ -413,4 +560,7 @@ let () =
       ("recursive jsl",
        [ Alcotest.test_case "of_jsl with definitions" `Quick test_of_jsl_defs;
          Alcotest.test_case "random recursive formulas" `Quick
-           test_of_jsl_random_rec ]) ]
+           test_of_jsl_random_rec ]);
+      ("wide definitions",
+       [ Alcotest.test_case "verdicts agree" `Quick test_wide_verdicts;
+         Alcotest.test_case "error texts" `Quick test_wide_errors ]) ]

@@ -817,7 +817,10 @@ let test_direct_error_agreement () =
     [ {|{"a":1,}|}; {|[1,2|}; {|{"a" 1}|}; "nul"; {|{"a":1,"a":2}|};
       {|[1, -3]|}; {|"unterminated|}; {|{"a":tru}|}; {|[1,2]]|};
       {|"\ud800x"|}; ""; "}"; "true"; "null"; "-3"; "1.5"; {|{"k":}|};
-      {|[,]|}; {|{"a":1 "b":2}|}; {|{1:2}|} ]
+      {|[,]|}; {|{"a":1 "b":2}|}; {|{1:2}|};
+      (* key reuse across objects is legal; within one it is not *)
+      {|{"o":{"k":1},"k":2}|}; {|{"a":{"x":1},"b":{"x":2}}|};
+      {|{"a":{"x":1,"x":2}}|}; {|{"a":{},"a":1}|} ]
   in
   List.iter
     (fun text ->
@@ -844,6 +847,77 @@ let test_direct_error_agreement () =
               (render_error e))
         [ `Strict; `Lenient ])
     cases
+
+(* The key set is per object: a key may recur in a nested or a sibling
+   object, never twice in one. *)
+let test_key_reuse () =
+  List.iter
+    (fun (text, accepted) ->
+      Alcotest.(check bool) (Printf.sprintf "parse %S" text) accepted
+        (Result.is_ok (Parser.parse text)))
+    [ ({|{"o":{"k":1},"k":2}|}, true); ({|{"a":{"x":1},"b":{"x":2}}|}, true);
+      ({|{"a":{"x":1,"x":2}}|}, false); ({|{"a":{},"a":1}|}, false) ];
+  match Parser.parse {|{"a":{"x":1,"x":2}}|} with
+  | Error e ->
+    Alcotest.(check string) "nested duplicate"
+      {|line 1, column 13: duplicate object key "x"|} (render_error e)
+  | Ok _ -> Alcotest.fail "nested duplicate accepted"
+
+(* One object of [n] keys, ["k0":0, …], then [extra] members. *)
+let wide_object n extra =
+  let b = Buffer.create (n * 14) in
+  Buffer.add_char b '{';
+  for i = 0 to n - 1 do
+    if i > 0 then Buffer.add_char b ',';
+    Printf.bprintf b {|"k%d":%d|} i i
+  done;
+  Buffer.add_string b extra;
+  Buffer.add_char b '}';
+  Buffer.contents b
+
+let cpu_time f =
+  let t0 = Sys.time () in
+  let v = f () in
+  (v, Sys.time () -. t0)
+
+(* Duplicate detection is linear in the keys: every reader rejects a
+   duplicate appended to 64k keys with the same text, and the value
+   parser reads the duplicate-free object in a bounded multiple of the
+   time the direct tree builder takes (a list scan per key takes
+   hundreds of times longer). *)
+let test_wide_object () =
+  let n = 65_536 in
+  let dup = wide_object n {|,"k17":1|} in
+  let render = function
+    | Ok _ -> "accepted"
+    | Error e -> render_error e
+  in
+  let expected = render (Parser.parse dup) in
+  Alcotest.(check string) "duplicate rejected at the key"
+    (Printf.sprintf {|line 1, column %d: duplicate object key "k17"|}
+       (String.length dup - String.length {|"k17":1}|} + 1))
+    expected;
+  Alcotest.(check string) "Tree.of_string agrees" expected
+    (render (Result.map ignore (Tree.of_string dup)));
+  List.iter
+    (fun schema ->
+      let plan =
+        Jschema.Validate.Plan.compile (Jschema.Parse.of_string_exn schema)
+      in
+      Alcotest.(check string) ("run_stream agrees under " ^ schema) expected
+        (render
+           (Parser.wrap (fun () -> Jschema.Validate.Plan.run_stream plan dup))))
+    [ "{}"; {|{"properties":{"k17":{"type":"number"}}}|} ];
+  let text = wide_object n "" in
+  let _, linear = cpu_time (fun () -> Tree.of_string_exn text) in
+  let v, t = cpu_time (fun () -> Parser.parse_exn text) in
+  (match v with
+  | Value.Obj kvs -> Alcotest.(check int) "every key kept" n (List.length kvs)
+  | _ -> Alcotest.fail "not an object");
+  let bound = Float.max 1.0 (25. *. linear) in
+  if t > bound then
+    Alcotest.failf "Parser.parse took %.2f s on %d keys (bound %.2f s)" t n
+      bound
 
 let test_direct_depth_agreement () =
   let deep = String.make 40 '[' ^ "1" ^ String.make 40 ']' in
@@ -1394,6 +1468,8 @@ let () =
       ("direct ingestion",
        [ Alcotest.test_case "differential fuzz" `Quick test_direct_differential;
          Alcotest.test_case "error agreement" `Quick test_direct_error_agreement;
+         Alcotest.test_case "key reuse" `Quick test_key_reuse;
+         Alcotest.test_case "wide object" `Quick test_wide_object;
          Alcotest.test_case "depth agreement" `Quick test_direct_depth_agreement;
          Alcotest.test_case "fuel agreement" `Quick test_direct_fuel_agreement ]);
       ("feed lexer",

@@ -182,6 +182,115 @@ let test_dfa_minimize () =
   Alcotest.(check int) "canonical state count" 5 (Rexp.Dfa.state_count m)
 
 (* ------------------------------------------------------------------ *)
+(* Alphabet partitions                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The partition the DFA built its alphabet with before it split by one
+   charset at a time: a table of per-byte membership signatures, classes
+   numbered at first sight in the same byte order.  Kept as the
+   oracle. *)
+let oracle_byte_order =
+  let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
+  let preferred =
+    range (Char.code 'a') (Char.code 'z')
+    @ range (Char.code 'A') (Char.code 'Z')
+    @ range (Char.code '0') (Char.code '9')
+    @ List.map Char.code [ '_'; '-'; '.'; ' ' ]
+  in
+  preferred @ List.filter (fun b -> not (List.mem b preferred)) (range 0 255)
+
+let oracle_classes key =
+  let class_of = Array.make 256 0 in
+  let ids = Hashtbl.create 16 in
+  let count = ref 0 and reps = ref [] in
+  List.iter
+    (fun b ->
+      let k = key b in
+      match Hashtbl.find_opt ids k with
+      | Some id -> class_of.(b) <- id
+      | None ->
+        Hashtbl.add ids k !count;
+        class_of.(b) <- !count;
+        incr count;
+        reps := Char.chr b :: !reps)
+    oracle_byte_order;
+  (class_of, !count, Array.of_list (List.rev !reps))
+
+let oracle_partition sets =
+  oracle_classes (fun b -> List.map (Rexp.Charset.mem (Char.chr b)) sets)
+
+let oracle_refine a b = oracle_classes (fun x -> (a.(x), b.(x)))
+
+let random_charset st =
+  let open Rexp.Charset in
+  let byte () = Char.chr (Random.State.int st 256) in
+  let some_range () =
+    let lo = byte () and hi = byte () in
+    range (min lo hi) (max lo hi)
+  in
+  match Random.State.int st 6 with
+  | 0 -> some_range ()
+  | 1 -> union (some_range ()) (some_range ())
+  | 2 -> of_string (String.init (1 + Random.State.int st 8) (fun _ -> byte ()))
+  | 3 -> complement (some_range ())
+  | 4 -> singleton (byte ())
+  | _ -> range 'a' (Char.chr (Char.code 'a' + Random.State.int st 26))
+
+(* Overlapping ranges: each starts inside the previous one. *)
+let overlapping st k =
+  let rec go lo acc i =
+    if i = k then List.rev acc
+    else
+      let hi = min 255 (lo + 1 + Random.State.int st 40) in
+      let cs = Rexp.Charset.range (Char.chr lo) (Char.chr hi) in
+      go (lo + Random.State.int st (hi - lo + 1)) (cs :: acc) (i + 1)
+  in
+  go (Random.State.int st 128) [] 0
+
+let families st =
+  let sets k = List.init k (fun _ -> random_charset st) in
+  [ ("no sets", []);
+    ("one set", sets 1);
+    ("a few sets", sets (2 + Random.State.int st 6));
+    ("more than 62 sets", sets (63 + Random.State.int st 40));
+    ("empty and full", Rexp.Charset.[ empty; full ] @ sets 3);
+    ("only empty", [ Rexp.Charset.empty ]);
+    ("only full", [ Rexp.Charset.full ]);
+    ("overlapping ranges", overlapping st (2 + Random.State.int st 12)) ]
+
+let check_partition what (c1, n1, r1) (c2, n2, r2) =
+  Alcotest.(check int) (what ^ ": class_count") n2 n1;
+  Alcotest.(check (array int)) (what ^ ": class_of") c2 c1;
+  Alcotest.(check (array char)) (what ^ ": reps") r2 r1
+
+let test_partition_differential () =
+  let st = Random.State.make [| 2017 |] in
+  for round = 1 to 40 do
+    List.iter
+      (fun (name, sets) ->
+        check_partition
+          (Printf.sprintf "%s (round %d)" name round)
+          (Rexp.Dfa.partition_of_sets sets)
+          (oracle_partition sets))
+      (families st)
+  done
+
+let test_refine_differential () =
+  let st = Random.State.make [| 2026 |] in
+  for round = 1 to 40 do
+    let fams = Array.of_list (families st) in
+    Array.iteri
+      (fun i (name, sets) ->
+        let other_name, other = fams.((i + 1 + round) mod Array.length fams) in
+        let a, _, _ = Rexp.Dfa.partition_of_sets sets in
+        let b, _, _ = Rexp.Dfa.partition_of_sets other in
+        check_partition
+          (Printf.sprintf "%s by %s (round %d)" name other_name round)
+          (Rexp.Dfa.refine a b) (oracle_refine a b))
+      fams
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Cross-validation properties                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -285,4 +394,9 @@ let () =
          Alcotest.test_case "equivalence/subset" `Quick test_equiv_subset;
          Alcotest.test_case "witnesses" `Quick test_witnesses;
          Alcotest.test_case "minimization" `Quick test_dfa_minimize ]);
+      ("partition",
+       [ Alcotest.test_case "partition differential" `Quick
+           test_partition_differential;
+         Alcotest.test_case "refine differential" `Quick
+           test_refine_differential ]);
       ("properties", qcheck_tests) ]

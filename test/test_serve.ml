@@ -500,6 +500,44 @@ let test_fault_slowloris () =
           Alcotest.(check string) "slowloris verdict" "valid"
             (unwrap (Jserve.Client.recv c))))
 
+(* A hostile-sized SCHEMA: about 1 MB with tens of thousands of
+   definitions, each referenced from one property.  Reading it in is
+   linear, so it is answered [OK <id>] well inside the bound; a list
+   scan per key or per definition holds the lane for about forty
+   seconds. *)
+let test_fault_wide_schema () =
+  let n = 20_000 in
+  let b = Buffer.create (n * 60) in
+  Buffer.add_string b {|{"definitions":{|};
+  for i = 0 to n - 1 do
+    if i > 0 then Buffer.add_char b ',';
+    Printf.bprintf b {|"d%d":{"minimum":%d}|} i (i mod 9)
+  done;
+  Buffer.add_string b {|},"properties":{|};
+  for i = 0 to n - 1 do
+    if i > 0 then Buffer.add_char b ',';
+    Printf.bprintf b {|"p%d":{"$ref":"#/definitions/d%d"}|} i i
+  done;
+  Buffer.add_string b "}}";
+  let schema = Buffer.contents b in
+  Alcotest.(check bool) "about a megabyte" true (String.length schema > 1_000_000);
+  with_server (fun srv ->
+      with_client srv (fun c ->
+          let t0 = Obs.Budget.now_mono () in
+          let id = unwrap (Jserve.Client.put_schema c schema) in
+          let secs = Obs.Budget.now_mono () -. t0 in
+          Alcotest.(check string) "id is the content hash"
+            (Jserve.Plan_cache.id_of_schema schema) id;
+          if secs > 5.0 then
+            Alcotest.failf "SCHEMA of %d bytes answered in %.2f s (bound 5 s)"
+              (String.length schema) secs;
+          Alcotest.(check string) "valid under the wide schema" "valid"
+            (unwrap (Jserve.Client.validate c ~schema_id:id {|{"p7":7,"p19999":8}|}));
+          Alcotest.(check string) "invalid under the wide schema" "INVALID"
+            (unwrap (Jserve.Client.validate c ~schema_id:id {|{"p8":7}|}));
+          Alcotest.(check string) "still serving" "pong"
+            (unwrap (Jserve.Client.ping c))))
+
 (* SHUTDOWN drains: a request in flight on another connection finishes
    before the daemon exits *)
 let test_shutdown_drains () =
@@ -600,5 +638,6 @@ let () =
           Alcotest.test_case "pipelined requests" `Quick
             test_fault_pipelined_requests;
           Alcotest.test_case "slowloris" `Quick test_fault_slowloris;
+          Alcotest.test_case "wide schema" `Quick test_fault_wide_schema;
           Alcotest.test_case "shutdown drains in-flight" `Quick
             test_shutdown_drains ] ) ]
