@@ -452,12 +452,9 @@ module Tree_store = struct
   let equal_nodes t budget v =
     let out = Bitset.create (Tree.node_count t) in
     let vt = Tree.of_value ~budget v in
-    let h = Tree.subtree_hash vt Tree.root in
-    Seq.iter
-      (fun n ->
-        if Tree.subtree_hash t n = h && Tree.equal_across t n vt Tree.root then
-          Bitset.add out n)
-      (Tree.nodes t);
+    for n = 0 to Tree.node_count t - 1 do
+      if Tree.equal_across t n vt Tree.root then Bitset.add out n
+    done;
     out
 
   let eq_paths t ~budget ~depth ~lang ~test a b =

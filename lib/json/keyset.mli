@@ -1,7 +1,9 @@
 (** Duplicate-key detection for nested objects, in one table per parse.
-    One key set per parse serves every reader: {!Parser.parse} and
-    {!Parser.skip_value}, and the streaming validator, which shares its
-    set with the values it skips.
+    One key set per parse serves every reader: {!Parser.parse},
+    {!Parser.skip_value}, the tree builders ({!Tree.of_string} and
+    {!Tree.of_value} take one per tree), and the streaming validator,
+    which shares its run's set with the values it skips and the
+    subtrees it spills through {!Tree.of_lexer_exn}.
 
     An object takes a {!mark} when it opens, {!add}s its keys under
     that mark, and {!release}s them when it closes.  An object nested

@@ -20,18 +20,39 @@ type label_index = {
          length = maximum arity over the tree *)
 }
 
+module Int_map = Map.Make (Int)
+
+(* What is built on first use, one whole column (or one object's key
+   table) at a time.  A column is [[||]] until built: a tree has at
+   least its root, so a built column is never empty.  The record is
+   immutable and replaced whole through the tree's one [Atomic], so a
+   domain that reads a column reads it filled. *)
+type derived = {
+  hashes : int array;
+  heights : int array;
+  depths : int array;
+  index : label_index option;
+  wide : int array Int_map.t;
+      (* object -> open-addressing table of child positions, for
+         objects with more than [scan_keys] keys *)
+}
+
+let no_derived =
+  { hashes = [||]; heights = [||]; depths = [||]; index = None;
+    wide = Int_map.empty }
+
+(* The structure every reader uses, built at parse time.  Columns may
+   be longer than [n] (a builder's capacity is kept rather than copied
+   to length); only the first [n] slots are nodes. *)
 type t = {
+  n : int;
   kinds : kind array;
   child_nodes : node array array;  (* children in document order *)
   child_keys : string array array;  (* keys, empty for non-objects *)
   parents : node array;  (* -1 for the root *)
   edges : edge array;
   sizes : int array;
-  heights : int array;
-  depths : int array;
-  hashes : int array;
-  by_key : (node * string, node) Hashtbl.t;  (* O(1) key lookup *)
-  mutable index : label_index option;  (* built lazily *)
+  derived : derived Atomic.t;
 }
 
 let root = 0
@@ -84,6 +105,19 @@ let rec sort_pairs a b lo hi =
     sort_pairs a b !i hi
   end
 
+let make n kinds child_nodes child_keys parents edges sizes =
+  { n; kinds; child_nodes; child_keys; parents; edges; sizes;
+    derived = Atomic.make no_derived }
+
+(* Publish one more built part.  Losing a race only means another
+   domain published first; both built the same values. *)
+let rec publish t f =
+  let d = Atomic.get t.derived in
+  if not (Atomic.compare_and_set t.derived d (f d)) then publish t f
+
+(* Duplicate detection hashes keys the way the lexer's cursor does. *)
+let key_hash = Lexer.hash_string
+
 let of_value ?(budget = Obs.Budget.unlimited) v =
   let n = Value.size v in
   let kinds = Array.make n Kobj in
@@ -92,95 +126,50 @@ let of_value ?(budget = Obs.Budget.unlimited) v =
   let parents = Array.make n (-1) in
   let edges = Array.make n Root in
   let sizes = Array.make n 1 in
-  let heights = Array.make n 0 in
-  let depths = Array.make n 0 in
-  let hashes = Array.make n 0 in
-  let by_key = Hashtbl.create (max 16 n) in
+  let keys = lazy (Keyset.create ()) in
   let counter = ref 0 in
-  let fresh () =
-    let id = !counter in
-    incr counter;
-    id
-  in
-  (* Returns (id, size, height, hash) of the built subtree. *)
   let rec build v parent edge depth =
     Obs.Budget.check_depth budget depth;
     Obs.Budget.burn budget 1;
-    let id = fresh () in
+    let id = !counter in
+    incr counter;
     parents.(id) <- parent;
     edges.(id) <- edge;
-    depths.(id) <- depth;
-    match v with
+    (match v with
     | Value.Num k ->
       if k < 0 then raise (Value.Invalid "negative number in tree");
-      kinds.(id) <- Kint k;
-      hashes.(id) <- mix (mix 0x811c9dc5 1) k;
-      (id, 1, 0, hashes.(id))
-    | Value.Str s ->
-      kinds.(id) <- Kstr s;
-      hashes.(id) <- mix (mix 0x811c9dc5 2) (Hashtbl.hash s);
-      (id, 1, 0, hashes.(id))
+      kinds.(id) <- Kint k
+    | Value.Str s -> kinds.(id) <- Kstr s
     | Value.Arr vs ->
       kinds.(id) <- Karr;
       let kids = Array.make (List.length vs) 0 in
-      let sz = ref 1 and ht = ref 0 and h = ref (mix 0x811c9dc5 3) in
-      List.iteri
-        (fun i v ->
-          let cid, csz, cht, chash = build v id (Pos i) (depth + 1) in
-          kids.(i) <- cid;
-          sz := !sz + csz;
-          ht := max !ht (cht + 1);
-          h := mix !h chash)
-        vs;
-      child_nodes.(id) <- kids;
-      sizes.(id) <- !sz;
-      heights.(id) <- !ht;
-      hashes.(id) <- !h;
-      (id, !sz, !ht, !h)
+      List.iteri (fun i v -> kids.(i) <- build v id (Pos i) (depth + 1)) vs;
+      child_nodes.(id) <- kids
     | Value.Obj kvs ->
-      kinds.(id) <- Kobj;
+      let keys = Lazy.force keys in
+      let mark = Keyset.mark keys in
       let m = List.length kvs in
-      let kids = Array.make m 0 in
-      let keys = Array.make m "" in
-      let sz = ref 1 and ht = ref 0 in
-      let khashes = Array.make m 0 in
-      let vhashes = Array.make m 0 in
+      let kids = Array.make m 0 and ks = Array.make m "" in
       List.iteri
         (fun i (k, v) ->
-          if Hashtbl.mem by_key (id, k) then
+          if not (Keyset.add keys mark (key_hash k) k) then
             raise (Value.Invalid (Printf.sprintf "duplicate key %S" k));
-          let cid, csz, cht, chash = build v id (Key k) (depth + 1) in
-          kids.(i) <- cid;
-          keys.(i) <- k;
-          Hashtbl.add by_key (id, k) cid;
-          sz := !sz + csz;
-          ht := max !ht (cht + 1);
-          khashes.(i) <- Hashtbl.hash k;
-          vhashes.(i) <- chash)
+          kids.(i) <- build v id (Key k) (depth + 1);
+          ks.(i) <- k)
         kvs;
-      (* order-insensitive: fold pair hashes in sorted order *)
-      sort_pairs khashes vhashes 0 (m - 1);
-      let h = ref (mix 0x811c9dc5 4) in
-      for i = 0 to m - 1 do
-        h := mix (mix !h khashes.(i)) vhashes.(i)
-      done;
-      let h = !h in
+      Keyset.release keys mark;
       child_nodes.(id) <- kids;
-      child_keys.(id) <- keys;
-      sizes.(id) <- !sz;
-      heights.(id) <- !ht;
-      hashes.(id) <- h;
-      (id, !sz, !ht, h)
+      child_keys.(id) <- ks);
+    sizes.(id) <- !counter - id;
+    id
   in
-  let _ = build v (-1) Root 0 in
-  { kinds; child_nodes; child_keys; parents; edges; sizes; heights; depths;
-    hashes; by_key; index = None }
+  ignore (build v (-1) Root 0);
+  make n kinds child_nodes child_keys parents edges sizes
 
 (* ---- direct string ingestion --------------------------------------------- *)
 
 (* Growable array: the node count is unknown until the single pass over
-   the input completes.  Capacity doubles; [vec_trim] returns the dense
-   prefix. *)
+   the input completes.  Capacity doubles. *)
 type 'a vec = { mutable data : 'a array; mutable len : int; filler : 'a }
 
 let vec ?(capacity = 256) filler =
@@ -198,10 +187,10 @@ let vec_push v x =
 
 (* Column store under construction: all node columns share one length
    and one capacity, so admitting a node is a single capacity check.
-   Fresh slots keep their fillers ([Kobj]/[1]/[0]/[[||]]) and every
-   slot is written at most once per parse, so each node only writes
-   the columns whose filler is wrong for it — three stores for a
-   container on entry, five for a leaf. *)
+   Fresh slots keep their fillers ([Kobj]/[1]/[[||]]) and every slot is
+   written at most once per parse, so each node only writes the columns
+   whose filler is wrong for it — two stores for a container on entry,
+   three for a leaf. *)
 type builder = {
   mutable b_cap : int;
   mutable b_n : int;
@@ -209,9 +198,6 @@ type builder = {
   mutable b_parents : int array;
   mutable b_edges : edge array;
   mutable b_sizes : int array;
-  mutable b_heights : int array;
-  mutable b_depths : int array;
-  mutable b_hashes : int array;
   mutable b_children : node array array;
   mutable b_keys : string array array;
 }
@@ -224,9 +210,6 @@ let builder capacity =
     b_parents = Array.make cap (-1);
     b_edges = Array.make cap Root;
     b_sizes = Array.make cap 1;
-    b_heights = Array.make cap 0;
-    b_depths = Array.make cap 0;
-    b_hashes = Array.make cap 0;
     b_children = Array.make cap [||];
     b_keys = Array.make cap [||] }
 
@@ -241,19 +224,15 @@ let builder_grow b =
   b.b_parents <- copy (-1) b.b_parents;
   b.b_edges <- copy Root b.b_edges;
   b.b_sizes <- copy 1 b.b_sizes;
-  b.b_heights <- copy 0 b.b_heights;
-  b.b_depths <- copy 0 b.b_depths;
-  b.b_hashes <- copy 0 b.b_hashes;
   b.b_children <- copy [||] b.b_children;
   b.b_keys <- copy [||] b.b_keys;
   b.b_cap <- cap
 
-let new_node b parent edge depth =
+let new_node b parent edge =
   if b.b_n = b.b_cap then builder_grow b;
   let id = b.b_n in
   b.b_parents.(id) <- parent;
   b.b_edges.(id) <- edge;
-  b.b_depths.(id) <- depth;
   b.b_n <- id + 1;
   id
 
@@ -267,73 +246,60 @@ let new_node b parent edge depth =
    handling reuse the {!Parser} helpers verbatim, which is what makes
    this route differentially testable against
    [of_value (Parser.parse_exn input)]. *)
-let build_of_lexer ~mode ~base_depth ~budget ~capacity lx =
-  (* [capacity] sizes the node columns, the key table and the child
-     stacks; all three double when outgrown.  Over-estimates only cost
-     transient memory (the trim below returns the dense prefix);
-     under-estimates only cost doublings. *)
+let build_of_lexer ~mode ~base_depth ~budget ~keys ~capacity lx =
+  (* [capacity] sizes the node columns and the child stacks; both
+     double when outgrown.  The columns are kept at their capacity, so
+     an over-estimate costs only memory and an under-estimate only
+     doublings. *)
   let b = builder capacity in
-  let by_key = Hashtbl.create (max 16 (capacity / 2)) in
   (* Children of the container currently being filled sit on top of
      these shared stacks (their frame base is the stack length at
      container entry), and are cut into the exact per-node arrays when
-     the container closes — no per-child list cells.  The key stacks
-     grow only in objects, the id stack in both container kinds, so
+     the container closes — no per-child list cells.  The key stack
+     grows only in objects, the id stack in both container kinds, so
      their frame bases differ. *)
   let stack_capacity = min 256 capacity in
   let st_ids = vec ~capacity:stack_capacity 0 in
   let st_keys = vec ~capacity:stack_capacity "" in
-  let st_khash = vec ~capacity:stack_capacity 0 in
-  let st_vhash = vec ~capacity:stack_capacity 0 in
   let rec value parent edge depth =
     let k = Lexer.next_kind lx in
     (* Budget parity with the two-stage route: one guard accounts both
        the parse unit and the tree-construction unit that [of_value]
        burns per node, positioned at the value's first token exactly
-       like the parser's peek-then-guard. *)
+       like the parser's peek-then-guard.  [depth] is absolute, so the
+       ceiling applies to real document nesting when a spill starts
+       [base_depth] levels down. *)
     Parser.guard ~units:2 budget lx depth;
     Obs.Metrics.incr "parse.values";
-    (* stored depths are tree-relative; [depth] itself stays absolute so
-       the ceiling applies to real document nesting when a spill starts
-       [base_depth] levels down *)
-    let id = new_node b parent edge (depth - base_depth) in
+    let id = new_node b parent edge in
     (match k with
     | Lexer.K_lbrace -> obj id depth
     | Lexer.K_lbracket -> arr id depth
-    | Lexer.K_nat -> set_int id (Lexer.int_value lx)
-    | Lexer.K_string -> set_str id (Lexer.string_value lx)
+    | Lexer.K_nat -> b.b_kinds.(id) <- Kint (Lexer.int_value lx)
+    | Lexer.K_string -> b.b_kinds.(id) <- Kstr (Lexer.string_value lx)
     | Lexer.K_neg_int | Lexer.K_float | Lexer.K_true | Lexer.K_false
-    | Lexer.K_null -> (
-      match Parser.literal_atom mode lx k with
-      | Parser.Int k -> set_int id k
-      | Parser.Str s -> set_str id s)
+    | Lexer.K_null ->
+      b.b_kinds.(id) <-
+        (match Parser.literal_atom mode lx k with
+        | Parser.Int k -> Kint k
+        | Parser.Str s -> Kstr s)
     | Lexer.K_rbrace | Lexer.K_rbracket | Lexer.K_colon | Lexer.K_comma
     | Lexer.K_eof ->
       Parser.unexpected_at lx "a JSON value");
     id
-  and set_int id k =
-    b.b_kinds.(id) <- Kint k;
-    b.b_hashes.(id) <- mix (mix 0x811c9dc5 1) k
-  and set_str id s =
-    b.b_kinds.(id) <- Kstr s;
-    b.b_hashes.(id) <- mix (mix 0x811c9dc5 2) (Hashtbl.hash s)
   and obj id depth =
     let base = st_ids.len and kbase = st_keys.len in
-    let ht = ref 0 in
+    let mark = Keyset.mark keys in
     let rec members () =
       match Lexer.next_kind lx with
       | Lexer.K_string ->
+        let h = Lexer.string_hash lx in
         let key = Lexer.string_value lx in
-        if Hashtbl.mem by_key (id, key) then
+        if not (Keyset.add keys mark h key) then
           Parser.fail_at lx "duplicate object key %S" key;
         Parser.expect_colon lx;
-        let cid = value id (Key key) (depth + 1) in
-        Hashtbl.add by_key (id, key) cid;
-        vec_push st_ids cid;
+        vec_push st_ids (value id (Key key) (depth + 1));
         vec_push st_keys key;
-        vec_push st_khash (Hashtbl.hash key);
-        vec_push st_vhash b.b_hashes.(cid);
-        if b.b_heights.(cid) >= !ht then ht := b.b_heights.(cid) + 1;
         (match Lexer.next_kind lx with
         | Lexer.K_comma -> members ()
         | Lexer.K_rbrace -> ()
@@ -343,34 +309,20 @@ let build_of_lexer ~mode ~base_depth ~budget ~capacity lx =
     (match Lexer.peek_kind lx with
     | Lexer.K_rbrace -> ignore (Lexer.next_kind lx)
     | _ -> members ());
+    Keyset.release keys mark;
     let m = st_ids.len - base in
     if m > 0 then begin
       b.b_children.(id) <- Array.sub st_ids.data base m;
       b.b_keys.(id) <- Array.sub st_keys.data kbase m
     end;
-    (* order-insensitive: fold pair hashes in sorted order, as of_value *)
-    sort_pairs st_khash.data st_vhash.data kbase (kbase + m - 1);
-    let h = ref (mix 0x811c9dc5 4) in
-    for i = kbase to kbase + m - 1 do
-      h := mix (mix !h st_khash.data.(i)) st_vhash.data.(i)
-    done;
-    b.b_hashes.(id) <- !h;
     st_ids.len <- base;
     st_keys.len <- kbase;
-    st_khash.len <- kbase;
-    st_vhash.len <- kbase;
-    b.b_sizes.(id) <- b.b_n - id;
-    b.b_heights.(id) <- !ht
+    b.b_sizes.(id) <- b.b_n - id
   and arr id depth =
     b.b_kinds.(id) <- Karr;
     let base = st_ids.len in
-    let ht = ref 0 in
-    let h = ref (mix 0x811c9dc5 3) in
     let rec elements () =
-      let cid = value id (Pos (st_ids.len - base)) (depth + 1) in
-      vec_push st_ids cid;
-      if b.b_heights.(cid) >= !ht then ht := b.b_heights.(cid) + 1;
-      h := mix !h b.b_hashes.(cid);
+      vec_push st_ids (value id (Pos (st_ids.len - base)) (depth + 1));
       match Lexer.next_kind lx with
       | Lexer.K_comma -> elements ()
       | Lexer.K_rbracket -> ()
@@ -382,30 +334,16 @@ let build_of_lexer ~mode ~base_depth ~budget ~capacity lx =
     let m = st_ids.len - base in
     if m > 0 then b.b_children.(id) <- Array.sub st_ids.data base m;
     st_ids.len <- base;
-    b.b_hashes.(id) <- !h;
-    b.b_sizes.(id) <- b.b_n - id;
-    b.b_heights.(id) <- !ht
+    b.b_sizes.(id) <- b.b_n - id
   in
   ignore (value (-1) Root base_depth);
-  let trim : 'a. 'a array -> 'a array =
-   fun a -> if Array.length a = b.b_n then a else Array.sub a 0 b.b_n
-  in
-  { kinds = trim b.b_kinds;
-    child_nodes = trim b.b_children;
-    child_keys = trim b.b_keys;
-    parents = trim b.b_parents;
-    edges = trim b.b_edges;
-    sizes = trim b.b_sizes;
-    heights = trim b.b_heights;
-    depths = trim b.b_depths;
-    hashes = trim b.b_hashes;
-    by_key;
-    index = None }
+  make b.b_n b.b_kinds b.b_children b.b_keys b.b_parents b.b_edges b.b_sizes
 
 (* One value off a longer stream: nothing but the value itself bounds
    its size, so start small rather than from the rest of the input. *)
-let of_lexer_exn ?(mode = `Strict) ?(base_depth = 0) ~budget lx =
-  build_of_lexer ~mode ~base_depth ~budget ~capacity:16 lx
+let of_lexer_exn ?(mode = `Strict) ?(base_depth = 0) ?(keys = Keyset.create ())
+    ~budget lx =
+  build_of_lexer ~mode ~base_depth ~budget ~keys ~capacity:16 lx
 
 let of_string_exn ?(mode = `Strict) ?max_depth ?budget input =
   let budget = Parser.budget_of budget max_depth in
@@ -413,10 +351,10 @@ let of_string_exn ?(mode = `Strict) ?max_depth ?budget input =
   (* the whole input is one value.  Records run 9–14 input bytes per
      node: one node per 12 bytes keeps the columns of a record up to
      3 KB under the minor heap's 256-word limit (an array above it is
-     allocated straight into the major heap, and trimmed there), at the
-     price of one doubling on the denser ones *)
+     allocated straight into the major heap), at the price of one
+     doubling on the denser ones *)
   let t =
-    build_of_lexer ~mode ~base_depth:0 ~budget
+    build_of_lexer ~mode ~base_depth:0 ~budget ~keys:(Keyset.create ())
       ~capacity:(String.length input / 12) lx
   in
   Parser.expect_eof lx;
@@ -427,7 +365,7 @@ let of_string_exn ?(mode = `Strict) ?max_depth ?budget input =
 let of_string ?mode ?max_depth ?budget input =
   Parser.wrap (fun () -> of_string_exn ?mode ?max_depth ?budget input)
 
-let node_count t = Array.length t.kinds
+let node_count t = t.n
 let kind t n = t.kinds.(n)
 let is_obj t n = match t.kinds.(n) with Kobj -> true | _ -> false
 let is_arr t n = match t.kinds.(n) with Karr -> true | _ -> false
@@ -457,9 +395,59 @@ let obj_keys t n =
   | Kobj -> t.child_keys.(n)
   | Karr | Kstr _ | Kint _ -> [||]
 
+(* ---- key lookup ---------------------------------------------------------- *)
+
+(* Objects up to this many keys are scanned; a wider one gets a table
+   of its own on its first lookup. *)
+let scan_keys = 16
+
+let rec scan keys k i =
+  if i >= Array.length keys then -1
+  else if String.equal (Array.unsafe_get keys i) k then i
+  else scan keys k (i + 1)
+
+(* Linear probing over the positions of [keys], at most half full:
+   slot [-1] is empty. *)
+let key_table keys =
+  let m = Array.length keys in
+  let cap = ref 16 in
+  while !cap < 2 * m do cap := 2 * !cap done;
+  let slots = Array.make !cap (-1) in
+  let mask = !cap - 1 in
+  Array.iteri
+    (fun i k ->
+      let j = ref (key_hash k land mask) in
+      while slots.(!j) >= 0 do j := (!j + 1) land mask done;
+      slots.(!j) <- i)
+    keys;
+  slots
+
+let rec probe slots keys k j =
+  let i = Array.unsafe_get slots j in
+  if i < 0 || String.equal keys.(i) k then i
+  else probe slots keys k ((j + 1) land (Array.length slots - 1))
+
+let wide_position t n k =
+  let keys = t.child_keys.(n) in
+  let slots =
+    match Int_map.find_opt n (Atomic.get t.derived).wide with
+    | Some slots -> slots
+    | None ->
+      let slots = key_table keys in
+      publish t (fun d -> { d with wide = Int_map.add n slots d.wide });
+      slots
+  in
+  probe slots keys k (key_hash k land (Array.length slots - 1))
+
 let lookup t n k =
   match t.kinds.(n) with
-  | Kobj -> Hashtbl.find_opt t.by_key (n, k)
+  | Kobj ->
+    let keys = t.child_keys.(n) in
+    let i =
+      if Array.length keys <= scan_keys then scan keys k 0
+      else wide_position t n k
+    in
+    if i < 0 then None else Some t.child_nodes.(n).(i)
   | Karr | Kstr _ | Kint _ -> None
 
 let nth t n i =
@@ -478,21 +466,20 @@ let edge_from_parent t n = t.edges.(n)
 (* ---- label index -------------------------------------------------------- *)
 
 let build_index ?(budget = Obs.Budget.unlimited) t =
-  match t.index with
+  match (Atomic.get t.derived).index with
   | Some _ -> ()
   | None ->
     Obs.Metrics.span "tree.index.build" (fun () ->
-        let n = Array.length t.kinds in
+        let n = t.n in
         (* one fuel unit per node: a single bucketing pass *)
         Obs.Budget.burn budget n;
         Obs.Metrics.incr "tree.index.builds";
         let key_buckets : (string, node list) Hashtbl.t = Hashtbl.create 64 in
-        let max_ar =
-          Array.fold_left
-            (fun m kids -> max m (Array.length kids))
-            0 t.child_nodes
-        in
-        let pos_buckets = Array.make max_ar [] in
+        let max_ar = ref 0 in
+        for nd = 0 to n - 1 do
+          max_ar := max !max_ar (Array.length t.child_nodes.(nd))
+        done;
+        let pos_buckets = Array.make !max_ar [] in
         (* descending pass so each (consed) bucket ends up in preorder *)
         for nd = n - 1 downto 0 do
           match t.edges.(nd) with
@@ -510,15 +497,15 @@ let build_index ?(budget = Obs.Budget.unlimited) t =
         Hashtbl.iter
           (fun k l -> Hashtbl.replace by_key k (Array.of_list l))
           key_buckets;
-        t.index <-
-          Some { by_key; by_pos = Array.map Array.of_list pos_buckets })
+        let index = { by_key; by_pos = Array.map Array.of_list pos_buckets } in
+        publish t (fun d -> { d with index = Some index }))
 
-let index t =
-  match t.index with
+let rec index t =
+  match (Atomic.get t.derived).index with
   | Some i -> i
   | None ->
     build_index t;
-    (match t.index with Some i -> i | None -> assert false)
+    index t
 
 let key_index t k =
   match Hashtbl.find_opt (index t).by_key k with
@@ -531,10 +518,93 @@ let pos_index t p =
 
 let iter_key_index f t = Hashtbl.iter f (index t).by_key
 let size t n = t.sizes.(n)
-let height_of t n = t.heights.(n)
-let height t = t.heights.(root)
-let depth t n = t.depths.(n)
-let subtree_hash t n = t.hashes.(n)
+
+(* ---- columns built on first use ------------------------------------------ *)
+
+let int_hash k = mix (mix 0x811c9dc5 1) k
+let str_hash s = mix (mix 0x811c9dc5 2) (Hashtbl.hash s)
+
+(* Children follow their parent in preorder, so one descending pass
+   finds every child's hash ready. *)
+let hash_column t =
+  let hs = Array.make t.n 0 in
+  let kh = ref [||] and vh = ref [||] in
+  for i = t.n - 1 downto 0 do
+    hs.(i) <-
+      (match t.kinds.(i) with
+      | Kint k -> int_hash k
+      | Kstr s -> str_hash s
+      | Karr ->
+        Array.fold_left (fun h c -> mix h hs.(c)) (mix 0x811c9dc5 3)
+          t.child_nodes.(i)
+      | Kobj ->
+        (* order-insensitive: fold pair hashes in sorted order *)
+        let kids = t.child_nodes.(i) and keys = t.child_keys.(i) in
+        let m = Array.length kids in
+        if Array.length !kh < m then begin
+          kh := Array.make m 0;
+          vh := Array.make m 0
+        end;
+        let kh = !kh and vh = !vh in
+        for j = 0 to m - 1 do
+          kh.(j) <- Hashtbl.hash keys.(j);
+          vh.(j) <- hs.(kids.(j))
+        done;
+        sort_pairs kh vh 0 (m - 1);
+        let h = ref (mix 0x811c9dc5 4) in
+        for j = 0 to m - 1 do
+          h := mix (mix !h kh.(j)) vh.(j)
+        done;
+        !h)
+  done;
+  hs
+
+let height_column t =
+  let hs = Array.make t.n 0 in
+  for i = t.n - 1 downto 1 do
+    let p = t.parents.(i) in
+    if hs.(i) >= hs.(p) then hs.(p) <- hs.(i) + 1
+  done;
+  hs
+
+let depth_column t =
+  let ds = Array.make t.n 0 in
+  for i = 1 to t.n - 1 do
+    ds.(i) <- ds.(t.parents.(i)) + 1
+  done;
+  ds
+
+(* A column, built in full and published on first use. *)
+let column get set build t =
+  let c = get (Atomic.get t.derived) in
+  if Array.length c > 0 then c
+  else begin
+    let c = build t in
+    publish t (set c);
+    c
+  end
+
+let hashes =
+  column (fun d -> d.hashes) (fun c d -> { d with hashes = c }) hash_column
+
+let heights =
+  column (fun d -> d.heights) (fun c d -> { d with heights = c }) height_column
+
+let depths =
+  column (fun d -> d.depths) (fun c d -> { d with depths = c }) depth_column
+
+let height_of t n = (heights t).(n)
+let height t = (heights t).(root)
+let depth t n = (depths t).(n)
+(* A node without children hashes on the spot, so asking a leaf (a
+   scalar [enum] or [EQ] constant) builds no column. *)
+let subtree_hash t n =
+  match t.kinds.(n) with
+  | Kint k -> int_hash k
+  | Kstr s -> str_hash s
+  | Karr when Array.length t.child_nodes.(n) = 0 -> mix 0x811c9dc5 3
+  | Kobj when Array.length t.child_nodes.(n) = 0 -> mix 0x811c9dc5 4
+  | Kobj | Karr -> (hashes t).(n)
 
 let rec value_at t n =
   match t.kinds.(n) with
@@ -599,9 +669,12 @@ let rec structural_equal t1 n1 t2 n2 =
     go 0
   | (Kobj | Karr | Kstr _ | Kint _), _ -> false
 
+(* Sizes first: they are built at parse time, hashes perhaps not, and
+   a one-node subtree compares faster than it hashes. *)
 let equal_across t1 n1 t2 n2 =
-  t1.hashes.(n1) = t2.hashes.(n2)
-  && t1.sizes.(n1) = t2.sizes.(n2)
+  let sz = t1.sizes.(n1) in
+  sz = t2.sizes.(n2)
+  && (sz = 1 || subtree_hash t1 n1 = subtree_hash t2 n2)
   && structural_equal t1 n1 t2 n2
 
 let equal_subtrees t n1 n2 = n1 = n2 || equal_across t n1 t n2
@@ -635,11 +708,11 @@ let nodes t = Seq.init (node_count t) Fun.id
 let iter f t = Seq.iter f (nodes t)
 
 let nodes_by_height t =
-  let h = height t in
-  let buckets = Array.make (h + 1) [] in
+  let hs = heights t in
+  let buckets = Array.make (hs.(root) + 1) [] in
   (* reverse preorder keeps each bucket in preorder *)
   for n = node_count t - 1 downto 0 do
-    buckets.(t.heights.(n)) <- n :: buckets.(t.heights.(n))
+    buckets.(hs.(n)) <- n :: buckets.(hs.(n))
   done;
   buckets
 

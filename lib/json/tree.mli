@@ -9,15 +9,30 @@
     This module realizes that structure over flat arrays: nodes are
     dense integer identifiers in {e preorder} (the root is [0] and the
     subtree of [n] occupies the contiguous range
-    [n .. n + size t n - 1]), every node carries a precomputed
-    structural hash, size and height, so that
+    [n .. n + size t n - 1]).
+
+    Parsing builds only what every reader uses: each node's kind,
+    children, object keys, parent, incoming edge and subtree size.  The
+    rest is built on first use, one whole column in one O(|D|) pass:
+    {!subtree_hash} (read by {!equal_subtrees} and {!equal_across},
+    and so by [enum], [uniqueItems] and [EQ]), {!height_of}, {!height}
+    and {!nodes_by_height} (the bottom-up oracles), {!depth}, and the
+    label index.  {!lookup} scans an
+    object's own keys when it has at most 16 and builds, on the first
+    lookup into a wider object, a table for that object (O(its keys)).
+    So
 
     - child access by key or index is O(1) expected,
     - [json(n)] subtree equality ({!equal_subtrees}) is O(1) expected
       (hash comparison, structurally verified on collision),
 
     which is what the linear-time evaluation results of the paper
-    (Propositions 1, 3, 6) assume of the substrate. *)
+    (Propositions 1, 3, 6) assume of the substrate.
+
+    A tree is safe to share between domains: whatever is built on first
+    use is built in full and then published through one [Atomic], so a
+    domain that sees it sees it filled (two domains may both build the
+    same part; either copy is kept). *)
 
 type t
 (** An immutable JSON tree. *)
@@ -63,18 +78,20 @@ val of_string_exn :
     budget exhaustion).  @raise Lexer.Error on malformed input. *)
 
 val of_lexer_exn :
-  ?mode:[ `Strict | `Lenient ] -> ?base_depth:int -> budget:Obs.Budget.t
-  -> Lexer.t -> t
+  ?mode:[ `Strict | `Lenient ] -> ?base_depth:int -> ?keys:Keyset.t
+  -> budget:Obs.Budget.t -> Lexer.t -> t
 (** [of_lexer_exn ~budget lx] parses {e one} JSON value off an existing
     lexer with the same fused pass as {!of_string} — no trailing-input
     check, so the caller can keep consuming [lx] afterwards.  The
-    budget guard runs with depths offset by [base_depth] (stored node
-    depths stay tree-relative), which lets the streaming validator
-    spill a subtree [base_depth] levels into a document while keeping
-    the global nesting ceiling exact.  Its columns start small and
-    double, so the cost follows the value parsed, not the input that
-    follows it.  @raise Parser.Parse_error, @raise Lexer.Error like
-    {!of_string_exn}. *)
+    budget guard runs with depths offset by [base_depth] ({!depth}
+    stays tree-relative), which lets the streaming validator spill a
+    subtree [base_depth] levels into a document while keeping the
+    global nesting ceiling exact.  Duplicate keys are detected in
+    [keys] (default: a fresh set), so a caller reading the enclosing
+    objects through a set of its own passes that one.  Its columns
+    start small and double, so the cost follows the value parsed, not
+    the input that follows it.  @raise Parser.Parse_error, @raise
+    Lexer.Error like {!of_string_exn}. *)
 
 val to_value : t -> Value.t
 (** Inverse of {!of_value} (up to object pair order). *)
@@ -128,7 +145,9 @@ val arity : t -> node -> int
 
 val lookup : t -> node -> string -> node option
 (** [lookup t n k] resolves the navigation instruction [n\[k\]]:
-    the unique child of object [n] under key [k].  O(1) expected. *)
+    the unique child of object [n] under key [k].  O(1) expected: an
+    object of at most 16 keys is scanned, a wider one probes a table
+    built on its first lookup. *)
 
 val nth : t -> node -> int -> node option
 (** [nth t n i] resolves [n\[i\]] on array nodes.  Negative [i] counts
@@ -176,21 +195,26 @@ val size : t -> node -> int
 (** Number of nodes of the subtree rooted at [n]. *)
 
 val height_of : t -> node -> int
-(** Height of the subtree rooted at [n] (leaves have height [0]). *)
+(** Height of the subtree rooted at [n] (leaves have height [0]).  The
+    first call on a tree builds every node's height, in O(|D|). *)
 
 val height : t -> int
 (** Height of the whole tree. *)
 
 val depth : t -> node -> int
-(** Distance from the root. *)
+(** Distance from the root.  The first call on a tree builds every
+    node's depth, in O(|D|). *)
 
 val subtree_hash : t -> node -> int
 (** Structural hash of [json(n)], equal for structurally equal
-    subtrees (object key order insensitive). *)
+    subtrees (object key order insensitive), and the same for a tree
+    built by {!of_value} or {!of_string}.  A node without children
+    hashes on the spot; the first call on any other node builds every
+    node's hash, in O(|D|) plus sorting each object's members. *)
 
 val equal_subtrees : t -> node -> node -> bool
 (** [equal_subtrees t n1 n2] decides [json(n1) = json(n2)].  Exact:
-    hash comparison fast path, structural walk on agreement. *)
+    size and hash comparison fast path, structural walk on agreement. *)
 
 val equal_across : t -> node -> t -> node -> bool
 (** Subtree equality across two different trees. *)

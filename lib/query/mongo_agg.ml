@@ -138,11 +138,25 @@ type acc = { a_name : string; a_op : acc_op; a_arg : expr }
 
 type group = { g_id : expr; g_accs : acc list }
 
+(* Join and group keys, compared by value: object key order does not
+   matter, and [None] (the missing field) equals only itself. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = Value.t option
+
+  let equal a b =
+    match (a, b) with
+    | None, None -> true
+    | Some a, Some b -> Value.equal a b
+    | None, Some _ | Some _, None -> false
+
+  let hash = function None -> 0 | Some v -> Value.hash v
+end)
+
 type lookup = {
   l_local : path;
   l_as : path;
   l_foreign : Value.t array;  (** the joined collection, in order *)
-  l_tbl : (string, int list) Hashtbl.t;  (** join key → indices, reversed *)
+  l_tbl : int list Key_tbl.t;  (** join key → indices, reversed *)
 }
 
 type stage =
@@ -267,11 +281,6 @@ let parse_sort (v : Value.t) : (path * bool) list =
       kvs
   | v -> bad "$sort expects a non-empty object, got %s" (Value.to_string v)
 
-(* canonical string of a join key; [None] is the missing field *)
-let canon_opt = function
-  | None -> "m"
-  | Some v -> "v" ^ Value.to_string (Value.sort_keys v)
-
 let parse_lookup collections (v : Value.t) : lookup =
   match v with
   | Value.Obj kvs ->
@@ -290,12 +299,12 @@ let parse_lookup collections (v : Value.t) : lookup =
       | None -> bad "$lookup: unknown collection %s" from
     in
     let l_foreign = Array.of_list docs in
-    let l_tbl = Hashtbl.create (max 16 (Array.length l_foreign)) in
+    let l_tbl = Key_tbl.create (max 16 (Array.length l_foreign)) in
     Array.iteri
       (fun i fd ->
-        let key = canon_opt (get_obj_path l_foreign_path fd) in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt l_tbl key) in
-        Hashtbl.replace l_tbl key (i :: prev))
+        let key = get_obj_path l_foreign_path fd in
+        let prev = Option.value ~default:[] (Key_tbl.find_opt l_tbl key) in
+        Key_tbl.replace l_tbl key (i :: prev))
       l_foreign;
     { l_local; l_as; l_foreign; l_tbl }
   | v -> bad "$lookup expects an object, got %s" (Value.kind_name v)
@@ -417,27 +426,26 @@ let finish_state st (a : acc) : Value.t option =
   | A_push -> Some (Value.Arr (List.rev st.s_items))
 
 let apply_group (g : group) (docs : Value.t list) : Value.t list =
-  let tbl = Hashtbl.create 64 in
+  let tbl = Key_tbl.create 64 in
+  (* groups in reverse first-seen order, each under its first key *)
   let order = ref [] in
   List.iter
     (fun d ->
       let key = eval_expr g.g_id d in
-      let ks = canon_opt key in
-      let entry =
-        match Hashtbl.find_opt tbl ks with
-        | Some e -> e
+      let states =
+        match Key_tbl.find_opt tbl key with
+        | Some states -> states
         | None ->
-          let e = (key, List.map (fun _ -> fresh_state ()) g.g_accs) in
-          Hashtbl.add tbl ks e;
-          order := ks :: !order;
-          e
+          let states = List.map (fun _ -> fresh_state ()) g.g_accs in
+          Key_tbl.add tbl key states;
+          order := (key, states) :: !order;
+          states
       in
-      List.iter2 (fun st a -> feed_state st a d) (snd entry) g.g_accs)
+      List.iter2 (fun st a -> feed_state st a d) states g.g_accs)
     docs;
-  Metrics.add "mongo.agg.group.groups" (Hashtbl.length tbl);
+  Metrics.add "mongo.agg.group.groups" (Key_tbl.length tbl);
   List.rev_map
-    (fun ks ->
-      let key, states = Hashtbl.find tbl ks in
+    (fun (key, states) ->
       let id_field =
         match key with None -> [] | Some v -> [ ("_id", v) ]
       in
@@ -478,7 +486,7 @@ let apply_lookup (lk : lookup) (d : Value.t) : Value.t =
   let idxs =
     List.concat_map
       (fun p ->
-        match Hashtbl.find_opt lk.l_tbl (canon_opt p) with
+        match Key_tbl.find_opt lk.l_tbl p with
         | Some l -> l
         | None -> [])
       probes

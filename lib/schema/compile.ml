@@ -510,9 +510,14 @@ and conjoin b depth d (f : Jsl.t) =
   let child g = intern_jsl b depth g in
   match f with
   | Jsl.True -> ()
-  | Jsl.And (x, y) ->
-    conjoin b (depth + 1) d x;
-    conjoin b (depth + 1) d y
+  | Jsl.And _ ->
+    (* {!Jsl.conj} folds left: walk the left spine at one depth, so a
+       conjunction of many siblings costs no depth; only operands that
+       are themselves conjunctions nest *)
+    let rec spine f acc =
+      match f with Jsl.And (x, y) -> spine x (y :: acc) | f -> f :: acc
+    in
+    List.iter (conjoin b (depth + 1) d) (spine f [])
   | Jsl.Or _ ->
     let group = List.map child (disjuncts b depth f []) in
     d.d_any_of <- Array.of_list group :: d.d_any_of
@@ -531,11 +536,19 @@ and conjoin b depth d (f : Jsl.t) =
     d.d_nots <- child (Jsl.Box_range (i, j, neg g)) :: d.d_nots
   | Jsl.Var v -> d.d_all_of <- intern_sym b depth v :: d.d_all_of
 
+(* The operands of a disjunction, in order.  As in [conjoin], the left
+   spine ({!Jsl.disj} folds left) is walked at one depth and only a
+   right operand that is itself a disjunction goes one level down. *)
 and disjuncts b depth f acc =
+  let rec spine f acc =
+    match f with
+    | Jsl.Or (x, y) -> spine x (disjuncts b (depth + 1) y acc)
+    | f -> f :: acc
+  in
   match f with
-  | Jsl.Or (x, y) ->
+  | Jsl.Or _ ->
     Obs.Budget.check_depth b.budget depth;
-    disjuncts b (depth + 1) x (disjuncts b (depth + 1) y acc)
+    spine f acc
   | f -> f :: acc
 
 let of_jsl ?(budget = Obs.Budget.unlimited) ?(defs = []) base =
@@ -1008,12 +1021,13 @@ and stream_arr st p c depth verdicts =
    back to [run_tree] semantics on it — the bounded escape hatch for
    the keywords that genuinely need the whole subtree ([uniqueItems],
    [enum] deep equality) or a cyclic closure.  The builder starts small
-   and doubles, so a spill costs O(subtree), not O(rest of input). *)
+   and doubles, so a spill costs O(subtree), not O(rest of input), and
+   it checks keys in the run's one key set. *)
 and spill st p c depth =
   Obs.Metrics.incr "validate.stream.spills";
   let t =
-    Tree.of_lexer_exn ~mode:st.s_mode ~base_depth:depth ~budget:st.s_budget
-      st.s_lx
+    Tree.of_lexer_exn ~mode:st.s_mode ~base_depth:depth ~keys:st.s_keys
+      ~budget:st.s_budget st.s_lx
   in
   let est = { budget = st.s_budget; memo = Hashtbl.create 16 } in
   let v = Array.make (Array.length c.c_ids) false in

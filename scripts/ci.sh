@@ -65,11 +65,10 @@ esac
 # Wide-input gate: reading JSON is linear in an object's keys, and
 # checking and compiling a schema linear in its definitions.  A
 # 128k-key object must parse, and a 32k-definition schema (each
-# definition referenced from one property, in 128 groups of 256 so
-# that the --via-jsl translation's conjunctions stay under the depth
-# ceiling) must validate the same way with and without --via-jsl, each
-# well inside 20 s; a list scan per key or per definition takes
-# minutes.
+# definition referenced from one property, in 128 groups of 256, so
+# both flat and nested conjunctions are exercised) must validate the
+# same way with and without --via-jsl, each well inside 20 s; a list
+# scan per key or per definition takes minutes.
 wide=$(mktemp)
 wide_schema=$(mktemp)
 wide_docs=$(mktemp)
@@ -102,7 +101,63 @@ for via in "" --via-jsl; do
     exit 1
   fi
 done
-rm -f "$wide" "$wide_schema" "$wide_docs"
+
+# Looking a key up in a wide object is O(1) expected: the 128k-key
+# object against a schema requiring every one of its keys, through
+# the default route (a tree of the parsed value), --files-from (a tree
+# straight from the text) and --stream.  A scan per lookup takes
+# about half a minute.
+wide_req=$(mktemp)
+wide_list=$(mktemp)
+awk 'BEGIN { printf "{\"type\":\"object\",\"required\":[";
+             for (i = 0; i < 131072; i++) printf "%s\"k%d\"", (i ? "," : ""), i;
+             printf "]}" }' > "$wide_req"
+{ cat "$wide"; printf '\n{"k0":0}\n'; } > "$wide_docs"
+echo "$wide" > "$wide_list"
+wide_check() {
+  # wide_check NAME EXPECTED_STATUS EXPECTED_OUTPUT ARGS...
+  name=$1 want_status=$2 want=$3
+  shift 3
+  echo "+ timeout 20s $JSONLOGIC validate <$name>"
+  status=0
+  out=$(timeout 20 "$JSONLOGIC" validate "$@") || status=$?
+  if [ "$status" != "$want_status" ] || [ "$out" != "$want" ]; then
+    echo "FAIL: wide validate ($name): exit $status, output:" >&2
+    echo "$out" | cut -c1-200 >&2
+    rm -f "$wide" "$wide_schema" "$wide_docs" "$wide_req" "$wide_list"
+    exit 1
+  fi
+}
+wide_check "required 128k keys" 1 \
+  "$(printf 'valid\t%s\nINVALID\t{"k0":0}' "$(cat "$wide")")" \
+  --schema "$wide_req" "$wide_docs"
+wide_check "required 128k keys, --files-from" 0 \
+  "$(printf '%s\tvalid' "$wide")" \
+  --schema "$wide_req" --files-from "$wide_list"
+wide_check "required 128k keys, --stream" 1 \
+  "$(printf '%s:1\tvalid\n%s:2\tINVALID' "$wide_docs" "$wide_docs")" \
+  --stream --schema "$wide_req" "$wide_docs"
+
+# --via-jsl on flat wide schemas: To_jsl folds sibling properties into
+# one conjunction and an enum into one disjunction, which of_jsl walks
+# at one depth, so neither meets the depth ceiling.
+awk 'BEGIN { printf "{\"type\":\"object\",\"properties\":{";
+             for (i = 0; i < 32768; i++)
+               printf "%s\"p%d\":{\"type\":\"number\",\"minimum\":%d}", (i ? "," : ""), i, i % 7;
+             printf "}}" }' > "$wide_schema"
+printf '%s\n' '{"p1":5,"p32767":6}' '{"p3":2}' '{}' > "$wide_docs"
+wide_check "32k flat properties, --via-jsl" 1 \
+  "$(printf 'valid\t%s\nINVALID\t%s\nvalid\t%s' \
+      '{"p1":5,"p32767":6}' '{"p3":2}' '{}')" \
+  --via-jsl --schema "$wide_schema" "$wide_docs"
+awk 'BEGIN { printf "{\"enum\":[";
+             for (i = 0; i < 20000; i++) printf "%s%d", (i ? "," : ""), i;
+             printf "]}" }' > "$wide_schema"
+printf '%s\n' 0 19999 20000 '"x"' > "$wide_docs"
+wide_check "20k-value enum, --via-jsl" 1 \
+  "$(printf 'valid\t0\nvalid\t19999\nINVALID\t20000\nINVALID\t"x"')" \
+  --via-jsl --schema "$wide_schema" "$wide_docs"
+rm -f "$wide" "$wide_schema" "$wide_docs" "$wide_req" "$wide_list"
 
 # Differential gate: the 1000-case fuzz asserting the indexed and
 # sweep pre-image strategies and the set-at-a-time and nodal engines

@@ -149,6 +149,72 @@ let test_lookup () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown collection must be rejected"
 
+(* Join and group keys compare by value: keys differing only in object
+   key order meet, while 0, "", [], {} and a missing field stay apart. *)
+let test_keys_by_value () =
+  let keyed =
+    [ {|{"k":{"a":1,"b":[1,{"x":1,"y":2}]},"n":0}|}; {|{"k":0,"n":1}|};
+      {|{"k":"","n":2}|}; {|{"k":[],"n":3}|}; {|{"k":{},"n":4}|}; {|{"n":5}|};
+      {|{"k":{"b":[1,{"y":2,"x":1}],"a":1},"n":6}|} ]
+  in
+  let collections = function "c" -> Some (docs keyed) | _ -> None in
+  let matches ns = String.concat "," (List.map (List.nth keyed) ns) in
+  check_run "lookup by value" ~collections
+    [ Printf.sprintf {|{"k":{"b":[1,{"x":1,"y":2}],"a":1},"m":[%s]}|} (matches [ 0; 6 ]);
+      Printf.sprintf {|{"k":0,"m":[%s]}|} (matches [ 1 ]);
+      Printf.sprintf {|{"k":"","m":[%s]}|} (matches [ 2 ]);
+      Printf.sprintf {|{"k":[],"m":[%s]}|} (matches [ 3 ]);
+      Printf.sprintf {|{"k":{},"m":[%s]}|} (matches [ 4 ]);
+      Printf.sprintf {|{"m":[%s]}|} (matches [ 5 ]) ]
+    {|[{"$lookup": {"from": "c", "localField": "k", "foreignField": "k", "as": "m"}}]|}
+    [ {|{"k":{"b":[1,{"x":1,"y":2}],"a":1}}|}; {|{"k":0}|}; {|{"k":""}|};
+      {|{"k":[]}|}; {|{"k":{}}|}; {|{}|} ];
+  (* an array probes itself and each element; a foreign document found
+     twice is joined once, in collection order *)
+  let arrays = [ {|{"k":[0],"n":0}|}; {|{"k":0,"n":1}|}; {|{"k":[0,[0]],"n":2}|} ] in
+  let collections = function "c" -> Some (docs arrays) | _ -> None in
+  let matches ns = String.concat "," (List.map (List.nth arrays) ns) in
+  check_run "array probes deduplicated" ~collections
+    [ Printf.sprintf {|{"k":[0,[0],0],"m":[%s]}|} (matches [ 0; 1 ]);
+      Printf.sprintf {|{"k":[0,[0]],"m":[%s]}|} (matches [ 0; 1; 2 ]) ]
+    {|[{"$lookup": {"from": "c", "localField": "k", "foreignField": "k", "as": "m"}}]|}
+    [ {|{"k":[0,[0],0]}|}; {|{"k":[0,[0]]}|} ];
+  (* groups in first-seen order, each under its first key *)
+  check_run "group by value"
+    [ {|{"_id":{"a":1,"b":[{"x":1,"y":2}]},"s":3}|}; {|{"_id":0,"s":132}|};
+      {|{"_id":"","s":8}|}; {|{"_id":[],"s":16}|}; {|{"_id":{},"s":32}|};
+      {|{"s":64}|} ]
+    {|[{"$group": {"_id": "$g", "s": {"$sum": "$v"}}}]|}
+    [ {|{"g":{"a":1,"b":[{"x":1,"y":2}]},"v":1}|};
+      {|{"g":{"b":[{"y":2,"x":1}],"a":1},"v":2}|}; {|{"g":0,"v":4}|};
+      {|{"g":"","v":8}|}; {|{"g":[],"v":16}|}; {|{"g":{},"v":32}|};
+      {|{"v":64}|}; {|{"g":0,"v":128}|} ]
+
+(* Building the join table is a few words per member: the key is the
+   member's own value, not a re-serialized copy. *)
+let test_lookup_words () =
+  let n = 20_000 in
+  let members =
+    List.init n (fun i ->
+        Value.Obj
+          [ ("pid", Value.Num (i * 7919 mod 100_000));
+            ("tier", Value.Str (List.nth [ "gold"; "silver"; "bronze" ] (i mod 3))) ])
+  in
+  let collections = function "members" -> Some members | _ -> None in
+  let pipeline =
+    parse_doc
+      {|[{"$lookup": {"from": "members", "localField": "id", "foreignField": "pid", "as": "member"}}]|}
+  in
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  let pl = Agg.parse ~collections pipeline in
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  Alcotest.(check bool) "pipeline parses" true (Result.is_ok pl);
+  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  let per_member = words /. float_of_int n in
+  if per_member > 40. then
+    Alcotest.failf "parsing a %d-member $lookup allocated %.1f words/member (budget 40)"
+      n per_member
+
 let test_parse_errors () =
   List.iter
     (fun s ->
@@ -315,6 +381,8 @@ let () =
          Alcotest.test_case "$group" `Quick test_group;
          Alcotest.test_case "$sort/$limit/$skip" `Quick test_sort_limit_skip;
          Alcotest.test_case "$lookup" `Quick test_lookup;
+         Alcotest.test_case "keys by value" `Quick test_keys_by_value;
+         Alcotest.test_case "$lookup words" `Quick test_lookup_words;
          Alcotest.test_case "parse errors" `Quick test_parse_errors ]);
       ("engine",
        [ Alcotest.test_case "sharded = sequential" `Quick test_sharding;

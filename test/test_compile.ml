@@ -476,6 +476,52 @@ let test_wide_verdicts () =
       (Printf.sprintf {|{"p%d":%d,"q":[]}|} (last - 1) (last mod 7), false);
       ("[]", false) ]
 
+(* Flat schemas as wide as the definitions above: [To_jsl] folds 20k
+   sibling properties into one conjunction and a 20k-value [enum] into
+   one disjunction, and [of_jsl] walks their spines at one depth, so
+   under the CLI's default depth ceiling both compile and agree with
+   [compile] on tree and stream. *)
+let test_wide_flat () =
+  let n = 20_000 in
+  let list f = String.concat "," (List.init n f) in
+  let properties =
+    Printf.sprintf {|{"type":"object","properties":{%s}}|}
+      (list (fun i -> Printf.sprintf {|"p%d":{"type":"number","minimum":%d}|} i (i mod 7)))
+  in
+  let enum =
+    Printf.sprintf {|{"enum":[%s,{"o":[1,2]}]}|}
+      (list (fun i -> if i mod 2 = 0 then string_of_int i else Printf.sprintf {|"s%d"|} i))
+  in
+  let budget () = Obs.Budget.depth_limited Obs.Budget.default_max_depth in
+  List.iter
+    (fun (text, docs) ->
+      let schema = parse_schema text in
+      let plan = Validate.Plan.compile ~budget:(budget ()) schema in
+      let r = Jschema.To_jsl.document schema in
+      let jsl_plan =
+        Validate.Plan.of_jsl ~budget:(budget ()) ~defs:r.Jlogic.Jsl_rec.defs
+          r.Jlogic.Jsl_rec.base
+      in
+      List.iter
+        (fun (doc_text, expected) ->
+          List.iter
+            (fun (route, v) ->
+              Alcotest.(check bool) (Printf.sprintf "%s on %s" route doc_text)
+                expected v)
+            [ ("interpreter", Validate.validates schema (parse_doc doc_text));
+              ("compile tree", Validate.Plan.run_tree plan (Tree.of_string_exn doc_text));
+              ("compile stream", Validate.Plan.run_stream plan doc_text);
+              ("of_jsl tree", Validate.Plan.run_tree jsl_plan (Tree.of_string_exn doc_text));
+              ("of_jsl stream", Validate.Plan.run_stream jsl_plan doc_text) ])
+        docs)
+    [ ( properties,
+        [ ("{}", true); ({|{"p1":5,"p19999":6}|}, true); ({|{"p3":2}|}, false);
+          ({|{"p19999":"x"}|}, false); ({|{"q":[]}|}, true); ("[]", false) ] );
+      ( enum,
+        [ ("0", true); ("19998", true); ({|"s19999"|}, true); ({|"s2"|}, false);
+          ("1", false); ({|{"o":[1,2]}|}, true); ({|{"o":[2,1]}|}, false);
+          ("[]", false) ] ) ]
+
 let check_error what expected = function
   | Ok _ -> Alcotest.failf "%s accepted" what
   | Error m -> Alcotest.(check string) what expected m
@@ -563,4 +609,5 @@ let () =
            test_of_jsl_random_rec ]);
       ("wide definitions",
        [ Alcotest.test_case "verdicts agree" `Quick test_wide_verdicts;
-         Alcotest.test_case "error texts" `Quick test_wide_errors ]) ]
+         Alcotest.test_case "error texts" `Quick test_wide_errors;
+         Alcotest.test_case "flat properties and enum" `Quick test_wide_flat ]) ]

@@ -1149,7 +1149,10 @@ let feed_corpus =
     "{,}";
     "nul";
     "tr";
-    "123456789012345678901234567890" ]
+    "123456789012345678901234567890";
+    (* wider than the objects [Tree.lookup] scans *)
+    wide_object 17 "";
+    wide_object 17 {|,"k16":1|} ]
 
 let test_feed_every_split () =
   List.iter
@@ -1283,6 +1286,203 @@ let test_feed_fuel_parity () =
         oneshot fed)
     (List.init 8 (fun i -> max 1 ((2 * nodes) - 4 + i)) @ [ 1; 2; 3; nodes ])
 
+(* ------------------------------------------------------------------ *)
+(* Tree: key lookup, columns built on first use, shared trees           *)
+(* ------------------------------------------------------------------ *)
+
+(* Fresh trees of [text] from every construction route: the fused
+   string pass, the same pass over 3-byte chunks, and [of_value]. *)
+let tree_routes text =
+  [ ("of_string", Tree.of_string_exn text);
+    ( "3-byte chunks",
+      Tree.of_lexer_exn ~budget:Obs.Budget.unlimited (chunked_lexer text 3) );
+    ("of_value", Tree.of_value (Parser.parse_exn text)) ]
+
+(* Objects up to 16 keys are scanned, wider ones probe a table built
+   on their first lookup: both find every key at its child, and miss
+   the empty key, a prefix and an extension of a present key.  Looking
+   up every key of the widest object takes a bounded multiple of the
+   time building its tree takes (a scan per key takes thousands of
+   times longer). *)
+let test_tree_lookup_widths () =
+  List.iter
+    (fun n ->
+      let text = wide_object n "" in
+      let kvs =
+        match Parser.parse_exn text with Value.Obj kvs -> kvs | _ -> assert false
+      in
+      let _, linear = cpu_time (fun () -> Tree.of_string_exn text) in
+      let bound = Float.max 1.0 (25. *. linear) in
+      List.iter
+        (fun (route, t) ->
+          let kids = Tree.child_ids t Tree.root in
+          let (), time =
+            cpu_time (fun () ->
+                List.iteri
+                  (fun i (k, v) ->
+                    match Tree.lookup t Tree.root k with
+                    | Some c
+                      when c = kids.(i) && Value.equal (Tree.value_at t c) v ->
+                      ()
+                    | _ ->
+                      Alcotest.failf "%s, %d keys: %S not at its child" route n
+                        k)
+                  kvs)
+          in
+          if time > bound then
+            Alcotest.failf "%s: %d lookups took %.2f s (bound %.2f s)" route n
+              time bound;
+          List.iter
+            (fun k ->
+              if
+                Option.map (Tree.value_at t) (Tree.lookup t Tree.root k)
+                <> List.assoc_opt k kvs
+              then Alcotest.failf "%s, %d keys: absent %S found" route n k)
+            [ ""; "k"; "k0z"; Printf.sprintf "k%d" n ])
+        (tree_routes text))
+    [ 0; 1; 16; 17; 65_536 ]
+
+(* Documents for the first-use columns: nested wide objects, empty
+   containers, and generated documents. *)
+let first_use_docs =
+  lazy
+    (let rng = Jworkload.Prng.create 4242 in
+     figure1
+     :: Printf.sprintf {|[%s,{"w":%s,"e":[[],{}]}]|} (wide_object 17 "")
+          (wide_object 40 "")
+     :: List.init 10 (fun i ->
+            Printer.compact (Jworkload.Gen_json.sized rng (1 + (i * 41)))))
+
+(* Every column a first use builds, asked in one order on a fresh tree
+   per route, equals [of_value]'s; heights and depths also equal their
+   definitions on the value. *)
+let test_tree_first_use () =
+  let rng = Jworkload.Prng.create 77 in
+  List.iter
+    (fun text ->
+      let reference = Tree.of_value (Parser.parse_exn text) in
+      let n = Tree.node_count reference in
+      let column f = Array.init n (f reference) in
+      let hashes = column Tree.subtree_hash
+      and heights = column Tree.height_of
+      and depths = column Tree.depth in
+      for nd = 0 to n - 1 do
+        if heights.(nd) <> Value.height (Tree.value_at reference nd) then
+          Alcotest.failf "height of node %d in %S" nd text;
+        if depths.(nd) <> List.length (Tree.address reference nd) then
+          Alcotest.failf "depth of node %d in %S" nd text
+      done;
+      let orders =
+        [ ("leaf-first", List.init n (fun i -> n - 1 - i));
+          ("root-first", List.init n Fun.id);
+          ("seeded", Jworkload.Prng.shuffle rng (List.init n Fun.id)) ]
+      in
+      List.iter
+        (fun (order, nodes) ->
+          List.iter
+            (fun (name, f, expected) ->
+              List.iter
+                (fun (route, t) ->
+                  List.iter
+                    (fun nd ->
+                      if f t nd <> expected.(nd) then
+                        Alcotest.failf "%s of node %d (%s, %s) in %S" name nd
+                          route order text)
+                    nodes)
+                (tree_routes text))
+            [ ("subtree_hash", Tree.subtree_hash, hashes);
+              ("height_of", Tree.height_of, heights);
+              ("depth", Tree.depth, depths) ])
+        orders)
+    (Lazy.force first_use_docs)
+
+(* [equal_subtrees] against [Value.equal] of [value_at], on seeded
+   pairs of a document holding copies of one value, with and without
+   its object keys reordered. *)
+let test_tree_equal_pairs () =
+  let rng = Jworkload.Prng.create 99 in
+  let rec reorder = function
+    | Value.Obj kvs -> Value.Obj (List.rev_map (fun (k, v) -> (k, reorder v)) kvs)
+    | Value.Arr vs -> Value.Arr (List.map reorder vs)
+    | v -> v
+  in
+  for i = 1 to 12 do
+    let v = Jworkload.Gen_json.sized rng (1 + (i * 23)) in
+    let w = Jworkload.Gen_json.sized rng (1 + (i * 23)) in
+    let text = Printer.compact (Value.Arr [ v; reorder v; w; v ]) in
+    List.iter
+      (fun (route, t) ->
+        let copies = Tree.child_ids t Tree.root in
+        Alcotest.(check bool) (route ^ ": reordered copy equal") true
+          (Tree.equal_subtrees t copies.(0) copies.(1));
+        let n = Tree.node_count t in
+        for _ = 1 to 300 do
+          let a = Jworkload.Prng.int rng n in
+          let b =
+            (* half the pairs match a node of the first copy with its
+               twin in the last *)
+            if a > copies.(0) && a < copies.(1) && Jworkload.Prng.bool rng then
+              a - copies.(0) + copies.(3)
+            else Jworkload.Prng.int rng n
+          in
+          if
+            Tree.equal_subtrees t a b
+            <> Value.equal (Tree.value_at t a) (Tree.value_at t b)
+          then Alcotest.failf "%s: equal_subtrees %d %d in %S" route a b text
+        done)
+      (tree_routes text)
+  done
+
+(* Two domains ask one fresh tree at once for every hash, height and
+   depth and for lookups into its wide objects, one in node order and
+   the other in reverse, the second starting a little later in each
+   round; both must see what one domain sees. *)
+let test_tree_two_domains () =
+  let rng = Jworkload.Prng.create 5 in
+  let text =
+    Printer.compact
+      (Value.Arr
+         (List.init 6 (fun i ->
+              Value.Obj
+                (List.init (17 + (i * 7)) (fun j ->
+                     ( Printf.sprintf "k%d" j,
+                       Jworkload.Gen_json.sized rng (1 + ((i + j) mod 9)) ))))))
+  in
+  let answers ~reverse t =
+    let n = Tree.node_count t in
+    let nodes = List.init n (fun i -> if reverse then n - 1 - i else i) in
+    let col f = List.map (f t) nodes in
+    let s = col Tree.subtree_hash in
+    let h = col Tree.height_of in
+    let d = col Tree.depth in
+    let lookups =
+      col (fun t nd ->
+          if Tree.is_obj t nd && Tree.arity t nd > 16 then
+            List.map
+              (fun k -> Tree.lookup t nd k)
+              ("k" :: Array.to_list (Tree.obj_keys t nd))
+          else [])
+    in
+    let fwd l = if reverse then List.rev l else l in
+    (fwd s, fwd h, fwd d, fwd lookups)
+  in
+  let expected = answers ~reverse:false (Tree.of_string_exn text) in
+  for round = 1 to 200 do
+    let t = Tree.of_string_exn text in
+    let ready = Atomic.make 0 in
+    let ask reverse () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do Domain.cpu_relax () done;
+      if reverse then
+        for _ = 1 to round mod 25 * 40 do Domain.cpu_relax () done;
+      answers ~reverse t
+    in
+    let d1 = Domain.spawn (ask false) and d2 = Domain.spawn (ask true) in
+    let a1 = Domain.join d1 and a2 = Domain.join d2 in
+    if a1 <> expected || a2 <> expected then
+      Alcotest.failf "round %d: a domain saw other columns or lookups" round
+  done
+
 let test_feed_misuse () =
   (* feeding a closed lexer is a programming error *)
   let lx = Lexer.create_feed () in
@@ -1369,6 +1569,17 @@ let test_of_string_major_allocation () =
   if major >= 0.1 then
     Alcotest.failf "Tree.of_string allocated %.3f major words/B (budget 0.1)"
       major
+
+let test_of_string_minor_allocation () =
+  (* structure at parse time, hashes, heights and depths on first use,
+     and one key set instead of a (node, key) table *)
+  let minor, _ =
+    words_per_byte (Lazy.force catalog_texts) (fun text ->
+        ignore (Tree.of_string_exn text))
+  in
+  if minor > 2.6 then
+    Alcotest.failf "Tree.of_string allocated %.2f minor words/B (budget 2.6)"
+      minor
 
 let test_number_overflow () =
   List.iter
@@ -1464,7 +1675,11 @@ let () =
          Alcotest.test_case "subtree equality" `Quick test_tree_subtree_equality;
          Alcotest.test_case "key order insensitive" `Quick test_tree_key_order_insensitive_equality;
          Alcotest.test_case "sizes and heights" `Quick test_tree_sizes_heights;
-         Alcotest.test_case "parents and edges" `Quick test_tree_parent_edges ]);
+         Alcotest.test_case "parents and edges" `Quick test_tree_parent_edges;
+         Alcotest.test_case "lookup widths" `Quick test_tree_lookup_widths;
+         Alcotest.test_case "first-use columns" `Quick test_tree_first_use;
+         Alcotest.test_case "equal subtree pairs" `Quick test_tree_equal_pairs;
+         Alcotest.test_case "two domains" `Quick test_tree_two_domains ]);
       ("direct ingestion",
        [ Alcotest.test_case "differential fuzz" `Quick test_direct_differential;
          Alcotest.test_case "error agreement" `Quick test_direct_error_agreement;
@@ -1486,7 +1701,9 @@ let () =
       ("allocation",
        [ Alcotest.test_case "cursor loop" `Quick test_cursor_allocation;
          Alcotest.test_case "Tree.of_string major heap" `Quick
-           test_of_string_major_allocation ]);
+           test_of_string_major_allocation;
+         Alcotest.test_case "Tree.of_string minor heap" `Quick
+           test_of_string_minor_allocation ]);
       ("xml coding",
        [ Alcotest.test_case "basics" `Quick test_xml_coding;
          Alcotest.test_case "number text strictness" `Quick

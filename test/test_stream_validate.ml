@@ -358,8 +358,9 @@ let test_spill_sized_by_subtree () =
 
 let test_catalog_allocation () =
   (* the stream executor's allocation budget on catalog documents: the
-     lexer cursor, one key hash per member and one key set per run keep
-     it under 5 words per byte *)
+     lexer cursor, one key hash per member, one key set per run (which
+     spills share) and spilled trees that build hashes only when an
+     [enum] or [uniqueItems] asks keep it under 4.2 words per byte *)
   let plan = plan_of Jworkload.Catalog.catalog_schema in
   let rng = Jworkload.Prng.create 11 in
   let texts =
@@ -378,8 +379,8 @@ let test_catalog_allocation () =
           texts)
   in
   let per_byte = w /. float_of_int bytes in
-  if per_byte > 5. then
-    Alcotest.failf "run_stream allocated %.2f words/B (budget 5)" per_byte
+  if per_byte > 4.2 then
+    Alcotest.failf "run_stream allocated %.2f words/B (budget 4.2)" per_byte
 
 let test_spill_parse_values () =
   (* a spilled value is one parsed value, counted once *)
