@@ -28,7 +28,6 @@ type obs_opts = {
          documents must not share one: batch mode draws a fresh budget
          with the same limits per document *)
   metrics : bool;
-  use_index : bool;
   jobs : int;
 }
 
@@ -57,14 +56,6 @@ let obs_term =
              ~doc:"Record per-phase timings and per-construct counters and \
                    print them to stderr on exit.")
   in
-  let no_index =
-    Arg.(value & flag
-         & info [ "no-index" ]
-             ~doc:"Disable the per-tree label index and evaluate navigation \
-                   steps by sweeping all nodes (the indexed and swept \
-                   strategies compute the same sets; this is the escape hatch \
-                   and comparison baseline).")
-  in
   let jobs =
     Arg.(value & opt int 1
          & info [ "j"; "jobs" ] ~docv:"N"
@@ -73,7 +64,7 @@ let obs_term =
                    the daemon); results are deterministic and in input order \
                    regardless.")
   in
-  let make max_depth fuel timeout_ms metrics no_index jobs =
+  let make max_depth fuel timeout_ms metrics jobs =
     if metrics then begin
       Obs.Metrics.set_enabled true;
       (* commands may [exit] from several places; dump on whichever *)
@@ -83,10 +74,9 @@ let obs_term =
     { budget = fresh_budget ();
       fresh_budget;
       metrics;
-      use_index = not no_index;
       jobs = max 1 jobs }
   in
-  Term.(const make $ max_depth $ fuel $ timeout_ms $ metrics $ no_index $ jobs)
+  Term.(const make $ max_depth $ fuel $ timeout_ms $ metrics $ jobs)
 
 let parse_doc_exn ?budget text =
   Obs.Metrics.span "phase.parse" (fun () ->
@@ -194,8 +184,7 @@ let eval_cmd =
                         (read_input path)
                     in
                     let ctx =
-                      Jlogic.Jnl_eval.context ~budget:(obs.fresh_budget ())
-                        ~use_index:obs.use_index tree
+                      Jlogic.Jnl_eval.context ~budget:(obs.fresh_budget ()) tree
                     in
                     string_of_bool
                       (Jlogic.Jnl_eval.holds ctx Jsont.Tree.root phi)))
@@ -209,8 +198,7 @@ let eval_cmd =
             (fun doc ->
               Printf.printf "%b\t%s\n"
                 (Obs.Metrics.span "phase.eval" (fun () ->
-                     Jlogic.Jnl_eval.satisfies ~budget:obs.budget
-                       ~use_index:obs.use_index doc phi))
+                     Jlogic.Jnl_eval.satisfies ~budget:obs.budget doc phi))
                 (Jsont.Printer.compact doc))
             docs)
   in
@@ -230,7 +218,7 @@ let select_cmd =
         let doc = parse_doc_exn ~budget:obs.budget (read_input (last_input files)) in
         match
           Obs.Metrics.span "phase.eval" (fun () ->
-              Jquery.Jsonpath.select ~use_index:obs.use_index doc path)
+              Jquery.Jsonpath.select doc path)
         with
         | Ok hits -> List.iter (fun v -> print_endline (Jsont.Printer.compact v)) hits
         | Error m -> failwith ("bad path: " ^ m))
@@ -726,7 +714,7 @@ let index_query_cmd =
         in
         let r = open_index ~verify_body:(not no_verify) index_file in
         match
-          Jindex.Query.run ~jobs:obs.jobs ~use_index:obs.use_index ?corpus
+          Jindex.Query.run ~jobs:obs.jobs ?corpus
             ~fresh_budget:obs.fresh_budget r phi
         with
         | Error m -> failwith m

@@ -12,22 +12,20 @@ module type STORE = Jnl_store.S
    recursion depth is checked against the budget's ceiling so
    adversarially deep formulas raise {!Obs.Budget.Exhausted} instead of
    [Stack_overflow].  A navigation step burns [1 + touched], where
-   [touched] is the bucket or target members it walks, or the node
-   count on the sweep fallback ([use_index:false]). *)
+   [touched] is the bucket or target members it walks. *)
 
 module Make (S : STORE) = struct
   type ctx = {
     s : S.t;
     budget : Obs.Budget.t;
-    use_index : bool;
     memo : (Jnl.form, Bitset.t) Hashtbl.t;
     langs : (Rexp.Syntax.t, Rexp.Lang.t) Hashtbl.t;
     keys : (Rexp.Syntax.t, S.key list) Hashtbl.t;
     mutable reorders : int;
   }
 
-  let context ?(budget = Obs.Budget.unlimited) ?(use_index = true) s =
-    { s; budget; use_index; memo = Hashtbl.create 16; langs = Hashtbl.create 8;
+  let context ?(budget = Obs.Budget.unlimited) s =
+    { s; budget; memo = Hashtbl.create 16; langs = Hashtbl.create 8;
       keys = Hashtbl.create 8; reorders = 0 }
 
   let reorders ctx = ctx.reorders
@@ -42,15 +40,11 @@ module Make (S : STORE) = struct
       Hashtbl.add ctx.langs e l;
       l
 
-  (* [true] iff the bucket strategies run; prepares the store (a tree
-     builds its label index) so the work is charged to this budget *)
-  let indexed ctx =
-    ctx.use_index
-    && begin
-         S.prepare ctx.budget ctx.s;
-         Obs.Metrics.incr "jnl.index.hit";
-         true
-       end
+  (* prepares the store for a bucket walk (a tree builds its label
+     index) so the work is charged to this budget *)
+  let prepare ctx =
+    S.prepare ctx.budget ctx.s;
+    Obs.Metrics.incr "jnl.index.hit"
 
   (* the keys in L(e), off the key table once per context at one fuel
      unit per distinct key *)
@@ -121,14 +115,10 @@ module Make (S : STORE) = struct
       nodes ctx (via_buckets ctx [ S.pos_bucket ctx.s (a - 1) ] (fun _ -> true))
 
   (* parents of the target members whose incoming edge passes [edge]:
-     O(target), or the node count on the sweep fallback *)
+     O(target) *)
   let via_target ctx tgt edge =
     let tgt = match tgt with Set _ | Few _ -> tgt | t -> set (nodes ctx t) in
-    if ctx.use_index then burn ctx (1 + card tgt)
-    else begin
-      burn ctx (n ctx);
-      Obs.Metrics.incr "jnl.eval.sweep"
-    end;
+    burn ctx (1 + card tgt);
     parents ctx (fun add ->
         let visit c = if edge c then add c in
         match tgt with
@@ -139,21 +129,20 @@ module Make (S : STORE) = struct
      one, [hint] names the label whose value postings can stand in for
      a [Value] target.  The smaller of bucket and target is walked. *)
   let rec labelled ctx ~buckets ~edge ~hint tgt =
-    if not (indexed ctx) then via_target ctx tgt edge
-    else
-      match tgt with
-      | All -> via_buckets ctx (buckets ()) (fun _ -> true)
-      | Arrays a ->
-        via_buckets ctx (buckets ()) (fun c -> S.has_element ctx.s c (a - 1))
-      | Value v -> (
-        match Option.bind hint (fun h -> S.value_bucket ctx.s h v) with
-        | Some b -> via_buckets ctx [ b ] (fun _ -> true)
-        | None -> labelled ctx ~buckets ~edge ~hint (set (nodes ctx tgt)))
-      | Set _ | Few _ ->
-        let bs = buckets () in
-        if card tgt < List.fold_left (fun a b -> a + S.length b) 0 bs then
-          via_target ctx tgt edge
-        else via_buckets ctx bs (Bitset.mem (nodes ctx tgt))
+    prepare ctx;
+    match tgt with
+    | All -> via_buckets ctx (buckets ()) (fun _ -> true)
+    | Arrays a ->
+      via_buckets ctx (buckets ()) (fun c -> S.has_element ctx.s c (a - 1))
+    | Value v -> (
+      match Option.bind hint (fun h -> S.value_bucket ctx.s h v) with
+      | Some b -> via_buckets ctx [ b ] (fun _ -> true)
+      | None -> labelled ctx ~buckets ~edge ~hint (set (nodes ctx tgt)))
+    | Set _ | Few _ ->
+      let bs = buckets () in
+      if card tgt < List.fold_left (fun a b -> a + S.length b) 0 bs then
+        via_target ctx tgt edge
+      else via_buckets ctx bs (Bitset.mem (nodes ctx tgt))
 
   (* Any other array step.  Over every node it is the arrays whose
      arity falls in {!Jnl_step.arity_window}; otherwise the target is
@@ -178,7 +167,8 @@ module Make (S : STORE) = struct
       else Jnl_step.range_matches ~len:(len (S.parent ctx.s c)) ~pos:q i j
     in
     match tgt with
-    | All when indexed ctx -> (
+    | All -> (
+      prepare ctx;
       match Jnl_step.arity_window i j with
       | None -> empty
       | Some (a, None) -> Arrays a
@@ -323,26 +313,20 @@ module Make (S : STORE) = struct
       | g -> g :: acc
     in
     let parts = flat [] f in
-    let parts =
-      if not ctx.use_index then parts
-      else begin
-        S.prepare ctx.budget ctx.s;
-        let ranked =
-          List.map (fun g -> (estimate ctx g, g)) parts
-          |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
-          |> List.map snd
-        in
-        if not (List.for_all2 ( == ) parts ranked) then
-          ctx.reorders <- ctx.reorders + 1;
-        ranked
-      end
+    S.prepare ctx.budget ctx.s;
+    let ranked =
+      List.map (fun g -> (estimate ctx g, g)) parts
+      |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.map snd
     in
-    let acc = Bitset.copy (eval_at ctx depth (List.hd parts)) in
+    if not (List.for_all2 ( == ) parts ranked) then
+      ctx.reorders <- ctx.reorders + 1;
+    let acc = Bitset.copy (eval_at ctx depth (List.hd ranked)) in
     List.iter
       (fun g ->
         if not (Bitset.is_empty acc) then
           ignore (Bitset.inter_into (eval_at ctx depth g) ~into:acc))
-      (List.tl parts);
+      (List.tl ranked);
     acc
 
   let eval ctx f = eval_at ctx 0 f
@@ -535,16 +519,16 @@ let eval_pairs ctx p =
     [] (Tree.nodes ctx.s)
   |> List.rev
 
-let select ?budget ?use_index v p =
+let select ?budget v p =
   let t = Tree.of_value ?budget v in
-  let ctx = context ?budget ?use_index t in
+  let ctx = context ?budget t in
   List.map (Tree.value_at t) (succs ctx p Tree.root)
 
-let satisfies ?budget ?use_index v f =
-  let ctx = context ?budget ?use_index (Tree.of_value ?budget v) in
+let satisfies ?budget v f =
+  let ctx = context ?budget (Tree.of_value ?budget v) in
   check_at ctx Tree.root f
 
-let satisfies_bounded ?budget ?use_index v f =
-  match satisfies ?budget ?use_index v f with
+let satisfies_bounded ?budget v f =
+  match satisfies ?budget v f with
   | b -> Ok b
   | exception Obs.Budget.Exhausted r -> Error (Obs.Budget.describe r)

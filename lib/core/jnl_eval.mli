@@ -6,8 +6,7 @@
       the formula, with node sets as bitsets and path pre-images
       computed set-at-a-time.  Boolean connectives cost O(|J|); single
       navigation steps walk the smaller of the step's label bucket and
-      the target set — O(edges carrying the label) at worst — and the
-      sweep fallback ([use_index:false]) costs O(|J|); [Star] adds a
+      the target set — O(edges carrying the label) at worst; [Star] adds a
       semi-naive fixpoint bounded by the tree height; conjunctions run
       cheapest conjunct first and stop at an empty intersection;
       [Eq_paths] falls back to per-node successor enumeration with
@@ -38,7 +37,7 @@ module type STORE = Jnl_store.S
 module Make (S : STORE) : sig
   type ctx
 
-  val context : ?budget:Obs.Budget.t -> ?use_index:bool -> S.t -> ctx
+  val context : ?budget:Obs.Budget.t -> S.t -> ctx
   (** As {!Jnl_eval.context}. *)
 
   val eval : ctx -> Jnl.form -> Bitset.t
@@ -55,21 +54,16 @@ type ctx
     satisfaction sets, compiled regular expressions, per-expression
     matching keys) and a resource budget. *)
 
-val context : ?budget:Obs.Budget.t -> ?use_index:bool -> Jsont.Tree.t -> ctx
+val context : ?budget:Obs.Budget.t -> Jsont.Tree.t -> ctx
 (** [budget] (default {!Obs.Budget.unlimited}) bounds the work: the
     set-at-a-time evaluator burns [node_count] fuel per boolean
-    connective, [1 + touched nodes] per label-indexed navigation step
-    ([node_count] on the sweep fallback), the per-node checker one unit
-    per visit, and formula recursion depth is checked against the
-    budget's ceiling.  Exhaustion raises {!Obs.Budget.Exhausted} from
-    any evaluation entry point.
+    connective, [1 + touched nodes] per label-indexed navigation step,
+    the per-node checker one unit per visit, and formula recursion
+    depth is checked against the budget's ceiling.  Exhaustion raises
+    {!Obs.Budget.Exhausted} from any evaluation entry point.
 
-    [use_index] (default [true]) selects the label-indexed pre-image
-    strategies and the conjunction planner; the first indexed step
-    builds the tree's label index (charged [node_count] fuel, once per
-    tree).  [false] forces the full-sweep strategies — the escape hatch
-    behind the CLI's [--no-index], and the baseline of the [index]
-    benchmark. *)
+    The first labelled step or conjunction builds the tree's label
+    index (charged [node_count] fuel, once per tree). *)
 
 val tree : ctx -> Jsont.Tree.t
 
@@ -79,7 +73,7 @@ val eval : ctx -> Jnl.form -> Bitset.t
 val pre : ctx -> Jnl.path -> Bitset.t -> Bitset.t
 (** [pre ctx α S] = [{ n | ∃n' ∈ S. (n,n') ∈ ⟦α⟧_J }], one pre-image
     step — the primitive the set-at-a-time evaluator iterates, exposed
-    for benchmarks and direct callers. *)
+    for tests and direct callers. *)
 
 val holds : ctx -> Jsont.Tree.node -> Jnl.form -> bool
 (** [holds ctx n ϕ] iff [n ∈ ⟦ϕ⟧_J], via {!eval}. *)
@@ -95,19 +89,16 @@ val eval_pairs : ctx -> Jnl.path -> (Jsont.Tree.node * Jsont.Tree.node) list
     tests and small documents. *)
 
 val select :
-  ?budget:Obs.Budget.t -> ?use_index:bool -> Jsont.Value.t -> Jnl.path ->
-  Jsont.Value.t list
+  ?budget:Obs.Budget.t -> Jsont.Value.t -> Jnl.path -> Jsont.Value.t list
 (** Convenience: the subdocuments reachable from the root through [α] —
     the "subdocument selecting" use case of §4.1. *)
 
-val satisfies :
-  ?budget:Obs.Budget.t -> ?use_index:bool -> Jsont.Value.t -> Jnl.form -> bool
+val satisfies : ?budget:Obs.Budget.t -> Jsont.Value.t -> Jnl.form -> bool
 (** Convenience: does the root of the document satisfy [ϕ]?  (The
     filter semantics of MongoDB's find, Example 1.)
     @raise Obs.Budget.Exhausted when [budget] runs out. *)
 
 val satisfies_bounded :
-  ?budget:Obs.Budget.t -> ?use_index:bool -> Jsont.Value.t -> Jnl.form ->
-  (bool, string) result
+  ?budget:Obs.Budget.t -> Jsont.Value.t -> Jnl.form -> (bool, string) result
 (** Like {!satisfies} but budget exhaustion is returned as
     [Error (Obs.Budget.describe reason)] instead of raising. *)

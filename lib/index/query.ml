@@ -177,7 +177,7 @@ and relax_path undecided pos (p : Jnl.path) =
 
 (* The verdicts of [docs], read back by byte range and evaluated in
    exactly the per-file cell of [eval --files-from]. *)
-let reparse r ~corpus ~jobs ~use_index ~fresh_budget phi docs =
+let reparse r ~corpus ~jobs ~fresh_budget phi docs =
   let text ic d =
     In_channel.seek ic (Int64.of_int (Reader.doc_off r d));
     match In_channel.really_input_string ic (Reader.doc_len r d) with
@@ -187,9 +187,7 @@ let reparse r ~corpus ~jobs ~use_index ~fresh_budget phi docs =
   let cell text =
     Par.Batch.cell (fun () ->
         let tree = Jsont.Tree.of_string_exn ~budget:(fresh_budget ()) text in
-        let ctx =
-          Jlogic.Jnl_eval.context ~budget:(fresh_budget ()) ~use_index tree
-        in
+        let ctx = Jlogic.Jnl_eval.context ~budget:(fresh_budget ()) tree in
         string_of_bool (Jlogic.Jnl_eval.holds ctx Jsont.Tree.root phi))
   in
   In_channel.with_open_bin corpus (fun ic -> Array.map (text ic) docs)
@@ -201,7 +199,7 @@ let reparse r ~corpus ~jobs ~use_index ~fresh_budget phi docs =
 
 (* ---- driver ---------------------------------------------------------------- *)
 
-let run ?(jobs = 1) ?(use_index = true) ?corpus
+let run ?(jobs = 1) ?corpus
     ?(fresh_budget = fun () -> Obs.Budget.create ()) r phi =
   let corpus =
     match corpus with Some c -> c | None -> Reader.corpus_path r
@@ -249,7 +247,7 @@ let run ?(jobs = 1) ?(use_index = true) ?corpus
     let docs = Array.of_list !todo in
     Obs.Metrics.add "index.query.reparsed" (Array.length docs);
     if docs <> [||] then
-      reparse r ~corpus ~jobs ~use_index ~fresh_budget phi docs
+      reparse r ~corpus ~jobs ~fresh_budget phi docs
       |> Array.iteri (fun i v -> verdicts.(docs.(i)) <- v);
     Ok verdicts
   with

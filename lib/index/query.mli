@@ -39,7 +39,6 @@ val verdict_string : verdict -> string
 
 val run :
   ?jobs:int ->
-  ?use_index:bool ->
   ?corpus:string ->
   ?fresh_budget:(unit -> Obs.Budget.t) ->
   Reader.t ->
@@ -49,5 +48,5 @@ val run :
     [corpus] overrides the corpus path stored in the index (whose
     current size must still match the indexed size — a changed corpus
     makes the index stale and is refused).  [jobs] shards candidate
-    reparsing; [use_index]/[fresh_budget] configure the per-document
-    evaluator exactly like the batch CLI flags. *)
+    reparsing; [fresh_budget] configures the per-document evaluator
+    exactly like the batch CLI flags. *)

@@ -315,19 +315,19 @@ let parse_exn input =
   | Ok p -> p
   | Error m -> invalid_arg ("Jquery.Jsonpath.parse_exn: " ^ m)
 
-let select_nodes ?use_index tree path =
-  let ctx = Jlogic.Jnl_eval.context ?use_index tree in
+let select_nodes tree path =
+  let ctx = Jlogic.Jnl_eval.context tree in
   Jlogic.Jnl_eval.succs ctx path Jsont.Tree.root
 
-let select ?use_index doc path_str =
+let select doc path_str =
   match parse path_str with
   | Error _ as e -> e
   | Ok path ->
     let tree = Jsont.Tree.of_value doc in
-    Ok (List.map (Jsont.Tree.value_at tree) (select_nodes ?use_index tree path))
+    Ok (List.map (Jsont.Tree.value_at tree) (select_nodes tree path))
 
-let select_exn ?use_index doc path_str =
-  match select ?use_index doc path_str with
+let select_exn doc path_str =
+  match select doc path_str with
   | Ok vs -> vs
   | Error m -> invalid_arg ("Jquery.Jsonpath.select_exn: " ^ m)
 
@@ -343,7 +343,7 @@ let pointer_of_node tree node =
   in
   go node []
 
-let select_with_paths ?use_index doc path_str =
+let select_with_paths doc path_str =
   match parse path_str with
   | Error _ as e -> e
   | Ok path ->
@@ -351,4 +351,4 @@ let select_with_paths ?use_index doc path_str =
     Ok
       (List.map
          (fun n -> (pointer_of_node tree n, Jsont.Tree.value_at tree n))
-         (select_nodes ?use_index tree path))
+         (select_nodes tree path))

@@ -29,20 +29,17 @@
 val parse : string -> (Jlogic.Jnl.path, string) result
 val parse_exn : string -> Jlogic.Jnl.path
 
-val select :
-  ?use_index:bool -> Jsont.Value.t -> string ->
-  (Jsont.Value.t list, string) result
+val select : Jsont.Value.t -> string -> (Jsont.Value.t list, string) result
 (** [select doc path] is the list of sub-documents matched, in document
-    order.  [use_index] is forwarded to {!Jlogic.Jnl_eval.context}. *)
+    order. *)
 
-val select_exn : ?use_index:bool -> Jsont.Value.t -> string -> Jsont.Value.t list
+val select_exn : Jsont.Value.t -> string -> Jsont.Value.t list
 
-val select_nodes :
-  ?use_index:bool -> Jsont.Tree.t -> Jlogic.Jnl.path -> Jsont.Tree.node list
+val select_nodes : Jsont.Tree.t -> Jlogic.Jnl.path -> Jsont.Tree.node list
 (** Tree-level selection for callers that need node identities. *)
 
 val select_with_paths :
-  ?use_index:bool -> Jsont.Value.t -> string
+  Jsont.Value.t -> string
   -> ((Jsont.Pointer.t * Jsont.Value.t) list, string) result
 (** Selection returning each hit's normalized location (as a
     {!Jsont.Pointer.t}) along with its value. *)

@@ -235,10 +235,13 @@ let test_parse_errors () =
 
 (* ---- streaming split and Par.Batch sharding ------------------------------- *)
 
-let shard_run ~jobs pl vs =
+(* the streaming prefix over [jobs] lanes, each document ingested from
+   its text by [ingest], then the blocking suffix in input order *)
+let shard_run ~jobs ~ingest pl texts =
   let streaming, blocking = Agg.split_streaming pl in
-  let ds = Array.of_list (List.map Agg.doc_of_value vs) in
-  let prefixed = Par.Batch.map ~jobs (Agg.apply_doc streaming) ds in
+  let prefixed =
+    Par.Batch.map ~jobs (fun text -> Agg.apply_doc streaming (ingest text)) texts
+  in
   let flat = List.concat (Array.to_list prefixed) in
   List.map Agg.doc_value (Agg.run_docs blocking flat)
 
@@ -255,13 +258,36 @@ let test_sharding () =
   in
   let seq = List.map Value.to_string (Agg.run pl vs) in
   Alcotest.(check bool) "pipeline produces groups" true (List.length seq > 0);
+  let texts = Array.of_list (List.map Value.to_string vs) in
+  (* output and the lane-merged counter totals do not depend on the
+     lane count or on how a document is ingested *)
+  let counters = [ "mongo.agg.match.pass"; "mongo.agg.unwind.out" ] in
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) @@ fun () ->
+  let totals = ref None in
   List.iter
-    (fun jobs ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "jobs=%d agrees with sequential" jobs)
-        seq
-        (List.map Value.to_string (shard_run ~jobs pl vs)))
-    [ 1; 2; 4 ]
+    (fun (route, ingest) ->
+      List.iter
+        (fun jobs ->
+          let what = Printf.sprintf "%s, jobs=%d" route jobs in
+          Obs.Metrics.reset ();
+          Alcotest.(check (list string))
+            (what ^ " agrees with sequential")
+            seq
+            (List.map Value.to_string (shard_run ~jobs ~ingest pl texts));
+          let got = List.map Obs.Metrics.counter_value counters in
+          match !totals with
+          | None ->
+            Alcotest.(check bool) "counters recorded" true
+              (List.for_all (fun c -> c > 0) got);
+            totals := Some got
+          | Some want ->
+            Alcotest.(check (list int)) (what ^ " counter totals") want got)
+        [ 1; 2; 4 ])
+    [ ("doc_of_value", fun text -> Agg.doc_of_value (parse_doc text));
+      ("doc_of_tree",
+        fun text -> Agg.doc_of_tree (Jsont.Tree.of_string_exn text)) ]
 
 (* ---- the pipeline differential -------------------------------------------- *)
 

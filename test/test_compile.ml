@@ -114,6 +114,22 @@ let test_fuzz_differential () =
 
 (* ---- $ref sharing and reference cycles ----------------------------------- *)
 
+(* The least fuel [run] needs to finish: [run] raises
+   [Obs.Budget.Exhausted] below it and not at or above it. *)
+let min_fuel run =
+  let ok fuel =
+    match run (Obs.Budget.create ~fuel ()) with
+    | _ -> true
+    | exception Obs.Budget.Exhausted _ -> false
+  in
+  let rec search lo hi = (* ok hi, not (ok lo) *)
+    if hi - lo <= 1 then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if ok mid then search lo mid else search mid hi
+  in
+  search 0 1_000_000
+
 let test_ref_sharing () =
   let schema = parse_schema (Catalog.ref_sharing_schema 8) in
   check_agree ~what:"ref-sharing k=8" schema Catalog.ref_sharing_doc
@@ -123,7 +139,28 @@ let test_ref_sharing () =
   let plan = Validate.Plan.compile schema in
   Alcotest.(check bool)
     "plan is linear in k" true
-    (Validate.Plan.node_count plan <= 3 * 8 + 5)
+    (Validate.Plan.node_count plan <= 3 * 8 + 5);
+  (* and evaluates each once: along k = 8, 12, 16 the interpreter's
+     fuel doubles per step (the 2^k unfolding) while the plan's grows
+     by a constant *)
+  let doc = Catalog.ref_sharing_doc in
+  let fuel k =
+    let schema = parse_schema (Catalog.ref_sharing_schema k) in
+    let plan = Validate.Plan.compile schema in
+    ( min_fuel (fun budget -> Validate.validates ~budget schema doc),
+      min_fuel (fun budget -> Validate.Plan.run ~budget plan doc) )
+  in
+  let fuels = List.map fuel [ 8; 12; 16 ] in
+  let rate side =
+    let a = side (List.hd fuels) and b = side (List.nth fuels 2) in
+    (float_of_int b /. float_of_int a) ** (1. /. 8.)
+  in
+  if rate fst < 1.5 || rate snd > 1.3 then
+    Alcotest.failf
+      "per-step fuel growth: interpreter x%.2f (want >= 1.5), plan x%.2f \
+       (want <= 1.3); fuel (interpreter, plan) at k = 8, 12, 16: %s"
+      (rate fst) (rate snd)
+      (String.concat " " (List.map (fun (i, p) -> Printf.sprintf "(%d, %d)" i p) fuels))
 
 let test_ref_cycle_regression () =
   (* a modal (well-formed) $ref cycle: arbitrarily nested objects of

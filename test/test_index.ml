@@ -1,5 +1,5 @@
 (* Tests for the persistent corpus index: differential agreement with
-   the reparse-everything baseline over a PRNG corpus and 325 queries
+   the reparse-everything baseline over a PRNG corpus and 327 queries
    (also under a position cap, with the reparse count pinned), the
    per-query fuel rule, byte-identical builds across lane counts, fault
    injection (bit-flips, truncations, forged header counts, corrupt
@@ -69,7 +69,9 @@ let handcrafted_queries =
     "eq(.name.first, \"NoSuchNameXYZ\")";
     "!eq(.name.first, \"John\")";
     "eq(.name.first, \"John\") & <.orders[0]>";
-    "<.id> & eq(.name.first, \"Sue\")" ]
+    "<.id> & eq(.name.first, \"Sue\")";
+    "<.name.first> & !<.orders[2]>";
+    "eq(.orders[0].lines[0].sku, \"SKU-0-0\")" ]
 
 (* Generated ranges start at 0..2; shift a third of them left so
    negative bounds (both, or the lower one only) get exercised too. *)

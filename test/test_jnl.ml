@@ -248,8 +248,8 @@ let prop_eps_neutral =
       | _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Differential fuzzing: indexed vs sweep pre-image strategies, and     *)
-(* set-at-a-time vs nodal engines, must agree on every observable.      *)
+(* Differential fuzzing: the label-indexed set-at-a-time engine and the *)
+(* nodal engines must agree on every observable.                        *)
 (* ------------------------------------------------------------------ *)
 
 module Prng = Jworkload.Prng
@@ -301,42 +301,32 @@ let test_differential_fuzz () =
             (Value.to_string doc))
         fmt
     in
-    let indexed = Jnl_eval.context ~use_index:true tree in
-    let sweep = Jnl_eval.context ~use_index:false tree in
-    let set_i = Jnl_eval.eval indexed phi in
-    let set_s = Jnl_eval.eval sweep phi in
-    if not (Bitset.equal set_i set_s) then
-      fail_case "indexed and sweep eval sets differ";
-    let pairs_i = Jnl_eval.eval_pairs indexed p in
-    if pairs_i <> Jnl_eval.eval_pairs sweep p then
-      fail_case "indexed and sweep eval_pairs differ";
+    let ctx = Jnl_eval.context tree in
+    let set = Jnl_eval.eval ctx phi in
+    let pairs = Jnl_eval.eval_pairs ctx p in
+    (* the pre-image of each singleton {n}, read off the relation:
+       { m | (m, n) ∈ ⟦α⟧ } *)
+    let size = Tree.node_count tree in
+    let pre_of = Array.init size (fun _ -> Bitset.create size) in
+    List.iter (fun (m, n) -> Bitset.add pre_of.(n) m) pairs;
     Seq.iter
       (fun n ->
-        let in_set = Bitset.mem set_i n in
-        if Jnl_eval.check_at indexed n phi <> in_set then
+        let in_set = Bitset.mem set n in
+        if Jnl_eval.check_at ctx n phi <> in_set then
           fail_case "nodal check_at disagrees with eval at node %d" n;
-        if Jnl_eval.check_at sweep n phi <> in_set then
-          fail_case "sweep check_at disagrees with eval at node %d" n;
-        let succs_i = Jnl_eval.succs indexed p n in
-        if succs_i <> Jnl_eval.succs sweep p n then
-          fail_case "succs differ at node %d" n;
-        if in_set <> (succs_i <> []) then
+        if in_set <> (Jnl_eval.succs ctx p n <> []) then
           fail_case "succs and eval membership disagree at node %d" n;
-        let target = Bitset.create (Tree.node_count tree) in
+        let target = Bitset.create size in
         Bitset.add target n;
-        if
-          not
-            (Bitset.equal
-               (Jnl_eval.pre indexed p target)
-               (Jnl_eval.pre sweep p target))
-        then fail_case "pre on singleton {%d} differs" n)
+        if not (Bitset.equal (Jnl_eval.pre ctx p target) pre_of.(n)) then
+          fail_case "pre on singleton {%d} differs from eval_pairs" n)
       (Tree.nodes tree);
     (* the nodal relation must match the pair enumeration *)
     List.iter
       (fun (n, m) ->
-        if not (List.mem m (Jnl_eval.succs indexed p n)) then
+        if not (List.mem m (Jnl_eval.succs ctx p n)) then
           fail_case "eval_pairs contains (%d,%d) missing from succs" n m)
-      pairs_i
+      pairs
   done
 
 (* ------------------------------------------------------------------ *)
@@ -411,7 +401,7 @@ let () =
          Alcotest.test_case "select" `Quick test_select;
          Alcotest.test_case "type disjointness" `Quick test_type_disjointness ]);
       ("differential",
-       [ Alcotest.test_case "indexed = sweep = nodal (1000 cases)" `Quick
+       [ Alcotest.test_case "indexed = nodal (1000 cases)" `Quick
            test_differential_fuzz ]);
       ("counter machines",
        [ Alcotest.test_case "accepting run encodes" `Quick test_counter_machine;

@@ -796,6 +796,14 @@ let trees_identical t1 t2 =
 let render_error e = Format.asprintf "%a" Parser.pp_error e
 
 let test_direct_differential () =
+  let check what doc text =
+    let direct = Tree.of_string_exn text in
+    let oracle = Tree.of_value (Parser.parse_exn text) in
+    if not (trees_identical direct oracle) then
+      Alcotest.failf "direct/oracle trees differ (%s)" what;
+    if not (Value.equal (Tree.to_value direct) doc) then
+      Alcotest.failf "to_value roundtrip differs (%s)" what
+  in
   let rng = Jworkload.Prng.create 2025 in
   for i = 1 to 60 do
     let size = 1 + Jworkload.Prng.int rng 400 in
@@ -804,13 +812,15 @@ let test_direct_differential () =
       if Jworkload.Prng.bool rng then Printer.compact doc
       else Printer.pretty doc
     in
-    let direct = Tree.of_string_exn text in
-    let oracle = Tree.of_value (Parser.parse_exn text) in
-    if not (trees_identical direct oracle) then
-      Alcotest.failf "direct/oracle trees differ (case %d)" i;
-    if not (Value.equal (Tree.to_value direct) doc) then
-      Alcotest.failf "to_value roundtrip differs (case %d)" i
-  done
+    check (Printf.sprintf "case %d" i) doc text
+  done;
+  (* and documents of up to 64k nodes *)
+  let rng = Jworkload.Prng.create 12 in
+  List.iter
+    (fun n ->
+      let doc = Jworkload.Gen_json.sized rng n in
+      check (Printf.sprintf "%d nodes" n) doc (Value.to_string doc))
+    [ 1_000; 8_000; 64_000 ]
 
 let test_direct_error_agreement () =
   let cases =

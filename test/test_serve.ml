@@ -203,38 +203,51 @@ let test_serve_verdicts () =
 (* the daemon's verdict must equal the CLI stream checker's on the
    same bytes — including error spelling *)
 let test_serve_cli_agreement () =
+  let malformed =
+    [ {|{"a":1|}; {|{bad|}; {|12 34|}; ""; "{"; {|{"sku":|}; "[1,2"; "tru";
+      {|{"sku":01}|} ]
+  in
   let docs =
     [ {|{"a":1}|}; {|{"a":0}|}; {|{"a":true}|}; {|{"a":1,"tags":[]}|};
-      {|{"a":1,"tags":["x","y"]}|}; {|{"a":1,"tags":[1]}|}; {|[1,2]|};
-      {|{"a":1|}; {|{bad|}; {|12 34|}; "" ]
+      {|{"a":1,"tags":["x","y"]}|}; {|{"a":1,"tags":[1]}|}; {|[1,2]|} ]
   in
-  let plan =
-    match Jschema.Parse.of_string schema_text with
-    | Ok s -> Jschema.Validate.Plan.compile s
-    | Error m -> Alcotest.fail m
-  in
-  let cli_cell doc =
-    match
-      Jsont.Parser.wrap (fun () ->
-          Jschema.Validate.Plan.run_stream ~budget:(Obs.Budget.create ())
-            plan doc)
-    with
-    | Ok true -> "valid"
-    | Ok false -> "INVALID"
-    | Error e -> "error: " ^ Format.asprintf "%a" Jsont.Parser.pp_error e
+  let rng = Jworkload.Prng.create 77 in
+  let catalog_docs =
+    List.init 40 (fun _ ->
+        Jsont.Value.to_string (Jworkload.Catalog.catalog_doc rng))
   in
   with_server ~jobs:2 (fun srv ->
       with_client srv (fun c ->
-          let id = unwrap (Jserve.Client.put_schema c schema_text) in
           List.iter
-            (fun doc ->
-              let daemon =
-                unwrap (Jserve.Client.validate c ~schema_id:id doc)
+            (fun (schema_text, docs) ->
+              let plan =
+                match Jschema.Parse.of_string schema_text with
+                | Ok s -> Jschema.Validate.Plan.compile s
+                | Error m -> Alcotest.fail m
               in
-              Alcotest.(check string)
-                (Printf.sprintf "agreement on %S" doc)
-                (cli_cell doc) daemon)
-            docs))
+              let cli_cell doc =
+                match
+                  Jsont.Parser.wrap (fun () ->
+                      Jschema.Validate.Plan.run_stream
+                        ~budget:(Obs.Budget.create ()) plan doc)
+                with
+                | Ok true -> "valid"
+                | Ok false -> "INVALID"
+                | Error e ->
+                  "error: " ^ Format.asprintf "%a" Jsont.Parser.pp_error e
+              in
+              let id = unwrap (Jserve.Client.put_schema c schema_text) in
+              List.iter
+                (fun doc ->
+                  let daemon =
+                    unwrap (Jserve.Client.validate c ~schema_id:id doc)
+                  in
+                  Alcotest.(check string)
+                    (Printf.sprintf "agreement on %S" doc)
+                    (cli_cell doc) daemon)
+                (docs @ malformed))
+            [ (schema_text, docs);
+              (Jworkload.Catalog.catalog_schema, catalog_docs) ]))
 
 (* ---- INDEXQ: corpus-index queries through the daemon ------------------------ *)
 
