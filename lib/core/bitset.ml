@@ -63,20 +63,53 @@ let complement a =
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 let equal a b = a.n = b.n && a.words = b.words
 
-let cardinal t =
-  let count w =
-    let rec go acc w = if w = 0 then acc else go (acc + 1) (w land (w - 1)) in
-    go 0 w
-  in
-  Array.fold_left (fun acc w -> acc + count w) 0 t.words
+(* set bits per byte value *)
+let byte_pop =
+  String.init 256 (fun i ->
+      let rec go acc i = if i = 0 then acc else go (acc + (i land 1)) (i lsr 1) in
+      Char.chr (go 0 i))
 
+let pop w =
+  let c = ref 0 and w = ref w in
+  while !w <> 0 do
+    c := !c + Char.code byte_pop.[!w land 0xff];
+    w := !w lsr 8
+  done;
+  !c
+
+let cardinal t = Array.fold_left (fun acc w -> acc + pop w) 0 t.words
+
+(* The position of a one-bit word [b]: [debruijn] holds every 6-bit
+   pattern once (a de Bruijn sequence, leading zeros first), so the top
+   six bits of [b * debruijn] — its bits shifted up by [b]'s position,
+   modulo 2^63 — differ for each of the 63 positions. *)
+let debruijn = 0x218a392cd3d5dbf
+
+let bit_pos =
+  let t = Array.make 64 0 in
+  for k = 0 to bits_per_word - 1 do
+    t.(((1 lsl k) * debruijn) lsr 57) <- k
+  done;
+  t
+
+(* lowest set bit first: ascending, one step per member; a full word
+   (most of a complement's) needs no tests *)
 let iter f t =
   for w = 0 to Array.length t.words - 1 do
+    let base = w * bits_per_word in
     let word = t.words.(w) in
-    if word <> 0 then
+    if word = -1 then
       for b = 0 to bits_per_word - 1 do
-        if word land (1 lsl b) <> 0 then f ((w * bits_per_word) + b)
+        f (base + b)
       done
+    else begin
+      let word = ref word in
+      while !word <> 0 do
+        let b = !word land (- !word) in
+        f (base + bit_pos.((b * debruijn) lsr 57));
+        word := !word lxor b
+      done
+    end
   done
 
 let fold f t init =

@@ -127,22 +127,27 @@ module Make (S : STORE) = struct
 
   (* One step through labelled edges: [buckets] lists them, [edge] tests
      one, [hint] names the label whose value postings can stand in for
-     a [Value] target.  The smaller of bucket and target is walked. *)
-  let rec labelled ctx ~buckets ~edge ~hint tgt =
+     a [Value] target.  The smaller of bucket and target is walked; a
+     [Value] target without value postings is materialized first, and
+     the step still counts as one pre-image. *)
+  let labelled ctx ~buckets ~edge ~hint tgt =
     prepare ctx;
-    match tgt with
-    | All -> via_buckets ctx (buckets ()) (fun _ -> true)
-    | Arrays a ->
-      via_buckets ctx (buckets ()) (fun c -> S.has_element ctx.s c (a - 1))
-    | Value v -> (
-      match Option.bind hint (fun h -> S.value_bucket ctx.s h v) with
-      | Some b -> via_buckets ctx [ b ] (fun _ -> true)
-      | None -> labelled ctx ~buckets ~edge ~hint (set (nodes ctx tgt)))
-    | Set _ | Few _ ->
-      let bs = buckets () in
-      if card tgt < List.fold_left (fun a b -> a + S.length b) 0 bs then
-        via_target ctx tgt edge
-      else via_buckets ctx bs (Bitset.mem (nodes ctx tgt))
+    let rec step tgt =
+      match tgt with
+      | All -> via_buckets ctx (buckets ()) (fun _ -> true)
+      | Arrays a ->
+        via_buckets ctx (buckets ()) (fun c -> S.has_element ctx.s c (a - 1))
+      | Value v -> (
+        match Option.bind hint (fun h -> S.value_bucket ctx.s h v) with
+        | Some b -> via_buckets ctx [ b ] (fun _ -> true)
+        | None -> step (set (nodes ctx tgt)))
+      | Set _ | Few _ ->
+        let bs = buckets () in
+        if card tgt < List.fold_left (fun a b -> a + S.length b) 0 bs then
+          via_target ctx tgt edge
+        else via_buckets ctx bs (Bitset.mem (nodes ctx tgt))
+    in
+    step tgt
 
   (* Any other array step.  Over every node it is the arrays whose
      arity falls in {!Jnl_step.arity_window}; otherwise the target is

@@ -6,7 +6,9 @@
    cannot decide — EQ(α,β), and eq against an object or array
    constant — are relaxed by polarity into a formula that holds
    wherever the query does; only the documents it admits are reparsed
-   and evaluated like [eval --files-from]. *)
+   and evaluated like [eval --files-from].  Lines that failed to parse
+   at build time are answered by their parse error, reparsed once per
+   open index and budget limits (the reader's error-cell slot). *)
 
 module Jnl = Jlogic.Jnl
 module Bitset = Jlogic.Bitset
@@ -176,7 +178,9 @@ and relax_path undecided pos (p : Jnl.path) =
 (* ---- document reparse ------------------------------------------------------ *)
 
 (* The verdicts of [docs], read back by byte range and evaluated in
-   exactly the per-file cell of [eval --files-from]. *)
+   exactly the per-file cell of [eval --files-from], each with whether
+   its text parsed: a cell that failed before that does not depend on
+   [phi]. *)
 let reparse r ~corpus ~jobs ~fresh_budget phi docs =
   let text ic d =
     In_channel.seek ic (Int64.of_int (Reader.doc_off r d));
@@ -185,17 +189,24 @@ let reparse r ~corpus ~jobs ~fresh_budget phi docs =
     | None -> failwith "corpus shorter than the index records"
   in
   let cell text =
-    Par.Batch.cell (fun () ->
-        let tree = Jsont.Tree.of_string_exn ~budget:(fresh_budget ()) text in
-        let ctx = Jlogic.Jnl_eval.context ~budget:(fresh_budget ()) tree in
-        string_of_bool (Jlogic.Jnl_eval.holds ctx Jsont.Tree.root phi))
+    let parsed = ref false in
+    let c =
+      Par.Batch.cell (fun () ->
+          let tree = Jsont.Tree.of_string_exn ~budget:(fresh_budget ()) text in
+          parsed := true;
+          let ctx = Jlogic.Jnl_eval.context ~budget:(fresh_budget ()) tree in
+          string_of_bool (Jlogic.Jnl_eval.holds ctx Jsont.Tree.root phi))
+    in
+    let v =
+      match c with
+      | "true" -> True
+      | "false" -> False
+      | c -> Error (String.sub c 7 (String.length c - 7))
+    in
+    (v, !parsed)
   in
   In_channel.with_open_bin corpus (fun ic -> Array.map (text ic) docs)
   |> Par.Batch.map ~jobs cell
-  |> Array.map (function
-       | "true" -> True
-       | "false" -> False
-       | c -> Error (String.sub c 7 (String.length c - 7)))
 
 (* ---- driver ---------------------------------------------------------------- *)
 
@@ -235,20 +246,46 @@ let run ?(jobs = 1) ?corpus
     Obs.Metrics.add "index.plan.reorders" (Eval.reorders ctx);
     Obs.Metrics.incr
       (if exact then "index.query.postings_only" else "index.query.filtered");
-    (* a document is its root's verdict; error-flagged lines always
-       reparse, their verdict is the parse error *)
+    (* a document is its root's verdict.  An error-flagged line's
+       verdict is its parse error: read from the reader's slot when the
+       slot holds this corpus file and these budget limits, reparsed
+       otherwise — and always when it parses under them *)
+    let limits = Obs.Budget.limits (fresh_budget ()) in
+    let known =
+      match (limits, Reader.error_cells r) with
+      | Some l, Some c when c.limits = l && c.corpus = corpus -> Some c.failed
+      | _ -> None
+    in
     let verdicts = Array.make (Reader.ndocs r) False in
     let todo = ref [] in
     for d = Reader.ndocs r - 1 downto 0 do
-      if Reader.doc_err r d then todo := d :: !todo
+      if Reader.doc_err r d then begin
+        match Option.bind known (Reader.Cells.find_opt d) with
+        | Some m -> verdicts.(d) <- Error m
+        | None -> todo := d :: !todo
+      end
       else if Bitset.mem sat (Reader.doc_node_base r d) then
         if exact then verdicts.(d) <- True else todo := d :: !todo
     done;
     let docs = Array.of_list !todo in
     Obs.Metrics.add "index.query.reparsed" (Array.length docs);
-    if docs <> [||] then
-      reparse r ~corpus ~jobs ~fresh_budget phi docs
-      |> Array.iteri (fun i v -> verdicts.(docs.(i)) <- v);
+    if docs <> [||] then begin
+      let results = reparse r ~corpus ~jobs ~fresh_budget phi docs in
+      Array.iteri (fun i (v, _) -> verdicts.(docs.(i)) <- v) results;
+      (* every error-flagged line was just reparsed under [limits] *)
+      match (limits, known) with
+      | Some limits, None ->
+        let failed = ref Reader.Cells.empty in
+        Array.iteri
+          (fun i (v, parsed) ->
+            match v with
+            | Error m when (not parsed) && Reader.doc_err r docs.(i) ->
+              failed := Reader.Cells.add docs.(i) m !failed
+            | _ -> ())
+          results;
+        Reader.set_error_cells r { corpus; limits; failed = !failed }
+      | _ -> ()
+    end;
     Ok verdicts
   with
   | Reader.Corrupt m -> Result.Error (Reader.path r ^ ": " ^ m)

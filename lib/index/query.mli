@@ -24,13 +24,26 @@
     time.  They are relaxed by polarity (to the existence of their
     paths where they occur positively, to ⊥ where negatively), and only
     the documents the relaxed formula admits are reparsed, by byte
-    range, and evaluated like the baseline.  Lines that failed to parse
-    at build time always reparse: their verdict is the parse error.
+    range, and evaluated like the baseline.
+
+    Lines that failed to parse at build time answer their parse error.
+    That cell depends on the line's bytes and the budget's limits, not
+    on the formula, so it is computed once per open index: the first
+    query that reparses those lines under a budget without a deadline
+    fills the reader's slot ({!Reader.error_cells}), and later queries
+    with the same corpus file and the same fuel and depth limits
+    ({!Obs.Budget.limits}) read it.  A deadline budget, other limits, or
+    a line that parses under the query's budget (the index was built
+    under a stricter one) reparse as the baseline would; a query left
+    with nothing to reparse opens no corpus channel and starts no
+    lanes.  The stale-corpus check compares sizes only, so after a
+    same-size rewrite of the corpus the cells, like the postings, still
+    describe the bytes they were made from.
 
     Counters: [index.query.postings_only], [index.query.filtered] (some
     atom was relaxed), [index.query.value_hits],
-    [index.query.reparsed], [index.plan.reorders]; span
-    [index.query]. *)
+    [index.query.reparsed] (documents actually reparsed, slot reads
+    excluded), [index.plan.reorders]; span [index.query]. *)
 
 type verdict = True | False | Error of string
 
@@ -49,4 +62,5 @@ val run :
     current size must still match the indexed size — a changed corpus
     makes the index stale and is refused).  [jobs] shards candidate
     reparsing; [fresh_budget] configures the per-document evaluator
-    exactly like the batch CLI flags. *)
+    exactly like the batch CLI flags.  Safe to call from several
+    domains on one reader at once. *)

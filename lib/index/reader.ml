@@ -8,6 +8,14 @@
 
 exception Corrupt of string
 
+module Cells = Map.Make (Int)
+
+type error_cells = {
+  corpus : string;
+  limits : int option * int;
+  failed : string Cells.t;
+}
+
 type t = {
   path : string;
   buf : Layout.buf;
@@ -42,6 +50,7 @@ type t = {
   o_pair : int;
   o_prpidx : int;
   o_vpost : int;
+  cells : error_cells option Atomic.t;
 }
 
 let path t = t.path
@@ -268,7 +277,7 @@ let open_ ?(verify_body = true) path =
                             o_doc; o_par; o_lab; o_sidx; o_blob; blob_len;
                             o_kpidx; o_kpost; o_ppidx; o_ppost;
                             o_vidx; o_vblob; vblob_len; o_pair; o_prpidx;
-                            o_vpost }
+                            o_vpost; cells = Atomic.make None }
                     end))
           end)
   with
@@ -291,6 +300,11 @@ let doc_node_base t d = Layout.get_u64_ba t.buf (doc_field t d 8)
 let doc_len t d = Layout.get_u32_ba t.buf (doc_field t d 16)
 let doc_lineno t d = Layout.get_u32_ba t.buf (doc_field t d 24)
 let doc_err t d = Layout.get_u32_ba t.buf (doc_field t d 28) land 1 = 1
+
+(* one slot, replaced whole: readers on other domains see the old
+   record or the new one, never a mix *)
+let error_cells t = Atomic.get t.cells
+let set_error_cells t c = Atomic.set t.cells (Some c)
 
 (* ---- string table ---------------------------------------------------------- *)
 

@@ -78,8 +78,36 @@ val doc_off : t -> int -> int
 val doc_len : t -> int -> int
 val doc_node_base : t -> int -> int
 val doc_err : t -> int -> bool
-(** Did this line fail to parse at build time?  (Queries reparse it to
-    reproduce the exact error.) *)
+(** Did this line fail to parse at build time?  (Queries answer its
+    parse error, reparsed or read from the error-line cells below.) *)
+
+(** {1 Error-line cells}
+
+    What reparsing the error-flagged lines ({!doc_err}) gave, kept for
+    the life of the open index.  A line's parse depends only on its
+    bytes and on the budget limits ({!Obs.Budget.limits}) it runs
+    under, never on the formula, so the query driver fills this slot
+    the first time it reparses those lines under limits without a
+    deadline and reads it on later queries with the same corpus file
+    and limits. *)
+
+module Cells : Map.S with type key = int
+
+type error_cells = {
+  corpus : string;  (** the corpus file the lines were read from *)
+  limits : int option * int;  (** {!Obs.Budget.limits} of their budget *)
+  failed : string Cells.t;
+      (** document id to error message, for every error-flagged line
+          that failed to parse under [limits]; an error-flagged line
+          absent here parsed, and its verdict depends on the formula *)
+}
+
+val error_cells : t -> error_cells option
+(** The slot: [None] until a query fills it. *)
+
+val set_error_cells : t -> error_cells -> unit
+(** Replace the slot (atomically: concurrent queries read the previous
+    record or this one). *)
 
 (** {1 String table} *)
 

@@ -22,6 +22,8 @@ type stats = {
   bytes : int;
 }
 
+module Ints = Hashtbl.Make (Int)
+
 (* One parsed document, reduced to what the index stores.  [labels]
    uses a doc-local key numbering ([lkeys]) remapped to the global
    sorted table during assembly; [vals] likewise uses a doc-local
@@ -34,7 +36,8 @@ type draw = {
   labels : int array;  (* local encoding: key k -> k lsl 1, pos p -> p lsl 1 or 1 *)
   lasts : bool array;  (* last element of its array *)
   lkeys : string array;
-  vals : int array;  (* local value id of each scalar leaf, -1 elsewhere *)
+  vals : int array;  (* local value id of each scalar leaf, -1 elsewhere;
+                        its pair id after assembly *)
   lvals : string array;
   err : bool;
 }
@@ -237,47 +240,61 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
     let nvals = Array.length vals in
     let vgid = Hashtbl.create 256 in
     Array.iteri (fun i v -> Hashtbl.add vgid v i) vals;
+    (* (leaf-label, value-id) pairs: number, sort, count, cap,
+       prefix-sum.  A pair is one integer, the label word (-1 at a root,
+       below 2^30) above the 32-bit value id, so integer order is the
+       table's (label, value id) order.  Each scalar leaf's [vals] entry
+       becomes its pair's id, first in order of discovery, then in table
+       order.  A pair whose list exceeds [value_cap] stays in the table
+       with an empty range — queries can tell "capped" from "absent". *)
+    let pair_ids = Ints.create 256 in
+    let found = ref [] in
     Array.iter
       (fun d ->
         let map = Array.map (fun v -> Hashtbl.find vgid v) d.lvals in
-        Array.iteri (fun i v -> if v >= 0 then d.vals.(i) <- map.(v)) d.vals)
-      docs;
-    (* (leaf-label, value-id) pairs: count, sort, cap, prefix-sum.  A
-       pair whose list exceeds [value_cap] stays in the table with an
-       empty range — queries can tell "capped" from "absent". *)
-    let paircnt = Hashtbl.create 256 in
-    Array.iter
-      (fun d ->
         Array.iteri
           (fun i v ->
             if v >= 0 then begin
-              let key = (d.labels.(i), v) in
-              let n =
-                match Hashtbl.find_opt paircnt key with
-                | Some n -> n
-                | None -> 0
-              in
-              Hashtbl.replace paircnt key (n + 1)
+              let key = (d.labels.(i) lsl 32) lor map.(v) in
+              d.vals.(i) <-
+                (match Ints.find_opt pair_ids key with
+                | Some p -> p
+                | None ->
+                  let p = Ints.length pair_ids in
+                  Ints.add pair_ids key p;
+                  found := key :: !found;
+                  p)
             end)
           d.vals)
       docs;
-    let pairs = Hashtbl.fold (fun k _ acc -> k :: acc) paircnt [] in
-    let pairs = Array.of_list (List.sort compare pairs) in
-    let npairs = Array.length pairs in
-    let pair_id = Hashtbl.create 256 in
-    Array.iteri (fun i p -> Hashtbl.add pair_id p i) pairs;
-    let pair_kept = Array.make npairs false in
-    let val_dropped = ref 0 in
+    let found = Array.of_list (List.rev !found) in
+    let npairs = Array.length found in
+    let order = Array.init npairs Fun.id in
+    Array.sort (fun a b -> Int.compare found.(a) found.(b)) order;
+    let pairs = Array.map (fun p -> found.(p)) order in
+    let rank = Array.make npairs 0 in
+    Array.iteri (fun pid p -> rank.(p) <- pid) order;
     let pair_counts = Array.make (npairs + 1) 0 in
-    Array.iteri
-      (fun i p ->
-        let n = Hashtbl.find paircnt p in
-        if n <= value_cap then begin
-          pair_kept.(i) <- true;
-          pair_counts.(i) <- n
-        end
-        else val_dropped := !val_dropped + n)
-      pairs;
+    Array.iter
+      (fun d ->
+        Array.iteri
+          (fun i p ->
+            if p >= 0 then begin
+              let pid = rank.(p) in
+              d.vals.(i) <- pid;
+              pair_counts.(pid) <- pair_counts.(pid) + 1
+            end)
+          d.vals)
+      docs;
+    let pair_kept = Array.make npairs true in
+    let val_dropped = ref 0 in
+    for pid = 0 to npairs - 1 do
+      if pair_counts.(pid) > value_cap then begin
+        pair_kept.(pid) <- false;
+        val_dropped := !val_dropped + pair_counts.(pid);
+        pair_counts.(pid) <- 0
+      end
+    done;
     let pair_pidx = prefix pair_counts npairs in
     let val_entries = pair_pidx.(npairs) in
     let val_dropped = !val_dropped in
@@ -401,7 +418,7 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
                Array.iteri
                  (fun node lab ->
                    (if Array.length d.vals > 0 && d.vals.(node) >= 0 then
-                      let pid = Hashtbl.find pair_id (lab, d.vals.(node)) in
+                      let pid = d.vals.(node) in
                       if pair_kept.(pid) then put vpost vcur pid doc node);
                    if lab >= 0 then
                      if lab land 1 = 0 then put kpost kcur (lab lsr 1) doc node
@@ -416,9 +433,9 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
            (* pair table, pair postings index, value postings *)
            let b = Bytes.make sz_pair '\000' in
            Array.iteri
-             (fun i (lab, vid) ->
-               Layout.set_i32 b (i * 8) lab;
-               Layout.set_u32 b ((i * 8) + 4) vid)
+             (fun i p ->
+               Layout.set_i32 b (i * 8) (p asr 32);
+               Layout.set_u32 b ((i * 8) + 4) (p land 0xFFFF_FFFF))
              pairs;
            emit b;
            emit_u64s pair_pidx;

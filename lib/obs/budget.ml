@@ -47,6 +47,10 @@ let create ?fuel ?(max_depth = default_max_depth) ?timeout_ms () =
 
 let max_depth t = t.max_depth
 
+let limits t =
+  if t.deadline < infinity then None
+  else Some ((if t.fueled then Some t.fuel else None), t.max_depth)
+
 let check_depth t d = if d > t.max_depth then raise (Exhausted Depth)
 
 let deadline_stride = 512

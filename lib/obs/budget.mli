@@ -65,6 +65,15 @@ val set_clock_for_tests : (unit -> float) option -> unit
 
 val max_depth : t -> int
 
+val limits : t -> (int option * int) option
+(** [limits b] is [Some (fuel, max_depth)] for a budget without a
+    deadline and [None] for one with a deadline.  [fuel] is the
+    allowance left ([None] without fuel accounting), so on a fresh
+    budget it is the fuel limit.  Work under a budget without a
+    deadline is deterministic: two fresh budgets with equal limits fail
+    the same work at the same point, so a result computed under one
+    stands for the other. *)
+
 val check_depth : t -> int -> unit
 (** [check_depth b d] raises {!Exhausted}[ Depth] iff [d > max_depth b]. *)
 

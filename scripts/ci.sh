@@ -688,30 +688,50 @@ done
 rm -f "$ixdir/novals.idx" "$ixdir/novals2.idx"
 
 # INDEXQ smoke replay: the daemon's DATA payload must be byte-identical
-# to the `index query` CLI rows, and its counters must move
-ixsock="$ixdir/indexq.sock"
-timeout 300 "$JSONLOGIC" serve --socket "$ixsock" \
-  > "$ixdir/serve.log" 2>&1 &
-ixsrv=$!
-for _ in $(seq 1 100); do
-  [ -S "$ixsock" ] && break
-  sleep 0.1
-done
-if ! [ -S "$ixsock" ]; then
-  echo "FAIL: indexq serve daemon never bound its socket" >&2
-  cat "$ixdir/serve.log" >&2
-  exit 1
-fi
-for sq in 'eq(.name.first, "John")' '<.name.first>' '<.tags[-1]>'; do
-  cli=$(timeout 120 "$JSONLOGIC" index query "$ixdir/corpus.idx" "$sq")
-  daemon=$(timeout 60 "$JSONLOGIC" client --socket "$ixsock" \
-    --index "$ixdir/corpus.idx" --query "$sq")
-  if [ "$daemon" != "$cli" ] || [ -z "$daemon" ]; then
-    echo "FAIL: INDEXQ payload differs from index query on: $sq" >&2
-    printf '%s\n---\n%s\n' "$daemon" "$cli" | head -20 >&2
+# to the `index query` CLI rows (under the same budget flags), and its
+# counters must move.  The daemon keeps the reader open, so a second
+# pass answers the malformed lines from the reader's error-line cells.
+start_indexq_daemon() {  # budget flags for `serve`
+  ixsock="$ixdir/indexq.sock"
+  timeout 300 "$JSONLOGIC" serve --socket "$ixsock" "$@" \
+    > "$ixdir/serve.log" 2>&1 &
+  ixsrv=$!
+  for _ in $(seq 1 100); do
+    [ -S "$ixsock" ] && break
+    sleep 0.1
+  done
+  if ! [ -S "$ixsock" ]; then
+    echo "FAIL: indexq serve daemon never bound its socket" >&2
+    cat "$ixdir/serve.log" >&2
     exit 1
   fi
-done
+}
+stop_indexq_daemon() {
+  timeout 60 "$JSONLOGIC" client --socket "$ixsock" --shutdown > /dev/null
+  ixsrv_status=0
+  wait "$ixsrv" || ixsrv_status=$?
+  if [ "$ixsrv_status" != 0 ]; then
+    echo "FAIL: indexq serve daemon exited $ixsrv_status after SHUTDOWN" >&2
+    cat "$ixdir/serve.log" >&2
+    exit 1
+  fi
+}
+indexq_replay() {  # budget flags for `index query`, as the daemon got
+  for sq in 'eq(.name.first, "John")' '<.name.first>' '<.tags[-1]>' \
+    'eq(.name.first, .name.last)'; do
+    cli=$(timeout 120 "$JSONLOGIC" index query "$@" "$ixdir/corpus.idx" "$sq")
+    daemon=$(timeout 60 "$JSONLOGIC" client --socket "$ixsock" \
+      --index "$ixdir/corpus.idx" --query "$sq")
+    if [ "$daemon" != "$cli" ] || [ -z "$daemon" ]; then
+      echo "FAIL: INDEXQ payload differs from index query $* on: $sq" >&2
+      printf '%s\n---\n%s\n' "$daemon" "$cli" | head -20 >&2
+      exit 1
+    fi
+  done
+}
+start_indexq_daemon
+indexq_replay
+indexq_replay
 # a bad formula is an ERR (exit 1), not a dead daemon
 iqstatus=0
 timeout 60 "$JSONLOGIC" client --socket "$ixsock" \
@@ -730,14 +750,14 @@ case $iq_metrics in
   *) echo "FAIL: serve metrics line lacks indexq counters: $iq_metrics" >&2
      exit 1 ;;
 esac
-timeout 60 "$JSONLOGIC" client --socket "$ixsock" --shutdown > /dev/null
-ixsrv_status=0
-wait "$ixsrv" || ixsrv_status=$?
-if [ "$ixsrv_status" != 0 ]; then
-  echo "FAIL: indexq serve daemon exited $ixsrv_status after SHUTDOWN" >&2
-  cat "$ixdir/serve.log" >&2
-  exit 1
-fi
+stop_indexq_daemon
+# other budget limits: a daemon under --max-depth 64 (deep enough for
+# the replayed formulas and documents) answers like index query under
+# the same flag, on both passes
+start_indexq_daemon --max-depth 64
+indexq_replay --max-depth 64
+indexq_replay --max-depth 64
+stop_indexq_daemon
 
 # Crash safety: a rebuild killed mid-write (file-size limit, SIGXFSZ
 # ignored so the write fails) exits 1 with error:, leaves the previous

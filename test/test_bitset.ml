@@ -96,12 +96,73 @@ let test_iter_order () =
   Alcotest.(check (list int)) "iter ascending" [ 99; 41; 3; 0 ] !acc;
   Alcotest.(check int) "fold" 143 (Bitset.fold ( + ) s 0)
 
+(* ---- iteration by set bits ------------------------------------------------- *)
+
+(* what [iter] visits, in visiting order *)
+let visited s =
+  let acc = ref [] in
+  Bitset.iter (fun i -> acc := i :: !acc) s;
+  List.rev !acc
+
+(* iter, fold, elements and cardinal against the sorted member list:
+   ascending, every member exactly once *)
+let agrees n members =
+  let members = List.sort_uniq Int.compare members in
+  let s = Bitset.of_list n members in
+  visited s = members
+  && Bitset.fold (fun i acc -> i :: acc) s [] = List.rev members
+  && Bitset.elements s = members
+  && Bitset.cardinal s = List.length members
+
+let check_agrees what n members =
+  Alcotest.(check bool) what true (agrees n members)
+
+(* sets of a few thousand bits at every density *)
+let gen_large =
+  let open QCheck.Gen in
+  let gen st =
+    let n = int_range 1000 5000 st in
+    let density = float_bound_inclusive 1. st in
+    (n, List.filter (fun _ -> float_bound_inclusive 1. st < density) (List.init n Fun.id))
+  in
+  QCheck.make
+    ~print:(fun (n, m) -> Printf.sprintf "n=%d with %d members" n (List.length m))
+    gen
+
+let prop_large =
+  QCheck.Test.make ~name:"iter/fold/elements/cardinal on thousands of bits"
+    ~count:200 gen_large (fun (n, m) -> agrees n m)
+
+(* dense words: every bit, the sign bit alone, alternating bits, and a
+   partial last word *)
+let test_dense_words () =
+  let w = Sys.int_size in
+  let n = (40 * w) + 17 in
+  let all = List.init n Fun.id in
+  let in_word k f = List.filter f (List.init w (fun b -> (k * w) + b)) in
+  check_agrees "every bit" n all;
+  check_agrees "all bits of one word" n (in_word 3 (fun _ -> true));
+  check_agrees "only the sign bit of every word" n
+    (List.init 40 (fun k -> (k * w) + w - 1));
+  check_agrees "the lowest and the sign bit" n [ 0; w - 1; w; (2 * w) - 1 ];
+  check_agrees "even bits" n (List.filter (fun i -> i mod 2 = 0) all);
+  check_agrees "odd bits" n (List.filter (fun i -> i mod 2 = 1) all);
+  check_agrees "partial last word" n (in_word 40 (fun i -> i < n));
+  check_agrees "last bit only" n [ n - 1 ];
+  (* each bit of a word on its own *)
+  for b = 0 to w - 1 do
+    check_agrees (Printf.sprintf "bit %d alone" b) (2 * w) [ w + b ]
+  done;
+  Alcotest.(check int) "full set counts every bit" n
+    (Bitset.cardinal (Bitset.full n))
+
 let () =
   Alcotest.run "bitset"
     [ ("unit",
        [ Alcotest.test_case "full/complement boundaries" `Quick test_full_complement;
-         Alcotest.test_case "iteration order" `Quick test_iter_order ]);
+         Alcotest.test_case "iteration order" `Quick test_iter_order;
+         Alcotest.test_case "dense words" `Quick test_dense_words ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_ops; prop_cardinal; prop_union_into; prop_inter_into;
-           prop_boundaries ]) ]
+           prop_boundaries; prop_large ]) ]

@@ -115,12 +115,12 @@ let query_set () =
 
 (* the per-line baseline: exactly the computation [eval --files-from]
    runs per file *)
-let baseline_verdict phi text =
-  match Jsont.Tree.of_string ~budget:(Obs.Budget.create ()) text with
+let baseline_verdict ?(budget = fun () -> Obs.Budget.create ()) phi text =
+  match Jsont.Tree.of_string ~budget:(budget ()) text with
   | Error e -> "error: " ^ Format.asprintf "%a" Jsont.Parser.pp_error e
   | Ok tree -> (
     match
-      let ctx = Jlogic.Jnl_eval.context ~budget:(Obs.Budget.create ()) tree in
+      let ctx = Jlogic.Jnl_eval.context ~budget:(budget ()) tree in
       Jlogic.Jnl_eval.holds ctx Jsont.Tree.root phi
     with
     | b -> string_of_bool b
@@ -178,7 +178,8 @@ and path_needs_reparse (p : Jlogic.Jnl.path) =
   | _ -> false
 
 (* Every query answers like the per-line baseline, byte for byte; the
-   ones postings decide reparse the malformed lines and nothing else. *)
+   ones postings decide reparse the malformed lines on a fresh reader
+   and nothing at all once the reader holds their cells. *)
 let differential ?pos_cap () =
   let corpus = temp_path ".ndjson" in
   let idx = temp_path ".idx" in
@@ -194,6 +195,7 @@ let differential ?pos_cap () =
     List.length
       (List.filter (fun (_, l) -> Result.is_error (Jsont.Tree.of_string l)) lines)
   in
+  let fresh = ref true in
   List.iter
     (fun phi ->
       let q = Jlogic.Jnl.to_string phi in
@@ -208,10 +210,16 @@ let differential ?pos_cap () =
               Array.to_list (Array.map Jindex.Query.verdict_string verdicts)
             in
             Alcotest.(check (list string)) ("agreement on " ^ q) expect got;
+            let reparsed = Obs.Metrics.counter_value "index.query.reparsed" in
             if not (needs_reparse phi) then
-              Alcotest.(check int) ("only malformed lines reparsed: " ^ q)
-                malformed
-                (Obs.Metrics.counter_value "index.query.reparsed")))
+              if !fresh then
+                Alcotest.(check int)
+                  ("first query reparses the malformed lines: " ^ q)
+                  malformed reparsed
+              else
+                Alcotest.(check int)
+                  ("later queries reparse none: " ^ q) 0 reparsed;
+            fresh := false))
     (query_set ())
 
 let test_differential () = differential ()
@@ -613,6 +621,144 @@ let test_corrupt_postings_no_verify () =
       (String.length m > 0)
   | Ok _ -> Alcotest.fail "corrupt postings produced verdicts"
 
+(* ---- error-line cells ---------------------------------------------------------- *)
+
+(* An index built under depth 3 flags the deep lines besides the
+   malformed one.  Under a default budget the deep lines parse, so
+   their verdicts follow the formula and must never come from the
+   reader's slot; the malformed line's parse error may. *)
+let shallow_index () =
+  let corpus = temp_path ".ndjson" in
+  let idx = temp_path ".idx" in
+  write_file corpus (Lazy.force corpus_text);
+  (match
+     Jindex.Writer.build
+       ~fresh_budget:(fun () -> Obs.Budget.create ~max_depth:3 ())
+       ~corpus ~output:idx ()
+   with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("build failed: " ^ m));
+  let r = open_exn idx in
+  let flagged = ref 0 in
+  for d = 0 to Jindex.Reader.ndocs r - 1 do
+    if Jindex.Reader.doc_err r d then incr flagged
+  done;
+  let malformed =
+    List.length
+      (List.filter
+         (fun (_, l) -> Result.is_error (Jsont.Tree.of_string l))
+         (corpus_lines (Lazy.force corpus_text)))
+  in
+  Alcotest.(check bool) "deep lines flagged besides the malformed" true
+    (malformed > 0 && !flagged > malformed);
+  (r, !flagged, malformed)
+
+(* [q] on [r] under [budget] answers like the per-line baseline under
+   the same budget; the result is how many documents it reparsed *)
+let query_reparsed ?budget r q =
+  let phi = Jlogic.Jnl.parse_exn q in
+  let expect =
+    List.map
+      (fun (_, line) -> baseline_verdict ?budget phi line)
+      (corpus_lines (Lazy.force corpus_text))
+  in
+  with_metrics (fun () ->
+      match Jindex.Query.run ?fresh_budget:budget r phi with
+      | Error m -> Alcotest.fail (q ^ ": " ^ m)
+      | Ok verdicts ->
+        Alcotest.(check (list string)) ("agreement on " ^ q) expect
+          (Array.to_list (Array.map Jindex.Query.verdict_string verdicts));
+        Obs.Metrics.counter_value "index.query.reparsed")
+
+let test_slot_formula_dependent () =
+  let r, flagged, malformed = shallow_index () in
+  let q = "<.orders[0].lines[0].sku>" in
+  Alcotest.(check int) "first query reparses every flagged line" flagged
+    (query_reparsed r q);
+  Alcotest.(check int) "the negation reparses the deep lines again"
+    (flagged - malformed)
+    (query_reparsed r ("!" ^ q));
+  Alcotest.(check int) "and so does a third formula" (flagged - malformed)
+    (query_reparsed r "eq(.name.first, \"John\")");
+  (* a flagged line that parses but whose evaluation runs out of fuel
+     failed for the formula, not for the line *)
+  let budget () = Obs.Budget.create ~fuel:1_000 () in
+  let heavy = String.make 20 '!' ^ "<.name>" in
+  Alcotest.(check bool) "some flagged line parses, then runs out of fuel" true
+    (List.exists
+       (fun (_, l) ->
+         Result.is_error
+           (Jsont.Tree.of_string ~budget:(Obs.Budget.create ~max_depth:3 ()) l)
+         && Result.is_ok (Jsont.Tree.of_string ~budget:(budget ()) l)
+         && baseline_verdict ~budget (Jlogic.Jnl.parse_exn heavy) l
+            = "error: " ^ Obs.Budget.describe Obs.Budget.Fuel)
+       (corpus_lines (Lazy.force corpus_text)));
+  ignore (query_reparsed ~budget r heavy);
+  Alcotest.(check int) "a cheaper formula still reparses those lines"
+    (flagged - malformed)
+    (query_reparsed ~budget r "<.name>")
+
+let test_slot_limits () =
+  let r, flagged, malformed = shallow_index () in
+  ignore (query_reparsed r "true");
+  Alcotest.(check int) "same limits read the slot" (flagged - malformed)
+    (query_reparsed r "<.name>");
+  List.iter
+    (fun (what, budget) ->
+      Alcotest.(check int) (what ^ " reparse every flagged line") flagged
+        (query_reparsed ~budget r "<.name>"))
+    [ ("other fuel", fun () -> Obs.Budget.create ~fuel:1_000_000 ());
+      ("other depth", fun () -> Obs.Budget.create ~max_depth:3 ());
+      ("the default again", fun () -> Obs.Budget.create ()) ];
+  Alcotest.(check int) "then the default reads the slot" (flagged - malformed)
+    (query_reparsed r "<.name>")
+
+let test_slot_deadline () =
+  let r, flagged, malformed = shallow_index () in
+  let timed () = Obs.Budget.create ~timeout_ms:600_000 () in
+  Alcotest.(check int) "a deadline reparses every flagged line" flagged
+    (query_reparsed ~budget:timed r "<.name>");
+  Alcotest.(check bool) "and fills no slot" true
+    (Jindex.Reader.error_cells r = None);
+  ignore (query_reparsed r "<.name>");
+  Alcotest.(check int) "a filled slot is not read under a deadline" flagged
+    (query_reparsed ~budget:timed r "<.name>");
+  Alcotest.(check int) "nor replaced by one" (flagged - malformed)
+    (query_reparsed r "<.name>")
+
+(* two domains race to fill the slot of one fresh reader *)
+let test_slot_domains () =
+  let r, _, _ = shallow_index () in
+  let queries =
+    [ "<.orders[0].lines[0].sku>"; "!<.orders[0].lines[0].sku>"; "true";
+      "eq(.name.first, \"John\")"; "<.name.first> | <.tail>" ]
+  in
+  let lines = corpus_lines (Lazy.force corpus_text) in
+  let expect =
+    List.map
+      (fun q ->
+        let phi = Jlogic.Jnl.parse_exn q in
+        List.map (fun (_, line) -> baseline_verdict phi line) lines)
+      queries
+  in
+  let run () =
+    List.map
+      (fun q ->
+        match Jindex.Query.run r (Jlogic.Jnl.parse_exn q) with
+        | Ok v -> Array.to_list (Array.map Jindex.Query.verdict_string v)
+        | Error m -> [ "query failed: " ^ m ])
+      queries
+  in
+  let a = Domain.spawn run and b = Domain.spawn run in
+  let a = Domain.join a and b = Domain.join b in
+  List.iteri
+    (fun i q ->
+      Alcotest.(check (list string)) ("first domain on " ^ q) (List.nth expect i)
+        (List.nth a i);
+      Alcotest.(check (list string)) ("second domain on " ^ q)
+        (List.nth expect i) (List.nth b i))
+    queries
+
 (* ---- staleness --------------------------------------------------------------- *)
 
 let test_stale_corpus () =
@@ -698,6 +844,14 @@ let () =
            test_corrupt_postings_no_verify;
          Alcotest.test_case "corrupt value postings error under no-verify"
            `Quick test_corrupt_value_postings_no_verify ]);
+      ("error-cells",
+       [ Alcotest.test_case "formula-dependent lines always reparse" `Quick
+           test_slot_formula_dependent;
+         Alcotest.test_case "other limits reparse" `Quick test_slot_limits;
+         Alcotest.test_case "deadline budgets never read the slot" `Quick
+           test_slot_deadline;
+         Alcotest.test_case "two domains on a fresh reader" `Quick
+           test_slot_domains ]);
       ("staleness",
        [ Alcotest.test_case "changed or missing corpus refused" `Quick
            test_stale_corpus ]);

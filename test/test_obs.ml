@@ -271,7 +271,17 @@ let test_construct_counters () =
         (Obs.Metrics.counter_value "jnl.eq_doc" > 0);
       ignore (stream "[1,2]" Jsl.True);
       Alcotest.(check bool) "validate.stream.runs counted" true
-        (Obs.Metrics.counter_value "validate.stream.runs" > 0))
+        (Obs.Metrics.counter_value "validate.stream.runs" > 0);
+      (* one jnl.index.hit per labelled step, also when an eq target
+         without value postings is materialized first *)
+      List.iter
+        (fun (q, hits) ->
+          Obs.Metrics.reset ();
+          let ctx = Jnl_eval.context (Tree.of_string_exn {|{"a":1}|}) in
+          ignore (Jnl_eval.holds ctx Tree.root (Jnl.parse_exn q));
+          Alcotest.(check int) ("jnl.index.hit on " ^ q) hits
+            (Obs.Metrics.counter_value "jnl.index.hit"))
+        [ ("<.a>", 1); ("eq(.a, 1)", 1); ("eq(.a.b, 1)", 2) ])
 
 (* ------------------------------------------------------------------ *)
 (* Differential fuzz: streaming vs tree evaluation                      *)

@@ -328,6 +328,27 @@ let test_indexq_end_to_end () =
   Sys.remove corpus;
   Sys.remove idx
 
+(* the same INDEXQ twice on one daemon: the cached reader answers the
+   malformed line's cell the second time, and not a byte may differ *)
+let test_indexq_repeat () =
+  let corpus, idx = indexq_corpus () in
+  with_server (fun srv ->
+      with_client srv (fun c ->
+          List.iter
+            (fun formula ->
+              let ask () =
+                unwrap (Jserve.Client.index_query c ~index:idx formula)
+              in
+              let first = ask () in
+              Alcotest.(check string) ("first answer on " ^ formula)
+                (indexq_expect idx formula) first;
+              Alcotest.(check string) ("second answer on " ^ formula) first
+                (ask ()))
+            [ "eq(.name.first, \"John\")"; "<.orders[0].lines[0].sku>";
+              "true"; "eq(.name.first, .name.last)" ]));
+  Sys.remove corpus;
+  Sys.remove idx
+
 (* INDEXQ faults: each answers ERR and the connection keeps serving *)
 let test_indexq_faults () =
   let corpus, idx = indexq_corpus () in
@@ -636,6 +657,7 @@ let () =
           Alcotest.test_case "parallel connections" `Quick
             test_serve_parallel_connections;
           Alcotest.test_case "indexq end-to-end" `Quick test_indexq_end_to_end;
+          Alcotest.test_case "indexq answered twice" `Quick test_indexq_repeat;
           Alcotest.test_case "indexq faults" `Quick test_indexq_faults;
           Alcotest.test_case "counters folded" `Quick test_counters_folded ] );
       ( "faults",
