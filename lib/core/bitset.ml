@@ -63,21 +63,21 @@ let complement a =
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 let equal a b = a.n = b.n && a.words = b.words
 
-(* set bits per byte value *)
-let byte_pop =
-  String.init 256 (fun i ->
-      let rec go acc i = if i = 0 then acc else go (acc + (i land 1)) (i lsr 1) in
-      Char.chr (go 0 i))
-
+(* set bits of a 63-bit word, counted in parallel: pairs, nibbles,
+   bytes, then the byte sums gathered in the top byte *)
 let pop w =
-  let c = ref 0 and w = ref w in
-  while !w <> 0 do
-    c := !c + Char.code byte_pop.[!w land 0xff];
-    w := !w lsr 8
+  let w = w - ((w lsr 1) land 0x1555_5555_5555_5555) in
+  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
+  let w = (w + (w lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (w * 0x0101_0101_0101_0101) lsr 56
+
+let cardinal t =
+  let c = ref 0 in
+  for i = 0 to Array.length t.words - 1 do
+    let w = t.words.(i) in
+    if w <> 0 then c := !c + pop w
   done;
   !c
-
-let cardinal t = Array.fold_left (fun acc w -> acc + pop w) 0 t.words
 
 (* The position of a one-bit word [b]: [debruijn] holds every 6-bit
    pattern once (a de Bruijn sequence, leading zeros first), so the top
@@ -111,6 +111,22 @@ let iter f t =
       done
     end
   done
+
+let next t i =
+  if i >= t.n then t.n
+  else begin
+    let w = ref (i / bits_per_word) in
+    let word = ref (t.words.(!w) land (-1 lsl (i mod bits_per_word))) in
+    let last = Array.length t.words - 1 in
+    while !word = 0 && !w < last do
+      incr w;
+      word := t.words.(!w)
+    done;
+    if !word = 0 then t.n
+    else
+      (!w * bits_per_word)
+      + bit_pos.(((!word land (- !word)) * debruijn) lsr 57)
+  end
 
 let fold f t init =
   let acc = ref init in

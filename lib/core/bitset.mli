@@ -38,6 +38,12 @@ val is_empty : t -> bool
 val equal : t -> t -> bool
 val cardinal : t -> int
 val iter : (int -> unit) -> t -> unit
+
+val next : t -> int -> int
+(** [next t i] is the least member at or above [i] ([i >= 0]), or
+    [capacity t] when there is none: a closure-free walk of the set,
+    [let c = ref (next t 0) in while !c < capacity t do … c := next t (!c + 1) done]. *)
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
 val of_list : int -> int list -> t

@@ -4,6 +4,60 @@ module Tree = Jsont.Tree
 
 module type STORE = Jnl_store.S
 
+(* [sort_uniq a k]: the first [k] entries of [a], ascending and
+   distinct — an insertion sort of ints below 16 entries, a merge sort
+   above, no comparison closure either way.  [a] itself when that is
+   the whole of it. *)
+let sort_uniq a k =
+  let a =
+    if k <= 16 then begin
+      for i = 1 to k - 1 do
+        let x = a.(i) and j = ref (i - 1) in
+        while !j >= 0 && a.(!j) > x do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- x
+      done;
+      a
+    end
+    else begin
+      let src = ref a and dst = ref (Array.make k 0) in
+      let width = ref 1 in
+      while !width < k do
+        let lo = ref 0 in
+        while !lo < k do
+          let mid = min k (!lo + !width) and hi = min k (!lo + (2 * !width)) in
+          let i = ref !lo and j = ref mid in
+          for o = !lo to hi - 1 do
+            if !i < mid && (!j >= hi || !src.(!i) <= !src.(!j)) then begin
+              !dst.(o) <- !src.(!i);
+              incr i
+            end
+            else begin
+              !dst.(o) <- !src.(!j);
+              incr j
+            end
+          done;
+          lo := hi
+        done;
+        let t = !src in
+        src := !dst;
+        dst := t;
+        width := 2 * !width
+      done;
+      !src
+    end
+  in
+  let m = ref 0 in
+  for i = 0 to k - 1 do
+    if i = 0 || a.(i) <> a.(!m - 1) then begin
+      a.(!m) <- a.(i);
+      incr m
+    end
+  done;
+  if !m = Array.length a then a else Array.sub a 0 !m
+
 (* ---- set-at-a-time evaluation over any store ----------------------------- *)
 
 (* Budget accounting: each formula node and each non-deterministic
@@ -75,33 +129,44 @@ module Make (S : STORE) = struct
     | Few a -> Array.length a
     | All | Value _ | Arrays _ -> max_int
 
-  (* The parents of the nodes [members] yields: a sorted array while
-     they are fewer than a bitset has words (a step keeps a small target
-     small on a large store), a bitset beyond that. *)
-  let parents ctx members =
-    let limit = (n ctx / Sys.int_size) + 1 in
-    let few = ref [] and k = ref 0 and bits = ref None in
+  (* Does a step walking [w] members keep its result as a bitset?  Once
+     sorting their parents would cost more than the bitset's words. *)
+  let bulk ctx w =
+    let rec log2 k = if k <= 1 then 0 else 1 + log2 (k lsr 1) in
+    w * log2 w > (n ctx / Sys.int_size) + 1
+
+  (* The parents of the (at most [w]) nodes [members] yields, as a
+     sorted array. *)
+  let few ctx w members =
+    let a = Array.make w 0 and k = ref 0 in
     members (fun c ->
         let p = S.parent ctx.s c in
-        if p >= 0 then
-          match !bits with
-          | Some s -> Bitset.add s p
-          | None when !k < limit ->
-            few := p :: !few;
-            incr k
-          | None ->
-            let s = Bitset.create (n ctx) in
-            List.iter (Bitset.add s) (p :: !few);
-            bits := Some s);
-    match !bits with
-    | Some s -> set s
-    | None -> Few (Array.of_list (List.sort_uniq Int.compare !few))
+        if p >= 0 then begin
+          a.(!k) <- p;
+          incr k
+        end);
+    Few (sort_uniq a !k)
+
+  let passes ctx keep c =
+    match keep with
+    | `All -> true
+    | `In s -> Bitset.mem s c
+    | `Element p -> S.has_element ctx.s c p
 
   (* parents of the bucket members passing [keep]: O(buckets) *)
   let via_buckets ctx bs keep =
-    burn ctx (List.fold_left (fun a b -> a + S.length b) 1 bs);
-    parents ctx (fun add ->
-        List.iter (fun b -> S.iter ctx.s b (fun c -> if keep c then add c)) bs)
+    let w = List.fold_left (fun a b -> a + S.length b) 0 bs in
+    burn ctx (1 + w);
+    if bulk ctx w then begin
+      let into = Bitset.create (n ctx) in
+      List.iter (fun b -> S.bucket_parents ctx.s b keep into) bs;
+      set into
+    end
+    else
+      few ctx w (fun add ->
+          List.iter
+            (fun b -> S.iter ctx.s b (fun c -> if passes ctx keep c then add c))
+            bs)
 
   let rec nodes ctx = function
     | All -> Bitset.full (n ctx)
@@ -111,41 +176,58 @@ module Make (S : STORE) = struct
       Array.iter (Bitset.add s) a;
       s
     | Value v -> S.equal_nodes ctx.s ctx.budget v
-    | Arrays a ->
-      nodes ctx (via_buckets ctx [ S.pos_bucket ctx.s (a - 1) ] (fun _ -> true))
+    | Arrays a -> nodes ctx (via_buckets ctx [ S.pos_bucket ctx.s (a - 1) ] `All)
+
+  let edge_passes ctx edge c =
+    match edge with
+    | `Key k -> S.is_key ctx.s c k
+    | `Pos p -> S.edge_pos ctx.s c = p
+    | `Test test -> test c
 
   (* parents of the target members whose incoming edge passes [edge]:
      O(target) *)
   let via_target ctx tgt edge =
     let tgt = match tgt with Set _ | Few _ -> tgt | t -> set (nodes ctx t) in
-    burn ctx (1 + card tgt);
-    parents ctx (fun add ->
-        let visit c = if edge c then add c in
-        match tgt with
-        | Few a -> Array.iter visit a
-        | t -> Bitset.iter visit (nodes ctx t))
+    let w = card tgt in
+    burn ctx (1 + w);
+    let walk add =
+      let visit c = if edge_passes ctx edge c then add c in
+      match tgt with
+      | Few a -> Array.iter visit a
+      | t -> Bitset.iter visit (nodes ctx t)
+    in
+    if bulk ctx w then begin
+      let into = Bitset.create (n ctx) in
+      (match (tgt, edge) with
+      | Set (s, _), ((`Key _ | `Pos _) as e) -> S.edge_parents ctx.s s e into
+      | _ ->
+        walk (fun c ->
+            let p = S.parent ctx.s c in
+            if p >= 0 then Bitset.add into p));
+      set into
+    end
+    else few ctx w walk
 
-  (* One step through labelled edges: [buckets] lists them, [edge] tests
-     one, [hint] names the label whose value postings can stand in for
-     a [Value] target.  The smaller of bucket and target is walked; a
-     [Value] target without value postings is materialized first, and
-     the step still counts as one pre-image. *)
+  (* One step through labelled edges: [buckets] lists them, [edge] names
+     or tests one, [hint] names the label whose value postings can stand
+     in for a [Value] target.  The smaller of bucket and target is
+     walked; a [Value] target without value postings is materialized
+     first, and the step still counts as one pre-image. *)
   let labelled ctx ~buckets ~edge ~hint tgt =
     prepare ctx;
     let rec step tgt =
       match tgt with
-      | All -> via_buckets ctx (buckets ()) (fun _ -> true)
-      | Arrays a ->
-        via_buckets ctx (buckets ()) (fun c -> S.has_element ctx.s c (a - 1))
+      | All -> via_buckets ctx (buckets ()) `All
+      | Arrays a -> via_buckets ctx (buckets ()) (`Element (a - 1))
       | Value v -> (
         match Option.bind hint (fun h -> S.value_bucket ctx.s h v) with
-        | Some b -> via_buckets ctx [ b ] (fun _ -> true)
+        | Some b -> via_buckets ctx [ b ] `All
         | None -> step (set (nodes ctx tgt)))
       | Set _ | Few _ ->
         let bs = buckets () in
         if card tgt < List.fold_left (fun a b -> a + S.length b) 0 bs then
           via_target ctx tgt edge
-        else via_buckets ctx bs (Bitset.mem (nodes ctx tgt))
+        else via_buckets ctx bs (`In (nodes ctx tgt))
     in
     step tgt
 
@@ -179,7 +261,7 @@ module Make (S : STORE) = struct
       | Some (a, None) -> Arrays a
       | Some (a, Some b) ->
         set (Bitset.diff (nodes ctx (Arrays a)) (nodes ctx (Arrays (b + 1)))))
-    | _ -> via_target ctx tgt edge
+    | _ -> via_target ctx tgt (`Test edge)
 
   (* An upper bound on |⟦ϕ⟧| from bucket lengths alone: the planner's
      cost model.  Reads no postings entry and burns no fuel. *)
@@ -232,22 +314,22 @@ module Make (S : STORE) = struct
       | Some k ->
         labelled ctx
           ~buckets:(fun () -> [ S.key_bucket ctx.s k ])
-          ~edge:(fun c -> S.is_key ctx.s c k)
-          ~hint:(Some (`Key k)) tgt)
+          ~edge:(`Key k) ~hint:(Some (`Key k)) tgt)
     | Jnl.Keys e ->
       let l = lang ctx e in
       labelled ctx
         ~buckets:(fun () -> List.map (S.key_bucket ctx.s) (matching_keys ctx e))
-        ~edge:(fun c ->
-          S.edge_key ctx.s c (fun k ->
-              Rexp.Lang.matches l (S.key_name ctx.s k)))
+        ~edge:
+          (`Test
+            (fun c ->
+              S.edge_key ctx.s c (fun k ->
+                  Rexp.Lang.matches l (S.key_name ctx.s k))))
         ~hint:None tgt
     | Jnl.Idx i -> pre_at ctx depth (Jnl.Range (i, Some i)) tgt
     | Jnl.Range (i, Some j) when i = j && i >= 0 && tgt != All ->
       labelled ctx
         ~buckets:(fun () -> [ S.pos_bucket ctx.s i ])
-        ~edge:(fun c -> S.edge_pos ctx.s c = i)
-        ~hint:(Some (`Pos i)) tgt
+        ~edge:(`Pos i) ~hint:(Some (`Pos i)) tgt
     | Jnl.Range (i, j) -> window ctx i j tgt
     | Jnl.Seq (a, b) ->
       burn ctx 1;
@@ -456,6 +538,33 @@ module Tree_store = struct
 
   let length = Array.length
   let iter _ b f = Array.iter f b
+
+  let bucket_parents t b keep into =
+    for i = 0 to Array.length b - 1 do
+      let c = b.(i) in
+      if
+        match keep with
+        | `All -> true
+        | `In s -> Bitset.mem s c
+        | `Element p -> has_element t c p
+      then begin
+        let p = Tree.parent_id t c in
+        if p >= 0 then Bitset.add into p
+      end
+    done
+
+  let edge_parents t s edge into =
+    let n = Bitset.capacity s in
+    let c = ref (Bitset.next s 0) in
+    while !c < n do
+      let g = !c in
+      (match (edge, Tree.edge_from_parent t g) with
+      | `Key w, Tree.Key k when String.equal k w ->
+        Bitset.add into (Tree.parent_id t g)
+      | `Pos p, Tree.Pos q when p = q -> Bitset.add into (Tree.parent_id t g)
+      | _ -> ());
+      c := Bitset.next s (g + 1)
+    done
 end
 
 include Make (Tree_store)

@@ -73,4 +73,24 @@ module type S = sig
 
   val length : bucket -> int
   val iter : t -> bucket -> (int -> unit) -> unit
+
+  (** {2 Bulk steps}
+
+      A step whose result the evaluator keeps as a bitset runs as one
+      of these: a single loop inside the store over its columns, with
+      no closure call per member.  They visit the members {!iter} and
+      a walk of the set would visit, and the evaluator charges the same
+      fuel for them. *)
+
+  val bucket_parents :
+    t -> bucket -> [ `All | `In of Bitset.t | `Element of int ] ->
+    Bitset.t -> unit
+  (** [bucket_parents t b keep into] adds to [into] the parents of
+      [b]'s members: all of them, those in a set, or those that are
+      arrays with an element at position [p] ([`Element p]). *)
+
+  val edge_parents :
+    t -> Bitset.t -> [ `Key of key | `Pos of int ] -> Bitset.t -> unit
+  (** [edge_parents t s edge into] adds to [into] the parents of [s]'s
+      members whose incoming edge is that key or that position. *)
 end

@@ -4,12 +4,14 @@
    module, and the fault-injection tests use the field offsets to
    corrupt files surgically. *)
 
-let magic = "JLIXIDX3"
+let magic = "JLIXIDX4"
 let magic_prefix = "JLIXIDX"
-let version = 3
+let version = 4
 let default_pos_cap = 1024
 let default_value_cap = 65536
 let doc_entry_bytes = 32
+let posting_bytes = 4
+let max_nodes = 1 lsl 32
 
 (* header flag bits *)
 let flag_no_values = 1
@@ -48,11 +50,14 @@ module Field = struct
   let pair_table = 224
   let pair_pidx = 232
   let val_post = 240
-  let body_checksum = 248
-  let header_checksum = 256
+  (* v4: the subtree-size column and the corpus checksum *)
+  let sizes = 248
+  let corpus_checksum = 256
+  let body_checksum = 264
+  let header_checksum = 272
 end
 
-let header_bytes = 264
+let header_bytes = 280
 
 (* Scalar values are keyed in the sorted value table by a canonical
    encoding: one kind byte ('s' string, 'n' natural) followed by the
@@ -90,6 +95,35 @@ let checksum_bytes h b off len =
     i := !i + 4
   done;
   !h
+
+(* any length: the last word is padded with zero bytes *)
+let checksum_text h s =
+  let whole = String.length s land lnot 3 in
+  let h = checksum_bytes h (Bytes.unsafe_of_string s) 0 whole in
+  if whole = String.length s then h
+  else begin
+    let tail = Bytes.make 4 '\000' in
+    Bytes.blit_string s whole tail 0 (String.length s - whole);
+    checksum_bytes h tail 0 4
+  end
+
+let checksum_file path =
+  In_channel.with_open_bin path (fun ic ->
+      let buf = Bytes.create 65536 in
+      let rec fill k =
+        if k = Bytes.length buf then k
+        else
+          match In_channel.input ic buf k (Bytes.length buf - k) with
+          | 0 -> k
+          | m -> fill (k + m)
+      in
+      (* every chunk but the last is whole words *)
+      let rec go h =
+        let k = fill 0 in
+        if k = Bytes.length buf then go (checksum_bytes h buf 0 k)
+        else checksum_text h (Bytes.sub_string buf 0 k)
+      in
+      go checksum_init)
 
 let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 let set_i32 = set_u32

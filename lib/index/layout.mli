@@ -1,23 +1,26 @@
-(** On-disk layout of the persistent corpus index (format [JLIXIDX3]).
+(** On-disk layout of the persistent corpus index (format [JLIXIDX4]).
 
     One index file describes one NDJSON corpus: a string table of the
-    distinct object keys, label → postings lists over (document,
-    node) pairs for key edges and for small array positions, a sorted
+    distinct object keys, label → postings lists of corpus-wide node
+    ids for key edges and for small array positions, a sorted
     scalar-value table with per-(leaf-label, value-id) postings (the
-    [eq]-pushdown seeds), and a per-document table (byte offset/length
-    in the corpus, node count, node base) — everything the query
-    planner needs to answer navigational queries and rooted scalar
-    equalities without reparsing, plus the byte offsets to reparse
-    exactly the surviving documents for general predicates.
+    [eq]-pushdown seeds), the per-node parent, label and subtree-size
+    columns, and a per-document table (byte offset/length in the
+    corpus, node count, node base) — everything the query planner
+    needs to answer navigational queries and rooted scalar equalities
+    without reparsing, plus the byte offsets to reparse exactly the
+    surviving documents for general predicates.
 
     Every integer is little-endian and every section is padded to an
     8-byte boundary, so the file can be memory-mapped and walked with
-    fixed-width loads; the header is versioned and checksummed, and a
+    fixed-width loads; the header is versioned and checksummed, a
     second checksum covers the body so bit flips and truncations are
-    rejected at open instead of surfacing as garbage answers. *)
+    rejected at open instead of surfacing as garbage answers, and a
+    third covers the corpus bytes the index was built over, so a
+    rewritten corpus is refused as stale. *)
 
 val magic : string
-(** ["JLIXIDX3"], the first 8 bytes of every index file. *)
+(** ["JLIXIDX4"], the first 8 bytes of every index file. *)
 
 val magic_prefix : string
 (** ["JLIXIDX"] — shared by every format version; a file carrying the
@@ -48,6 +51,13 @@ val flag_no_values : int
 
 val doc_entry_bytes : int
 (** Size of one document-table entry. *)
+
+val posting_bytes : int
+(** Size of one postings entry: a [u32] corpus-wide node id. *)
+
+val max_nodes : int
+(** [2^32]: a corpus must hold fewer nodes, so every node id and
+    subtree size fits a postings word. *)
 
 (** {1 Scalar-value encoding}
 
@@ -94,6 +104,8 @@ module Field : sig
   val pair_table : int
   val pair_pidx : int
   val val_post : int
+  val sizes : int
+  val corpus_checksum : int
   val body_checksum : int
   val header_checksum : int
 end
@@ -104,7 +116,9 @@ end
     (string-table) key id, position edges the position, the root a
     sentinel.  The parent column stores each node's distance to its
     parent ([0] at a document root), so a corpus-wide node id finds
-    its parent without a document lookup. *)
+    its parent without a document lookup; the size column stores each
+    node's subtree size, so an array element's next sibling is one
+    read away. *)
 
 val label_root : int
 val label_key : int -> int
@@ -128,6 +142,14 @@ val checksum_init : int
 val checksum_bytes : int -> Bytes.t -> int -> int -> int
 (** [checksum_bytes h b off len] folds [len] bytes ([len] a multiple
     of 4) into [h]. *)
+
+val checksum_text : int -> string -> int
+(** Folds a whole string of any length, its last word padded with zero
+    bytes: the corpus checksum. *)
+
+val checksum_file : string -> int
+(** [checksum_text checksum_init] of a file's bytes, read in chunks.
+    @raise Sys_error when the file cannot be read. *)
 
 (** {1 Little-endian accessors over [Bytes.t]} *)
 

@@ -1,14 +1,16 @@
 (* Corpus queries: JNL's pre-image evaluator ({!Jlogic.Jnl_eval.Make})
    run over the mapped index as its node store.  Node ids are
    corpus-wide (a document's node base plus its local preorder id) and
-   a label bucket is a postings slice, so a step costs its bucket or
-   its target, never a scan of the corpus.  The two atoms postings
+   a label bucket is a postings slice of them, so a step costs its
+   bucket or its target, never a scan of the corpus.  The two atoms postings
    cannot decide — EQ(α,β), and eq against an object or array
    constant — are relaxed by polarity into a formula that holds
    wherever the query does; only the documents it admits are reparsed
    and evaluated like [eval --files-from].  Lines that failed to parse
    at build time are answered by their parse error, reparsed once per
-   open index and budget limits (the reader's error-cell slot). *)
+   open index and budget limits (the reader's error-cell slot).  The
+   corpus is checked against the index's size on every query and its
+   checksum once per file identity. *)
 
 module Jnl = Jlogic.Jnl
 module Bitset = Jlogic.Bitset
@@ -30,15 +32,9 @@ module Store = struct
   type t = Reader.t
   type key = int
 
-  (* entries [start, stop) of one postings list, each then hopped
-     [hops] siblings on (for a position past the listed ones) *)
-  type bucket = {
-    node : int -> int;
-    start : int;
-    stop : int;
-    hops : int;
-    values : bool;
-  }
+  (* one postings list, each entry then hopped [hops] siblings on (for
+     a position past the listed ones) *)
+  type bucket = { list : Reader.postings; hops : int; values : bool }
 
   let n_nodes = Reader.nnodes
   let connective_fuel _ = 1
@@ -56,15 +52,10 @@ module Store = struct
 
   let last_child = Reader.node_last
 
-  (* an array element's next sibling: the first node past its subtree
-     (whose parent precedes it) — O(subtree) *)
+  (* an array element's next sibling: the first node past its
+     subtree *)
   let next_sibling r c =
-    if Reader.node_last r c then -1
-    else begin
-      let n = ref (c + 1) in
-      while Reader.node_parent r !n >= c do incr n done;
-      !n
-    end
+    if Reader.node_last r c then -1 else c + Reader.node_size r c
 
   let rec hop r c k =
     if k = 0 || c < 0 then c else hop r (next_sibling r c) (k - 1)
@@ -86,20 +77,17 @@ module Store = struct
   let iter_keys r f =
     for k = 0 to Reader.nkeys r - 1 do f k (Reader.key_name r k) done
 
-  let postings node (start, stop) =
-    { node; start; stop; hops = 0; values = false }
-
-  let none = postings (fun _ -> -1) (0, 0)
-
-  let key_bucket r k = postings (Reader.key_node r) (Reader.key_range r k)
+  let postings list = { list; hops = 0; values = false }
+  let none = postings Reader.empty_postings
+  let key_bucket r k = postings (Reader.key_postings r k)
 
   (* past the listed positions, hop from the last listed one *)
   let pos_bucket r p =
     let npos = Reader.npos r in
-    if p < npos then postings (Reader.pos_node r) (Reader.pos_range r p)
+    if p < npos then postings (Reader.pos_postings r p)
     else if npos = 0 then none
     else
-      { (postings (Reader.pos_node r) (Reader.pos_range r (npos - 1))) with
+      { (postings (Reader.pos_postings r (npos - 1))) with
         hops = p - npos + 1 }
 
   let value_id r v =
@@ -110,9 +98,9 @@ module Store = struct
     | Jsont.Value.Obj _ | Jsont.Value.Arr _ -> raise (Undecided v)
 
   let pair_bucket r v pid =
-    let start, stop = Reader.pair_range r pid in
-    if start = stop then raise (Undecided v);
-    { (postings (Reader.val_node r) (start, stop)) with values = true }
+    let list = Reader.pair_postings r pid in
+    if Reader.length list = 0 then raise (Undecided v);
+    { list; hops = 0; values = true }
 
   let value_bucket r h v =
     let label =
@@ -122,14 +110,55 @@ module Store = struct
     |> Option.fold ~none ~some:(pair_bucket r v)
     |> Option.some
 
-  let length b = b.stop - b.start
+  let length b = Reader.length b.list
+
+  (* entry [j], hopped; [-1] when a hop runs off its array *)
+  let member r b j =
+    let c = Reader.posting r b.list j in
+    if b.hops = 0 then c else hop r c b.hops
+
+  let count_hits b =
+    if b.values then Obs.Metrics.add "index.query.value_hits" (length b)
 
   let iter r b f =
-    if b.values then Obs.Metrics.add "index.query.value_hits" (length b);
-    for i = b.start to b.stop - 1 do
-      let c = b.node i in
-      let c = if b.hops = 0 then c else hop r c b.hops in
+    count_hits b;
+    for j = 0 to length b - 1 do
+      let c = member r b j in
       if c >= 0 then f c
+    done
+
+  let bucket_parents r b keep into =
+    count_hits b;
+    for j = 0 to length b - 1 do
+      let c = member r b j in
+      if
+        c >= 0
+        &&
+        match keep with
+        | `All -> true
+        | `In s -> Bitset.mem s c
+        | `Element p -> has_element r c p
+      then begin
+        let p = Reader.node_parent r c in
+        if p >= 0 then Bitset.add into p
+      end
+    done
+
+  let edge_parents r s edge into =
+    let label =
+      match edge with
+      | `Key k -> Layout.label_key k
+      | `Pos p -> Layout.label_pos p
+    in
+    let n = Bitset.capacity s in
+    let c = ref (Bitset.next s 0) in
+    while !c < n do
+      let g = !c in
+      if Reader.node_label r g = label then begin
+        let p = Reader.node_parent r g in
+        if p >= 0 then Bitset.add into p
+      end;
+      c := Bitset.next s (g + 1)
     done
 
   let equal_nodes r budget v =
@@ -208,6 +237,37 @@ let reparse r ~corpus ~jobs ~fresh_budget phi docs =
   In_channel.with_open_bin corpus (fun ic -> Array.map (text ic) docs)
   |> Par.Batch.map ~jobs cell
 
+(* ---- the stale-corpus check -------------------------------------------------- *)
+
+(* The corpus must hold the bytes the index was built over: its size is
+   checked on every query, its checksum whenever its identity differs
+   from the one the reader last verified. *)
+let check_corpus r corpus =
+  let stale why =
+    failwith
+      (Printf.sprintf "%s: %s (stale index? rebuild with 'index build')" corpus
+         why)
+  in
+  let st =
+    match Unix.stat corpus with
+    | st -> st
+    | exception Unix.Unix_error (e, _, _) ->
+      failwith (corpus ^ ": " ^ Unix.error_message e)
+  in
+  if st.Unix.st_size <> Reader.corpus_len r then
+    stale
+      (Printf.sprintf "corpus is %d bytes but the index was built over %d"
+         st.Unix.st_size (Reader.corpus_len r));
+  let id =
+    { Reader.file = corpus; size = st.Unix.st_size; mtime = st.Unix.st_mtime;
+      inode = st.Unix.st_ino }
+  in
+  if Reader.verified_corpus r <> Some id then begin
+    if Layout.checksum_file corpus <> Reader.corpus_checksum r then
+      stale "corpus bytes differ from those the index was built over";
+    Reader.set_verified_corpus r id
+  end
+
 (* ---- driver ---------------------------------------------------------------- *)
 
 let run ?(jobs = 1) ?corpus
@@ -217,18 +277,7 @@ let run ?(jobs = 1) ?corpus
   in
   try
     Obs.Metrics.span "index.query" @@ fun () ->
-    let actual =
-      match (Unix.stat corpus).Unix.st_size with
-      | n -> n
-      | exception Unix.Unix_error (e, _, _) ->
-        failwith (corpus ^ ": " ^ Unix.error_message e)
-    in
-    if actual <> Reader.corpus_len r then
-      failwith
-        (Printf.sprintf
-           "%s: corpus is %d bytes but the index was built over %d (stale \
-            index? rebuild with 'index build')"
-           corpus actual (Reader.corpus_len r));
+    check_corpus r corpus;
     let ctx = Eval.context ~budget:(fresh_budget ()) r in
     let rec answer undecided =
       let f =

@@ -9,11 +9,15 @@
     One plan: the formula runs through JNL's own pre-image evaluator
     ({!Jlogic.Jnl_eval.Make}) with the mapped index as its node store.
     Node ids are corpus-wide (a document's node base plus its local
-    preorder id); a key or position step walks the smaller of its
-    postings list and its target set, parents come from the stored
-    parent distances, negative indices from the last-element bit, a
-    regex key from the key table, and [eq(α, scalar)] seeds from the
-    value postings of α's last label.  Per-query fuel follows the
+    preorder id) and postings store them as they are; a key or
+    position step walks the smaller of its postings list and its target
+    set, parents come from the stored parent distances, an array's next
+    element from the stored subtree sizes, negative indices from the
+    last-element bit, a regex key from the key table, and
+    [eq(α, scalar)] seeds from the value postings of α's last label.  A
+    step whose result is a bitset runs as one of the store's bulk steps
+    ({!Jlogic.Jnl_store.S.bucket_parents},
+    {!Jlogic.Jnl_store.S.edge_parents}).  Per-query fuel follows the
     postings touched, never the corpus size, and conjunctions run
     cheapest first (by postings length), stopping at an empty
     intersection.
@@ -36,9 +40,14 @@
     a line that parses under the query's budget (the index was built
     under a stricter one) reparse as the baseline would; a query left
     with nothing to reparse opens no corpus channel and starts no
-    lanes.  The stale-corpus check compares sizes only, so after a
-    same-size rewrite of the corpus the cells, like the postings, still
-    describe the bytes they were made from.
+    lanes.
+
+    The stale-corpus check stats the corpus on every query: a size
+    other than the indexed one is refused.  Whenever the file's
+    identity (path, size, mtime, inode) differs from the one the reader
+    last verified ({!Reader.verified_corpus}), the file is checksummed
+    and a checksum other than the header's is refused the same way; a
+    match records the identity, so a warm reader rehashes nothing.
 
     Counters: [index.query.postings_only], [index.query.filtered] (some
     atom was relaxed), [index.query.value_hits],
@@ -58,9 +67,9 @@ val run :
   Jlogic.Jnl.form ->
   (verdict array, string) result
 (** [run r phi] is one verdict per indexed document, in line order.
-    [corpus] overrides the corpus path stored in the index (whose
-    current size must still match the indexed size — a changed corpus
-    makes the index stale and is refused).  [jobs] shards candidate
+    [corpus] overrides the corpus path stored in the index (whose size
+    and bytes must still be the indexed ones — a changed corpus makes
+    the index stale and is refused).  [jobs] shards candidate
     reparsing; [fresh_budget] configures the per-document evaluator
     exactly like the batch CLI flags.  Safe to call from several
     domains on one reader at once. *)

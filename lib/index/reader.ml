@@ -1,10 +1,10 @@
 (* Memory-mapped index reader.  Everything cheap is validated once at
    open — magic, version, checksums, every section extent, the
    monotonicity of all offset tables — so the per-entry accessors can
-   trust section bounds and only re-check the values postings store
-   (document ids, node ids, parent pointers), raising [Corrupt] on the
-   ones a checksum-less open ([~verify_body:false]) could let
-   through. *)
+   trust section bounds and only re-check the values postings and
+   columns store (node ids, parent distances, subtree sizes), raising
+   [Corrupt] on the ones a checksum-less open ([~verify_body:false])
+   could let through. *)
 
 exception Corrupt of string
 
@@ -15,6 +15,8 @@ type error_cells = {
   limits : int option * int;
   failed : string Cells.t;
 }
+
+type corpus_id = { file : string; size : int; mtime : float; inode : int }
 
 type t = {
   path : string;
@@ -27,6 +29,7 @@ type t = {
   key_entries : int;
   pos_entries : int;
   corpus_len : int;
+  corpus_sum : int;
   corpus_path : string;
   has_values : bool;
   value_cap : int;
@@ -37,6 +40,7 @@ type t = {
   o_doc : int;
   o_par : int;
   o_lab : int;
+  o_siz : int;
   o_sidx : int;
   o_blob : int;
   blob_len : int;
@@ -51,6 +55,7 @@ type t = {
   o_prpidx : int;
   o_vpost : int;
   cells : error_cells option Atomic.t;
+  verified : corpus_id option Atomic.t;
 }
 
 let path t = t.path
@@ -63,6 +68,7 @@ let key_entries t = t.key_entries
 let pos_entries t = t.pos_entries
 let corpus_path t = t.corpus_path
 let corpus_len t = t.corpus_len
+let corpus_checksum t = t.corpus_sum
 let has_values t = t.has_values
 let value_cap t = t.value_cap
 let nvals t = t.nvals
@@ -149,28 +155,31 @@ let open_ ?(verify_body = true) path =
               err "header at %d: unknown flag bits %#x" F.flags flags
             else
               let o_doc = u64 F.doc_table and o_par = u64 F.parents in
-              let o_lab = u64 F.labels and o_sidx = u64 F.strtab_idx in
+              let o_lab = u64 F.labels and o_siz = u64 F.sizes in
+              let o_sidx = u64 F.strtab_idx in
               let o_blob = u64 F.strtab_blob and o_kpidx = u64 F.key_pidx in
               let o_kpost = u64 F.key_post and o_ppidx = u64 F.pos_pidx in
               let o_ppost = u64 F.pos_post and o_cpath = u64 F.corpus_path in
               let o_vidx = u64 F.valtab_idx and o_vblob = u64 F.valtab_blob in
               let o_pair = u64 F.pair_table and o_prpidx = u64 F.pair_pidx in
               let o_vpost = u64 F.val_post in
+              let postings n = Layout.pad8 (n * Layout.posting_bytes) in
               let sections =
                 [ ("document table", o_doc, ndocs * Layout.doc_entry_bytes);
                   ("parent column", o_par, Layout.pad8 (nnodes * 4));
                   ("label column", o_lab, Layout.pad8 (nnodes * 4));
+                  ("size column", o_siz, Layout.pad8 (nnodes * 4));
                   ("string index", o_sidx, (nkeys + 1) * 8);
                   ("string blob", o_blob, Layout.pad8 blob_len);
                   ("key postings index", o_kpidx, (nkeys + 1) * 8);
-                  ("key postings", o_kpost, key_entries * 8);
+                  ("key postings", o_kpost, postings key_entries);
                   ("position postings index", o_ppidx, (npos + 1) * 8);
-                  ("position postings", o_ppost, pos_entries * 8);
+                  ("position postings", o_ppost, postings pos_entries);
                   ("value index", o_vidx, (nvals + 1) * 8);
                   ("value blob", o_vblob, Layout.pad8 vblob_len);
                   ("pair table", o_pair, npairs * 8);
                   ("pair postings index", o_prpidx, (npairs + 1) * 8);
-                  ("value postings", o_vpost, val_entries * 8);
+                  ("value postings", o_vpost, postings val_entries);
                   ("corpus path", o_cpath, 4) ]
               in
               let bad_section =
@@ -271,13 +280,15 @@ let open_ ?(verify_body = true) path =
                       else
                         Ok
                           { path; buf; size; ndocs; nnodes; nkeys; npos;
-                            key_entries; pos_entries; corpus_len; corpus_path;
+                            key_entries; pos_entries; corpus_len;
+                            corpus_sum = u64 F.corpus_checksum; corpus_path;
                             has_values = flags land Layout.flag_no_values = 0;
                             value_cap; nvals; npairs; val_entries; val_dropped;
-                            o_doc; o_par; o_lab; o_sidx; o_blob; blob_len;
+                            o_doc; o_par; o_lab; o_siz; o_sidx; o_blob; blob_len;
                             o_kpidx; o_kpost; o_ppidx; o_ppost;
                             o_vidx; o_vblob; vblob_len; o_pair; o_prpidx;
-                            o_vpost; cells = Atomic.make None }
+                            o_vpost; cells = Atomic.make None;
+                            verified = Atomic.make None }
                     end))
           end)
   with
@@ -305,6 +316,8 @@ let doc_err t d = Layout.get_u32_ba t.buf (doc_field t d 28) land 1 = 1
    record or the new one, never a mix *)
 let error_cells t = Atomic.get t.cells
 let set_error_cells t c = Atomic.set t.cells (Some c)
+let verified_corpus t = Atomic.get t.verified
+let set_verified_corpus t c = Atomic.set t.verified (Some c)
 
 (* ---- string table ---------------------------------------------------------- *)
 
@@ -328,38 +341,45 @@ let key_id t w =
 
 (* ---- postings -------------------------------------------------------------- *)
 
-let range t ~what ~idx ~n ~entries k =
+(* One word of a column or postings list, read in place.  Local, so the
+   per-entry accessors below compile to a load and their checks. *)
+external get32 : Layout.buf -> int -> int32 = "%caml_bigstring_get32"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] word b off =
+  let v = get32 b off in
+  Int32.to_int (if Sys.big_endian then bswap32 v else v)
+
+type postings = { what : string; off : int; start : int; len : int }
+
+let empty_postings = { what = "empty"; off = 0; start = 0; len = 0 }
+let length l = l.len
+
+(* entries [start, stop) of one list, from its prefix-sum index *)
+let postings t ~what ~idx ~n ~entries ~post k =
   if k < 0 || k >= n then corrupt "%s id %d out of range" what k;
   let start = Layout.get_u64_ba t.buf (idx + (k * 8)) in
   let stop = Layout.get_u64_ba t.buf (idx + ((k + 1) * 8)) in
   if start > stop || stop > entries then
     corrupt "%s postings range [%d, %d) out of bounds" what start stop;
-  (start, stop)
+  { what; off = post + (start * Layout.posting_bytes); start; len = stop - start }
 
-let key_range t k =
-  range t ~what:"key" ~idx:t.o_kpidx ~n:t.nkeys ~entries:t.key_entries k
+let key_postings t k =
+  postings t ~what:"key" ~idx:t.o_kpidx ~n:t.nkeys ~entries:t.key_entries
+    ~post:t.o_kpost k
 
-let pos_range t p =
-  range t ~what:"position" ~idx:t.o_ppidx ~n:t.npos ~entries:t.pos_entries p
+let pos_postings t p =
+  postings t ~what:"position" ~idx:t.o_ppidx ~n:t.npos ~entries:t.pos_entries
+    ~post:t.o_ppost p
 
-(* A stored (document, doc-local node) pair, as a corpus-wide node id. *)
-let entry t ~what ~post ~entries i =
-  if i < 0 || i >= entries then
-    corrupt "%s postings entry %d out of range" what i;
-  let o = post + (i * 8) in
-  let doc = Layout.get_u32_ba t.buf o in
-  let node = Layout.get_u32_ba t.buf (o + 4) in
-  if doc >= t.ndocs then
-    corrupt "%s postings entry %d names document %d of %d" what i doc t.ndocs;
-  let d = t.o_doc + (doc * Layout.doc_entry_bytes) in
-  if node >= Layout.get_u32_ba t.buf (d + 20) then
-    corrupt "%s postings entry %d names node %d of document %d" what i node doc;
-  Layout.get_u64_ba t.buf (d + 8) + node
-
-let key_node t i = entry t ~what:"key" ~post:t.o_kpost ~entries:t.key_entries i
-
-let pos_node t i =
-  entry t ~what:"position" ~post:t.o_ppost ~entries:t.pos_entries i
+let posting t l j =
+  if j < 0 || j >= l.len then
+    corrupt "%s postings entry %d out of range" l.what (l.start + j);
+  let g = word t.buf (l.off + (j * Layout.posting_bytes)) land 0xFFFF_FFFF in
+  if g >= t.nnodes then
+    corrupt "%s postings entry %d names node %d of %d" l.what (l.start + j) g
+      t.nnodes;
+  g
 
 (* ---- value table and (label, value) postings ------------------------------- *)
 
@@ -410,26 +430,23 @@ let iter_value_pairs t vid f =
     i := pair_bound t j ~label:(label + 1) ~vid:(-1)
   done
 
-let pair_range t p =
-  range t ~what:"pair" ~idx:t.o_prpidx ~n:t.npairs ~entries:t.val_entries p
-
-let val_node t i =
-  entry t ~what:"value" ~post:t.o_vpost ~entries:t.val_entries i
+let pair_postings t p =
+  postings t ~what:"pair" ~idx:t.o_prpidx ~n:t.npairs ~entries:t.val_entries
+    ~post:t.o_vpost p
 
 let capped_pairs t =
   let n = ref 0 in
   for p = 0 to t.npairs - 1 do
-    let start, stop = pair_range t p in
-    if start = stop then incr n
+    if length (pair_postings t p) = 0 then incr n
   done;
   !n
 
 (* ---- structure columns ----------------------------------------------------- *)
 
-let node_word t ~col g =
+let[@inline] node_word t ~col g =
   if g < 0 || g >= t.nnodes then
     corrupt "node %d out of range (index holds %d)" g t.nnodes;
-  Layout.get_i32_ba t.buf (col + (g * 4))
+  word t.buf (col + (g * 4))
 
 let node_parent t g =
   let d = node_word t ~col:t.o_par g in
@@ -443,3 +460,10 @@ let node_label t g =
 let node_last t g =
   let w = node_word t ~col:t.o_lab g in
   w >= 0 && w land Layout.label_last <> 0
+
+let node_size t g =
+  let s = node_word t ~col:t.o_siz g land 0xFFFF_FFFF in
+  if s < 1 || s > t.nnodes - g then
+    corrupt "subtree size %d of node %d out of range (index holds %d)" s g
+      t.nnodes;
+  s

@@ -46,6 +46,10 @@ val pos_entries : t -> int
 val corpus_path : t -> string
 val corpus_len : t -> int
 
+val corpus_checksum : t -> int
+(** {!Layout.checksum_text} of the corpus bytes the index was built
+    over. *)
+
 val has_values : t -> bool
 (** Were the scalar-value table and value postings built?  [false]
     for a [--no-values] index: value absence then proves nothing and
@@ -109,6 +113,25 @@ val set_error_cells : t -> error_cells -> unit
 (** Replace the slot (atomically: concurrent queries read the previous
     record or this one). *)
 
+(** {1 The verified corpus}
+
+    The identity of the corpus file whose bytes last matched
+    {!corpus_checksum}, so queries rehash a corpus only when its
+    identity changes. *)
+
+type corpus_id = {
+  file : string;  (** the path it was read from *)
+  size : int;
+  mtime : float;
+  inode : int;
+}
+
+val verified_corpus : t -> corpus_id option
+(** [None] until a query verifies a corpus. *)
+
+val set_verified_corpus : t -> corpus_id -> unit
+(** Replace the slot, atomically like {!set_error_cells}. *)
+
 (** {1 String table} *)
 
 val key_id : t -> string -> int option
@@ -118,21 +141,27 @@ val key_name : t -> int -> string
 
 (** {1 Postings}
 
-    A postings list is a contiguous run of (document id, doc-local
-    node id) entries, sorted by (document, node). *)
+    A postings list is a contiguous run of corpus-wide node ids,
+    ascending, one {!Layout.posting_bytes} word each. *)
 
-val key_range : t -> int -> int * int
-(** [key_range r k] is the entry-index interval [\[start, stop)] of
-    key [k]'s postings. *)
+type postings
+(** One list: a slice of the key, position or value postings section,
+    its extent checked against the section when it is made. *)
 
-val pos_range : t -> int -> int * int
+val empty_postings : postings
 
-val key_node : t -> int -> int
-(** [key_node r i] is entry [i] as a corpus-wide node id
-    ({!doc_node_base} plus the doc-local id); the document and node
-    ids are validated against the document table. *)
+val length : postings -> int
 
-val pos_node : t -> int -> int
+val key_postings : t -> int -> postings
+(** The nodes whose incoming edge is that key id. *)
+
+val pos_postings : t -> int -> postings
+(** The nodes whose incoming edge is that position ([< npos]). *)
+
+val posting : t -> postings -> int -> int
+(** [posting r l j] is entry [j] of [l], a corpus-wide node id.
+    @raise Corrupt on [j] outside the list or an id outside the
+    corpus. *)
 
 (** {1 Value table and (label, value) postings}
 
@@ -151,15 +180,11 @@ val val_name : t -> int -> string
 
 val pair_lookup : t -> label:int -> vid:int -> int option
 (** Binary search of the pair table by ({!Layout} edge-label word,
-    value id); [Some pid] indexes {!pair_range}. *)
+    value id); [Some pid] indexes {!pair_postings}. *)
 
-val pair_range : t -> int -> int * int
-(** Entry-index interval of one pair's value postings ([start = stop]
-    for a capped pair). *)
-
-val val_node : t -> int -> int
-(** One value postings entry as a corpus-wide node id: a scalar leaf
-    reached by the pair's label and holding the pair's value. *)
+val pair_postings : t -> int -> postings
+(** One pair's value postings: the scalar leaves reached by the pair's
+    label and holding its value (empty for a capped pair). *)
 
 val iter_value_pairs : t -> int -> (int -> unit) -> unit
 (** [iter_value_pairs r vid f] calls [f pid] for every pair of value
@@ -174,8 +199,8 @@ val capped_pairs : t -> int
 
     Indexed by corpus-wide node id: documents occupy consecutive id
     ranges in line order, each in preorder.
-    @raise Corrupt on an id outside the corpus or a stored parent
-    outside it. *)
+    @raise Corrupt on an id outside the corpus, a stored parent
+    outside it or a subtree size reaching past its last node. *)
 
 val node_parent : t -> int -> int
 (** Corpus-wide id of the parent; [-1] at a document root. *)
@@ -186,3 +211,8 @@ val node_label : t -> int -> int
 
 val node_last : t -> int -> bool
 (** Is the node the last element of its array? *)
+
+val node_size : t -> int -> int
+(** Number of nodes in the node's subtree, itself included: for an
+    array element that is not the last, [g + node_size r g] is its next
+    sibling. *)

@@ -5,8 +5,8 @@
    Determinism is load-bearing (the CI gate byte-compares builds with
    different lane counts): documents keep their line order through
    [Par.Batch.map], the key table is sorted lexicographically, and
-   postings fill in (doc, node) order — nothing in the output depends
-   on scheduling. *)
+   postings fill in node-id order — nothing in the output depends on
+   scheduling. *)
 
 type stats = {
   docs : int;
@@ -33,6 +33,7 @@ type draw = {
   off : int;
   len : int;
   parents : int array;  (* local parent id, -1 for the root *)
+  sizes : int array;  (* subtree sizes *)
   labels : int array;  (* local encoding: key k -> k lsl 1, pos p -> p lsl 1 or 1 *)
   lasts : bool array;  (* last element of its array *)
   lkeys : string array;
@@ -45,14 +46,15 @@ type draw = {
 let parse_doc ~fresh_budget ~values ~lineno ~off text =
   let len = String.length text in
   let failed =
-    { lineno; off; len; parents = [||]; labels = [||]; lasts = [||];
-      lkeys = [||]; vals = [||]; lvals = [||]; err = true }
+    { lineno; off; len; parents = [||]; sizes = [||]; labels = [||];
+      lasts = [||]; lkeys = [||]; vals = [||]; lvals = [||]; err = true }
   in
   match Jsont.Tree.of_string ~budget:(fresh_budget ()) text with
   | Error _ -> failed
   | Ok t ->
     let n = Jsont.Tree.node_count t in
     let parents = Array.make n (-1) in
+    let sizes = Array.init n (Jsont.Tree.size t) in
     let labels = Array.make n (-1) in
     let lasts = Array.make n false in
     let vals = Array.make (if values then n else 0) (-1) in
@@ -102,7 +104,7 @@ let parse_doc ~fresh_budget ~values ~lineno ~off text =
     done;
     let lkeys = Array.of_list (List.rev !klist) in
     let lvals = Array.of_list (List.rev !vlist) in
-    { lineno; off; len; parents; labels; lasts; lkeys; vals; lvals;
+    { lineno; off; len; parents; sizes; labels; lasts; lkeys; vals; lvals;
       err = false }
 
 (* Split the corpus into (lineno, offset, length) line slices, the
@@ -146,17 +148,65 @@ let rec open_temp output =
   | fd -> (tmp, fd)
   | exception Unix.Unix_error (Unix.EEXIST, _, _) -> open_temp output
 
+(* The process id in an {!open_temp} name of [output], if [name] is
+   one. *)
+let temp_pid output name =
+  let pre = Filename.basename output ^ "." and suf = ".tmp" in
+  let lp = String.length pre and ln = String.length name in
+  if
+    ln > lp + String.length suf
+    && String.starts_with ~prefix:pre name
+    && String.ends_with ~suffix:suf name
+  then
+    Scanf.sscanf_opt
+      (String.sub name lp (ln - lp - String.length suf))
+      "%u-%u%!" (fun pid _ -> pid)
+  else None
+
+(* Remove the temporary files of builds of [output] that died before
+   their rename (killed by a signal, say): those whose process is gone.
+   A live process's file — another build's, in flight — stays. *)
+let sweep_temps output =
+  let dir = Filename.dirname output in
+  let gone pid =
+    match Unix.kill pid 0 with
+    | () -> false
+    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+    | exception Unix.Unix_error _ -> false
+  in
+  match Sys.readdir dir with
+  | exception Sys_error _ -> ()
+  | names ->
+    Array.iter
+      (fun name ->
+        match temp_pid output name with
+        | Some pid when pid > 0 && gone pid -> (
+          try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+        | _ -> ())
+      names
+
+(* Make the rename durable; a filesystem that cannot sync a directory
+   says [EINVAL]. *)
+let fsync_dir dir =
+  let fd = Unix.openfile dir [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      try Unix.fsync fd with Unix.Unix_error (Unix.EINVAL, _, _) -> ())
+
 (* Serialization: sections are emitted in file order through one
    channel, folding the body checksum as they go; the header (which
    names every section offset plus both checksums) is written last by
-   seeking back to the start.  The file is fsynced before the rename
-   and removed on every failure, so [output] is always either the
-   previous index or the complete new one. *)
+   seeking back to the start.  The file is fsynced before the rename,
+   its directory after it, and the file is removed on every failure, so
+   [output] is always either the previous index or the complete new
+   one. *)
 let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
     ?(value_cap = Layout.default_value_cap) ?(no_values = false)
     ?(fresh_budget = fun () -> Obs.Budget.create ()) ~corpus ~output () =
   try
     Obs.Metrics.span "index.build" @@ fun () ->
+    sweep_temps output;
     let text = In_channel.with_open_bin corpus In_channel.input_all in
     let slices = line_slices text in
     let docs =
@@ -189,7 +239,20 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
               d.labels.(i) <- map.(lab lsr 1) lsl 1)
           d.labels)
       docs;
-    let nnodes = Array.fold_left (fun a d -> a + Array.length d.parents) 0 docs in
+    (* node ids and subtree sizes are postings words *)
+    let nnodes =
+      Array.fold_left
+        (fun a d ->
+          let a = a + Array.length d.parents in
+          if a >= Layout.max_nodes then
+            failwith
+              (Printf.sprintf
+                 "line %d: the corpus reaches %d nodes; an index holds fewer \
+                  than 2^32"
+                 d.lineno a);
+          a)
+        0 docs
+    in
     (* postings shape: count entries per label, then prefix-sum *)
     let max_pos = ref (-1) in
     Array.iter
@@ -303,23 +366,26 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
     let sz_doc = ndocs * Layout.doc_entry_bytes in
     let sz_par = Layout.pad8 (nnodes * 4) in
     let sz_lab = Layout.pad8 (nnodes * 4) in
+    let sz_siz = Layout.pad8 (nnodes * 4) in
     let sz_sidx = (nkeys + 1) * 8 in
     let sz_blob = Layout.pad8 blob_len in
     let sz_kpidx = (nkeys + 1) * 8 in
-    let sz_kpost = key_entries * 8 in
+    let postings n = Layout.pad8 (n * Layout.posting_bytes) in
+    let sz_kpost = postings key_entries in
     let sz_ppidx = (npos + 1) * 8 in
-    let sz_ppost = pos_entries * 8 in
+    let sz_ppost = postings pos_entries in
     let vblob_len = Array.fold_left (fun a v -> a + String.length v) 0 vals in
     let sz_vidx = (nvals + 1) * 8 in
     let sz_vblob = Layout.pad8 vblob_len in
     let sz_pair = npairs * 8 in
     let sz_prpidx = (npairs + 1) * 8 in
-    let sz_vpost = val_entries * 8 in
+    let sz_vpost = postings val_entries in
     let sz_cpath = Layout.pad8 (4 + String.length corpus) in
     let o_doc = Layout.header_bytes in
     let o_par = o_doc + sz_doc in
     let o_lab = o_par + sz_par in
-    let o_sidx = o_lab + sz_lab in
+    let o_siz = o_lab + sz_lab in
+    let o_sidx = o_siz + sz_siz in
     let o_blob = o_sidx + sz_sidx in
     let o_kpidx = o_blob + sz_blob in
     let o_kpost = o_kpidx + sz_kpidx in
@@ -359,7 +425,7 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
              docs;
            emit b;
            (* parent distances (0 at a root), labels with the last-element
-              bit *)
+              bit, subtree sizes *)
            let column get =
              let b = Bytes.make sz_par '\000' in
              let j = ref 0 in
@@ -379,6 +445,7 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
              (column (fun d i ->
                   if d.lasts.(i) then d.labels.(i) lor Layout.label_last
                   else d.labels.(i)));
+           emit (column (fun d i -> d.sizes.(i)));
            (* a u64 array; a sorted string table as its offset index
               and padded blob *)
            let emit_u64s a =
@@ -399,7 +466,7 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
              emit b
            in
            emit_strings keys;
-           (* postings: cursor per label, filled in (doc, node) order *)
+           (* postings: cursor per label, filled in node-id order *)
            emit_u64s key_pidx;
            let kpost = Bytes.make sz_kpost '\000' in
            let ppost = Bytes.make sz_ppost '\000' in
@@ -407,24 +474,24 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
            let kcur = Array.copy key_pidx in
            let pcur = Array.copy pos_pidx in
            let vcur = Array.copy pair_pidx in
-           let put post cur i doc node =
-             let o = cur.(i) * 8 in
-             Layout.set_u32 post o doc;
-             Layout.set_u32 post (o + 4) node;
+           let put post cur i g =
+             Layout.set_u32 post (cur.(i) * Layout.posting_bytes) g;
              cur.(i) <- cur.(i) + 1
            in
-           Array.iteri
-             (fun doc d ->
+           let base = ref 0 in
+           Array.iter
+             (fun d ->
                Array.iteri
                  (fun node lab ->
+                   let g = !base + node in
                    (if Array.length d.vals > 0 && d.vals.(node) >= 0 then
                       let pid = d.vals.(node) in
-                      if pair_kept.(pid) then put vpost vcur pid doc node);
+                      if pair_kept.(pid) then put vpost vcur pid g);
                    if lab >= 0 then
-                     if lab land 1 = 0 then put kpost kcur (lab lsr 1) doc node
-                     else if lab lsr 1 < npos then
-                       put ppost pcur (lab lsr 1) doc node)
-                 d.labels)
+                     if lab land 1 = 0 then put kpost kcur (lab lsr 1) g
+                     else if lab lsr 1 < npos then put ppost pcur (lab lsr 1) g)
+                 d.labels;
+               base := !base + Array.length d.labels)
              docs;
            emit kpost;
            emit_u64s pos_pidx;
@@ -481,6 +548,9 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
            Layout.set_u64 h Layout.Field.pair_table o_pair;
            Layout.set_u64 h Layout.Field.pair_pidx o_prpidx;
            Layout.set_u64 h Layout.Field.val_post o_vpost;
+           Layout.set_u64 h Layout.Field.sizes o_siz;
+           Layout.set_u64 h Layout.Field.corpus_checksum
+             (Layout.checksum_text Layout.checksum_init text);
            Layout.set_u64 h Layout.Field.body_checksum !body_sum;
            let hsum =
              Layout.checksum_bytes Layout.checksum_init h 0
@@ -495,6 +565,7 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
      with e ->
        (try Sys.remove tmp with Sys_error _ -> ());
        raise e);
+    fsync_dir (Filename.dirname output);
     Obs.Metrics.add "index.build.docs" ndocs;
     Obs.Metrics.add "index.build.errors" errors;
     Obs.Metrics.add "index.build.nodes" nnodes;

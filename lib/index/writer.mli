@@ -8,9 +8,9 @@
 
     The output bytes are a pure function of the corpus: documents are
     numbered in line order whatever the lane count, the string table
-    is sorted, and postings lists are emitted in (document, node)
-    order — so two builds of the same corpus are byte-identical
-    regardless of [jobs].
+    is sorted, and postings lists are emitted in node-id order — so two
+    builds of the same corpus are byte-identical regardless of
+    [jobs].
 
     Counters: [index.build.docs], [index.build.nodes],
     [index.build.keys], [index.build.postings],
@@ -45,9 +45,13 @@ val build :
 (** [build ~corpus ~output ()] reads the NDJSON file [corpus], parses
     every line on [jobs] domains (each under its own budget from
     [fresh_budget]), and writes the index to [output] (atomically, via
-    a temporary file and rename).  Lines that fail to parse are
-    recorded with an error flag — queries reproduce the exact parse
-    error by reparsing just that line — and do not fail the build.
+    a temporary file, a rename and an fsync of the directory; the
+    temporary files of earlier builds of [output] whose process is
+    gone are removed first).  A corpus of {!Layout.max_nodes} nodes or
+    more is refused, naming the line that reaches the limit.  Lines
+    that fail to parse are recorded with an error flag — queries
+    reproduce the exact parse error by reparsing just that line — and
+    do not fail the build.
     [pos_cap] bounds how many array-position postings lists are
     materialized (default {!Layout.default_pos_cap}); [value_cap]
     (default {!Layout.default_value_cap}) bounds the length of one

@@ -584,6 +584,11 @@ for i in $(seq 1 120); do
     printf '"scalar-%d"\n' "$i" >> "$ndx"
   fi
 done
+# arrays nested inside earlier elements: a later element's id lies past
+# the whole subtree of the one before it
+printf '{"m":[[0,[1,2,3,4]],[5],6,7]}\n' >> "$ndx"
+printf '{"m":[[[1,[2,3]],4],[5,[6,[7,8,9]]],[],10]}\n' >> "$ndx"
+printf '[[1,[2,[3,4,5]]],[6],{"m":[8,9]},[10,11,12,13]]\n' >> "$ndx"
 printf '{"tail":{"name":{"first":"Sue"}}}' >> "$ndx"           # no final \n
 nlines=0
 : > "$ixdir/list"
@@ -600,12 +605,13 @@ case $info_out in
      echo "$info_out" >&2
      exit 1 ;;
 esac
-check_index_query() {
-  iq=$(timeout 120 "$JSONLOGIC" index query "$ixdir/corpus.idx" "$1") || true
+check_index_query() {  # formula [index, default corpus.idx]
+  iq=$(timeout 120 "$JSONLOGIC" index query "${2:-$ixdir/corpus.idx}" "$1") \
+    || true
   ev=$(timeout 120 "$JSONLOGIC" eval --files-from "$ixdir/list" "$1" \
        | sed "s|^$ixdir/||") || true
   if [ "$iq" != "$ev" ] || [ -z "$iq" ]; then
-    echo "FAIL: index query vs eval --files-from disagree on: $1" >&2
+    echo "FAIL: index query ${2:-} vs eval --files-from disagree on: $1" >&2
     printf '%s\n---\n%s\n' "$iq" "$ev" | head -20 >&2
     exit 1
   fi
@@ -622,6 +628,17 @@ check_index_query '<.orders[-1].lines[0]>'
 check_index_query '<.tags[-2:*]>'
 check_index_query '<(.~/.*/)*.sku>'
 check_index_query 'eq(.name.first, .name.last)'
+# positions past nested elements, negative indices and windows, on the
+# default index and on one that lists positions 0 and 1 only (the rest
+# hop siblings from position 1)
+run 120 "$JSONLOGIC" index build --pos-cap 2 "$ndx" -o "$ixdir/cap2.idx" \
+  > /dev/null
+for nq in '<.m[3]>' '<.m[1][0]>' '<.m[0][1][3]>' '<.m[-2]>' '<.m[1:2]>' \
+          '<[2]>'; do
+  check_index_query "$nq"
+  check_index_query "$nq" "$ixdir/cap2.idx"
+done
+rm -f "$ixdir/cap2.idx"
 # ... and reparses nothing but the 4 malformed lines (their verdict is
 # the parse error)
 reparsed=$(timeout 60 "$JSONLOGIC" index query --metrics "$ixdir/corpus.idx" \

@@ -542,10 +542,10 @@ let test_forged_pair_table () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "out-of-range pair value id accepted"
 
-(* a v1-magic file gets the versioned refusal, not a checksum complaint
-   or a crash — the version check runs before the header checksum
-   because older headers place every field elsewhere *)
-let test_v1_version_refusal () =
+(* a file stamped with an older version gets the versioned refusal, not
+   a checksum complaint or a crash — the version check runs before the
+   header checksum because older headers place every field elsewhere *)
+let test_old_version_refusal () =
   let _corpus, idx = build_corpus_index () in
   List.iter
     (fun v ->
@@ -568,7 +568,7 @@ let test_v1_version_refusal () =
            in
            has_sub (Printf.sprintf "unsupported index version %d" v))
       | Ok _ -> Alcotest.fail (Printf.sprintf "v%d magic accepted" v))
-    [ 1; 2 ];
+    [ 1; 2; 3 ];
   (* a non-index file is still the plain bad-magic refusal *)
   let junk = temp_path ".idx" in
   write_file junk (String.make 512 'x');
@@ -576,7 +576,7 @@ let test_v1_version_refusal () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "junk file accepted"
 
-(* corrupt value postings under --no-verify: an out-of-range doc id in
+(* corrupt value postings under --no-verify: an out-of-range node id in
    a value list must surface as a query error, never an exception *)
 let test_corrupt_value_postings_no_verify () =
   let _corpus, idx = build_corpus_index () in
@@ -585,7 +585,8 @@ let test_corrupt_value_postings_no_verify () =
   let entries = Jindex.Layout.get_u64 b Jindex.Layout.Field.val_entries in
   Alcotest.(check bool) "corpus has value postings" true (entries > 0);
   for i = 0 to entries - 1 do
-    Jindex.Layout.set_u32 b (o_vpost + (i * 8)) 0x7FFFFFF
+    Jindex.Layout.set_u32 b (o_vpost + (i * Jindex.Layout.posting_bytes))
+      0x7FFFFFF
   done;
   let mutant = temp_path ".idx" in
   write_file mutant (Bytes.to_string b);
@@ -596,8 +597,8 @@ let test_corrupt_value_postings_no_verify () =
       (String.length m > 0)
   | Ok _ -> Alcotest.fail "corrupt value postings produced verdicts"
 
-(* corrupt postings under --no-verify: a doc id pointing past the
-   document table must surface as a query error, never an exception *)
+(* corrupt postings under --no-verify: a node id pointing past the
+   corpus must surface as a query error, never an exception *)
 let test_corrupt_postings_no_verify () =
   let _corpus, idx = build_corpus_index () in
   let original = read_file idx in
@@ -605,10 +606,11 @@ let test_corrupt_postings_no_verify () =
   let o_kpost = Jindex.Layout.get_u64 b Jindex.Layout.Field.key_post in
   let entries = Jindex.Layout.get_u64 b Jindex.Layout.Field.key_entries in
   Alcotest.(check bool) "corpus has key postings" true (entries > 0);
-  (* smash every entry's doc id so whichever list a query seeds from
-     trips the bounds check *)
+  (* smash every entry so whichever list a query seeds from trips the
+     bounds check *)
   for i = 0 to entries - 1 do
-    Jindex.Layout.set_u32 b (o_kpost + (i * 8)) 0x7FFFFFF
+    Jindex.Layout.set_u32 b (o_kpost + (i * Jindex.Layout.posting_bytes))
+      0x7FFFFFF
   done;
   let mutant = temp_path ".idx" in
   write_file mutant (Bytes.to_string b);
@@ -620,6 +622,43 @@ let test_corrupt_postings_no_verify () =
       true
       (String.length m > 0)
   | Ok _ -> Alcotest.fail "corrupt postings produced verdicts"
+
+(* forged subtree sizes under --no-verify: a size of 0, or one reaching
+   past the last node, must surface as a positioned query error on a
+   query that hops siblings, never an exception or a verdict *)
+let test_forged_sizes_no_verify () =
+  let _corpus, idx = build_corpus_index () in
+  let original = read_file idx in
+  let nnodes = Jindex.Layout.get_u64 (Bytes.of_string original)
+      Jindex.Layout.Field.nnodes in
+  let o_siz = Jindex.Layout.get_u64 (Bytes.of_string original)
+      Jindex.Layout.Field.sizes in
+  List.iter
+    (fun (what, size) ->
+      let b = Bytes.of_string original in
+      for g = 0 to nnodes - 1 do
+        Jindex.Layout.set_u32 b (o_siz + (g * 4)) (size g)
+      done;
+      let mutant = temp_path ".idx" in
+      write_file mutant (Bytes.to_string b);
+      let r = open_exn ~verify_body:false mutant in
+      List.iter
+        (fun q ->
+          match Jindex.Query.run r (Jlogic.Jnl.parse_exn q) with
+          | Error m ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s on %s is a positioned error: %s" what q m)
+              true
+              (String.starts_with ~prefix:(mutant ^ ": subtree size ") m)
+          | Ok _ ->
+            Alcotest.fail
+              (Printf.sprintf "%s: %s produced verdicts" what q)
+          | exception e ->
+            Alcotest.fail
+              (Printf.sprintf "%s: %s raised %s" what q (Printexc.to_string e)))
+        [ "<.orders[1]>"; "<.orders[-2]>" ])
+    [ ("size 0", fun _ -> 0);
+      ("size past the last node", fun g -> nnodes - g + 1) ]
 
 (* ---- error-line cells ---------------------------------------------------------- *)
 
@@ -776,6 +815,73 @@ let test_stale_corpus () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing corpus accepted"
 
+(* a same-size rewrite is caught by the corpus checksum, on a fresh
+   reader and on one that verified the old bytes once the file's
+   identity moves; a byte-identical copy named by [~corpus] answers *)
+let test_same_size_rewrite () =
+  let corpus = temp_path ".ndjson" and idx = temp_path ".idx" in
+  let before = "{\"a\":1}\n{\"a\":\n{\"b\":2}\n" in
+  let after = "{\"z\":1}\n{\"z\":\n{\"z\":2}\n" in
+  Alcotest.(check int) "same size" (String.length before) (String.length after);
+  write_file corpus before;
+  (match Jindex.Writer.build ~corpus ~output:idx () with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("build failed: " ^ m));
+  let copy = temp_path ".ndjson" in
+  write_file copy before;
+  let phi = Jlogic.Jnl.parse_exn "<.a>" in
+  let answers ?corpus r =
+    match Jindex.Query.run ?corpus r phi with
+    | Ok v -> List.map Jindex.Query.verdict_string (Array.to_list v)
+    | Error m -> [ "query failed: " ^ m ]
+  in
+  let expect = List.map (baseline_verdict phi) [ "{\"a\":1}"; "{\"a\":"; "{\"b\":2}" ] in
+  let stale what = function
+    | Ok _ -> Alcotest.fail (what ^ ": rewritten corpus answered")
+    | Error m ->
+      Alcotest.(check bool) (what ^ " says stale index: " ^ m) true
+        (let sub = "stale index" in
+         let rec go i =
+           i + String.length sub <= String.length m
+           && (String.sub m i (String.length sub) = sub || go (i + 1))
+         in
+         go 0)
+  in
+  let r = open_exn idx in
+  Alcotest.(check (list string)) "the built corpus answers" expect (answers r);
+  Alcotest.(check (list string)) "a byte-identical copy answers" expect
+    (answers ~corpus:copy r);
+  write_file corpus after;
+  stale "a fresh reader" (Jindex.Query.run (open_exn idx) phi);
+  Unix.utimes corpus 0. 1_000_000.;
+  stale "a reader that verified the old bytes" (Jindex.Query.run r phi);
+  Alcotest.(check (list string)) "the copy still answers" expect
+    (answers ~corpus:copy r)
+
+(* ---- writer leftovers ----------------------------------------------------------- *)
+
+(* a build sweeps the temporary files of dead builds of its output and
+   leaves a live process's alone *)
+let test_sweep_temps () =
+  let corpus = temp_path ".ndjson" and out = temp_path ".idx" in
+  write_file corpus "{\"a\":1}\n";
+  let dead =
+    Unix.create_process "true" [| "true" |] Unix.stdin Unix.stdout Unix.stderr
+  in
+  ignore (Unix.waitpid [] dead);
+  let planted pid = Printf.sprintf "%s.%d-0.tmp" out pid in
+  let live = Unix.getpid () in
+  write_file (planted dead) "half an index";
+  write_file (planted live) "half an index";
+  (match Jindex.Writer.build ~corpus ~output:out () with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("build failed: " ^ m));
+  Alcotest.(check bool) "a dead build's temp file is swept" false
+    (Sys.file_exists (planted dead));
+  Alcotest.(check bool) "a live process's temp file stays" true
+    (Sys.file_exists (planted live));
+  Sys.remove (planted live)
+
 (* ---- tree label-index single-build regression (PR 8 satellite) -------------- *)
 
 let test_tree_index_single_build () =
@@ -839,11 +945,13 @@ let () =
          Alcotest.test_case "forged pair table rejected" `Quick
            test_forged_pair_table;
          Alcotest.test_case "v1 magic gets versioned refusal" `Quick
-           test_v1_version_refusal;
+           test_old_version_refusal;
          Alcotest.test_case "corrupt postings error under no-verify" `Quick
            test_corrupt_postings_no_verify;
          Alcotest.test_case "corrupt value postings error under no-verify"
-           `Quick test_corrupt_value_postings_no_verify ]);
+           `Quick test_corrupt_value_postings_no_verify;
+         Alcotest.test_case "forged subtree sizes error under no-verify"
+           `Quick test_forged_sizes_no_verify ]);
       ("error-cells",
        [ Alcotest.test_case "formula-dependent lines always reparse" `Quick
            test_slot_formula_dependent;
@@ -854,7 +962,12 @@ let () =
            test_slot_domains ]);
       ("staleness",
        [ Alcotest.test_case "changed or missing corpus refused" `Quick
-           test_stale_corpus ]);
+           test_stale_corpus;
+         Alcotest.test_case "same-size rewrite refused, copy answers" `Quick
+           test_same_size_rewrite ]);
+      ("writer",
+       [ Alcotest.test_case "dead builds' temp files swept" `Quick
+           test_sweep_temps ]);
       ("tree-index",
        [ Alcotest.test_case "single build, single charge" `Quick
            test_tree_index_single_build ]) ]
