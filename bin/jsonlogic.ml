@@ -2,13 +2,18 @@
 
    Subcommands:
      parse      parse and pretty-print a JSON document
-     eval       evaluate a JNL formula at the root of a document
+     eval       evaluate a JNL formula at the root of each document
      select     select subdocuments with a JSONPath expression
      find       filter a collection with a MongoDB-style filter
      aggregate  run a MongoDB-style aggregation pipeline over a collection
      validate   validate documents against a JSON Schema
      sat        decide satisfiability of a JNL formula (with witness)
-     compat     detect breaking changes between two schemas *)
+     compat     detect breaking changes between two schemas
+     examples   generate example documents for a schema
+     infer      infer a JSON Schema from example documents
+     index      build, query and inspect a corpus index
+     serve      run the validation daemon
+     client     talk to a running daemon *)
 
 open Cmdliner
 
@@ -59,10 +64,11 @@ let obs_term =
   let jobs =
     Arg.(value & opt int 1
          & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Domains to shard batch work across ($(b,--files-from) \
-                   batch mode, NDJSON $(b,validate --stream), the index and \
-                   the daemon); results are deterministic and in input order \
-                   regardless.")
+             ~doc:"Domains to shard per-document work across (the \
+                   documents of $(b,eval), $(b,validate), $(b,find), \
+                   $(b,aggregate) and $(b,infer) input, $(b,--files-from) \
+                   batch mode, the index and the daemon); results are \
+                   deterministic and in input order regardless.")
   in
   let make max_depth fuel timeout_ms metrics jobs =
     if metrics then begin
@@ -84,19 +90,6 @@ let parse_doc_exn ?budget text =
       | Ok v -> v
       | Error e -> failwith (Format.asprintf "%a" Jsont.Parser.pp_error e))
 
-(* documents: a single JSON value, or a stream of them (JSON lines) *)
-let parse_docs_exn ?budget text =
-  Obs.Metrics.span "phase.parse" (fun () ->
-      match Jsont.Parser.parse_many ?budget text with
-      | Ok vs -> vs
-      | Error e -> failwith (Format.asprintf "%a" Jsont.Parser.pp_error e))
-
-(* a collection: a stream of documents, or one top-level array of them *)
-let read_collection ~budget path =
-  match parse_docs_exn ~budget (read_input path) with
-  | [ Jsont.Value.Arr vs ] -> vs
-  | docs -> docs
-
 let input_arg =
   let doc = "Input file ('-' for stdin)." in
   Arg.(value & pos_right (-1) string [] & info [] ~docv:"FILE" ~doc)
@@ -111,13 +104,8 @@ let files_from_arg =
                  document sharded across $(b,--jobs) domains, and print \
                  one 'path<TAB>result' line per file, in input order.")
 
-(* The one per-document batch helper: [f] on every item across --jobs
-   lanes, results in input order.  [f] folds its own per-document
-   failures (see [Par.Batch.cell]); NDJSON goes through
-   [Par.Batch.lines] instead. *)
-let shard obs f items = Par.Batch.map ~jobs:obs.jobs f items
-
-(* --files-from: the listed paths, and [f] sharded over them *)
+(* --files-from: the listed paths, and [f] on each across the --jobs
+   lanes, results in list order *)
 let map_files obs list_path f =
   let paths =
     with_input list_path In_channel.input_lines
@@ -125,9 +113,107 @@ let map_files obs list_path f =
     |> List.filter (fun s -> s <> "")
     |> Array.of_list
   in
-  (paths, shard obs f paths)
+  (paths, Par.Batch.map ~jobs:obs.jobs f paths)
 
 let last_input args = match List.rev args with [] -> "-" | x :: _ -> x
+
+(* ---- inline input: one route for every collection command ----------------- *)
+
+(* eval, validate, find, aggregate and infer cut their input into
+   documents with [Par.Batch.values], in 64 KiB slices as [client
+   --stream] reads ([validate]: [--chunk-bytes]); every document runs
+   under its own budget on the --jobs lanes. *)
+let slice_bytes = 65536
+
+let parse_error e = Format.asprintf "%a" Jsont.Parser.pp_error e
+
+let tree_of obs text =
+  Obs.Metrics.span "phase.parse" (fun () ->
+      Jsont.Tree.of_string_exn ~budget:(obs.fresh_budget ()) text)
+
+(* eval and validate: one row per document of [path], in input order —
+   [f]'s cell on its tree and the document compacted, or the error
+   cell and [path:line], the line it begins on.  True when [good]
+   holds of every cell. *)
+let print_rows obs ~chunk_bytes path f good =
+  let all = ref true in
+  let doc text =
+    let shown = ref None in
+    let cell =
+      Par.Batch.cell (fun () ->
+          let tree = tree_of obs text in
+          let r = f tree in
+          shown := Some (Jsont.Printer.compact (Jsont.Tree.to_value tree));
+          r)
+    in
+    (cell, !shown)
+  in
+  with_input path
+    (Par.Batch.values ~jobs:obs.jobs ~chunk_bytes doc (fun lineno (cell, shown) ->
+         if not (good cell) then all := false;
+         Printf.printf "%s\t%s\n" cell
+           (Option.value shown ~default:(Printf.sprintf "%s:%d" path lineno))));
+  !all
+
+(* find, aggregate, infer and --from: [f] on each document of the
+   collection at [path] (a lone top-level array holds its elements)
+   and [k] on each result in input order.  The first document that
+   fails stops the command with its error, labelled [path:line]. *)
+let each_doc obs path f k =
+  with_input path
+    (Par.Batch.values ~jobs:obs.jobs ~collection:true ~chunk_bytes:slice_bytes
+       f (fun lineno -> function
+       | Ok x -> k x
+       | Error m -> failwith (Printf.sprintf "%s:%d: %s" path lineno m)))
+
+let collection_values obs path =
+  let docs = ref [] in
+  each_doc obs path
+    (fun text ->
+      Result.map_error parse_error
+        (Obs.Metrics.span "phase.parse" (fun () ->
+             Jsont.Parser.parse ~budget:(obs.fresh_budget ()) text)))
+    (fun v -> docs := v :: !docs);
+  List.rev !docs
+
+(* A pipeline over the documents of [path], or of the files listed in
+   [files_from], through one per-document function: a tree,
+   [doc_of_tree], [apply_doc] on the streaming prefix; the results
+   leave the lane as values.  Then [run_docs] on the blocking suffix;
+   when that is empty it runs per document, and results print as soon
+   as they are in order. *)
+let run_pipeline obs pl ~files_from path =
+  let module A = Jquery.Mongo_agg in
+  let streaming, blocking = A.split_streaming pl in
+  let per_doc text =
+    match
+      Obs.Metrics.span "phase.parse" (fun () ->
+          Jsont.Tree.of_string ~budget:(obs.fresh_budget ()) text)
+    with
+    | Error e -> Error (parse_error e)
+    | Ok t ->
+      Obs.Metrics.span "phase.eval" @@ fun () ->
+      let ds = A.apply_doc streaming (A.doc_of_tree t) in
+      let ds = if A.is_empty blocking then A.run_docs blocking ds else ds in
+      Ok (List.map A.doc_value ds)
+  in
+  let print = List.iter (fun v -> print_endline (Jsont.Printer.compact v)) in
+  let kept = ref [] in
+  let take vs =
+    if A.is_empty blocking then print vs else kept := List.rev_append vs !kept
+  in
+  (match files_from with
+  | Some list_path ->
+    map_files obs list_path (fun p ->
+        match read_input p with
+        | text -> Result.map_error (fun m -> p ^ ": " ^ m) (per_doc text)
+        | exception Sys_error m -> Error m)
+    |> snd
+    |> Array.iter (function Ok vs -> take vs | Error m -> failwith m)
+  | None -> each_doc obs path per_doc take);
+  if not (A.is_empty blocking) then
+    print
+      (Obs.Metrics.span "phase.eval" (fun () -> A.run blocking (List.rev !kept)))
 
 let wrap f =
   let fail m =
@@ -172,35 +258,25 @@ let eval_cmd =
           | Ok f -> f
           | Error m -> failwith ("bad formula: " ^ m)
         in
+        (* the one per-document function: a tree and [Jnl_eval.holds] *)
+        let holds tree =
+          let ctx = Jlogic.Jnl_eval.context ~budget:(obs.fresh_budget ()) tree in
+          string_of_bool
+            (Obs.Metrics.span "phase.eval" (fun () ->
+                 Jlogic.Jnl_eval.holds ctx Jsont.Tree.root phi))
+        in
         match files_from with
         | Some list_path ->
           let paths, cells =
             map_files obs list_path (fun path ->
-                Par.Batch.cell (fun () ->
-                    (* direct one-pass ingestion: text straight to the
-                       flat tree, then evaluate on it *)
-                    let tree =
-                      Jsont.Tree.of_string_exn ~budget:(obs.fresh_budget ())
-                        (read_input path)
-                    in
-                    let ctx =
-                      Jlogic.Jnl_eval.context ~budget:(obs.fresh_budget ()) tree
-                    in
-                    string_of_bool
-                      (Jlogic.Jnl_eval.holds ctx Jsont.Tree.root phi)))
+                Par.Batch.cell (fun () -> holds (tree_of obs (read_input path))))
           in
           Array.iter2 (Printf.printf "%s\t%s\n") paths cells
         | None ->
-          let docs =
-            parse_docs_exn ~budget:obs.budget (read_input (last_input files))
-          in
-          List.iter
-            (fun doc ->
-              Printf.printf "%b\t%s\n"
-                (Obs.Metrics.span "phase.eval" (fun () ->
-                     Jlogic.Jnl_eval.satisfies ~budget:obs.budget doc phi))
-                (Jsont.Printer.compact doc))
-            docs)
+          let answered c = c = "true" || c = "false" in
+          let path = last_input files in
+          if not (print_rows obs ~chunk_bytes:slice_bytes path holds answered) then
+            exit 1)
   in
   Cmd.v
     (Cmd.info "eval" ~doc:"Evaluate a JNL formula at the root of each document")
@@ -245,19 +321,16 @@ let find_cmd =
           | Ok f -> f
           | Error m -> failwith ("bad filter: " ^ m)
         in
-        let docs = read_collection ~budget:obs.budget (last_input files) in
-        let hits =
-          Obs.Metrics.span "phase.eval" (fun () -> Jquery.Mongo.find f docs)
+        let p =
+          Option.map
+            (fun p ->
+              match Jquery.Mongo.parse_projection (parse_doc_exn p) with
+              | Ok p -> p
+              | Error m -> failwith ("bad projection: " ^ m))
+            project
         in
-        let hits =
-          match project with
-          | None -> hits
-          | Some p -> (
-            match Jquery.Mongo.parse_projection (parse_doc_exn p) with
-            | Ok p -> List.map (Jquery.Mongo.project p) hits
-            | Error m -> failwith ("bad projection: " ^ m))
-        in
-        List.iter (fun v -> print_endline (Jsont.Printer.compact v)) hits)
+        run_pipeline obs (Jquery.Mongo_agg.of_find f p) ~files_from:None
+          (last_input files))
   in
   Cmd.v
     (Cmd.info "find" ~doc:"Filter a collection with a MongoDB-style filter")
@@ -279,16 +352,7 @@ let aggregate_cmd =
                    $(i,FILE) (JSON lines or a top-level array) joinable under \
                    $(i,NAME).  Repeatable.")
   in
-  let via_jnl =
-    Arg.(value & flag
-         & info [ "via-jnl" ]
-             ~doc:"Evaluate through the pure-JNL route (Theorem 2 matches, \
-                   post-image projections, substitution unwinds) instead of \
-                   the direct engine; fails unless every stage is in the \
-                   navigational core.  The two routes agree byte for byte \
-                   (the pipeline differential).")
-  in
-  let run obs pipeline froms via_jnl files_from files =
+  let run obs pipeline froms files_from files =
     wrap (fun () ->
         let collections =
           let tbl = Hashtbl.create 8 in
@@ -300,8 +364,7 @@ let aggregate_cmd =
               | Some i ->
                 let name = String.sub spec 0 i in
                 let file = String.sub spec (i + 1) (String.length spec - i - 1) in
-                Hashtbl.replace tbl name
-                  (read_collection ~budget:(obs.fresh_budget ()) file))
+                Hashtbl.replace tbl name (collection_values obs file))
             froms;
           fun name -> Hashtbl.find_opt tbl name
         in
@@ -310,59 +373,13 @@ let aggregate_cmd =
           | Ok pl -> pl
           | Error m -> failwith ("bad pipeline: " ^ m)
         in
-        let docs =
-          Obs.Metrics.span "phase.parse" @@ fun () ->
-          match files_from with
-          | Some list_path ->
-            (* one document per listed file, ingested as trees on the
-               --jobs lanes (a leading $match can drop a file without
-               ever building its Value); the first bad file in list
-               order fails the run *)
-            let _, ingested =
-              map_files obs list_path (fun p ->
-                  match
-                    Jsont.Tree.of_string ~budget:(obs.fresh_budget ())
-                      (read_input p)
-                  with
-                  | Ok t -> Ok (Jquery.Mongo_agg.doc_of_tree t)
-                  | Error e ->
-                    Error (Format.asprintf "%s: %a" p Jsont.Parser.pp_error e)
-                  | exception Sys_error m -> Error m)
-            in
-            Array.map (function Ok d -> d | Error m -> failwith m) ingested
-          | None ->
-            read_collection ~budget:obs.budget (last_input files)
-            |> List.map Jquery.Mongo_agg.doc_of_value
-            |> Array.of_list
-        in
-        let out =
-          if via_jnl then
-            let vs =
-              Array.to_list (Array.map Jquery.Mongo_agg.doc_value docs)
-            in
-            match
-              Obs.Metrics.span "phase.eval" (fun () ->
-                  Jquery.Mongo_agg.run_via_jnl pl vs)
-            with
-            | Ok vs -> vs
-            | Error m -> failwith ("--via-jnl: " ^ m)
-          else
-            Obs.Metrics.span "phase.eval" @@ fun () ->
-            let streaming, blocking = Jquery.Mongo_agg.split_streaming pl in
-            let per_doc =
-              shard obs (Jquery.Mongo_agg.apply_doc streaming) docs
-            in
-            let flat = List.concat (Array.to_list per_doc) in
-            List.map Jquery.Mongo_agg.doc_value
-              (Jquery.Mongo_agg.run_docs blocking flat)
-        in
-        List.iter (fun v -> print_endline (Jsont.Printer.compact v)) out)
+        run_pipeline obs pl ~files_from (last_input files))
   in
   Cmd.v
     (Cmd.info "aggregate"
        ~doc:"Run a MongoDB-style aggregation pipeline over a collection")
-    Term.(const run $ obs_term $ pipeline_pos $ from_arg $ via_jnl
-          $ files_from_arg $ input_arg)
+    Term.(const run $ obs_term $ pipeline_pos $ from_arg $ files_from_arg
+          $ input_arg)
 
 (* ---- validate ----------------------------------------------------------------- *)
 
@@ -370,12 +387,6 @@ let validate_cmd =
   let schema_arg =
     Arg.(required & opt (some string) None & info [ "s"; "schema" ] ~docv:"FILE"
            ~doc:"JSON Schema file.")
-  in
-  let via_jsl =
-    Arg.(value & flag & info [ "via-jsl" ]
-           ~doc:"Compile the schema's Theorem 3 translation into recursive \
-                 JSL instead of the schema itself (the two plans decide the \
-                 same relation; output bytes are identical in every mode).")
   in
   let stream =
     Arg.(value & flag & info [ "stream" ]
@@ -390,12 +401,13 @@ let validate_cmd =
   in
   let chunk_bytes_arg =
     Arg.(value & opt int 65536 & info [ "chunk-bytes" ] ~docv:"N"
-           ~doc:"Chunk size in bytes for $(b,--stream) input.  Verdicts, \
-                 errors and output bytes are identical for every chunk size \
-                 (the lexer resumes tokens split across chunk boundaries); \
+           ~doc:"Chunk size in bytes for reading input (and for the files \
+                 of $(b,--stream --files-from)).  Verdicts, errors and \
+                 output bytes are identical for every chunk size (values \
+                 and tokens split across chunk boundaries are resumed); \
                  only peak input memory and syscall count change.")
   in
-  let run obs schema_file via_jsl stream chunk_bytes files_from files =
+  let run obs schema_file stream chunk_bytes files_from files =
     wrap (fun () ->
         let schema =
           match Jschema.Parse.of_string (read_input schema_file) with
@@ -405,20 +417,15 @@ let validate_cmd =
         if chunk_bytes < 1 then failwith "--chunk-bytes must be at least 1";
         (* The one checker, compiled exactly once before any fan-out;
            plans are immutable, so every lane shares it. *)
-        let plan =
-          if via_jsl then
-            let r =
-              Obs.Metrics.span "phase.translate" (fun () ->
-                  Jschema.To_jsl.document schema)
-            in
-            Jschema.Validate.Plan.of_jsl ~budget:obs.budget
-              ~defs:r.Jlogic.Jsl_rec.defs r.Jlogic.Jsl_rec.base
-          else Jschema.Validate.Plan.compile ~budget:obs.budget schema
+        let plan = Jschema.Validate.Plan.compile ~budget:obs.budget schema in
+        let verdict check =
+          if Obs.Metrics.span "phase.validate" check then "valid" else "INVALID"
         in
-        let cell check =
-          Par.Batch.cell (fun () ->
-              if Obs.Metrics.span "phase.validate" check then "valid"
-              else "INVALID")
+        (* the tree route's one per-document function *)
+        let run_tree tree =
+          verdict (fun () ->
+              Jschema.Validate.Plan.run_tree ~budget:(obs.fresh_budget ()) plan
+                tree)
         in
         let failures = ref 0 in
         let emit label result =
@@ -427,11 +434,14 @@ let validate_cmd =
         in
         (match files_from with
         | Some list_path ->
-          let check path =
-            if stream then
+          let cell_of path =
+            Par.Batch.cell @@ fun () ->
+            if not stream then run_tree (tree_of obs (read_input path))
+            else
               (* one streamed document per file, read in [--chunk-bytes]
                  slices and fed to the resumable lexer: the document is
                  never held in memory *)
+              verdict @@ fun () ->
               with_input path (fun ic ->
                   let chunk = Bytes.create chunk_bytes in
                   let refill lx =
@@ -446,47 +456,29 @@ let validate_cmd =
                   Jschema.Validate.Plan.run_lexer ~budget:(obs.fresh_budget ())
                     plan
                     (Jsont.Lexer.create_feed ~refill ()))
-            else
-              (* direct one-pass ingestion: text straight to the flat
-                 tree, validated there — no Value.t intermediate *)
-              Jschema.Validate.Plan.run_tree ~budget:(obs.fresh_budget ()) plan
-                (Jsont.Tree.of_string_exn ~budget:(obs.fresh_budget ())
-                   (read_input path))
           in
-          let paths, cells =
-            map_files obs list_path (fun path -> cell (fun () -> check path))
-          in
+          let paths, cells = map_files obs list_path cell_of in
           Array.iter2 emit paths cells
         | None when stream ->
           let path = last_input files in
           with_input path
             (Par.Batch.lines ~jobs:obs.jobs ~chunk_bytes
                (fun line ->
-                 cell (fun () ->
-                     Jschema.Validate.Plan.run_stream
-                       ~budget:(obs.fresh_budget ()) plan line))
+                 Par.Batch.cell (fun () ->
+                     verdict (fun () ->
+                         Jschema.Validate.Plan.run_stream
+                           ~budget:(obs.fresh_budget ()) plan line)))
                (fun lineno -> emit (Printf.sprintf "%s:%d" path lineno)))
         | None ->
-          let docs =
-            parse_docs_exn ~budget:obs.budget (read_input (last_input files))
-          in
-          List.iter
-            (fun doc ->
-              let ok =
-                Obs.Metrics.span "phase.validate" (fun () ->
-                    Jschema.Validate.Plan.run ~budget:obs.budget plan doc)
-              in
-              if not ok then incr failures;
-              Printf.printf "%s\t%s\n"
-                (if ok then "valid" else "INVALID")
-                (Jsont.Printer.compact doc))
-            docs);
+          let path = last_input files in
+          if not (print_rows obs ~chunk_bytes path run_tree (( = ) "valid")) then
+            incr failures);
         if !failures > 0 then exit 1)
   in
   Cmd.v
     (Cmd.info "validate" ~doc:"Validate documents against a JSON Schema")
-    Term.(const run $ obs_term $ schema_arg $ via_jsl $ stream
-          $ chunk_bytes_arg $ files_from_arg $ input_arg)
+    Term.(const run $ obs_term $ schema_arg $ stream $ chunk_bytes_arg
+          $ files_from_arg $ input_arg)
 
 (* ---- sat --------------------------------------------------------------------- *)
 
@@ -596,7 +588,7 @@ let infer_cmd =
   in
   let run obs strict files =
     wrap (fun () ->
-        let docs = read_collection ~budget:obs.budget (last_input files) in
+        let docs = collection_values obs (last_input files) in
         if docs = [] then failwith "no example documents";
         let mode = if strict then `Strict else `Loose in
         let schema = Jschema.Infer.infer_document ~mode docs in
@@ -695,7 +687,7 @@ let index_query_cmd =
     Arg.(value & opt (some string) None
          & info [ "corpus" ] ~docv:"FILE"
              ~doc:"Override the corpus path recorded in the index (its \
-                   size must still match what was indexed).")
+                   size and bytes must still match what was indexed).")
   in
   let run obs index_file formula jsonpath corpus no_verify =
     wrap (fun () ->

@@ -205,6 +205,9 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
     ?(value_cap = Layout.default_value_cap) ?(no_values = false)
     ?(fresh_budget = fun () -> Obs.Budget.create ()) ~corpus ~output () =
   try
+    let refuse what cap = failwith (Printf.sprintf "%s cap %d is negative" what cap) in
+    if pos_cap < 0 then refuse "position" pos_cap;
+    if value_cap < 0 then refuse "value" value_cap;
     Obs.Metrics.span "index.build" @@ fun () ->
     sweep_temps output;
     let text = In_channel.with_open_bin corpus In_channel.input_all in

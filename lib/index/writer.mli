@@ -60,4 +60,5 @@ val build :
     scanning an unselective seed set) and counted in [value_dropped];
     [no_values] skips the scalar-value table and value postings
     entirely (the [eq] pushdown then always falls back to filtered
-    reparse). *)
+    reparse).  A negative [pos_cap] or [value_cap] is an [Error], and
+    nothing is written. *)

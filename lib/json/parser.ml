@@ -225,16 +225,3 @@ let parse_prefix ?(mode = `Strict) ?budget input start =
       let lx = Lexer.create tail in
       let v = parse_value mode budget lx in
       (v, start + Lexer.offset lx))
-
-let parse_many ?(mode = `Strict) ?budget input =
-  wrap (fun () ->
-      (* one budget for the whole stream: fuel and deadline are shared
-         across documents, the depth ceiling applies to each *)
-      let budget = budget_of budget None in
-      let lx = Lexer.create input in
-      let rec go acc =
-        match Lexer.peek_kind lx with
-        | Lexer.K_eof -> List.rev acc
-        | _ -> go (parse_value mode budget lx :: acc)
-      in
-      go [])

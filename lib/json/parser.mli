@@ -39,13 +39,6 @@ val parse_exn : ?mode:[ `Strict | `Lenient ] -> ?max_depth:int
 (** Like {!parse}.  @raise Parse_error on failure (including budget
     exhaustion). *)
 
-val parse_many : ?mode:[ `Strict | `Lenient ] -> ?budget:Obs.Budget.t
-  -> string -> (Value.t list, error) result
-(** [parse_many input] parses a stream of whitespace-separated JSON
-    documents (as found in log files / JSON-lines collections).  A
-    given [budget]'s fuel and deadline are shared across the whole
-    stream; the depth ceiling applies to each document. *)
-
 val parse_prefix : ?mode:[ `Strict | `Lenient ] -> ?budget:Obs.Budget.t
   -> string -> int -> (Value.t * int, error) result
 (** [parse_prefix input start] parses one JSON document beginning at

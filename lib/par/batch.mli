@@ -11,7 +11,7 @@
     the differential tests and the CI gate pin down.
 
     Counters: [par.batch.docs] (documents submitted),
-    [validate.feed.chunks] (slices {!lines} read), span
+    [validate.feed.chunks] (slices {!lines} and {!values} read), span
     [par.batch.run]. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
@@ -48,3 +48,21 @@ val lines :
     or [chunk_bytes], nor counter totals on [jobs].  An exception from
     [f] or [emit] ends the run and is re-raised.
     @raise Invalid_argument if [chunk_bytes < 1]. *)
+
+val values :
+  ?jobs:int -> ?collection:bool -> chunk_bytes:int -> (string -> 'a)
+  -> (int -> 'a -> unit) -> In_channel.t -> unit
+(** [values] is {!lines} (same reader, windows, lanes, counters and
+    guarantees) for input holding top-level JSON values in any layout
+    — NDJSON, pretty-printed, several on a line: [f] runs on the text
+    of each value, [emit] gets the line it begins on.  The cut reads
+    syntax only (brackets, strings, the bytes between values),
+    iteratively and with no budget; literals, duplicate keys, depth and
+    fuel are [f]'s own parse's job.  A syntax error the cut sees (a
+    mismatched bracket, a string its line ends inside, a container the
+    input ends inside, a stray [','], [':'] or closing bracket) makes
+    the line the bad value begins on one document, as an NDJSON line;
+    values begun on that line are dropped, and the cut resumes on the
+    next line.  Each byte is scanned a bounded number of times.  With
+    [collection], input whose only value is an array is cut into its
+    elements instead (the bytes between its top-level commas). *)

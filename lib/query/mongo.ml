@@ -311,5 +311,3 @@ let project p v =
   match p with
   | Include paths -> project_include paths v
   | Exclude paths -> project_exclude paths v
-
-let find_projected f p docs = List.map (project p) (find f docs)

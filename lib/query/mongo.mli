@@ -103,7 +103,3 @@ val parse_projection : Jsont.Value.t -> (projection, string) result
 
 val project : projection -> Jsont.Value.t -> Jsont.Value.t
 (** Apply a projection to one document. *)
-
-val find_projected :
-  filter -> projection -> Jsont.Value.t list -> Jsont.Value.t list
-(** The full two-argument find. *)

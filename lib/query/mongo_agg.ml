@@ -342,6 +342,13 @@ let parse ?(collections = no_collections) (v : Value.t) =
     | exception Bad m -> Error m)
   | v -> Error (Printf.sprintf "a pipeline must be an array, got %s" (Value.kind_name v))
 
+let of_find f p =
+  S_match (f, Jschema.Validate.Plan.of_jsl (Mongo.to_jsl f))
+  :: (match p with
+     | None -> []
+     | Some (Mongo.Include paths) -> [ S_project (P_include (paths, [])) ]
+     | Some (Mongo.Exclude paths) -> [ S_project (P_exclude paths) ])
+
 let parse_string ?collections s =
   match Jsont.Parser.parse ~mode:`Lenient s with
   | Error e -> Error (Format.asprintf "%a" Jsont.Parser.pp_error e)
@@ -501,6 +508,8 @@ let apply_lookup (lk : lookup) (d : Value.t) : Value.t =
 let is_streaming = function
   | S_match _ | S_project _ | S_unwind _ | S_lookup _ -> true
   | S_group _ | S_sort _ | S_limit _ | S_skip _ -> false
+
+let is_empty (pl : pipeline) = match pl with [] -> true | _ :: _ -> false
 
 let split_streaming (pl : pipeline) : pipeline * pipeline =
   let rec go acc = function

@@ -22,7 +22,8 @@
     ({!Jlogic.Jnl_eval.succs}), [$unwind] by post-image targeting and
     {!Jsont.Tree.substitute}.  The two engines share no evaluation
     code and are pinned against each other by the pipeline
-    differential in the test suite and CI.
+    differential in the test suite; the CLI runs only the direct
+    engine.
 
     Divergences from MongoDB (the model has only naturals, strings,
     arrays and objects — no null, bool or doubles): [$sort] directions
@@ -65,6 +66,11 @@ val parse_string :
 val parse_string_exn :
   ?collections:(string -> Jsont.Value.t list option) -> string -> pipeline
 
+val of_find : Mongo.filter -> Mongo.projection option -> pipeline
+(** [of_find f p] is [find f] projected by [p] as the pipeline
+    [[{"$match": f}, {"$project": p}]] (Botoeva et al.'s match/project
+    fragment): what {!Mongo.find} then {!Mongo.project} compute. *)
+
 val run : pipeline -> Jsont.Value.t list -> Jsont.Value.t list
 (** Evaluate the pipeline over a collection, in order. *)
 
@@ -77,6 +83,9 @@ val run : pipeline -> Jsont.Value.t list -> Jsont.Value.t list
     CLI and bench shard the prefix across {!Par.Batch} lanes and run
     the suffix sequentially; concatenating per-document results in
     input order makes the output independent of the lane count. *)
+
+val is_empty : pipeline -> bool
+(** The empty pipeline, which passes its input through. *)
 
 val split_streaming : pipeline -> pipeline * pipeline
 (** [(streaming prefix, blocking suffix)]; the prefix is maximal. *)

@@ -66,9 +66,8 @@ esac
 # checking and compiling a schema linear in its definitions.  A
 # 128k-key object must parse, and a 32k-definition schema (each
 # definition referenced from one property, in 128 groups of 256, so
-# both flat and nested conjunctions are exercised) must validate the
-# same way with and without --via-jsl, each well inside 20 s; a list
-# scan per key or per definition takes minutes.
+# both flat and nested conjunctions are exercised) must validate well
+# inside 20 s; a list scan per key or per definition takes minutes.
 wide=$(mktemp)
 wide_schema=$(mktemp)
 wide_docs=$(mktemp)
@@ -89,18 +88,16 @@ awk 'BEGIN { g = 128; m = 256; printf "{\"definitions\":{";
 printf '%s\n' '{"g0":{"p1":5},"g127":{"p32767":6}}' '{"g0":{"p3":2}}' '{}' > "$wide_docs"
 expected=$(printf 'valid\t%s\nINVALID\t%s\nvalid\t%s' \
   '{"g0":{"p1":5},"g127":{"p32767":6}}' '{"g0":{"p3":2}}' '{}')
-for via in "" --via-jsl; do
-  echo "+ timeout 20s $JSONLOGIC validate ${via:+$via }--schema <32k definitions>"
-  status=0
-  out=$(timeout 20 "$JSONLOGIC" validate $via --schema "$wide_schema" \
-          "$wide_docs") || status=$?
-  if [ "$status" != 1 ] || [ "$out" != "$expected" ]; then
-    echo "FAIL: wide schema validate $via: exit $status, output:" >&2
-    echo "$out" >&2
-    rm -f "$wide" "$wide_schema" "$wide_docs"
-    exit 1
-  fi
-done
+echo "+ timeout 20s $JSONLOGIC validate --schema <32k definitions>"
+status=0
+out=$(timeout 20 "$JSONLOGIC" validate --schema "$wide_schema" \
+        "$wide_docs") || status=$?
+if [ "$status" != 1 ] || [ "$out" != "$expected" ]; then
+  echo "FAIL: wide schema validate: exit $status, output:" >&2
+  echo "$out" >&2
+  rm -f "$wide" "$wide_schema" "$wide_docs"
+  exit 1
+fi
 
 # Looking a key up in a wide object is O(1) expected: the 128k-key
 # object against a schema requiring every one of its keys, through
@@ -138,25 +135,6 @@ wide_check "required 128k keys, --stream" 1 \
   "$(printf '%s:1\tvalid\n%s:2\tINVALID' "$wide_docs" "$wide_docs")" \
   --stream --schema "$wide_req" "$wide_docs"
 
-# --via-jsl on flat wide schemas: To_jsl folds sibling properties into
-# one conjunction and an enum into one disjunction, which of_jsl walks
-# at one depth, so neither meets the depth ceiling.
-awk 'BEGIN { printf "{\"type\":\"object\",\"properties\":{";
-             for (i = 0; i < 32768; i++)
-               printf "%s\"p%d\":{\"type\":\"number\",\"minimum\":%d}", (i ? "," : ""), i, i % 7;
-             printf "}}" }' > "$wide_schema"
-printf '%s\n' '{"p1":5,"p32767":6}' '{"p3":2}' '{}' > "$wide_docs"
-wide_check "32k flat properties, --via-jsl" 1 \
-  "$(printf 'valid\t%s\nINVALID\t%s\nvalid\t%s' \
-      '{"p1":5,"p32767":6}' '{"p3":2}' '{}')" \
-  --via-jsl --schema "$wide_schema" "$wide_docs"
-awk 'BEGIN { printf "{\"enum\":[";
-             for (i = 0; i < 20000; i++) printf "%s%d", (i ? "," : ""), i;
-             printf "]}" }' > "$wide_schema"
-printf '%s\n' 0 19999 20000 '"x"' > "$wide_docs"
-wide_check "20k-value enum, --via-jsl" 1 \
-  "$(printf 'valid\t0\nvalid\t19999\nINVALID\t20000\nINVALID\t"x"')" \
-  --via-jsl --schema "$wide_schema" "$wide_docs"
 rm -f "$wide" "$wide_schema" "$wide_docs" "$wide_req" "$wide_list"
 
 # Batch CLI wiring: --files-from across 2 domains must produce one
@@ -219,8 +197,119 @@ expect_user_error client --tcp 127.0.0.1:1 --ping
 expect_user_error serve --socket "$mdir/no-dir/x.sock"
 rm -rf "$mdir"
 
-# Compiled-validate CLI wiring: the schema's plan (default), the plan
-# of its recursive JSL translation (--via-jsl) and a 2-domain batch
+# Collection input: eval, validate, find, aggregate and infer cut their
+# input into top-level values and answer each as one document, at
+# every --jobs.  Well-formed input prints what it always printed: a
+# pretty-printed document and a line holding two values, and for find,
+# aggregate and infer a lone top-level array read as its elements.  On
+# a malformed line eval and validate print an error row labelled
+# path:line and answer the other documents; find, aggregate, infer and
+# --from stop at the first failed document.
+cidir=$(mktemp -d)
+cat > "$cidir/mixed.json" <<'EOF'
+{
+  "name": {"first": "Sue"},
+  "age": 28,
+  "tags": ["a", "b"]
+}
+{"name":{"first":"John"},"age":32} {"name":{"first":"Ana"},"age":17}
+EOF
+printf '%s\n' '[{"name":{"first":"Sue"},"age":28},' ' {"age":17}]' > "$cidir/array.json"
+printf '%s' '{"type":"object","required":["age"],"properties":{"age":{"type":"number","minimum":18}}}' \
+  > "$cidir/adult.json"
+printf '%s\n' '{"a":1}' '{"a":' '{"b":2}' > "$cidir/bad.ndjson"
+printf '{}' > "$cidir/any.json"
+expect_run() {  # WANT_STATUS WANT_STDOUT WANT_STDERR ARGS...: at --jobs 1 and 2
+  er_status=$1 er_out=$2 er_err=$3
+  shift 3
+  for er_jobs in 1 2; do
+    got_status=0
+    timeout 60 "$JSONLOGIC" "$@" --jobs "$er_jobs" \
+      > "$cidir/out" 2> "$cidir/err" || got_status=$?
+    if [ "$got_status" != "$er_status" ] || [ "$(cat "$cidir/out")" != "$er_out" ] \
+       || [ "$(cat "$cidir/err")" != "$er_err" ]; then
+      echo "FAIL: jsonlogic $* --jobs $er_jobs: exit $got_status (want $er_status), stdout then stderr:" >&2
+      cat "$cidir/out" "$cidir/err" >&2
+      exit 1
+    fi
+  done
+}
+sue='{"name":{"first":"Sue"},"age":28,"tags":["a","b"]}'
+john='{"name":{"first":"John"},"age":32}'
+ana='{"name":{"first":"Ana"},"age":17}'
+expect_run 0 "$(printf 'true\t%s\ntrue\t%s\ntrue\t%s' "$sue" "$john" "$ana")" "" \
+  eval '<.name.first>' "$cidir/mixed.json"
+expect_run 1 "$(printf 'valid\t%s\nvalid\t%s\nINVALID\t%s' "$sue" "$john" "$ana")" "" \
+  validate -s "$cidir/adult.json" "$cidir/mixed.json"
+expect_run 0 "$(printf '%s\n' '{"name":{"first":"Sue"}}' '{"name":{"first":"John"}}')" "" \
+  find '{"age":{"$gte":18}}' -p '{"name.first":1}' "$cidir/mixed.json"
+expect_run 0 "$(printf '%s\n' '{"n":"John"}' '{"n":"Sue"}' '{"n":"Ana"}')" "" \
+  aggregate '[{"$sort":{"age":0}},{"$project":{"n":"$name.first"}}]' "$cidir/mixed.json"
+infer_head='{
+  "type": "object",
+  "required": [
+    "age"'
+infer_tail='
+  "properties": {
+    "age": {
+      "type": "number"
+    },
+    "name": {
+      "type": "object",
+      "required": [
+        "first"
+      ],
+      "properties": {
+        "first": {
+          "type": "string"
+        }
+      }
+    }'
+expect_run 0 "$infer_head,
+    \"name\"
+  ],$infer_tail,
+    \"tags\": {
+      \"type\": \"array\",
+      \"additionalItems\": {
+        \"type\": \"string\"
+      }
+    }
+  }
+}" "" infer "$cidir/mixed.json"
+expect_run 0 '{"name":{"first":"Sue"},"age":28}' "" \
+  find '{"age":{"$gte":18}}' "$cidir/array.json"
+expect_run 0 "$(printf '%s\n' '{"age":28}' '{"age":17}')" "" \
+  aggregate '[{"$project":{"age":1}}]' "$cidir/array.json"
+expect_run 0 "$infer_head
+  ],$infer_tail
+  }
+}" "" infer "$cidir/array.json"
+bad="$cidir/bad.ndjson"
+bad_msg='line 1, column 6: unexpected end of input, expected a JSON value'
+expect_run 1 "$(printf 'true\t{"a":1}\nerror: %s\t%s:2\nfalse\t{"b":2}' "$bad_msg" "$bad")" "" \
+  eval '<.a>' "$bad"
+bad_rows=$(printf 'valid\t{"a":1}\nerror: %s\t%s:2\nvalid\t{"b":2}' "$bad_msg" "$bad")
+for bad_chunk in 1 7 65536; do
+  expect_run 1 "$bad_rows" "" \
+    validate -s "$cidir/any.json" --chunk-bytes "$bad_chunk" "$bad"
+done
+# the error cell is the one validate --stream prints for that line
+bad_cell=$(timeout 60 "$JSONLOGIC" validate -s "$cidir/any.json" "$bad" \
+  | sed -n 2p | cut -f1) || true
+bad_stream=$(timeout 60 "$JSONLOGIC" validate -s "$cidir/any.json" --stream "$bad" \
+  | sed -n 2p | cut -f2) || true
+if [ -z "$bad_cell" ] || [ "$bad_cell" != "$bad_stream" ]; then
+  echo "FAIL: the bad line's cell '$bad_cell' is not validate --stream's '$bad_stream'" >&2
+  exit 1
+fi
+expect_run 1 '{"a":1}' "error: $bad:2: $bad_msg" find '{}' "$bad"
+expect_run 1 '{"a":1}' "error: $bad:2: $bad_msg" aggregate '[{"$match":{}}]' "$bad"
+expect_run 1 "" "error: $bad:2: $bad_msg" infer "$bad"
+expect_run 1 "" "error: $bad:2: $bad_msg" \
+  aggregate --from "c=$bad" '[]' "$cidir/any.json"
+rm -rf "$cidir"
+
+# Compiled-validate CLI wiring: the sequential and a 2-domain batch
 # must print byte-identical path<TAB>verdict lines; mixed verdicts
 # exit 1.
 vdir=$(mktemp -d)
@@ -246,17 +335,9 @@ if [ "$vstatus" != 1 ]; then
   echo "FAIL: compiled validate batch: expected exit 1 (mixed verdicts), got $vstatus" >&2
   exit 1
 fi
-vj_status=0
-v_jsl=$(timeout 120 "$JSONLOGIC" validate -s "$vdir/schema.json" \
-  --via-jsl --files-from "$vdir/list") || vj_status=$?
 v_jobs2=$(timeout 120 "$JSONLOGIC" validate -s "$vdir/schema.json" \
   --jobs 2 --files-from "$vdir/list") || true
 rm -rf "$vdir"
-if [ "$v_plan" != "$v_jsl" ] || [ "$vj_status" != 1 ]; then
-  echo "FAIL: validate with and without --via-jsl disagree (exit $vj_status)" >&2
-  printf '%s\n---\n%s\n' "$v_plan" "$v_jsl" >&2
-  exit 1
-fi
 if [ "$v_plan" != "$v_jobs2" ]; then
   echo "FAIL: compiled validate --jobs 1 and --jobs 2 disagree" >&2
   printf '%s\n---\n%s\n' "$v_plan" "$v_jobs2" >&2
@@ -321,19 +402,11 @@ if [ "$s_tree" != "$s_stream" ] || [ "$ss_status" != 1 ] || [ "$ts_status" != 1 
   printf '%s\n---\n%s\n' "$s_tree" "$s_stream" >&2
   exit 1
 fi
-sj_status=0
-s_jsl=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
-  --via-jsl --stream --files-from "$sdir/list") || sj_status=$?
-if [ "$s_jsl" != "$s_tree" ] || [ "$sj_status" != 1 ]; then
-  echo "FAIL: validate --via-jsl --stream --files-from differs from the tree path (exit $sj_status)" >&2
-  printf '%s\n---\n%s\n' "$s_tree" "$s_jsl" >&2
-  exit 1
-fi
 
 # Streaming CLI wiring, part 2: NDJSON mode (one document per line,
 # path:line<TAB>result) with a malformed line folded into a per-line
-# error; --jobs 2 and --via-jsl must produce byte-identical output to
-# the sequential default run.
+# error; --jobs 2 must produce byte-identical output to the sequential
+# default run.
 nd="$sdir/docs.ndjson"
 : > "$nd"
 for i in $(seq 1 200); do
@@ -352,13 +425,6 @@ nd2=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
 if [ "$nd1" != "$nd2" ] || [ -z "$nd1" ]; then
   echo "FAIL: NDJSON --stream --jobs 1 and --jobs 2 disagree" >&2
   printf '%s\n---\n%s\n' "$nd1" "$nd2" >&2
-  exit 1
-fi
-ndj=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
-  --via-jsl --stream --jobs 2 "$nd") || true
-if [ "$ndj" != "$nd1" ]; then
-  echo "FAIL: NDJSON --via-jsl --stream differs from the default" >&2
-  printf '%s\n---\n%s\n' "$nd1" "$ndj" >&2
   exit 1
 fi
 if [ "$(printf '%s\n' "$nd1" | wc -l)" != 200 ]; then
@@ -469,6 +535,49 @@ for big_jobs in 1 2; do
     *) ;;
   esac
 done
+# The same ceiling holds for the commands that read collections: eval,
+# validate, find and a $match/$project aggregate cut their input into
+# documents and answer each on its own, so memory follows the window,
+# not the file — over the 100 MB of 16 KB lines above and over about
+# 100 MB of small documents.  Output goes to a file, not to a shell
+# variable, and is counted there.
+small="$sdir/small.ndjson"
+awk 'BEGIN { for (i = 1; i <= 3400000; i++) printf "{\"a\":%d,\"note\":\"n%d\"}\n", i, i % 1000 }' \
+  > "$small"
+coll_run() {  # COMMAND JOBS FILE, under the limit; output in $sdir/coll.out
+  case $1 in
+    eval) set -- eval '<.a>' --jobs "$2" "$3" ;;
+    validate) set -- validate -s "$sdir/schema.json" --jobs "$2" "$3" ;;
+    find) set -- find '{"a": {"$gte": 1}}' --jobs "$2" "$3" ;;
+    aggregate)
+      set -- aggregate '[{"$match": {"a": {"$gte": 1}}}, {"$project": {"a": 1}}]' \
+        --jobs "$2" "$3" ;;
+  esac
+  (ulimit -v 524288 2>/dev/null || true
+   exec timeout 300 "$JSONLOGIC" "$@" > "$sdir/coll.out")
+}
+for coll in eval validate find aggregate; do
+  for coll_input in "$big 6400" "$small 3400000"; do
+    coll_file=${coll_input% *} coll_want=${coll_input#* }
+    for coll_jobs in 1 2; do
+      coll_status=0
+      coll_run "$coll" "$coll_jobs" "$coll_file" || coll_status=$?
+      coll_lines=$(wc -l < "$sdir/coll.out")
+      case $coll in
+        eval) coll_ok=$(grep -c '^true	' "$sdir/coll.out" || true) ;;
+        validate) coll_ok=$(grep -c '^valid	' "$sdir/coll.out" || true) ;;
+        *) coll_ok=$coll_lines ;;
+      esac
+      if [ "$coll_status" != 0 ] || [ "$coll_lines" != "$coll_want" ] \
+         || [ "$coll_ok" != "$coll_want" ]; then
+        echo "FAIL: $coll --jobs $coll_jobs on $coll_file under 512MB ulimit: exit $coll_status, $coll_lines lines ($coll_ok answered), want $coll_want" >&2
+        tail -c 300 "$sdir/coll.out" >&2
+        exit 1
+      fi
+    done
+  done
+done
+rm -f "$sdir/coll.out" "$small"
 rm -rf "$sdir"
 
 # Serve smoke gate: a daemon on a temp socket must answer a replayed
@@ -895,10 +1004,10 @@ rm -rf "$ixdir"
 # here for CI time; the default is 100 MB.
 run 600 env BENCH_CORPUS_MB=8 _build/default/bench/main.exe corpus
 
-# Aggregation CLI wiring, part 1: `aggregate` and `aggregate
-# --via-jnl` (two engines sharing no evaluation code) must print
-# byte-identical lines on a navigational pipeline over a generated
-# NDJSON collection.
+# Aggregation CLI wiring: --files-from across 2 domains must be
+# byte-identical to the sequential run on a grouping pipeline
+# (streaming prefix sharded, blocking suffix joined in input order),
+# over one file per document of a generated collection.
 agdir=$(mktemp -d)
 agnd="$agdir/docs.ndjson"
 : > "$agnd"
@@ -912,29 +1021,6 @@ for i in $(seq 1 60); do
     printf '{"name":"n%d","age":%d}\n' "$i" $((i % 50)) >> "$agnd"
   fi
 done
-nav_pl='[{"$match": {"orders.status": {"$exists": true}}},
-         {"$unwind": "$orders"},
-         {"$project": {"orders.status": 1, "orders.total": 1}}]'
-ag_direct=$(timeout 120 "$JSONLOGIC" aggregate "$nav_pl" "$agnd")
-ag_jnl=$(timeout 120 "$JSONLOGIC" aggregate --via-jnl "$nav_pl" "$agnd")
-if [ "$ag_direct" != "$ag_jnl" ] || [ -z "$ag_direct" ]; then
-  echo "FAIL: aggregate and aggregate --via-jnl disagree" >&2
-  printf '%s\n---\n%s\n' "$ag_direct" "$ag_jnl" | head -20 >&2
-  exit 1
-fi
-# a non-navigational pipeline is refused by --via-jnl (exit 1), not crashed
-agstatus=0
-timeout 60 "$JSONLOGIC" aggregate --via-jnl \
-  '[{"$group": {"_id": "$age", "n": {"$count": {}}}}]' "$agnd" \
-  > /dev/null 2>&1 || agstatus=$?
-if [ "$agstatus" != 1 ]; then
-  echo "FAIL: --via-jnl on \$group: expected exit 1, got $agstatus" >&2
-  exit 1
-fi
-
-# Aggregation CLI wiring, part 2: --files-from across 2 domains must
-# be byte-identical to the sequential run on a grouping pipeline
-# (streaming prefix sharded, blocking suffix joined in input order).
 ag_list="$agdir/list"
 : > "$ag_list"
 n=0

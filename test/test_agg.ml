@@ -323,23 +323,47 @@ let mixed_corpus seed n =
         | Value.Obj _ as v -> v
         | v -> Value.Obj [ ("k1", v) ])
 
+(* sixty orders documents: shipped orders on every third, an empty
+   orders array or none on the others *)
+let orders_corpus =
+  List.init 60 (fun i ->
+      let i = i + 1 in
+      parse_doc
+        (if i mod 3 = 0 then
+           Printf.sprintf
+             {|{"orders":[{"status":"shipped","total":%d},{"total":%d}],"age":%d}|}
+             i (i * 2) (i mod 50)
+         else if i mod 3 = 1 then Printf.sprintf {|{"orders":[],"age":%d}|} (i mod 50)
+         else Printf.sprintf {|{"name":"n%d","age":%d}|} i (i mod 50)))
+
 let test_differential () =
-  let vs = mixed_corpus 42 80 in
-  List.iter
-    (fun ptext ->
-      let pl = Agg.parse_string_exn ptext in
-      Alcotest.(check bool)
-        (Printf.sprintf "navigational: %s" ptext)
-        true (Agg.navigational pl);
-      let direct = List.map Value.to_string (Agg.run pl vs) in
-      match Agg.run_via_jnl pl vs with
-      | Error m -> Alcotest.failf "JNL route failed on %s: %s" ptext m
-      | Ok jnl ->
-        Alcotest.(check (list string))
-          (Printf.sprintf "JNL route agrees: %s" ptext)
-          direct
-          (List.map Value.to_string jnl))
-    nav_pipelines
+  let agree vs ptext =
+    let pl = Agg.parse_string_exn ptext in
+    Alcotest.(check bool)
+      (Printf.sprintf "navigational: %s" ptext)
+      true (Agg.navigational pl);
+    let direct = List.map Value.to_string (Agg.run pl vs) in
+    match Agg.run_via_jnl pl vs with
+    | Error m -> Alcotest.failf "JNL route failed on %s: %s" ptext m
+    | Ok jnl ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "JNL route agrees: %s" ptext)
+        direct
+        (List.map Value.to_string jnl);
+      direct
+  in
+  List.iter (fun ptext -> ignore (agree (mixed_corpus 42 80) ptext)) nav_pipelines;
+  let out =
+    agree orders_corpus
+      {|[{"$match": {"orders.status": {"$exists": true}}},
+         {"$unwind": "$orders"},
+         {"$project": {"orders.status": 1, "orders.total": 1}}]|}
+  in
+  Alcotest.(check int) "two orders from each of 20 documents" 40 (List.length out);
+  (* outside the navigational core the JNL route refuses *)
+  let group = Agg.parse_string_exn {|[{"$group": {"_id": "$age", "n": {"$count": {}}}}]|} in
+  Alcotest.(check bool) "$group is refused" true
+    (Result.is_error (Agg.run_via_jnl group orders_corpus))
 
 (* random navigational pipelines over the key pool *)
 let test_differential_random () =

@@ -389,6 +389,51 @@ let test_of_jsl_defs () =
     (fun text -> check (parse_doc text))
     [ "{}"; {|{"a":{},"b":{"c":{"d":{}}}}|}; {|{"a":{"b":3}}|}; "[]" ]
 
+(* Schemas the CLI's end-to-end checks validate with, their documents
+   and the error a malformed document gets on both plans' streams. *)
+let test_of_jsl_cli_schemas () =
+  let refs =
+    parse_schema
+      {|{"definitions":{"id":{"type":"number","minimum":1}},
+         "type":"object","required":["a"],
+         "properties":{"a":{"$ref":"#/definitions/id"}},
+         "patternProperties":{"x_[a-z]*":{"type":"number"}},
+         "additionalProperties":{"type":"string"}}|}
+  and flat =
+    parse_schema
+      {|{"type":"object","required":["a"],
+         "properties":{"a":{"type":"number","minimum":1}},
+         "additionalProperties":{"type":"string"}}|}
+  in
+  let docs =
+    List.init 30 (fun i ->
+        if i mod 3 = 0 then Printf.sprintf {|{"a":0,"x_k":%d}|} i
+        else if i mod 4 = 0 then {|{"a":0}|}
+        else Printf.sprintf {|{"a":%d,"x_k":2,"note":"ok"}|} i)
+  in
+  List.iter
+    (fun (what, schema) ->
+      let check = via_jsl_checker ~what schema in
+      List.iter (fun d -> check (parse_doc d)) docs;
+      let r = Jschema.To_jsl.document schema in
+      let plans =
+        [ Validate.Plan.compile schema;
+          Validate.Plan.of_jsl ~defs:r.Jlogic.Jsl_rec.defs r.Jlogic.Jsl_rec.base ]
+      in
+      List.iter
+        (fun text ->
+          match
+            List.map
+              (fun plan ->
+                Par.Batch.cell (fun () ->
+                    string_of_bool (Validate.Plan.run_stream plan text)))
+              plans
+          with
+          | [ a; b ] -> Alcotest.(check string) (what ^ " on " ^ text) a b
+          | _ -> assert false)
+        [ {|{"a":1,|}; {|{"a":1,"broken"|}; {|{"a":2,"x_k":|} ])
+    [ ("definitions and patterns", refs); ("flat", flat) ]
+
 let test_of_jsl_random_rec () =
   let trues = ref 0 in
   for case = 0 to 599 do
@@ -559,6 +604,49 @@ let test_wide_flat () =
           ("1", false); ({|{"o":[1,2]}|}, true); ({|{"o":[2,1]}|}, false);
           ("[]", false) ] ) ]
 
+(* 32k definitions, each referenced from one property of one of 128
+   groups of 256: the flat and the nested conjunctions both stay at one
+   depth, on both plans. *)
+let test_wide_grouped () =
+  let groups = 128 and per = 256 in
+  let b = Buffer.create (groups * per * 80) in
+  Buffer.add_string b {|{"definitions":{|};
+  for i = 0 to (groups * per) - 1 do
+    Printf.bprintf b {|%s"d%d":{"type":"number","minimum":%d}|}
+      (if i > 0 then "," else "") i (i mod 7)
+  done;
+  Buffer.add_string b {|},"type":"object","properties":{|};
+  for j = 0 to groups - 1 do
+    Printf.bprintf b {|%s"g%d":{"properties":{|} (if j > 0 then "," else "") j;
+    for k = 0 to per - 1 do
+      let i = (j * per) + k in
+      Printf.bprintf b {|%s"p%d":{"$ref":"#/definitions/d%d"}|}
+        (if k > 0 then "," else "") i i
+    done;
+    Buffer.add_string b "}}"
+  done;
+  Buffer.add_string b "}}";
+  let schema = parse_schema (Buffer.contents b) in
+  let budget () = Obs.Budget.depth_limited Obs.Budget.default_max_depth in
+  let plan = Validate.Plan.compile ~budget:(budget ()) schema in
+  let r = Jschema.To_jsl.document schema in
+  let jsl_plan =
+    Validate.Plan.of_jsl ~budget:(budget ()) ~defs:r.Jlogic.Jsl_rec.defs
+      r.Jlogic.Jsl_rec.base
+  in
+  List.iter
+    (fun (doc_text, expected) ->
+      List.iter
+        (fun (route, v) ->
+          Alcotest.(check bool) (Printf.sprintf "%s on %s" route doc_text) expected v)
+        [ ("compile tree", Validate.Plan.run_tree plan (Tree.of_string_exn doc_text));
+          ("compile stream", Validate.Plan.run_stream plan doc_text);
+          ("of_jsl tree", Validate.Plan.run_tree jsl_plan (Tree.of_string_exn doc_text));
+          ("of_jsl stream", Validate.Plan.run_stream jsl_plan doc_text) ])
+    [ ({|{"g0":{"p1":5},"g127":{"p32767":6}}|}, true);
+      ({|{"g0":{"p3":2}}|}, false);
+      ("{}", true) ]
+
 let check_error what expected = function
   | Ok _ -> Alcotest.failf "%s accepted" what
   | Error m -> Alcotest.(check string) what expected m
@@ -642,9 +730,12 @@ let () =
            test_numeric_parameters ]);
       ("recursive jsl",
        [ Alcotest.test_case "of_jsl with definitions" `Quick test_of_jsl_defs;
+         Alcotest.test_case "the CLI checks' schemas" `Quick
+           test_of_jsl_cli_schemas;
          Alcotest.test_case "random recursive formulas" `Quick
            test_of_jsl_random_rec ]);
       ("wide definitions",
        [ Alcotest.test_case "verdicts agree" `Quick test_wide_verdicts;
          Alcotest.test_case "error texts" `Quick test_wide_errors;
-         Alcotest.test_case "flat properties and enum" `Quick test_wide_flat ]) ]
+         Alcotest.test_case "flat properties and enum" `Quick test_wide_flat;
+         Alcotest.test_case "grouped definitions" `Quick test_wide_grouped ]) ]

@@ -882,6 +882,29 @@ let test_sweep_temps () =
     (Sys.file_exists (planted live));
   Sys.remove (planted live)
 
+(* a negative cap is refused before anything is written, instead of
+   wrapping around in the header *)
+let test_negative_caps () =
+  let corpus = temp_path ".ndjson" and out = temp_path ".idx" in
+  write_file corpus "{\"a\":1}\n";
+  Sys.remove out;
+  List.iter
+    (fun (what, build, expected) ->
+      (match build () with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error m -> Alcotest.(check string) what expected m);
+      Alcotest.(check bool) (what ^ ": no index written") false
+        (Sys.file_exists out))
+    [ ("pos_cap -1",
+       (fun () -> Jindex.Writer.build ~pos_cap:(-1) ~corpus ~output:out ()),
+       "position cap -1 is negative");
+      ("value_cap -5",
+       (fun () -> Jindex.Writer.build ~value_cap:(-5) ~corpus ~output:out ()),
+       "value cap -5 is negative") ];
+  match Jindex.Writer.build ~pos_cap:0 ~value_cap:0 ~corpus ~output:out () with
+  | Ok _ -> Sys.remove out
+  | Error m -> Alcotest.fail ("caps of 0 refused: " ^ m)
+
 (* ---- tree label-index single-build regression (PR 8 satellite) -------------- *)
 
 let test_tree_index_single_build () =
@@ -967,7 +990,8 @@ let () =
            test_same_size_rewrite ]);
       ("writer",
        [ Alcotest.test_case "dead builds' temp files swept" `Quick
-           test_sweep_temps ]);
+           test_sweep_temps;
+         Alcotest.test_case "negative caps refused" `Quick test_negative_caps ]);
       ("tree-index",
        [ Alcotest.test_case "single build, single charge" `Quick
            test_tree_index_single_build ]) ]

@@ -141,12 +141,6 @@ let test_parse_depth_limit () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "deep doc rejected: %a" Parser.pp_error e
 
-let test_parse_many () =
-  match Parser.parse_many {| {"a":1} [2] "three" |} with
-  | Ok [ _; _; _ ] -> ()
-  | Ok vs -> Alcotest.failf "expected 3 docs, got %d" (List.length vs)
-  | Error e -> Alcotest.failf "parse_many failed: %a" Parser.pp_error e
-
 let test_error_positions () =
   match Parser.parse "{\n  \"a\": bad\n}" with
   | Ok _ -> Alcotest.fail "expected error"
@@ -1673,7 +1667,6 @@ let () =
          Alcotest.test_case "errors" `Quick test_parse_errors;
          Alcotest.test_case "model restriction" `Quick test_parse_model_restriction;
          Alcotest.test_case "depth limit" `Quick test_parse_depth_limit;
-         Alcotest.test_case "parse_many" `Quick test_parse_many;
          Alcotest.test_case "error positions" `Quick test_error_positions ]);
       ("printer",
        [ Alcotest.test_case "roundtrips" `Quick test_print_parse_roundtrip ]);

@@ -2,7 +2,8 @@
    correctness and ordering, jobs-independence of outputs and metric
    totals (the determinism contract CI gates), exception propagation,
    pool lifecycle, the NDJSON line reader against the whole-input
-   splitter it replaced, and per-document error rendering. *)
+   splitter it replaced, the top-level value cutter at every chunk size
+   and lane count, and per-document error rendering. *)
 
 let test_pool_map_basic () =
   let pool = Par.Pool.create 4 in
@@ -248,6 +249,183 @@ let test_lines_chunks_counted () =
   | () -> Alcotest.fail "chunk_bytes 0 accepted"
   | exception Invalid_argument _ -> ()
 
+(* ---- Par.Batch.values: the top-level value cutter ------------------------- *)
+
+(* (line number, document) in emit order *)
+let run_values ?collection ~jobs ~chunk_bytes text =
+  let out = ref [] in
+  with_temp_file text
+    (Par.Batch.values ?collection ~jobs ~chunk_bytes Fun.id (fun lineno doc ->
+         out := (lineno, doc) :: !out));
+  List.rev !out
+
+let show_docs docs =
+  String.concat " | " (List.map (fun (l, d) -> Printf.sprintf "%d:%S" l d) docs)
+
+(* The same documents at every lane count and every chunk size, from 1
+   to the input's length ([sizes] instead for large inputs). *)
+let check_values ?collection ?sizes text expected =
+  let sizes =
+    match sizes with
+    | Some s -> s
+    | None -> List.init (max 1 (String.length text)) (fun i -> i + 1)
+  in
+  List.iter
+    (fun chunk_bytes ->
+      List.iter
+        (fun jobs ->
+          let got = run_values ?collection ~jobs ~chunk_bytes text in
+          if got <> expected then
+            Alcotest.failf "chunk %d, jobs %d:\n  got      %s\n  expected %s"
+              chunk_bytes jobs (show_docs got) (show_docs expected))
+        [ 1; 2; 4 ])
+    sizes
+
+let values_case name ?collection ?sizes text expected =
+  Alcotest.test_case name `Quick (fun () ->
+      check_values ?collection ?sizes text expected)
+
+(* A bad line's document fails its own parse with the error
+   [validate --stream] prints for that line. *)
+let parse_cell text =
+  Par.Batch.cell (fun () ->
+      ignore (Jsont.Tree.of_string_exn text);
+      "ok")
+
+let test_values_malformed () =
+  let text = "{\"a\":1}\n{\"a\":\n{\"b\":2}\n" in
+  check_values text [ (1, {|{"a":1}|}); (2, {|{"a":|}); (3, {|{"b":2}|}) ];
+  Alcotest.(check string) "the bad line's cell"
+    "error: line 1, column 6: unexpected end of input, expected a JSON value"
+    (parse_cell {|{"a":|})
+
+let test_values_deep () =
+  let n = 100_000 in
+  let text = String.make n '[' ^ "1" ^ String.make n ']' in
+  let sizes = [ 1; 7; 4096; 65536; String.length text ] in
+  check_values ~sizes text [ (1, text) ];
+  Alcotest.(check string) "depth error from the document's parse"
+    "error: line 1, column 10002: maximum nesting depth 10000 exceeded"
+    (parse_cell text)
+
+(* Every line opens a bracket that never closes: each line is a bad
+   line of its own, and the cut stays linear (a rescan from each line
+   to the end would take minutes here). *)
+let test_values_unclosed_lines () =
+  let n = 100_000 in
+  let text = String.concat "" (List.init n (fun _ -> "[\n")) ^ "}" in
+  let expected = List.init n (fun i -> (i + 1, "[")) @ [ (n + 1, "}") ] in
+  check_values ~sizes:[ 1; 4096; 65536 ] text expected
+
+(* Generated values, written compact or pretty and separated by random
+   whitespace: the cut gives back exactly those values, on the lines
+   they begin on, in every layout. *)
+let test_values_generated () =
+  let rng = Jworkload.Prng.create 23 in
+  for _ = 1 to 40 do
+    let vs =
+      List.init (Jworkload.Prng.int rng 6) (fun _ -> Jworkload.Gen_json.sized rng 12)
+    in
+    let buf = Buffer.create 256 and line = ref 1 and expected = ref [] in
+    List.iter
+      (fun v ->
+        let sep = Jworkload.Prng.choose rng [ " "; "\n"; "\r\n"; "\n\n  "; "" ] in
+        (* two scalars need a separator to stay two *)
+        let sep = if sep = "" && Buffer.length buf > 0 then " " else sep in
+        Buffer.add_string buf sep;
+        String.iter (fun ch -> if ch = '\n' then incr line) sep;
+        let text =
+          if Jworkload.Prng.bool rng then Jsont.Printer.pretty v
+          else Jsont.Printer.compact v
+        in
+        expected := (!line, text) :: !expected;
+        Buffer.add_string buf text;
+        String.iter (fun ch -> if ch = '\n' then incr line) text)
+      vs;
+    let text = Buffer.contents buf and expected = List.rev !expected in
+    check_values ~sizes:[ 1; 2; 3; 5; 8; 64; 65536 ] text expected;
+    List.iter2
+      (fun v (_, doc) ->
+        Alcotest.(check bool) "parses back" true
+          (Jsont.Value.equal v (Jsont.Parser.parse_exn doc)))
+      vs expected
+  done
+
+(* Random bytes of JSON's syntax: whatever the cut makes of them, it
+   makes the same of them at every lane count and at chunk sizes that
+   split every kind of token. *)
+let test_values_random () =
+  let rng = Jworkload.Prng.create 31 in
+  let alphabet =
+    [ '{'; '}'; '['; ']'; '"'; '\\'; ','; ':'; '1'; 'a'; ' '; '\n'; '\n'; '\r' ]
+  in
+  for _ = 1 to 50 do
+    let text =
+      String.init (Jworkload.Prng.int rng 60) (fun _ ->
+          Jworkload.Prng.choose rng alphabet)
+    in
+    List.iter
+      (fun collection ->
+        check_values ~collection ~sizes:[ 1; 2; 3; 7; 64 ] text
+          (run_values ~collection ~jobs:1 ~chunk_bytes:65536 text))
+      [ false; true ]
+  done
+
+(* the input [Parser.parse_many] was tested on, before the cut replaced it *)
+let test_values_three_kinds () =
+  let text = {| {"a":1} [2] "three" |} in
+  check_values text [ (1, {|{"a":1}|}); (1, "[2]"); (1, {|"three"|}) ];
+  Alcotest.(check (list string)) "each parses alone"
+    [ {|{"a":1}|}; "[2]"; {|"three"|} ]
+    (List.map
+       (fun (_, doc) -> Jsont.Printer.compact (Jsont.Parser.parse_exn doc))
+       (run_values ~jobs:1 ~chunk_bytes:3 text))
+
+let values_cases =
+  [ Alcotest.test_case "malformed line" `Quick test_values_malformed;
+    values_case "pretty-printed document"
+      "{\n  \"a\": [\n    1,\n    2\n  ],\n  \"b\": {\"c\": \"x\"}\n}\n"
+      [ (1, "{\n  \"a\": [\n    1,\n    2\n  ],\n  \"b\": {\"c\": \"x\"}\n}") ];
+    values_case "two values on one line" "{\"a\":1} [2]\n\"x\" 3\n"
+      [ (1, {|{"a":1}|}); (1, "[2]"); (2, {|"x"|}); (2, "3") ];
+    values_case "blank and CRLF lines" "\r\n{\"a\":1}\r\n\r\n  \n[2]\r\n"
+      [ (2, {|{"a":1}|}); (5, "[2]") ];
+    values_case "unterminated last value" "{\"a\":1}\n{\"b\":[1,2"
+      [ (1, {|{"a":1}|}); (2, {|{"b":[1,2|}) ];
+    values_case "value completed on a later line" "{\"a\":\n1}\n2\n"
+      [ (1, "{\"a\":\n1}"); (3, "2") ];
+    values_case "one value closing where the next opens"
+      "{\"a\":1} {\n\"b\":2} {\n\"c\":3}\n"
+      [ (1, {|{"a":1}|}); (1, "{\n\"b\":2}"); (2, "{\n\"c\":3}") ];
+    values_case "bad value after a good one" "{\"a\":1} {\"a\":\n{\"b\":2}\n"
+      [ (1, {|{"a":1} {"a":|}); (2, {|{"b":2}|}) ];
+    values_case "mismatched bracket" "[1,\n2}\n[3]\n"
+      [ (1, "[1,"); (2, "2}"); (3, "[3]") ];
+    values_case "stray top-level comma" "{\"a\":1},{\"b\":2}\n3\n"
+      [ (1, {|{"a":1},{"b":2}|}); (2, "3") ];
+    values_case "strings hide brackets and end at their line"
+      "{\"a\":\"]\\\"[\"}\n\"abc\n\"def\"\n"
+      [ (1, {|{"a":"]\"["}|}); (2, {|"abc|}); (3, {|"def"|}) ];
+    Alcotest.test_case "100k-deep one-line value" `Quick test_values_deep;
+    Alcotest.test_case "unclosed bracket on every line" `Quick
+      test_values_unclosed_lines;
+    values_case "lone array" "[1, {\"a\":2},\n \"three\"]\n"
+      [ (1, "[1, {\"a\":2},\n \"three\"]") ];
+    values_case "lone array, collection" ~collection:true
+      "[1, {\"a\":2},\n \"three\"]\n"
+      [ (1, "1"); (1, {|{"a":2}|}); (2, {|"three"|}) ];
+    values_case "empty lone array, collection" ~collection:true " [ ]\n" [];
+    values_case "array followed by a value" "[1,2]\n3\n"
+      [ (1, "[1,2]"); (2, "3") ];
+    values_case "array followed by a value, collection" ~collection:true
+      "[1,2]\n3\n"
+      [ (1, "[1,2]"); (2, "3") ];
+    Alcotest.test_case "three values, three kinds" `Quick
+      test_values_three_kinds;
+    Alcotest.test_case "generated values in any layout" `Quick
+      test_values_generated;
+    Alcotest.test_case "random syntax bytes" `Quick test_values_random ]
+
 (* ---- Par.Batch.cell: one document's failure as a result line -------------- *)
 
 (* Reference renderings [cell] must reproduce: the CLI batch lanes'
@@ -330,4 +508,5 @@ let () =
          Alcotest.test_case "lines identity" `Quick test_lines_identity;
          Alcotest.test_case "lines chunks counted" `Quick
            test_lines_chunks_counted;
-         Alcotest.test_case "cell rendering" `Quick test_cell_rendering ]) ]
+         Alcotest.test_case "cell rendering" `Quick test_cell_rendering ]);
+      ("values", values_cases) ]

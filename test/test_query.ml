@@ -215,11 +215,8 @@ let test_in_regex_and_type_codes () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown $type code must be rejected"
 
-let test_translation_differential () =
-  (* [matches] must agree with the JSL translation on every document,
-     and — where the filter reaches the pure-JNL fragment of Theorem 2
-     — with the JNL translation as well *)
-  let filters =
+(* filters and documents for the differentials below *)
+let differential_filters =
     [ {|{"age": {"$lt": 0}}|}; {|{"age": {"$lt": 28}}|};
       {|{"age": {"$gt": 5}}|}; {|{"age": {"$gte": 0}}|};
       {|{"age": {"$lte": 0}}|}; {|{"hobbies": {"$all": []}}|};
@@ -245,8 +242,8 @@ let test_translation_differential () =
       {|{"orders": {"$elemMatch": {"total": {"$gte": 50}}}}|};
       {|{"$and": [{"a.b": {"$gte": 5}}, {"a.b": {"$lte": 9}}]}|};
       {|{"$nor": [{"a.b": 5}, {"age": {"$gte": 18}}]}|} ]
-  in
-  let docs =
+
+let differential_docs =
     people
     @ List.map parse_doc
         [ {|{"age":0}|}; {|{"age":"28"}|}; {|{"a":[10,20]}|}; {|{"a":{"1":5}}|};
@@ -256,7 +253,12 @@ let test_translation_differential () =
           {|{"a":[[{"b":5}]]}|}; {|{"a":[{"b":[{"c":7}]}]}|};
           {|{"a":[{"0":5}]}|}; {|{"a":[]}|}; {|{"a":"xylophone"}|};
           {|{"a":{"b":5}}|}; {|{"a":[5,"x"]}|} ]
-  in
+
+let test_translation_differential () =
+  (* [matches] must agree with the JSL translation on every document,
+     and — where the filter reaches the pure-JNL fragment of Theorem 2
+     — with the JNL translation as well *)
+  let filters = differential_filters and docs = differential_docs in
   Alcotest.(check bool) "differential covers >= 30 filters" true
     (List.length filters >= 30);
   List.iter
@@ -307,6 +309,67 @@ let test_projection () =
       (Value.to_string doc)
       (Value.to_string (Jquery.Mongo.project p doc))
   | Error m -> Alcotest.fail m
+
+(* [find f] projected by [p] as a pipeline ([Mongo_agg.of_find], what
+   the CLI's find runs) against [Mongo.find] and [Mongo.project], on
+   the differential's filters plus random ones, with no projection, an
+   inclusion, an exclusion and the empty projection. *)
+let test_find_pipeline () =
+  let rng = Jworkload.Prng.create 0xF17D in
+  let pick l = Jworkload.Prng.choose rng l in
+  let field () =
+    pick [ "name"; "age"; "a"; "a.b"; "a.0"; "a.b.c"; "hobbies"; "orders.total";
+           "address.city" ]
+  in
+  let rec cond depth =
+    match Jworkload.Prng.int rng (if depth > 1 then 6 else 8) with
+    | 0 -> Printf.sprintf {|"%s": %s|} (field ()) (pick [ "5"; "28"; {|"Sue"|}; {|"x"|} ])
+    | 1 -> Printf.sprintf {|"%s": {"$gt": %d}|} (field ()) (Jworkload.Prng.int rng 40)
+    | 2 -> Printf.sprintf {|"%s": {"$lte": %d}|} (field ()) (Jworkload.Prng.int rng 40)
+    | 3 -> Printf.sprintf {|"%s": {"$exists": %b}|} (field ()) (Jworkload.Prng.bool rng)
+    | 4 -> Printf.sprintf {|"%s": {"$size": %d}|} (field ()) (Jworkload.Prng.int rng 3)
+    | 5 -> Printf.sprintf {|"%s": {"$in": [5, "yoga", "Li"]}|} (field ())
+    | _ ->
+      Printf.sprintf {|"%s": [{%s}, {%s}]|} (pick [ "$or"; "$and"; "$nor" ])
+        (cond (depth + 1)) (cond (depth + 1))
+  in
+  let random = List.init 60 (fun _ -> "{" ^ cond 0 ^ "}") in
+  let projections =
+    None
+    :: List.map
+         (fun t ->
+           match Jquery.Mongo.parse_projection (parse_doc t) with
+           | Ok p -> Some (t, p)
+           | Error m -> Alcotest.fail m)
+         [ {|{"name":1,"address.city":1}|}; {|{"a.b":1}|};
+           {|{"age":0,"address.zip":0}|}; {|{"a":0}|}; {|{}|} ]
+  in
+  let docs = differential_docs in
+  let selecting =
+    List.filter
+      (fun t -> Jquery.Mongo.find (Jquery.Mongo.parse_string_exn t) docs <> [])
+      random
+  in
+  Alcotest.(check bool) "random filters select some documents, not all" true
+    (List.length selecting > 10 && List.length selecting < 50);
+  List.iter
+    (fun ftext ->
+      let f = Jquery.Mongo.parse_string_exn ftext in
+      List.iter
+        (fun p ->
+          let expected =
+            match p with
+            | None -> Jquery.Mongo.find f docs
+            | Some (_, p) -> List.map (Jquery.Mongo.project p) (Jquery.Mongo.find f docs)
+          in
+          let got = Jquery.Mongo_agg.run (Jquery.Mongo_agg.of_find f (Option.map snd p)) docs in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s projected by %s" ftext
+               (match p with None -> "nothing" | Some (t, _) -> t))
+            (List.map Value.to_string expected)
+            (List.map Value.to_string got))
+        projections)
+    (differential_filters @ random)
 
 (* ------------------------------------------------------------------ *)
 (* JSONPath                                                             *)
@@ -528,7 +591,9 @@ let () =
            test_mongo_numeric_segment_overflow;
          Alcotest.test_case "matches = JSL = JNL translation" `Quick
            test_translation_differential;
-         Alcotest.test_case "projection (§6)" `Quick test_projection ]);
+         Alcotest.test_case "projection (§6)" `Quick test_projection;
+         Alcotest.test_case "find as a $match/$project pipeline" `Quick
+           test_find_pipeline ]);
       ("jsonpath",
        [ Alcotest.test_case "basics" `Quick test_jsonpath_basics;
          Alcotest.test_case "filters" `Quick test_jsonpath_filter;
