@@ -265,18 +265,22 @@ let eval_cmd =
             (Obs.Metrics.span "phase.eval" (fun () ->
                  Jlogic.Jnl_eval.holds ctx Jsont.Tree.root phi))
         in
-        match files_from with
-        | Some list_path ->
-          let paths, cells =
-            map_files obs list_path (fun path ->
-                Par.Batch.cell (fun () -> holds (tree_of obs (read_input path))))
-          in
-          Array.iter2 (Printf.printf "%s\t%s\n") paths cells
-        | None ->
-          let answered c = c = "true" || c = "false" in
-          let path = last_input files in
-          if not (print_rows obs ~chunk_bytes:slice_bytes path holds answered) then
-            exit 1)
+        (* a row that is neither true nor false makes the exit 1 *)
+        let answered c = c = "true" || c = "false" in
+        let all_answered =
+          match files_from with
+          | Some list_path ->
+            let paths, cells =
+              map_files obs list_path (fun path ->
+                  Par.Batch.cell (fun () -> holds (tree_of obs (read_input path))))
+            in
+            Array.iter2 (Printf.printf "%s\t%s\n") paths cells;
+            Array.for_all answered cells
+          | None ->
+            print_rows obs ~chunk_bytes:slice_bytes (last_input files) holds
+              answered
+        in
+        if not all_answered then exit 1)
   in
   Cmd.v
     (Cmd.info "eval" ~doc:"Evaluate a JNL formula at the root of each document")
@@ -627,49 +631,27 @@ let index_build_cmd =
     Arg.(required & opt (some string) None
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Index file to write.")
   in
-  let pos_cap_arg =
-    Arg.(value & opt int Jindex.Layout.default_pos_cap
-         & info [ "pos-cap" ] ~docv:"N"
-             ~doc:"Materialize postings lists for array positions \
-                   0..N-1; higher positions still confirm via the label \
-                   column but cannot seed a postings-only query.")
-  in
-  let value_cap_arg =
-    Arg.(value & opt int Jindex.Layout.default_value_cap
-         & info [ "value-cap" ] ~docv:"N"
-             ~doc:"Keep a (label, value) postings list only when it has at \
-                   most N entries; longer lists are dropped (equality \
-                   queries on those values fall back to filtered reparse).")
-  in
-  let no_values_arg =
-    Arg.(value & flag
-         & info [ "no-values" ]
-             ~doc:"Skip the scalar-value table and value postings: smaller \
-                   index, but $(b,eq) queries always fall back to filtered \
-                   reparse.")
-  in
-  let run obs corpus output pos_cap value_cap no_values =
+  let run obs corpus output =
     wrap (fun () ->
         match
-          Jindex.Writer.build ~jobs:obs.jobs ~pos_cap ~value_cap ~no_values
-            ~fresh_budget:obs.fresh_budget ~corpus ~output ()
+          Jindex.Writer.build ~jobs:obs.jobs ~fresh_budget:obs.fresh_budget
+            ~corpus ~output ()
         with
         | Error m -> failwith m
         | Ok s ->
           Printf.printf
             "indexed %d docs (%d parse errors), %d nodes, %d keys, %d \
-             postings, %d values, %d value postings (%d dropped)\n\
+             postings, %d values, %d value postings\n\
              wrote %s (%d bytes)\n"
             s.Jindex.Writer.docs s.errors s.nodes s.keys
             (s.key_postings + s.pos_postings)
-            s.values s.value_postings s.value_dropped output s.bytes)
+            s.values s.value_postings output s.bytes)
   in
   Cmd.v
     (Cmd.info "build"
        ~doc:"Ingest an NDJSON corpus once and write the persistent \
              label-postings index")
-    Term.(const run $ obs_term $ corpus_pos $ output_arg $ pos_cap_arg
-          $ value_cap_arg $ no_values_arg)
+    Term.(const run $ obs_term $ corpus_pos $ output_arg)
 
 let index_query_cmd =
   let formula_arg =
@@ -748,19 +730,10 @@ let index_info_cmd =
         Printf.printf "key postings: %d\n" (Jindex.Reader.key_entries r);
         Printf.printf "position postings: %d (lists: %d)\n"
           (Jindex.Reader.pos_entries r) (Jindex.Reader.npos r);
-        if Jindex.Reader.has_values r then begin
-          Printf.printf "values: %d (%d bytes)\n"
-            (Jindex.Reader.nvals r) (Jindex.Reader.val_blob_len r);
-          Printf.printf
-            "value postings: %d (lists: %d, capped: %d, dropped entries: \
-             %d, cap: %d)\n"
-            (Jindex.Reader.val_entries r)
-            (Jindex.Reader.npairs r)
-            (Jindex.Reader.capped_pairs r)
-            (Jindex.Reader.val_dropped r)
-            (Jindex.Reader.value_cap r)
-        end
-        else Printf.printf "values: disabled (--no-values build)\n")
+        Printf.printf "values: %d (%d bytes)\n"
+          (Jindex.Reader.nvals r) (Jindex.Reader.val_blob_len r);
+        Printf.printf "value postings: %d (lists: %d)\n"
+          (Jindex.Reader.val_entries r) (Jindex.Reader.npairs r))
   in
   Cmd.v
     (Cmd.info "info" ~doc:"Print an index file's header summary")

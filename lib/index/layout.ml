@@ -4,21 +4,17 @@
    module, and the fault-injection tests use the field offsets to
    corrupt files surgically. *)
 
-let magic = "JLIXIDX4"
+let magic = "JLIXIDX5"
 let magic_prefix = "JLIXIDX"
-let version = 4
-let default_pos_cap = 1024
-let default_value_cap = 65536
+let version = 5
+let pos_cap = 1024
 let doc_entry_bytes = 32
 let posting_bytes = 4
 let max_nodes = 1 lsl 32
 
-(* header flag bits *)
-let flag_no_values = 1
-
 module Field = struct
   let version = 8
-  let pos_cap = 12
+  let npos = 12
   let file_size = 16
   let ndocs = 24
   let nnodes = 32
@@ -37,27 +33,22 @@ module Field = struct
   let pos_pidx = 136
   let pos_post = 144
   let corpus_path = 152
-  (* v2: the scalar-value table and (label, value) postings *)
-  let flags = 160
-  let value_cap = 164
-  let nvals = 168
-  let npairs = 176
-  let val_entries = 184
-  let val_dropped = 192
-  let valtab_idx = 200
-  let valtab_blob = 208
-  let valtab_blob_len = 216
-  let pair_table = 224
-  let pair_pidx = 232
-  let val_post = 240
-  (* v4: the subtree-size column and the corpus checksum *)
-  let sizes = 248
-  let corpus_checksum = 256
-  let body_checksum = 264
-  let header_checksum = 272
+  let nvals = 160
+  let npairs = 168
+  let val_entries = 176
+  let valtab_idx = 184
+  let valtab_blob = 192
+  let valtab_blob_len = 200
+  let pair_table = 208
+  let pair_pidx = 216
+  let val_post = 224
+  let sizes = 232
+  let corpus_checksum = 240
+  let body_checksum = 248
+  let header_checksum = 256
 end
 
-let header_bytes = 280
+let header_bytes = 264
 
 (* Scalar values are keyed in the sorted value table by a canonical
    encoding: one kind byte ('s' string, 'n' natural) followed by the

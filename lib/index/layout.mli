@@ -1,15 +1,15 @@
-(** On-disk layout of the persistent corpus index (format [JLIXIDX4]).
+(** On-disk layout of the persistent corpus index (format [JLIXIDX5]).
 
     One index file describes one NDJSON corpus: a string table of the
     distinct object keys, label → postings lists of corpus-wide node
-    ids for key edges and for small array positions, a sorted
-    scalar-value table with per-(leaf-label, value-id) postings (the
-    [eq]-pushdown seeds), the per-node parent, label and subtree-size
-    columns, and a per-document table (byte offset/length in the
-    corpus, node count, node base) — everything the query planner
-    needs to answer navigational queries and rooted scalar equalities
-    without reparsing, plus the byte offsets to reparse exactly the
-    surviving documents for general predicates.
+    ids for key edges and for array positions below {!pos_cap}, a
+    sorted scalar-value table with one postings list per (leaf-label,
+    value-id) pair (the [eq]-pushdown seeds), the per-node parent,
+    label and subtree-size columns, and a per-document table (byte
+    offset/length in the corpus, node count, node base) — everything
+    the query planner needs to answer navigational queries and rooted
+    scalar equalities without reparsing, plus the byte offsets to
+    reparse exactly the surviving documents for general predicates.
 
     Every integer is little-endian and every section is padded to an
     8-byte boundary, so the file can be memory-mapped and walked with
@@ -20,7 +20,7 @@
     rewritten corpus is refused as stale. *)
 
 val magic : string
-(** ["JLIXIDX4"], the first 8 bytes of every index file. *)
+(** ["JLIXIDX5"], the first 8 bytes of every index file. *)
 
 val magic_prefix : string
 (** ["JLIXIDX"] — shared by every format version; a file carrying the
@@ -33,21 +33,11 @@ val version : int
 val header_bytes : int
 (** Total header size; the body starts here. *)
 
-val default_pos_cap : int
-(** How many array-position postings lists are materialized at most
-    (positions [0 .. cap-1]); higher positions still carry edge labels
-    in the per-node label column but cannot seed a postings-only
-    query. *)
-
-val default_value_cap : int
-(** Ceiling on one (label, value) postings list: lists longer than
-    this are dropped at build time (the pair keeps an empty range, so
-    queries on it fall back to the filtered plan instead of reading a
-    barely-selective seed set). *)
-
-val flag_no_values : int
-(** Header flag bit: the value table and value postings were skipped
-    ([--no-values]); absence of a value proves nothing. *)
+val pos_cap : int
+(** [1024]: how many array-position postings lists are materialized at
+    most (positions [0 .. pos_cap-1]).  Higher positions still carry
+    edge labels in the per-node label column; a step through one hops
+    siblings from the last listed position. *)
 
 val doc_entry_bytes : int
 (** Size of one document-table entry. *)
@@ -73,7 +63,7 @@ val encode_num : int -> string
     the fault-injection tests, which corrupt them surgically). *)
 module Field : sig
   val version : int
-  val pos_cap : int
+  val npos : int
   val file_size : int
   val ndocs : int
   val nnodes : int
@@ -92,12 +82,9 @@ module Field : sig
   val pos_pidx : int
   val pos_post : int
   val corpus_path : int
-  val flags : int
-  val value_cap : int
   val nvals : int
   val npairs : int
   val val_entries : int
-  val val_dropped : int
   val valtab_idx : int
   val valtab_blob : int
   val valtab_blob_len : int

@@ -24,10 +24,6 @@ let verdict_string = function
 
 (* ---- the index as a node store --------------------------------------------- *)
 
-(* No postings decide this constant: a non-scalar, a [--no-values]
-   index, or a (label, value) list capped at build time. *)
-exception Undecided of Jsont.Value.t
-
 module Store = struct
   type t = Reader.t
   type key = int
@@ -90,24 +86,21 @@ module Store = struct
       { (postings (Reader.pos_postings r (npos - 1))) with
         hops = p - npos + 1 }
 
-  let value_id r v =
-    match v with
-    | _ when not (Reader.has_values r) -> raise (Undecided v)
+  let value_id r = function
     | Jsont.Value.Str s -> Reader.value_id r (Layout.encode_str s)
     | Jsont.Value.Num n -> Reader.value_id r (Layout.encode_num n)
-    | Jsont.Value.Obj _ | Jsont.Value.Arr _ -> raise (Undecided v)
+    | Jsont.Value.Obj _ | Jsont.Value.Arr _ ->
+      invalid_arg "Query: eq against a non-scalar is decided by reparsing"
 
-  let pair_bucket r v pid =
-    let list = Reader.pair_postings r pid in
-    if Reader.length list = 0 then raise (Undecided v);
-    { list; hops = 0; values = true }
+  let pair_bucket r pid =
+    { list = Reader.pair_postings r pid; hops = 0; values = true }
 
   let value_bucket r h v =
     let label =
       match h with `Key k -> Layout.label_key k | `Pos p -> Layout.label_pos p
     in
     Option.bind (value_id r v) (fun vid -> Reader.pair_lookup r ~label ~vid)
-    |> Option.fold ~none ~some:(pair_bucket r v)
+    |> Option.fold ~none ~some:(pair_bucket r)
     |> Option.some
 
   let length b = Reader.length b.list
@@ -166,7 +159,7 @@ module Store = struct
     Option.iter
       (fun vid ->
         Reader.iter_value_pairs r vid (fun pid ->
-            let b = pair_bucket r v pid in
+            let b = pair_bucket r pid in
             Obs.Budget.burn budget (length b);
             iter r b (Bitset.add out)))
       (value_id r v);
@@ -178,27 +171,29 @@ end
 
 module Eval = Jlogic.Jnl_eval.Make (Store)
 
-(* [phi] with each atom postings cannot decide replaced, where it
-   occurs positively, by the existence of its paths, and by ⊥ where it
-   occurs negatively: a formula that holds wherever [phi] does. *)
-let rec relax undecided pos (f : Jnl.form) =
-  let path = relax_path undecided pos in
+(* [phi] with each atom postings cannot decide — EQ(α,β), and eq
+   against an object or array — replaced, where it occurs positively,
+   by the existence of its paths, and by ⊥ where it occurs negatively:
+   a formula that holds wherever [phi] does. *)
+let rec relax pos (f : Jnl.form) =
+  let path = relax_path pos in
   let atom holds = if pos then holds else Jnl.ff in
   match f with
   | Jnl.True -> f
-  | Jnl.Not g -> Jnl.Not (relax undecided (not pos) g)
-  | Jnl.And (a, b) -> Jnl.And (relax undecided pos a, relax undecided pos b)
-  | Jnl.Or (a, b) -> Jnl.Or (relax undecided pos a, relax undecided pos b)
+  | Jnl.Not g -> Jnl.Not (relax (not pos) g)
+  | Jnl.And (a, b) -> Jnl.And (relax pos a, relax pos b)
+  | Jnl.Or (a, b) -> Jnl.Or (relax pos a, relax pos b)
   | Jnl.Exists p -> Jnl.Exists (path p)
-  | Jnl.Eq_doc (p, v) when undecided v -> atom (Jnl.Exists (path p))
+  | Jnl.Eq_doc (p, (Jsont.Value.Obj _ | Jsont.Value.Arr _)) ->
+    atom (Jnl.Exists (path p))
   | Jnl.Eq_doc (p, v) -> Jnl.Eq_doc (path p, v)
   | Jnl.Eq_paths (a, b) ->
     atom (Jnl.And (Jnl.Exists (path a), Jnl.Exists (path b)))
 
-and relax_path undecided pos (p : Jnl.path) =
-  let path = relax_path undecided pos in
+and relax_path pos (p : Jnl.path) =
+  let path = relax_path pos in
   match p with
-  | Jnl.Test f -> Jnl.Test (relax undecided pos f)
+  | Jnl.Test f -> Jnl.Test (relax pos f)
   | Jnl.Seq (a, b) -> Jnl.Seq (path a, path b)
   | Jnl.Alt (a, b) -> Jnl.Alt (path a, path b)
   | Jnl.Star a -> Jnl.Star (path a)
@@ -279,19 +274,8 @@ let run ?(jobs = 1) ?corpus
     Obs.Metrics.span "index.query" @@ fun () ->
     check_corpus r corpus;
     let ctx = Eval.context ~budget:(fresh_budget ()) r in
-    let rec answer undecided =
-      let f =
-        relax
-          (function
-            | Jsont.Value.Obj _ | Jsont.Value.Arr _ -> true
-            | v -> List.mem v undecided)
-          true phi
-      in
-      match Eval.eval ctx f with
-      | sat -> (sat, Jnl.equal f phi)
-      | exception Undecided v -> answer (v :: undecided)
-    in
-    let sat, exact = answer [] in
+    let f = relax true phi in
+    let sat = Eval.eval ctx f and exact = Jnl.equal f phi in
     Obs.Metrics.add "index.plan.reorders" (Eval.reorders ctx);
     Obs.Metrics.incr
       (if exact then "index.query.postings_only" else "index.query.filtered");

@@ -23,12 +23,11 @@
     intersection.
 
     Two atoms are not decided from postings: [EQ(α,β)], and [eq]
-    against an object or array constant — nor a scalar [eq] on a
-    [--no-values] index or on a (label, value) list capped at build
-    time.  They are relaxed by polarity (to the existence of their
-    paths where they occur positively, to ⊥ where negatively), and only
-    the documents the relaxed formula admits are reparsed, by byte
-    range, and evaluated like the baseline.
+    against an object or array constant; every scalar [eq] is.  The
+    two are relaxed by polarity (to the existence of their paths where
+    they occur positively, to ⊥ where negatively), and only the
+    documents the relaxed formula admits are reparsed, by byte range,
+    and evaluated like the baseline.
 
     Lines that failed to parse at build time answer their parse error.
     That cell depends on the line's bytes and the budget's limits, not

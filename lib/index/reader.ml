@@ -31,12 +31,9 @@ type t = {
   corpus_len : int;
   corpus_sum : int;
   corpus_path : string;
-  has_values : bool;
-  value_cap : int;
   nvals : int;
   npairs : int;
   val_entries : int;
-  val_dropped : int;
   o_doc : int;
   o_par : int;
   o_lab : int;
@@ -69,12 +66,9 @@ let pos_entries t = t.pos_entries
 let corpus_path t = t.corpus_path
 let corpus_len t = t.corpus_len
 let corpus_checksum t = t.corpus_sum
-let has_values t = t.has_values
-let value_cap t = t.value_cap
 let nvals t = t.nvals
 let npairs t = t.npairs
 let val_entries t = t.val_entries
-let val_dropped t = t.val_dropped
 let val_blob_len t = t.vblob_len
 let close _ = ()
 
@@ -128,13 +122,10 @@ let open_ ?(verify_body = true) path =
             let key_entries = u64 F.key_entries in
             let pos_entries = u64 F.pos_entries in
             let corpus_len = u64 F.corpus_len in
-            let npos = Layout.get_u32_ba buf F.pos_cap in
+            let npos = Layout.get_u32_ba buf F.npos in
             let blob_len = u64 F.strtab_blob_len in
-            let flags = Layout.get_u32_ba buf F.flags in
-            let value_cap = Layout.get_u32_ba buf F.value_cap in
             let nvals = u64 F.nvals and npairs = u64 F.npairs in
             let val_entries = u64 F.val_entries in
-            let val_dropped = u64 F.val_dropped in
             let vblob_len = u64 F.valtab_blob_len in
             let counts =
               [ ("documents", ndocs); ("nodes", nnodes); ("keys", nkeys);
@@ -142,7 +133,6 @@ let open_ ?(verify_body = true) path =
                 ("corpus bytes", corpus_len); ("position lists", npos);
                 ("string bytes", blob_len); ("values", nvals);
                 ("value pairs", npairs); ("value postings", val_entries);
-                ("dropped value postings", val_dropped);
                 ("value bytes", vblob_len) ]
             in
             match
@@ -151,9 +141,6 @@ let open_ ?(verify_body = true) path =
             | Some (what, v) ->
               err "header at %d: oversized %s count %d" F.ndocs what v
             | None ->
-            if flags land lnot Layout.flag_no_values <> 0 then
-              err "header at %d: unknown flag bits %#x" F.flags flags
-            else
               let o_doc = u64 F.doc_table and o_par = u64 F.parents in
               let o_lab = u64 F.labels and o_siz = u64 F.sizes in
               let o_sidx = u64 F.strtab_idx in
@@ -282,8 +269,7 @@ let open_ ?(verify_body = true) path =
                           { path; buf; size; ndocs; nnodes; nkeys; npos;
                             key_entries; pos_entries; corpus_len;
                             corpus_sum = u64 F.corpus_checksum; corpus_path;
-                            has_values = flags land Layout.flag_no_values = 0;
-                            value_cap; nvals; npairs; val_entries; val_dropped;
+                            nvals; npairs; val_entries;
                             o_doc; o_par; o_lab; o_siz; o_sidx; o_blob; blob_len;
                             o_kpidx; o_kpost; o_ppidx; o_ppost;
                             o_vidx; o_vblob; vblob_len; o_pair; o_prpidx;
@@ -433,13 +419,6 @@ let iter_value_pairs t vid f =
 let pair_postings t p =
   postings t ~what:"pair" ~idx:t.o_prpidx ~n:t.npairs ~entries:t.val_entries
     ~post:t.o_vpost p
-
-let capped_pairs t =
-  let n = ref 0 in
-  for p = 0 to t.npairs - 1 do
-    if length (pair_postings t p) = 0 then incr n
-  done;
-  !n
 
 (* ---- structure columns ----------------------------------------------------- *)
 

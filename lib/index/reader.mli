@@ -50,27 +50,14 @@ val corpus_checksum : t -> int
 (** {!Layout.checksum_text} of the corpus bytes the index was built
     over. *)
 
-val has_values : t -> bool
-(** Were the scalar-value table and value postings built?  [false]
-    for a [--no-values] index: value absence then proves nothing and
-    the [eq] pushdown is unavailable. *)
-
-val value_cap : t -> int
-(** The per-(label, value) postings ceiling the build used. *)
-
 val nvals : t -> int
 (** Distinct scalar values in the value table. *)
 
 val npairs : t -> int
-(** Distinct (leaf-label, value-id) postings lists (capped ones
-    included, with an empty range). *)
+(** Distinct (leaf-label, value-id) postings lists. *)
 
 val val_entries : t -> int
 (** Entries across all value postings lists. *)
-
-val val_dropped : t -> int
-(** Postings entries the build dropped because their pair exceeded
-    {!value_cap}. *)
 
 val val_blob_len : t -> int
 (** Bytes of the encoded value blob. *)
@@ -166,11 +153,10 @@ val posting : t -> postings -> int -> int
 (** {1 Value table and (label, value) postings}
 
     Scalars are keyed by their canonical {!Layout.encode_str} /
-    {!Layout.encode_num} encoding.  A pair present in the table with
-    an {e empty} range was capped at build time ([value_cap]); a pair
-    {e absent} from the table occurs nowhere in the corpus — the
-    distinction is what lets the query planner conclude [false] from
-    absence while falling back on capped lists. *)
+    {!Layout.encode_num} encoding.  Every pair in the table keeps its
+    whole postings list, and a pair {e absent} from the table occurs
+    nowhere in the corpus — which is what lets the query planner
+    conclude [false] from absence. *)
 
 val value_id : t -> string -> int option
 (** Binary search of the sorted value table by encoded scalar. *)
@@ -184,16 +170,12 @@ val pair_lookup : t -> label:int -> vid:int -> int option
 
 val pair_postings : t -> int -> postings
 (** One pair's value postings: the scalar leaves reached by the pair's
-    label and holding its value (empty for a capped pair). *)
+    label and holding its value. *)
 
 val iter_value_pairs : t -> int -> (int -> unit) -> unit
 (** [iter_value_pairs r vid f] calls [f pid] for every pair of value
     [vid], whatever its label — one binary search per label group of
     the pair table, never a sweep of it. *)
-
-val capped_pairs : t -> int
-(** How many pairs were capped (one O(npairs) sweep — [index info]
-    material, not a query-path accessor). *)
 
 (** {1 Structure columns}
 

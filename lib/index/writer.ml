@@ -18,7 +18,6 @@ type stats = {
   values : int;
   value_pairs : int;
   value_postings : int;
-  value_dropped : int;
   bytes : int;
 }
 
@@ -43,7 +42,7 @@ type draw = {
   err : bool;
 }
 
-let parse_doc ~fresh_budget ~values ~lineno ~off text =
+let parse_doc ~fresh_budget ~lineno ~off text =
   let len = String.length text in
   let failed =
     { lineno; off; len; parents = [||]; sizes = [||]; labels = [||];
@@ -57,7 +56,7 @@ let parse_doc ~fresh_budget ~values ~lineno ~off text =
     let sizes = Array.init n (Jsont.Tree.size t) in
     let labels = Array.make n (-1) in
     let lasts = Array.make n false in
-    let vals = Array.make (if values then n else 0) (-1) in
+    let vals = Array.make n (-1) in
     let ktab = Hashtbl.create 16 in
     let klist = ref [] in
     let nkeys = ref 0 in
@@ -75,11 +74,10 @@ let parse_doc ~fresh_budget ~values ~lineno ~off text =
     in
     for i = 0 to n - 1 do
       parents.(i) <- Jsont.Tree.parent_id t i;
-      (if values then
-         match Jsont.Tree.kind t i with
-         | Jsont.Tree.Kstr s -> scalar i (Layout.encode_str s)
-         | Jsont.Tree.Kint v -> scalar i (Layout.encode_num v)
-         | Jsont.Tree.Kobj | Jsont.Tree.Karr -> ());
+      (match Jsont.Tree.kind t i with
+      | Jsont.Tree.Kstr s -> scalar i (Layout.encode_str s)
+      | Jsont.Tree.Kint v -> scalar i (Layout.encode_num v)
+      | Jsont.Tree.Kobj | Jsont.Tree.Karr -> ());
       match Jsont.Tree.edge_from_parent t i with
       | Jsont.Tree.Root -> ()
       | Jsont.Tree.Key w ->
@@ -201,13 +199,9 @@ let fsync_dir dir =
    its directory after it, and the file is removed on every failure, so
    [output] is always either the previous index or the complete new
    one. *)
-let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
-    ?(value_cap = Layout.default_value_cap) ?(no_values = false)
-    ?(fresh_budget = fun () -> Obs.Budget.create ()) ~corpus ~output () =
+let build ?(jobs = 1) ?(fresh_budget = fun () -> Obs.Budget.create ())
+    ~corpus ~output () =
   try
-    let refuse what cap = failwith (Printf.sprintf "%s cap %d is negative" what cap) in
-    if pos_cap < 0 then refuse "position" pos_cap;
-    if value_cap < 0 then refuse "value" value_cap;
     Obs.Metrics.span "index.build" @@ fun () ->
     sweep_temps output;
     let text = In_channel.with_open_bin corpus In_channel.input_all in
@@ -215,8 +209,7 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
     let docs =
       Par.Batch.map ~jobs
         (fun (lineno, off, len) ->
-          parse_doc ~fresh_budget ~values:(not no_values) ~lineno ~off
-            (String.sub text off len))
+          parse_doc ~fresh_budget ~lineno ~off (String.sub text off len))
         slices
     in
     let ndocs = Array.length docs in
@@ -266,9 +259,7 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
               if lab lsr 1 > !max_pos then max_pos := lab lsr 1)
           d.labels)
       docs;
-    (* position 0 always keeps its list (when any array has elements):
-       "a non-empty array" is read off it *)
-    let npos = min (max 1 pos_cap) (!max_pos + 1) in
+    let npos = min Layout.pos_cap (!max_pos + 1) in
     let key_counts = Array.make (nkeys + 1) 0 in
     let pos_counts = Array.make (npos + 1) 0 in
     Array.iter
@@ -306,13 +297,12 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
     let nvals = Array.length vals in
     let vgid = Hashtbl.create 256 in
     Array.iteri (fun i v -> Hashtbl.add vgid v i) vals;
-    (* (leaf-label, value-id) pairs: number, sort, count, cap,
-       prefix-sum.  A pair is one integer, the label word (-1 at a root,
-       below 2^30) above the 32-bit value id, so integer order is the
-       table's (label, value id) order.  Each scalar leaf's [vals] entry
-       becomes its pair's id, first in order of discovery, then in table
-       order.  A pair whose list exceeds [value_cap] stays in the table
-       with an empty range — queries can tell "capped" from "absent". *)
+    (* (leaf-label, value-id) pairs: number, sort, count, prefix-sum.
+       A pair is one integer, the label word (-1 at a root, below 2^30)
+       above the 32-bit value id, so integer order is the table's
+       (label, value id) order.  Each scalar leaf's [vals] entry becomes
+       its pair's id, first in order of discovery, then in table
+       order. *)
     let pair_ids = Ints.create 256 in
     let found = ref [] in
     Array.iter
@@ -352,18 +342,8 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
             end)
           d.vals)
       docs;
-    let pair_kept = Array.make npairs true in
-    let val_dropped = ref 0 in
-    for pid = 0 to npairs - 1 do
-      if pair_counts.(pid) > value_cap then begin
-        pair_kept.(pid) <- false;
-        val_dropped := !val_dropped + pair_counts.(pid);
-        pair_counts.(pid) <- 0
-      end
-    done;
     let pair_pidx = prefix pair_counts npairs in
     let val_entries = pair_pidx.(npairs) in
-    let val_dropped = !val_dropped in
     (* section sizes and offsets *)
     let blob_len = Array.fold_left (fun a w -> a + String.length w) 0 keys in
     let sz_doc = ndocs * Layout.doc_entry_bytes in
@@ -487,9 +467,7 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
                Array.iteri
                  (fun node lab ->
                    let g = !base + node in
-                   (if Array.length d.vals > 0 && d.vals.(node) >= 0 then
-                      let pid = d.vals.(node) in
-                      if pair_kept.(pid) then put vpost vcur pid g);
+                   if d.vals.(node) >= 0 then put vpost vcur d.vals.(node) g;
                    if lab >= 0 then
                      if lab land 1 = 0 then put kpost kcur (lab lsr 1) g
                      else if lab lsr 1 < npos then put ppost pcur (lab lsr 1) g)
@@ -519,7 +497,7 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
            let h = Bytes.make Layout.header_bytes '\000' in
            Bytes.blit_string Layout.magic 0 h 0 8;
            Layout.set_u32 h Layout.Field.version Layout.version;
-           Layout.set_u32 h Layout.Field.pos_cap npos;
+           Layout.set_u32 h Layout.Field.npos npos;
            Layout.set_u64 h Layout.Field.file_size file_size;
            Layout.set_u64 h Layout.Field.ndocs ndocs;
            Layout.set_u64 h Layout.Field.nnodes nnodes;
@@ -538,13 +516,9 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
            Layout.set_u64 h Layout.Field.pos_pidx o_ppidx;
            Layout.set_u64 h Layout.Field.pos_post o_ppost;
            Layout.set_u64 h Layout.Field.corpus_path o_cpath;
-           Layout.set_u32 h Layout.Field.flags
-             (if no_values then Layout.flag_no_values else 0);
-           Layout.set_u32 h Layout.Field.value_cap (min value_cap 0xFFFFFFFF);
            Layout.set_u64 h Layout.Field.nvals nvals;
            Layout.set_u64 h Layout.Field.npairs npairs;
            Layout.set_u64 h Layout.Field.val_entries val_entries;
-           Layout.set_u64 h Layout.Field.val_dropped val_dropped;
            Layout.set_u64 h Layout.Field.valtab_idx o_vidx;
            Layout.set_u64 h Layout.Field.valtab_blob o_vblob;
            Layout.set_u64 h Layout.Field.valtab_blob_len vblob_len;
@@ -576,13 +550,12 @@ let build ?(jobs = 1) ?(pos_cap = Layout.default_pos_cap)
     Obs.Metrics.add "index.build.postings" (key_entries + pos_entries);
     Obs.Metrics.add "index.build.values" nvals;
     Obs.Metrics.add "index.build.value_postings" val_entries;
-    Obs.Metrics.add "index.build.value_dropped" val_dropped;
     Obs.Metrics.add "index.build.bytes" file_size;
     Ok
       { docs = ndocs; errors; nodes = nnodes; keys = nkeys;
         key_postings = key_entries; pos_postings = pos_entries;
         values = nvals; value_pairs = npairs; value_postings = val_entries;
-        value_dropped = val_dropped; bytes = file_size }
+        bytes = file_size }
   with
   | Failure m -> Error m
   | Sys_error m -> Error m

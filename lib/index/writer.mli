@@ -15,8 +15,7 @@
     Counters: [index.build.docs], [index.build.nodes],
     [index.build.keys], [index.build.postings],
     [index.build.values], [index.build.value_postings],
-    [index.build.value_dropped], [index.build.errors],
-    [index.build.bytes]; span [index.build]. *)
+    [index.build.errors], [index.build.bytes]; span [index.build]. *)
 
 type stats = {
   docs : int;  (** documents indexed (non-blank lines) *)
@@ -28,15 +27,11 @@ type stats = {
   values : int;  (** distinct scalar values in the value table *)
   value_pairs : int;  (** distinct (leaf-label, value-id) postings lists *)
   value_postings : int;  (** entries across all value postings lists *)
-  value_dropped : int;  (** entries dropped by the [value_cap] ceiling *)
   bytes : int;  (** size of the written index file *)
 }
 
 val build :
   ?jobs:int ->
-  ?pos_cap:int ->
-  ?value_cap:int ->
-  ?no_values:bool ->
   ?fresh_budget:(unit -> Obs.Budget.t) ->
   corpus:string ->
   output:string ->
@@ -51,14 +46,6 @@ val build :
     more is refused, naming the line that reaches the limit.  Lines
     that fail to parse are recorded with an error flag — queries
     reproduce the exact parse error by reparsing just that line — and
-    do not fail the build.
-    [pos_cap] bounds how many array-position postings lists are
-    materialized (default {!Layout.default_pos_cap}); [value_cap]
-    (default {!Layout.default_value_cap}) bounds the length of one
-    (leaf-label, value) postings list — longer lists are dropped (the
-    pair keeps an empty range, so queries fall back instead of
-    scanning an unselective seed set) and counted in [value_dropped];
-    [no_values] skips the scalar-value table and value postings
-    entirely (the [eq] pushdown then always falls back to filtered
-    reparse).  A negative [pos_cap] or [value_cap] is an [Error], and
-    nothing is written. *)
+    do not fail the build.  The layout depends on the corpus alone:
+    every (leaf-label, scalar) pair keeps its whole postings list, and
+    every array position below {!Layout.pos_cap} keeps its own. *)

@@ -190,20 +190,17 @@ let skip_value ?(units = 1) mode budget keys lx depth =
   in
   value depth
 
-let budget_of budget max_depth =
-  match budget with
+let budget_of = function
   | Some b -> b
-  | None ->
-    Obs.Budget.depth_limited
-      (Option.value ~default:Obs.Budget.default_max_depth max_depth)
+  | None -> Obs.Budget.depth_limited Obs.Budget.default_max_depth
 
 let expect_eof lx =
   match Lexer.next_kind lx with
   | Lexer.K_eof -> ()
   | _ -> unexpected_at lx "end of input"
 
-let parse_exn ?(mode = `Strict) ?max_depth ?budget input =
-  let budget = budget_of budget max_depth in
+let parse_exn ?(mode = `Strict) ?budget input =
+  let budget = budget_of budget in
   let lx = Lexer.create input in
   let v = parse_value mode budget lx in
   expect_eof lx;
@@ -215,12 +212,11 @@ let wrap f =
   | exception Parse_error e -> Error e
   | exception Lexer.Error (position, message) -> Error { position; message }
 
-let parse ?mode ?max_depth ?budget input =
-  wrap (fun () -> parse_exn ?mode ?max_depth ?budget input)
+let parse ?mode ?budget input = wrap (fun () -> parse_exn ?mode ?budget input)
 
 let parse_prefix ?(mode = `Strict) ?budget input start =
   wrap (fun () ->
-      let budget = budget_of budget None in
+      let budget = budget_of budget in
       let tail = String.sub input start (String.length input - start) in
       let lx = Lexer.create tail in
       let v = parse_value mode budget lx in

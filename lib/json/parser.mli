@@ -24,18 +24,18 @@ val pp_error : Format.formatter -> error -> unit
 
 exception Parse_error of error
 
-val parse : ?mode:[ `Strict | `Lenient ] -> ?max_depth:int
-  -> ?budget:Obs.Budget.t -> string -> (Value.t, error) result
+val parse : ?mode:[ `Strict | `Lenient ] -> ?budget:Obs.Budget.t -> string
+  -> (Value.t, error) result
 (** [parse input] parses a single JSON document followed only by
-    whitespace.  [max_depth] (default {!Obs.Budget.default_max_depth},
-    i.e. [10_000]) bounds nesting to keep the parser total on
-    adversarial inputs.  [budget], when given, takes precedence over
-    [max_depth] and additionally enforces its fuel allowance (one unit
-    per parsed value) and wall-clock deadline; exhaustion surfaces as a
-    positioned [Error], never as an exception escaping [parse]. *)
+    whitespace.  [budget] bounds nesting (default: depth
+    {!Obs.Budget.default_max_depth}, i.e. [10_000], and nothing else)
+    to keep the parser total on adversarial inputs, and enforces its
+    fuel allowance (one unit per parsed value) and wall-clock
+    deadline; exhaustion surfaces as a positioned [Error], never as an
+    exception escaping [parse]. *)
 
-val parse_exn : ?mode:[ `Strict | `Lenient ] -> ?max_depth:int
-  -> ?budget:Obs.Budget.t -> string -> Value.t
+val parse_exn : ?mode:[ `Strict | `Lenient ] -> ?budget:Obs.Budget.t
+  -> string -> Value.t
 (** Like {!parse}.  @raise Parse_error on failure (including budget
     exhaustion). *)
 
@@ -102,10 +102,9 @@ val skip_value :
     skipping never weakens validation.  String {e values} are validated
     without being decoded. *)
 
-val budget_of : Obs.Budget.t option -> int option -> Obs.Budget.t
+val budget_of : Obs.Budget.t option -> Obs.Budget.t
 (** The budget an entry point runs under: the explicit one if given,
-    otherwise depth-limited to [max_depth] (default
-    {!Obs.Budget.default_max_depth}). *)
+    otherwise depth-limited to {!Obs.Budget.default_max_depth}. *)
 
 val wrap : (unit -> 'a) -> ('a, error) result
 (** Run a parsing computation, catching {!Parse_error} and

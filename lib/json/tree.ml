@@ -345,8 +345,8 @@ let of_lexer_exn ?(mode = `Strict) ?(base_depth = 0) ?(keys = Keyset.create ())
     ~budget lx =
   build_of_lexer ~mode ~base_depth ~budget ~keys ~capacity:16 lx
 
-let of_string_exn ?(mode = `Strict) ?max_depth ?budget input =
-  let budget = Parser.budget_of budget max_depth in
+let of_string_exn ?(mode = `Strict) ?budget input =
+  let budget = Parser.budget_of budget in
   let lx = Lexer.create input in
   (* the whole input is one value.  Records run 9–14 input bytes per
      node: one node per 12 bytes keeps the columns of a record up to
@@ -362,8 +362,8 @@ let of_string_exn ?(mode = `Strict) ?max_depth ?budget input =
   Obs.Metrics.incr "parse.direct.docs";
   t
 
-let of_string ?mode ?max_depth ?budget input =
-  Parser.wrap (fun () -> of_string_exn ?mode ?max_depth ?budget input)
+let of_string ?mode ?budget input =
+  Parser.wrap (fun () -> of_string_exn ?mode ?budget input)
 
 let node_count t = t.n
 let kind t n = t.kinds.(n)

@@ -59,8 +59,8 @@ val of_value : ?budget:Obs.Budget.t -> Value.t -> t
     (duplicate keys / negative numbers). *)
 
 val of_string :
-  ?mode:[ `Strict | `Lenient ] -> ?max_depth:int -> ?budget:Obs.Budget.t
-  -> string -> (t, Parser.error) result
+  ?mode:[ `Strict | `Lenient ] -> ?budget:Obs.Budget.t -> string
+  -> (t, Parser.error) result
 (** [of_string input] builds the tree straight from JSON text in a
     single fused pass: lexing, syntax checking and flat-array
     construction happen together, with no token list and no {!Value.t}
@@ -72,8 +72,7 @@ val of_string :
     [parse.direct.bytes], [parse.direct.docs], [parse.values]. *)
 
 val of_string_exn :
-  ?mode:[ `Strict | `Lenient ] -> ?max_depth:int -> ?budget:Obs.Budget.t
-  -> string -> t
+  ?mode:[ `Strict | `Lenient ] -> ?budget:Obs.Budget.t -> string -> t
 (** Like {!of_string}.  @raise Parser.Parse_error on failure (including
     budget exhaustion).  @raise Lexer.Error on malformed input. *)
 

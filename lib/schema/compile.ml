@@ -725,7 +725,6 @@ let singleton_closure p id =
 
 type stream_state = {
   s_budget : Obs.Budget.t;
-  s_mode : [ `Strict | `Lenient ];
   s_lx : Lexer.t;
   s_keys : Keyset.t;
     (* the member keys of every open object, streamed or skipped *)
@@ -893,7 +892,7 @@ let rec stream_value st p c depth =
     | Lexer.K_string -> scalar_str p.nodes ids (Lexer.string_value lx) verdicts
     | ( Lexer.K_neg_int | Lexer.K_float | Lexer.K_true | Lexer.K_false
       | Lexer.K_null ) as k -> (
-      match Parser.literal_atom st.s_mode lx k with
+      match Parser.literal_atom `Strict lx k with
       | Parser.Int v -> scalar_int p.nodes ids v verdicts
       | Parser.Str s -> scalar_str p.nodes ids s verdicts)
     | Lexer.K_rbrace | Lexer.K_rbracket | Lexer.K_colon | Lexer.K_comma
@@ -913,7 +912,7 @@ and stream_child st p depth per_slot ok =
   match Array.fold_left union_in (-1) per_slot with
   | -1 ->
     let before = Lexer.offset st.s_lx in
-    Parser.skip_value st.s_mode st.s_budget st.s_keys st.s_lx (depth + 1);
+    Parser.skip_value `Strict st.s_budget st.s_keys st.s_lx (depth + 1);
     Obs.Metrics.add "validate.stream.skipped_bytes"
       (Lexer.offset st.s_lx - before)
   | -2 ->
@@ -1026,7 +1025,7 @@ and stream_arr st p c depth verdicts =
 and spill st p c depth =
   Obs.Metrics.incr "validate.stream.spills";
   let t =
-    Tree.of_lexer_exn ~mode:st.s_mode ~base_depth:depth ~keys:st.s_keys
+    Tree.of_lexer_exn ~base_depth:depth ~keys:st.s_keys
       ~budget:st.s_budget st.s_lx
   in
   let est = { budget = st.s_budget; memo = Hashtbl.create 16 } in
@@ -1037,12 +1036,10 @@ and spill st p c depth =
   v
 
 let run_lexer
-    ?(budget = Obs.Budget.depth_limited Obs.Budget.default_max_depth)
-    ?(mode = `Strict) p lx =
+    ?(budget = Obs.Budget.depth_limited Obs.Budget.default_max_depth) p lx =
   Obs.Metrics.incr "validate.stream.runs";
   let st =
     { s_budget = budget;
-      s_mode = mode;
       s_lx = lx;
       s_keys = Keyset.create ();
       s_closures = Hashtbl.create 8 }
@@ -1052,5 +1049,4 @@ let run_lexer
   Parser.expect_eof lx;
   v.(c.c_requested.(0))
 
-let run_stream ?budget ?mode p input =
-  run_lexer ?budget ?mode p (Lexer.create input)
+let run_stream ?budget p input = run_lexer ?budget p (Lexer.create input)

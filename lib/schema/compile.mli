@@ -100,9 +100,7 @@ val run : ?budget:Obs.Budget.t -> t -> Jsont.Value.t -> bool
     values (negative numbers, duplicate keys), like every tree-based
     engine. *)
 
-val run_stream :
-  ?budget:Obs.Budget.t -> ?mode:[ `Strict | `Lenient ] -> t -> string
-  -> bool
+val run_stream : ?budget:Obs.Budget.t -> t -> string -> bool
 (** [run_stream p input] parses and validates [input] in one pass over
     the token stream, never materializing the document: memory is
     proportional to nesting depth plus the width of open containers,
@@ -132,8 +130,8 @@ val run_stream :
     per-(node, plan) unit) — a single budget covers the fused
     parse+validate, where the two-stage route draws parse and run fuel
     separately.  Without [budget], the depth ceiling is the parser's
-    default, {!Obs.Budget.default_max_depth}.  [mode] admits literals
-    like the parser's (default [`Strict]).
+    default, {!Obs.Budget.default_max_depth}.  Literals are admitted
+    like the parser's [`Strict] mode.
 
     Allocation follows the value being decided, not the document: the
     closure of a single plan id is built once per plan (on first use,
@@ -150,9 +148,7 @@ val run_stream :
     @raise Obs.Budget.Exhausted from a spilled {!run_tree} execution,
     @raise Jsont.Lexer.Error on lexical errors. *)
 
-val run_lexer :
-  ?budget:Obs.Budget.t -> ?mode:[ `Strict | `Lenient ] -> t -> Jsont.Lexer.t
-  -> bool
+val run_lexer : ?budget:Obs.Budget.t -> t -> Jsont.Lexer.t -> bool
 (** [run_lexer p lx] is {!run_stream} over an existing lexer: the
     document is whatever token stream [lx] yields up to [Eof].
     [run_stream p input = run_lexer p (Lexer.create input)].

@@ -139,7 +139,9 @@ rm -f "$wide" "$wide_schema" "$wide_docs" "$wide_req" "$wide_list"
 
 # Batch CLI wiring: --files-from across 2 domains must produce one
 # in-order line per input, agree with the sequential run, and fold a
-# malformed document into a per-file error instead of dying.
+# malformed document into a per-file error instead of dying.  Like
+# inline eval, the run exits 1 when a row is an error, and 0 when every
+# listed file parses.
 batch_dir=$(mktemp -d)
 batch_list="$batch_dir/list"
 for i in $(seq 1 40); do
@@ -147,14 +149,30 @@ for i in $(seq 1 40); do
     printf '{"name":{"first":}' > "$batch_dir/doc$i.json"   # malformed
   else
     printf '{"name":{"first":"John"},"age":%d}' "$i" > "$batch_dir/doc$i.json"
+    echo "$batch_dir/doc$i.json" >> "$batch_dir/good"
   fi
   echo "$batch_dir/doc$i.json" >> "$batch_list"
 done
+seq_status=0
 seq_out=$(timeout 120 "$JSONLOGIC" eval --files-from "$batch_list" --jobs 1 \
-  'eq(.name.first, "John")')
+  'eq(.name.first, "John")') || seq_status=$?
+par_status=0
 par_out=$(timeout 120 "$JSONLOGIC" eval --files-from "$batch_list" --jobs 2 \
-  'eq(.name.first, "John")')
+  'eq(.name.first, "John")') || par_status=$?
+good_status=0
+good_out=$(timeout 120 "$JSONLOGIC" eval --files-from "$batch_dir/good" \
+  --jobs 2 'eq(.name.first, "John")') || good_status=$?
 rm -rf "$batch_dir"
+if [ "$seq_status" != 1 ] || [ "$par_status" != 1 ]; then
+  echo "FAIL: batch eval with a malformed file: expected exit 1, got $seq_status/$par_status" >&2
+  exit 1
+fi
+if [ "$good_status" != 0 ] \
+   || [ "$(printf '%s\n' "$good_out" | grep -c '	true$')" != 39 ]; then
+  echo "FAIL: batch eval over well-formed files: exit $good_status" >&2
+  printf '%s\n' "$good_out" >&2
+  exit 1
+fi
 if [ "$seq_out" != "$par_out" ]; then
   echo "FAIL: batch eval --jobs 1 and --jobs 2 disagree" >&2
   printf '%s\n---\n%s\n' "$seq_out" "$par_out" >&2
@@ -698,6 +716,8 @@ done
 printf '{"m":[[0,[1,2,3,4]],[5],6,7]}\n' >> "$ndx"
 printf '{"m":[[[1,[2,3]],4],[5,[6,[7,8,9]]],[],10]}\n' >> "$ndx"
 printf '[[1,[2,[3,4,5]]],[6],{"m":[8,9]},[10,11,12,13]]\n' >> "$ndx"
+# an array past the 1 024 positions the index lists
+printf '{"m":[%s]}\n' "$(seq -s, 0 1100)" >> "$ndx"
 printf '{"tail":{"name":{"first":"Sue"}}}' >> "$ndx"           # no final \n
 nlines=0
 : > "$ixdir/list"
@@ -708,19 +728,28 @@ while IFS= read -r ixline || [ -n "$ixline" ]; do
 done < "$ndx"
 run 120 "$JSONLOGIC" index build "$ndx" -o "$ixdir/corpus.idx" > /dev/null
 info_out=$(run 60 "$JSONLOGIC" index info "$ixdir/corpus.idx")
+for info_line in "format JLIXIDX5 v5)" "documents: $nlines (4 parse errors)" \
+  "position postings: " "values: " "value postings: "; do
+  case $info_out in
+    *"$info_line"*) ;;
+    *) echo "FAIL: index info lacks '$info_line'" >&2
+       echo "$info_out" >&2
+       exit 1 ;;
+  esac
+done
 case $info_out in
-  *"documents: $nlines (4 parse errors)"*) ;;
-  *) echo "FAIL: index info does not report $nlines docs / 4 errors" >&2
-     echo "$info_out" >&2
-     exit 1 ;;
+  *capped* | *dropped* | *disabled*)
+    echo "FAIL: index info still reports value caps" >&2
+    echo "$info_out" >&2
+    exit 1 ;;
 esac
-check_index_query() {  # formula [index, default corpus.idx]
-  iq=$(timeout 120 "$JSONLOGIC" index query "${2:-$ixdir/corpus.idx}" "$1") \
+check_index_query() {  # formula
+  iq=$(timeout 120 "$JSONLOGIC" index query "$ixdir/corpus.idx" "$1") \
     || true
   ev=$(timeout 120 "$JSONLOGIC" eval --files-from "$ixdir/list" "$1" \
        | sed "s|^$ixdir/||") || true
   if [ "$iq" != "$ev" ] || [ -z "$iq" ]; then
-    echo "FAIL: index query ${2:-} vs eval --files-from disagree on: $1" >&2
+    echo "FAIL: index query vs eval --files-from disagree on: $1" >&2
     printf '%s\n---\n%s\n' "$iq" "$ev" | head -20 >&2
     exit 1
   fi
@@ -737,17 +766,16 @@ check_index_query '<.orders[-1].lines[0]>'
 check_index_query '<.tags[-2:*]>'
 check_index_query '<(.~/.*/)*.sku>'
 check_index_query 'eq(.name.first, .name.last)'
-# positions past nested elements, negative indices and windows, on the
-# default index and on one that lists positions 0 and 1 only (the rest
-# hop siblings from position 1)
-run 120 "$JSONLOGIC" index build --pos-cap 2 "$ndx" -o "$ixdir/cap2.idx" \
-  > /dev/null
+# positions past nested elements, negative indices and windows; on the
+# 1 101-element array, steps on both sides of the position cap (those
+# past it hop siblings from the last listed position)
 for nq in '<.m[3]>' '<.m[1][0]>' '<.m[0][1][3]>' '<.m[-2]>' '<.m[1:2]>' \
-          '<[2]>'; do
+          '<[2]>' '<.m[1023]>' '<.m[1024]>' '<.m[1025]>' '<.m[1100]>' \
+          '<.m[1101]>' '<.m[-1]>' '<.m[-1101]>' '<.m[-1102]>' \
+          '<.m[1020:1030]>' '<.m[1024:*]>' 'eq(.m[1050], 1050)' \
+          'eq(.m[-1], 1100)'; do
   check_index_query "$nq"
-  check_index_query "$nq" "$ixdir/cap2.idx"
 done
-rm -f "$ixdir/cap2.idx"
 # ... and reparses nothing but the 4 malformed lines (their verdict is
 # the parse error)
 reparsed=$(timeout 60 "$JSONLOGIC" index query --metrics "$ixdir/corpus.idx" \
@@ -775,43 +803,6 @@ check_index_query 'eq(.orders[0].lines[0].qty, 4)'
 check_index_query 'eq(.name.first, "NoSuchNameAnywhere")'
 check_index_query '<.id> & eq(.tags[0], "a")'
 check_index_query 'eq(.name.first, "John") | eq(.tail.name.first, "Sue")'
-# the value table is reported by index info
-case $info_out in
-  *"value postings:"*) ;;
-  *) echo "FAIL: index info does not report value postings" >&2
-     echo "$info_out" >&2
-     exit 1 ;;
-esac
-
-# --no-values escape hatch: the index builds without value sections,
-# reports them disabled, and still answers every eq byte-identically
-# (through the filtered plan); building twice is byte-identical
-run 120 "$JSONLOGIC" index build --no-values "$ndx" \
-  -o "$ixdir/novals.idx" > /dev/null
-run 120 "$JSONLOGIC" index build --no-values "$ndx" \
-  -o "$ixdir/novals2.idx" > /dev/null
-if ! cmp -s "$ixdir/novals.idx" "$ixdir/novals2.idx"; then
-  echo "FAIL: --no-values builds are not byte-identical" >&2
-  exit 1
-fi
-nv_info=$(run 60 "$JSONLOGIC" index info "$ixdir/novals.idx")
-case $nv_info in
-  *"values: disabled"*) ;;
-  *) echo "FAIL: index info does not report values disabled" >&2
-     echo "$nv_info" >&2
-     exit 1 ;;
-esac
-for nvq in 'eq(.name.first, "John")' 'eq(eps, "scalar-3")' \
-  'eq(.name.first, "NoSuchNameAnywhere")'; do
-  withv=$(timeout 120 "$JSONLOGIC" index query "$ixdir/corpus.idx" "$nvq")
-  without=$(timeout 120 "$JSONLOGIC" index query "$ixdir/novals.idx" "$nvq")
-  if [ "$withv" != "$without" ] || [ -z "$withv" ]; then
-    echo "FAIL: --no-values index disagrees on: $nvq" >&2
-    printf '%s\n---\n%s\n' "$withv" "$without" | head -10 >&2
-    exit 1
-  fi
-done
-rm -f "$ixdir/novals.idx" "$ixdir/novals2.idx"
 
 # INDEXQ smoke replay: the daemon's DATA payload must be byte-identical
 # to the `index query` CLI rows (under the same budget flags), and its
@@ -888,12 +879,17 @@ stop_indexq_daemon
 # Crash safety: a rebuild killed mid-write (file-size limit, SIGXFSZ
 # ignored so the write fails) exits 1 with error:, leaves the previous
 # index byte-identical and no temporary file behind; two concurrent
-# builds of one output leave a file that opens and equals one of the
-# two solo builds.  The corpus is the gate corpus forty times over, so
-# the index outgrows the limit.
+# builds of two corpora into one output leave a file that opens and
+# equals one of the two solo builds.  The corpus is the gate corpus
+# forty times over, so the index outgrows the limit: 64 blocks are
+# 32 KiB or 64 KiB, as the shell counts them.
 big="$ixdir/big.ndjson"
 for _ in $(seq 1 40); do cat "$ndx"; echo; done > "$big"
 run 120 "$JSONLOGIC" index build "$big" -o "$ixdir/big.idx" > /dev/null
+if [ "$(wc -c < "$ixdir/big.idx")" -le 65536 ]; then
+  echo "FAIL: the crash-safety index fits under the file-size limit" >&2
+  exit 1
+fi
 cp "$ixdir/big.idx" "$ixdir/big.before"
 fsz_status=0
 fsz_out=$( (trap '' XFSZ; ulimit -f 64
@@ -904,8 +900,8 @@ if [ "$fsz_status" != 1 ]; then
   exit 1
 fi
 case $fsz_out in
-  *"error:"*) ;;
-  *) echo "FAIL: size-limited rebuild did not print error: $fsz_out" >&2
+  *"error: File too large"*) ;;
+  *) echo "FAIL: size-limited rebuild did not stop at the limit: $fsz_out" >&2
      exit 1 ;;
 esac
 if ! cmp -s "$ixdir/big.idx" "$ixdir/big.before"; then
@@ -916,13 +912,14 @@ if ls "$ixdir" | grep -q '\.tmp$'; then
   echo "FAIL: size-limited rebuild left a temporary file: $(ls "$ixdir")" >&2
   exit 1
 fi
-run 120 "$JSONLOGIC" index build --no-values "$big" \
-  -o "$ixdir/big.novals" > /dev/null
+big2="$ixdir/big2.ndjson"
+{ cat "$big"; cat "$ndx"; } > "$big2"
+run 120 "$JSONLOGIC" index build "$big2" -o "$ixdir/big2.idx" > /dev/null
 race_a=0
 race_b=0
 "$JSONLOGIC" index build "$big" -o "$ixdir/race.idx" > /dev/null &
 pid_a=$!
-"$JSONLOGIC" index build --no-values "$big" -o "$ixdir/race.idx" > /dev/null &
+"$JSONLOGIC" index build "$big2" -o "$ixdir/race.idx" > /dev/null &
 pid_b=$!
 wait "$pid_a" || race_a=$?
 wait "$pid_b" || race_b=$?
@@ -932,11 +929,11 @@ if [ "$race_a" != 0 ] || [ "$race_b" != 0 ]; then
 fi
 run 60 "$JSONLOGIC" index info "$ixdir/race.idx" > /dev/null
 if ! cmp -s "$ixdir/race.idx" "$ixdir/big.idx" \
-   && ! cmp -s "$ixdir/race.idx" "$ixdir/big.novals"; then
+   && ! cmp -s "$ixdir/race.idx" "$ixdir/big2.idx"; then
   echo "FAIL: concurrent builds left a file equal to neither solo build" >&2
   exit 1
 fi
-rm -f "$big" "$ixdir/big.idx" "$ixdir/big.before" "$ixdir/big.novals" \
+rm -f "$big" "$big2" "$ixdir/big.idx" "$ixdir/big.before" "$ixdir/big2.idx" \
   "$ixdir/race.idx"
 
 # Corpus index gate, part 2: the index stays queryable read-only —

@@ -1,7 +1,9 @@
 (* Tests for the persistent corpus index: differential agreement with
    the reparse-everything baseline over a PRNG corpus and 327 queries
-   (also under a position cap, with the reparse count pinned), the
-   per-query fuel rule, byte-identical builds across lane counts, fault
+   (with the reparse count pinned) and over arrays that pass the
+   position cap, line numbering against [Par.Batch.lines], the
+   per-query fuel rule, eq answered from a postings list of more than
+   65 536 entries, byte-identical builds across lane counts, fault
    injection (bit-flips, truncations, forged header counts, corrupt
    postings, older format versions), stale-corpus rejection, and the
    tree label-index single-build regression. *)
@@ -180,13 +182,8 @@ and path_needs_reparse (p : Jlogic.Jnl.path) =
 (* Every query answers like the per-line baseline, byte for byte; the
    ones postings decide reparse the malformed lines on a fresh reader
    and nothing at all once the reader holds their cells. *)
-let differential ?pos_cap () =
-  let corpus = temp_path ".ndjson" in
-  let idx = temp_path ".idx" in
-  write_file corpus (Lazy.force corpus_text);
-  (match Jindex.Writer.build ~jobs:2 ?pos_cap ~corpus ~output:idx () with
-  | Ok _ -> ()
-  | Error m -> Alcotest.fail ("build failed: " ^ m));
+let test_differential () =
+  let _corpus, idx = build_corpus_index () in
   let r = open_exn idx in
   let lines = corpus_lines (Lazy.force corpus_text) in
   Alcotest.(check int) "every non-blank line indexed" (List.length lines)
@@ -222,22 +219,101 @@ let differential ?pos_cap () =
             fresh := false))
     (query_set ())
 
-let test_differential () = differential ()
-let test_differential_pos_cap () = differential ~pos_cap:2 ()
+(* Arrays of 1 030 and 2 100 elements, one holding a nested array of
+   1 030 past position 1 024: steps at, below and past the position cap
+   (those past it hop siblings from the last listed position), under a
+   key, nested in an array and at the root, answer like the baseline
+   from postings alone, at one lane and at two. *)
+let test_differential_past_cap () =
+  let nats n f = String.concat "," (List.init n f) in
+  let num = string_of_int in
+  let wide = Printf.sprintf "[%s]" (nats 1030 num) in
+  let text =
+    String.concat "\n"
+      [ Printf.sprintf "{\"a\":%s}" wide;
+        Printf.sprintf "{\"a\":[%s]}"
+          (nats 2100 (fun i -> if i = 1100 then wide else num i));
+        Printf.sprintf "[%s,[%s]]" wide
+          (nats 2100 (fun i -> if i = 1500 then wide else num i));
+        Printf.sprintf "{\"a\":[%s],\"b\":[[%s]]}" (nats 1024 num)
+          (nats 1025 num);
+        "{\"a\":[1,2,3]}"; "[]" ]
+  in
+  let corpus = temp_path ".ndjson" in
+  write_file corpus text;
+  let steps =
+    [ "[1023]"; "[1024]"; "[1025]"; "[2099]"; "[-1]"; "[-1030]";
+      "[1020:1030]"; "[1024:*]" ]
+  in
+  let queries =
+    List.concat_map
+      (fun s ->
+        [ "<.a" ^ s ^ ">"; "!<.a" ^ s ^ ">"; "<.b[0]" ^ s ^ ">";
+          "<.a[1100]" ^ s ^ ">"; "<[1]" ^ s ^ ">"; "<[1][1500]" ^ s ^ ">" ])
+      steps
+    @ [ "eq(.a[1025], 1025)"; "eq(.a[2099], 2099)"; "eq(.a[1100][1029], 1029)";
+        "eq([1][1500][-1], 1029)"; "<.a[1024:*]?(eq(eps, 2000))>" ]
+  in
+  let lines = corpus_lines text in
+  List.iter
+    (fun jobs ->
+      let idx = temp_path ".idx" in
+      (match Jindex.Writer.build ~jobs ~corpus ~output:idx () with
+      | Ok _ -> ()
+      | Error m -> Alcotest.fail ("build failed: " ^ m));
+      let r = open_exn idx in
+      Alcotest.(check int) "positions listed up to the cap" Jindex.Layout.pos_cap
+        (Jindex.Reader.npos r);
+      List.iter
+        (fun q ->
+          let phi = Jlogic.Jnl.parse_exn q in
+          let expect = List.map (fun (_, line) -> baseline_verdict phi line) lines in
+          with_metrics (fun () ->
+              match Jindex.Query.run ~jobs r phi with
+              | Error m -> Alcotest.failf "jobs %d, %s: %s" jobs q m
+              | Ok verdicts ->
+                Alcotest.(check (list string))
+                  (Printf.sprintf "jobs %d, agreement on %s" jobs q)
+                  expect
+                  (Array.to_list (Array.map Jindex.Query.verdict_string verdicts));
+                Alcotest.(check int)
+                  (Printf.sprintf "jobs %d, %s reparses nothing" jobs q)
+                  0
+                  (Obs.Metrics.counter_value "index.query.reparsed")))
+        queries)
+    [ 1; 2 ]
 
-(* line numbers reported by the index match the corpus line numbering
-   (blank and malformed lines included in the count) *)
+(* The index numbers and slices its documents exactly as
+   [Par.Batch.lines] reads them: over the corpus (blank and malformed
+   lines included in the count) and over the line reader's own cases —
+   CRLF and whitespace-only lines, leading blank lines, a lone '\r',
+   unterminated last lines. *)
 let test_linenos () =
-  let _corpus, idx = build_corpus_index () in
-  let r = open_exn idx in
-  let lines = corpus_lines (Lazy.force corpus_text) in
   List.iteri
-    (fun d (lineno, _) ->
+    (fun case text ->
+      let corpus = temp_path ".ndjson" and idx = temp_path ".idx" in
+      write_file corpus text;
+      (match Jindex.Writer.build ~corpus ~output:idx () with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "case %d: build failed: %s" case m);
+      let lines = ref [] in
+      In_channel.with_open_bin corpus
+        (Par.Batch.lines ~chunk_bytes:65536 Fun.id (fun lineno line ->
+             lines := (lineno, line) :: !lines));
+      let r = open_exn idx in
       Alcotest.(check int)
-        (Printf.sprintf "doc %d lineno" d)
-        lineno
-        (Jindex.Reader.doc_lineno r d))
-    lines
+        (Printf.sprintf "case %d: one document per line" case)
+        (List.length !lines) (Jindex.Reader.ndocs r);
+      List.iteri
+        (fun d (lineno, line) ->
+          Alcotest.(check (pair int string))
+            (Printf.sprintf "case %d: doc %d line and bytes" case d)
+            (lineno, line)
+            ( Jindex.Reader.doc_lineno r d,
+              String.sub text (Jindex.Reader.doc_off r d)
+                (Jindex.Reader.doc_len r d) ))
+        (List.rev !lines))
+    (Lazy.force corpus_text :: Ndjson_cases.lines_cases)
 
 (* The least fuel a query needs on an index over [text]: per-query
    fuel must follow the postings a formula touches, so padding the
@@ -305,59 +381,45 @@ let test_eq_zero_reparse () =
       Alcotest.(check int) "only parse-error lines reparsed" !errs
         (Obs.Metrics.counter_value "index.query.reparsed"))
 
-(* a --no-values index still answers every eq query correctly (via the
-   filtered plan) and reports values as disabled *)
-let test_no_values () =
-  let corpus = temp_path ".ndjson" in
-  let idx = temp_path ".idx" in
-  write_file corpus (Lazy.force corpus_text);
-  (match Jindex.Writer.build ~jobs:2 ~no_values:true ~corpus ~output:idx () with
-  | Ok s ->
-    Alcotest.(check int) "no value table" 0 s.Jindex.Writer.values;
-    Alcotest.(check int) "no value postings" 0 s.Jindex.Writer.value_postings
+(* A (label, scalar) pair more common than any former value cap (65 536
+   entries) keeps its postings list: eq on it is answered from postings
+   alone, every entry read, nothing reparsed. *)
+let test_eq_common_pair () =
+  let n = 70_000 in
+  let text =
+    String.concat "\n"
+      (List.init n (fun i ->
+           Printf.sprintf "{\"s\":\"%s\",\"i\":%d}"
+             (if i mod 50 = 0 then "y" else "x")
+             i))
+  in
+  let corpus = temp_path ".ndjson" and idx = temp_path ".idx" in
+  write_file corpus text;
+  (match Jindex.Writer.build ~jobs:2 ~corpus ~output:idx () with
+  | Ok _ -> ()
   | Error m -> Alcotest.fail ("build failed: " ^ m));
   let r = open_exn idx in
-  Alcotest.(check bool) "values disabled" false (Jindex.Reader.has_values r);
-  let lines = corpus_lines (Lazy.force corpus_text) in
+  let lines = corpus_lines text in
+  let xs = n - (n / 50) in
+  Alcotest.(check bool) "the pair passes 65 536 entries" true (xs > 65_536);
   List.iter
-    (fun q ->
+    (fun (q, hits) ->
       let phi = Jlogic.Jnl.parse_exn q in
       let expect = List.map (fun (_, line) -> baseline_verdict phi line) lines in
-      match Jindex.Query.run r phi with
-      | Error m -> Alcotest.fail (q ^ ": " ^ m)
-      | Ok verdicts ->
-        Alcotest.(check (list string)) ("agreement on " ^ q) expect
-          (Array.to_list (Array.map Jindex.Query.verdict_string verdicts)))
-    [ "eq(.name.first, \"John\")"; "eq(eps, 7)";
-      "eq(.name.first, \"NoSuchNameXYZ\")"; "!eq(.age, 42)" ]
-
-(* a tiny value cap drops the hot postings lists; the capped pairs fall
-   back to filtered reparse and still agree with the baseline *)
-let test_value_cap_fallback () =
-  let corpus = temp_path ".ndjson" in
-  let idx = temp_path ".idx" in
-  write_file corpus (Lazy.force corpus_text);
-  (match Jindex.Writer.build ~jobs:2 ~value_cap:1 ~corpus ~output:idx () with
-  | Ok s ->
-    Alcotest.(check bool) "cap dropped entries" true
-      (s.Jindex.Writer.value_dropped > 0)
-  | Error m -> Alcotest.fail ("build failed: " ^ m));
-  let r = open_exn idx in
-  Alcotest.(check bool) "capped pairs visible" true
-    (Jindex.Reader.capped_pairs r > 0);
-  let lines = corpus_lines (Lazy.force corpus_text) in
-  List.iter
-    (fun q ->
-      let phi = Jlogic.Jnl.parse_exn q in
-      let expect = List.map (fun (_, line) -> baseline_verdict phi line) lines in
-      match Jindex.Query.run r phi with
-      | Error m -> Alcotest.fail (q ^ ": " ^ m)
-      | Ok verdicts ->
-        Alcotest.(check (list string)) ("agreement on " ^ q) expect
-          (Array.to_list (Array.map Jindex.Query.verdict_string verdicts)))
-    (* SKU-0-0 recurs across records: capped at 1; a first name recurs
-       too — both must take the fallback and stay correct *)
-    [ "eq(.orders[0].lines[0].sku, \"SKU-0-0\")"; "eq(.name.first, \"John\")" ]
+      with_metrics (fun () ->
+          (match Jindex.Query.run ~jobs:2 r phi with
+          | Error m -> Alcotest.fail (q ^ ": " ^ m)
+          | Ok verdicts ->
+            Alcotest.(check (list string)) ("agreement on " ^ q) expect
+              (Array.to_list (Array.map Jindex.Query.verdict_string verdicts)));
+          Alcotest.(check (list int))
+            ("postings-only, reparsed, value hits: " ^ q)
+            [ 1; 0; hits ]
+            (List.map Obs.Metrics.counter_value
+               [ "index.query.postings_only"; "index.query.reparsed";
+                 "index.query.value_hits" ])))
+    [ ("eq(.s, \"x\")", xs); ("!eq(.s, \"x\")", xs);
+      ("eq(.s, \"y\")", n - xs) ]
 
 (* number canonicalization at the index boundary: every notation that
    parses to the same natural shares one value id, and mixed-notation
@@ -507,25 +569,6 @@ let test_forged_counts () =
   forge Jindex.Layout.Field.valtab_blob 3;
   forge Jindex.Layout.Field.val_post (1 lsl 40)
 
-(* unknown header flag bits (a u32, so not [forge]-able with set_u64
-   without clobbering value_cap) must be refused even re-signed *)
-let test_forged_flags () =
-  let _corpus, idx = build_corpus_index () in
-  let b = Bytes.of_string (read_file idx) in
-  Jindex.Layout.set_u32 b Jindex.Layout.Field.flags 0xFE;
-  let sum =
-    Jindex.Layout.checksum_bytes Jindex.Layout.checksum_init b 0
-      Jindex.Layout.Field.header_checksum
-  in
-  Jindex.Layout.set_u64 b Jindex.Layout.Field.header_checksum sum;
-  let mutant = temp_path ".idx" in
-  write_file mutant (Bytes.to_string b);
-  match Jindex.Reader.open_ ~verify_body:false mutant with
-  | Error m ->
-    Alcotest.(check bool) ("names the flag bits: " ^ m) true
-      (String.length m > 0)
-  | Ok _ -> Alcotest.fail "unknown flag bits accepted"
-
 (* a pair-table entry naming a value id beyond the table is structural
    corruption the open-time sweep catches even without the body
    checksum *)
@@ -568,7 +611,7 @@ let test_old_version_refusal () =
            in
            has_sub (Printf.sprintf "unsupported index version %d" v))
       | Ok _ -> Alcotest.fail (Printf.sprintf "v%d magic accepted" v))
-    [ 1; 2; 3 ];
+    [ 1; 2; 3; 4 ];
   (* a non-index file is still the plain bad-magic refusal *)
   let junk = temp_path ".idx" in
   write_file junk (String.make 512 'x');
@@ -882,29 +925,6 @@ let test_sweep_temps () =
     (Sys.file_exists (planted live));
   Sys.remove (planted live)
 
-(* a negative cap is refused before anything is written, instead of
-   wrapping around in the header *)
-let test_negative_caps () =
-  let corpus = temp_path ".ndjson" and out = temp_path ".idx" in
-  write_file corpus "{\"a\":1}\n";
-  Sys.remove out;
-  List.iter
-    (fun (what, build, expected) ->
-      (match build () with
-      | Ok _ -> Alcotest.failf "%s accepted" what
-      | Error m -> Alcotest.(check string) what expected m);
-      Alcotest.(check bool) (what ^ ": no index written") false
-        (Sys.file_exists out))
-    [ ("pos_cap -1",
-       (fun () -> Jindex.Writer.build ~pos_cap:(-1) ~corpus ~output:out ()),
-       "position cap -1 is negative");
-      ("value_cap -5",
-       (fun () -> Jindex.Writer.build ~value_cap:(-5) ~corpus ~output:out ()),
-       "value cap -5 is negative") ];
-  match Jindex.Writer.build ~pos_cap:0 ~value_cap:0 ~corpus ~output:out () with
-  | Ok _ -> Sys.remove out
-  | Error m -> Alcotest.fail ("caps of 0 refused: " ^ m)
-
 (* ---- tree label-index single-build regression (PR 8 satellite) -------------- *)
 
 let test_tree_index_single_build () =
@@ -939,18 +959,17 @@ let () =
     [ ("differential",
        [ Alcotest.test_case "index vs reparse baseline" `Quick
            test_differential;
-         Alcotest.test_case "index vs reparse baseline, pos-cap 2" `Quick
-           test_differential_pos_cap;
+         Alcotest.test_case
+           "index vs reparse baseline, arrays past the position cap" `Quick
+           test_differential_past_cap;
          Alcotest.test_case "line numbering" `Quick test_linenos;
          Alcotest.test_case "fuel follows postings, not corpus size" `Quick
            test_fuel_rule ]);
       ("eq-pushdown",
        [ Alcotest.test_case "postings-only, zero reparses" `Quick
            test_eq_zero_reparse;
-         Alcotest.test_case "--no-values falls back and agrees" `Quick
-           test_no_values;
-         Alcotest.test_case "capped pairs fall back and agree" `Quick
-           test_value_cap_fallback;
+         Alcotest.test_case "a pair past 65 536 entries, from postings"
+           `Quick test_eq_common_pair;
          Alcotest.test_case "number canonicalization" `Quick
            test_number_canonicalization;
          Alcotest.test_case "planner reorders conjunctions" `Quick
@@ -963,8 +982,6 @@ let () =
          Alcotest.test_case "truncations rejected" `Quick test_truncations;
          Alcotest.test_case "forged counts rejected" `Quick
            test_forged_counts;
-         Alcotest.test_case "forged flag bits rejected" `Quick
-           test_forged_flags;
          Alcotest.test_case "forged pair table rejected" `Quick
            test_forged_pair_table;
          Alcotest.test_case "v1 magic gets versioned refusal" `Quick
@@ -990,8 +1007,7 @@ let () =
            test_same_size_rewrite ]);
       ("writer",
        [ Alcotest.test_case "dead builds' temp files swept" `Quick
-           test_sweep_temps;
-         Alcotest.test_case "negative caps refused" `Quick test_negative_caps ]);
+           test_sweep_temps ]);
       ("tree-index",
        [ Alcotest.test_case "single build, single charge" `Quick
            test_tree_index_single_build ]) ]

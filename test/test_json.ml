@@ -134,10 +134,10 @@ let test_parse_model_restriction () =
 let test_parse_depth_limit () =
   let deep = String.concat "" (List.init 200 (fun _ -> "[")) in
   let deep = deep ^ "1" ^ String.concat "" (List.init 200 (fun _ -> "]")) in
-  (match Parser.parse ~max_depth:100 deep with
+  (match Parser.parse ~budget:(Obs.Budget.depth_limited 100) deep with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "depth limit not enforced");
-  match Parser.parse ~max_depth:1000 deep with
+  match Parser.parse ~budget:(Obs.Budget.depth_limited 1000) deep with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "deep doc rejected: %a" Parser.pp_error e
 
@@ -925,12 +925,15 @@ let test_wide_object () =
 
 let test_direct_depth_agreement () =
   let deep = String.make 40 '[' ^ "1" ^ String.make 40 ']' in
-  (match (Tree.of_string ~max_depth:10 deep, Parser.parse ~max_depth:10 deep) with
+  let depth n = Obs.Budget.depth_limited n in
+  (match
+     (Tree.of_string ~budget:(depth 10) deep, Parser.parse ~budget:(depth 10) deep)
+   with
   | Error e1, Error e2 ->
     Alcotest.(check string) "depth error renders identically"
       (render_error e2) (render_error e1)
   | _ -> Alcotest.fail "expected depth exhaustion on both routes");
-  match Tree.of_string ~max_depth:50 deep with
+  match Tree.of_string ~budget:(depth 50) deep with
   | Ok t -> Alcotest.(check int) "within ceiling" 41 (Tree.node_count t)
   | Error e -> Alcotest.failf "unexpected: %s" (render_error e)
 

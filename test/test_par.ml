@@ -192,18 +192,6 @@ let run_lines ~jobs ~chunk_bytes text =
     List.map counter [ "test.lines"; "par.batch.docs"; "validate.feed.chunks" ]
   )
 
-let lines_cases =
-  let rng = Jworkload.Prng.create 7 in
-  let random () =
-    String.init
-      (Jworkload.Prng.int rng 400)
-      (fun _ -> Jworkload.Prng.choose rng [ 'a'; 'b'; '\n'; '\n'; ' '; '\r'; '{' ])
-  in
-  [ ""; "\n"; "\n\n  \n\t\n"; "a\r\nb\n\r\n  c  \n"; "x\ny"; "only";
-    "one\n"; String.make 200 'z' ^ "\nshort\n" ^ String.make 70_000 'w';
-    "\n\nlead\n\n" ]
-  @ List.init 30 (fun _ -> random ())
-
 let test_lines_identity () =
   Obs.Metrics.set_enabled true;
   List.iteri
@@ -230,7 +218,7 @@ let test_lines_identity () =
             (n, n)
             (List.nth sequential 0, List.nth sequential 1))
         [ 1; 7; 65536 ])
-    lines_cases
+    Ndjson_cases.lines_cases
 
 let test_lines_chunks_counted () =
   Obs.Metrics.set_enabled true;
