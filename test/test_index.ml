@@ -959,8 +959,7 @@ let () =
     [ ("differential",
        [ Alcotest.test_case "index vs reparse baseline" `Quick
            test_differential;
-         Alcotest.test_case
-           "index vs reparse baseline, arrays past the position cap" `Quick
+         Alcotest.test_case "index vs reparse baseline, past cap" `Quick
            test_differential_past_cap;
          Alcotest.test_case "line numbering" `Quick test_linenos;
          Alcotest.test_case "fuel follows postings, not corpus size" `Quick
