@@ -120,10 +120,9 @@ let last_input args = match List.rev args with [] -> "-" | x :: _ -> x
 (* ---- inline input: one route for every collection command ----------------- *)
 
 (* eval, validate, find, aggregate and infer cut their input into
-   documents with [Par.Batch.values], in 64 KiB slices as [client
-   --stream] reads ([validate]: [--chunk-bytes]); every document runs
-   under its own budget on the --jobs lanes. *)
-let slice_bytes = 65536
+   documents with [Par.Batch.values], in [Par.Batch.slice_bytes]
+   slices; every document runs under its own budget on the --jobs
+   lanes. *)
 
 let parse_error e = Format.asprintf "%a" Jsont.Parser.pp_error e
 
@@ -135,7 +134,7 @@ let tree_of obs text =
    [f]'s cell on its tree and the document compacted, or the error
    cell and [path:line], the line it begins on.  True when [good]
    holds of every cell. *)
-let print_rows obs ~chunk_bytes path f good =
+let print_rows obs path f good =
   let all = ref true in
   let doc text =
     let shown = ref None in
@@ -149,7 +148,8 @@ let print_rows obs ~chunk_bytes path f good =
     (cell, !shown)
   in
   with_input path
-    (Par.Batch.values ~jobs:obs.jobs ~chunk_bytes doc (fun lineno (cell, shown) ->
+    (Par.Batch.values ~jobs:obs.jobs ~chunk_bytes:Par.Batch.slice_bytes doc
+       (fun lineno (cell, shown) ->
          if not (good cell) then all := false;
          Printf.printf "%s\t%s\n" cell
            (Option.value shown ~default:(Printf.sprintf "%s:%d" path lineno))));
@@ -161,8 +161,8 @@ let print_rows obs ~chunk_bytes path f good =
    fails stops the command with its error, labelled [path:line]. *)
 let each_doc obs path f k =
   with_input path
-    (Par.Batch.values ~jobs:obs.jobs ~collection:true ~chunk_bytes:slice_bytes
-       f (fun lineno -> function
+    (Par.Batch.values ~jobs:obs.jobs ~collection:true
+       ~chunk_bytes:Par.Batch.slice_bytes f (fun lineno -> function
        | Ok x -> k x
        | Error m -> failwith (Printf.sprintf "%s:%d: %s" path lineno m)))
 
@@ -178,10 +178,12 @@ let collection_values obs path =
 
 (* A pipeline over the documents of [path], or of the files listed in
    [files_from], through one per-document function: a tree,
-   [doc_of_tree], [apply_doc] on the streaming prefix; the results
-   leave the lane as values.  Then [run_docs] on the blocking suffix;
-   when that is empty it runs per document, and results print as soon
-   as they are in order. *)
+   [doc_of_tree], [apply_doc] on the streaming prefix under a budget of
+   its own; the results leave the lane as values, and a spent budget
+   fails the document as a parse error does.  Then [run_docs] on the
+   blocking suffix, under the command's budget; when that is empty it
+   runs per document, and results print as soon as they are in
+   order. *)
 let run_pipeline obs pl ~files_from path =
   let module A = Jquery.Mongo_agg in
   let streaming, blocking = A.split_streaming pl in
@@ -191,11 +193,15 @@ let run_pipeline obs pl ~files_from path =
           Jsont.Tree.of_string ~budget:(obs.fresh_budget ()) text)
     with
     | Error e -> Error (parse_error e)
-    | Ok t ->
+    | Ok t -> (
       Obs.Metrics.span "phase.eval" @@ fun () ->
-      let ds = A.apply_doc streaming (A.doc_of_tree t) in
-      let ds = if A.is_empty blocking then A.run_docs blocking ds else ds in
-      Ok (List.map A.doc_value ds)
+      match
+        A.apply_doc ~budget:(obs.fresh_budget ()) streaming (A.doc_of_tree t)
+      with
+      | ds ->
+        let ds = if A.is_empty blocking then A.run_docs blocking ds else ds in
+        Ok (List.map A.doc_value ds)
+      | exception Obs.Budget.Exhausted r -> Error (Obs.Budget.describe r))
   in
   let print = List.iter (fun v -> print_endline (Jsont.Printer.compact v)) in
   let kept = ref [] in
@@ -213,7 +219,10 @@ let run_pipeline obs pl ~files_from path =
   | None -> each_doc obs path per_doc take);
   if not (A.is_empty blocking) then
     print
-      (Obs.Metrics.span "phase.eval" (fun () -> A.run blocking (List.rev !kept)))
+      (Obs.Metrics.span "phase.eval" (fun () ->
+           A.run_docs ~budget:obs.budget blocking
+             (List.rev_map A.doc_of_value !kept)
+           |> List.map A.doc_value))
 
 let wrap f =
   let fail m =
@@ -277,8 +286,7 @@ let eval_cmd =
             Array.iter2 (Printf.printf "%s\t%s\n") paths cells;
             Array.for_all answered cells
           | None ->
-            print_rows obs ~chunk_bytes:slice_bytes (last_input files) holds
-              answered
+            print_rows obs (last_input files) holds answered
         in
         if not all_answered then exit 1)
   in
@@ -298,7 +306,7 @@ let select_cmd =
         let doc = parse_doc_exn ~budget:obs.budget (read_input (last_input files)) in
         match
           Obs.Metrics.span "phase.eval" (fun () ->
-              Jquery.Jsonpath.select doc path)
+              Jquery.Jsonpath.select ~budget:obs.budget doc path)
         with
         | Ok hits -> List.iter (fun v -> print_endline (Jsont.Printer.compact v)) hits
         | Error m -> failwith ("bad path: " ^ m))
@@ -397,28 +405,19 @@ let validate_cmd =
            ~doc:"Validate straight off the token stream without materializing \
                  documents (memory stays proportional to nesting depth, not \
                  document size).  With $(b,--files-from), each listed file is \
-                 one streamed document read in $(b,--chunk-bytes) slices and \
+                 one streamed document read in 64 KiB slices and \
                  fed to the resumable lexer; otherwise the input is NDJSON — \
                  one document per line — and each line prints \
                  'path:line<TAB>result', bad lines folding to error results \
                  without sinking their neighbours.")
   in
-  let chunk_bytes_arg =
-    Arg.(value & opt int 65536 & info [ "chunk-bytes" ] ~docv:"N"
-           ~doc:"Chunk size in bytes for reading input (and for the files \
-                 of $(b,--stream --files-from)).  Verdicts, errors and \
-                 output bytes are identical for every chunk size (values \
-                 and tokens split across chunk boundaries are resumed); \
-                 only peak input memory and syscall count change.")
-  in
-  let run obs schema_file stream chunk_bytes files_from files =
+  let run obs schema_file stream files_from files =
     wrap (fun () ->
         let schema =
           match Jschema.Parse.of_string (read_input schema_file) with
           | Ok s -> s
           | Error m -> failwith ("bad schema: " ^ m)
         in
-        if chunk_bytes < 1 then failwith "--chunk-bytes must be at least 1";
         (* The one checker, compiled exactly once before any fan-out;
            plans are immutable, so every lane shares it. *)
         let plan = Jschema.Validate.Plan.compile ~budget:obs.budget schema in
@@ -442,15 +441,15 @@ let validate_cmd =
             Par.Batch.cell @@ fun () ->
             if not stream then run_tree (tree_of obs (read_input path))
             else
-              (* one streamed document per file, read in [--chunk-bytes]
-                 slices and fed to the resumable lexer: the document is
-                 never held in memory *)
+              (* one streamed document per file, read in
+                 [Par.Batch.slice_bytes] slices and fed to the resumable
+                 lexer: the document is never held in memory *)
               verdict @@ fun () ->
               with_input path (fun ic ->
-                  let chunk = Bytes.create chunk_bytes in
+                  let chunk = Bytes.create Par.Batch.slice_bytes in
                   let refill lx =
                     Obs.Metrics.incr "validate.feed.await";
-                    let n = In_channel.input ic chunk 0 chunk_bytes in
+                    let n = In_channel.input ic chunk 0 Par.Batch.slice_bytes in
                     if n = 0 then Jsont.Lexer.close lx
                     else begin
                       Obs.Metrics.incr "validate.feed.chunks";
@@ -466,7 +465,7 @@ let validate_cmd =
         | None when stream ->
           let path = last_input files in
           with_input path
-            (Par.Batch.lines ~jobs:obs.jobs ~chunk_bytes
+            (Par.Batch.lines ~jobs:obs.jobs ~chunk_bytes:Par.Batch.slice_bytes
                (fun line ->
                  Par.Batch.cell (fun () ->
                      verdict (fun () ->
@@ -475,14 +474,14 @@ let validate_cmd =
                (fun lineno -> emit (Printf.sprintf "%s:%d" path lineno)))
         | None ->
           let path = last_input files in
-          if not (print_rows obs ~chunk_bytes path run_tree (( = ) "valid")) then
+          if not (print_rows obs path run_tree (( = ) "valid")) then
             incr failures);
         if !failures > 0 then exit 1)
   in
   Cmd.v
     (Cmd.info "validate" ~doc:"Validate documents against a JSON Schema")
-    Term.(const run $ obs_term $ schema_arg $ stream $ chunk_bytes_arg
-          $ files_from_arg $ input_arg)
+    Term.(const run $ obs_term $ schema_arg $ stream $ files_from_arg
+          $ input_arg)
 
 (* ---- sat --------------------------------------------------------------------- *)
 
@@ -517,7 +516,7 @@ let compat_cmd =
   let new_arg =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW" ~doc:"New schema file.")
   in
-  let run _obs old_file new_file =
+  let run obs old_file new_file =
     wrap (fun () ->
         let load f =
           match Jschema.Parse.of_string (read_input f) with
@@ -529,8 +528,8 @@ let compat_cmd =
         | [], [] -> ()
         | _ -> failwith "compat only supports non-recursive schemas");
         match
-          Jlogic.Contain.schema_compatible ~old_:v1.Jlogic.Jsl_rec.base
-            ~new_:v2.Jlogic.Jsl_rec.base ()
+          Jlogic.Contain.schema_compatible ~budget:obs.budget
+            ~old_:v1.Jlogic.Jsl_rec.base ~new_:v2.Jlogic.Jsl_rec.base ()
         with
         | Jlogic.Contain.No w ->
           Printf.printf "BREAKING: valid under OLD, rejected by NEW:\n%s\n"
@@ -568,15 +567,18 @@ let examples_cmd =
         in
         if schema.Jlogic.Jsl_rec.defs <> [] then
           failwith "examples only supports non-recursive schemas";
-        let ms =
+        match
           Jlogic.Jsl_sat.models ~limit:n ~budget:obs.budget
             schema.Jlogic.Jsl_rec.base
-        in
-        if ms = [] then begin
+        with
+        | [], Some m ->
+          Printf.printf "unknown (%s)\n" m;
+          exit 2
+        | [], None ->
           print_endline "no example found (schema unsatisfiable or search exhausted)";
           exit 1
-        end;
-        List.iter (fun v -> print_endline (Jsont.Printer.compact v)) ms)
+        | ms, _ ->
+          List.iter (fun v -> print_endline (Jsont.Printer.compact v)) ms)
   in
   Cmd.v
     (Cmd.info "examples"
@@ -788,25 +790,17 @@ let serve_cmd =
              ~doc:"Plan-cache capacity: compiled schemas kept resident, \
                    least-recently-used evicted beyond $(docv).")
   in
-  let chunk_bytes_arg =
-    Arg.(value & opt int 65536
-         & info [ "chunk-bytes" ] ~docv:"BYTES"
-             ~doc:"Socket read size; request bodies are fed to the \
-                   streaming validator in slices of $(docv), so per-request \
-                   memory follows nesting depth plus one chunk.")
-  in
   let max_body_arg =
     Arg.(value & opt int (64 * 1024 * 1024)
          & info [ "max-body" ] ~docv:"BYTES"
              ~doc:"Largest declared schema/document body accepted.")
   in
-  let run obs socket tcp cache_capacity chunk_bytes max_body_bytes =
+  let run obs socket tcp cache_capacity max_body_bytes =
     wrap (fun () ->
-        if chunk_bytes < 1 then failwith "--chunk-bytes must be at least 1";
         let listen = endpoint_of ~socket ~tcp in
         let cfg =
           { Jserve.Server.listen; jobs = obs.jobs; cache_capacity;
-            chunk_bytes; max_body_bytes; fresh_budget = obs.fresh_budget }
+            max_body_bytes; fresh_budget = obs.fresh_budget }
         in
         let srv = Jserve.Server.create cfg in
         let stop _signal = Jserve.Server.request_stop srv in
@@ -827,7 +821,7 @@ let serve_cmd =
              schema once into a cached plan and streams request documents \
              through it")
     Term.(const run $ obs_term $ socket_arg $ tcp_arg $ cache_arg
-          $ chunk_bytes_arg $ max_body_arg)
+          $ max_body_arg)
 
 let client_cmd =
   let schema_arg =
@@ -918,7 +912,7 @@ let client_cmd =
                      line numbers, same skipped blank lines *)
                   let failures = ref 0 in
                   with_input path
-                    (Par.Batch.lines ~chunk_bytes:65536 verdict
+                    (Par.Batch.lines ~chunk_bytes:Par.Batch.slice_bytes verdict
                        (fun lineno r ->
                          if r <> "valid" then incr failures;
                          Printf.printf "%s:%d\t%s\n" path lineno r));

@@ -65,7 +65,7 @@ let () =
   print_endline "\ngenerated examples for the v2 docs:";
   List.iter
     (fun v -> Printf.printf "  %s\n" (Value.to_string v))
-    (Jsl_sat.models ~limit:3 (base v2));
+    (fst (Jsl_sat.models ~limit:3 (base v2)));
 
   (* 5. And the round trip the paper emphasises: the schema is a JSON
         document, so it can itself be validated/queried. *)

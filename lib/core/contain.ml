@@ -8,23 +8,20 @@ let of_outcome = function
   | Jautomaton.Sat w -> No w
   | Jautomaton.Unknown m -> Inconclusive m
 
-let contained ?max_rounds ?candidates_per_round a b =
-  of_outcome
-    (Jsl_sat.satisfiable ?max_rounds ?candidates_per_round (Jsl.And (a, Jsl.Not b)))
+let contained ?budget a b =
+  of_outcome (Jsl_sat.satisfiable ?budget (Jsl.And (a, Jsl.Not b)))
 
-let equivalent ?max_rounds ?candidates_per_round a b =
-  match contained ?max_rounds ?candidates_per_round a b with
-  | Yes -> contained ?max_rounds ?candidates_per_round b a
+let equivalent ?budget a b =
+  match contained ?budget a b with
+  | Yes -> contained ?budget b a
   | other -> other
 
-let disjoint ?max_rounds ?candidates_per_round a b =
-  of_outcome
-    (Jsl_sat.satisfiable ?max_rounds ?candidates_per_round (Jsl.And (a, b)))
+let disjoint ?budget a b =
+  of_outcome (Jsl_sat.satisfiable ?budget (Jsl.And (a, b)))
 
-let contained_jnl ?max_rounds ?candidates_per_round a b =
+let contained_jnl ?budget a b =
   match (Translate.jnl_to_jsl a, Translate.jnl_to_jsl b) with
-  | Ok a', Ok b' -> Ok (contained ?max_rounds ?candidates_per_round a' b')
+  | Ok a', Ok b' -> Ok (contained ?budget a' b')
   | Error m, _ | _, Error m -> Error m
 
-let schema_compatible ?max_rounds ?candidates_per_round ~old_ ~new_ () =
-  contained ?max_rounds ?candidates_per_round old_ new_
+let schema_compatible ?budget ~old_ ~new_ () = contained ?budget old_ new_

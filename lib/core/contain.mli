@@ -10,35 +10,33 @@
     - ϕ ⊥ ψ   iff   ϕ ∧ ψ unsatisfiable,
 
     and inherit the decision procedure's three-valued outcome: a [No]
-    answer carries a counterexample document. *)
+    answer carries a counterexample document.  [budget] (default
+    {!Obs.Budget.unlimited}) bounds the search as in
+    {!Jsl_sat.satisfiable}; one budget bounds both searches of
+    {!equivalent}, and exhaustion yields [Inconclusive]. *)
 
 type verdict =
   | Yes
   | No of Jsont.Value.t  (** a counterexample document *)
-  | Inconclusive of string  (** search budget exhausted *)
+  | Inconclusive of string  (** the search gave up; reason given *)
 
-val contained :
-  ?max_rounds:int -> ?candidates_per_round:int -> Jsl.t -> Jsl.t -> verdict
+val contained : ?budget:Obs.Budget.t -> Jsl.t -> Jsl.t -> verdict
 (** [contained ϕ ψ]: is every document satisfying ϕ also satisfying ψ?
     [No w] gives a document with [w ⊨ ϕ] and [w ⊭ ψ]. *)
 
-val equivalent :
-  ?max_rounds:int -> ?candidates_per_round:int -> Jsl.t -> Jsl.t -> verdict
+val equivalent : ?budget:Obs.Budget.t -> Jsl.t -> Jsl.t -> verdict
 (** [No w] is a document on which the two formulas disagree. *)
 
-val disjoint :
-  ?max_rounds:int -> ?candidates_per_round:int -> Jsl.t -> Jsl.t -> verdict
+val disjoint : ?budget:Obs.Budget.t -> Jsl.t -> Jsl.t -> verdict
 (** [No w] satisfies both. *)
 
 val contained_jnl :
-  ?max_rounds:int -> ?candidates_per_round:int -> Jnl.form -> Jnl.form
-  -> (verdict, string) result
+  ?budget:Obs.Budget.t -> Jnl.form -> Jnl.form -> (verdict, string) result
 (** Through the Theorem 2 translation; [Error] outside the decidable
     fragment. *)
 
 val schema_compatible :
-  ?max_rounds:int -> ?candidates_per_round:int -> old_:Jsl.t -> new_:Jsl.t
-  -> unit -> verdict
+  ?budget:Obs.Budget.t -> old_:Jsl.t -> new_:Jsl.t -> unit -> verdict
 (** Schema-evolution safety: are all documents valid under [old_] still
     valid under [new_]?  Alias of [contained old_ new_] with
     migration-flavoured naming; [No w] is a breaking-change witness. *)

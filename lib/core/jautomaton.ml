@@ -419,14 +419,16 @@ let eval_shape aut shape (value : Value.t Lazy.t) =
   done;
   out
 
-let debug_enabled = lazy (Sys.getenv_opt "JAUTOMATON_DEBUG" <> None)
+(* The shape of the search.  [max_rounds] bounds the height of the
+   trees explored, [candidates_per_round] how many composite documents
+   one round tries, and [max_width] the children of a constructed node
+   beyond what the automaton's constraints demand.  The budget bounds
+   the total work across rounds. *)
+let max_rounds = 24
+let candidates_per_round = 400_000
+let max_width = 3
 
-let debugf fmt =
-  if Lazy.force debug_enabled then Printf.eprintf fmt
-  else Printf.ifprintf stderr fmt
-
-let find_model ?(max_rounds = 24) ?(candidates_per_round = 400_000)
-    ?(max_width = 3) ?(budget = Obs.Budget.unlimited) aut =
+let find_model ?(budget = Obs.Budget.unlimited) aut =
   let h = harvest aut in
   let profile_of_value v =
     let tree = Tree.of_value ~budget v in
@@ -518,15 +520,8 @@ let find_model ?(max_rounds = 24) ?(candidates_per_round = 400_000)
     in
     take cap all
   in
-  let arr_width = max h.arr_need (min max_width 3) in
-  let obj_width = max h.obj_need (min max_width 3) in
-  debugf "[jautomaton] states=%d keys=[%s] arr_width=%d obj_width=%d per_profile=%d\n"
-    (Array.length aut.rules) (String.concat ";" (List.map String.escaped keys)) arr_width obj_width
-    per_profile;
-  debugf "[jautomaton] key_exprs=[%s] strs=[%s] ints=[%s]\n"
-    (String.concat ";" (List.map Rexp.Syntax.to_string h.key_exprs))
-    (String.concat ";" strs)
-    (String.concat ";" (List.map string_of_int ints));
+  let arr_width = max h.arr_need max_width in
+  let obj_width = max h.obj_need max_width in
   (* Interchangeability quotient: for a child reached through key [k]
      (resp. array position [p]), only its membership in the states
      targeted by quantifiers whose language contains [k] (resp. whose
@@ -654,13 +649,6 @@ let find_model ?(max_rounds = 24) ?(candidates_per_round = 400_000)
     in
     objects [] by_key obj_width;
     if !truncated then truncated_ever := true;
-    debugf
-      "[jautomaton] round: reps=%d stored %d -> %d budget_left=%d truncated=%b\n"
-      (List.length reps) added_before !stored !cand_budget !truncated;
-    if Lazy.force debug_enabled then
-      List.iter
-        (fun (k, cands) -> debugf "  key %s: %d candidates\n" k (List.length cands))
-        by_key;
     !stored > added_before
   in
   let rec loop rounds =

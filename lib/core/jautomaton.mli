@@ -66,14 +66,13 @@ type outcome =
   | Unsat
   | Unknown of string  (** search budget exhausted; reason given *)
 
-val find_model :
-  ?max_rounds:int -> ?candidates_per_round:int -> ?max_width:int
-  -> ?budget:Obs.Budget.t -> t -> outcome
-(** Emptiness via profile saturation.  [max_rounds] bounds tree height
-    explored (default 24), [candidates_per_round] bounds how many
-    composite documents are tried per round (default 400_000),
-    [max_width] caps the number of children of constructed nodes beyond
-    what the automaton's constraints demand (default 3).
+val find_model : ?budget:Obs.Budget.t -> t -> outcome
+(** Emptiness via profile saturation.  The search runs at most 24
+    rounds (tree height), tries at most 400 000 composite documents per
+    round, and gives a constructed node at most 3 children beyond what
+    the automaton's constraints demand.  It answers [Unknown] when the
+    rounds run out before the profile space saturates, or when it
+    saturates only under a truncated round.
 
     [budget] (default {!Obs.Budget.unlimited}) additionally bounds
     total work across rounds — one fuel unit per (candidate, state)

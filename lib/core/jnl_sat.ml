@@ -1,12 +1,9 @@
-let satisfiable ?max_rounds ?candidates_per_round ?max_width ?budget f =
+let satisfiable ?budget f =
   match Obs.Metrics.span "phase.translate" (fun () -> Translate.jnl_to_jsl f)
   with
   | Error _ as e -> e
   | Ok jsl ->
-    let outcome =
-      Jsl_sat.satisfiable ?max_rounds ?candidates_per_round ?max_width ?budget
-        jsl
-    in
+    let outcome = Jsl_sat.satisfiable ?budget jsl in
     Ok
       (match outcome with
       | Jautomaton.Sat v ->
@@ -15,8 +12,3 @@ let satisfiable ?max_rounds ?candidates_per_round ?max_width ?budget f =
           Jautomaton.Unknown
             "internal error: witness failed JNL re-validation (please report)"
       | Jautomaton.Unsat | Jautomaton.Unknown _ -> outcome)
-
-let satisfiable_exn ?max_rounds ?candidates_per_round ?max_width ?budget f =
-  match satisfiable ?max_rounds ?candidates_per_round ?max_width ?budget f with
-  | Ok o -> o
-  | Error m -> invalid_arg ("Jnl_sat.satisfiable_exn: " ^ m)

@@ -16,14 +16,8 @@
     the original JNL formula with {!Jnl_eval.check_at}. *)
 
 val satisfiable :
-  ?max_rounds:int -> ?candidates_per_round:int -> ?max_width:int
-  -> ?budget:Obs.Budget.t -> Jnl.form
-  -> (Jautomaton.outcome, string) result
+  ?budget:Obs.Budget.t -> Jnl.form -> (Jautomaton.outcome, string) result
 (** [Error reason] when the formula lies outside the decidable
     translated fragment.  [budget] bounds the model search
     ({!Jsl_sat.satisfiable}); exhaustion yields [Ok (Unknown _)].  The
     translation runs under the [phase.translate] timing span. *)
-
-val satisfiable_exn :
-  ?max_rounds:int -> ?candidates_per_round:int -> ?max_width:int
-  -> ?budget:Obs.Budget.t -> Jnl.form -> Jautomaton.outcome

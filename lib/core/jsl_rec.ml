@@ -142,10 +142,6 @@ let build_table ?budget tree t =
     (Tree.nodes_by_height tree);
   (ctx, env, table)
 
-let sat_table ?budget tree t =
-  let _, _, table = build_table ?budget tree t in
-  List.map (fun (v, _) -> (v, Hashtbl.find table v)) t.defs
-
 let holds_at ?budget tree t node =
   let ctx, env, _ = build_table ?budget tree t in
   Jsl.node_eval ctx ~env node t.base

@@ -11,8 +11,8 @@
 
     {b Semantics.}  Defined by unfolding to height |J|+1 and replacing
     leftover symbols by ⊥ ({!unfold}); evaluated in PTIME bottom-up by
-    height (Proposition 9) by {!validates} / {!sat_table}.  The two
-    agree (property-tested). *)
+    height (Proposition 9) by {!validates}.  The two agree
+    (property-tested). *)
 
 type t = { defs : (string * Jsl.t) list; base : Jsl.t }
 
@@ -40,12 +40,6 @@ val validates : ?budget:Obs.Budget.t -> Jsont.Value.t -> t -> bool
 
 val validates_by_unfolding : Jsont.Value.t -> t -> bool
 (** [J ⊨ unfold_J(ψ)] — the reference semantics. *)
-
-val sat_table :
-  ?budget:Obs.Budget.t -> Jsont.Tree.t -> t -> (string * Bitset.t) list
-(** For each definition symbol γ, the set of nodes whose subtree
-    satisfies γ (the union over heights of the sets [S_k^J(γ)] from the
-    proof of Proposition 9). *)
 
 val holds_at :
   ?budget:Obs.Budget.t -> Jsont.Tree.t -> t -> Jsont.Tree.node -> bool

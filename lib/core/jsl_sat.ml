@@ -7,29 +7,26 @@ let certify check outcome =
         "internal error: witness failed re-validation (please report)"
   | Jautomaton.Unsat | Jautomaton.Unknown _ -> outcome
 
-let satisfiable ?max_rounds ?candidates_per_round ?max_width ?budget f =
+let satisfiable ?budget f =
   let aut = Jautomaton.of_jsl f in
-  Obs.Metrics.span "phase.sat" (fun () ->
-      Jautomaton.find_model ?max_rounds ?candidates_per_round ?max_width
-        ?budget aut)
+  Obs.Metrics.span "phase.sat" (fun () -> Jautomaton.find_model ?budget aut)
   |> certify (fun v -> Jsl.validates v f)
 
-let satisfiable_rec ?max_rounds ?candidates_per_round ?max_width ?budget r =
+let satisfiable_rec ?budget r =
   let aut = Jautomaton.of_jsl_rec r in
-  Obs.Metrics.span "phase.sat" (fun () ->
-      Jautomaton.find_model ?max_rounds ?candidates_per_round ?max_width
-        ?budget aut)
+  Obs.Metrics.span "phase.sat" (fun () -> Jautomaton.find_model ?budget aut)
   |> certify (fun v -> Jsl_rec.validates v r)
 
-let models ?(limit = 5) ?max_rounds ?candidates_per_round ?budget f =
+let models ?(limit = 5) ?budget f =
   let rec go acc current k =
-    if k = 0 then List.rev acc
+    if k = 0 then (List.rev acc, None)
     else
-      match satisfiable ?max_rounds ?candidates_per_round ?budget current with
+      match satisfiable ?budget current with
       | Jautomaton.Sat w ->
         go (w :: acc)
           (Jsl.And (current, Jsl.Not (Jsl.Test (Jsl.Eq_doc w))))
           (k - 1)
-      | Jautomaton.Unsat | Jautomaton.Unknown _ -> List.rev acc
+      | Jautomaton.Unsat -> (List.rev acc, None)
+      | Jautomaton.Unknown m -> (List.rev acc, Some m)
   in
   go [] f limit

@@ -7,23 +7,24 @@
     are therefore certified); [Unsat] answers are exact when the
     search saturated without truncation. *)
 
-val satisfiable :
-  ?max_rounds:int -> ?candidates_per_round:int -> ?max_width:int
-  -> ?budget:Obs.Budget.t -> Jsl.t -> Jautomaton.outcome
+val satisfiable : ?budget:Obs.Budget.t -> Jsl.t -> Jautomaton.outcome
 (** Non-recursive JSL (Proposition 7 setting).  [budget] is passed to
     {!Jautomaton.find_model}; exhaustion yields [Unknown].  The search
     runs under the [phase.sat] timing span. *)
 
-val satisfiable_rec :
-  ?max_rounds:int -> ?candidates_per_round:int -> ?max_width:int
-  -> ?budget:Obs.Budget.t -> Jsl_rec.t -> Jautomaton.outcome
+val satisfiable_rec : ?budget:Obs.Budget.t -> Jsl_rec.t -> Jautomaton.outcome
 (** Well-formed recursive JSL (Proposition 10 setting). *)
 
 val models :
-  ?limit:int -> ?max_rounds:int -> ?candidates_per_round:int
-  -> ?budget:Obs.Budget.t -> Jsl.t -> Jsont.Value.t list
+  ?limit:int -> ?budget:Obs.Budget.t -> Jsl.t
+  -> Jsont.Value.t list * string option
 (** Up to [limit] (default 5) pairwise-distinct documents satisfying
     the formula, by iterated witness exclusion: after finding [w], the
     search continues on [ϕ ∧ ¬~(w)].  Useful for generating example
     documents from schemas — the §5.2 remark motivates satisfiability
-    by exactly this kind of tooling. *)
+    by exactly this kind of tooling.  The second component is
+    [Some reason] when a search answered [Unknown reason] — [budget]
+    spent (one budget bounds all the searches) or the search's own
+    bounds reached — before [limit] documents were found, and [None]
+    when the enumeration found [limit] documents or showed there are
+    no more. *)

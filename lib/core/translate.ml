@@ -40,11 +40,6 @@ let jsl_to_jnl f =
   | g -> Ok g
   | exception Out_of_scope m -> Error m
 
-let jsl_to_jnl_exn f =
-  match jsl_to_jnl f with
-  | Ok g -> g
-  | Error m -> invalid_arg ("Translate.jsl_to_jnl_exn: " ^ m)
-
 (* ---- JNL → JSL (worst-case exponential) ---------------------------------- *)
 
 (* [trans_path α k] is a JSL formula satisfied at n iff some α-successor
@@ -84,11 +79,6 @@ let jnl_to_jsl f =
   match trans_form f with
   | g -> Ok g
   | exception Out_of_scope m -> Error m
-
-let jnl_to_jsl_exn f =
-  match jnl_to_jsl f with
-  | Ok g -> g
-  | Error m -> invalid_arg ("Translate.jnl_to_jsl_exn: " ^ m)
 
 let alt_chain n =
   let step = Jnl.Alt (Jnl.Key "a", Jnl.Key "b") in

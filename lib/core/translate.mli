@@ -18,12 +18,8 @@
 val jsl_to_jnl : Jsl.t -> (Jnl.form, string) result
 (** Polynomial-time direction. *)
 
-val jsl_to_jnl_exn : Jsl.t -> Jnl.form
-
 val jnl_to_jsl : Jnl.form -> (Jsl.t, string) result
 (** Potentially exponential direction. *)
-
-val jnl_to_jsl_exn : Jnl.form -> Jsl.t
 
 val alt_chain : int -> Jnl.form
 (** [alt_chain n] is the blow-up family

@@ -584,14 +584,6 @@ let next lx =
   ignore (next_kind lx);
   current lx
 
-let next_skip lx =
-  ignore (next_kind_skip lx);
-  current lx
-
-let peek lx =
-  ignore (peek_kind lx);
-  current lx
-
 let offset lx = if lx.peeked then lx.t_start else lx.pos
 
 let pp_token fmt = function

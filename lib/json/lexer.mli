@@ -22,7 +22,7 @@
       allocates nothing for structural tokens, integers, literals or
       escape-free strings — what {!Parser}, {!Tree} and the streaming
       validator read;
-    - token values ({!next}, {!peek}, {!pull}, {!tokenize}), thin
+    - token values ({!next}, {!pull}, {!tokenize}), thin
       wrappers that build a {!position} and a {!token} from the cursor.
 
     A token split at {e any} byte offset by a chunk boundary lexes
@@ -101,11 +101,11 @@ val create_feed : ?refill:(t -> unit) -> unit -> t
     Without [refill], drive it with {!pull}: feed chunks whenever it
     answers [`Await], and {!close} at end of stream.
 
-    With [refill], the blocking API (the cursor, {!next},
-    {!next_skip}, {!peek}) also works on a feed lexer: whenever a scan
-    needs more bytes the callback is invoked and must either {!feed}
-    at least one byte or {!close} the lexer (anything else raises
-    [Invalid_argument], as the pull could never complete).  This is
+    With [refill], the blocking API (the cursor and {!next}) also
+    works on a feed lexer: whenever a scan needs more bytes the
+    callback is invoked and must either {!feed} at least one byte or
+    {!close} the lexer (anything else raises [Invalid_argument], as
+    the pull could never complete).  This is
     how chunked file/stdin readers drive the [Parser]/[Tree]/validator
     machinery. *)
 
@@ -140,7 +140,7 @@ val pull : t -> [ `Token of position * token | `Await | `End ]
     produced and stay valid until the next scan.  A scan happens in
     {!next_kind}/{!next_kind_skip} unless a token is peeked, in
     {!peek_kind} unless one already is, and in every token-value entry
-    point ({!next}, {!peek}, {!pull}, ...).  A {!next_kind} that
+    point ({!next}, {!pull}, {!tokenize}).  A {!next_kind} that
     consumes a peeked token does not scan, so the token read after
     [peek_kind] stays readable after the [next_kind] that consumes it.
     An escape-free string's body is read straight out of the input
@@ -208,13 +208,6 @@ val next : t -> position * token
 (** [next lx] is {!next_kind} with the token and its position as
     values.  After [Eof] it keeps returning [Eof].  @raise Error on
     malformed input. *)
-
-val next_skip : t -> position * token
-(** {!next_kind_skip} as values: a [String] token carries [""]. *)
-
-val peek : t -> position * token
-(** [peek lx] is the next token without consuming it ({!peek_kind} as
-    values). *)
 
 val offset : t -> int
 (** Byte offset of the first unconsumed byte (the peeked token's start

@@ -134,25 +134,26 @@ let parse_value mode budget lx =
   value 0
 
 (* Consume one complete JSON value without building anything, applying
-   exactly the checks the building routes apply: syntax, duplicate
-   object keys, literal-mode admission, and the budget guard per value
-   ([units] fuel each, depth against the ceiling).  String {e values}
-   are validated but not decoded ({!Lexer.next_kind_skip}); object keys
-   are decoded because duplicate detection compares them.  Errors are
-   byte-identical to {!parse_value} / [Tree.of_string] on the same
-   input, which is what lets the streaming validator fast-forward over
-   unconstrained subtrees without weakening any check. *)
-let skip_value ?(units = 1) mode budget keys lx depth =
+   exactly the checks the strict building routes apply: syntax,
+   duplicate object keys, literal admission, and the budget guard per
+   value (one fuel unit each, depth against the ceiling).  String
+   {e values} are validated but not decoded ({!Lexer.next_kind_skip});
+   object keys are decoded because duplicate detection compares them.
+   Errors are byte-identical to {!parse_value} / [Tree.of_string] on
+   the same input, which is what lets the streaming validator
+   fast-forward over unconstrained subtrees without weakening any
+   check. *)
+let skip_value budget keys lx depth =
   let rec value depth =
     let k = Lexer.next_kind_skip lx in
-    guard ~units budget lx depth;
+    guard ~units:1 budget lx depth;
     match k with
     | Lexer.K_lbrace -> obj depth
     | Lexer.K_lbracket -> arr depth
     | Lexer.K_string | Lexer.K_nat -> ()
     | Lexer.K_neg_int | Lexer.K_float | Lexer.K_true | Lexer.K_false
     | Lexer.K_null ->
-      ignore (literal_atom mode lx k)
+      ignore (literal_atom `Strict lx k)
     | Lexer.K_rbrace | Lexer.K_rbracket | Lexer.K_colon | Lexer.K_comma
     | Lexer.K_eof ->
       unexpected_at lx "a JSON value"
@@ -214,10 +215,10 @@ let wrap f =
 
 let parse ?mode ?budget input = wrap (fun () -> parse_exn ?mode ?budget input)
 
-let parse_prefix ?(mode = `Strict) ?budget input start =
+let parse_prefix ?budget input start =
   wrap (fun () ->
       let budget = budget_of budget in
       let tail = String.sub input start (String.length input - start) in
       let lx = Lexer.create tail in
-      let v = parse_value mode budget lx in
+      let v = parse_value `Strict budget lx in
       (v, start + Lexer.offset lx))

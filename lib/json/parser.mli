@@ -39,12 +39,12 @@ val parse_exn : ?mode:[ `Strict | `Lenient ] -> ?budget:Obs.Budget.t
 (** Like {!parse}.  @raise Parse_error on failure (including budget
     exhaustion). *)
 
-val parse_prefix : ?mode:[ `Strict | `Lenient ] -> ?budget:Obs.Budget.t
-  -> string -> int -> (Value.t * int, error) result
-(** [parse_prefix input start] parses one JSON document beginning at
-    byte offset [start] of [input] and returns it together with the
-    offset of the first byte after it.  Lets other parsers (the JNL
-    concrete syntax, Mongo filters) embed JSON documents. *)
+val parse_prefix :
+  ?budget:Obs.Budget.t -> string -> int -> (Value.t * int, error) result
+(** [parse_prefix input start] parses one [`Strict] JSON document
+    beginning at byte offset [start] of [input] and returns it together
+    with the offset of the first byte after it.  Lets other parsers
+    (the JNL and JSL concrete syntaxes) embed JSON documents. *)
 
 (** {1 Internals shared with the direct ingestion path}
 
@@ -88,18 +88,16 @@ val expect_eof : Lexer.t -> unit
 (** Consume the end of input, or fail as the parser does on trailing
     input. *)
 
-val skip_value :
-  ?units:int -> [ `Strict | `Lenient ] -> Obs.Budget.t -> Keyset.t
-  -> Lexer.t -> int -> unit
-(** [skip_value mode budget keys lx depth] consumes one complete JSON
-    value starting at depth [depth] without building it, in memory
+val skip_value : Obs.Budget.t -> Keyset.t -> Lexer.t -> int -> unit
+(** [skip_value budget keys lx depth] consumes one complete JSON value
+    starting at depth [depth] without building it, in memory
     proportional to its nesting depth plus the keys of open objects,
     which duplicate detection must retain (in [keys], a set the caller
     may share with the objects enclosing the value).  Every check the
-    building routes apply still applies — syntax, duplicate object
-    keys, literal admission under [mode], and the budget guard ([units]
-    fuel per value, default [1]) — with byte-identical errors, so
-    skipping never weakens validation.  String {e values} are validated
+    strict building routes apply still applies — syntax, duplicate
+    object keys, [`Strict] literal admission, and the budget guard (one
+    fuel unit per value) — with byte-identical errors, so skipping
+    never weakens validation.  String {e values} are validated
     without being decoded. *)
 
 val budget_of : Obs.Budget.t option -> Obs.Budget.t

@@ -1,8 +1,8 @@
 let compact = Value.to_string
 
-let pretty ?(indent = 2) v =
+let pretty v =
   let buf = Buffer.create 256 in
-  let pad depth = Buffer.add_string buf (String.make (depth * indent) ' ') in
+  let pad depth = Buffer.add_string buf (String.make (depth * 2) ' ') in
   let string s = Value.escape_to_buffer buf s in
   let rec go depth = function
     | (Value.Num _ | Value.Str _) as v -> Value.write_compact buf v
@@ -35,14 +35,3 @@ let pretty ?(indent = 2) v =
   in
   go 0 v;
   Buffer.contents buf
-
-let pp_pretty ?indent fmt v = Format.pp_print_string fmt (pretty ?indent v)
-
-(* straight into the caller's buffer: no intermediate string of the
-   whole document *)
-let to_buffer buf v = Value.write_compact buf v
-
-let to_channel oc v =
-  let buf = Buffer.create 4096 in
-  Value.write_compact buf v;
-  Buffer.output_buffer oc buf

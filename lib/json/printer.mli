@@ -1,21 +1,12 @@
 (** JSON serialization.
 
-    {!Value.to_string} gives compact output; this module adds a
-    configurable pretty-printer and buffer/formatter sinks.  Printing
-    then re-parsing is the identity on valid values (tested). *)
+    {!Value.to_string} gives compact output; this module adds the
+    pretty-printer.  Printing then re-parsing is the identity on valid
+    values (tested). *)
 
 val compact : Value.t -> string
 (** Alias for {!Value.to_string}. *)
 
-val pretty : ?indent:int -> Value.t -> string
-(** [pretty v] renders [v] with newlines and [indent] spaces (default
-    [2]) per nesting level, in the style of Figure 1 of the paper. *)
-
-val pp_pretty : ?indent:int -> Format.formatter -> Value.t -> unit
-(** Formatter version of {!pretty}. *)
-
-val to_buffer : Buffer.t -> Value.t -> unit
-(** Compact output appended to a buffer. *)
-
-val to_channel : out_channel -> Value.t -> unit
-(** Compact output written to a channel. *)
+val pretty : Value.t -> string
+(** [pretty v] renders [v] with newlines and two spaces per nesting
+    level, in the style of Figure 1 of the paper. *)

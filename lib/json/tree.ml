@@ -242,11 +242,11 @@ let new_node b parent edge =
    [Value.t] intermediate, no separate [Value.size] pre-pass.  Nodes
    are numbered in preorder by construction (JSON text {e is} a
    preorder traversal), so a subtree's size is simply the id counter's
-   travel across it.  Positions, error messages and literal-mode
-   handling reuse the {!Parser} helpers verbatim, which is what makes
+   travel across it.  Positions, error messages and (strict) literal
+   admission reuse the {!Parser} helpers verbatim, which is what makes
    this route differentially testable against
    [of_value (Parser.parse_exn input)]. *)
-let build_of_lexer ~mode ~base_depth ~budget ~keys ~capacity lx =
+let build_of_lexer ~base_depth ~budget ~keys ~capacity lx =
   (* [capacity] sizes the node columns and the child stacks; both
      double when outgrown.  The columns are kept at their capacity, so
      an over-estimate costs only memory and an under-estimate only
@@ -280,7 +280,7 @@ let build_of_lexer ~mode ~base_depth ~budget ~keys ~capacity lx =
     | Lexer.K_neg_int | Lexer.K_float | Lexer.K_true | Lexer.K_false
     | Lexer.K_null ->
       b.b_kinds.(id) <-
-        (match Parser.literal_atom mode lx k with
+        (match Parser.literal_atom `Strict lx k with
         | Parser.Int k -> Kint k
         | Parser.Str s -> Kstr s)
     | Lexer.K_rbrace | Lexer.K_rbracket | Lexer.K_colon | Lexer.K_comma
@@ -341,11 +341,10 @@ let build_of_lexer ~mode ~base_depth ~budget ~keys ~capacity lx =
 
 (* One value off a longer stream: nothing but the value itself bounds
    its size, so start small rather than from the rest of the input. *)
-let of_lexer_exn ?(mode = `Strict) ?(base_depth = 0) ?(keys = Keyset.create ())
-    ~budget lx =
-  build_of_lexer ~mode ~base_depth ~budget ~keys ~capacity:16 lx
+let of_lexer_exn ?(base_depth = 0) ?(keys = Keyset.create ()) ~budget lx =
+  build_of_lexer ~base_depth ~budget ~keys ~capacity:16 lx
 
-let of_string_exn ?(mode = `Strict) ?budget input =
+let of_string_exn ?budget input =
   let budget = Parser.budget_of budget in
   let lx = Lexer.create input in
   (* the whole input is one value.  Records run 9–14 input bytes per
@@ -354,7 +353,7 @@ let of_string_exn ?(mode = `Strict) ?budget input =
      allocated straight into the major heap), at the price of one
      doubling on the denser ones *)
   let t =
-    build_of_lexer ~mode ~base_depth:0 ~budget ~keys:(Keyset.create ())
+    build_of_lexer ~base_depth:0 ~budget ~keys:(Keyset.create ())
       ~capacity:(String.length input / 12) lx
   in
   Parser.expect_eof lx;
@@ -362,8 +361,8 @@ let of_string_exn ?(mode = `Strict) ?budget input =
   Obs.Metrics.incr "parse.direct.docs";
   t
 
-let of_string ?mode ?budget input =
-  Parser.wrap (fun () -> of_string_exn ?mode ?budget input)
+let of_string ?budget input =
+  Parser.wrap (fun () -> of_string_exn ?budget input)
 
 let node_count t = t.n
 let kind t n = t.kinds.(n)

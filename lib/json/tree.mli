@@ -58,27 +58,24 @@ val of_value : ?budget:Obs.Budget.t -> Value.t -> t
     of [Stack_overflow].  @raise Value.Invalid on invalid values
     (duplicate keys / negative numbers). *)
 
-val of_string :
-  ?mode:[ `Strict | `Lenient ] -> ?budget:Obs.Budget.t -> string
-  -> (t, Parser.error) result
+val of_string : ?budget:Obs.Budget.t -> string -> (t, Parser.error) result
 (** [of_string input] builds the tree straight from JSON text in a
     single fused pass: lexing, syntax checking and flat-array
     construction happen together, with no token list and no {!Value.t}
-    intermediate.  The result is indistinguishable from
+    intermediate.  Literals are admitted as by the [`Strict] parser.
+    The result is indistinguishable from
     [of_value (Parser.parse_exn input)] — same node numbering, hashes,
     sizes, error messages and positions, and the same total fuel draw
     (two units per value: parse + construction) — the two-stage route
     is kept as the differential oracle.  Counters:
     [parse.direct.bytes], [parse.direct.docs], [parse.values]. *)
 
-val of_string_exn :
-  ?mode:[ `Strict | `Lenient ] -> ?budget:Obs.Budget.t -> string -> t
+val of_string_exn : ?budget:Obs.Budget.t -> string -> t
 (** Like {!of_string}.  @raise Parser.Parse_error on failure (including
     budget exhaustion).  @raise Lexer.Error on malformed input. *)
 
 val of_lexer_exn :
-  ?mode:[ `Strict | `Lenient ] -> ?base_depth:int -> ?keys:Keyset.t
-  -> budget:Obs.Budget.t -> Lexer.t -> t
+  ?base_depth:int -> ?keys:Keyset.t -> budget:Obs.Budget.t -> Lexer.t -> t
 (** [of_lexer_exn ~budget lx] parses {e one} JSON value off an existing
     lexer with the same fused pass as {!of_string} — no trailing-input
     check, so the caller can keep consuming [lx] afterwards.  The

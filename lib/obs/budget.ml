@@ -73,8 +73,6 @@ let string_of_reason = function
   | Depth -> "depth"
   | Deadline -> "deadline"
 
-let pp_reason fmt r = Format.pp_print_string fmt (string_of_reason r)
-
 let describe = function
   | Fuel -> "resource budget exhausted: node fuel spent"
   | Depth -> "resource budget exhausted: recursion depth limit reached"

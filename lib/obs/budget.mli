@@ -86,7 +86,6 @@ val deadline_stride : int
 (** How many {!burn} calls pass between two wall-clock reads. *)
 
 val string_of_reason : reason -> string
-val pp_reason : Format.formatter -> reason -> unit
 
 val describe : reason -> string
 (** A one-line, user-facing message, e.g.

@@ -19,6 +19,8 @@ let cell f =
 
 (* ---- streamed input: the window loop and the reader ----------------------- *)
 
+let slice_bytes = 65536
+
 (* [read push] calls [push lineno doc] for each document in input
    order.  Documents go to the pool in windows of about [window] bytes,
    so input memory is one window plus the longest document at any lane

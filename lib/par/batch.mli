@@ -33,6 +33,12 @@ val cell : (unit -> string) -> string
     its batch, and every route renders the same failure the same
     way. *)
 
+val slice_bytes : int
+(** [65536]: the read size of every input reader — the [chunk_bytes]
+    the CLI passes to {!lines} and {!values}, the slices of a
+    [validate --stream --files-from] file, and the daemon's connection
+    buffer. *)
+
 val lines :
   ?jobs:int -> chunk_bytes:int -> (string -> 'a) -> (int -> 'a -> unit)
   -> In_channel.t -> unit

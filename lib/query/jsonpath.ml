@@ -319,12 +319,8 @@ let select_nodes tree path =
   let ctx = Jlogic.Jnl_eval.context tree in
   Jlogic.Jnl_eval.succs ctx path Jsont.Tree.root
 
-let select doc path_str =
-  match parse path_str with
-  | Error _ as e -> e
-  | Ok path ->
-    let tree = Jsont.Tree.of_value doc in
-    Ok (List.map (Jsont.Tree.value_at tree) (select_nodes tree path))
+let select ?budget doc path_str =
+  Result.map (Jlogic.Jnl_eval.select ?budget doc) (parse path_str)
 
 let select_exn doc path_str =
   match select doc path_str with

@@ -29,9 +29,14 @@
 val parse : string -> (Jlogic.Jnl.path, string) result
 val parse_exn : string -> Jlogic.Jnl.path
 
-val select : Jsont.Value.t -> string -> (Jsont.Value.t list, string) result
+val select :
+  ?budget:Obs.Budget.t -> Jsont.Value.t -> string
+  -> (Jsont.Value.t list, string) result
 (** [select doc path] is the list of sub-documents matched, in document
-    order. *)
+    order ({!Jlogic.Jnl_eval.select}); [Error] when [path] does not
+    parse.  [budget] (default {!Obs.Budget.unlimited}) bounds building
+    the document's tree and evaluating the path.
+    @raise Obs.Budget.Exhausted when it is spent. *)
 
 val select_exn : Jsont.Value.t -> string -> Jsont.Value.t list
 

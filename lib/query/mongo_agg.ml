@@ -518,10 +518,10 @@ let split_streaming (pl : pipeline) : pipeline * pipeline =
   in
   go [] pl
 
-let apply_stage_doc (s : stage) (d : doc) : doc list =
+let apply_stage_doc ?budget (s : stage) (d : doc) : doc list =
   match s with
   | S_match (_, plan) ->
-    if Jschema.Validate.Plan.run_tree plan (doc_tree d) then (
+    if Jschema.Validate.Plan.run_tree ?budget plan (doc_tree d) then (
       Metrics.incr "mongo.agg.match.pass";
       [ d ])
     else (
@@ -534,9 +534,9 @@ let apply_stage_doc (s : stage) (d : doc) : doc list =
   | S_group _ | S_sort _ | S_limit _ | S_skip _ ->
     invalid_arg "Mongo_agg.apply_doc: blocking stage"
 
-let apply_doc (streaming : pipeline) (d : doc) : doc list =
+let apply_doc ?budget (streaming : pipeline) (d : doc) : doc list =
   List.fold_left
-    (fun ds s -> List.concat_map (apply_stage_doc s) ds)
+    (fun ds s -> List.concat_map (apply_stage_doc ?budget s) ds)
     [ d ] streaming
 
 let rec take n = function
@@ -547,7 +547,7 @@ let rec drop n = function
   | _ :: rest when n > 0 -> drop (n - 1) rest
   | l -> l
 
-let apply_stage (s : stage) (ds : doc list) : doc list =
+let apply_stage ?budget (s : stage) (ds : doc list) : doc list =
   match s with
   | S_group g -> List.map doc_of_value (apply_group g (List.map doc_value ds))
   | S_sort spec ->
@@ -556,12 +556,12 @@ let apply_stage (s : stage) (ds : doc list) : doc list =
       (List.stable_sort (sort_cmp spec) (List.map doc_value ds))
   | S_limit n -> take n ds
   | S_skip n -> drop n ds
-  | streaming -> List.concat_map (apply_stage_doc streaming) ds
+  | streaming -> List.concat_map (apply_stage_doc ?budget streaming) ds
 
-let run_docs (pl : pipeline) (ds : doc list) : doc list =
+let run_docs ?budget (pl : pipeline) (ds : doc list) : doc list =
   Metrics.span "mongo.agg.run" @@ fun () ->
   Metrics.add "mongo.agg.docs.in" (List.length ds);
-  let out = List.fold_left (fun ds s -> apply_stage s ds) ds pl in
+  let out = List.fold_left (fun ds s -> apply_stage ?budget s ds) ds pl in
   Metrics.add "mongo.agg.docs.out" (List.length out);
   out
 

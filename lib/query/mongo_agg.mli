@@ -90,12 +90,16 @@ val is_empty : pipeline -> bool
 val split_streaming : pipeline -> pipeline * pipeline
 (** [(streaming prefix, blocking suffix)]; the prefix is maximal. *)
 
-val apply_doc : pipeline -> doc -> doc list
-(** Run a streaming prefix over one document.
-    @raise Invalid_argument on a blocking stage. *)
+val apply_doc : ?budget:Obs.Budget.t -> pipeline -> doc -> doc list
+(** Run a streaming prefix over one document.  [budget] (default
+    {!Obs.Budget.unlimited}) bounds its [$match] stages, which run the
+    plan's tree executor under it.
+    @raise Invalid_argument on a blocking stage.
+    @raise Obs.Budget.Exhausted when the budget is spent. *)
 
-val run_docs : pipeline -> doc list -> doc list
-(** {!run} at the [doc] level (any pipeline, evaluated sequentially). *)
+val run_docs : ?budget:Obs.Budget.t -> pipeline -> doc list -> doc list
+(** {!run} at the [doc] level (any pipeline, evaluated sequentially),
+    its [$match] stages under [budget] as in {!apply_doc}. *)
 
 (** {1 The JNL route} *)
 

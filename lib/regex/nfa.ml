@@ -78,7 +78,6 @@ let of_syntax r =
 let state_count t = Array.length t.eps
 let start t = t.start
 let accepting t s = s = t.accept
-let eps_transitions t s = t.eps.(s)
 let char_transitions t s = t.trans.(s)
 
 let eps_closure t states =

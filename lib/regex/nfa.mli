@@ -13,7 +13,6 @@ val state_count : t -> int
 val start : t -> state
 val accepting : t -> state -> bool
 
-val eps_transitions : t -> state -> state list
 val char_transitions : t -> state -> (Charset.t * state) list
 
 val eps_closure : t -> state list -> state list

@@ -912,7 +912,7 @@ and stream_child st p depth per_slot ok =
   match Array.fold_left union_in (-1) per_slot with
   | -1 ->
     let before = Lexer.offset st.s_lx in
-    Parser.skip_value `Strict st.s_budget st.s_keys st.s_lx (depth + 1);
+    Parser.skip_value st.s_budget st.s_keys st.s_lx (depth + 1);
     Obs.Metrics.add "validate.stream.skipped_bytes"
       (Lexer.offset st.s_lx - before)
   | -2 ->

@@ -48,7 +48,7 @@ let parse_ref s =
     String.sub s n (String.length s - n)
   else bad "$ref %S: only #/definitions/<name> references are supported" s
 
-let rec parse_schema ~ignore_unknown ~root (v : Value.t) : Schema.t =
+let rec parse_schema ~root (v : Value.t) : Schema.t =
   let kvs = as_object "a schema" v in
   (* the text route rejects duplicate keys at the JSON layer; values
      built programmatically must not smuggle a keyword in twice (the
@@ -56,7 +56,7 @@ let rec parse_schema ~ignore_unknown ~root (v : Value.t) : Schema.t =
   (match Value.duplicate_key kvs with
   | Some k -> bad "schema keyword %S given twice in one object" k
   | None -> ());
-  let sub v = parse_schema ~ignore_unknown ~root:false v in
+  let sub v = parse_schema ~root:false v in
   List.filter_map
     (fun (key, v) ->
       match key with
@@ -108,11 +108,10 @@ let rec parse_schema ~ignore_unknown ~root (v : Value.t) : Schema.t =
       | "definitions" ->
         if root then None (* handled separately *)
         else bad "definitions are only supported at the document root"
-      | other ->
-        if ignore_unknown then None else bad "unknown schema keyword %S" other)
+      | other -> bad "unknown schema keyword %S" other)
     kvs
 
-let of_value ?(ignore_unknown = false) v =
+let of_value v =
   match
     let defs =
       match v with
@@ -120,13 +119,13 @@ let of_value ?(ignore_unknown = false) v =
         match List.assoc_opt "definitions" kvs with
         | Some (Value.Obj defs) ->
           List.map
-            (fun (name, s) -> (name, parse_schema ~ignore_unknown ~root:false s))
+            (fun (name, s) -> (name, parse_schema ~root:false s))
             defs
         | Some v -> bad "definitions expects an object, got %s" (Value.kind_name v)
         | None -> [])
       | _ -> bad "a schema must be an object, got %s" (Value.kind_name v)
     in
-    let root = parse_schema ~ignore_unknown ~root:true v in
+    let root = parse_schema ~root:true v in
     { Schema.definitions = defs; root }
   with
   | doc -> (
@@ -135,12 +134,12 @@ let of_value ?(ignore_unknown = false) v =
     | Error _ as e -> e)
   | exception Bad m -> Error m
 
-let of_string ?ignore_unknown s =
+let of_string s =
   match Jsont.Parser.parse ~mode:`Lenient s with
   | Error e -> Error (Format.asprintf "%a" Jsont.Parser.pp_error e)
-  | Ok v -> of_value ?ignore_unknown v
+  | Ok v -> of_value v
 
-let of_string_exn ?ignore_unknown s =
-  match of_string ?ignore_unknown s with
+let of_string_exn s =
+  match of_string s with
   | Ok doc -> doc
   | Error m -> invalid_arg ("Jschema.Parse.of_string_exn: " ^ m)

@@ -6,17 +6,14 @@
     has no booleans, [uniqueItems] and boolean-valued
     [additionalProperties]/[additionalItems] accept the {e strings}
     ["true"]/["false"] (which is also what lenient JSON parsing turns
-    literal [true]/[false] into).  Unknown keywords are an error unless
-    [ignore_unknown] is set. *)
+    literal [true]/[false] into).  An unknown keyword is an error. *)
 
-val of_value :
-  ?ignore_unknown:bool -> Jsont.Value.t -> (Schema.document, string) result
+val of_value : Jsont.Value.t -> (Schema.document, string) result
 (** Parse and check well-formedness. *)
 
-val of_string :
-  ?ignore_unknown:bool -> string -> (Schema.document, string) result
+val of_string : string -> (Schema.document, string) result
 (** Parse the JSON text (leniently, so [true]/[false] literals work),
     then {!of_value}. *)
 
-val of_string_exn : ?ignore_unknown:bool -> string -> Schema.document
+val of_string_exn : string -> Schema.document
 (** @raise Invalid_argument on errors. *)

@@ -18,8 +18,7 @@ let uncovered_keys (siblings : Schema.t) =
   let union = List.fold_left Rexp.Lang.union (Rexp.Lang.complement Rexp.Lang.all) covered in
   Rexp.Lang.extract_syntax (Rexp.Lang.complement union)
 
-let rec schema ?siblings (s : Schema.t) : Jlogic.Jsl.t =
-  let siblings = Option.value siblings ~default:s in
+let rec schema (s : Schema.t) : Jlogic.Jsl.t =
   (* items / additionalItems interact *)
   let items = List.filter_map (function Schema.C_items ss -> Some ss | _ -> None) s in
   let additional_items =
@@ -70,7 +69,7 @@ let rec schema ?siblings (s : Schema.t) : Jlogic.Jsl.t =
     | Schema.C_pattern_properties pats ->
       Some (Jlogic.Jsl.conj (List.map (fun (e, si) -> Jlogic.Jsl.Box_keys (e, schema si)) pats))
     | Schema.C_additional_properties a ->
-      Some (Jlogic.Jsl.Box_keys (uncovered_keys siblings, schema a))
+      Some (Jlogic.Jsl.Box_keys (uncovered_keys s, schema a))
     | Schema.C_unique_items ->
       Some (guard_not_type Jlogic.Jsl.Is_arr (Jlogic.Jsl.Test Jlogic.Jsl.Unique))
     | Schema.C_any_of ss -> Some (Jlogic.Jsl.disj (List.map schema ss))

@@ -12,9 +12,10 @@
     [definitions]/[$ref] become recursive-JSL definitions (Theorem 3);
     schema well-formedness maps onto JSL well-formedness. *)
 
-val schema : ?siblings:Schema.t -> Schema.t -> Jlogic.Jsl.t
-(** Translate a bare schema.  [siblings] only matters for a lone
-    [additionalProperties] conjunct (defaults to the schema itself). *)
+val schema : Schema.t -> Jlogic.Jsl.t
+(** Translate a bare schema.  Its [additionalProperties] conjuncts
+    quantify over the keys its own [properties] and
+    [patternProperties] conjuncts leave uncovered. *)
 
 val document : Schema.document -> Jlogic.Jsl_rec.t
 (** Translate a full document.  @raise Invalid_argument when the

@@ -160,8 +160,8 @@ and validate_conjunct b d defs (c : Schema.conjunct) (v : Value.t) =
   | Schema.C_enum vs, v -> List.exists (Value.equal v) vs
   | Schema.C_ref r, v -> validate_schema b d defs (List.assoc r defs) v
 
-let validates_schema ?(budget = Obs.Budget.unlimited) ?(definitions = []) s v =
-  validate_schema budget 0 definitions s v
+let validates_schema ?(budget = Obs.Budget.unlimited) s v =
+  validate_schema budget 0 [] s v
 
 (* Well-formedness is a property of the schema, not of the document —
    check it once here and hand back a closure for the per-document

@@ -12,11 +12,9 @@ val validates :
     @raise Invalid_argument if the schema is not well-formed.
     @raise Obs.Budget.Exhausted when [budget] runs out. *)
 
-val validates_schema :
-  ?budget:Obs.Budget.t -> ?definitions:(string * Schema.t) list
-  -> Schema.t -> Jsont.Value.t -> bool
-(** Validate against a bare schema with an optional definitions
-    environment (no well-formedness check). *)
+val validates_schema : ?budget:Obs.Budget.t -> Schema.t -> Jsont.Value.t -> bool
+(** Validate against a bare schema: no definitions, so no [$ref], and
+    no well-formedness check. *)
 
 val prepare :
   Schema.document -> ?budget:Obs.Budget.t -> Jsont.Value.t -> bool

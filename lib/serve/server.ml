@@ -4,7 +4,6 @@ type config = {
   listen : endpoint;
   jobs : int;
   cache_capacity : int;
-  chunk_bytes : int;
   max_body_bytes : int;
   fresh_budget : unit -> Obs.Budget.t;
 }
@@ -13,7 +12,6 @@ let default_config listen =
   { listen;
     jobs = 1;
     cache_capacity = 64;
-    chunk_bytes = 65536;
     max_body_bytes = 64 * 1024 * 1024;
     fresh_budget = (fun () -> Obs.Budget.create ()) }
 
@@ -58,10 +56,10 @@ exception Client_gone
 
 (* ---- buffered connection reads --------------------------------------------- *)
 
-(* One read buffer per connection, [chunk_bytes] wide: header lines are
-   scanned out of it and body bytes are fed to the lexer directly from
-   it, so the socket is read in at most chunk-size slices and a request
-   body never exists contiguously in memory. *)
+(* One read buffer per connection, [Par.Batch.slice_bytes] wide: header
+   lines are scanned out of it and body bytes are fed to the lexer
+   directly from it, so the socket is read in at most slice-size reads
+   and a request body never exists contiguously in memory. *)
 type conn = {
   fd : Unix.file_descr;
   buf : Bytes.t;
@@ -394,7 +392,7 @@ let handle_request srv c request =
 
 let handle_connection srv fd =
   let c =
-    { fd; buf = Bytes.create srv.cfg.chunk_bytes; pos = 0; len = 0; srv }
+    { fd; buf = Bytes.create Par.Batch.slice_bytes; pos = 0; len = 0; srv }
   in
   let rec loop () =
     match read_line c with
@@ -453,7 +451,6 @@ let create cfg =
   { cfg =
       { cfg with
         jobs = max 1 cfg.jobs;
-        chunk_bytes = max 1 cfg.chunk_bytes;
         max_body_bytes = max 1 cfg.max_body_bytes };
     lsock;
     bound;

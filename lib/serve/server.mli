@@ -4,9 +4,9 @@
     One process compiles each schema once into an immutable
     {!Jschema.Validate.Plan} (kept in a {!Plan_cache}) and validates
     any number of documents against it.  Request bodies are never
-    materialized: they are fed chunk-by-chunk into
-    {!Jschema.Validate.Plan.run_lexer} through the resumable feed
-    lexer, so per-request memory follows nesting depth plus one chunk,
+    materialized: they are fed into {!Jschema.Validate.Plan.run_lexer}
+    through the resumable feed lexer in {!Par.Batch.slice_bytes}
+    reads, so per-request memory follows nesting depth plus one slice,
     not document size — a request body larger than RAM validates in a
     bounded window.
 
@@ -55,14 +55,13 @@ type config = {
   listen : endpoint;
   jobs : int;  (** pool lanes, accept loop included; [<= 1] = inline *)
   cache_capacity : int;  (** plan-cache entries kept (LRU beyond) *)
-  chunk_bytes : int;  (** socket read size = lexer feed granularity *)
   max_body_bytes : int;  (** largest declared schema/document length *)
   fresh_budget : unit -> Obs.Budget.t;  (** drawn once per request *)
 }
 
 val default_config : endpoint -> config
-(** [jobs = 1], 64-entry cache, 64 KiB chunks, 64 MiB body ceiling,
-    depth-only default budgets. *)
+(** [jobs = 1], 64-entry cache, 64 MiB body ceiling, depth-only
+    default budgets. *)
 
 type t
 

@@ -306,11 +306,8 @@ bad="$cidir/bad.ndjson"
 bad_msg='line 1, column 6: unexpected end of input, expected a JSON value'
 expect_run 1 "$(printf 'true\t{"a":1}\nerror: %s\t%s:2\nfalse\t{"b":2}' "$bad_msg" "$bad")" "" \
   eval '<.a>' "$bad"
-bad_rows=$(printf 'valid\t{"a":1}\nerror: %s\t%s:2\nvalid\t{"b":2}' "$bad_msg" "$bad")
-for bad_chunk in 1 7 65536; do
-  expect_run 1 "$bad_rows" "" \
-    validate -s "$cidir/any.json" --chunk-bytes "$bad_chunk" "$bad"
-done
+expect_run 1 "$(printf 'valid\t{"a":1}\nerror: %s\t%s:2\nvalid\t{"b":2}' "$bad_msg" "$bad")" "" \
+  validate -s "$cidir/any.json" "$bad"
 # the error cell is the one validate --stream prints for that line
 bad_cell=$(timeout 60 "$JSONLOGIC" validate -s "$cidir/any.json" "$bad" \
   | sed -n 2p | cut -f1) || true
@@ -325,6 +322,53 @@ expect_run 1 '{"a":1}' "error: $bad:2: $bad_msg" aggregate '[{"$match":{}}]' "$b
 expect_run 1 "" "error: $bad:2: $bad_msg" infer "$bad"
 expect_run 1 "" "error: $bad:2: $bad_msg" \
   aggregate --from "c=$bad" '[]' "$cidir/any.json"
+
+# Budget gate: compat, examples, select, find and aggregate stop under
+# the budget flags like every other command.  A search that runs out
+# answers unknown and exits 2, as sat does; evaluation that runs out is
+# an error, labelled path:line for a collection's document.  Without
+# the flags each prints what it always printed.  The document has 934
+# values, so its parse alone draws 934 units of --fuel 2000; the 199-way
+# $or over {"a":0} tries 198 disjuncts before the one that holds.
+printf '%s' '{"type":"object","properties":{"age":{"type":"number"}}}' > "$cidir/old.json"
+printf '%s' '{"type":"object","required":["name"],"properties":{"age":{"type":"number"}}}' \
+  > "$cidir/new.json"
+printf '%s' '{"allOf":[{"type":"string"},{"type":"number"}]}' > "$cidir/unsat.json"
+awk 'BEGIN { printf "{\"a\":["; for (i = 0; i < 932; i++) printf "%s%d", (i ? "," : ""), i
+             printf "]}" }' > "$cidir/doc934.json"
+or199=$(awk 'BEGIN { printf "{\"$or\":["
+                     for (i = 198; i >= 0; i--) printf "{\"a\":%d}%s", i, (i ? "," : "")
+                     printf "]}" }')
+printf '{"a":0}\n' > "$cidir/a0.ndjson"
+spent='resource budget exhausted: node fuel spent'
+expect_run 2 "unknown ($spent)" "" compat --fuel 1 "$cidir/old.json" "$cidir/new.json"
+expect_run 1 "$(printf 'BREAKING: valid under OLD, rejected by NEW:\n{}')" "" \
+  compat "$cidir/old.json" "$cidir/new.json"
+expect_run 2 "unknown ($spent)" "" examples --fuel 1 -s "$cidir/adult.json"
+expect_run 0 "$(printf '%s\n' '{"age":18}' '{"age":18,"a":18}' '{"age":18,"a":19}')" "" \
+  examples -s "$cidir/adult.json"
+expect_run 1 "no example found (schema unsatisfiable or search exhausted)" "" \
+  examples -s "$cidir/unsat.json"
+expect_run 1 "" "error: $spent" select --fuel 2000 '$..*' "$cidir/doc934.json"
+expect_run 0 "$(awk 'BEGIN { printf "["; for (i = 0; i < 932; i++) printf "%s%d", (i ? "," : ""), i
+                             print "]"; for (i = 0; i < 932; i++) print i }')" "" \
+  select '$..*' "$cidir/doc934.json"
+expect_run 1 "" "error: $cidir/a0.ndjson:1: $spent" find --fuel 5 "$or199" "$cidir/a0.ndjson"
+expect_run 0 '{"a":0}' "" find "$or199" "$cidir/a0.ndjson"
+expect_run 1 "" "error: $cidir/a0.ndjson:1: $spent" \
+  aggregate --fuel 5 "[{\"\$match\":$or199}]" "$cidir/a0.ndjson"
+expect_run 0 '{"a":0}' "" aggregate "[{\"\$match\":$or199}]" "$cidir/a0.ndjson"
+
+# The read size is a constant: --chunk-bytes is a usage error (124).
+for removed in "validate -s $cidir/any.json $cidir/a0.ndjson" "serve --socket $cidir/x.sock"; do
+  rm_status=0
+  rm_err=$(timeout 60 "$JSONLOGIC" $removed --chunk-bytes 7 2>&1 >/dev/null) || rm_status=$?
+  case $rm_status:$rm_err in
+    "124:jsonlogic: unknown option '--chunk-bytes'."*) ;;
+    *) echo "FAIL: jsonlogic $removed --chunk-bytes 7: exit $rm_status: $rm_err" >&2
+       exit 1 ;;
+  esac
+done
 rm -rf "$cidir"
 
 # Compiled-validate CLI wiring: the sequential and a 2-domain batch
@@ -457,68 +501,64 @@ case $nd1 in
      exit 1 ;;
 esac
 
-# Resumable feed lexer wiring: chunked reads must be invisible in the
-# output.  Adversarially small chunks (7 bytes — every token crosses a
-# boundary) vs the default 64 KiB vs the tree path, on both the NDJSON
-# corpus and the per-file stream route; all output bytes identical.
-nd7=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
-  --stream --chunk-bytes 7 "$nd") || true
-nd64k=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
-  --stream --chunk-bytes 65536 "$nd") || true
-# four lanes over 7-byte slices: many small windows in flight
-nd7j4=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
-  --stream --jobs 4 --chunk-bytes 7 "$nd") || true
-if [ "$nd7" != "$nd1" ] || [ "$nd64k" != "$nd1" ] || [ "$nd7j4" != "$nd1" ]; then
-  echo "FAIL: NDJSON --chunk-bytes 7 / 65536 / --jobs 4 output differs from default" >&2
-  printf '%s\n---\n%s\n---\n%s\n' "$nd7" "$nd64k" "$nd7j4" >&2
+# Resumable feed lexer wiring: how input is read must be invisible in
+# the output.  Four lanes over many small windows and stdin must print
+# what the sequential file run prints.  (Part 1 compares the per-file
+# stream route with the tree path; that the lexer's own feed
+# granularity, down to 1-byte chunks, changes neither outcomes nor
+# work counters is test_stream_validate's "keyword cases, chunked".)
+nd4=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
+  --stream --jobs 4 "$nd") || true
+if [ "$nd4" != "$nd1" ]; then
+  echo "FAIL: NDJSON --stream --jobs 4 output differs from the default" >&2
+  printf '%s\n---\n%s\n' "$nd1" "$nd4" >&2
   exit 1
 fi
-sf7_status=0
-sf7=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
-  --stream --chunk-bytes 7 --files-from "$sdir/list") || sf7_status=$?
-if [ "$sf7" != "$s_tree" ] || [ "$sf7_status" != 1 ]; then
-  echo "FAIL: --files-from --chunk-bytes 7 differs from tree path (exit $sf7_status)" >&2
-  printf '%s\n---\n%s\n' "$s_tree" "$sf7" >&2
+std=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
+  --stream - < "$nd") || true
+if [ "$std" != "$(printf '%s' "$nd1" | sed "s|^$nd:|-:|")" ]; then
+  echo "FAIL: stdin NDJSON differs from file path output" >&2
+  printf '%s\n---\n%s\n' "$std" "$nd1" >&2
   exit 1
 fi
-# chunked stdin: the feed path reading "-"
-std7=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
-  --stream --chunk-bytes 7 - < "$nd") || true
-if [ "$std7" != "$(printf '%s' "$nd1" | sed "s|^$nd:|-:|")" ]; then
-  echo "FAIL: chunked stdin NDJSON differs from file path output" >&2
-  printf '%s\n---\n%s\n' "$std7" "$nd1" >&2
-  exit 1
-fi
-# The work counters must not see the chunking either.  Over the same
-# corpus, under the CLI schema and under two more that make the
-# executor skip members and spill documents, the totals of
-# parse.values, validate.stream.skipped_bytes, validate.stream.spills
-# and validate.stream.runs at --chunk-bytes 7 equal the default's.
-printf '%s' '{"properties":{"a":{"type":"number"}}}' > "$sdir/skip.json"
-printf '%s' '{"anyOf":[{"enum":[{"a":0}]},{"required":["a"]}]}' > "$sdir/spill.json"
-work_counters() {
-  wc_schema=$1
-  shift
-  timeout 120 "$JSONLOGIC" validate -s "$wc_schema" --stream --metrics "$@" "$nd" 2>&1 >/dev/null |
-    grep -E '^(parse\.values|validate\.stream\.(skipped_bytes|spills|runs)) ' || true
-}
-for cs in schema skip spill; do
-  c_default=$(work_counters "$sdir/$cs.json")
-  c7=$(work_counters "$sdir/$cs.json" --chunk-bytes 7)
-  if [ "$c7" != "$c_default" ]; then
-    echo "FAIL: $cs.json: --chunk-bytes 7 work counters differ from the default" >&2
-    printf '%s\n---\n%s\n' "$c_default" "$c7" >&2
-    exit 1
-  fi
-  case $cs:$c_default in
-    schema:*"validate.stream.runs"*) ;;
-    skip:*"validate.stream.skipped_bytes"*) ;;
-    spill:*"validate.stream.spills"*) ;;
-    *) echo "FAIL: $cs.json: expected work counters missing: $c_default" >&2
-       exit 1 ;;
-  esac
+# Documents longer than the readers' 64 KiB slices — a long string,
+# and many short members so that tokens straddle slice boundaries —
+# read inline, as NDJSON with --stream, and one file each with
+# --stream --files-from, get the verdicts the tree route gives each
+# file through --files-from.
+long="$sdir/long"
+mkdir "$long"
+awk 'BEGIN { printf "{\"a\":1,\"note\":\""; for (i = 0; i < 9000; i++) printf "abcdefgh"
+             printf "\"}" }' > "$long/1.json"
+for first in 0 2; do
+  awk -v a="$first" 'BEGIN { printf "{\"a\":%d", a
+                             for (i = 0; i < 12000; i++) printf ",\"k%d\":\"v%d\"", i, i
+                             printf "}" }' > "$long/a$first.json"
 done
-echo "feed-lexer chunk-size identity gate passed"
+awk 'BEGIN { printf "{\"a\":3"; for (i = 0; i < 12000; i++) printf ",\"k%d\":%d", i, i
+             printf "}" }' > "$long/4.json"
+for f in 1 a0 a2 4; do
+  echo "$long/$f.json" >> "$long/list"
+  cat "$long/$f.json"
+  echo
+done > "$long/all.ndjson"
+long_want=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
+  --files-from "$long/list" | cut -f2)
+long_inline=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
+  "$long/all.ndjson" | cut -f1)
+long_stream=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
+  --stream "$long/all.ndjson" | cut -f2)
+long_fed=$(timeout 120 "$JSONLOGIC" validate -s "$sdir/schema.json" \
+  --stream --files-from "$long/list" | cut -f2)
+if [ "$long_want" != "$(printf 'valid\nINVALID\nvalid\nINVALID')" ] \
+   || [ "$long_inline" != "$long_want" ] || [ "$long_stream" != "$long_want" ] \
+   || [ "$long_fed" != "$long_want" ]; then
+  echo "FAIL: documents past 64 KiB: verdicts differ between routes" >&2
+  printf 'tree --files-from:\n%s\ninline:\n%s\n--stream:\n%s\n--stream --files-from:\n%s\n' \
+    "$long_want" "$long_inline" "$long_stream" "$long_fed" >&2
+  exit 1
+fi
+echo "feed-lexer identity gate passed"
 
 # Streaming RSS ceiling: validating ~100 MB of NDJSON must complete
 # inside a 512 MB address-space limit at --jobs 1 and 2 — NDJSON memory

@@ -215,6 +215,32 @@ let test_lookup_words () =
     Alcotest.failf "parsing a %d-member $lookup allocated %.1f words/member (budget 40)"
       n per_member
 
+(* $match runs its plan under the caller's budget.  Over {"a":0}, a
+   199-way $or whose last disjunct holds tries every disjunct before
+   it: a roomy budget keeps the document, five units of fuel stop the
+   streaming prefix and the whole-pipeline route alike. *)
+let test_match_budget () =
+  let pl =
+    Agg.parse_string_exn
+      (Printf.sprintf {|[{"$match": {"$or": [%s]}}]|}
+         (String.concat ","
+            (List.init 199 (fun i -> Printf.sprintf {|{"a": %d}|} (198 - i)))))
+  in
+  let doc () = Agg.doc_of_value (parse_doc {|{"a":0}|}) in
+  let fuel n = Obs.Budget.create ~fuel:n () in
+  Alcotest.(check int) "unlimited keeps it" 1
+    (List.length (Agg.apply_doc pl (doc ())));
+  Alcotest.(check int) "a roomy budget keeps it" 1
+    (List.length (Agg.apply_doc ~budget:(fuel 100_000) pl (doc ())));
+  let exhausted what f =
+    match f () with
+    | exception Obs.Budget.Exhausted Obs.Budget.Fuel -> ()
+    | ds ->
+      Alcotest.failf "%s on fuel 5 answered %d documents" what (List.length ds)
+  in
+  exhausted "apply_doc" (fun () -> Agg.apply_doc ~budget:(fuel 5) pl (doc ()));
+  exhausted "run_docs" (fun () -> Agg.run_docs ~budget:(fuel 5) pl [ doc () ])
+
 let test_parse_errors () =
   List.iter
     (fun s ->
@@ -433,7 +459,8 @@ let () =
          Alcotest.test_case "$lookup" `Quick test_lookup;
          Alcotest.test_case "keys by value" `Quick test_keys_by_value;
          Alcotest.test_case "$lookup words" `Quick test_lookup_words;
-         Alcotest.test_case "parse errors" `Quick test_parse_errors ]);
+         Alcotest.test_case "parse errors" `Quick test_parse_errors;
+         Alcotest.test_case "$match under a budget" `Quick test_match_budget ]);
       ("engine",
        [ Alcotest.test_case "sharded = sequential" `Quick test_sharding;
          Alcotest.test_case "Tree.substitute" `Quick test_substitute ]);

@@ -515,7 +515,7 @@ let cpu_timed what bound f =
    per definition takes fifty to a hundred times as long. *)
 let linear_bound text =
   let t0 = Sys.time () in
-  ignore (Tree.of_string_exn ~mode:`Lenient text);
+  ignore (Tree.of_string_exn text);
   Float.max 1.5 (15. *. (Sys.time () -. t0))
 
 let test_wide_verdicts () =

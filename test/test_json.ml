@@ -828,28 +828,23 @@ let test_direct_error_agreement () =
   in
   List.iter
     (fun text ->
-      List.iter
-        (fun mode ->
-          let direct = Tree.of_string ~mode text in
-          let oracle =
-            Result.map Tree.of_value (Parser.parse ~mode text)
-          in
-          match (direct, oracle) with
-          | Ok d, Ok o ->
-            Alcotest.(check bool)
-              (Printf.sprintf "trees agree on %S" text)
-              true (trees_identical d o)
-          | Error e1, Error e2 ->
-            Alcotest.(check string)
-              (Printf.sprintf "error agrees on %S" text)
-              (render_error e2) (render_error e1)
-          | Ok _, Error e ->
-            Alcotest.failf "direct accepted %S, oracle rejected: %s" text
-              (render_error e)
-          | Error e, Ok _ ->
-            Alcotest.failf "oracle accepted %S, direct rejected: %s" text
-              (render_error e))
-        [ `Strict; `Lenient ])
+      let direct = Tree.of_string text in
+      let oracle = Result.map Tree.of_value (Parser.parse text) in
+      match (direct, oracle) with
+      | Ok d, Ok o ->
+        Alcotest.(check bool)
+          (Printf.sprintf "trees agree on %S" text)
+          true (trees_identical d o)
+      | Error e1, Error e2 ->
+        Alcotest.(check string)
+          (Printf.sprintf "error agrees on %S" text)
+          (render_error e2) (render_error e1)
+      | Ok _, Error e ->
+        Alcotest.failf "direct accepted %S, oracle rejected: %s" text
+          (render_error e)
+      | Error e, Ok _ ->
+        Alcotest.failf "oracle accepted %S, direct rejected: %s" text
+          (render_error e))
     cases
 
 (* The key set is per object: a key may recur in a nested or a sibling

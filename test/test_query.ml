@@ -568,6 +568,23 @@ let test_jsonpath_paths () =
     Alcotest.(check bool) "bicycle path" true
       (List.mem "store.bicycle.price" rendered)
 
+(* Selection draws on the caller's budget: one unit per node to build
+   the tree, more to walk the path.  A budget the tree alone spends
+   stops the walk; a roomy one selects what the unlimited run does. *)
+let test_jsonpath_budget () =
+  let nodes = Value.size store in
+  let select fuel =
+    Jquery.Jsonpath.select ~budget:(Obs.Budget.create ~fuel ()) store "$..*"
+  in
+  (match select (100 * nodes) with
+  | Ok hits ->
+    Alcotest.(check int) "every node but the root" (nodes - 1) (List.length hits)
+  | Error m -> Alcotest.fail m);
+  match select nodes with
+  | exception Obs.Budget.Exhausted Obs.Budget.Fuel -> ()
+  | Ok hits -> Alcotest.failf "fuel %d selected %d nodes" nodes (List.length hits)
+  | Error m -> Alcotest.fail m
+
 let () =
   Alcotest.run "query"
     [ ("mongo",
@@ -606,4 +623,5 @@ let () =
            test_jsonpath_filter_quoted_paren;
          Alcotest.test_case "name escapes" `Quick test_jsonpath_escapes;
          Alcotest.test_case "compiles to JNL" `Quick test_jsonpath_compiles_to_jnl;
-         Alcotest.test_case "result paths" `Quick test_jsonpath_paths ]) ]
+         Alcotest.test_case "result paths" `Quick test_jsonpath_paths;
+         Alcotest.test_case "budget" `Quick test_jsonpath_budget ]) ]

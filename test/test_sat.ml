@@ -295,7 +295,8 @@ let prop_sat_sound_vs_bruteforce =
   QCheck.Test.make ~name:"solver never refutes a brute-force-satisfiable formula"
     ~count:150 gen_tiny_jsl (fun f ->
       let brute = List.exists (fun d -> Jsl.validates d f) small_universe in
-      match Jsl_sat.satisfiable ~max_rounds:10 ~candidates_per_round:60_000 f with
+      let budget = Obs.Budget.create ~fuel:100_000 () in
+      match Jsl_sat.satisfiable ~budget f with
       | Jautomaton.Sat w ->
         (* certified internally, but double-check here too *)
         Jsl.validates w f

@@ -130,11 +130,7 @@ let test_parse_errors () =
       {|{"$ref":"http://elsewhere"}|};
       {|{"$ref":"#/definitions/ghost"}|};
       {|{"properties":{"a":{"definitions":{}}}}|};
-      "[1,2]" ];
-  (* unknown keywords tolerated when asked *)
-  match Jschema.Parse.of_string ~ignore_unknown:true {|{"unknownKeyword":1}|} with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "ignore_unknown failed: %s" m
+      "[1,2]" ]
 
 let msg_contains needle s =
   let n = String.length needle and m = String.length s in

@@ -169,6 +169,20 @@ let test_containment () =
       (Jsl.validates w num && Jsl.validates w small)
   | _ -> Alcotest.fail "Int and small numbers overlap"
 
+(* A search that runs out of budget answers Inconclusive, never a
+   verdict: Int ⊑ Int∧Max(10) is refuted above, but not on one unit
+   of fuel. *)
+let test_containment_budget () =
+  let num = Jsl.Test Jsl.Is_int in
+  let small = Jsl.And (num, Jsl.Test (Jsl.Max 10)) in
+  match
+    Contain.schema_compatible ~budget:(Obs.Budget.create ~fuel:1 ())
+      ~old_:num ~new_:small ()
+  with
+  | Contain.Inconclusive m ->
+    Alcotest.(check string) "reason" "resource budget exhausted: node fuel spent" m
+  | Contain.Yes | Contain.No _ -> Alcotest.fail "fuel 1 decided the search"
+
 let test_containment_jnl () =
   let a = Jnl.parse_exn "<.a> & <.b>" in
   let b = Jnl.parse_exn "<.a>" in
@@ -193,36 +207,13 @@ let prop_simplify_equivalent_by_containment =
     gen_jsl (fun f ->
       QCheck.assume (not (Jsl.uses_unique f));
       let f' = Simplify.jsl f in
-      match Contain.equivalent ~max_rounds:8 ~candidates_per_round:40_000 f f' with
+      match
+        Contain.equivalent ~budget:(Obs.Budget.create ~fuel:1_000_000 ()) f f'
+      with
       | Contain.Yes | Contain.Inconclusive _ -> true
       | Contain.No w ->
         QCheck.Test.fail_reportf "disagree on %s" (Value.to_string w))
 
-
-(* ------------------------------------------------------------------ *)
-(* NNF                                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let prop_nnf =
-  QCheck.Test.make ~name:"NNF: normal form, same semantics, linear growth"
-    ~count:300 gen_jsl (fun f ->
-      let f' = Nnf.jsl f in
-      Nnf.is_nnf f'
-      && Jsl.size f' <= 2 * Jsl.size f
-      &&
-      let rng = Jworkload.Prng.create 17 in
-      List.for_all
-        (fun _ ->
-          let d = Jworkload.Gen_json.sized rng 40 in
-          Jsl.validates d f = Jsl.validates d f')
-        [ 1; 2; 3; 4; 5 ])
-
-let test_nnf_cases () =
-  let f = Jsl.parse_exn "!(dia(/a/)Str & !box(/b/)Int)" in
-  let f' = Nnf.jsl f in
-  Alcotest.(check bool) "is nnf" true (Nnf.is_nnf f');
-  Alcotest.(check string) "pushed" "box(/a/)!Str | box(/b/)Int" (Jsl.to_string f');
-  Alcotest.(check bool) "original not nnf" false (Nnf.is_nnf f)
 
 (* ------------------------------------------------------------------ *)
 (* Model enumeration                                                    *)
@@ -230,7 +221,7 @@ let test_nnf_cases () =
 
 let test_models () =
   let f = Jsl.parse_exn "dia(/kind/)Pattern(/a|b/) & MaxCh(1)" in
-  let ms = Jsl_sat.models ~limit:4 f in
+  let ms, _ = Jsl_sat.models ~limit:4 f in
   Alcotest.(check bool) "got several" true (List.length ms >= 2);
   (* all validate, all distinct *)
   List.iter
@@ -247,9 +238,15 @@ let test_models () =
   (* a formula with exactly one model *)
   let one = Jsl.parse_exn "~(7)" in
   Alcotest.(check int) "singleton model space" 1
-    (List.length (Jsl_sat.models ~limit:5 one));
-  Alcotest.(check int) "unsat has no models" 0
-    (List.length (Jsl_sat.models ~limit:5 (Jsl.parse_exn "Str & Int")))
+    (List.length (fst (Jsl_sat.models ~limit:5 one)));
+  Alcotest.(check bool) "unsat has no models, and says so" true
+    (Jsl_sat.models ~limit:5 (Jsl.parse_exn "Str & Int") = ([], None));
+  (* a spent budget is told apart from an empty model space *)
+  match Jsl_sat.models ~limit:5 ~budget:(Obs.Budget.create ~fuel:1 ()) f with
+  | [], Some m ->
+    Alcotest.(check string) "reason" "resource budget exhausted: node fuel spent" m
+  | ms, _ ->
+    Alcotest.failf "fuel 1: %d models and no reason" (List.length ms)
 
 (* ------------------------------------------------------------------ *)
 (* Recursive JSL concrete syntax                                        *)
@@ -319,9 +316,6 @@ let () =
        [ Alcotest.test_case "cases" `Quick test_simplify_cases;
          QCheck_alcotest.to_alcotest prop_simplify_jsl_preserves;
          QCheck_alcotest.to_alcotest prop_simplify_jnl_preserves ]);
-      ("nnf",
-       [ Alcotest.test_case "cases" `Quick test_nnf_cases;
-         QCheck_alcotest.to_alcotest prop_nnf ]);
       ("models",
        [ Alcotest.test_case "enumeration" `Quick test_models ]);
       ("jsl_rec syntax",
@@ -331,4 +325,6 @@ let () =
       ("containment",
        [ Alcotest.test_case "jsl" `Quick test_containment;
          Alcotest.test_case "jnl" `Quick test_containment_jnl;
-         QCheck_alcotest.to_alcotest prop_simplify_equivalent_by_containment ]) ]
+         QCheck_alcotest.to_alcotest prop_simplify_equivalent_by_containment;
+         Alcotest.test_case "spent budget is inconclusive" `Quick
+           test_containment_budget ]) ]

@@ -468,6 +468,16 @@ let check_feed_agree plan text chunks tag =
     Alcotest.failf "chunked %s <> one-shot %s (%s) on %s" (pp fed) (pp oneshot)
       tag text
 
+(* The work counters one run leaves behind, with its outcome. *)
+let work_counters run =
+  Obs.Metrics.reset ();
+  let outcome = run () in
+  ( outcome,
+    List.map
+      (fun name -> (name, Obs.Metrics.counter_value name))
+      [ "parse.values"; "validate.stream.skipped_bytes";
+        "validate.stream.spills"; "validate.stream.runs" ] )
+
 let test_feed_keyword_cases () =
   List.iter
     (fun (keyword, schema_text, cases) ->
@@ -480,7 +490,43 @@ let test_feed_keyword_cases () =
                 (Printf.sprintf "%s, %d-byte chunks" keyword size))
             [ 1; 7 ])
         cases)
-    Jworkload.Catalog.keyword_cases
+    Jworkload.Catalog.keyword_cases;
+  (* The feed does not show in the work counters either: under a
+     schema that checks members, one that skips them and one that
+     spills documents, every document draws the same counts fed in
+     1- and 7-byte chunks as in one piece. *)
+  let docs =
+    [ {|{"a":3,"note":"ok"}|}; {|{"a":0}|}; {|{"a":1,"broken"|};
+      {|{"a":1,"pad":[[["deep",{"k":"v"}]],"tail"]}|} ]
+  in
+  with_metrics @@ fun () ->
+  List.iter
+    (fun (schema_text, busy) ->
+      let plan = plan_of schema_text in
+      let total = ref 0 in
+      List.iter
+        (fun text ->
+          let oneshot, counts = work_counters (fun () -> via_stream plan text) in
+          total := !total + List.assoc busy counts;
+          List.iter
+            (fun size ->
+              let fed, fed_counts =
+                work_counters (fun () -> via_feed plan (slices text size))
+              in
+              if fed <> oneshot || fed_counts <> counts then
+                Alcotest.failf "%s on %s: %d-byte chunks change the counters"
+                  schema_text text size)
+            [ 1; 7 ])
+        docs;
+      if !total = 0 then Alcotest.failf "%s: %s never counted" schema_text busy)
+    [ ( {|{"type":"object","required":["a"],
+           "properties":{"a":{"type":"number","minimum":1}},
+           "additionalProperties":{"type":"string"}}|},
+        "validate.stream.runs" );
+      ( {|{"properties":{"a":{"type":"number"}}}|},
+        "validate.stream.skipped_bytes" );
+      ( {|{"anyOf":[{"enum":[{"a":0}]},{"required":["a"]}]}|},
+        "validate.stream.spills" ) ]
 
 let test_feed_every_split () =
   (* catalog document and malformed cases, split at every byte offset —
