@@ -32,7 +32,6 @@ type obs_opts = {
       (* budgets are mutable when fueled/deadlined, so concurrent
          documents must not share one: batch mode draws a fresh budget
          with the same limits per document *)
-  metrics : bool;
   jobs : int;
 }
 
@@ -77,10 +76,7 @@ let obs_term =
       at_exit (fun () -> prerr_string (Obs.Metrics.dump_text ()))
     end;
     let fresh_budget () = Obs.Budget.create ?fuel ~max_depth ?timeout_ms () in
-    { budget = fresh_budget ();
-      fresh_budget;
-      metrics;
-      jobs = max 1 jobs }
+    { budget = fresh_budget (); fresh_budget; jobs = max 1 jobs }
   in
   Term.(const make $ max_depth $ fuel $ timeout_ms $ metrics $ jobs)
 
@@ -303,13 +299,27 @@ let select_cmd =
   in
   let run obs path files =
     wrap (fun () ->
-        let doc = parse_doc_exn ~budget:obs.budget (read_input (last_input files)) in
-        match
-          Obs.Metrics.span "phase.eval" (fun () ->
-              Jquery.Jsonpath.select ~budget:obs.budget doc path)
-        with
-        | Ok hits -> List.iter (fun v -> print_endline (Jsont.Printer.compact v)) hits
-        | Error m -> failwith ("bad path: " ^ m))
+        (* one pass builds the tree the path runs on, under one budget;
+           a bad document is reported before a bad path *)
+        let text = read_input (last_input files) in
+        let tree =
+          match
+            Obs.Metrics.span "phase.parse" (fun () ->
+                Jsont.Tree.of_string ~budget:obs.budget text)
+          with
+          | Ok t -> t
+          | Error e -> failwith (parse_error e)
+        in
+        let p =
+          match Jquery.Jsonpath.parse path with
+          | Ok p -> p
+          | Error m -> failwith ("bad path: " ^ m)
+        in
+        let ctx = Jlogic.Jnl_eval.context ~budget:obs.budget tree in
+        Obs.Metrics.span "phase.eval" (fun () ->
+            Jlogic.Jnl_eval.succs ctx p Jsont.Tree.root)
+        |> List.iter (fun n ->
+               print_endline (Jsont.Printer.compact (Jsont.Tree.value_at tree n))))
   in
   Cmd.v
     (Cmd.info "select" ~doc:"Select subdocuments with a JSONPath expression")
@@ -711,7 +721,7 @@ let index_query_cmd =
           $ corpus_arg $ no_verify_arg)
 
 let index_info_cmd =
-  let run _obs index_file no_verify =
+  let run index_file no_verify =
     wrap (fun () ->
         let r = open_index ~verify_body:(not no_verify) index_file in
         let errors = ref 0 in
@@ -739,7 +749,7 @@ let index_info_cmd =
   in
   Cmd.v
     (Cmd.info "info" ~doc:"Print an index file's header summary")
-    Term.(const run $ obs_term $ index_file_pos $ no_verify_arg)
+    Term.(const run $ index_file_pos $ no_verify_arg)
 
 let index_cmd =
   Cmd.group
@@ -810,10 +820,7 @@ let serve_cmd =
            resolved), so scripts can parse it instead of polling *)
         Printf.printf "serving on %s\n%!"
           (render_endpoint (Jserve.Server.endpoint srv));
-        Jserve.Server.run srv;
-        (* registries are domain-local: fold here so --metrics dumps
-           the serve counters from the main domain's at_exit hook *)
-        Jserve.Server.fold_counters srv)
+        Jserve.Server.run srv)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -873,7 +880,7 @@ let client_cmd =
              ~doc:"Ask the daemon to stop (drains in-flight requests) after \
                    any other work this invocation does.")
   in
-  let run _obs socket tcp schema_file inline stream index query ping_f
+  let run socket tcp schema_file inline stream index query ping_f
       metrics_f flush_f shutdown_f files =
     wrap (fun () ->
         let endpoint = endpoint_of ~socket ~tcp in
@@ -934,7 +941,7 @@ let client_cmd =
     (Cmd.info "client"
        ~doc:"Talk to a running validation daemon: register schemas, validate \
              documents, read counters, or shut it down")
-    Term.(const run $ obs_term $ socket_arg $ tcp_arg $ schema_arg $ inline
+    Term.(const run $ socket_arg $ tcp_arg $ schema_arg $ inline
           $ stream $ index_arg $ query_arg $ ping_f $ metrics_f $ flush_f
           $ shutdown_f $ input_arg)
 

@@ -87,13 +87,13 @@ type t = {
    Never escapes the entry points. *)
 exception Need_input
 
-let make buf len closed refill =
+let make buf len closed refill pos =
   { buf;
     base = 0;
     len;
-    pos = 0;
+    pos;
     line = 1;
-    bol = 0;
+    bol = pos;
     closed;
     refill;
     scratch = Buffer.create 64;
@@ -111,10 +111,12 @@ let make buf len closed refill =
 (* The one-shot window aliases the input string without copying: the
    buffer is only ever written by [feed], which a closed lexer
    rejects. *)
-let create input =
-  make (Bytes.unsafe_of_string input) (String.length input) true None
+let create_at input pos =
+  make (Bytes.unsafe_of_string input) (String.length input) true None pos
 
-let create_feed ?refill () = make (Bytes.create 256) 0 false refill
+let create input = create_at input 0
+
+let create_feed ?refill () = make (Bytes.create 256) 0 false refill 0
 
 (* global offset one past the last byte currently in the window *)
 let limit lx = lx.base + lx.len

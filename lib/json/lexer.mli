@@ -93,6 +93,11 @@ val create : string -> t
     input string is aliased, not copied, and is never mutated.  Never
     produces [`Await]. *)
 
+val create_at : string -> int -> t
+(** [create_at input pos] is {!create} with the cursor at byte [pos]:
+    offsets are still those of [input], while lines and columns count
+    from [pos]. *)
+
 (** {1 Feed mode} *)
 
 val create_feed : ?refill:(t -> unit) -> unit -> t

@@ -218,7 +218,6 @@ let parse ?mode ?budget input = wrap (fun () -> parse_exn ?mode ?budget input)
 let parse_prefix ?budget input start =
   wrap (fun () ->
       let budget = budget_of budget in
-      let tail = String.sub input start (String.length input - start) in
-      let lx = Lexer.create tail in
+      let lx = Lexer.create_at input start in
       let v = parse_value `Strict budget lx in
-      (v, start + Lexer.offset lx))
+      (v, Lexer.offset lx))

@@ -43,8 +43,11 @@ val parse_prefix :
   ?budget:Obs.Budget.t -> string -> int -> (Value.t * int, error) result
 (** [parse_prefix input start] parses one [`Strict] JSON document
     beginning at byte offset [start] of [input] and returns it together
-    with the offset of the first byte after it.  Lets other parsers
-    (the JNL and JSL concrete syntaxes) embed JSON documents. *)
+    with the offset of the first byte after it, lexing [input] in place
+    (so a formula with many embedded documents parses in linear time).
+    An error's offset is one of [input]; its line and column count
+    from [start].  Lets other parsers (the JNL and JSL concrete
+    syntaxes) embed JSON documents. *)
 
 (** {1 Internals shared with the direct ingestion path}
 

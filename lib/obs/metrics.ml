@@ -10,30 +10,47 @@ type timing = {
   mutable max_ns : float;
 }
 
-type registry = {
+(* One shard of the process-wide registry.  Only the domain holding it
+   writes it, so recording takes no lock. *)
+type shard = {
   counters : (string, int ref) Hashtbl.t;
   timings : (string, timing) Hashtbl.t;
 }
 
-let create_registry () =
+let create_shard () =
   { counters = Hashtbl.create 64; timings = Hashtbl.create 32 }
 
-(* Each domain records into its own registry: the key's initializer runs
-   once per domain, so recording is race-free without any locking.  The
-   main domain's registry doubles as the process-wide one that the CLI
-   and the bench harness dump. *)
-let registry_key = Domain.DLS.new_key create_registry
+(* [shards] is every shard ever made, which is what reads sum; [free]
+   holds the shards of domains that have exited.  A domain's first
+   recording takes a free shard or makes one, and hands it back when
+   the domain exits, so the list follows the most domains alive at
+   once.  The lock guards the two lists, never a recording. *)
+let lock = Mutex.create ()
+let shards = ref []
+let free = ref []
 
-let current_registry () = Domain.DLS.get registry_key
+let shard_key =
+  Domain.DLS.new_key (fun () ->
+      let s =
+        Mutex.protect lock (fun () ->
+            match !free with
+            | s :: rest ->
+              free := rest;
+              s
+            | [] ->
+              let s = create_shard () in
+              shards := s :: !shards;
+              s)
+      in
+      Domain.at_exit (fun () ->
+          Mutex.protect lock (fun () -> free := s :: !free));
+      s)
 
-let with_registry r f =
-  let saved = Domain.DLS.get registry_key in
-  Domain.DLS.set registry_key r;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set registry_key saved) f
+let all_shards () = Mutex.protect lock (fun () -> !shards)
 
 let add name n =
   if !on then begin
-    let counters = (current_registry ()).counters in
+    let counters = (Domain.DLS.get shard_key).counters in
     match Hashtbl.find_opt counters name with
     | Some r -> r := !r + n
     | None -> Hashtbl.add counters name (ref n)
@@ -43,7 +60,7 @@ let incr name = add name 1
 
 let observe_ns name ns =
   if !on then begin
-    let timings = (current_registry ()).timings in
+    let timings = (Domain.DLS.get shard_key).timings in
     match Hashtbl.find_opt timings name with
     | Some t ->
       t.count <- t.count + 1;
@@ -71,6 +88,8 @@ let span name f =
       raise e
   end
 
+(* Fold [src] into [into]: counters are summed; timings combine sample
+   counts, totals and min/max. *)
 let merge_into ~into src =
   Hashtbl.iter
     (fun name r ->
@@ -92,22 +111,30 @@ let merge_into ~into src =
             max_ns = t.max_ns })
     src.timings
 
-let merge src = merge_into ~into:(current_registry ()) src
+let totals () =
+  let into = create_shard () in
+  List.iter (merge_into ~into) (all_shards ());
+  into
 
 let counter_value name =
-  match Hashtbl.find_opt (current_registry ()).counters name with
-  | Some r -> !r
-  | None -> 0
+  List.fold_left
+    (fun acc s ->
+      match Hashtbl.find_opt s.counters name with
+      | Some r -> acc + !r
+      | None -> acc)
+    0 (all_shards ())
 
 let reset () =
-  let r = current_registry () in
-  Hashtbl.reset r.counters;
-  Hashtbl.reset r.timings
+  List.iter
+    (fun s ->
+      Hashtbl.reset s.counters;
+      Hashtbl.reset s.timings)
+    (all_shards ())
 
 let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let dump_text () =
-  let { counters; timings } = current_registry () in
+  let { counters; timings } = totals () in
   let buf = Buffer.create 256 in
   List.iter
     (fun (name, r) -> Buffer.add_string buf (Printf.sprintf "%-40s %d\n" name !r))
@@ -141,7 +168,7 @@ let json_string s =
   Buffer.contents buf
 
 let dump_json () =
-  let { counters; timings } = current_registry () in
+  let { counters; timings } = totals () in
   let buf = Buffer.create 256 in
   Buffer.add_string buf "{\"counters\":{";
   List.iteri

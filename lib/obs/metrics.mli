@@ -1,6 +1,6 @@
 (** Named counters and timers with a structured dump.
 
-    A per-domain registry of
+    One process-wide registry of
 
     - {b counters}: monotonically increasing integers ({!incr}/{!add}),
       used for per-construct evaluation counts ([jsl.test.unique],
@@ -15,13 +15,14 @@
     pay a single mutable-bool read; {!set_enabled}[ true] (the CLI's
     [--metrics] flag, the bench driver) turns it on.
 
-    {b Concurrency.}  Every domain records into its own registry
-    (domain-local storage), so recording never races.  A parallel
-    stage runs its workers under {!with_registry} with a fresh
-    {!create_registry} each, and the coordinator folds the quiesced
-    worker registries back with {!merge} once they have joined — this
-    is how [Par.Batch] keeps counters exact across job counts.  The
-    main domain's registry is what {!dump_text}/{!dump_json} render. *)
+    {b Concurrency.}  The registry is kept as one shard per live
+    domain: a domain records into its own shard without locking, and
+    hands the shard on to a later domain when it exits.  Reads
+    ({!counter_value}, {!dump_text}, {!dump_json}) sum every shard and
+    {!reset} clears them, so a count recorded on any domain reaches
+    the dump.  They are exact once the recording domains have joined
+    or gone idle (a [Par.Pool.map] returning, a daemon stopped); a read
+    that races a recording may miss it. *)
 
 val set_enabled : bool -> unit
 val enabled : unit -> bool
@@ -40,10 +41,12 @@ val span : string -> (unit -> 'a) -> 'a
     While disabled, [f] is run directly. *)
 
 val counter_value : string -> int
-(** Current value of a counter; [0] if never touched. *)
+(** Current value of a counter, summed over every domain; [0] if never
+    touched. *)
 
 val reset : unit -> unit
-(** Drop all recorded counters and timings (leaves enablement alone). *)
+(** Drop all recorded counters and timings, on every domain (leaves
+    enablement alone). *)
 
 val dump_text : unit -> string
 (** Human-readable dump: one sorted [name value] line per counter, one
@@ -55,32 +58,3 @@ val dump_json : unit -> string
       "timings": {name: {"count": int, "total_ms": float,
                          "mean_ns": float, "min_ns": float,
                          "max_ns": float}, ...}}]. *)
-
-(** {1 Mergeable registries}
-
-    The apparatus behind race-free parallel recording.  All the
-    functions above operate on the {e current} registry — by default
-    the calling domain's own. *)
-
-type registry
-(** A set of counters and timings. *)
-
-val create_registry : unit -> registry
-(** A fresh, empty registry. *)
-
-val current_registry : unit -> registry
-(** The registry the recording functions currently write to. *)
-
-val with_registry : registry -> (unit -> 'a) -> 'a
-(** [with_registry r f] runs [f] with [r] installed as the calling
-    domain's current registry, restoring the previous one afterwards
-    (also on exceptions). *)
-
-val merge : registry -> unit
-(** [merge src] folds [src] into the current registry: counters are
-    summed; timings combine sample counts, totals and min/max.  [src]
-    must be quiescent — merge worker registries only after the workers
-    have joined. *)
-
-val merge_into : into:registry -> registry -> unit
-(** Like {!merge} with an explicit destination. *)

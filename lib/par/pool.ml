@@ -6,11 +6,10 @@
    index off a shared [Atomic] counter, so skewed per-item costs (one
    huge document among many small ones) do not idle the other lanes.
 
-   Observability: each lane runs under its own fresh {!Obs.Metrics}
-   registry (installed via domain-local state), and the coordinator
-   merges them into its own registry only after every lane has quiesced
-   — counters and timings need no locking on the hot path yet sum to
-   exactly the sequential totals. *)
+   Observability: each lane records into its own domain's shard of the
+   {!Obs.Metrics} registry, so counters and timings need no locking on
+   the hot path; once {!map} returns every lane has quiesced and a read
+   sums to exactly the sequential totals. *)
 
 type t = {
   mutex : Mutex.t;
@@ -93,9 +92,7 @@ let shutdown pool =
       | exception e -> if !first_death = None then first_death := Some e)
     pool.workers;
   pool.workers <- [||];
-  (* stray totals land in the coordinator's registry exactly once, at
-     the join — worker-domain registries are never merged on the
-     [submit] path *)
+  (* stray totals are recorded exactly once, at the join *)
   let n = Atomic.exchange pool.stray 0 in
   if n > 0 then Obs.Metrics.add "par.pool.stray_exn" n;
   match !first_death with Some e -> raise e | None -> ()
@@ -108,45 +105,38 @@ let map pool f items =
     let next = Atomic.make 0 in
     let failure = Atomic.make None in
     let active = min pool.lanes n in
-    let registries =
-      Array.init active (fun _ -> Obs.Metrics.create_registry ())
-    in
     let remaining = Atomic.make active in
     let fin_mutex = Mutex.create () in
     let fin = Condition.create () in
-    let lane l () =
-      Obs.Metrics.with_registry registries.(l) (fun () ->
-          let rec loop () =
-            let i = Atomic.fetch_and_add next 1 in
-            if i < n then begin
-              (* after a failure, drain the remaining indices without
-                 touching [f]: the batch is lost anyway *)
-              (if Atomic.get failure = None then
-                 match f items.(i) with
-                 | v -> results.(i) <- Some v
-                 | exception e ->
-                   ignore (Atomic.compare_and_set failure None (Some e)));
-              loop ()
-            end
-          in
-          loop ());
+    let lane () =
+      let rec loop () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          (* after a failure, drain the remaining indices without
+             touching [f]: the batch is lost anyway *)
+          (if Atomic.get failure = None then
+             match f items.(i) with
+             | v -> results.(i) <- Some v
+             | exception e ->
+               ignore (Atomic.compare_and_set failure None (Some e)));
+          loop ()
+        end
+      in
+      loop ();
       Mutex.lock fin_mutex;
       if Atomic.fetch_and_add remaining (-1) = 1 then Condition.broadcast fin;
       Mutex.unlock fin_mutex
     in
-    for l = 1 to active - 1 do
-      submit pool (lane l)
+    for _ = 1 to active - 1 do
+      submit pool lane
     done;
-    (* the caller is lane 0: it works instead of blocking *)
-    lane 0 ();
+    (* the caller is a lane too: it works instead of blocking *)
+    lane ();
     Mutex.lock fin_mutex;
     while Atomic.get remaining > 0 do
       Condition.wait fin fin_mutex
     done;
     Mutex.unlock fin_mutex;
-    (* all lanes have quiesced: merging their registries races with
-       nothing *)
-    Array.iter Obs.Metrics.merge registries;
     (match Atomic.get failure with Some e -> raise e | None -> ());
     Array.map (function Some v -> v | None -> assert false) results
   end

@@ -5,10 +5,10 @@
     participates instead of blocking, so [create 1] spawns no domains
     at all and degenerates to sequential execution.
 
-    Per-lane {!Obs.Metrics} registries isolate instrumentation during a
-    {!map} and are merged into the caller's registry at the join, so
-    counter and timing totals equal the sequential run's exactly.
-    Counter [par.pool.domains] accumulates domains spawned. *)
+    Each lane records {!Obs.Metrics} into its own domain's shard of
+    the one registry, so once {!map} returns, counter and timing totals
+    equal the sequential run's exactly.  Counter [par.pool.domains]
+    accumulates domains spawned. *)
 
 type t
 (** A pool handle.  Not itself thread-safe: drive a given pool from one
@@ -33,7 +33,7 @@ val submit : t -> (unit -> unit) -> unit
 (** Low-level: enqueue one task for a worker domain.  Tasks should
     handle their own errors — prefer {!map}.  A task exception that
     escapes to the worker loop is a {e stray}: it is counted
-    ({!stray_exn_count}, folded into counter [par.pool.stray_exn] at
+    ({!stray_exn_count}, added to counter [par.pool.stray_exn] at
     {!shutdown}), then dropped if recoverable, or re-raised — killing
     that worker so the failure surfaces at the {!shutdown} join — when
     it is [Out_of_memory] or [Stack_overflow].  @raise Invalid_argument
@@ -41,8 +41,8 @@ val submit : t -> (unit -> unit) -> unit
 
 val stray_exn_count : t -> int
 (** Task exceptions that have escaped to the worker loop so far (reset
-    to zero when {!shutdown} folds the total into the coordinator's
-    [par.pool.stray_exn] counter). *)
+    to zero when {!shutdown} adds the total to counter
+    [par.pool.stray_exn]). *)
 
 val shutdown : t -> unit
 (** Drain the queue, join every worker domain.  Idempotent.  The pool

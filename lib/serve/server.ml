@@ -46,7 +46,6 @@ type t = {
   indexq_docs : int Atomic.t;
   indexq_opens : int Atomic.t;
   indexq_open_hits : int Atomic.t;
-  folded : bool Atomic.t;
   mutable runner : unit Domain.t option;
 }
 
@@ -467,7 +466,6 @@ let create cfg =
     indexq_docs = Atomic.make 0;
     indexq_opens = Atomic.make 0;
     indexq_open_hits = Atomic.make 0;
-    folded = Atomic.make false;
     runner = None }
 
 let endpoint srv = srv.bound
@@ -517,17 +515,12 @@ let run srv =
   (match srv.bound with
   | `Unix path -> (
     try Unix.unlink path with Unix.Unix_error (_, _, _) -> ())
-  | `Tcp _ -> ())
-
-(* Metrics registries are domain-local, so the fold must run on the
-   domain whose dump should carry the counters: the CLI calls this
-   right after [run] returns on the main domain; [stop] calls it after
-   joining the [start] domain.  Once, whichever comes first. *)
-let fold_counters srv =
-  if not (Atomic.exchange srv.folded true) then
-    List.iter
-      (fun (name, v) -> if v > 0 then Obs.Metrics.add name v)
-      (counters srv)
+  | `Tcp _ -> ());
+  (* the atomics count with recording off, for [METRICS]; the registry
+     gets their totals once, now that every connection has closed *)
+  List.iter
+    (fun (name, v) -> if v > 0 then Obs.Metrics.add name v)
+    (counters srv)
 
 let start cfg =
   let srv = create cfg in
@@ -540,5 +533,4 @@ let stop srv =
   | Some d ->
     srv.runner <- None;
     Domain.join d
-  | None -> ());
-  fold_counters srv
+  | None -> ())

@@ -40,9 +40,9 @@
     unaffected.  No fault path leaks a connection slot or a
     plan-cache entry.
 
-    {b Counters} (atomics, readable via {!counters}, served by the
-    [METRICS] verb, and folded into an {!Obs.Metrics} registry by
-    {!fold_counters} / {!stop}): [serve.requests],
+    {b Counters} (atomics, so they count without [--metrics]; readable
+    via {!counters}, served by the [METRICS] verb, and added to the
+    {!Obs.Metrics} registry once, as {!run} returns): [serve.requests],
     [serve.connections], [serve.bytes_in],
     [serve.plan_cache.{hit,miss,evict}],
     [serve.indexq.{requests,docs,opens,open_hits}],
@@ -73,7 +73,8 @@ val create : config -> t
 
 val run : t -> unit
 (** The accept loop.  Blocks until {!request_stop} (or a [SHUTDOWN]
-    request) and the subsequent drain complete.  Call at most once. *)
+    request) and the subsequent drain complete, then adds the counters
+    to the {!Obs.Metrics} registry.  Call at most once. *)
 
 val start : config -> t
 (** {!create}, then {!run} on a fresh background domain — the
@@ -96,13 +97,6 @@ val active_connections : t -> int
 
 val counters : t -> (string * int) list
 (** Current counter values, sorted by name. *)
-
-val fold_counters : t -> unit
-(** Add the counters to the {b calling} domain's {!Obs.Metrics}
-    registry (registries are domain-local, so the caller decides whose
-    dump carries them — the CLI calls this right after {!run} returns).
-    At most once per server: later calls, and the one {!stop} makes,
-    are no-ops. *)
 
 val cache : t -> Plan_cache.t
 (** The live plan cache (tests assert size/stats through this). *)

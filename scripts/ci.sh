@@ -353,6 +353,12 @@ expect_run 1 "" "error: $spent" select --fuel 2000 '$..*' "$cidir/doc934.json"
 expect_run 0 "$(awk 'BEGIN { printf "["; for (i = 0; i < 932; i++) printf "%s%d", (i ? "," : ""), i
                              print "]"; for (i = 0; i < 932; i++) print i }')" "" \
   select '$..*' "$cidir/doc934.json"
+# select builds its tree straight from the text, in one pass
+if ! timeout 60 "$JSONLOGIC" select --metrics '$.a' "$cidir/doc934.json" 2>&1 >/dev/null \
+     | grep -q '^parse\.direct\.docs  *1$'; then
+  echo "FAIL: select --metrics does not read parse.direct.docs 1" >&2
+  exit 1
+fi
 expect_run 1 "" "error: $cidir/a0.ndjson:1: $spent" find --fuel 5 "$or199" "$cidir/a0.ndjson"
 expect_run 0 '{"a":0}' "" find "$or199" "$cidir/a0.ndjson"
 expect_run 1 "" "error: $cidir/a0.ndjson:1: $spent" \
@@ -719,6 +725,42 @@ if [ "$shutdown_status" != 0 ]; then
 fi
 if [ -S "$svdir/sock" ]; then
   echo "FAIL: serve daemon left its socket behind" >&2
+  exit 1
+fi
+# Serve metrics gate: one client session (SCHEMA, eight VALIDATE,
+# SHUTDOWN) against `serve --metrics` prints the same counter lines at
+# --jobs 1 and 2, apart from the domains the pool spawned; at --jobs 2
+# the documents run on a pool domain and their counts must still reach
+# the dump.
+head -n 8 "$svdir/docs.ndjson" > "$svdir/few.ndjson"
+for jobs in 1 2; do
+  timeout 120 "$JSONLOGIC" serve --metrics --socket "$svdir/m.sock" --jobs "$jobs" \
+    > "$svdir/m.log" 2> "$svdir/m$jobs.err" &
+  m_pid=$!
+  for _ in $(seq 1 100); do
+    [ -S "$svdir/m.sock" ] && break
+    sleep 0.1
+  done
+  c_status=0
+  timeout 60 "$JSONLOGIC" client --socket "$svdir/m.sock" -s "$svdir/schema.json" \
+    --stream --shutdown "$svdir/few.ndjson" > /dev/null || c_status=$?
+  m_status=0
+  wait "$m_pid" || m_status=$?
+  if [ "$c_status:$m_status" != 1:0 ]; then
+    echo "FAIL: serve --metrics --jobs $jobs: client exited $c_status (want 1), daemon $m_status" >&2
+    cat "$svdir/m.log" "$svdir/m$jobs.err" >&2
+    exit 1
+  fi
+  grep -v -e 'count=' -e '^par\.pool\.domains ' "$svdir/m$jobs.err" > "$svdir/m$jobs.counters"
+done
+if ! cmp -s "$svdir/m1.counters" "$svdir/m2.counters"; then
+  echo "FAIL: serve --metrics counters differ between --jobs 1 and 2:" >&2
+  diff "$svdir/m1.counters" "$svdir/m2.counters" >&2
+  exit 1
+fi
+if ! grep -q '^validate\.stream\.runs ' "$svdir/m2.counters"; then
+  echo "FAIL: serve --metrics --jobs 2 dump lacks validate.stream.runs" >&2
+  cat "$svdir/m2.err" >&2
   exit 1
 fi
 rm -rf "$svdir"

@@ -81,6 +81,22 @@ let test_parser_errors () =
       (* regression: oversized integers escaped as Failure, not Error *)
       "<.a[99999999999999999999]>"; "<.a[0:99999999999999999999]>" ]
 
+(* Embedded JSON constants are lexed in place, so parsing stays linear
+   in the formula however many constants it holds. *)
+let test_parser_many_constants () =
+  let n = 100_000 in
+  let conj atom = String.concat " & " (List.init n (fun _ -> atom)) in
+  let jnl = conj {|eq(.a, "x")|} and jsl = conj {|~("x")|} in
+  let timed what parse =
+    let t0 = Obs.Budget.now_mono () in
+    let ok = Result.is_ok (parse ()) in
+    let dt = Obs.Budget.now_mono () -. t0 in
+    Alcotest.(check bool) (what ^ " parses") true ok;
+    if dt > 5.0 then Alcotest.failf "%s took %.1f s" what dt
+  in
+  timed "JNL, 100 000 constants" (fun () -> Jnl.parse jnl);
+  timed "JSL, 100 000 constants" (fun () -> Jsl.parse jsl)
+
 (* ------------------------------------------------------------------ *)
 (* Evaluation on the Figure 1 document                                  *)
 (* ------------------------------------------------------------------ *)
@@ -391,7 +407,9 @@ let () =
     [ ("syntax",
        [ Alcotest.test_case "classify" `Quick test_classify;
          Alcotest.test_case "parser roundtrip" `Quick test_parser_roundtrip;
-         Alcotest.test_case "parser errors" `Quick test_parser_errors ]);
+         Alcotest.test_case "parser errors" `Quick test_parser_errors;
+         Alcotest.test_case "many embedded constants" `Quick
+           test_parser_many_constants ]);
       ("evaluation",
        [ Alcotest.test_case "basics on Figure 1" `Quick test_eval_basics;
          Alcotest.test_case "EQ(α,β)" `Quick test_eval_eq_paths;

@@ -156,6 +156,27 @@ let test_metrics_span () =
       Alcotest.(check bool) "json has counters key" true
         (contains "counters" json))
 
+(* one registry for the process: what any domain records, joined or
+   exited, is in the reads, and [reset] clears it *)
+let test_metrics_domains () =
+  with_metrics (fun () ->
+      Obs.Metrics.incr "t.d";
+      Domain.join
+        (Domain.spawn (fun () ->
+             Obs.Metrics.add "t.d" 10;
+             Obs.Metrics.span "t.ds" ignore));
+      Alcotest.(check int) "counts from a joined domain" 11
+        (Obs.Metrics.counter_value "t.d");
+      Alcotest.(check bool) "its timing in the dump" true
+        (contains "t.ds" (Obs.Metrics.dump_text ()));
+      (* the next domain takes over the exited one's shard *)
+      Domain.join (Domain.spawn (fun () -> Obs.Metrics.incr "t.d"));
+      Alcotest.(check int) "after a second domain" 12
+        (Obs.Metrics.counter_value "t.d");
+      Obs.Metrics.reset ();
+      Alcotest.(check int) "reset clears every shard" 0
+        (Obs.Metrics.counter_value "t.d"))
+
 (* ------------------------------------------------------------------ *)
 (* Deep-nesting regressions: structured errors, not Stack_overflow      *)
 (* ------------------------------------------------------------------ *)
@@ -430,7 +451,9 @@ let () =
       ("metrics",
        [ Alcotest.test_case "counters" `Quick test_metrics_counters;
          Alcotest.test_case "disabled is no-op" `Quick test_metrics_disabled_is_noop;
-         Alcotest.test_case "span" `Quick test_metrics_span ]);
+         Alcotest.test_case "span" `Quick test_metrics_span;
+         Alcotest.test_case "counts from every domain" `Quick
+           test_metrics_domains ]);
       ("deep inputs",
        [ Alcotest.test_case "parser at 100k" `Quick test_parser_100k_deep;
          Alcotest.test_case "parser fuel" `Quick test_parser_fuel;

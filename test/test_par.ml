@@ -78,19 +78,10 @@ let docs =
 let test_batch_jobs_agreement () =
   Obs.Metrics.set_enabled true;
   let run jobs =
-    let reg = Obs.Metrics.create_registry () in
-    let out =
-      Obs.Metrics.with_registry reg (fun () ->
-          Par.Batch.map ~jobs batch_work docs)
-    in
-    let values =
-      Obs.Metrics.with_registry reg (fun () ->
-          Obs.Metrics.counter_value "parse.values")
-    in
-    let batched =
-      Obs.Metrics.with_registry reg (fun () ->
-          Obs.Metrics.counter_value "par.batch.docs")
-    in
+    Obs.Metrics.reset ();
+    let out = Par.Batch.map ~jobs batch_work docs in
+    let values = Obs.Metrics.counter_value "parse.values" in
+    let batched = Obs.Metrics.counter_value "par.batch.docs" in
     (out, values, batched)
   in
   let out1, values1, batched1 = run 1 in
@@ -120,21 +111,20 @@ let await cond =
 let test_pool_stray_counted () =
   let was = Obs.Metrics.enabled () in
   Obs.Metrics.set_enabled true;
-  let reg = Obs.Metrics.create_registry () in
-  Obs.Metrics.with_registry reg (fun () ->
-      let pool = Par.Pool.create 3 in
-      Par.Pool.submit pool (fun () -> failwith "stray one");
-      Par.Pool.submit pool (fun () -> raise Not_found);
-      Alcotest.(check bool) "strays counted" true
-        (await (fun () -> Par.Pool.stray_exn_count pool = 2));
-      (* recoverable strays leave every worker alive and working *)
-      let out = Par.Pool.map pool (fun x -> x * 2) (Array.init 50 Fun.id) in
-      Alcotest.(check (array int)) "pool survives recoverable strays"
-        (Array.init 50 (fun i -> i * 2))
-        out;
-      Par.Pool.shutdown pool;
-      Alcotest.(check int) "total folded into par.pool.stray_exn" 2
-        (Obs.Metrics.counter_value "par.pool.stray_exn"));
+  Obs.Metrics.reset ();
+  let pool = Par.Pool.create 3 in
+  Par.Pool.submit pool (fun () -> failwith "stray one");
+  Par.Pool.submit pool (fun () -> raise Not_found);
+  Alcotest.(check bool) "strays counted" true
+    (await (fun () -> Par.Pool.stray_exn_count pool = 2));
+  (* recoverable strays leave every worker alive and working *)
+  let out = Par.Pool.map pool (fun x -> x * 2) (Array.init 50 Fun.id) in
+  Alcotest.(check (array int)) "pool survives recoverable strays"
+    (Array.init 50 (fun i -> i * 2))
+    out;
+  Par.Pool.shutdown pool;
+  Alcotest.(check int) "total folded into par.pool.stray_exn" 2
+    (Obs.Metrics.counter_value "par.pool.stray_exn");
   Obs.Metrics.set_enabled was
 
 let test_pool_stray_nonrecoverable () =
@@ -176,21 +166,17 @@ let with_temp_file text f =
 
 (* (line number, f's result) in emit order, and the counter totals *)
 let run_lines ~jobs ~chunk_bytes text =
-  let reg = Obs.Metrics.create_registry () in
+  Obs.Metrics.reset ();
   let out = ref [] in
-  Obs.Metrics.with_registry reg (fun () ->
-      with_temp_file text
-        (Par.Batch.lines ~jobs ~chunk_bytes
-           (fun line ->
-             Obs.Metrics.incr "test.lines";
-             line)
-           (fun lineno line -> out := (lineno, line) :: !out)));
-  let counter name =
-    Obs.Metrics.with_registry reg (fun () -> Obs.Metrics.counter_value name)
-  in
+  with_temp_file text
+    (Par.Batch.lines ~jobs ~chunk_bytes
+       (fun line ->
+         Obs.Metrics.incr "test.lines";
+         line)
+       (fun lineno line -> out := (lineno, line) :: !out));
   ( List.rev !out,
-    List.map counter [ "test.lines"; "par.batch.docs"; "validate.feed.chunks" ]
-  )
+    List.map Obs.Metrics.counter_value
+      [ "test.lines"; "par.batch.docs"; "validate.feed.chunks" ] )
 
 let test_lines_identity () =
   Obs.Metrics.set_enabled true;
@@ -223,11 +209,10 @@ let test_lines_identity () =
 let test_lines_chunks_counted () =
   Obs.Metrics.set_enabled true;
   let count ~jobs =
-    let reg = Obs.Metrics.create_registry () in
-    Obs.Metrics.with_registry reg (fun () ->
-        with_temp_file "{}\n[]\n\"x\"\n"
-          (Par.Batch.lines ~jobs ~chunk_bytes:4 Fun.id (fun _ _ -> ()));
-        Obs.Metrics.counter_value "validate.feed.chunks")
+    Obs.Metrics.reset ();
+    with_temp_file "{}\n[]\n\"x\"\n"
+      (Par.Batch.lines ~jobs ~chunk_bytes:4 Fun.id (fun _ _ -> ()));
+    Obs.Metrics.counter_value "validate.feed.chunks"
   in
   Alcotest.(check int) "11 bytes in 4-byte slices" 3 (count ~jobs:1);
   Alcotest.(check int) "same slices at jobs 2" 3 (count ~jobs:2);

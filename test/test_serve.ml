@@ -615,33 +615,53 @@ let test_shutdown_drains () =
           Alcotest.(check int) "all connections closed" 0
             (Jserve.Server.active_connections srv)))
 
+(* The serve.* atomics reach the registry as the daemon's run returns,
+   and so do the counts its connection lanes record: at jobs 2 those
+   run on pool domains, and still reach the dump. *)
 let test_counters_folded () =
   Obs.Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Obs.Metrics.set_enabled false)
     (fun () ->
-      Obs.Metrics.reset ();
-      with_server (fun srv ->
-          with_client srv (fun c ->
-              ignore (unwrap (Jserve.Client.ping c));
-              let id = unwrap (Jserve.Client.put_schema c schema_text) in
-              Alcotest.(check string) "verdict" "valid"
-                (unwrap (Jserve.Client.validate c ~schema_id:id {|{"a":1}|})));
-          (* live counters before shutdown *)
-          Alcotest.(check int) "requests counted" 3 (counter srv "serve.requests");
-          Alcotest.(check int) "one connection" 1
-            (counter srv "serve.connections");
-          Alcotest.(check bool) "bytes counted" true
-            (counter srv "serve.bytes_in" > 0));
-      (* stop folded the atomics into this domain's registry *)
-      let dump = Obs.Metrics.dump_text () in
-      let contains needle =
-        let nl = String.length needle and hl = String.length dump in
-        let rec go i = i + nl <= hl && (String.sub dump i nl = needle || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) "serve.requests in dump" true
-        (contains "serve.requests"))
+      List.iter
+        (fun jobs ->
+          Obs.Metrics.reset ();
+          let docs = [ ({|{"a":1}|}, "valid"); ({|{"a":0}|}, "INVALID") ] in
+          with_server ~jobs (fun srv ->
+              with_client srv (fun c ->
+                  ignore (unwrap (Jserve.Client.ping c));
+                  let id = unwrap (Jserve.Client.put_schema c schema_text) in
+                  List.iter
+                    (fun (doc, verdict) ->
+                      Alcotest.(check string) "verdict" verdict
+                        (unwrap (Jserve.Client.validate c ~schema_id:id doc)))
+                    docs);
+              (* live counters before shutdown *)
+              Alcotest.(check int) "requests counted"
+                (2 + List.length docs)
+                (counter srv "serve.requests");
+              Alcotest.(check int) "one connection" 1
+                (counter srv "serve.connections");
+              Alcotest.(check bool) "bytes counted" true
+                (counter srv "serve.bytes_in" > 0));
+          (* stop joined every domain the daemon ran on *)
+          let dump = Obs.Metrics.dump_text () in
+          let contains needle =
+            let nl = String.length needle and hl = String.length dump in
+            let rec go i =
+              i + nl <= hl && (String.sub dump i nl = needle || go (i + 1))
+            in
+            go 0
+          in
+          let label what = Printf.sprintf "%s (jobs %d)" what jobs in
+          Alcotest.(check bool) (label "serve.requests in dump") true
+            (contains "serve.requests");
+          Alcotest.(check int) (label "one stream run per document")
+            (List.length docs)
+            (Obs.Metrics.counter_value "validate.stream.runs");
+          Alcotest.(check bool) (label "parse.values counted") true
+            (Obs.Metrics.counter_value "parse.values" > 0))
+        [ 1; 2 ])
 
 let () =
   Alcotest.run "serve"
