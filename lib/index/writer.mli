@@ -6,16 +6,28 @@
     {!Par} pool, and writes the complete label → postings index
     described in {!Layout} next to the per-document offset table.
 
+    Each line is lexed once on a lane straight into its index columns
+    (no {!Jsont.Tree.t} is built), under exactly the checks and budget
+    draw of [Jsont.Tree.of_string ~budget]: a line is flagged as an
+    error exactly when that parse rejects it.  The main domain then
+    sorts the key and value tables and fills the postings by counting
+    sort (keys, positions) and by one stable radix sort of
+    (label, value id) keys (values).
+
     The output bytes are a pure function of the corpus: documents are
-    numbered in line order whatever the lane count, the string table
-    is sorted, and postings lists are emitted in node-id order — so two
-    builds of the same corpus are byte-identical regardless of
+    numbered in line order whatever the lane count, the string tables
+    are sorted, and postings lists are emitted in node-id order — so
+    two builds of the same corpus are byte-identical regardless of
     [jobs].
 
     Counters: [index.build.docs], [index.build.nodes],
     [index.build.keys], [index.build.postings],
     [index.build.values], [index.build.value_postings],
-    [index.build.errors], [index.build.bytes]; span [index.build]. *)
+    [index.build.errors], [index.build.bytes], and [parse.values] (one
+    per value parsed, as [Tree.of_string] counts them); span
+    [index.build], split into [index.build.parse] (read, line cut and
+    the lanes), [index.build.assemble] (tables, columns and postings)
+    and [index.build.write] (emit, checksums, fsync and rename). *)
 
 type stats = {
   docs : int;  (** documents indexed (non-blank lines) *)

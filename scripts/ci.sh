@@ -24,8 +24,11 @@ run 600 dune runtest
 # 2+) or a hang — and the same input must pass when the ceiling is
 # lifted.
 JSONLOGIC=_build/default/bin/jsonlogic.exe
-deep=$(mktemp)
-trap 'rm -f "$deep"' EXIT
+# Every gate keeps its files under one temporary root, removed on any
+# exit: a gate that fails leaves nothing behind.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+deep="$tmp/deep.json"
 awk 'BEGIN { for (i = 0; i < 100000; i++) printf "["; printf "1";
              for (i = 0; i < 100000; i++) printf "]" }' > "$deep"
 
@@ -44,7 +47,7 @@ esac
 # the same input class passes once the ceiling is lifted (20k here:
 # above the 10k default; the parser is linear in depth, but the pretty
 # printer's indentation makes output quadratic, so stay modest)
-deep20=$(mktemp)
+deep20="$tmp/deep20"
 awk 'BEGIN { for (i = 0; i < 20000; i++) printf "["; printf "1";
              for (i = 0; i < 20000; i++) printf "]" }' > "$deep20"
 run 60 "$JSONLOGIC" parse --max-depth 30000 "$deep20" > /dev/null
@@ -68,9 +71,9 @@ esac
 # definition referenced from one property, in 128 groups of 256, so
 # both flat and nested conjunctions are exercised) must validate well
 # inside 20 s; a list scan per key or per definition takes minutes.
-wide=$(mktemp)
-wide_schema=$(mktemp)
-wide_docs=$(mktemp)
+wide="$tmp/wide"
+wide_schema="$tmp/wide_schema"
+wide_docs="$tmp/wide_docs"
 awk 'BEGIN { printf "{";
              for (i = 0; i < 131072; i++) printf "%s\"k%d\":%d", (i ? "," : ""), i, i;
              printf "}" }' > "$wide"
@@ -104,8 +107,8 @@ fi
 # the default route (a tree of the parsed value), --files-from (a tree
 # straight from the text) and --stream.  A scan per lookup takes
 # about half a minute.
-wide_req=$(mktemp)
-wide_list=$(mktemp)
+wide_req="$tmp/wide_req"
+wide_list="$tmp/wide_list"
 awk 'BEGIN { printf "{\"type\":\"object\",\"required\":[";
              for (i = 0; i < 131072; i++) printf "%s\"k%d\"", (i ? "," : ""), i;
              printf "]}" }' > "$wide_req"
@@ -142,7 +145,8 @@ rm -f "$wide" "$wide_schema" "$wide_docs" "$wide_req" "$wide_list"
 # malformed document into a per-file error instead of dying.  Like
 # inline eval, the run exits 1 when a row is an error, and 0 when every
 # listed file parses.
-batch_dir=$(mktemp -d)
+batch_dir="$tmp/batch_dir"
+mkdir "$batch_dir"
 batch_list="$batch_dir/list"
 for i in $(seq 1 40); do
   if [ "$i" = 23 ]; then
@@ -191,7 +195,8 @@ esac
 
 # Missing inputs and unreachable endpoints are user errors: exit 1 with
 # an error: line on stderr, never an uncaught exception (exit 125).
-mdir=$(mktemp -d)
+mdir="$tmp/mdir"
+mkdir "$mdir"
 echo '{}' > "$mdir/doc.json"
 printf '%s\n%s\n' "$mdir/doc.json" "$mdir/missing.json" > "$mdir/list"
 expect_user_error() {
@@ -223,7 +228,8 @@ rm -rf "$mdir"
 # a malformed line eval and validate print an error row labelled
 # path:line and answer the other documents; find, aggregate, infer and
 # --from stop at the first failed document.
-cidir=$(mktemp -d)
+cidir="$tmp/cidir"
+mkdir "$cidir"
 cat > "$cidir/mixed.json" <<'EOF'
 {
   "name": {"first": "Sue"},
@@ -380,7 +386,8 @@ rm -rf "$cidir"
 # Compiled-validate CLI wiring: the sequential and a 2-domain batch
 # must print byte-identical path<TAB>verdict lines; mixed verdicts
 # exit 1.
-vdir=$(mktemp -d)
+vdir="$tmp/vdir"
+mkdir "$vdir"
 cat > "$vdir/schema.json" <<'EOF'
 {"definitions":{"id":{"type":"number","minimum":1}},
  "type":"object","required":["a"],
@@ -443,7 +450,8 @@ esac
 # byte-identical path<TAB>verdict lines to the tree path — including
 # the rendered error for a malformed document — and exit 1 on mixed
 # verdicts, exactly like the tree path does.
-sdir=$(mktemp -d)
+sdir="$tmp/sdir"
+mkdir "$sdir"
 cat > "$sdir/schema.json" <<'EOF'
 {"type":"object","required":["a"],
  "properties":{"a":{"type":"number","minimum":1}},
@@ -648,7 +656,8 @@ rm -rf "$sdir"
 # NDJSON workload — valid, invalid, and malformed lines — with bytes
 # identical to `validate --stream`, cold (fresh cache, inline schema)
 # and warm (registered schema, cache hits), and shut down cleanly.
-svdir=$(mktemp -d)
+svdir="$tmp/svdir"
+mkdir "$svdir"
 cat > "$svdir/schema.json" <<'EOF'
 {"definitions":{"id":{"type":"number","minimum":1}},
  "type":"object","required":["a"],
@@ -777,7 +786,8 @@ run 300 _build/default/bench/main.exe serve
 # line.  Per-line files are written without a trailing newline and
 # named by line number so the two outputs align after stripping the
 # directory prefix.
-ixdir=$(mktemp -d)
+ixdir="$tmp/ixdir"
+mkdir "$ixdir"
 ndx="$ixdir/corpus.ndjson"
 : > "$ndx"
 for i in $(seq 1 120); do
@@ -1087,7 +1097,8 @@ run 600 env BENCH_CORPUS_MB=8 _build/default/bench/main.exe corpus
 # byte-identical to the sequential run on a grouping pipeline
 # (streaming prefix sharded, blocking suffix joined in input order),
 # over one file per document of a generated collection.
-agdir=$(mktemp -d)
+agdir="$tmp/agdir"
+mkdir "$agdir"
 agnd="$agdir/docs.ndjson"
 : > "$agnd"
 for i in $(seq 1 60); do

@@ -476,22 +476,244 @@ let test_planner_reorders () =
       Alcotest.(check bool) "planner changed the evaluation order" true
         (Obs.Metrics.counter_value "index.plan.reorders" > 0))
 
-(* ---- determinism across lane counts ---------------------------------------- *)
+(* ---- parity with Tree.of_string ------------------------------------------- *)
 
-let test_jobs_determinism () =
-  let corpus = temp_path ".ndjson" in
-  write_file corpus (Lazy.force corpus_text);
-  let build jobs =
-    let out = temp_path ".idx" in
-    (match Jindex.Writer.build ~jobs ~corpus ~output:out () with
-    | Ok _ -> ()
-    | Error m -> Alcotest.fail ("build failed: " ^ m));
-    read_file out
+(* [lit] in place of the first number [line] holds as a value. *)
+let splice lit line =
+  let n = String.length line in
+  let rec find i =
+    if i >= n then None
+    else if
+      i > 0
+      && (match line.[i] with '0' .. '9' -> true | _ -> false)
+      && match line.[i - 1] with ':' | ',' | '[' -> true | _ -> false
+    then Some i
+    else find (i + 1)
   in
-  let one = build 1 in
-  let four = build 4 in
-  Alcotest.(check bool) "jobs 1 vs jobs 4 byte-identical" true (one = four);
-  Alcotest.(check bool) "rebuild byte-identical" true (one = build 1)
+  match find 0 with
+  | None -> line
+  | Some i ->
+    let j = ref i in
+    while !j < n && match line.[!j] with '0' .. '9' -> true | _ -> false do
+      incr j
+    done;
+    String.sub line 0 i ^ lit ^ String.sub line !j (n - !j)
+
+(* The shared corpus, then generated lines and their mutants:
+   truncations, duplicate keys (escaped spellings too), literals outside
+   the model, deep nesting, escapes, blank and CRLF lines, an array past
+   the position cap and an unterminated last line. *)
+let parity_text =
+  lazy
+    (let rng = Jworkload.Prng.create 2028 in
+     let gen i =
+       Jsont.Printer.compact
+         (if i mod 3 = 0 then Jworkload.Gen_json.api_record rng (i mod 4)
+          else Jworkload.Gen_json.sized rng (8 + Jworkload.Prng.int rng 60))
+     in
+     let nest d o c = String.make d o ^ "1" ^ String.make d c in
+     let lines =
+       List.concat
+         [ List.init 24 gen;
+           List.init 8 (fun i ->
+               let l = gen i in
+               String.sub l 0 (Jworkload.Prng.int rng (String.length l)));
+           List.map (fun lit -> splice lit (gen 1)) [ "null"; "true"; "-1"; "1.5" ];
+           [ "{\"a\":1,\"a\":2}"; "{\"a\":{\"b\":1,\"b\":2}}";
+             "{\"a\":{\"a\":1},\"a\":2}"; "{\"a\":1,\"\\u0061\":2}";
+             "{\"k\\u00e9y\":\"v\\nw\",\"k\\u00e9y2\":\"\xc3\xa9\",\"kéy\":0}";
+             "[4611686018427387903,0,\"\",{}]"; "null"; "-0"; "[]"; "\"s\"" ];
+           List.init 8 (fun d -> nest (d + 1) '[' ']');
+           List.init 8 (fun d ->
+               String.concat "" (List.init (d + 1) (fun _ -> "{\"a\":"))
+               ^ "1" ^ String.make (d + 1) '}');
+           [ ""; "  "; "\t"; gen 5 ^ "\r"; "\r";
+             Printf.sprintf "{\"m\":[%s]}"
+               (String.concat "," (List.init 1100 string_of_int)) ] ]
+     in
+     String.concat "\n" (Lazy.force corpus_text :: lines) ^ "\n" ^ gen 9)
+
+(* Builds at jobs 1, 2 and 4, without a budget and under depth and fuel
+   limits: the same bytes at every lane count; a line is flagged exactly
+   when [Tree.of_string] under the same budget rejects it; every parsed
+   line's nodes read back as its tree's — parent, label, last-element
+   bit, subtree size — and every (label, value) postings list holds
+   exactly its tree leaves, in node-id order. *)
+let test_tree_parity () =
+  let text = Lazy.force parity_text in
+  let corpus = temp_path ".ndjson" in
+  write_file corpus text;
+  let lines = Array.of_list (corpus_lines text) in
+  let budgets =
+    ("no budget", fun () -> Obs.Budget.create ())
+    :: List.init 6 (fun d ->
+           ( Printf.sprintf "max_depth %d" (d + 1),
+             fun () -> Obs.Budget.create ~max_depth:(d + 1) () ))
+    @ List.map
+        (fun f ->
+          (Printf.sprintf "fuel %d" f, fun () -> Obs.Budget.create ~fuel:f ()))
+        [ 0; 1; 2; 3; 4; 5; 7; 10; 15; 25; 40; 70; 130; 260 ]
+  in
+  List.iter
+    (fun (what, fresh_budget) ->
+      let build jobs =
+        let idx = temp_path ".idx" in
+        (match Jindex.Writer.build ~jobs ~fresh_budget ~corpus ~output:idx () with
+        | Ok _ -> ()
+        | Error m -> Alcotest.failf "%s, jobs %d: build failed: %s" what jobs m);
+        idx
+      in
+      let idx = build 1 in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: jobs 1 vs %d byte-identical" what jobs)
+            true
+            (read_file idx = read_file (build jobs)))
+        [ 1; 2; 4 ];
+      let r = open_exn idx in
+      Alcotest.(check int) (what ^ ": documents") (Array.length lines)
+        (Jindex.Reader.ndocs r);
+      let pairs = Hashtbl.create 64 in
+      Array.iteri
+        (fun d (lineno, line) ->
+          let at = Printf.sprintf "%s, line %d" what lineno in
+          Alcotest.(check int) (at ^ ": lineno") lineno (Jindex.Reader.doc_lineno r d);
+          match Jsont.Tree.of_string ~budget:(fresh_budget ()) line with
+          | Error _ ->
+            Alcotest.(check bool) (at ^ ": flagged") true (Jindex.Reader.doc_err r d)
+          | Ok t ->
+            Alcotest.(check bool) (at ^ ": flagged") false (Jindex.Reader.doc_err r d);
+            let base = Jindex.Reader.doc_node_base r d in
+            for i = 0 to Jsont.Tree.node_count t - 1 do
+              let g = base + i in
+              let p = Jsont.Tree.parent_id t i in
+              let label =
+                match Jsont.Tree.edge_from_parent t i with
+                | Jsont.Tree.Root -> Jindex.Layout.label_root
+                | Jsont.Tree.Key w ->
+                  Jindex.Layout.label_key (Option.get (Jindex.Reader.key_id r w))
+                | Jsont.Tree.Pos k -> Jindex.Layout.label_pos k
+              in
+              let last =
+                match Jsont.Tree.edge_from_parent t i with
+                | Jsont.Tree.Pos k -> k = Jsont.Tree.arity t p - 1
+                | _ -> false
+              in
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s: node %d parent, label, last, size" at i)
+                [ (if p < 0 then -1 else base + p); label; Bool.to_int last;
+                  Jsont.Tree.size t i ]
+                [ Jindex.Reader.node_parent r g; Jindex.Reader.node_label r g;
+                  Bool.to_int (Jindex.Reader.node_last r g);
+                  Jindex.Reader.node_size r g ];
+              let value =
+                match Jsont.Tree.kind t i with
+                | Jsont.Tree.Kstr s -> Some (Jindex.Layout.encode_str s)
+                | Jsont.Tree.Kint n -> Some (Jindex.Layout.encode_num n)
+                | Jsont.Tree.Kobj | Jsont.Tree.Karr -> None
+              in
+              Option.iter
+                (fun v ->
+                  let key = (label, Option.get (Jindex.Reader.value_id r v)) in
+                  Hashtbl.replace pairs key
+                    (g :: Option.value ~default:[] (Hashtbl.find_opt pairs key)))
+                value
+            done)
+        lines;
+      Alcotest.(check int) (what ^ ": pairs") (Hashtbl.length pairs)
+        (Jindex.Reader.npairs r);
+      Hashtbl.iter
+        (fun (label, vid) nodes ->
+          let post =
+            Jindex.Reader.pair_postings r
+              (Option.get (Jindex.Reader.pair_lookup r ~label ~vid))
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: postings of (%d, %d)" what label vid)
+            (List.rev nodes)
+            (List.init (Jindex.Reader.length post) (Jindex.Reader.posting r post)))
+        pairs)
+    budgets
+
+(* ---- pinned bytes ------------------------------------------------------------ *)
+
+(* perfbench's corpus-query mix, smaller: an API record in four amid
+   generated documents, every 500th line from the 8th truncated *)
+let pin_mix_text =
+  lazy
+    (let rng = Jworkload.Prng.create ((4242 * 6151) + 3) in
+     let buf = Buffer.create (1 lsl 17) in
+     let n = ref 0 in
+     while Buffer.length buf < 96_000 do
+       let line =
+         Jsont.Printer.compact
+           (if !n mod 4 = 0 then Jworkload.Gen_json.api_record rng (1 + (!n mod 8))
+            else Jworkload.Gen_json.sized rng (64 + (!n mod 257)))
+       in
+       Buffer.add_string buf
+         (if !n mod 500 = 7 then String.sub line 0 (String.length line / 2) else line);
+       Buffer.add_char buf '\n';
+       incr n
+     done;
+     Buffer.contents buf)
+
+(* scripts/ci.sh's index corpus: records, arrays and scalars with a
+   malformed line in 29, nested arrays, an array past the position cap
+   and an unterminated last line *)
+let pin_ci_text =
+  lazy
+    (let buf = Buffer.create 8192 in
+     let add fmt = Printf.bprintf buf fmt in
+     for i = 1 to 120 do
+       if i mod 29 = 0 then add "{\"name\":{\"first\":\n"
+       else if i mod 4 = 0 then
+         add
+           "{\"name\":{\"first\":\"John\",\"last\":\"Doe\"},\"orders\":[{\"status\":\"shipped\",\"lines\":[{\"sku\":\"SKU-%d\",\"qty\":%d}]}]}\n"
+           i i
+       else if i mod 4 = 1 then
+         add "{\"id\":%d,\"tags\":[\"a\",\"b\"],\"meta\":{\"next\":\"none\"}}\n" i
+       else if i mod 4 = 2 then add "[%d,{\"value\":%d},\"end\"]\n" i i
+       else add "\"scalar-%d\"\n" i
+     done;
+     add "{\"m\":[[0,[1,2,3,4]],[5],6,7]}\n";
+     add "{\"m\":[[[1,[2,3]],4],[5,[6,[7,8,9]]],[],10]}\n";
+     add "[[1,[2,[3,4,5]]],[6],{\"m\":[8,9]},[10,11,12,13]]\n";
+     add "{\"m\":[%s]}\n" (String.concat "," (List.init 1101 string_of_int));
+     add "{\"tail\":{\"name\":{\"first\":\"Sue\"}}}";
+     Buffer.contents buf)
+
+(* The index of [text] up to its corpus-path section: that offset, and
+   the MD5 of those bytes with the three header words that depend on the
+   path (file size, body and header checksums) zeroed. *)
+let pinned_prefix text =
+  let corpus = temp_path ".ndjson" and idx = temp_path ".idx" in
+  write_file corpus text;
+  (match Jindex.Writer.build ~jobs:2 ~corpus ~output:idx () with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail ("build failed: " ^ m));
+  let b = Bytes.of_string (read_file idx) in
+  let cpath = Jindex.Layout.get_u64 b Jindex.Layout.Field.corpus_path in
+  Alcotest.(check int) "file size: prefix and path section"
+    (cpath + Jindex.Layout.pad8 (4 + String.length corpus))
+    (Bytes.length b);
+  List.iter
+    (fun f -> Bytes.fill b f 8 '\000')
+    Jindex.Layout.Field.[ file_size; body_checksum; header_checksum ];
+  (cpath, Digest.to_hex (Digest.subbytes b 0 cpath))
+
+(* The constants were computed with the writer that built a Tree.t per
+   line (the format is JLIXIDX5 throughout): the build that replaced it
+   must reproduce its bytes. *)
+let test_pinned_bytes () =
+  List.iter
+    (fun (what, text, size, md5) ->
+      Alcotest.(check (pair int string)) what (size, md5)
+        (pinned_prefix (Lazy.force text)))
+    [ ("corpus-query mix", pin_mix_text, 277072,
+       "3e3a571f47dcc53abeb6dfc4f01e29d3");
+      ("ci.sh index corpus", pin_ci_text, 82856,
+       "c075d90e86d3198bc2a741800c986b81") ]
 
 (* ---- fault injection -------------------------------------------------------- *)
 
@@ -974,8 +1196,10 @@ let () =
          Alcotest.test_case "planner reorders conjunctions" `Quick
            test_planner_reorders ]);
       ("determinism",
-       [ Alcotest.test_case "jobs 1 vs 4 byte-identical" `Quick
-           test_jobs_determinism ]);
+       [ Alcotest.test_case "builds agree with Tree.of_string" `Quick
+           test_tree_parity;
+         Alcotest.test_case "bytes pinned to the tree writer's" `Quick
+           test_pinned_bytes ]);
       ("faults",
        [ Alcotest.test_case "bit flips rejected" `Quick test_bit_flips;
          Alcotest.test_case "truncations rejected" `Quick test_truncations;
