@@ -21,6 +21,15 @@ let add t i =
   let w = i / bits_per_word in
   t.words.(w) <- t.words.(w) lor (1 lsl (i mod bits_per_word))
 
+let add_new t i =
+  let w = i / bits_per_word and b = 1 lsl (i mod bits_per_word) in
+  let v = t.words.(w) in
+  v land b = 0
+  && begin
+    t.words.(w) <- v lor b;
+    true
+  end
+
 let remove t i =
   let w = i / bits_per_word in
   t.words.(w) <- t.words.(w) land lnot (1 lsl (i mod bits_per_word))

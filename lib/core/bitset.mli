@@ -17,6 +17,11 @@ val full : int -> t
 val capacity : t -> int
 val mem : t -> int -> bool
 val add : t -> int -> unit
+
+val add_new : t -> int -> bool
+(** [add_new t i] adds [i]; [true] when it was not a member, so a loop
+    can count what it adds instead of a {!cardinal} pass after. *)
+
 val remove : t -> int -> unit
 val copy : t -> t
 

@@ -5,12 +5,18 @@ module Tree = Jsont.Tree
 module type STORE = Jnl_store.S
 
 (* [sort_uniq a k]: the first [k] entries of [a], ascending and
-   distinct — an insertion sort of ints below 16 entries, a merge sort
-   above, no comparison closure either way.  [a] itself when that is
-   the whole of it. *)
+   distinct — no sort when they already ascend, an insertion sort of
+   ints below 16 entries, a merge sort above, no comparison closure
+   either way.  [a] itself when that is the whole of it. *)
 let sort_uniq a k =
+  let sorted = ref true and i = ref 1 in
+  while !sorted && !i < k do
+    sorted := a.(!i - 1) <= a.(!i);
+    incr i
+  done;
   let a =
-    if k <= 16 then begin
+    if !sorted then a
+    else if k <= 16 then begin
       for i = 1 to k - 1 do
         let x = a.(i) and j = ref (i - 1) in
         while !j >= 0 && a.(!j) > x do
@@ -57,6 +63,72 @@ let sort_uniq a k =
     end
   done;
   if !m = Array.length a then a else Array.sub a 0 !m
+
+(* ---- ascending int arrays ------------------------------------------------- *)
+
+(* the position of [x] in the ascending array [a], or [-1] *)
+let find_sorted (a : int array) (x : int) =
+  let lo = ref 0 and hi = ref (Array.length a - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let v = a.(mid) in
+    if v = x then found := mid else if v < x then lo := mid + 1 else hi := mid - 1
+  done;
+  !found
+
+(* a growing array of ints *)
+type buf = { mutable a : int array; mutable k : int }
+
+let buf () = { a = Array.make 16 0; k = 0 }
+
+let push b x =
+  if b.k = Array.length b.a then begin
+    let a = Array.make (2 * b.k) 0 in
+    Array.blit b.a 0 a 0 b.k;
+    b.a <- a
+  end;
+  b.a.(b.k) <- x;
+  b.k <- b.k + 1
+
+let contents b = Array.sub b.a 0 b.k
+
+(* the members of the ascending arrays [a] and [b] that are in [a]
+   only, in both or in [b] only, as the flags admit: ascending *)
+let merge ~left ~both ~right (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  let out = Array.make (la + lb) 0 and k = ref 0 in
+  let emit x =
+    out.(!k) <- x;
+    incr k
+  in
+  let i = ref 0 and j = ref 0 in
+  while !i < la || !j < lb do
+    if !j >= lb || (!i < la && a.(!i) < b.(!j)) then begin
+      if left then emit a.(!i);
+      incr i
+    end
+    else if !i >= la || b.(!j) < a.(!i) then begin
+      if right then emit b.(!j);
+      incr j
+    end
+    else begin
+      if both then emit a.(!i);
+      incr i;
+      incr j
+    end
+  done;
+  Array.sub out 0 !k
+
+let filter_sorted keep (a : int array) =
+  let out = Array.make (Array.length a) 0 and k = ref 0 in
+  Array.iter
+    (fun x ->
+      if keep x then begin
+        out.(!k) <- x;
+        incr k
+      end)
+    a;
+  Array.sub out 0 !k
 
 (* ---- set-at-a-time evaluation over any store ----------------------------- *)
 
@@ -113,9 +185,11 @@ module Make (S : STORE) = struct
       Hashtbl.add ctx.keys e !ks;
       !ks
 
-  (* A pre-image target, kept symbolic while it is cheaper that way. *)
+  (* A pre-image target, kept symbolic while it is cheaper that way; also
+     a demand (below), which is [All], [Roots], [Set] or [Few]. *)
   type target =
     | All  (* every node: the target of [Exists] *)
+    | Roots  (* every tree's root *)
     | Value of Jsont.Value.t  (* the nodes equal to a constant *)
     | Arrays of int  (* the arrays with at least that many elements *)
     | Set of Bitset.t * int  (* explicit, with its cardinality *)
@@ -127,7 +201,7 @@ module Make (S : STORE) = struct
   let card = function
     | Set (_, c) -> c
     | Few a -> Array.length a
-    | All | Value _ | Arrays _ -> max_int
+    | All | Roots | Value _ | Arrays _ -> max_int
 
   (* Does a step walking [w] members keep its result as a bitset?  Once
      sorting their parents would cost more than the bitset's words. *)
@@ -159,8 +233,8 @@ module Make (S : STORE) = struct
     burn ctx (1 + w);
     if bulk ctx w then begin
       let into = Bitset.create (n ctx) in
-      List.iter (fun b -> S.bucket_parents ctx.s b keep into) bs;
-      set into
+      let c = List.fold_left (fun c b -> c + S.bucket_parents ctx.s b keep into) 0 bs in
+      Set (into, c)
     end
     else
       few ctx w (fun add ->
@@ -170,6 +244,7 @@ module Make (S : STORE) = struct
 
   let rec nodes ctx = function
     | All -> Bitset.full (n ctx)
+    | Roots -> nodes ctx (Few (S.roots ctx.s))
     | Set (s, _) -> s
     | Few a ->
       let s = Bitset.create (n ctx) in
@@ -198,13 +273,14 @@ module Make (S : STORE) = struct
     in
     if bulk ctx w then begin
       let into = Bitset.create (n ctx) in
-      (match (tgt, edge) with
-      | Set (s, _), ((`Key _ | `Pos _) as e) -> S.edge_parents ctx.s s e into
+      match (tgt, edge) with
+      | Set (s, _), ((`Key _ | `Pos _) as e) -> Set (into, S.edge_parents ctx.s s e into)
       | _ ->
+        let k = ref 0 in
         walk (fun c ->
             let p = S.parent ctx.s c in
-            if p >= 0 then Bitset.add into p));
-      set into
+            if p >= 0 && Bitset.add_new into p then incr k);
+        Set (into, !k)
     end
     else few ctx w walk
 
@@ -223,6 +299,7 @@ module Make (S : STORE) = struct
         match Option.bind hint (fun h -> S.value_bucket ctx.s h v) with
         | Some b -> via_buckets ctx [ b ] `All
         | None -> step (set (nodes ctx tgt)))
+      | Roots -> step (Few (S.roots ctx.s))
       | Set _ | Few _ ->
         let bs = buckets () in
         if card tgt < List.fold_left (fun a b -> a + S.length b) 0 bs then
@@ -298,6 +375,24 @@ module Make (S : STORE) = struct
       match S.find_key ctx.s w with None -> 0 | Some k -> len (`Key k))
     | Jnl.Idx i when i >= 0 -> len (`Pos i)
     | _ -> est_path ctx p (n ctx)
+
+  (* The planner: a conjunction's conjuncts, cheapest first by
+     {!estimate} (stable, so ties keep syntactic order). *)
+  let plan ctx f =
+    let rec flat acc = function
+      | Jnl.And (a, b) -> flat (flat acc b) a
+      | g -> g :: acc
+    in
+    let parts = flat [] f in
+    S.prepare ctx.budget ctx.s;
+    let ranked =
+      List.map (fun g -> (estimate ctx g, g)) parts
+      |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.map snd
+    in
+    if not (List.for_all2 ( == ) parts ranked) then
+      ctx.reorders <- ctx.reorders + 1;
+    ranked
 
   (* [pre_at ctx d α T] = { n | ∃n' . (n,n') ∈ ⟦α⟧ ∧ n' ∈ T } *)
   let rec pre_at ctx depth (p : Jnl.path) tgt =
@@ -391,23 +486,10 @@ module Make (S : STORE) = struct
       Hashtbl.replace ctx.memo f result;
       result
 
-  (* The planner: conjuncts cheapest first by {!estimate} (stable, so
-     ties keep syntactic order), and an empty running intersection
-     skips the rest. *)
+  (* The planner (see [plan]), and an empty running intersection skips
+     the rest. *)
   and conj ctx depth f =
-    let rec flat acc = function
-      | Jnl.And (a, b) -> flat (flat acc b) a
-      | g -> g :: acc
-    in
-    let parts = flat [] f in
-    S.prepare ctx.budget ctx.s;
-    let ranked =
-      List.map (fun g -> (estimate ctx g, g)) parts
-      |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
-      |> List.map snd
-    in
-    if not (List.for_all2 ( == ) parts ranked) then
-      ctx.reorders <- ctx.reorders + 1;
+    let ranked = plan ctx f in
     let acc = Bitset.copy (eval_at ctx depth (List.hd ranked)) in
     List.iter
       (fun g ->
@@ -416,9 +498,452 @@ module Make (S : STORE) = struct
       (List.tl ranked);
     acc
 
+  (* ---- demand-restricted evaluation -------------------------------------- *)
+
+  (* A demand is the set of nodes whose answer is wanted.  Under a
+     demand [d], [sat_in] computes ⟦ϕ⟧ ∩ d and [pre_in] the pre-image's
+     members in [d].  The demand [All] (every node) is [eval_at] and
+     [pre_at], step for step: the same walks, fuel and memo.  Under
+     [Roots], [Few] or [Set], a labelled step walks the cheapest of its
+     postings, its target and the demand's children — the roots'
+     children where the store keeps them — and a sequence first carries
+     its demand forward through its steps (the magic-sets rewrite) while
+     that walk stays below what its last step walks backward.  A
+     demand-side walk stops once it has read as many members as the
+     backward walk would, and that walk runs instead.  Results are the
+     demand's members, [Few] arrays unless they come from a bulk step;
+     set algebra between them burns nothing, as bitset connectives burn
+     nothing.  Nothing restricted is memoized. *)
+
+  let is_empty = function
+    | Few a -> Array.length a = 0
+    | Set (_, c) -> c = 0
+    | All | Roots | Value _ | Arrays _ -> false
+
+  let is_root ctx g = S.parent ctx.s g < 0
+  let explicit ctx = function Roots -> Few (S.roots ctx.s) | t -> t
+  let size ctx d = card (explicit ctx d)
+
+  (* an explicit set's members in ascending order *)
+  let iter_members ctx d f =
+    match explicit ctx d with
+    | Few a -> Array.iter f a
+    | t -> Bitset.iter f (nodes ctx t)
+
+  let mem_in ctx = function
+    | All -> fun _ -> true
+    | Roots -> is_root ctx
+    | Few a -> fun g -> find_sorted a g >= 0
+    | Set (s, _) -> Bitset.mem s
+    | Arrays a -> fun g -> S.has_element ctx.s g (a - 1)
+    | Value _ as t -> Bitset.mem (nodes ctx t)
+
+  let filter_in ctx d keep =
+    match explicit ctx d with
+    | Few a -> Few (filter_sorted keep a)
+    | t ->
+      let out = Bitset.create (n ctx) and k = ref 0 in
+      Bitset.iter
+        (fun g ->
+          if keep g then begin
+            Bitset.add out g;
+            incr k
+          end)
+        (nodes ctx t);
+      Set (out, !k)
+
+  (* the parents of roots' children [rc] (ascending) that pass [keep]:
+     roots, so already ascending *)
+  let root_parents ctx keep rc =
+    let out = buf () in
+    Array.iter
+      (fun c ->
+        if keep c then begin
+          let p = S.parent ctx.s c in
+          if out.k = 0 || out.a.(out.k - 1) <> p then push out p
+        end)
+      rc;
+    Few (contents out)
+
+  let inter ctx x y =
+    match (x, y) with
+    | All, t | t, All -> t
+    | Roots, Roots -> Roots
+    | Roots, Few a | Few a, Roots -> Few (filter_sorted (is_root ctx) a)
+    | Few a, Few b -> Few (merge ~left:false ~both:true ~right:false a b)
+    | ((Roots | Few _) as d), t | t, ((Roots | Few _) as d) ->
+      filter_in ctx d (mem_in ctx t)
+    | _ -> set (Bitset.inter (nodes ctx x) (nodes ctx y))
+
+  let union ctx x y =
+    match (explicit ctx x, explicit ctx y) with
+    | All, _ | _, All -> All
+    | Few a, Few b -> Few (merge ~left:true ~both:true ~right:true a b)
+    | x, y -> set (Bitset.union (nodes ctx x) (nodes ctx y))
+
+  (* [d \ x], [x] an answer under [d] *)
+  let diff ctx d x =
+    match (explicit ctx d, explicit ctx x) with
+    | Few a, Few b -> Few (merge ~left:true ~both:false ~right:false a b)
+    | Few a, x -> Few (filter_sorted (fun g -> not (mem_in ctx x g)) a)
+    | d, x -> set (Bitset.diff (nodes ctx d) (nodes ctx x))
+
+  (* A labelled step: its buckets, its edge, the label whose value
+     postings stand in for a [Value] target, how a parent's children
+     are walked for it — [probe c]: does [c]'s edge pass, or may a
+     later child's, or none; [one]: at most one child passes — and the
+     roots' children through it, where the store keeps them. *)
+  type step = {
+    buckets : unit -> S.bucket list;
+    edge : [ `Key of S.key | `Pos of int | `Test of int -> bool ];
+    hint : [ `Key of S.key | `Pos of int ] option;
+    probe : int -> [ `Hit | `Skip | `Stop ];
+    one : bool;
+    roots_of : unit -> int array option;
+  }
+
+  let key_step ctx k =
+    { buckets = (fun () -> [ S.key_bucket ctx.s k ]); edge = `Key k;
+      hint = Some (`Key k);
+      probe = (fun c -> if S.is_key ctx.s c k then `Hit else `Skip);
+      one = true;
+      roots_of = (fun () -> S.root_children ctx.s (`Key k)) }
+
+  (* positions ascend, and an object's children carry none *)
+  let pos_step ctx i =
+    { buckets = (fun () -> [ S.pos_bucket ctx.s i ]); edge = `Pos i;
+      hint = Some (`Pos i);
+      probe =
+        (fun c ->
+          let q = S.edge_pos ctx.s c in
+          if q = i then `Hit else if q >= 0 && q < i then `Skip else `Stop);
+      one = true;
+      roots_of = (fun () -> S.root_children ctx.s (`Pos i)) }
+
+  let keys_step ctx e =
+    let l = lang ctx e in
+    let test c =
+      S.edge_key ctx.s c (fun k -> Rexp.Lang.matches l (S.key_name ctx.s k))
+    in
+    { buckets = (fun () -> List.map (S.key_bucket ctx.s) (matching_keys ctx e));
+      edge = `Test test; hint = None;
+      probe = (fun c -> if test c then `Hit else `Skip);
+      one = false;
+      roots_of =
+        (fun () ->
+          List.fold_left
+            (fun acc k ->
+              match (acc, S.root_children ctx.s (`Key k)) with
+              | Some a, Some b -> Some (merge ~left:true ~both:true ~right:true a b)
+              | _ -> None)
+            (Some [||]) (matching_keys ctx e)) }
+
+  (* walks [g]'s children through the step's edge, calling [visit] on
+     each that passes until it returns [false]; the children read, at
+     least one *)
+  let through ctx st g visit =
+    let read = ref 0 in
+    S.children ctx.s g (fun c ->
+        incr read;
+        match st.probe c with
+        | `Hit -> visit c && not st.one
+        | `Skip -> true
+        | `Stop -> false);
+    max 1 !read
+
+  (* The roots' children through the step, where the store keeps them
+     and walking them reads less than [limit] and than the demand's
+     children would: every root's, or, for a demand of roots (checked
+     member by member), those under the demand. *)
+  let root_walk ctx st d limit =
+    match d with
+    | Roots ->
+      Option.bind (st.roots_of ()) (fun rc ->
+          if Array.length rc <= limit then Some rc else None)
+    | Few a -> (
+      match st.roots_of () with
+      | Some rc
+        when Array.length rc <= limit && Array.length rc <= Array.length a
+             && Array.for_all (is_root ctx) a ->
+        Some (filter_sorted (fun c -> find_sorted a (S.parent ctx.s c) >= 0) rc)
+      | _ -> None)
+    | _ -> None
+
+  let value_postings ctx st = function
+    | Value v -> Option.bind st.hint (fun h -> S.value_bucket ctx.s h v)
+    | _ -> None
+
+  (* what the step walks backward: its value postings [vb], its
+     buckets, or the smaller of its buckets and its explicit target *)
+  let backward_cost ctx st vb tgt =
+    let buckets () = List.fold_left (fun a b -> a + S.length b) 0 (st.buckets ()) in
+    match (tgt, vb) with
+    | Value _, Some b -> S.length b
+    | Value _, None -> n ctx
+    | (All | Arrays _), _ -> buckets ()
+    | _ -> min (card tgt) (buckets ())
+
+  (* one labelled step under a demand other than [All] *)
+  let labelled_in ctx d st tgt =
+    S.prepare ctx.budget ctx.s;
+    let vb = value_postings ctx st tgt in
+    let tgt =
+      match (tgt, vb) with
+      | Value _, None -> set (nodes ctx tgt)
+      | _ -> explicit ctx tgt
+    in
+    let back = backward_cost ctx st vb tgt in
+    let hit = match vb with Some b -> S.mem ctx.s b | None -> mem_in ctx tgt in
+    let backward () =
+      inter ctx d
+        (labelled ctx ~buckets:st.buckets ~edge:st.edge ~hint:st.hint tgt)
+    in
+    match (root_walk ctx st d back, d) with
+    | Some rc, _ ->
+      burn ctx (1 + Array.length rc);
+      Obs.Metrics.incr "jnl.demand.roots";
+      root_parents ctx hit rc
+    | None, _ when size ctx d < back ->
+      let out = buf () and read = ref 0 in
+      (try
+         iter_members ctx d (fun g ->
+             read :=
+               !read
+               + through ctx st g (fun c ->
+                     if hit c then begin
+                       push out g;
+                       false
+                     end
+                     else true);
+             if !read > back then raise Exit)
+       with Exit -> ());
+      if !read > back then begin
+        burn ctx !read;
+        Obs.Metrics.incr "jnl.demand.capped";
+        backward ()
+      end
+      else begin
+        burn ctx (1 + !read);
+        Obs.Metrics.incr "jnl.demand.walks";
+        Few (contents out)
+      end
+    | None, _ -> backward ()
+
+  (* The forward image of [d] through a step, read off the roots'
+     children or the demand's, within the allowance [left] (less what
+     it reads): [None] once that runs out, and where the image is not
+     walked (a star).  A test's image is its demand: a superset only
+     restricts less what later steps compute. *)
+  let rec fwd ctx left d (p : Jnl.path) =
+    if is_empty d then Some d
+    else
+      match p with
+      | Jnl.Self | Jnl.Test _ -> Some d
+      | Jnl.Star _ -> None
+      | Jnl.Seq (a, b) -> Option.bind (fwd ctx left d a) (fun d -> fwd ctx left d b)
+      | Jnl.Alt (a, b) ->
+        Option.bind (fwd ctx left d a) (fun x ->
+            Option.map (union ctx x) (fwd ctx left d b))
+      | Jnl.Key w -> (
+        match S.find_key ctx.s w with
+        | None -> Some empty
+        | Some k -> fwd_step ctx left d (key_step ctx k))
+      | Jnl.Keys e -> fwd_step ctx left d (keys_step ctx e)
+      | Jnl.Idx i when i >= 0 -> fwd_step ctx left d (pos_step ctx i)
+      | Jnl.Range (i, Some j) when i = j && i >= 0 ->
+        fwd_step ctx left d (pos_step ctx i)
+      | Jnl.Idx i -> fwd_window ctx left d i (Some i)
+      | Jnl.Range (i, j) -> fwd_window ctx left d i j
+
+  (* [collect g add] adds [g]'s children in the image and returns what
+     it read; the walk reads at least one per member, and its image is
+     at most as large as the walk, so it may spend half of what is
+     left *)
+  and fwd_walk ctx left d collect =
+    let cap = !left / 2 in
+    if size ctx d > cap then None
+    else begin
+      let out = buf () and read = ref 0 in
+      (try
+         iter_members ctx d (fun g ->
+             read := !read + collect g (push out);
+             if !read > cap then raise Exit)
+       with Exit -> ());
+      if !read > cap then begin
+        burn ctx !read;
+        Obs.Metrics.incr "jnl.demand.capped";
+        None
+      end
+      else begin
+        left := !left - !read;
+        burn ctx (1 + !read);
+        Obs.Metrics.incr "jnl.demand.walks";
+        Some (Few (sort_uniq out.a out.k))
+      end
+    end
+
+  (* a root walk's image is as large as the walk: leave room for the
+     last step to walk it *)
+  and fwd_step ctx left d st =
+    match (root_walk ctx st d (!left / 2), d) with
+    | Some rc, _ ->
+      left := !left - Array.length rc;
+      burn ctx (1 + Array.length rc);
+      Obs.Metrics.incr "jnl.demand.roots";
+      Some (Few rc)
+    | None, _ ->
+      fwd_walk ctx left d (fun g add ->
+          through ctx st g (fun c ->
+              add c;
+              true))
+
+  and fwd_window ctx left d i j =
+    let kids = buf () in
+    fwd_walk ctx left d (fun g add ->
+        kids.k <- 0;
+        S.children ctx.s g (fun c ->
+            S.edge_pos ctx.s c >= 0
+            && begin
+              push kids c;
+              true
+            end);
+        for q = 0 to kids.k - 1 do
+          if Jnl_step.range_matches ~len:kids.k ~pos:q i j then add kids.a.(q)
+        done;
+        max 1 kids.k)
+
+  (* What the last step of a sequence walks backward from its target:
+     the allowance of the forward walk that would spare it that.  An
+     array step from every node walks nothing: it stays symbolic, and
+     the step before it tests its arrays. *)
+  let rec last_cost ctx (p : Jnl.path) tgt =
+    let step st = backward_cost ctx st (value_postings ctx st tgt) tgt in
+    match (p, tgt) with
+    | Jnl.Self, _ | (Jnl.Idx _ | Jnl.Range _), All -> 0
+    | Jnl.Key w, _ -> (
+      match S.find_key ctx.s w with None -> 0 | Some k -> step (key_step ctx k))
+    | Jnl.Keys e, _ -> step (keys_step ctx e)
+    | Jnl.Idx i, _ when i >= 0 -> step (pos_step ctx i)
+    | Jnl.Range (i, Some j), _ when i = j && i >= 0 -> step (pos_step ctx i)
+    | (Jnl.Idx _ | Jnl.Range _), (Few _ | Set _) -> card tgt
+    | (Jnl.Idx _ | Jnl.Range _), _ -> 0
+    | Jnl.Test f, _ -> estimate ctx f
+    | Jnl.Seq (_, b), _ -> last_cost ctx b tgt
+    | Jnl.Alt (a, b), _ -> last_cost ctx a tgt + last_cost ctx b tgt
+    | Jnl.Star _, _ -> n ctx
+
+  let rec pre_in ctx depth d (p : Jnl.path) tgt =
+    match d with
+    | All -> pre_at ctx depth p tgt
+    | _ when is_empty d -> empty
+    | _ -> (
+      Obs.Budget.check_depth ctx.budget depth;
+      match p with
+      | Jnl.Self ->
+        burn ctx 1;
+        inter ctx d tgt
+      | Jnl.Key w -> (
+        match S.find_key ctx.s w with
+        | None ->
+          burn ctx 1;
+          empty
+        | Some k -> labelled_in ctx d (key_step ctx k) tgt)
+      | Jnl.Keys e -> labelled_in ctx d (keys_step ctx e) tgt
+      | Jnl.Idx i when i >= 0 -> labelled_in ctx d (pos_step ctx i) tgt
+      | Jnl.Range (i, Some j) when i = j && i >= 0 ->
+        labelled_in ctx d (pos_step ctx i) tgt
+      | Jnl.Idx i -> inter ctx d (window ctx i (Some i) tgt)
+      | Jnl.Range (i, j) -> inter ctx d (window ctx i j tgt)
+      | Jnl.Seq _ -> chain ctx depth d p tgt
+      | Jnl.Alt (a, b) ->
+        burn ctx (S.connective_fuel ctx.s);
+        union ctx
+          (pre_in ctx (depth + 1) d a tgt)
+          (pre_in ctx (depth + 1) d b tgt)
+      | Jnl.Test f ->
+        burn ctx (S.connective_fuel ctx.s);
+        sat_in ctx (depth + 1) (inter ctx d tgt) f
+      | Jnl.Star _ -> inter ctx d (pre_at ctx depth p tgt))
+
+  (* A sequence as its steps, first first, each checked at the depth
+     [pre_at] checks it at: the demand goes forward through them while
+     the walk, and the last step's walk of the image (one read per
+     member at least), stay within what the last step walks backward;
+     then each step runs backward under its demand. *)
+  and chain ctx depth d p tgt =
+    let rec flat acc depth = function
+      | Jnl.Seq (a, b) ->
+        Obs.Budget.check_depth ctx.budget depth;
+        burn ctx 1;
+        flat ((b, depth + 1) :: acc) (depth + 1) a
+      | p -> (p, depth) :: acc
+    in
+    let steps = Array.of_list (flat [] depth p) in
+    let last = Array.length steps - 1 in
+    S.prepare ctx.budget ctx.s;
+    let left = ref (last_cost ctx (fst steps.(last)) tgt) in
+    let demands = Array.make (last + 1) All in
+    demands.(0) <- d;
+    (try
+       for i = 1 to last do
+         match fwd ctx left demands.(i - 1) (fst steps.(i - 1)) with
+         | Some d ->
+           demands.(i) <- d;
+           if card d > !left then raise Exit
+         | None -> raise Exit
+       done
+     with Exit -> ());
+    let t = ref tgt in
+    for i = last downto 0 do
+      let s, depth = steps.(i) in
+      t := pre_in ctx depth demands.(i) s !t
+    done;
+    !t
+
+  and sat_in ctx depth d (f : Jnl.form) =
+    match d with
+    | All -> set (eval_at ctx depth f)
+    | _ when is_empty d -> empty
+    | _ -> (
+      Obs.Budget.check_depth ctx.budget depth;
+      burn ctx (S.connective_fuel ctx.s);
+      let e = depth + 1 in
+      match f with
+      | Jnl.True -> d
+      | Jnl.Not g -> diff ctx d (sat_in ctx e d g)
+      | Jnl.And _ ->
+        List.fold_left
+          (fun acc g -> if is_empty acc then acc else sat_in ctx e acc g)
+          d (plan ctx f)
+      | Jnl.Or (a, b) -> union ctx (sat_in ctx e d a) (sat_in ctx e d b)
+      | Jnl.Exists p -> pre_in ctx e d p All
+      | Jnl.Eq_doc (p, v) ->
+        Obs.Metrics.incr "jnl.eq_doc";
+        pre_in ctx e d p (Value v)
+      | Jnl.Eq_paths (a, b) ->
+        Obs.Metrics.incr "jnl.eq_paths";
+        inter ctx d
+          (set
+             (S.eq_paths ctx.s ~budget:ctx.budget ~depth ~lang:(lang ctx)
+                ~test:(eval_at ctx) a b)))
+
   let eval ctx f = eval_at ctx 0 f
   let pre ctx p target = nodes ctx (pre_at ctx 0 p (set target))
   let holds ctx nd f = Bitset.mem (eval ctx f) nd
+
+  type demand = [ `Every | `Roots | `Nodes of int array ]
+
+  let eval_in ctx demand f =
+    let elements s = Array.of_list (Bitset.elements s) in
+    match demand with
+    | `Every -> elements (eval ctx f)
+    | (`Roots | `Nodes _) as d -> (
+      match
+        explicit ctx
+          (sat_in ctx 0 (match d with `Roots -> Roots | `Nodes a -> Few a) f)
+      with
+      | Few a -> a
+      | t -> elements (nodes ctx t))
 end
 
 (* ---- the tree store -------------------------------------------------------- *)
@@ -538,8 +1063,20 @@ module Tree_store = struct
 
   let length = Array.length
   let iter _ b f = Array.iter f b
+  let mem _ b c = find_sorted b c >= 0
+
+  let children t g f =
+    let cs = Tree.child_ids t g in
+    let i = ref 0 in
+    while !i < Array.length cs && f cs.(!i) do
+      incr i
+    done
+
+  let roots _ = [| Tree.root |]
+  let root_children _ _ = None
 
   let bucket_parents t b keep into =
+    let added = ref 0 in
     for i = 0 to Array.length b - 1 do
       let c = b.(i) in
       if
@@ -549,22 +1086,25 @@ module Tree_store = struct
         | `Element p -> has_element t c p
       then begin
         let p = Tree.parent_id t c in
-        if p >= 0 then Bitset.add into p
+        if p >= 0 && Bitset.add_new into p then incr added
       end
-    done
+    done;
+    !added
 
   let edge_parents t s edge into =
-    let n = Bitset.capacity s in
+    let n = Bitset.capacity s and added = ref 0 in
     let c = ref (Bitset.next s 0) in
     while !c < n do
       let g = !c in
       (match (edge, Tree.edge_from_parent t g) with
       | `Key w, Tree.Key k when String.equal k w ->
-        Bitset.add into (Tree.parent_id t g)
-      | `Pos p, Tree.Pos q when p = q -> Bitset.add into (Tree.parent_id t g)
+        if Bitset.add_new into (Tree.parent_id t g) then incr added
+      | `Pos p, Tree.Pos q when p = q ->
+        if Bitset.add_new into (Tree.parent_id t g) then incr added
       | _ -> ());
       c := Bitset.next s (g + 1)
-    done
+    done;
+    !added
 end
 
 include Make (Tree_store)

@@ -42,6 +42,24 @@ module Make (S : STORE) : sig
 
   val eval : ctx -> Jnl.form -> Bitset.t
 
+  type demand = [ `Every | `Roots | `Nodes of int array ]
+  (** The nodes whose answer is wanted: every node, every tree's root
+      ({!Jnl_store.S.roots}), or distinct ids in ascending order. *)
+
+  val eval_in : ctx -> demand -> Jnl.form -> int array
+  (** [eval_in ctx d ϕ] is [⟦ϕ⟧ ∩ d], ascending.  Under [`Every] it is
+      {!eval}, with the same walks, fuel and memo.  Under any other
+      demand the demand runs through the formula: a conjunct runs under
+      the survivors of the ones before it, a negation under its demand,
+      a sequence's second step under the first step's forward image of
+      the demand; [Star] and [EQ(α,β)] compute their full set and
+      intersect it.  Each labelled step walks the cheapest of its
+      postings, its target and the demand's children (from the roots,
+      {!Jnl_store.S.root_children}), burning [1 +] what it reads; a
+      walk of the demand's children stops once it has read as many
+      members as the backward walk would, and that walk runs instead.
+      Restricted answers are not memoized. *)
+
   val reorders : ctx -> int
   (** How many conjunctions the planner evaluated out of syntactic
       order so far. *)
@@ -74,6 +92,14 @@ val pre : ctx -> Jnl.path -> Bitset.t -> Bitset.t
 (** [pre ctx α S] = [{ n | ∃n' ∈ S. (n,n') ∈ ⟦α⟧_J }], one pre-image
     step — the primitive the set-at-a-time evaluator iterates, exposed
     for tests and direct callers. *)
+
+type demand = [ `Every | `Roots | `Nodes of int array ]
+
+val eval_in : ctx -> demand -> Jnl.form -> int array
+(** [⟦ϕ⟧ ∩ d], ascending, as {!Make}'s [eval_in].  On a tree the roots
+    are [{root}] and the store keeps no root children, so a step from
+    the root walks its children where that reads less than the backward
+    walk. *)
 
 val holds : ctx -> Jsont.Tree.node -> Jnl.form -> bool
 (** [holds ctx n ϕ] iff [n ∈ ⟦ϕ⟧_J], via {!eval}. *)

@@ -74,6 +74,27 @@ module type S = sig
   val length : bucket -> int
   val iter : t -> bucket -> (int -> unit) -> unit
 
+  val mem : t -> bucket -> int -> bool
+  (** Is the node a member of a {!value_bucket}?  Buckets list their
+      members ascending, so this is a binary search. *)
+
+  (** {2 Forward steps}
+
+      What a demand-restricted step ({!Jnl_eval.Make.eval_in}) reads
+      to walk from the nodes whose answer is wanted to their
+      children. *)
+
+  val children : t -> int -> (int -> bool) -> unit
+  (** [children t g f] calls [f] on [g]'s children in document order
+      until it returns [false]. *)
+
+  val roots : t -> int array
+  (** Every tree's root, ascending. *)
+
+  val root_children : t -> [ `Key of key | `Pos of int ] -> int array option
+  (** The roots' children through that label, ascending, if the store
+      keeps them. *)
+
   (** {2 Bulk steps}
 
       A step whose result the evaluator keeps as a bitset runs as one
@@ -84,13 +105,15 @@ module type S = sig
 
   val bucket_parents :
     t -> bucket -> [ `All | `In of Bitset.t | `Element of int ] ->
-    Bitset.t -> unit
+    Bitset.t -> int
   (** [bucket_parents t b keep into] adds to [into] the parents of
       [b]'s members: all of them, those in a set, or those that are
-      arrays with an element at position [p] ([`Element p]). *)
+      arrays with an element at position [p] ([`Element p]); the
+      result is how many [into] did not hold. *)
 
   val edge_parents :
-    t -> Bitset.t -> [ `Key of key | `Pos of int ] -> Bitset.t -> unit
+    t -> Bitset.t -> [ `Key of key | `Pos of int ] -> Bitset.t -> int
   (** [edge_parents t s edge into] adds to [into] the parents of [s]'s
-      members whose incoming edge is that key or that position. *)
+      members whose incoming edge is that key or that position, and
+      counts the new ones likewise. *)
 end

@@ -1,8 +1,11 @@
 (* Corpus queries: JNL's pre-image evaluator ({!Jlogic.Jnl_eval.Make})
-   run over the mapped index as its node store.  Node ids are
-   corpus-wide (a document's node base plus its local preorder id) and
-   a label bucket is a postings slice of them, so a step costs its
-   bucket or its target, never a scan of the corpus.  The two atoms postings
+   run over the mapped index as its node store, under the root demand:
+   a document is its root's verdict, so only ⟦ϕ⟧ ∩ roots is computed.
+   Node ids are corpus-wide (a document's node base plus its local
+   preorder id) and a label bucket is a postings slice of them, so a
+   step costs its bucket, its target, the roots' children through its
+   label or its demand's children, never a scan of the corpus.  The
+   two atoms postings
    cannot decide — EQ(α,β), and eq against an object or array
    constant — are relaxed by polarity into a formula that holds
    wherever the query does; only the documents it admits are reparsed
@@ -120,8 +123,36 @@ module Store = struct
       if c >= 0 then f c
     done
 
+  (* a value bucket hops nothing: its entries ascend *)
+  let mem r b c =
+    let lo = ref 0 and hi = ref (length b - 1) and found = ref false in
+    while (not !found) && !lo <= !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      let v = member r b mid in
+      if v = c then found := true else if v < c then lo := mid + 1 else hi := mid - 1
+    done;
+    !found
+
+  (* node ids are preorder: the first child is the next id, each later
+     one the first past its elder sibling's subtree *)
+  let children r g f =
+    let stop = g + Reader.node_size r g in
+    let c = ref (g + 1) in
+    while !c < stop && f !c do
+      c := !c + Reader.node_size r !c
+    done
+
+  let roots r = (Reader.roots r).nodes
+
+  let root_children r = function
+    | `Key k -> Some (Reader.root_children r (Layout.label_key k))
+    | `Pos p when p < Reader.npos r ->
+      Some (Reader.root_children r (Layout.label_pos p))
+    | `Pos _ -> None
+
   let bucket_parents r b keep into =
     count_hits b;
+    let added = ref 0 in
     for j = 0 to length b - 1 do
       let c = member r b j in
       if
@@ -133,9 +164,10 @@ module Store = struct
         | `Element p -> has_element r c p
       then begin
         let p = Reader.node_parent r c in
-        if p >= 0 then Bitset.add into p
+        if p >= 0 && Bitset.add_new into p then incr added
       end
-    done
+    done;
+    !added
 
   let edge_parents r s edge into =
     let label =
@@ -143,16 +175,17 @@ module Store = struct
       | `Key k -> Layout.label_key k
       | `Pos p -> Layout.label_pos p
     in
-    let n = Bitset.capacity s in
+    let n = Bitset.capacity s and added = ref 0 in
     let c = ref (Bitset.next s 0) in
     while !c < n do
       let g = !c in
       if Reader.node_label r g = label then begin
         let p = Reader.node_parent r g in
-        if p >= 0 then Bitset.add into p
+        if p >= 0 && Bitset.add_new into p then incr added
       end;
       c := Bitset.next s (g + 1)
-    done
+    done;
+    !added
 
   let equal_nodes r budget v =
     let out = Bitset.create (Reader.nnodes r) in
@@ -275,32 +308,47 @@ let run ?(jobs = 1) ?corpus
     check_corpus r corpus;
     let ctx = Eval.context ~budget:(fresh_budget ()) r in
     let f = relax true phi in
-    let sat = Eval.eval ctx f and exact = Jnl.equal f phi in
+    let sat = Eval.eval_in ctx `Roots f and exact = Jnl.equal f phi in
     Obs.Metrics.add "index.plan.reorders" (Eval.reorders ctx);
     Obs.Metrics.incr
       (if exact then "index.query.postings_only" else "index.query.filtered");
-    (* a document is its root's verdict.  An error-flagged line's
-       verdict is its parse error: read from the reader's slot when the
-       slot holds this corpus file and these budget limits, reparsed
-       otherwise — and always when it parses under them *)
+    (* a document is its root's verdict: one merge of the answer with
+       the roots.  An error-flagged line's verdict is its parse error:
+       read from the reader's slot when the slot holds this corpus file
+       and these budget limits, reparsed otherwise — and always when it
+       parses under them *)
     let limits = Obs.Budget.limits (fresh_budget ()) in
     let known =
       match (limits, Reader.error_cells r) with
       | Some l, Some c when c.limits = l && c.corpus = corpus -> Some c.failed
       | _ -> None
     in
+    let roots = Reader.roots r in
     let verdicts = Array.make (Reader.ndocs r) False in
-    let todo = ref [] in
-    for d = Reader.ndocs r - 1 downto 0 do
-      if Reader.doc_err r d then begin
-        match Option.bind known (Reader.Cells.find_opt d) with
-        | Some m -> verdicts.(d) <- Error m
-        | None -> todo := d :: !todo
-      end
-      else if Bitset.mem sat (Reader.doc_node_base r d) then
-        if exact then verdicts.(d) <- True else todo := d :: !todo
-    done;
-    let docs = Array.of_list !todo in
+    let admitted = ref [] and k = ref 0 in
+    Array.iter
+      (fun g ->
+        while roots.nodes.(!k) < g do incr k done;
+        let d = roots.docs.(!k) in
+        if exact then verdicts.(d) <- True else admitted := (d, false) :: !admitted)
+      sat;
+    let flagged =
+      List.filter_map
+        (fun d ->
+          match Option.bind known (Reader.Cells.find_opt d) with
+          | Some m ->
+            verdicts.(d) <- Error m;
+            None
+          | None -> Some (d, true))
+        (Array.to_list roots.errors)
+    in
+    (* the documents to reparse in line order, each with whether it is
+       error-flagged *)
+    let todo =
+      Array.of_list
+        (List.merge (fun (a, _) (b, _) -> Int.compare a b) (List.rev !admitted) flagged)
+    in
+    let docs = Array.map fst todo in
     Obs.Metrics.add "index.query.reparsed" (Array.length docs);
     if docs <> [||] then begin
       let results = reparse r ~corpus ~jobs ~fresh_budget phi docs in
@@ -312,7 +360,7 @@ let run ?(jobs = 1) ?corpus
         Array.iteri
           (fun i (v, parsed) ->
             match v with
-            | Error m when (not parsed) && Reader.doc_err r docs.(i) ->
+            | Error m when (not parsed) && snd todo.(i) ->
               failed := Reader.Cells.add docs.(i) m !failed
             | _ -> ())
           results;

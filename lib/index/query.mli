@@ -7,19 +7,25 @@
     exhaustion folded to [error: …] lines.
 
     One plan: the formula runs through JNL's own pre-image evaluator
-    ({!Jlogic.Jnl_eval.Make}) with the mapped index as its node store.
-    Node ids are corpus-wide (a document's node base plus its local
-    preorder id) and postings store them as they are; a key or
-    position step walks the smaller of its postings list and its target
-    set, parents come from the stored parent distances, an array's next
-    element from the stored subtree sizes, negative indices from the
-    last-element bit, a regex key from the key table, and
-    [eq(α, scalar)] seeds from the value postings of α's last label.  A
-    step whose result is a bitset runs as one of the store's bulk steps
+    ({!Jlogic.Jnl_eval.Make}) with the mapped index as its node store,
+    under the root demand ([eval_in ctx `Roots]): only [⟦ϕ⟧ ∩ roots] is
+    computed, and the verdicts are one merge of that answer with the
+    reader's roots ({!Reader.roots}).  Node ids are corpus-wide (a
+    document's node base plus its local preorder id) and postings store
+    them as they are; a key or position step walks the cheapest of its
+    postings list, its target set and its demand's children — the
+    roots' children through its label ({!Reader.root_children}), or
+    each demand member's children by first child and subtree-size hops.
+    Parents come from the stored parent distances, negative indices
+    from the last-element bit, a regex key from the key table, and
+    [eq(α, scalar)] seeds from, or tests by binary search against, the
+    value postings of α's last label.  A step whose result is a bitset
+    runs as one of the store's bulk steps
     ({!Jlogic.Jnl_store.S.bucket_parents},
     {!Jlogic.Jnl_store.S.edge_parents}).  Per-query fuel follows the
-    postings touched, never the corpus size, and conjunctions run
-    cheapest first (by postings length), stopping at an empty
+    postings and children touched, never the corpus size, and
+    conjunctions run cheapest first (by postings length), each under
+    the survivors of the ones before, stopping at an empty
     intersection.
 
     Two atoms are not decided from postings: [EQ(α,β)], and [eq]
@@ -51,7 +57,8 @@
     Counters: [index.query.postings_only], [index.query.filtered] (some
     atom was relaxed), [index.query.value_hits],
     [index.query.reparsed] (documents actually reparsed, slot reads
-    excluded), [index.plan.reorders]; span [index.query]. *)
+    excluded), [index.plan.reorders], and the evaluator's
+    [jnl.demand.*] routes; span [index.query]. *)
 
 type verdict = True | False | Error of string
 

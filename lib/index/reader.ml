@@ -18,6 +18,10 @@ type error_cells = {
 
 type corpus_id = { file : string; size : int; mtime : float; inode : int }
 
+type roots = { nodes : int array; docs : int array; errors : int array }
+
+module Labels = Map.Make (Int)
+
 type t = {
   path : string;
   buf : Layout.buf;
@@ -53,6 +57,8 @@ type t = {
   o_vpost : int;
   cells : error_cells option Atomic.t;
   verified : corpus_id option Atomic.t;
+  roots : roots option Atomic.t;
+  root_children : int array Labels.t Atomic.t;
 }
 
 let path t = t.path
@@ -274,7 +280,9 @@ let open_ ?(verify_body = true) path =
                             o_kpidx; o_kpost; o_ppidx; o_ppost;
                             o_vidx; o_vblob; vblob_len; o_pair; o_prpidx;
                             o_vpost; cells = Atomic.make None;
-                            verified = Atomic.make None }
+                            verified = Atomic.make None;
+                            roots = Atomic.make None;
+                            root_children = Atomic.make Labels.empty }
                     end))
           end)
   with
@@ -307,23 +315,44 @@ let set_verified_corpus t c = Atomic.set t.verified (Some c)
 
 (* ---- string table ---------------------------------------------------------- *)
 
-let key_name t k =
-  if k < 0 || k >= t.nkeys then
-    corrupt "key id %d out of range (table holds %d)" k t.nkeys;
-  let off = Layout.get_u64_ba t.buf (t.o_sidx + (k * 8)) in
-  let stop = Layout.get_u64_ba t.buf (t.o_sidx + ((k + 1) * 8)) in
-  Layout.string_ba t.buf (t.o_blob + off) (stop - off)
+(* [String.compare w] against the [len] mapped bytes at [off], read in
+   place: a probe of a binary search allocates nothing *)
+let compare_mapped t w off len =
+  let n = String.length w in
+  let m = min n len in
+  let i = ref 0 and c = ref 0 in
+  while !c = 0 && !i < m do
+    c := Char.compare w.[!i] (Bigarray.Array1.get t.buf (off + !i));
+    incr i
+  done;
+  if !c <> 0 then !c else Int.compare n len
 
-let key_id t w =
-  let lo = ref 0 and hi = ref (t.nkeys - 1) and found = ref None in
-  while !found = None && !lo <= !hi do
+(* Entry [k] of a sorted string table (its offsets at [idx], its bytes
+   in the blob at [blob]) as a string, and the binary search of one by
+   in-place comparison. *)
+let table_string t ~what ~idx ~blob ~n k =
+  if k < 0 || k >= n then corrupt "%s id %d out of range (table holds %d)" what k n;
+  let off = Layout.get_u64_ba t.buf (idx + (k * 8)) in
+  let stop = Layout.get_u64_ba t.buf (idx + ((k + 1) * 8)) in
+  Layout.string_ba t.buf (blob + off) (stop - off)
+
+let table_find t ~idx ~blob ~n w =
+  let lo = ref 0 and hi = ref (n - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let c = String.compare w (key_name t mid) in
-    if c = 0 then found := Some mid
+    let off = Layout.get_u64_ba t.buf (idx + (mid * 8)) in
+    let stop = Layout.get_u64_ba t.buf (idx + ((mid + 1) * 8)) in
+    let c = compare_mapped t w (blob + off) (stop - off) in
+    if c = 0 then found := mid
     else if c < 0 then hi := mid - 1
     else lo := mid + 1
   done;
-  !found
+  if !found < 0 then None else Some !found
+
+let key_name t k =
+  table_string t ~what:"key" ~idx:t.o_sidx ~blob:t.o_blob ~n:t.nkeys k
+
+let key_id t w = table_find t ~idx:t.o_sidx ~blob:t.o_blob ~n:t.nkeys w
 
 (* ---- postings -------------------------------------------------------------- *)
 
@@ -370,49 +399,39 @@ let posting t l j =
 (* ---- value table and (label, value) postings ------------------------------- *)
 
 let val_name t v =
-  if v < 0 || v >= t.nvals then
-    corrupt "value id %d out of range (table holds %d)" v t.nvals;
-  let off = Layout.get_u64_ba t.buf (t.o_vidx + (v * 8)) in
-  let stop = Layout.get_u64_ba t.buf (t.o_vidx + ((v + 1) * 8)) in
-  Layout.string_ba t.buf (t.o_vblob + off) (stop - off)
+  table_string t ~what:"value" ~idx:t.o_vidx ~blob:t.o_vblob ~n:t.nvals v
 
-let value_id t enc =
-  let lo = ref 0 and hi = ref (t.nvals - 1) and found = ref None in
-  while !found = None && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = String.compare enc (val_name t mid) in
-    if c = 0 then found := Some mid
-    else if c < 0 then hi := mid - 1
-    else lo := mid + 1
-  done;
-  !found
+let value_id t enc = table_find t ~idx:t.o_vidx ~blob:t.o_vblob ~n:t.nvals enc
 
-let pair_key t i =
-  let lab = Layout.get_i32_ba t.buf (t.o_pair + (i * 8)) in
-  let vid = Layout.get_u32_ba t.buf (t.o_pair + (i * 8) + 4) in
-  (lab, vid)
+let pair_label t i = Layout.get_i32_ba t.buf (t.o_pair + (i * 8))
+let pair_vid t i = Layout.get_u32_ba t.buf (t.o_pair + (i * 8) + 4)
 
 (* the first pair at or after [lo] that is not below (label, vid) *)
 let pair_bound t lo ~label ~vid =
   let lo = ref lo and hi = ref t.npairs in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if compare (pair_key t mid) (label, vid) < 0 then lo := mid + 1 else hi := mid
+    let l = pair_label t mid in
+    if l < label || (l = label && pair_vid t mid < vid) then lo := mid + 1
+    else hi := mid
   done;
   !lo
 
+let pair_is t i ~label ~vid =
+  i < t.npairs && pair_label t i = label && pair_vid t i = vid
+
 let pair_lookup t ~label ~vid =
   let i = pair_bound t 0 ~label ~vid in
-  if i < t.npairs && pair_key t i = (label, vid) then Some i else None
+  if pair_is t i ~label ~vid then Some i else None
 
 (* One binary search per label group: the table is sorted by label
    first, so the pairs of [vid] sit one per group at most. *)
 let iter_value_pairs t vid f =
   let i = ref 0 in
   while !i < t.npairs do
-    let label, _ = pair_key t !i in
+    let label = pair_label t !i in
     let j = pair_bound t !i ~label ~vid in
-    if j < t.npairs && pair_key t j = (label, vid) then f j;
+    if pair_is t j ~label ~vid then f j;
     i := pair_bound t j ~label:(label + 1) ~vid:(-1)
   done
 
@@ -446,3 +465,59 @@ let node_size t g =
     corrupt "subtree size %d of node %d out of range (index holds %d)" s g
       t.nnodes;
   s
+
+(* ---- the root table ------------------------------------------------------- *)
+
+(* Built on first use through the checked accessors and published like
+   the error-cell slot: domains racing to build it build equal tables,
+   and a reader sees one of them whole. *)
+
+let roots t =
+  match Atomic.get t.roots with
+  | Some r -> r
+  | None ->
+    let parsed = ref [] and errors = ref [] and last = ref (-1) in
+    for d = 0 to t.ndocs - 1 do
+      if doc_err t d then errors := d :: !errors
+      else begin
+        let g = doc_node_base t d in
+        if node_parent t g >= 0 || g <= !last then
+          corrupt "document %d starts at node %d, not at a root past the last" d g;
+        last := g;
+        parsed := (g, d) :: !parsed
+      end
+    done;
+    let parsed = Array.of_list (List.rev !parsed) in
+    let r =
+      { nodes = Array.map fst parsed; docs = Array.map snd parsed;
+        errors = Array.of_list (List.rev !errors) }
+    in
+    Atomic.set t.roots (Some r);
+    r
+
+let root_children t label =
+  match Labels.find_opt label (Atomic.get t.root_children) with
+  | Some a -> a
+  | None ->
+    let l =
+      if label land 1 = 0 then key_postings t (label lsr 1)
+      else pos_postings t (label lsr 1)
+    in
+    let out = ref [] and prev = ref (-1) in
+    for j = 0 to l.len - 1 do
+      let c = posting t l j in
+      if c <= !prev then
+        corrupt "%s postings entry %d is not above the one before" l.what
+          (l.start + j);
+      prev := c;
+      let p = node_parent t c in
+      if p >= 0 && node_parent t p < 0 then out := c :: !out
+    done;
+    let a = Array.of_list (List.rev !out) in
+    let rec publish () =
+      let m = Atomic.get t.root_children in
+      if not (Atomic.compare_and_set t.root_children m (Labels.add label a m))
+      then publish ()
+    in
+    publish ();
+    a

@@ -119,6 +119,29 @@ val verified_corpus : t -> corpus_id option
 val set_verified_corpus : t -> corpus_id -> unit
 (** Replace the slot, atomically like {!set_error_cells}. *)
 
+(** {1 The root table}
+
+    What a corpus query reads to answer at the document roots: built on
+    first use, through the accessors below and their corruption checks,
+    and kept for the life of the open index (published atomically, like
+    {!set_error_cells}: domains racing to build it build equal
+    tables). *)
+
+type roots = {
+  nodes : int array;  (** every parsed document's root, ascending *)
+  docs : int array;  (** the document of each root *)
+  errors : int array;  (** the error-flagged documents ({!doc_err}), ascending *)
+}
+
+val roots : t -> roots
+(** Read off the document table on first use. *)
+
+val root_children : t -> int -> int array
+(** [root_children r label] is the roots' children through that
+    {!Layout} edge label (a key, or a position below {!npos}),
+    ascending: that label's postings whose parent is a root, read off
+    its list on first use. *)
+
 (** {1 String table} *)
 
 val key_id : t -> string -> int option

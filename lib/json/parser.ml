@@ -45,9 +45,9 @@ let literal_atom mode lx (k : Lexer.kind) : atom =
   (* [-0] normalizes to the natural 0, like [-0.0] above *)
   | Lexer.K_neg_int, `Lenient when Lexer.int_value lx = 0 -> Int 0
   | Lexer.K_true, `Strict | Lexer.K_false, `Strict ->
-    fail_at lx "boolean literals are outside the model (use `Lenient mode)"
+    fail_at lx "boolean literals are outside the model"
   | Lexer.K_null, `Strict ->
-    fail_at lx "null is outside the model (use `Lenient mode)"
+    fail_at lx "null is outside the model"
   | Lexer.K_float, _ -> fail_at lx "non-integer numbers are outside the model"
   | Lexer.K_neg_int, _ -> fail_at lx "negative numbers are outside the model"
   | _, _ -> assert false

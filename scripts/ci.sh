@@ -896,6 +896,16 @@ check_index_query 'eq(.name.first, "NoSuchNameAnywhere")'
 check_index_query '<.id> & eq(.tags[0], "a")'
 check_index_query 'eq(.name.first, "John") | eq(.tail.name.first, "Sue")'
 
+# root-demand gate: steps answered from the roots' children, the
+# demand's children and negations under a demand answer byte-identically
+# to eval --files-from, malformed lines and unterminated tail included
+check_index_query '<.meta.next>'
+check_index_query '<[1].value>'
+check_index_query '!<.name.first>'
+check_index_query '<.name.first> & !<.orders[0].lines[0].qty>'
+check_index_query '<.id> & !<.tags[1]>'
+check_index_query '!eq(.meta.next, "none")'
+
 # INDEXQ smoke replay: the daemon's DATA payload must be byte-identical
 # to the `index query` CLI rows (under the same budget flags), and its
 # counters must move.  The daemon keeps the reader open, so a second
@@ -927,7 +937,7 @@ stop_indexq_daemon() {
 }
 indexq_replay() {  # budget flags for `index query`, as the daemon got
   for sq in 'eq(.name.first, "John")' '<.name.first>' '<.tags[-1]>' \
-    'eq(.name.first, .name.last)'; do
+    'eq(.name.first, .name.last)' '<.meta.next>' '<.id> & !<.tags[1]>'; do
     cli=$(timeout 120 "$JSONLOGIC" index query "$@" "$ixdir/corpus.idx" "$sq")
     daemon=$(timeout 60 "$JSONLOGIC" client --socket "$ixsock" \
       --index "$ixdir/corpus.idx" --query "$sq")

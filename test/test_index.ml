@@ -1,12 +1,14 @@
 (* Tests for the persistent corpus index: differential agreement with
    the reparse-everything baseline over a PRNG corpus and 327 queries
-   (with the reparse count pinned) and over arrays that pass the
-   position cap, line numbering against [Par.Batch.lines], the
-   per-query fuel rule, eq answered from a postings list of more than
-   65 536 entries, byte-identical builds across lane counts, fault
-   injection (bit-flips, truncations, forged header counts, corrupt
-   postings, older format versions), stale-corpus rejection, and the
-   tree label-index single-build regression. *)
+   (with the reparse count pinned, and every route of the root demand
+   taken) and over arrays that pass the position cap, line numbering
+   against [Par.Batch.lines], the per-query fuel rule and a recurring
+   key's chain answered from the roots, eq answered from a postings
+   list of more than 65 536 entries, byte-identical builds across lane
+   counts, fault injection (bit-flips, truncations, forged header
+   counts, corrupt or unsorted postings, older format versions), two
+   domains building one reader's root table, stale-corpus rejection,
+   and the tree label-index single-build regression. *)
 
 let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -18,8 +20,8 @@ let temp_path suffix =
 (* ---- corpus + query set ---------------------------------------------------- *)
 
 (* One NDJSON corpus shared by most tests: PRNG documents (API records
-   and generic shapes), scalar and array lines, a blank line and a
-   malformed line. *)
+   and generic shapes, then both mixed as in the benchmark's corpus),
+   scalar and array lines, a blank line and a malformed line. *)
 let corpus_text =
   lazy
     (let rng = Jworkload.Prng.create 42 in
@@ -39,6 +41,13 @@ let corpus_text =
      Buffer.add_string buf "{}\n";
      for i = 1 to 40 do
        addv (Jworkload.Gen_json.sized rng (20 + (7 * i)))
+     done;
+     (* shaped like the benchmark's corpus: an API record in four amid
+        documents whose dozen keys recur at every depth *)
+     for i = 0 to 39 do
+       addv
+         (if i mod 4 = 0 then Jworkload.Gen_json.api_record rng (1 + (i mod 8))
+          else Jworkload.Gen_json.sized rng (64 + (i * 37 mod 257)))
      done;
      (* unterminated last line *)
      Buffer.add_string buf "{\"tail\":[{\"sku\":\"z9\"}]}";
@@ -193,6 +202,8 @@ let test_differential () =
       (List.filter (fun (_, l) -> Result.is_error (Jsont.Tree.of_string l)) lines)
   in
   let fresh = ref true in
+  let routes = [ "jnl.demand.roots"; "jnl.demand.walks"; "jnl.demand.capped" ] in
+  let taken = Hashtbl.create 3 in
   List.iter
     (fun phi ->
       let q = Jlogic.Jnl.to_string phi in
@@ -203,6 +214,10 @@ let test_differential () =
           match Jindex.Query.run ~jobs:2 r phi with
           | Error m -> Alcotest.fail (Printf.sprintf "query %s failed: %s" q m)
           | Ok verdicts ->
+            List.iter
+              (fun c ->
+                if Obs.Metrics.counter_value c > 0 then Hashtbl.replace taken c ())
+              routes;
             let got =
               Array.to_list (Array.map Jindex.Query.verdict_string verdicts)
             in
@@ -217,7 +232,12 @@ let test_differential () =
                 Alcotest.(check int)
                   ("later queries reparse none: " ^ q) 0 reparsed;
             fresh := false))
-    (query_set ())
+    (query_set ());
+  (* the root postings, the demand's children and the walks abandoned
+     at the backward walk's size all answered some query *)
+  List.iter
+    (fun c -> Alcotest.(check bool) ("some query took " ^ c) true (Hashtbl.mem taken c))
+    routes
 
 (* Arrays of 1 030 and 2 100 elements, one holding a nested array of
    1 030 past position 1 024: steps at, below and past the position cap
@@ -355,7 +375,24 @@ let test_fuel_rule () =
         (fuel < 1_000_000);
       Alcotest.(check int) ("same fuel after padding: " ^ q) fuel
         (min_fuel padded phi))
-    [ "<.name.first>"; "<.orders[0:*]?(eq(.status, \"shipped\"))>" ]
+    [ "<.name.first>"; "<.orders[0:*]?(eq(.status, \"shipped\"))>"; "<.name>";
+      "<.tags.next>"; "!<.orders[1]>"; "<.id> & eq(.name.last, \"Doe\")" ]
+
+(* A chain through a key that recurs at every depth is answered from
+   the roots down: its least fuel stays below what walking that key's
+   postings alone would burn. *)
+let test_cheap_route () =
+  let corpus, idx = build_corpus_index () in
+  let r = open_exn idx in
+  let next =
+    match Jindex.Reader.key_id r "next" with
+    | Some k -> Jindex.Reader.length (Jindex.Reader.key_postings r k)
+    | None -> Alcotest.fail "no next key"
+  in
+  let fuel = min_fuel (read_file corpus) (Jlogic.Jnl.parse_exn "<.tags.next>") in
+  Alcotest.(check bool)
+    (Printf.sprintf "fuel %d below the %d postings of next" fuel next)
+    true (fuel < next)
 
 (* ---- eq pushdown ------------------------------------------------------------- *)
 
@@ -888,6 +925,32 @@ let test_corrupt_postings_no_verify () =
       (String.length m > 0)
   | Ok _ -> Alcotest.fail "corrupt postings produced verdicts"
 
+(* postings out of order under --no-verify: the root table, read off a
+   key's postings, must refuse them with a positioned query error *)
+let test_unsorted_postings_no_verify () =
+  let _corpus, idx = build_corpus_index () in
+  let name =
+    let r = open_exn idx in
+    match Jindex.Reader.key_id r "name" with
+    | Some k -> k
+    | None -> Alcotest.fail "no name key"
+  in
+  let b = Bytes.of_string (read_file idx) in
+  let pidx = Jindex.Layout.get_u64 b Jindex.Layout.Field.key_pidx in
+  let post = Jindex.Layout.get_u64 b Jindex.Layout.Field.key_post in
+  let start = Jindex.Layout.get_u64 b (pidx + (name * 8)) in
+  let at j = post + ((start + j) * Jindex.Layout.posting_bytes) in
+  let first = Jindex.Layout.get_u32 b (at 0) in
+  Jindex.Layout.set_u32 b (at 0) (Jindex.Layout.get_u32 b (at 1));
+  Jindex.Layout.set_u32 b (at 1) first;
+  let mutant = temp_path ".idx" in
+  write_file mutant (Bytes.to_string b);
+  match Jindex.Query.run (open_exn ~verify_body:false mutant) (Jlogic.Jnl.parse_exn "<.name>") with
+  | Error m ->
+    Alcotest.(check bool) ("error is positioned: " ^ m) true
+      (String.starts_with ~prefix:(mutant ^ ": key postings entry ") m)
+  | Ok _ -> Alcotest.fail "unsorted postings produced verdicts"
+
 (* forged subtree sizes under --no-verify: a size of 0, or one reaching
    past the last node, must surface as a positioned query error on a
    query that hops siblings, never an exception or a verdict *)
@@ -1030,13 +1093,9 @@ let test_slot_deadline () =
   Alcotest.(check int) "nor replaced by one" (flagged - malformed)
     (query_reparsed r "<.name>")
 
-(* two domains race to fill the slot of one fresh reader *)
-let test_slot_domains () =
-  let r, _, _ = shallow_index () in
-  let queries =
-    [ "<.orders[0].lines[0].sku>"; "!<.orders[0].lines[0].sku>"; "true";
-      "eq(.name.first, \"John\")"; "<.name.first> | <.tail>" ]
-  in
+(* Two domains run [queries] on [r] at once; both answer like the
+   per-line baseline. *)
+let race r queries =
   let lines = corpus_lines (Lazy.force corpus_text) in
   let expect =
     List.map
@@ -1062,6 +1121,20 @@ let test_slot_domains () =
       Alcotest.(check (list string)) ("second domain on " ^ q)
         (List.nth expect i) (List.nth b i))
     queries
+
+(* two domains race to fill the slot of one fresh reader *)
+let test_slot_domains () =
+  let r, _, _ = shallow_index () in
+  race r
+    [ "<.orders[0].lines[0].sku>"; "!<.orders[0].lines[0].sku>"; "true";
+      "eq(.name.first, \"John\")"; "<.name.first> | <.tail>" ]
+
+(* two domains race to build the root table of one fresh reader *)
+let test_roots_domains () =
+  let _corpus, idx = build_corpus_index () in
+  race (open_exn idx)
+    [ "<.name>"; "<.tags.next>"; "<.orders[0].lines[0].sku>"; "!<.name.first>";
+      "<.id> & eq(.name.last, \"Doe\")"; "<[1]>"; "<.~/ta.*/[1]>" ]
 
 (* ---- staleness --------------------------------------------------------------- *)
 
@@ -1185,7 +1258,9 @@ let () =
            test_differential_past_cap;
          Alcotest.test_case "line numbering" `Quick test_linenos;
          Alcotest.test_case "fuel follows postings, not corpus size" `Quick
-           test_fuel_rule ]);
+           test_fuel_rule;
+         Alcotest.test_case "recurring-key chain, cheap route" `Quick
+           test_cheap_route ]);
       ("eq-pushdown",
        [ Alcotest.test_case "postings-only, zero reparses" `Quick
            test_eq_zero_reparse;
@@ -1214,7 +1289,9 @@ let () =
          Alcotest.test_case "corrupt value postings error under no-verify"
            `Quick test_corrupt_value_postings_no_verify;
          Alcotest.test_case "forged subtree sizes error under no-verify"
-           `Quick test_forged_sizes_no_verify ]);
+           `Quick test_forged_sizes_no_verify;
+         Alcotest.test_case "unsorted postings error, no-verify" `Quick
+           test_unsorted_postings_no_verify ]);
       ("error-cells",
        [ Alcotest.test_case "formula-dependent lines always reparse" `Quick
            test_slot_formula_dependent;
@@ -1223,6 +1300,9 @@ let () =
            test_slot_deadline;
          Alcotest.test_case "two domains on a fresh reader" `Quick
            test_slot_domains ]);
+      ("roots",
+       [ Alcotest.test_case "two domains build one root table" `Quick
+           test_roots_domains ]);
       ("staleness",
        [ Alcotest.test_case "changed or missing corpus refused" `Quick
            test_stale_corpus;

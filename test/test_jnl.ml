@@ -345,6 +345,64 @@ let test_differential_fuzz () =
       pairs
   done
 
+(* The formulas of [indexed = nodal]'s paths under negation,
+   conjunction and disjunction, [eq] against one of the document's own
+   subdocuments, [EQ(α,β)], and tests holding any of them. *)
+let rec fuzz_form rng tree depth =
+  let path () = fuzz_path rng 2 in
+  match Prng.int rng (if depth = 0 then 3 else 7) with
+  | 0 -> Jnl.Exists (path ())
+  | 1 -> Jnl.Eq_doc (path (), Tree.value_at tree (Prng.int rng (Tree.node_count tree)))
+  | 2 -> Jnl.Eq_paths (path (), path ())
+  | 3 -> Jnl.Not (fuzz_form rng tree (depth - 1))
+  | 4 -> Jnl.And (fuzz_form rng tree (depth - 1), fuzz_form rng tree (depth - 1))
+  | 5 -> Jnl.Or (fuzz_form rng tree (depth - 1), fuzz_form rng tree (depth - 1))
+  | _ -> Jnl.Exists (Jnl.Seq (path (), Jnl.Test (fuzz_form rng tree (depth - 1))))
+
+(* the least fuel [run] needs *)
+let least_fuel run =
+  let ok fuel =
+    match run (Obs.Budget.create ~fuel ()) with
+    | _ -> true
+    | exception Obs.Budget.Exhausted _ -> false
+  in
+  let rec search lo hi = if hi - lo <= 1 then hi else
+      let mid = (lo + hi) / 2 in
+      if ok mid then search lo mid else search mid hi
+  in
+  if ok 0 then 0 else search 0 (1 lsl 24)
+
+(* Under a demand, the answer is the full set restricted to it: the
+   root, as a node and as every tree's roots, no node, a seeded subset,
+   and every node, where the fuel spent is [eval]'s too. *)
+let test_demand_restriction () =
+  for case = 0 to 299 do
+    let rng = Prng.create (0xD3A0 + case) in
+    let doc = Jworkload.Gen_json.sized rng 40 in
+    let tree = Tree.of_value doc in
+    let n = Tree.node_count tree in
+    let phi = fuzz_form rng tree 2 in
+    let full = Jnl_eval.eval (Jnl_eval.context tree) phi in
+    let subset = List.filter (fun _ -> Prng.int rng 3 = 0) (List.init n Fun.id) in
+    List.iter
+      (fun (what, d, members) ->
+        let expect = List.filter (Bitset.mem full) members in
+        let got = Jnl_eval.eval_in (Jnl_eval.context tree) d phi in
+        Alcotest.(check (list int))
+          (Printf.sprintf "case %d, %s: %s" case what (Jnl.to_string phi))
+          expect (Array.to_list got))
+      [ ("the root", `Nodes [| Tree.root |], [ Tree.root ]);
+        ("the roots", `Roots, [ Tree.root ]);
+        ("no node", `Nodes [||], []);
+        ("a subset", `Nodes (Array.of_list subset), subset);
+        ("every node", `Every, List.init n Fun.id) ];
+    Alcotest.(check int)
+      (Printf.sprintf "case %d: fuel under every node" case)
+      (least_fuel (fun budget -> Jnl_eval.eval (Jnl_eval.context ~budget tree) phi))
+      (least_fuel (fun budget ->
+           Jnl_eval.eval_in (Jnl_eval.context ~budget tree) `Every phi))
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Counter machines (Proposition 4, forward direction)                  *)
 (* ------------------------------------------------------------------ *)
@@ -421,6 +479,9 @@ let () =
       ("differential",
        [ Alcotest.test_case "indexed = nodal (1000 cases)" `Quick
            test_differential_fuzz ]);
+      ("demand",
+       [ Alcotest.test_case "demand is restriction (300 cases)" `Quick
+           test_demand_restriction ]);
       ("counter machines",
        [ Alcotest.test_case "accepting run encodes" `Quick test_counter_machine;
          Alcotest.test_case "non-halting machine" `Quick test_machine_that_never_halts ]);

@@ -131,6 +131,26 @@ let test_parse_model_restriction () =
   Alcotest.check value "lenient [-0]" (Value.Arr [ Value.Num 0 ])
     (lenient "[-0]")
 
+(* Literals outside the model are refused with a message naming the
+   literal and nothing else: no command selects a lenient mode, so none
+   is suggested — through [Parser.parse] and through a JSL constant. *)
+let test_model_messages () =
+  List.iter
+    (fun (text, msg) ->
+      match Parser.parse text with
+      | Ok _ -> Alcotest.failf "%s parsed" text
+      | Error e ->
+        Alcotest.(check string) ("parse " ^ text) msg
+          (Format.asprintf "%a" Parser.pp_error e))
+    [ ("null", "line 1, column 1: null is outside the model");
+      ("[1,false]", "line 1, column 4: boolean literals are outside the model") ];
+  List.iter
+    (fun (text, msg) ->
+      Alcotest.(check (result reject string)) ("Jsl.parse " ^ text) (Error msg)
+        (Result.map ignore (Jlogic.Jsl.parse text)))
+    [ ({|~([1,{"b":null}])|}, "at offset 2: bad document: null is outside the model");
+      ("~(true)", "at offset 2: bad document: boolean literals are outside the model") ]
+
 let test_parse_depth_limit () =
   let deep = String.concat "" (List.init 200 (fun _ -> "[")) in
   let deep = deep ^ "1" ^ String.concat "" (List.init 200 (fun _ -> "]")) in
@@ -1664,6 +1684,7 @@ let () =
          Alcotest.test_case "escapes" `Quick test_parse_escapes;
          Alcotest.test_case "errors" `Quick test_parse_errors;
          Alcotest.test_case "model restriction" `Quick test_parse_model_restriction;
+         Alcotest.test_case "outside-the-model messages" `Quick test_model_messages;
          Alcotest.test_case "depth limit" `Quick test_parse_depth_limit;
          Alcotest.test_case "error positions" `Quick test_error_positions ]);
       ("printer",
