@@ -263,13 +263,6 @@ let eval_cmd =
           | Ok f -> f
           | Error m -> failwith ("bad formula: " ^ m)
         in
-        (* the one per-document function: a tree and [Jnl_eval.holds] *)
-        let holds tree =
-          let ctx = Jlogic.Jnl_eval.context ~budget:(obs.fresh_budget ()) tree in
-          string_of_bool
-            (Obs.Metrics.span "phase.eval" (fun () ->
-                 Jlogic.Jnl_eval.holds ctx Jsont.Tree.root phi))
-        in
         (* a row that is neither true nor false makes the exit 1 *)
         let answered c = c = "true" || c = "false" in
         let all_answered =
@@ -277,12 +270,16 @@ let eval_cmd =
           | Some list_path ->
             let paths, cells =
               map_files obs list_path (fun path ->
-                  Par.Batch.cell (fun () -> holds (tree_of obs (read_input path))))
+                  fst
+                    (Jindex.Query.doc_cell ~fresh_budget:obs.fresh_budget phi
+                       (fun () -> read_input path)))
             in
             Array.iter2 (Printf.printf "%s\t%s\n") paths cells;
             Array.for_all answered cells
           | None ->
-            print_rows obs (last_input files) holds answered
+            print_rows obs (last_input files)
+              (Jindex.Query.root_cell ~fresh_budget:obs.fresh_budget phi)
+              answered
         in
         if not all_answered then exit 1)
   in

@@ -20,9 +20,9 @@
       mapped index file (see [Jindex.Query]).
 
     - {!check_at} decides [n ∈ ⟦ϕ⟧_J] top-down with short-circuiting
-      and no global set computation — the lightweight engine behind the
-      MongoDB-find and JSONPath front ends, which evaluate filters at
-      one node at a time.
+      and no global set computation, one node at a time.  It answers
+      {!satisfies} and serves the tests as a second engine; [find] runs
+      the compiled plan and JSONPath runs {!succs}.
 
     Both engines take single-step semantics — key/regex matching and
     the normalization of negative indices and ranges against array

@@ -19,11 +19,6 @@ let ( <-- ) head body = { head; body }
 let atom_vars a =
   List.filter_map (function Var x -> Some x | Const _ -> None) a.args
 
-let rule_vars r =
-  List.sort_uniq String.compare
-    (atom_vars r.head
-    @ List.concat_map (function Pos a | Neg a -> atom_vars a) r.body)
-
 (* External predicates are evaluated by callback and bind nothing; the
    engine tells us which ones those are at runtime, but for the static
    safety check we treat every positive atom as binding.  A stricter

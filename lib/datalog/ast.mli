@@ -34,7 +34,6 @@ val atom : string -> term list -> atom
 val ( <-- ) : atom -> literal list -> rule
 (** Rule constructor: [head <-- body]. *)
 
-val rule_vars : rule -> string list
 val check_safety : rule -> (unit, string) result
 
 val is_monadic : program -> bool

@@ -234,10 +234,28 @@ and relax_path pos (p : Jnl.path) =
 
 (* ---- document reparse ------------------------------------------------------ *)
 
-(* The verdicts of [docs], read back by byte range and evaluated in
-   exactly the per-file cell of [eval --files-from], each with whether
-   its text parsed: a cell that failed before that does not depend on
-   [phi]. *)
+let root_cell ~fresh_budget phi tree =
+  let ctx = Jlogic.Jnl_eval.context ~budget:(fresh_budget ()) tree in
+  string_of_bool
+    (Obs.Metrics.span "phase.eval" (fun () -> Jlogic.Jnl_eval.holds ctx Jsont.Tree.root phi))
+
+let doc_cell ~fresh_budget phi read =
+  let parsed = ref false in
+  let cell =
+    Par.Batch.cell (fun () ->
+        let text = read () in
+        let tree =
+          Obs.Metrics.span "phase.parse" (fun () ->
+              Jsont.Tree.of_string_exn ~budget:(fresh_budget ()) text)
+        in
+        parsed := true;
+        root_cell ~fresh_budget phi tree)
+  in
+  (cell, !parsed)
+
+(* The verdicts of [docs], read back by byte range and evaluated by
+   {!doc_cell}, each with whether its text parsed: a cell that failed
+   before that does not depend on [phi]. *)
 let reparse r ~corpus ~jobs ~fresh_budget phi docs =
   let text ic d =
     In_channel.seek ic (Int64.of_int (Reader.doc_off r d));
@@ -246,21 +264,14 @@ let reparse r ~corpus ~jobs ~fresh_budget phi docs =
     | None -> failwith "corpus shorter than the index records"
   in
   let cell text =
-    let parsed = ref false in
-    let c =
-      Par.Batch.cell (fun () ->
-          let tree = Jsont.Tree.of_string_exn ~budget:(fresh_budget ()) text in
-          parsed := true;
-          let ctx = Jlogic.Jnl_eval.context ~budget:(fresh_budget ()) tree in
-          string_of_bool (Jlogic.Jnl_eval.holds ctx Jsont.Tree.root phi))
-    in
+    let c, parsed = doc_cell ~fresh_budget phi (fun () -> text) in
     let v =
       match c with
       | "true" -> True
       | "false" -> False
       | c -> Error (String.sub c 7 (String.length c - 7))
     in
-    (v, !parsed)
+    (v, parsed)
   in
   In_channel.with_open_bin corpus (fun ic -> Array.map (text ic) docs)
   |> Par.Batch.map ~jobs cell

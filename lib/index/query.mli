@@ -58,12 +58,29 @@
     atom was relaxed), [index.query.value_hits],
     [index.query.reparsed] (documents actually reparsed, slot reads
     excluded), [index.plan.reorders], and the evaluator's
-    [jnl.demand.*] routes; span [index.query]. *)
+    [jnl.demand.*] routes; span [index.query], and each reparsed
+    line's [phase.parse] and [phase.eval] ({!doc_cell}). *)
 
 type verdict = True | False | Error of string
 
 val verdict_string : verdict -> string
 (** ["true"], ["false"] or ["error: …"] — the batch-eval rendering. *)
+
+val root_cell :
+  fresh_budget:(unit -> Obs.Budget.t) -> Jlogic.Jnl.form -> Jsont.Tree.t -> string
+(** [root_cell ~fresh_budget phi tree] is ["true"] or ["false"]:
+    {!Jlogic.Jnl_eval.holds} at the root of [tree], under a budget of
+    its own (span [phase.eval]) — what [eval] prints for a document. *)
+
+val doc_cell :
+  fresh_budget:(unit -> Obs.Budget.t) -> Jlogic.Jnl.form -> (unit -> string)
+  -> string * bool
+(** [doc_cell ~fresh_budget phi read] is one document's row, as
+    [eval --files-from] prints it for a file and as {!run} answers a
+    reparsed line: the tree of [read ()] under one fresh budget (span
+    [phase.parse]), then {!root_cell}, through {!Par.Batch.cell}.  The
+    flag says whether the text parsed: a cell that failed before that
+    does not depend on [phi]. *)
 
 val run :
   ?jobs:int ->

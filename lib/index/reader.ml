@@ -398,9 +398,6 @@ let posting t l j =
 
 (* ---- value table and (label, value) postings ------------------------------- *)
 
-let val_name t v =
-  table_string t ~what:"value" ~idx:t.o_vidx ~blob:t.o_vblob ~n:t.nvals v
-
 let value_id t enc = table_find t ~idx:t.o_vidx ~blob:t.o_vblob ~n:t.nvals enc
 
 let pair_label t i = Layout.get_i32_ba t.buf (t.o_pair + (i * 8))

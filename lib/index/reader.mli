@@ -184,9 +184,6 @@ val posting : t -> postings -> int -> int
 val value_id : t -> string -> int option
 (** Binary search of the sorted value table by encoded scalar. *)
 
-val val_name : t -> int -> string
-(** The encoded scalar of one value id. *)
-
 val pair_lookup : t -> label:int -> vid:int -> int option
 (** Binary search of the pair table by ({!Layout} edge-label word,
     value id); [Some pid] indexes {!pair_postings}. *)

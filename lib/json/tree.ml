@@ -385,7 +385,6 @@ let arr_children t n =
   | Karr -> t.child_nodes.(n)
   | Kobj | Kstr _ | Kint _ -> [||]
 
-let children t n = Array.to_list t.child_nodes.(n)
 let arity t n = Array.length t.child_nodes.(n)
 let child_ids t n = t.child_nodes.(n)
 
@@ -609,7 +608,7 @@ let rec value_at t n =
   match t.kinds.(n) with
   | Kint k -> Value.Num k
   | Kstr s -> Value.Str s
-  | Karr -> Value.Arr (List.map (value_at t) (children t n))
+  | Karr -> Value.Arr (List.map (value_at t) (Array.to_list t.child_nodes.(n)))
   | Kobj -> Value.Obj (List.map (fun (k, c) -> (k, value_at t c)) (obj_children t n))
 
 let to_value t = value_at t root
@@ -631,7 +630,8 @@ let substitute t n v =
                (obj_children t p))
         | Karr ->
           Value.Arr
-            (List.map (fun c -> if c = n then v else value_at t c) (children t p))
+            (List.map (fun c -> if c = n then v else value_at t c)
+               (Array.to_list t.child_nodes.(p)))
         | Kstr _ | Kint _ -> assert false (* atoms have no children *)
       in
       up p rebuilt

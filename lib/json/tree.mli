@@ -122,13 +122,9 @@ val arr_children : t -> node -> node array
 (** Position-labelled children (empty unless [n] is an array); element
     [i] is the child reached through edge [i]. *)
 
-val children : t -> node -> node list
-(** All children in document order, whatever the node kind. *)
-
 val child_ids : t -> node -> node array
 (** All children in document order, as the tree's own backing array —
-    {b do not mutate}.  Allocation-free variant of {!children} for hot
-    evaluation loops. *)
+    {b do not mutate}.  Allocation-free, for hot evaluation loops. *)
 
 val obj_keys : t -> node -> string array
 (** The keys of an object node in document order, as the tree's own

@@ -3,8 +3,8 @@
     The unit of work is one whole document (parse, evaluate, render) —
     coarse enough that coordination cost vanishes against it, and no
     shared mutable state crosses lanes: each document must get its own
-    {!Obs.Budget.t} (fueled budgets are mutable) and lanes record into
-    private metric registries merged at the join.
+    {!Obs.Budget.t} (fueled budgets are mutable), and every lane records
+    into the one metrics registry, in a shard of its own domain.
 
     Determinism: results come back in input order regardless of lane
     count, and metric totals are independent of [jobs] — the agreement

@@ -92,7 +92,6 @@ let plus r = cat r (star r)
 let opt r = alt Epsilon r
 
 let cat_list rs = List.fold_right cat rs Epsilon
-let alt_list rs = List.fold_left alt Empty rs
 
 let repeat m n r =
   let rec pow k = if k <= 0 then Epsilon else cat r (pow (k - 1)) in
@@ -133,15 +132,6 @@ let rec size = function
   | Empty | Epsilon | Chars _ -> 1
   | Star a -> 1 + size a
   | Cat (a, b) | Alt (a, b) -> 1 + size a + size b
-
-let rec first_chars = function
-  | Empty | Epsilon -> Charset.empty
-  | Chars cs -> cs
-  | Star a -> first_chars a
-  | Alt (a, b) -> Charset.union (first_chars a) (first_chars b)
-  | Cat (a, b) ->
-    if nullable a then Charset.union (first_chars a) (first_chars b)
-    else first_chars a
 
 (* Concrete syntax matching the {!Parse} grammar. *)
 let rec pp fmt r =

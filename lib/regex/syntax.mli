@@ -32,7 +32,6 @@ val plus : t -> t
 val opt : t -> t
 
 val cat_list : t list -> t
-val alt_list : t list -> t
 
 val repeat : int -> int option -> t -> t
 (** [repeat m n r] is [r{m,n}]; [None] means unbounded. *)
@@ -56,9 +55,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val size : t -> int
 (** Number of AST nodes, the measure |e| in complexity statements. *)
-
-val first_chars : t -> Charset.t
-(** Over-approximation of the characters that can start a word. *)
 
 val pp : Format.formatter -> t -> unit
 (** Round-trippable concrete syntax (parsable by {!Parse}). *)

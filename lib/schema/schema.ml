@@ -107,27 +107,6 @@ let well_formed doc =
       | exception Cycle v -> Error (Printf.sprintf "reference cycle through %S" v))
   end
 
-let rec schema_size (s : t) =
-  List.fold_left (fun acc c -> acc + conjunct_size c) 1 s
-
-and conjunct_size = function
-  | C_type _ | C_minimum _ | C_maximum _ | C_multiple_of _ | C_min_properties _
-  | C_max_properties _ | C_unique_items | C_ref _ ->
-    1
-  | C_pattern e -> Rexp.Syntax.size e
-  | C_required ks -> 1 + List.length ks
-  | C_properties kvs -> List.fold_left (fun acc (_, s) -> acc + 1 + schema_size s) 1 kvs
-  | C_pattern_properties kvs ->
-    List.fold_left (fun acc (e, s) -> acc + Rexp.Syntax.size e + schema_size s) 1 kvs
-  | C_additional_properties s | C_additional_items s | C_not s -> 1 + schema_size s
-  | C_items ss | C_any_of ss | C_all_of ss ->
-    List.fold_left (fun acc s -> acc + schema_size s) 1 ss
-  | C_enum vs -> List.fold_left (fun acc v -> acc + Value.size v) 1 vs
-
-let size doc =
-  List.fold_left (fun acc (_, s) -> acc + 1 + schema_size s) (schema_size doc.root)
-    doc.definitions
-
 (* ---- rendering back to JSON ---------------------------------------------- *)
 
 let type_name = function

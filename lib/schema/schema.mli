@@ -65,9 +65,6 @@ val well_formed : document -> (unit, string) result
     a schema-descending keyword) acyclic — the well-formedness
     condition of §5.3 carried over from recursive JSL. *)
 
-val size : document -> int
-val schema_size : t -> int
-
 val to_value : document -> Jsont.Value.t
 (** Render as a JSON document ("every JSON Schema is a JSON document
     itself"). *)

@@ -2,8 +2,9 @@
    line must reproduce — [Par.Batch.lines] (test_par) and the corpus
    index writer (test_index): empty input, blank, whitespace-only and
    leading blank lines, CRLF endings and a lone '\r', unterminated last
-   lines, a line longer than one 64 KiB slice, and 30 random inputs
-   over a line-breaking alphabet. *)
+   lines, a line longer than one 64 KiB slice, 30 random inputs over a
+   line-breaking alphabet, and generated values one to a line (the
+   texts [Par.Batch.values] cuts as the lines). *)
 let lines_cases =
   let rng = Jworkload.Prng.create 7 in
   let random () =
@@ -15,3 +16,9 @@ let lines_cases =
     "one\n"; String.make 200 'z' ^ "\nshort\n" ^ String.make 70_000 'w';
     "\n\nlead\n\n" ]
   @ List.init 30 (fun _ -> random ())
+  @
+  let rng = Jworkload.Prng.create 8 in
+  [ String.concat "\n"
+      (List.init 40 (fun i ->
+           if i mod 9 = 4 then "" else Jsont.Printer.compact (Jworkload.Gen_json.sized rng 24)))
+  ]

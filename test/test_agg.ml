@@ -261,16 +261,6 @@ let test_parse_errors () =
 
 (* ---- streaming split and Par.Batch sharding ------------------------------- *)
 
-(* the streaming prefix over [jobs] lanes, each document ingested from
-   its text by [ingest], then the blocking suffix in input order *)
-let shard_run ~jobs ~ingest pl texts =
-  let streaming, blocking = Agg.split_streaming pl in
-  let prefixed =
-    Par.Batch.map ~jobs (fun text -> Agg.apply_doc streaming (ingest text)) texts
-  in
-  let flat = List.concat (Array.to_list prefixed) in
-  List.map Agg.doc_value (Agg.run_docs blocking flat)
-
 let test_sharding () =
   let rng = Jworkload.Prng.create 11 in
   let vs = List.init 60 (fun _ -> Jworkload.Gen_json.api_record rng 3) in
@@ -301,7 +291,7 @@ let test_sharding () =
           Alcotest.(check (list string))
             (what ^ " agrees with sequential")
             seq
-            (List.map Value.to_string (shard_run ~jobs ~ingest pl texts));
+            (List.map Value.to_string (Oracle.Pipeline.sharded ~jobs ~ingest pl texts));
           let got = List.map Obs.Metrics.counter_value counters in
           match !totals with
           | None ->
@@ -363,29 +353,23 @@ let orders_corpus =
          else Printf.sprintf {|{"name":"n%d","age":%d}|} i (i mod 50)))
 
 let test_differential () =
-  let agree vs ptext =
-    let pl = Agg.parse_string_exn ptext in
-    Alcotest.(check bool)
-      (Printf.sprintf "navigational: %s" ptext)
-      true (Agg.navigational pl);
-    let direct = List.map Value.to_string (Agg.run pl vs) in
-    match Agg.run_via_jnl pl vs with
-    | Error m -> Alcotest.failf "JNL route failed on %s: %s" ptext m
-    | Ok jnl ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "JNL route agrees: %s" ptext)
-        direct
-        (List.map Value.to_string jnl);
-      direct
+  let routes vs = Oracle.Pipeline.routes (List.map Value.to_string vs) in
+  List.iter
+    (fun ptext ->
+      Alcotest.(check bool)
+        (Printf.sprintf "navigational: %s" ptext)
+        true
+        (Agg.navigational (Agg.parse_string_exn ptext)))
+    nav_pipelines;
+  Oracle.Pipeline.agree ~what:"navigational" (routes (mixed_corpus 42 80)) nav_pipelines;
+  let unwound =
+    {|[{"$match": {"orders.status": {"$exists": true}}},
+       {"$unwind": "$orders"},
+       {"$project": {"orders.status": 1, "orders.total": 1}}]|}
   in
-  List.iter (fun ptext -> ignore (agree (mixed_corpus 42 80) ptext)) nav_pipelines;
-  let out =
-    agree orders_corpus
-      {|[{"$match": {"orders.status": {"$exists": true}}},
-         {"$unwind": "$orders"},
-         {"$project": {"orders.status": 1, "orders.total": 1}}]|}
-  in
-  Alcotest.(check int) "two orders from each of 20 documents" 40 (List.length out);
+  Oracle.Pipeline.agree ~what:"orders" (routes orders_corpus) [ unwound ];
+  Alcotest.(check int) "two orders from each of 20 documents" 40
+    (List.length (Agg.run (Agg.parse_string_exn unwound) orders_corpus));
   (* outside the navigational core the JNL route refuses *)
   let group = Agg.parse_string_exn {|[{"$group": {"_id": "$age", "n": {"$count": {}}}}]|} in
   Alcotest.(check bool) "$group is refused" true
@@ -409,21 +393,15 @@ let test_differential_random () =
         (rand_path ())
         (if Jworkload.Prng.bool rng then "true" else "false")
   in
-  let vs = mixed_corpus 1234 40 in
+  let routes = Oracle.Pipeline.routes (List.map Value.to_string (mixed_corpus 1234 40)) in
   for trial = 1 to 40 do
     let n_stages = 1 + Jworkload.Prng.int rng 3 in
     let ptext =
       "[" ^ String.concat ", " (List.init n_stages (fun _ -> rand_stage ())) ^ "]"
     in
-    let pl = Agg.parse_string_exn ptext in
-    let direct = List.map Value.to_string (Agg.run pl vs) in
-    match Agg.run_via_jnl pl vs with
-    | Error m -> Alcotest.failf "JNL route failed (trial %d) on %s: %s" trial ptext m
-    | Ok jnl ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "trial %d: %s" trial ptext)
-        direct
-        (List.map Value.to_string jnl)
+    if not (Agg.navigational (Agg.parse_string_exn ptext)) then
+      Alcotest.failf "trial %d is not navigational: %s" trial ptext;
+    Oracle.Pipeline.agree ~what:(Printf.sprintf "trial %d" trial) routes [ ptext ]
   done
 
 (* Tree.substitute, the accessor the JNL unwind rebuild rests on *)

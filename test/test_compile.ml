@@ -338,25 +338,14 @@ let test_numeric_parameters () =
 
 (* ---- recursive JSL: of_jsl with definitions ------------------------------ *)
 
-(* The routes for [schema]: [compile schema], the recursive JSL
-   interpreter on its Theorem 3 translation, and [of_jsl ~defs] of that
-   translation on tree and stream — [check doc] demands all four agree. *)
+(* every validate route agrees on [schema]'s documents, the recursive
+   JSL interpreter on its Theorem 3 translation included (unfed:
+   test_stream_validate feeds the plans) *)
 let via_jsl_checker ~what schema =
-  let direct_plan = Validate.Plan.compile schema in
-  let r = Jschema.To_jsl.document schema in
-  let plan =
-    Validate.Plan.of_jsl ~defs:r.Jlogic.Jsl_rec.defs r.Jlogic.Jsl_rec.base
+  let routes =
+    Oracle.Validate.routes ~jsl_rec:true ~feeds:[] (Oracle.Validate.Schema schema)
   in
-  fun doc ->
-    let text = Value.to_string doc in
-    let direct = Validate.Plan.run direct_plan doc in
-    let interp = Jlogic.Jsl_rec.validates doc r in
-    let tree = Validate.Plan.run_tree plan (Tree.of_string_exn text) in
-    let stream = Validate.Plan.run_stream plan text in
-    if not (direct = interp && tree = direct && stream = direct) then
-      Alcotest.failf
-        "%s on %s: compile %b, Jsl_rec %b, of_jsl tree %b stream %b" what text
-        direct interp tree stream
+  fun doc -> Oracle.Validate.agree ~what routes [ Value.to_string doc ]
 
 let test_of_jsl_defs () =
   List.iter
@@ -528,27 +517,12 @@ let test_wide_verdicts () =
   timed "Schema.well_formed" (fun () ->
       Alcotest.(check bool) "well-formed" true
         (Jschema.Schema.well_formed schema = Ok ()));
-  let plan = timed "compile" (fun () -> Validate.Plan.compile schema) in
-  let r = timed "To_jsl.document" (fun () -> Jschema.To_jsl.document schema) in
-  let jsl_plan =
-    timed "of_jsl" (fun () ->
-        Validate.Plan.of_jsl ~defs:r.Jlogic.Jsl_rec.defs r.Jlogic.Jsl_rec.base)
+  let routes =
+    timed "compile, To_jsl.document and of_jsl" (fun () ->
+        Oracle.Validate.routes (Oracle.Validate.Schema schema))
   in
   let last = wide_n - 1 in
-  List.iter
-    (fun (doc_text, expected) ->
-      let doc = parse_doc doc_text in
-      let got =
-        [ ("interpreter", Validate.validates schema doc);
-          ("compile tree", Validate.Plan.run_tree plan (Tree.of_string_exn doc_text));
-          ("compile stream", Validate.Plan.run_stream plan doc_text);
-          ("of_jsl tree", Validate.Plan.run_tree jsl_plan (Tree.of_string_exn doc_text));
-          ("of_jsl stream", Validate.Plan.run_stream jsl_plan doc_text) ]
-      in
-      List.iter
-        (fun (route, v) ->
-          Alcotest.(check bool) (Printf.sprintf "%s on %s" route doc_text) expected v)
-        got)
+  Oracle.Validate.check ~what:"wide definitions" routes
     [ ("{}", true);
       ({|{"p0":0,"p1":"abc","p2":{"x":1}}|}, true);
       ({|{"p3":0}|}, false);
@@ -574,27 +548,10 @@ let test_wide_flat () =
     Printf.sprintf {|{"enum":[%s,{"o":[1,2]}]}|}
       (list (fun i -> if i mod 2 = 0 then string_of_int i else Printf.sprintf {|"s%d"|} i))
   in
-  let budget () = Obs.Budget.depth_limited Obs.Budget.default_max_depth in
   List.iter
     (fun (text, docs) ->
-      let schema = parse_schema text in
-      let plan = Validate.Plan.compile ~budget:(budget ()) schema in
-      let r = Jschema.To_jsl.document schema in
-      let jsl_plan =
-        Validate.Plan.of_jsl ~budget:(budget ()) ~defs:r.Jlogic.Jsl_rec.defs
-          r.Jlogic.Jsl_rec.base
-      in
-      List.iter
-        (fun (doc_text, expected) ->
-          List.iter
-            (fun (route, v) ->
-              Alcotest.(check bool) (Printf.sprintf "%s on %s" route doc_text)
-                expected v)
-            [ ("interpreter", Validate.validates schema (parse_doc doc_text));
-              ("compile tree", Validate.Plan.run_tree plan (Tree.of_string_exn doc_text));
-              ("compile stream", Validate.Plan.run_stream plan doc_text);
-              ("of_jsl tree", Validate.Plan.run_tree jsl_plan (Tree.of_string_exn doc_text));
-              ("of_jsl stream", Validate.Plan.run_stream jsl_plan doc_text) ])
+      Oracle.Validate.check ~what:"wide flat schema"
+        (Oracle.Validate.routes (Oracle.Validate.Schema (parse_schema text)))
         docs)
     [ ( properties,
         [ ("{}", true); ({|{"p1":5,"p19999":6}|}, true); ({|{"p3":2}|}, false);
@@ -626,23 +583,8 @@ let test_wide_grouped () =
     Buffer.add_string b "}}"
   done;
   Buffer.add_string b "}}";
-  let schema = parse_schema (Buffer.contents b) in
-  let budget () = Obs.Budget.depth_limited Obs.Budget.default_max_depth in
-  let plan = Validate.Plan.compile ~budget:(budget ()) schema in
-  let r = Jschema.To_jsl.document schema in
-  let jsl_plan =
-    Validate.Plan.of_jsl ~budget:(budget ()) ~defs:r.Jlogic.Jsl_rec.defs
-      r.Jlogic.Jsl_rec.base
-  in
-  List.iter
-    (fun (doc_text, expected) ->
-      List.iter
-        (fun (route, v) ->
-          Alcotest.(check bool) (Printf.sprintf "%s on %s" route doc_text) expected v)
-        [ ("compile tree", Validate.Plan.run_tree plan (Tree.of_string_exn doc_text));
-          ("compile stream", Validate.Plan.run_stream plan doc_text);
-          ("of_jsl tree", Validate.Plan.run_tree jsl_plan (Tree.of_string_exn doc_text));
-          ("of_jsl stream", Validate.Plan.run_stream jsl_plan doc_text) ])
+  Oracle.Validate.check ~what:"grouped definitions"
+    (Oracle.Validate.routes (Oracle.Validate.Schema (parse_schema (Buffer.contents b))))
     [ ({|{"g0":{"p1":5},"g127":{"p32767":6}}|}, true);
       ({|{"g0":{"p3":2}}|}, false);
       ("{}", true) ]

@@ -124,19 +124,9 @@ let generated =
 let query_set () =
   List.map Jlogic.Jnl.parse_exn handcrafted_queries @ Lazy.force generated
 
-(* the per-line baseline: exactly the computation [eval --files-from]
-   runs per file *)
+(* the per-line baseline: the cell [eval --files-from] prints per file *)
 let baseline_verdict ?(budget = fun () -> Obs.Budget.create ()) phi text =
-  match Jsont.Tree.of_string ~budget:(budget ()) text with
-  | Error e -> "error: " ^ Format.asprintf "%a" Jsont.Parser.pp_error e
-  | Ok tree -> (
-    match
-      let ctx = Jlogic.Jnl_eval.context ~budget:(budget ()) tree in
-      Jlogic.Jnl_eval.holds ctx Jsont.Tree.root phi
-    with
-    | b -> string_of_bool b
-    | exception Failure m -> "error: " ^ m
-    | exception Obs.Budget.Exhausted r -> "error: " ^ Obs.Budget.describe r)
+  fst (Jindex.Query.doc_cell ~fresh_budget:budget phi (fun () -> text))
 
 let corpus_lines text =
   String.split_on_char '\n' text
@@ -188,9 +178,11 @@ and path_needs_reparse (p : Jlogic.Jnl.path) =
   | Jlogic.Jnl.Star a -> path_needs_reparse a
   | _ -> false
 
-(* Every query answers like the per-line baseline, byte for byte; the
-   ones postings decide reparse the malformed lines on a fresh reader
-   and nothing at all once the reader holds their cells. *)
+(* Every query answers alike by every root route of the oracle — the
+   index, the per-line cell, the per-node checker and the root demand,
+   and for the JSONPath spellings their selection; the ones postings
+   decide reparse the malformed lines on a fresh reader and nothing at
+   all once the reader holds their cells. *)
 let test_differential () =
   let _corpus, idx = build_corpus_index () in
   let r = open_exn idx in
@@ -204,35 +196,31 @@ let test_differential () =
   let fresh = ref true in
   let routes = [ "jnl.demand.roots"; "jnl.demand.walks"; "jnl.demand.capped" ] in
   let taken = Hashtbl.create 3 in
-  List.iter
-    (fun phi ->
-      let q = Jlogic.Jnl.to_string phi in
-      let expect =
-        List.map (fun (_, line) -> baseline_verdict phi line) lines
-      in
-      with_metrics (fun () ->
-          match Jindex.Query.run ~jobs:2 r phi with
-          | Error m -> Alcotest.fail (Printf.sprintf "query %s failed: %s" q m)
-          | Ok verdicts ->
-            List.iter
-              (fun c ->
-                if Obs.Metrics.counter_value c > 0 then Hashtbl.replace taken c ())
-              routes;
-            let got =
-              Array.to_list (Array.map Jindex.Query.verdict_string verdicts)
-            in
-            Alcotest.(check (list string)) ("agreement on " ^ q) expect got;
-            let reparsed = Obs.Metrics.counter_value "index.query.reparsed" in
-            if not (needs_reparse phi) then
-              if !fresh then
-                Alcotest.(check int)
-                  ("first query reparses the malformed lines: " ^ q)
-                  malformed reparsed
-              else
-                Alcotest.(check int)
-                  ("later queries reparse none: " ^ q) 0 reparsed;
-            fresh := false))
-    (query_set ());
+  (* the index's route, its reparses and demand routes counted *)
+  let query r phi =
+    with_metrics (fun () ->
+        let verdicts = Jindex.Query.run ~jobs:2 r phi in
+        List.iter
+          (fun c -> if Obs.Metrics.counter_value c > 0 then Hashtbl.replace taken c ())
+          routes;
+        let q = Jlogic.Jnl.to_string phi in
+        let reparsed = Obs.Metrics.counter_value "index.query.reparsed" in
+        if not (needs_reparse phi) then
+          if !fresh then
+            Alcotest.(check int)
+              ("first query reparses the malformed lines: " ^ q)
+              malformed reparsed
+          else Alcotest.(check int) ("later queries reparse none: " ^ q) 0 reparsed;
+        fresh := false;
+        verdicts)
+  in
+  Oracle.Root.agree ~what:"index vs reparse"
+    (Oracle.Root.routes ~reader:r ~query (Lazy.force corpus_text))
+    (List.map (fun phi -> Oracle.Root.Jnl phi) (query_set ())
+    @ List.map
+        (fun p -> Oracle.Root.Jsonpath p)
+        [ "$.name.first"; "$.orders[0].lines[0].sku"; "$..sku"; "$.hobbies[-1]";
+          "$.orders[*].status"; "$[1]" ]);
   (* the root postings, the demand's children and the walks abandoned
      at the backward walk's size all answered some query *)
   List.iter

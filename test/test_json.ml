@@ -785,37 +785,19 @@ let prop_pointer_total =
 (* Direct ingestion: of_string vs of_value ∘ parse                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Full structural identity, not just subtree equality: both routes
-   must produce the same preorder numbering and the same per-node
-   kind/edge/parent/size/height/depth/hash columns. *)
-let trees_identical t1 t2 =
-  let n = Tree.node_count t1 in
-  Tree.node_count t2 = n
-  && Tree.equal_across t1 Tree.root t2 Tree.root
-  &&
-  let ok = ref true in
-  for nd = 0 to n - 1 do
-    if
-      Tree.kind t1 nd <> Tree.kind t2 nd
-      || Tree.edge_from_parent t1 nd <> Tree.edge_from_parent t2 nd
-      || Tree.parent_id t1 nd <> Tree.parent_id t2 nd
-      || Tree.size t1 nd <> Tree.size t2 nd
-      || Tree.height_of t1 nd <> Tree.height_of t2 nd
-      || Tree.depth t1 nd <> Tree.depth t2 nd
-      || Tree.subtree_hash t1 nd <> Tree.subtree_hash t2 nd
-    then ok := false
-  done;
-  !ok
-
 let render_error e = Format.asprintf "%a" Parser.pp_error e
 
+(* Full structural identity, not just subtree equality: every parse
+   route of the oracle gives the same preorder numbering and the same
+   per-node kind/edge/parent/size/height/depth/hash columns, or the
+   same rendered error. *)
 let test_direct_differential () =
+  (* the readers' 64 KiB slices here; "chunked tree differential" feeds
+     small chunks *)
+  let routes = Oracle.Parse.routes ~feeds:[ Oracle.slices Par.Batch.slice_bytes ] () in
   let check what doc text =
-    let direct = Tree.of_string_exn text in
-    let oracle = Tree.of_value (Parser.parse_exn text) in
-    if not (trees_identical direct oracle) then
-      Alcotest.failf "direct/oracle trees differ (%s)" what;
-    if not (Value.equal (Tree.to_value direct) doc) then
+    Oracle.Parse.agree ~what routes [ text ];
+    if not (Value.equal (Tree.to_value (Tree.of_string_exn text)) doc) then
       Alcotest.failf "to_value roundtrip differs (%s)" what
   in
   let rng = Jworkload.Prng.create 2025 in
@@ -837,7 +819,7 @@ let test_direct_differential () =
     [ 1_000; 8_000; 64_000 ]
 
 let test_direct_error_agreement () =
-  let cases =
+  Oracle.Parse.agree ~what:"errors" (Oracle.Parse.routes ())
     [ {|{"a":1,}|}; {|[1,2|}; {|{"a" 1}|}; "nul"; {|{"a":1,"a":2}|};
       {|[1, -3]|}; {|"unterminated|}; {|{"a":tru}|}; {|[1,2]]|};
       {|"\ud800x"|}; ""; "}"; "true"; "null"; "-3"; "1.5"; {|{"k":}|};
@@ -845,27 +827,6 @@ let test_direct_error_agreement () =
       (* key reuse across objects is legal; within one it is not *)
       {|{"o":{"k":1},"k":2}|}; {|{"a":{"x":1},"b":{"x":2}}|};
       {|{"a":{"x":1,"x":2}}|}; {|{"a":{},"a":1}|} ]
-  in
-  List.iter
-    (fun text ->
-      let direct = Tree.of_string text in
-      let oracle = Result.map Tree.of_value (Parser.parse text) in
-      match (direct, oracle) with
-      | Ok d, Ok o ->
-        Alcotest.(check bool)
-          (Printf.sprintf "trees agree on %S" text)
-          true (trees_identical d o)
-      | Error e1, Error e2 ->
-        Alcotest.(check string)
-          (Printf.sprintf "error agrees on %S" text)
-          (render_error e2) (render_error e1)
-      | Ok _, Error e ->
-        Alcotest.failf "direct accepted %S, oracle rejected: %s" text
-          (render_error e)
-      | Error e, Ok _ ->
-        Alcotest.failf "oracle accepted %S, direct rejected: %s" text
-          (render_error e))
-    cases
 
 (* The key set is per object: a key may recur in a nested or a sibling
    object, never twice in one. *)
@@ -992,8 +953,8 @@ let prop_direct_differential =
     arbitrary_value
     (fun v ->
       let text = Printer.compact v in
-      trees_identical (Tree.of_string_exn text)
-        (Tree.of_value (Parser.parse_exn text)))
+      Oracle.Parse.tree_cell (Tree.of_string_exn text)
+      = Oracle.Parse.tree_cell (Tree.of_value (Parser.parse_exn text)))
 
 (* ------------------------------------------------------------------ *)
 (* Resumable feed lexer: chunk-boundary differential                    *)
@@ -1222,91 +1183,27 @@ let test_feed_random_splits () =
     check_feed_matches "random doc" text (random_chunks rng text)
   done
 
-(* A feed lexer driven by a refill callback delivering [chunk]-byte
-   slices of [input]: the blocking adapter the Parser/Tree/validator
-   machinery consumes. *)
-let chunked_lexer input chunk =
-  let pos = ref 0 in
-  Lexer.create_feed
-    ~refill:(fun lx ->
-      if !pos >= String.length input then Lexer.close lx
-      else begin
-        let n = min chunk (String.length input - !pos) in
-        Lexer.feed_string lx (String.sub input !pos n);
-        pos := !pos + n
-      end)
-    ()
-
+(* every parse route of the oracle on the feed corpus and on generated
+   documents: the feed lexer's tree at 1, 2, 3, 7 and 64-byte chunks
+   is the one-shot tree, or fails with its error *)
 let test_feed_tree_differential () =
   let rng = Jworkload.Prng.create 2026 in
-  let texts =
-    feed_corpus
+  Oracle.Parse.agree ~what:"feed corpus" (Oracle.Parse.routes ())
+    (feed_corpus
     @ List.init 30 (fun i ->
-          Printer.compact (Jworkload.Gen_json.sized rng (1 + (i * 13))))
-  in
-  List.iter
-    (fun text ->
-      List.iter
-        (fun chunk ->
-          let oneshot = Tree.of_string text in
-          let fed =
-            Parser.wrap (fun () ->
-                let lx = chunked_lexer text chunk in
-                let t = Tree.of_lexer_exn ~budget:Obs.Budget.unlimited lx in
-                (* of_lexer_exn leaves trailing input to the caller;
-                   match of_string's end-of-input check by hand *)
-                (match Lexer.next lx with
-                | _, Lexer.Eof -> ()
-                | pos, tok -> Parser.unexpected pos tok "end of input");
-                t)
-          in
-          match (oneshot, fed) with
-          | Ok a, Ok b ->
-            if not (trees_identical a b) then
-              Alcotest.failf "chunked tree differs (chunk %d) on %S" chunk text
-          | Error e1, Error e2 ->
-            Alcotest.(check string)
-              (Printf.sprintf "chunked error agrees (chunk %d) on %S" chunk
-                 text)
-              (render_error e1) (render_error e2)
-          | Ok _, Error e ->
-            Alcotest.failf "one-shot ok, chunked rejected %S: %s" text
-              (render_error e)
-          | Error e, Ok _ ->
-            Alcotest.failf "one-shot rejected %S (%s), chunked ok" text
-              (render_error e))
-        [ 1; 2; 3; 7; 64 ])
-    texts
+          Printer.compact (Jworkload.Gen_json.sized rng (1 + (i * 13)))))
 
 (* Fuel parity: the chunked route must charge exactly the fuel the
    one-shot route charges — checked by agreement at every exact fuel
-   threshold around a document's total draw. *)
+   threshold around a document's total draw, and under tiny depths and
+   deadlines. *)
 let test_feed_fuel_parity () =
   let rng = Jworkload.Prng.create 11 in
   let doc = Jworkload.Gen_json.sized rng 120 in
-  let text = Printer.compact doc in
   let nodes = Value.size doc in
-  List.iter
-    (fun fuel ->
-      let oneshot =
-        match Tree.of_string ~budget:(Obs.Budget.create ~fuel ()) text with
-        | Ok _ -> None
-        | Error e -> Some (render_error e)
-      in
-      let fed =
-        match
-          Parser.wrap (fun () ->
-              Tree.of_lexer_exn
-                ~budget:(Obs.Budget.create ~fuel ())
-                (chunked_lexer text 3))
-        with
-        | Ok _ -> None
-        | Error e -> Some (render_error e)
-      in
-      Alcotest.(check (option string))
-        (Printf.sprintf "fuel %d parity" fuel)
-        oneshot fed)
-    (List.init 8 (fun i -> max 1 ((2 * nodes) - 4 + i)) @ [ 1; 2; 3; nodes ])
+  Oracle.Parse.sweep ~what:"fused group"
+    ~fuels:(List.init 8 (fun i -> max 1 ((2 * nodes) - 4 + i)) @ [ 1; 2; 3; nodes ])
+    [ Printer.compact doc ]
 
 (* ------------------------------------------------------------------ *)
 (* Tree: key lookup, columns built on first use, shared trees           *)
@@ -1316,8 +1213,7 @@ let test_feed_fuel_parity () =
    string pass, the same pass over 3-byte chunks, and [of_value]. *)
 let tree_routes text =
   [ ("of_string", Tree.of_string_exn text);
-    ( "3-byte chunks",
-      Tree.of_lexer_exn ~budget:Obs.Budget.unlimited (chunked_lexer text 3) );
+    ("3-byte chunks", Oracle.Parse.fed_tree (snd (Oracle.slices 3) text));
     ("of_value", Tree.of_value (Parser.parse_exn text)) ]
 
 (* Objects up to 16 keys are scanned, wider ones probe a table built

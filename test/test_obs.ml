@@ -15,7 +15,7 @@ module Plan = Jschema.Validate.Plan
 let stream ?budget text f =
   match Parser.wrap (fun () -> Plan.run_stream ?budget (Plan.of_jsl f) text) with
   | Ok ok -> Ok ok
-  | Error e -> Error (Plan_oracle.render e)
+  | Error e -> Error (Oracle.render e)
 
 let contains needle s =
   let n = String.length needle and m = String.length s in
@@ -315,9 +315,11 @@ let test_differential_stream_vs_tree () =
     let doc = Jworkload.Gen_json.sized rng (1 + Jworkload.Prng.int rng 120) in
     let f = Jworkload.Gen_formula.jsl rng cfg in
     let text = Printer.compact doc in
-    Plan_oracle.check ~what:(Printf.sprintf "pair %d" i)
-      ~expected:(Jsl.validates doc f) (Plan.of_jsl f) text
-      ~cuts:[ Jworkload.Prng.int rng (String.length text + 1) ]
+    Oracle.Validate.check ~what:(Printf.sprintf "pair %d" i)
+      (Oracle.Validate.plan_routes
+         ~cuts:[ Jworkload.Prng.int rng (String.length text + 1) ]
+         (Plan.of_jsl f))
+      [ (text, Jsl.validates doc f) ]
   done
 
 (* ------------------------------------------------------------------ *)
@@ -418,11 +420,11 @@ let test_differential_skip_padding () =
     let f = Jworkload.Gen_formula.jsl rng cfg in
     let pad = pads.(i mod Array.length pads) in
     let text = Printf.sprintf {|{"pad":%s,"doc":%s}|} pad (Printer.compact doc) in
-    Plan_oracle.check ~what:(Printf.sprintf "pair %d" i)
-      ~expected:(Jsl.validates doc f)
-      (Plan.of_jsl (Jsl.dia_key "doc" f))
-      text
-      ~cuts:[ Jworkload.Prng.int rng (String.length text + 1) ]
+    Oracle.Validate.check ~what:(Printf.sprintf "pair %d" i)
+      (Oracle.Validate.plan_routes
+         ~cuts:[ Jworkload.Prng.int rng (String.length text + 1) ]
+         (Plan.of_jsl (Jsl.dia_key "doc" f)))
+      [ (text, Jsl.validates doc f) ]
   done
 
 let test_differential_budget_exhaustion () =

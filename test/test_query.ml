@@ -258,32 +258,11 @@ let test_translation_differential () =
   (* [matches] must agree with the JSL translation on every document,
      and — where the filter reaches the pure-JNL fragment of Theorem 2
      — with the JNL translation as well *)
-  let filters = differential_filters and docs = differential_docs in
   Alcotest.(check bool) "differential covers >= 30 filters" true
-    (List.length filters >= 30);
-  List.iter
-    (fun ftext ->
-      let f = Jquery.Mongo.parse_string_exn ftext in
-      let jsl = Jquery.Mongo.to_jsl f in
-      let jnl =
-        match Jquery.Mongo.to_jnl f with Ok jnl -> Some jnl | Error _ -> None
-      in
-      List.iter
-        (fun d ->
-          let direct = Jquery.Mongo.matches f d in
-          Alcotest.(check bool)
-            (Printf.sprintf "JSL agrees: %s on %s" ftext (Value.to_string d))
-            direct
-            (Jlogic.Jsl.validates d jsl);
-          match jnl with
-          | None -> ()
-          | Some jnl ->
-            Alcotest.(check bool)
-              (Printf.sprintf "JNL agrees: %s on %s" ftext (Value.to_string d))
-              direct
-              (Jlogic.Jnl_eval.satisfies d jnl))
-        docs)
-    filters
+    (List.length differential_filters >= 30);
+  Oracle.Filter.agree ~what:"translations"
+    (Oracle.Filter.routes differential_docs)
+    (List.map (fun f -> (f, None)) differential_filters)
 
 let test_projection () =
   let doc = parse_doc {|{"name":"Sue","age":28,"address":{"city":"Santiago","zip":1}}|} in
@@ -336,11 +315,7 @@ let test_find_pipeline () =
   let random = List.init 60 (fun _ -> "{" ^ cond 0 ^ "}") in
   let projections =
     None
-    :: List.map
-         (fun t ->
-           match Jquery.Mongo.parse_projection (parse_doc t) with
-           | Ok p -> Some (t, p)
-           | Error m -> Alcotest.fail m)
+    :: List.map Option.some
          [ {|{"name":1,"address.city":1}|}; {|{"a.b":1}|};
            {|{"age":0,"address.zip":0}|}; {|{"a":0}|}; {|{}|} ]
   in
@@ -352,24 +327,10 @@ let test_find_pipeline () =
   in
   Alcotest.(check bool) "random filters select some documents, not all" true
     (List.length selecting > 10 && List.length selecting < 50);
-  List.iter
-    (fun ftext ->
-      let f = Jquery.Mongo.parse_string_exn ftext in
-      List.iter
-        (fun p ->
-          let expected =
-            match p with
-            | None -> Jquery.Mongo.find f docs
-            | Some (_, p) -> List.map (Jquery.Mongo.project p) (Jquery.Mongo.find f docs)
-          in
-          let got = Jquery.Mongo_agg.run (Jquery.Mongo_agg.of_find f (Option.map snd p)) docs in
-          Alcotest.(check (list string))
-            (Printf.sprintf "%s projected by %s" ftext
-               (match p with None -> "nothing" | Some (t, _) -> t))
-            (List.map Value.to_string expected)
-            (List.map Value.to_string got))
-        projections)
-    (differential_filters @ random)
+  Oracle.Filter.agree ~what:"find as a pipeline" (Oracle.Filter.routes docs)
+    (List.concat_map
+       (fun f -> List.map (fun p -> (f, p)) projections)
+       (differential_filters @ random))
 
 (* ------------------------------------------------------------------ *)
 (* JSONPath                                                             *)

@@ -200,8 +200,9 @@ let test_serve_verdicts () =
           Alcotest.(check int) "failure not cached" 1
             (Jserve.Plan_cache.size (Jserve.Server.cache srv))))
 
-(* the daemon's verdict must equal the CLI stream checker's on the
-   same bytes — including error spelling *)
+(* the daemon's VALIDATE and VALIDATEI print the cell every validate
+   route of the oracle prints on the same bytes — including error
+   spelling *)
 let test_serve_cli_agreement () =
   let malformed =
     [ {|{"a":1|}; {|{bad|}; {|12 34|}; ""; "{"; {|{"sku":|}; "[1,2"; "tru";
@@ -220,31 +221,10 @@ let test_serve_cli_agreement () =
       with_client srv (fun c ->
           List.iter
             (fun (schema_text, docs) ->
-              let plan =
-                match Jschema.Parse.of_string schema_text with
-                | Ok s -> Jschema.Validate.Plan.compile s
-                | Error m -> Alcotest.fail m
-              in
-              let cli_cell doc =
-                match
-                  Jsont.Parser.wrap (fun () ->
-                      Jschema.Validate.Plan.run_stream
-                        ~budget:(Obs.Budget.create ()) plan doc)
-                with
-                | Ok true -> "valid"
-                | Ok false -> "INVALID"
-                | Error e ->
-                  "error: " ^ Format.asprintf "%a" Jsont.Parser.pp_error e
-              in
-              let id = unwrap (Jserve.Client.put_schema c schema_text) in
-              List.iter
-                (fun doc ->
-                  let daemon =
-                    unwrap (Jserve.Client.validate c ~schema_id:id doc)
-                  in
-                  Alcotest.(check string)
-                    (Printf.sprintf "agreement on %S" doc)
-                    (cli_cell doc) daemon)
+              Oracle.Validate.agree ~what:"daemon"
+                (Oracle.Validate.routes
+                   (Oracle.Validate.Schema (Jschema.Parse.of_string_exn schema_text))
+                @ Oracle.Validate.daemon c schema_text)
                 (docs @ malformed))
             [ (schema_text, docs);
               (Jworkload.Catalog.catalog_schema, catalog_docs) ]))
@@ -272,37 +252,24 @@ let indexq_corpus () =
   | Error m -> Alcotest.fail ("index build failed: " ^ m));
   (corpus, idx)
 
-(* the payload one INDEXQ must answer: exactly the `index query` CLI
-   rows over the same reader *)
-let indexq_expect idx formula =
-  let r =
+(* the daemon's INDEXQ among the root routes of the oracle: its
+   payload is the `index query` CLI rows over the same corpus *)
+let indexq_agree c ~what ~idx ~corpus formulas =
+  let reader =
     match Jindex.Reader.open_ idx with
     | Ok r -> r
     | Error m -> Alcotest.fail m
   in
-  match Jindex.Query.run r (Jlogic.Jnl.parse_exn formula) with
-  | Error m -> Alcotest.fail m
-  | Ok verdicts ->
-    let b = Buffer.create 256 in
-    Array.iteri
-      (fun d v ->
-        Buffer.add_string b
-          (Printf.sprintf "%d\t%s\n"
-             (Jindex.Reader.doc_lineno r d)
-             (Jindex.Query.verdict_string v)))
-      verdicts;
-    Buffer.contents b
+  Oracle.Root.agree ~what
+    (Oracle.Root.routes ~reader ~client:(c, idx)
+       (In_channel.with_open_bin corpus In_channel.input_all))
+    (List.map (fun f -> Oracle.Root.Jnl (Jlogic.Jnl.parse_exn f)) formulas)
 
 let test_indexq_end_to_end () =
   let corpus, idx = indexq_corpus () in
   with_server (fun srv ->
       with_client srv (fun c ->
-          List.iter
-            (fun formula ->
-              Alcotest.(check string)
-                ("payload agreement on " ^ formula)
-                (indexq_expect idx formula)
-                (unwrap (Jserve.Client.index_query c ~index:idx formula)))
+          indexq_agree c ~what:"payload agreement" ~idx ~corpus
             [ "eq(.name.first, \"John\")"; "<.orders[0].lines[0].sku>";
               "eq(eps, 7)"; "true"; "<.hobbies[-1]>" ];
           (* the reader cache: one open, the rest hits *)
@@ -320,9 +287,7 @@ let test_indexq_end_to_end () =
           (match Jindex.Writer.build ~corpus ~output:idx () with
           | Ok _ -> ()
           | Error m -> Alcotest.fail ("rebuild failed: " ^ m));
-          Alcotest.(check string) "rebuilt index answers fresh"
-            (indexq_expect idx "<.a>")
-            (unwrap (Jserve.Client.index_query c ~index:idx "<.a>"));
+          indexq_agree c ~what:"rebuilt index answers fresh" ~idx ~corpus [ "<.a>" ];
           Alcotest.(check int) "re-open counted" 2
             (counter srv "serve.indexq.opens")));
   Sys.remove corpus;
@@ -335,17 +300,11 @@ let test_indexq_repeat () =
   with_server (fun srv ->
       with_client srv (fun c ->
           List.iter
-            (fun formula ->
-              let ask () =
-                unwrap (Jserve.Client.index_query c ~index:idx formula)
-              in
-              let first = ask () in
-              Alcotest.(check string) ("first answer on " ^ formula)
-                (indexq_expect idx formula) first;
-              Alcotest.(check string) ("second answer on " ^ formula) first
-                (ask ()))
-            [ "eq(.name.first, \"John\")"; "<.orders[0].lines[0].sku>";
-              "true"; "eq(.name.first, .name.last)" ]));
+            (fun what ->
+              indexq_agree c ~what ~idx ~corpus
+                [ "eq(.name.first, \"John\")"; "<.orders[0].lines[0].sku>";
+                  "true"; "eq(.name.first, .name.last)" ])
+            [ "first answer"; "second answer" ]));
   Sys.remove corpus;
   Sys.remove idx
 

@@ -15,7 +15,7 @@ let re = Rexp.Parse.parse_exn
 let stream_validates text f =
   match Parser.wrap (fun () -> Plan.run_stream (Plan.of_jsl f) text) with
   | Ok b -> b
-  | Error e -> Alcotest.failf "stream error on %s: %s" text (Plan_oracle.render e)
+  | Error e -> Alcotest.failf "stream error on %s: %s" text (Oracle.render e)
 
 let test_supported () =
   (* everything the formula language has compiles and streams: Unique,
@@ -40,7 +40,9 @@ let test_supported () =
         (fun (text, expected) ->
           let what = Jsl.to_string f ^ " on " ^ text in
           Alcotest.(check bool) what expected (Jsl.validates (Parser.parse_exn text) f);
-          Plan_oracle.check ~what ~expected plan text ~cuts:(Plan_oracle.every_cut text))
+          Oracle.Validate.check ~what
+            (Oracle.Validate.plan_routes ~cuts:(Oracle.every_cut text) plan)
+            [ (text, expected) ])
         docs)
     cases;
   (* what stays out: free recursion symbols (Jsl_rec's business) and
@@ -114,15 +116,17 @@ let test_validate_jnl () =
   let doc = {|{"name":{"first":"John"},"age":32}|} in
   (match jnl_plan phi with
   | Ok plan ->
-    Plan_oracle.check ~what:"det JNL streams" ~expected:true plan doc ~cuts:[ 9 ];
-    Plan_oracle.check ~what:"mismatch detected" ~expected:false plan
-      {|{"name":{"first":"Jane"}}|} ~cuts:[ 3 ]
+    Oracle.Validate.check ~what:"det JNL streams"
+      (Oracle.Validate.plan_routes ~cuts:[ 9 ] plan) [ (doc, true) ];
+    Oracle.Validate.check ~what:"mismatch detected"
+      (Oracle.Validate.plan_routes ~cuts:[ 3 ] plan)
+      [ ({|{"name":{"first":"Jane"}}|}, false) ]
   | Error m -> Alcotest.fail m);
   (* non-deterministic JNL streams too *)
   (match jnl_plan (Jnl.parse_exn {|<[0:*].a>|}) with
   | Ok plan ->
-    Plan_oracle.check ~what:"range step" ~expected:true plan
-      {|[{"b":1},{"a":2}]|} ~cuts:[ 5 ]
+    Oracle.Validate.check ~what:"range step"
+      (Oracle.Validate.plan_routes ~cuts:[ 5 ] plan) [ ({|[{"b":1},{"a":2}]|}, true) ]
   | Error m -> Alcotest.fail m);
   (* recursion and EQ(α,β) have no JSL counterpart *)
   (match jnl_plan (Jnl.Exists (Jnl.Star (Jnl.Key "a"))) with
@@ -151,10 +155,10 @@ let test_jnl_differential () =
       let text = Value.to_string doc in
       let expected = Jnl_eval.satisfies doc phi in
       if expected then incr held;
-      Plan_oracle.check
+      Oracle.Validate.check
         ~what:(Printf.sprintf "case %d: %s" case (Jnl.to_string phi))
-        ~expected plan text
-        ~cuts:[ Prng.int rng (String.length text + 1) ]
+        (Oracle.Validate.plan_routes ~cuts:[ Prng.int rng (String.length text + 1) ] plan)
+        [ (text, expected) ]
   done;
   Alcotest.(check bool)
     (Printf.sprintf "enough translatable formulas (%d/1000)" !checked)
@@ -179,7 +183,7 @@ let test_jsl_differential () =
   for case = 0 to 1199 do
     let rng = Prng.create (0xD1FF + case) in
     let f = Jworkload.Gen_formula.jsl rng cfg in
-    let f = if case mod 3 = 0 then Plan_oracle.arr_to_unique f else f in
+    let f = if case mod 3 = 0 then Oracle.arr_to_unique f else f in
     let doc = Jworkload.Gen_json.sized rng (1 + Prng.int rng 80) in
     let text = Value.to_string doc in
     let expected = Jsl.validates doc f in
@@ -187,12 +191,13 @@ let test_jsl_differential () =
     (* every split point on the first hundred pairs, one random split on
        the rest *)
     let cuts =
-      if case < 100 then Plan_oracle.every_cut text
+      if case < 100 then Oracle.every_cut text
       else [ Prng.int rng (String.length text + 1) ]
     in
-    Plan_oracle.check
+    Oracle.Validate.check
       ~what:(Printf.sprintf "case %d: %s" case (Jsl.to_string f))
-      ~expected (Plan.of_jsl f) text ~cuts
+      (Oracle.Validate.plan_routes ~cuts (Plan.of_jsl f))
+      [ (text, expected) ]
   done;
   let spills = Obs.Metrics.counter_value "validate.stream.spills" in
   Obs.Metrics.set_enabled false;

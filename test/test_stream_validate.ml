@@ -14,28 +14,15 @@ let plan_of text = Plan.compile (Jschema.Parse.of_string_exn text)
 
 let render e = Format.asprintf "%a" Parser.pp_error e
 
-(* both engines, surfaced through the same (verdict | rendered error)
-   shape so outcomes can be compared byte for byte *)
+(* the stream engine's verdict, or its rendered error *)
 let via_stream plan text =
   match Parser.wrap (fun () -> Plan.run_stream plan text) with
   | Ok ok -> Ok ok
   | Error e -> Error (render e)
 
-let via_tree plan text =
-  match Tree.of_string text with
-  | Ok t -> Ok (Plan.run_tree plan t)
-  | Error e -> Error (render e)
-
-let check_agree ?(schema_text = "") plan text =
-  let s = via_stream plan text and t = via_tree plan text in
-  let pp = function
-    | Ok b -> Printf.sprintf "Ok %b" b
-    | Error m -> "Error " ^ m
-  in
-  if s <> t then
-    Alcotest.failf "stream %s <> tree %s on %s (schema %s)" (pp s) (pp t)
-      (if String.length text > 200 then String.sub text 0 200 ^ "…" else text)
-      schema_text
+(* every route of [plan] prints one cell on each text *)
+let agree plan texts =
+  Oracle.Validate.agree ~what:"plan routes" (Oracle.Validate.plan_routes plan) texts
 
 (* ------------------------------------------------------------------ *)
 (* Table 1 keyword cases: every keyword, both verdicts                 *)
@@ -44,38 +31,26 @@ let check_agree ?(schema_text = "") plan text =
 let test_keyword_cases () =
   List.iter
     (fun (keyword, schema_text, cases) ->
-      let plan = plan_of schema_text in
-      List.iter
-        (fun (doc_text, expected) ->
-          (match via_stream plan doc_text with
-          | Ok got ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: %s" keyword doc_text)
-              expected got
-          | Error m ->
-            Alcotest.failf "%s: stream error %s on %s" keyword m doc_text);
-          check_agree ~schema_text plan doc_text)
+      Oracle.Validate.check ~what:keyword
+        (Oracle.Validate.routes (Oracle.Validate.Schema (Jschema.Parse.of_string_exn schema_text)))
         cases)
     Jworkload.Catalog.keyword_cases
 
 (* ------------------------------------------------------------------ *)
-(* Three-way fuzz: run_stream = run_tree = interpreted validates       *)
+(* Fuzz: every validate route of the oracle agrees                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_fuzz_catalog () =
-  let schema = Jschema.Parse.of_string_exn Jworkload.Catalog.catalog_schema in
-  let plan = Plan.compile schema in
+  (* unfed: the feeds run on the keyword cases and at every split
+     point *)
+  let routes =
+    Oracle.Validate.routes ~feeds:[]
+      (Oracle.Validate.Schema (Jschema.Parse.of_string_exn Jworkload.Catalog.catalog_schema))
+  in
   let rng = Jworkload.Prng.create 4242 in
   for i = 1 to 500 do
-    let doc = Jworkload.Catalog.catalog_doc rng in
-    let text = Value.to_string doc in
-    match via_stream plan text with
-    | Error m -> Alcotest.failf "case %d: stream error %s" i m
-    | Ok got ->
-      let tree = Plan.run_tree plan (Tree.of_string_exn text) in
-      let interp = Jschema.Validate.validates schema doc in
-      if got <> tree || tree <> interp then
-        Alcotest.failf "case %d: stream=%b tree=%b interp=%b" i got tree interp
+    let text = Value.to_string (Jworkload.Catalog.catalog_doc rng) in
+    Oracle.Validate.agree ~what:(Printf.sprintf "case %d" i) routes [ text ]
   done
 
 let test_fuzz_generated () =
@@ -96,18 +71,11 @@ let test_fuzz_generated () =
     match Jschema.Schema.well_formed schema with
     | Error _ -> ()
     | Ok () ->
-      let plan = Plan.compile schema in
+      let routes = Oracle.Validate.routes ~feeds:[] (Oracle.Validate.Schema schema) in
       let doc = Jworkload.Gen_json.sized rng (1 + Jworkload.Prng.int rng 80) in
-      let text = Value.to_string doc in
       incr checked;
-      (match via_stream plan text with
-      | Error m -> Alcotest.failf "case %d: stream error %s" i m
-      | Ok got ->
-        let tree = Plan.run_tree plan (Tree.of_string_exn text) in
-        let interp = Jschema.Validate.validates schema doc in
-        if got <> tree || tree <> interp then
-          Alcotest.failf "case %d: stream=%b tree=%b interp=%b on %s" i got
-            tree interp text)
+      Oracle.Validate.agree ~what:(Printf.sprintf "case %d" i) routes
+        [ Value.to_string doc ]
   done;
   Alcotest.(check bool)
     (Printf.sprintf "enough well-formed schemas (%d/500)" !checked)
@@ -145,7 +113,7 @@ let test_error_identity () =
       {|[,]|}; {|{"a":1 "b":2}|}; {|{1:2}|}; {|{"id": 1e30}|};
       {|{"deep":{"deeper":{"x":[1,{"y":tru}]}}}|} ]
   in
-  List.iter (fun text -> check_agree plan text) cases;
+  agree plan cases;
   (* duplicate keys against the run's one key set: past its growth, an
      enclosing object's key reused inside (not a duplicate), a nested
      object closing before the duplicate, in streamed and in skipped
@@ -161,22 +129,20 @@ let test_error_identity () =
       {|{"x":1,"n":{"x":1,"y":2,"y":3}}|} ]
   in
   List.iter
-    (fun plan -> List.iter (fun text -> check_agree plan text) dup_cases)
+    (fun plan -> agree plan dup_cases)
     [ plan; plan_of {|{"properties":{"a":{"type":"object"}}}|} ];
   (* and with a mutation sweep over a well-formed document: truncations
      and byte injections at every offset *)
   let rng = Jworkload.Prng.create 99 in
   let base = Value.to_string (Jworkload.Catalog.catalog_doc rng) in
   let base = String.sub base 0 (min 400 (String.length base)) in
-  for cut = 0 to String.length base - 1 do
-    check_agree plan (String.sub base 0 cut)
-  done;
+  agree plan (List.init (String.length base) (String.sub base 0));
   String.iteri
     (fun i _ ->
       if i mod 7 = 0 then begin
         let b = Bytes.of_string base in
         Bytes.set b i '}';
-        check_agree plan (Bytes.to_string b)
+        agree plan [ Bytes.to_string b ]
       end)
     base
 
@@ -287,7 +253,7 @@ let test_spill_container_enum () =
       match via_stream plan text with
       | Ok got ->
         Alcotest.(check bool) ("enum " ^ text) expected got;
-        check_agree plan text
+        agree plan [ text ]
       | Error m -> Alcotest.failf "enum %s: %s" text m)
     [ ("[1,2]", true); ({|{"k":"v"}|}, true); ("7", true); ({|"s"|}, true);
       ("[1,3]", false); ({|{"k":"w"}|}, false); ("8", false); ("[]", false) ]
@@ -295,7 +261,7 @@ let test_spill_container_enum () =
 let test_spill_ref_sharing () =
   let plan = plan_of (Jworkload.Catalog.ref_sharing_schema 12) in
   let text = Value.to_string Jworkload.Catalog.ref_sharing_doc in
-  check_agree plan text
+  agree plan [ text ]
 
 let test_skip_metrics () =
   with_metrics (fun () ->
@@ -426,48 +392,6 @@ let test_ndjson_fault_folding () =
 (* Chunked feed: run_lexer over a refill lexer = run_stream             *)
 (* ------------------------------------------------------------------ *)
 
-(* A feed lexer delivering [chunks] one refill at a time (empty chunks
-   are coalesced forward: a refill must feed at least one byte or
-   close). *)
-let chunks_lexer chunks =
-  let rest = ref chunks in
-  Jsont.Lexer.create_feed
-    ~refill:(fun lx ->
-      let rec go () =
-        match !rest with
-        | [] -> Jsont.Lexer.close lx
-        | c :: tl ->
-          rest := tl;
-          if c = "" then go () else Jsont.Lexer.feed_string lx c
-      in
-      go ())
-    ()
-
-let slices text size =
-  let n = String.length text in
-  let rec go i acc =
-    if i >= n then List.rev acc
-    else go (i + size) (String.sub text i (min size (n - i)) :: acc)
-  in
-  go 0 []
-
-let via_feed ?budget plan chunks =
-  match
-    Parser.wrap (fun () -> Plan.run_lexer ?budget plan (chunks_lexer chunks))
-  with
-  | Ok ok -> Ok ok
-  | Error e -> Error (render e)
-
-let check_feed_agree plan text chunks tag =
-  let oneshot = via_stream plan text and fed = via_feed plan chunks in
-  if oneshot <> fed then
-    let pp = function
-      | Ok b -> Printf.sprintf "Ok %b" b
-      | Error m -> "Error " ^ m
-    in
-    Alcotest.failf "chunked %s <> one-shot %s (%s) on %s" (pp fed) (pp oneshot)
-      tag text
-
 (* The work counters one run leaves behind, with its outcome. *)
 let work_counters run =
   Obs.Metrics.reset ();
@@ -479,22 +403,11 @@ let work_counters run =
         "validate.stream.spills"; "validate.stream.runs" ] )
 
 let test_feed_keyword_cases () =
-  List.iter
-    (fun (keyword, schema_text, cases) ->
-      let plan = plan_of schema_text in
-      List.iter
-        (fun (doc_text, _) ->
-          List.iter
-            (fun size ->
-              check_feed_agree plan doc_text (slices doc_text size)
-                (Printf.sprintf "%s, %d-byte chunks" keyword size))
-            [ 1; 7 ])
-        cases)
-    Jworkload.Catalog.keyword_cases;
-  (* The feed does not show in the work counters either: under a
-     schema that checks members, one that skips them and one that
-     spills documents, every document draws the same counts fed in
-     1- and 7-byte chunks as in one piece. *)
+  (* The feed does not show in the work counters: under a schema that
+     checks members, one that skips them and one that spills
+     documents, every document draws the same counts fed in 1- and
+     7-byte chunks as in one piece.  (The verdicts of the keyword
+     cases fed so are the oracle's, in "Table 1 keyword cases".) *)
   let docs =
     [ {|{"a":3,"note":"ok"}|}; {|{"a":0}|}; {|{"a":1,"broken"|};
       {|{"a":1,"pad":[[["deep",{"k":"v"}]],"tail"]}|} ]
@@ -502,21 +415,22 @@ let test_feed_keyword_cases () =
   with_metrics @@ fun () ->
   List.iter
     (fun (schema_text, busy) ->
-      let plan = plan_of schema_text in
+      let routes =
+        Oracle.Validate.stream_routes ~feeds:(List.map Oracle.slices [ 1; 7 ])
+          (plan_of schema_text)
+      in
       let total = ref 0 in
       List.iter
         (fun text ->
-          let oneshot, counts = work_counters (fun () -> via_stream plan text) in
-          total := !total + List.assoc busy counts;
-          List.iter
-            (fun size ->
-              let fed, fed_counts =
-                work_counters (fun () -> via_feed plan (slices text size))
-              in
-              if fed <> oneshot || fed_counts <> counts then
-                Alcotest.failf "%s on %s: %d-byte chunks change the counters"
-                  schema_text text size)
-            [ 1; 7 ])
+          match List.map (fun r -> (r.Oracle.name, work_counters (fun () -> r.run text))) routes with
+          | [] -> ()
+          | (_, ((_, counts) as oneshot)) :: fed ->
+            total := !total + List.assoc busy counts;
+            List.iter
+              (fun (name, got) ->
+                if got <> oneshot then
+                  Alcotest.failf "%s on %s: %s changes the counters" schema_text text name)
+              fed)
         docs;
       if !total = 0 then Alcotest.failf "%s: %s never counted" schema_text busy)
     [ ( {|{"type":"object","required":["a"],
@@ -538,39 +452,24 @@ let test_feed_every_split () =
   let doc =
     if String.length doc > 300 then String.sub doc 0 300 else doc
   in
-  let cases =
-    [ doc; {|{"a":tru}|}; {|[1, -3]|}; {|{"id": 1e30}|}; {|{"id": 1e999}|};
-      {|{"tags":["a","a"]}|}; "" ]
-  in
   List.iter
     (fun text ->
-      let n = String.length text in
-      for k = 0 to n do
-        check_feed_agree plan text
-          [ String.sub text 0 k; String.sub text k (n - k) ]
-          (Printf.sprintf "split at %d" k)
-      done)
-    cases
+      Oracle.Validate.agree ~what:"every split"
+        (Oracle.Validate.plan_routes ~cuts:(Oracle.every_cut text) plan)
+        [ text ])
+    [ doc; {|{"a":tru}|}; {|[1, -3]|}; {|{"id": 1e30}|}; {|{"id": 1e999}|};
+      {|{"tags":["a","a"]}|}; "" ]
 
 let test_feed_fuel_identity () =
-  (* fuel charges must be identical, not merely order-compatible:
-     compare rendered outcomes at every exact fuel value up to the
-     document's full draw *)
-  let plan = plan_of {|{"type":"object","properties":{"a":{"type":"array","items":{"type":"integer"}}}}|} in
-  let text = {|{"a":[1,2,3],"skip":{"x":[true,"s"]}}|} in
-  for fuel = 1 to 40 do
-    let budget () = Obs.Budget.create ~fuel () in
-    let oneshot =
-      match
-        Parser.wrap (fun () -> Plan.run_stream ~budget:(budget ()) plan text)
-      with
-      | Ok ok -> Ok ok
-      | Error e -> Error (render e)
-    in
-    let fed = via_feed ~budget:(budget ()) plan (slices text 3) in
-    if oneshot <> fed then
-      Alcotest.failf "fuel %d: chunked and one-shot outcomes differ" fuel
-  done
+  (* fuel charges must be identical, not merely order-compatible: the
+     stream group agrees at every exact fuel value up to the small
+     document's full draw, at tiny depths, and under deadlines that
+     fire inside the long array *)
+  Oracle.Validate.sweep ~what:"stream group"
+    (plan_of {|{"type":"object","properties":{"a":{"type":"array","items":{"type":"integer"}}}}|})
+    [ {|{"a":[1,2,3],"skip":{"x":[true,"s"]}}|};
+      Printf.sprintf {|{"a":[%s],"skip":{"x":[true,"s"]}}|}
+        (String.concat "," (List.init 3000 string_of_int)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Multi-id dispatch: members/elements owing two or more plan ids       *)
@@ -638,23 +537,12 @@ let test_multi_id_dispatch () =
           container ()
         in
         let text = Value.to_string doc in
-        let stream =
-          match via_stream plan text with
-          | Ok b -> b
-          | Error m -> Alcotest.failf "case %d: stream error %s on %s" i m text
-        in
-        let tree = Plan.run_tree plan (Tree.of_string_exn text) in
         let interp = Jschema.Validate.validates schema doc in
-        if stream <> tree || tree <> interp then
-          Alcotest.failf "case %d: stream=%b tree=%b interp=%b on %s (schema %s)"
-            i stream tree interp text schema_text;
-        verdicts := stream :: !verdicts;
-        let n = String.length text in
-        for k = 0 to n do
-          check_feed_agree plan text
-            [ String.sub text 0 k; String.sub text k (n - k) ]
-            (Printf.sprintf "split at %d" k)
-        done
+        Oracle.Validate.check
+          ~what:(Printf.sprintf "case %d, schema %s" i schema_text)
+          (Oracle.Validate.plan_routes ~cuts:(Oracle.every_cut text) plan)
+          [ (text, interp) ];
+        verdicts := interp :: !verdicts
       done;
       if not (List.mem true !verdicts && List.mem false !verdicts) then
         Alcotest.failf "one-sided verdicts on schema %s" schema_text)
